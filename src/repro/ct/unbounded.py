@@ -1,17 +1,30 @@
-"""Unbounded CT table: a plain dict, never evicts.
+"""Unbounded CT table: never evicts, and holds one store at a time.
 
 Used by the trace evaluations (Tables 1-2), where the paper lets the CT
 "grow as needed (i.e., no flows are evicted from CT)" to isolate tracking
 volume from eviction effects.
 
-The dict stays the source of truth and the scalar entry points are
-unchanged (they are the executable spec).  For the columnar dataplane the
-table additionally maintains a numpy *mirror* -- an open-addressing
-linear-probe hash (uint64 keys, int32 values) -- so ``get_batch_idx`` is
-a vectorized probe (~7 ns/key vs ~80 ns/key for dict probing, the single
-biggest term in the 10M pps replay budget).  Scalar mutations just mark
-the mirror dirty; it is rebuilt lazily from the dict on the next batch
-probe, so correctness never depends on the mirror being current.
+*Name mode* (a fresh table): a plain dict, and the scalar entry points
+over it are the executable spec.  No array exists yet.
+
+*Index mode* (from the first ``remap_values`` / ``get_batch_idx`` /
+``put_batch_idx``): the entries move once into an open-addressing
+linear-probe hash -- ``uint64`` keys, ``int32`` backend ids, load kept
+under 0.6 -- and the dict is dropped.  Every entry point, the scalar ones
+included, then reads and writes the arrays, so there is nothing to keep
+in sync and ``get_batch_idx`` is a vectorized probe (~7 ns/key against
+~80 ns/key for a dict).  Three conventions carry it:
+
+* Key 0 marks an empty slot.  Flow key 0 therefore owns one side slot
+  past the end of the probed range, which every routine addresses like
+  any other slot.
+* Value -1 is the miss sentinel *and* the tombstone.  ``delete`` and
+  ``invalidate_destination`` overwrite the value and keep the key, so
+  probe runs stay intact; empty slots hold -1 too, which makes "the
+  value where the key's probe run ends" the answer for present, deleted
+  and absent keys alike.  A re-insert overwrites the tombstone in place.
+* Growth rehashes the live entries into fresh arrays; that is also
+  where tombstones are dropped.
 """
 
 from __future__ import annotations
@@ -20,47 +33,69 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.ct.base import ConnectionTracker, Destination
+from repro.ct.base import ConnectionTracker, Destination, count_distinct
 
 #: Fibonacci multiplier for multiply-shift slot hashing.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
-#: Mirror slots with key 0 are empty; a real key 0 lives in the dict only.
+#: Slots with key 0 are empty (flow key 0 lives in the side slot).
 _EMPTY = np.uint64(0)
+_ID_MAX = np.iinfo(np.int32).max
+
+
+def _checked_ids(ids) -> np.ndarray:
+    """``ids`` as int32, refusing what index mode cannot tell from -1."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() > _ID_MAX):
+        raise ValueError("index-mode backend ids must lie in [0, 2**31 - 1]")
+    return ids.astype(np.int32, copy=False)
 
 
 class UnboundedCT(ConnectionTracker):
-    """Dictionary-backed CT with no capacity limit."""
+    """CT with no capacity limit: a dict, then open-addressing arrays."""
 
     # No recency/eviction state: batched gets and puts may be regrouped.
     batch_reorder_safe = True
 
     def __init__(self) -> None:
         super().__init__()
-        self._table: Dict[int, Destination] = {}
-        # Open-addressing mirror (only valid when not dirty; values are
-        # the int backend-ids of index mode -- see ConnectionTracker).
-        self._mirror_keys: Optional[np.ndarray] = None
-        self._mirror_vals: Optional[np.ndarray] = None
-        self._mirror_used = 0
-        self._mirror_shift = np.uint64(58)
-        self._mirror_dirty = True
+        #: The name-mode store; None once index mode has engaged.
+        self._table: Optional[Dict[int, Destination]] = {}
+        # The index-mode store: ``size`` probed slots plus the side slot.
+        self._keys: Optional[np.ndarray] = None
+        self._vals: Optional[np.ndarray] = None
+        self._shift = np.uint64(0)
+        self._live = 0  # entries with a value >= 0, key 0 included
+        self._dead = 0  # tombstones written since the arrays were built
 
     def get(self, key: int) -> Optional[Destination]:
         self.stats.lookups += 1
-        destination = self._table.get(key)
+        table = self._table
+        destination = table.get(key) if table is not None else self.peek(key)
         if destination is not None:
             self.stats.hits += 1
         return destination
 
     def put(self, key: int, destination: Destination) -> None:
-        if key not in self._table:
-            self.stats.inserts += 1
-        self._table[key] = destination
-        self._mirror_dirty = True
+        table = self._table
+        if table is not None:
+            if key not in table:
+                self.stats.inserts += 1
+            table[key] = destination
+        else:
+            ident = _checked_ids(destination)
+            self._reserve(1)
+            slot = self._slot_of(key)
+            if self._vals[slot] < 0:
+                self.stats.inserts += 1
+                self._live += 1
+            self._keys[slot] = key
+            self._vals[slot] = ident
         self._note_size()
 
     def get_batch(self, keys: np.ndarray) -> np.ndarray:
         """One tight pass over the table; stats updated once per batch."""
+        if self._table is None:
+            return super().get_batch(keys)
         table_get = self._table.get
         found = [table_get(k) for k in np.asarray(keys, dtype=np.uint64).tolist()]
         out = np.empty(len(found), dtype=object)
@@ -72,6 +107,8 @@ class UnboundedCT(ConnectionTracker):
     def put_batch(self, keys: np.ndarray, destinations: np.ndarray) -> None:
         """Bulk insert; peak size is noted once (the table only grows)."""
         table = self._table
+        if table is None:
+            return super().put_batch(keys, destinations)
         inserts = 0
         destinations = (
             destinations.tolist()
@@ -83,154 +120,176 @@ class UnboundedCT(ConnectionTracker):
                 inserts += 1
             table[k] = d
         self.stats.inserts += inserts
-        self._mirror_dirty = True
         self._note_size()
 
     # ------------------------------------------------- integer-index mode
     def get_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized probe of the numpy mirror (-1 per miss).
+        """Vectorized probe (-1 per miss); engages index mode.
 
         Semantically identical to the base scalar spec for int-valued
         tables; stats are updated once per batch like :meth:`get_batch`.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        n = len(keys)
-        out = np.full(n, -1, dtype=np.int32)
-        if n:
-            if self._mirror_dirty:
-                self._rebuild_mirror()
-            mirror_keys = self._mirror_keys
-            mirror_vals = self._mirror_vals
-            wrap = np.intp(len(mirror_keys) - 1)
-            with np.errstate(over="ignore"):
-                slots = ((keys * _GAMMA) >> self._mirror_shift).astype(np.intp)
-            pending = np.arange(n, dtype=np.intp)
-            while pending.size:
-                at = slots[pending]
-                resident = mirror_keys[at]
-                match = resident == keys[pending]
-                if match.any():
-                    out[pending[match]] = mirror_vals[at[match]]
-                probing = ~match & (resident != _EMPTY)
-                if not probing.any():
-                    break
-                pending = pending[probing]
-                slots[pending] = (at[probing] + 1) & wrap
-            # Key 0 collides with the empty sentinel: dict side-channel.
-            zero = keys == _EMPTY
-            if zero.any():
-                tracked = self._table.get(0)
-                if tracked is not None:
-                    out[zero] = tracked
-        self.stats.lookups += n
-        self.stats.hits += int((out >= 0).sum())
+        if self._table is not None:
+            self._engage()
+        out = self._vals[self._settle(keys, self._home(keys))]
+        self.stats.lookups += len(keys)
+        self.stats.hits += int(np.count_nonzero(out >= 0))
         return out
 
     def put_batch_idx(self, keys: np.ndarray, ids: np.ndarray) -> None:
-        """Bulk insert of int backend-ids.
-
-        The dict is updated first (authoritative, counts inserts); the
-        mirror absorbs the same pairs incrementally when it is current, or
-        stays dirty for a lazy rebuild when it is not (or would exceed its
-        load factor).
-        """
+        """Bulk insert of int backend-ids, in array order; engages index
+        mode.  Ids outside ``[0, 2**31 - 1]`` raise ``ValueError``."""
         keys = np.asarray(keys, dtype=np.uint64)
-        ids = np.asarray(ids, dtype=np.int32)
-        table = self._table
-        inserts = 0
-        for k, v in zip(keys.tolist(), ids.tolist()):
-            if k not in table:
-                inserts += 1
-            table[k] = v
+        ids = _checked_ids(ids)
+        if self._table is not None:
+            self._engage()
+        self._reserve(len(keys))
+        inserts = self._insert(keys, ids)
+        self._live += inserts
         self.stats.inserts += inserts
         self._note_size()
-        if self._mirror_dirty:
-            return
-        if 5 * (self._mirror_used + len(keys)) > 3 * len(self._mirror_keys):
-            self._mirror_dirty = True  # would breach 0.6 load: rebuild lazily
-            return
-        nonzero = keys != _EMPTY
-        if not nonzero.all():
-            keys = keys[nonzero]
-            ids = ids[nonzero]
-        self._mirror_insert(keys, ids)
 
     def remap_values(self, fn) -> None:
-        table = self._table
-        for key in table:
-            table[key] = fn(table[key])
-        self._mirror_dirty = True
+        self._engage(fn)
 
-    def _rebuild_mirror(self) -> None:
-        """Rebuild the open-addressing mirror from the dict (load < 0.4)."""
-        count = len(self._table)
+    def invalidate_destination(self, destination: Destination) -> int:
+        if self._table is not None:
+            return super().invalidate_destination(destination)
+        # One scan; the keys stay behind as tombstones (nothing rebuilt).
+        hit = np.flatnonzero(self._vals == _checked_ids(destination))
+        self._vals[hit] = -1
+        self._live -= len(hit)
+        self._dead += len(hit)
+        self.stats.invalidations += len(hit)
+        return len(hit)
+
+    def _engage(self, fn=None) -> None:
+        """Move every entry (values through ``fn``) into fresh arrays."""
+        count = len(self)
+        keys = np.fromiter(iter(self), dtype=np.uint64, count=count)
+        values = (value for _, value in self.items())
+        ids = _checked_ids(
+            np.fromiter(map(fn, values) if fn else values, np.int64, count)
+        )
+        self._table = self._keys = self._vals = None
+        self._live = 0
+        self._reserve(count)
+        self._live = self._insert(keys, ids)
+
+    def _reserve(self, incoming: int) -> None:
+        """Room for ``incoming`` more keys under 0.6 load, else rehash the
+        live entries (tombstones dropped) into arrays sized for < 0.4."""
+        old_keys, old_vals = self._keys, self._vals
+        held = self._live + self._dead + incoming
+        if old_keys is not None and 5 * held <= 3 * (len(old_keys) - 1):
+            return
         size = 64
-        while 3 * size < 8 * (count + 1):
+        while 3 * size < 8 * (self._live + incoming + 1):
             size <<= 1
-        self._mirror_keys = np.zeros(size, dtype=np.uint64)
-        self._mirror_vals = np.full(size, -1, dtype=np.int32)
-        self._mirror_shift = np.uint64(64 - (size.bit_length() - 1))
-        self._mirror_used = 0
-        self._mirror_dirty = False
-        if count:
-            keys = np.fromiter(self._table.keys(), dtype=np.uint64, count=count)
-            vals = np.fromiter(self._table.values(), dtype=np.int32, count=count)
-            nonzero = keys != _EMPTY
-            self._mirror_insert(keys[nonzero], vals[nonzero])
+        self._keys = np.zeros(size + 1, dtype=np.uint64)
+        self._vals = np.full(size + 1, -1, dtype=np.int32)
+        self._shift = np.uint64(64 - (size.bit_length() - 1))
+        self._dead = 0
+        if old_keys is not None:
+            live = np.flatnonzero(old_vals >= 0)
+            self._insert(old_keys[live], old_vals[live])
 
-    def _mirror_insert(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        """Vectorized linear-probe insert (keys nonzero, capacity ensured).
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        """Multiply-shift home slot per key; key 0 -> the side slot."""
+        with np.errstate(over="ignore"):
+            slots = ((keys * _GAMMA) >> self._shift).astype(np.intp)
+        zero = np.flatnonzero(keys == _EMPTY)
+        if zero.size:
+            slots[zero] = len(self._keys) - 1
+        return slots
+
+    def _settle(self, keys: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Walk ``slots`` (in place) to where each key's probe run ends:
+        the slot holding the key, live or tombstoned, else an empty one."""
+        table_keys = self._keys
+        wrap = np.intp(len(table_keys) - 2)
+        resident = table_keys[slots]
+        pending = np.flatnonzero((resident != keys) & (resident != _EMPTY))
+        while pending.size:
+            at = (slots[pending] + 1) & wrap
+            slots[pending] = at
+            resident = table_keys[at]
+            pending = pending[(resident != keys[pending]) & (resident != _EMPTY)]
+        return slots
+
+    def _slot_of(self, key: int) -> int:
+        """:meth:`_settle` for one key, in Python ints."""
+        keys = self._keys
+        wrap = len(keys) - 2
+        key = int(key)
+        if key == 0:
+            return wrap + 1
+        slot = ((key * int(_GAMMA)) & 0xFFFFFFFFFFFFFFFF) >> int(self._shift)
+        while True:
+            resident = int(keys[slot])
+            if resident == key or resident == 0:
+                return slot
+            slot = (slot + 1) & wrap
+
+    def _insert(self, keys: np.ndarray, vals: np.ndarray) -> int:
+        """Vectorized linear-probe insert (capacity ensured); returns how
+        many entries are new: empty slots filled plus tombstones revived.
 
         Within-batch duplicate keys resolve to the last occurrence, like
-        the dict: the first occurrence claims the empty slot (unique-
-        winner rule), later duplicates re-probe, match it, and overwrite
-        (numpy fancy assignment applies duplicates in array order).
+        the dict: they settle on one slot and numpy fancy assignment
+        applies them in array order.
         """
-        mirror_keys = self._mirror_keys
-        mirror_vals = self._mirror_vals
-        wrap = np.intp(len(mirror_keys) - 1)
-        with np.errstate(over="ignore"):
-            slots = ((keys * _GAMMA) >> self._mirror_shift).astype(np.intp)
-        pending = np.arange(len(keys), dtype=np.intp)
-        while pending.size:
-            at = slots[pending]
-            resident = mirror_keys[at]
-            match = resident == keys[pending]
-            if match.any():
-                mirror_vals[at[match]] = vals[pending[match]]
-            empty = resident == _EMPTY
-            claimed = np.zeros(len(pending), dtype=bool)
-            if empty.any():
-                contenders = np.flatnonzero(empty)
-                _, first = np.unique(at[contenders], return_index=True)
-                winners = contenders[first]
-                winner_slots = at[winners]
-                mirror_keys[winner_slots] = keys[pending[winners]]
-                mirror_vals[winner_slots] = vals[pending[winners]]
-                self._mirror_used += len(winners)
-                claimed[winners] = True
-            # Advance only true collisions; claim losers retry the same
-            # slot (it now holds a key: theirs -> match, other -> advance).
-            collide = ~match & ~empty
-            if collide.any():
-                slots[pending[collide]] = (at[collide] + 1) & wrap
-            pending = pending[~match & ~claimed]
+        table_keys, table_vals = self._keys, self._vals
+        slots = self._home(keys)
+        inserts = 0
+        while len(keys):
+            slots = self._settle(keys, slots)
+            # Every slot reached that holds -1 gains an entry this round.
+            inserts += count_distinct(slots[table_vals[slots] < 0])
+            # Distinct keys racing for one empty slot: the last written
+            # stays, the others find it taken and probe on.
+            table_keys[slots] = keys
+            won = table_keys[slots] == keys
+            table_vals[slots[won]] = vals[won]
+            lost = ~won
+            keys, vals, slots = keys[lost], vals[lost], slots[lost]
+        return inserts
 
     # ----------------------------------------------------------- plumbing
     def delete(self, key: int) -> bool:
-        removed = self._table.pop(key, None) is not None
-        if removed:
-            self._mirror_dirty = True
-        return removed
+        if self._table is not None:
+            return self._table.pop(key, None) is not None
+        slot = self._slot_of(key)
+        if self._vals[slot] < 0:
+            return False
+        self._vals[slot] = -1
+        self._live -= 1
+        self._dead += 1
+        return True
 
     def peek(self, key: int) -> Optional[Destination]:
-        return self._table.get(key)
+        if self._table is not None:
+            return self._table.get(key)
+        ident = int(self._vals[self._slot_of(key)])
+        return ident if ident >= 0 else None
+
+    @property
+    def nbytes(self) -> int:
+        if self._table is not None:
+            return super().nbytes
+        return self._keys.nbytes + self._vals.nbytes
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._table) if self._table is not None else self._live
 
     def __iter__(self) -> Iterator[int]:
-        return iter(list(self._table))
+        if self._table is not None:
+            return iter(list(self._table))
+        return iter(self._keys[np.flatnonzero(self._vals >= 0)].tolist())
 
     def items(self) -> Iterator[Tuple[int, Destination]]:
-        return iter(list(self._table.items()))
+        if self._table is not None:
+            return iter(list(self._table.items()))
+        live = np.flatnonzero(self._vals >= 0)
+        return zip(self._keys[live].tolist(), self._vals[live].tolist())

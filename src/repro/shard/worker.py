@@ -13,7 +13,6 @@ estimate for the sharding-cost experiment.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -32,21 +31,14 @@ class ShardOutcome:
     obs_series: Optional[List[dict]] = None
     #: CT contents ``{key: destination}`` (None when not collected or no CT).
     tracked_items: Optional[Dict[int, Name]] = None
-    #: Approximate heap bytes held by the shard's CT table.
+    #: Heap bytes held by the shard's CT store (``ConnectionTracker.nbytes``).
     ct_bytes: int = 0
 
 
 def _ct_approx_bytes(balancer: LoadBalancer) -> int:
-    """Rough CT heap footprint: container plus per-entry key/value objects."""
+    """The CT store's own size, read in O(1); 0 for a stateless balancer."""
     ct = getattr(balancer, "ct", None)
-    items = getattr(balancer, "tracked_items", None)
-    if ct is None or items is None:
-        return 0
-    table = items()
-    total = sys.getsizeof(table)
-    for key, value in table.items():
-        total += sys.getsizeof(key) + sys.getsizeof(value)
-    return total
+    return ct.nbytes if ct is not None else 0
 
 
 def run_shard(

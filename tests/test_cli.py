@@ -106,6 +106,39 @@ class TestCommands:
             if token.startswith(("tracked=", "violations=", "oversub=")):
                 assert token in sharded
 
+    def test_trace_replay_default_is_columnar_and_matches_scalar(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import importlib
+
+        from repro.shard import BalancerSpec
+        from repro.traces import load_trace, replay
+
+        # The package re-exports the function under the module's name.
+        replay_module = importlib.import_module("repro.traces.replay")
+        out = str(tmp_path / "t.npz")
+        main(["trace", "generate", "zipf", "--packets", "20000", "--out", out])
+        capsys.readouterr()
+        columnar_runs = []
+        columnar = replay_module._replay_columnar
+        monkeypatch.setattr(
+            replay_module,
+            "_replay_columnar",
+            lambda *args: columnar_runs.append(1) or columnar(*args),
+        )
+        assert main(["trace", "replay", out, "--family", "table", "--mode", "full",
+                     "--servers", "10", "--horizon", "2"]) == 0
+        printed = capsys.readouterr().out
+        assert columnar_runs == [1]
+        spec = BalancerSpec.fleet(
+            mode="full", family="table", n_servers=10, horizon_size=2, seed=0
+        )
+        with load_trace(out) as trace:
+            scalar = replay(trace, spec.build(0))
+        for token in scalar.row().split():
+            if token.startswith(("tracked=", "violations=", "oversub=")):
+                assert token in printed
+
     def test_simulate_sharded_runs(self, capsys):
         code = main(
             [

@@ -1,0 +1,241 @@
+"""UnboundedCT's one-store-at-a-time table against a plain-dict model.
+
+A hypothesis rule machine interleaves the scalar entry points, the
+``*_idx`` batch entry points (in-batch duplicate keys and flow key 0
+included), ``invalidate_destination``, re-insertion of invalidated keys
+and growth across a rehash, in name mode and after the hand-over to the
+arrays, and requires equal contents, ``len`` and every ``CTStats`` field
+after each step.  The example tests below pin the edge values at the
+index-mode boundary and what the store holds in each mode.
+"""
+
+import sys
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from repro.ch import TableHRWHash
+from repro.core import FullCTLoadBalancer
+from repro.ct import UnboundedCT
+from repro.ct.base import CTStats
+from repro.hashing.mix import splitmix64
+from repro.shard.worker import _ct_approx_bytes
+
+#: Flow key 0, the largest key, and enough others to collide in 64 slots.
+POOL = [0, 2**64 - 1] + [splitmix64(i) for i in range(1, 40)]
+KEYS = st.sampled_from(POOL)
+IDS = st.integers(min_value=0, max_value=5)
+PAIRS = st.lists(st.tuples(KEYS, IDS), max_size=40)
+
+
+def u64(keys):
+    return np.array(keys, dtype=np.uint64)
+
+
+class UnboundedCTMachine(RuleBasedStateMachine):
+    @initialize()
+    def setup(self):
+        self.ct = UnboundedCT()
+        self.model = {}
+        self.expected = CTStats()
+        self.victims = []
+        self.fresh = 1 << 40
+
+    def _model_put(self, key, ident):
+        if key not in self.model:
+            self.expected.inserts += 1
+        self.model[key] = ident
+        self.expected.peak_size = max(self.expected.peak_size, len(self.model))
+
+    # ------------------------------------------------------------ scalar
+    @rule(key=KEYS, ident=IDS)
+    def put(self, key, ident):
+        self.ct.put(key, ident)
+        self._model_put(key, ident)
+
+    @rule(key=KEYS)
+    def get(self, key):
+        assert self.ct.get(key) == self.model.get(key)
+        self.expected.lookups += 1
+        self.expected.hits += key in self.model
+
+    @rule(key=KEYS)
+    def peek(self, key):
+        assert self.ct.peek(key) == self.model.get(key)
+
+    @rule(key=KEYS)
+    def delete(self, key):
+        assert self.ct.delete(key) == (self.model.pop(key, None) is not None)
+
+    # ------------------------------------------------------------- batch
+    @rule(pairs=PAIRS)
+    def put_batch_idx(self, pairs):
+        self.ct.put_batch_idx(
+            u64([k for k, _ in pairs]), np.array([i for _, i in pairs], dtype=np.int32)
+        )
+        for key, ident in pairs:
+            self._model_put(key, ident)
+
+    @rule(keys=st.lists(KEYS, max_size=40))
+    def get_batch_idx(self, keys):
+        got = self.ct.get_batch_idx(u64(keys))
+        assert got.dtype == np.int32
+        assert got.tolist() == [self.model.get(k, -1) for k in keys]
+        self.expected.lookups += len(keys)
+        self.expected.hits += sum(k in self.model for k in keys)
+
+    @rule()
+    def remap_values(self):
+        self.ct.remap_values(lambda ident: ident)
+
+    @rule(ident=IDS)
+    def invalidate_destination(self, ident):
+        keys, vals = self.ct._keys, self.ct._vals
+        self.victims = [k for k, v in self.model.items() if v == ident]
+        assert self.ct.invalidate_destination(ident) == len(self.victims)
+        for key in self.victims:
+            del self.model[key]
+        self.expected.invalidations += len(self.victims)
+        if keys is not None:
+            # Nothing reallocated or rebuilt: the same arrays, and the
+            # victims' keys still sit in them as tombstones.
+            assert self.ct._keys is keys and self.ct._vals is vals
+            assert set(self.victims) - {0} <= set(keys.tolist())
+
+    @rule(ident=IDS)
+    def reinsert_invalidated(self, ident):
+        self.put_batch_idx([(key, ident) for key in self.victims])
+
+    @rule(count=st.integers(min_value=30, max_value=120), ident=IDS)
+    def grow(self, count, ident):
+        fresh = list(range(self.fresh, self.fresh + count))
+        self.fresh += count
+        self.put_batch_idx([(key, ident) for key in fresh])
+
+    # --------------------------------------------------------- invariant
+    @invariant()
+    def matches_model(self):
+        ct = self.ct
+        assert dict(ct.items()) == self.model
+        assert sorted(ct) == sorted(self.model)
+        assert len(ct) == len(self.model)
+        assert ct.stats == self.expected
+        # One store at a time.
+        assert (ct._table is None) != (ct._keys is None)
+
+
+TestUnboundedCTStore = UnboundedCTMachine.TestCase
+TestUnboundedCTStore.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+
+
+ENGAGE = {
+    "remap_values": lambda ct: ct.remap_values(lambda ident: ident),
+    "get_batch_idx": lambda ct: ct.get_batch_idx(u64([])),
+    "put_batch_idx": lambda ct: ct.put_batch_idx(u64([]), np.array([], np.int32)),
+}
+
+
+class TestOneStore:
+    def test_fresh_table_allocates_no_arrays(self):
+        ct = UnboundedCT()
+        assert ct._table == {} and ct._keys is None and ct._vals is None
+
+    @pytest.mark.parametrize("how", sorted(ENGAGE))
+    def test_hand_over_drops_the_dict_and_keeps_stats(self, how):
+        ct = UnboundedCT()
+        for key in POOL:
+            ct.put(key, key % 7)
+        before = CTStats(**vars(ct.stats))
+        ENGAGE[how](ct)
+        assert ct._table is None
+        assert not any(name.startswith("_mirror") for name in vars(ct))
+        assert dict(ct.items()) == {key: key % 7 for key in POOL}
+        assert ct.stats == before
+
+    def test_rehash_with_tombstones_keeps_contents_and_drops_them(self):
+        ct = UnboundedCT()
+        keys = u64(POOL)
+        ct.put_batch_idx(keys, (keys % np.uint64(3)).astype(np.int32))
+        dropped = ct.invalidate_destination(1)
+        small = ct._keys
+        assert dropped and np.count_nonzero(small) > len(ct) - 1
+        ct.put_batch_idx(u64(range(1 << 40, (1 << 40) + 500)), np.zeros(500, np.int32))
+        assert ct._keys is not small and len(ct._keys) > len(small)
+        # Key 0 sits in the side slot, every other live key in one slot.
+        assert np.count_nonzero(ct._keys) == len(ct) - 1
+        expected = {k: k % 3 for k in POOL if k % 3 != 1}
+        expected.update((k, 0) for k in range(1 << 40, (1 << 40) + 500))
+        assert dict(ct.items()) == expected
+        assert ct.stats.inserts == len(POOL) + 500
+        assert ct.stats.peak_size == len(ct) == len(expected)
+
+    def test_steady_churn_recycles_tombstones(self):
+        # Tombstones count towards the load, so a table whose live size
+        # stays put neither fills up with them nor grows without bound.
+        ct = UnboundedCT()
+        for cycle in range(200):
+            fresh = u64(range(1 + 30 * cycle, 31 + 30 * cycle))
+            ct.put_batch_idx(fresh, np.full(30, cycle % 2, dtype=np.int32))
+            assert ct.invalidate_destination(cycle % 2) == 30
+        assert len(ct) == 0 and len(ct._keys) <= 257
+        assert ct.get_batch_idx(u64(range(1, 6001))).max() == -1
+
+
+class TestIndexModeEdgeValues:
+    @pytest.mark.parametrize("bad", [-1, -7, 2**31, 2**40])
+    def test_ids_outside_int32_are_rejected(self, bad):
+        ct = UnboundedCT()
+        ct.put_batch_idx(u64([1, 2]), np.array([0, 1], dtype=np.int32))
+        with pytest.raises(ValueError):
+            ct.put_batch_idx(u64([3, 4]), np.array([0, bad], dtype=np.int64))
+        with pytest.raises(ValueError):
+            ct.put(3, bad)
+        assert dict(ct.items()) == {1: 0, 2: 1}
+        ct.put(3, 2**31 - 1)
+        assert ct.get(3) == 2**31 - 1
+
+    def test_hand_over_rejects_a_value_it_cannot_store(self):
+        ct = UnboundedCT()
+        ct.put(1, 0)
+        ct.put(2, -1)
+        with pytest.raises(ValueError):
+            ct.get_batch_idx(u64([1]))
+        assert dict(ct.items()) == {1: 0, 2: -1}  # still the dict, intact
+
+    @pytest.mark.parametrize("how", sorted(ENGAGE))
+    def test_flow_key_zero_is_an_ordinary_key(self, how):
+        ct = UnboundedCT()
+        ct.put(0, 4)
+        ENGAGE[how](ct)
+        assert ct.get_batch_idx(u64([0, 9, 0])).tolist() == [4, -1, 4]
+        assert ct.get(0) == ct.peek(0) == 4 and len(ct) == 1
+        assert list(ct.items()) == [(0, 4)] and list(ct) == [0]
+        assert ct.invalidate_destination(4) == 1
+        assert ct.get(0) is None and len(ct) == 0 and not ct.delete(0)
+        ct.put_batch_idx(u64([0, 5, 0]), np.array([1, 2, 3], dtype=np.int32))
+        assert dict(ct.items()) == {0: 3, 5: 2}
+        assert ct.delete(0) and not ct.delete(0)
+        ct.put(0, 2)
+        assert dict(ct.items()) == {0: 2, 5: 2}
+        assert ct.stats.inserts == 4 and ct.stats.invalidations == 1
+
+
+class TestStoreBytes:
+    def test_nbytes_reads_the_store_in_each_mode(self):
+        ct = UnboundedCT()
+        for key in POOL:
+            ct.put(key, "w1")
+        assert ct.nbytes == sys.getsizeof(ct._table) + 36 * len(POOL)
+        ct.remap_values(lambda name: 0)
+        assert ct.nbytes == ct._keys.nbytes + ct._vals.nbytes
+
+    def test_ct_approx_bytes_does_not_walk_the_entries(self):
+        lb = FullCTLoadBalancer(TableHRWHash(["a", "b", "c"], ["h"], rows=53))
+        lb.get_destinations_batch_idx(u64(POOL))
+        lb.tracked_items = None  # would raise if the estimate still called it
+        assert _ct_approx_bytes(lb) == lb.ct.nbytes > 0
