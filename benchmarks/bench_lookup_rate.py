@@ -25,6 +25,14 @@ KEYS = sample_keys(20_000, seed=101)
 KEYS_ARR = np.array(KEYS, dtype=np.uint64)
 
 
+def _ch_kwargs(family):
+    if family == "table":
+        return {"rows": rows_for(N)}
+    if family == "anchor":
+        return {"capacity": 2 * (N + H_SIZE)}
+    return {}
+
+
 def _drive(lb):
     get = lb.get_destination
     for k in KEYS:
@@ -34,27 +42,17 @@ def _drive(lb):
 
 @pytest.mark.parametrize("family", ["hrw", "ring", "table", "anchor"])
 def test_jet_lookup_rate(benchmark, family):
-    kwargs = {}
-    if family == "table":
-        kwargs["rows"] = rows_for(N)
-    if family == "anchor":
-        kwargs["capacity"] = 2 * (N + H_SIZE)
-    lb = make_jet(family, WORKING, HORIZON, **kwargs)
+    lb = make_jet(family, WORKING, HORIZON, **_ch_kwargs(family))
     _drive(lb)  # warm the CT with the unsafe keys
     benchmark(_drive, lb)
 
 
 @pytest.mark.parametrize("family", ["table", "anchor", "maglev"])
 def test_full_ct_lookup_rate(benchmark, family):
-    kwargs = {}
-    if family == "table":
-        kwargs["rows"] = rows_for(N)
-    if family == "anchor":
-        kwargs["capacity"] = 2 * (N + H_SIZE)
     if family == "maglev":
         lb = make_full_ct(family, WORKING, table_size=65537)
     else:
-        lb = make_full_ct(family, WORKING, HORIZON, **kwargs)
+        lb = make_full_ct(family, WORKING, HORIZON, **_ch_kwargs(family))
     _drive(lb)  # warm: every key tracked
     benchmark(_drive, lb)
 
@@ -72,14 +70,9 @@ def test_ct_miss_path_rate(benchmark):
 
 
 def _make_ch(family):
-    kwargs = {}
-    if family == "table":
-        kwargs["rows"] = rows_for(N)
-    if family == "anchor":
-        kwargs["capacity"] = 2 * (N + H_SIZE)
     if family == "maglev":
         return make_ch(family, WORKING, table_size=65537)
-    return make_ch(family, WORKING, HORIZON, **kwargs)
+    return make_ch(family, WORKING, HORIZON, **_ch_kwargs(family))
 
 
 @pytest.mark.parametrize("family", ["hrw", "ring", "table", "anchor", "jump", "modulo"])
@@ -96,14 +89,15 @@ def test_ch_scalar_safety_rate(benchmark, family):
 
 
 @pytest.mark.parametrize("family", ["hrw", "ring", "table", "anchor", "jump", "modulo"])
-def test_ch_batch_safety_rate(benchmark, family):
-    """Batched dataplane: the same keys in one lookup_with_safety_batch
-    call -- every family now carries a real numpy kernel (searchsorted
-    gathers for ring, active-mask wandering for anchor, argmax weights
-    for hrw, table gathers for table-HRW); the pairing with the scalar
-    case above is what makes the speedup visible in the timing table."""
+def test_ch_idx_safety_rate(benchmark, family):
+    """Columnar dataplane: the same keys in one
+    lookup_with_safety_batch_idx call -- every family carries a real
+    numpy kernel (searchsorted gathers for ring, active-mask wandering
+    for anchor, argmax weights for hrw, table gathers for table-HRW);
+    the pairing with the scalar case above is what makes the speedup
+    visible in the timing table."""
     ch = _make_ch(family)
-    benchmark(ch.lookup_with_safety_batch, KEYS_ARR)
+    benchmark(ch.lookup_with_safety_batch_idx, KEYS_ARR)
 
 
 def test_ch_scalar_maglev_rate(benchmark):
@@ -118,31 +112,26 @@ def test_ch_scalar_maglev_rate(benchmark):
     benchmark(scalar)
 
 
-def test_ch_batch_maglev_rate(benchmark):
-    """Maglev's batch kernel: two fancy-indexed gathers per batch."""
+def test_ch_idx_maglev_rate(benchmark):
+    """Maglev's index kernel: one fancy-indexed row gather per batch."""
     ch = _make_ch("maglev")
-    benchmark(ch.lookup_batch, KEYS_ARR)
+    benchmark(ch.lookup_batch_idx, KEYS_ARR)
 
 
 @pytest.mark.parametrize("family", ["hrw", "ring", "table", "anchor"])
-def test_jet_batch_dispatch_rate(benchmark, family):
-    """Full LB batch path: CT mask + vectorized CH + batch insert."""
-    kwargs = {}
-    if family == "table":
-        kwargs["rows"] = rows_for(N)
-    if family == "anchor":
-        kwargs["capacity"] = 2 * (N + H_SIZE)
-    lb = make_jet(family, WORKING, HORIZON, **kwargs)
-    lb.get_destinations_batch(KEYS_ARR)  # warm the CT with the unsafe keys
-    benchmark(lb.get_destinations_batch, KEYS_ARR)
+def test_jet_idx_dispatch_rate(benchmark, family):
+    """Full LB columnar path: CT id probe + index CH kernel + batch insert."""
+    lb = make_jet(family, WORKING, HORIZON, **_ch_kwargs(family))
+    lb.get_destinations_batch_idx(KEYS_ARR)  # warm the CT with the unsafe keys
+    benchmark(lb.get_destinations_batch_idx, KEYS_ARR)
 
 
-def test_full_ct_maglev_batch_dispatch_rate(benchmark):
-    """The PR 2 regression case: full-CT over Maglev now rides the int32
+def test_full_ct_maglev_idx_dispatch_rate(benchmark):
+    """The PR 2 regression case: full-CT over Maglev rides the int32
     table kernel instead of paying batch bookkeeping for a scalar loop."""
     lb = make_full_ct("maglev", WORKING, table_size=65537)
-    lb.get_destinations_batch(KEYS_ARR)  # warm: every key tracked
-    benchmark(lb.get_destinations_batch, KEYS_ARR)
+    lb.get_destinations_batch_idx(KEYS_ARR)  # warm: every key tracked
+    benchmark(lb.get_destinations_batch_idx, KEYS_ARR)
 
 
 def test_dataplane_speedup_report(once, batch_sizes):
@@ -156,4 +145,4 @@ def test_dataplane_speedup_report(once, batch_sizes):
     payload = once(throughput.run_throughput, "smoke", 1, sizes)
     path = Path(__file__).resolve().parents[1] / "BENCH_dataplane.json"
     throughput.write_json(payload, str(path))
-    reporting.record("batched dataplane speedups", throughput.format_report(payload))
+    reporting.record("columnar dataplane speedups", throughput.format_report(payload))

@@ -22,7 +22,6 @@ from repro.ch.base import (
     ConsistentHash,
     HorizonConsistentHash,
     Name,
-    has_batch_kernel,
     has_index_kernel,
 )
 from repro.ch.hrw import HRWHash
@@ -77,7 +76,6 @@ __all__ = [
     "ConsistentHash",
     "HorizonConsistentHash",
     "Name",
-    "has_batch_kernel",
     "has_index_kernel",
     "HRWHash",
     "RingHash",

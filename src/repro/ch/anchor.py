@@ -252,26 +252,14 @@ class AnchorHash(HorizonConsistentHash):
         unsafe = self._buckets.A[penultimate] < self._buckets.N + len(self._horizon_names)
         return name, unsafe
 
-    def lookup_with_safety_batch(
-        self, keys: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized Algorithm 5: one :meth:`AnchorBuckets.get_path_batch`
-        wandering pass plus a gather through the bucket->name table; the
-        safety test is the same single ``A[penultimate]`` comparison,
-        applied where a removed bucket was visited at all."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        if len(keys) == 0:
-            return np.empty(0, dtype=object), np.zeros(0, dtype=bool)
-        indices, unsafe = self.lookup_with_safety_batch_idx(keys)
-        return self.backend_table()[indices], unsafe
-
     def lookup_with_safety_batch_idx(
         self, keys: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """All-integer Algorithm 5: the winning *bucket* is already the
+        """Vectorized Algorithm 5: the winning *bucket* is already the
         index into :meth:`backend_table` (buckets own at most one name),
-        so the kernel is the wandering pass plus the safety compare with
-        no name traffic at all."""
+        so the kernel is one :meth:`AnchorBuckets.get_path_batch`
+        wandering pass plus the same single ``A[penultimate]`` safety
+        comparison, applied where a removed bucket was visited at all."""
         keys = np.asarray(keys, dtype=np.uint64)
         if len(keys) == 0:
             return np.empty(0, dtype=np.int32), np.zeros(0, dtype=bool)

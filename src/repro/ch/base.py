@@ -52,22 +52,6 @@ class ConsistentHash(ABC):
         Raises :class:`BackendError` if the working set is empty.
         """
 
-    def lookup_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Return ``CH(W, k)`` for every key of a uint64 array.
-
-        Batch calls are *pure lookups*: no CH mutates under them, so the
-        result is defined to be exactly ``[lookup(k) for k in keys]`` --
-        the scalar path is the executable spec, and the differential
-        tests hold every override to it key-for-key.  This default is
-        that scalar loop; numpy-friendly families (HRW, table-HRW,
-        modulo, jump) override it with true vector code.  An empty batch
-        returns an empty array and never raises.
-        """
-        found = [self.lookup(k) for k in np.asarray(keys, dtype=np.uint64).tolist()]
-        out = np.empty(len(found), dtype=object)
-        out[:] = found
-        return out
-
     # --------------------------------------------------- index dataplane
     def backend_table(self) -> np.ndarray:
         """Canonical backend table: an object array of server names that
@@ -98,21 +82,24 @@ class ConsistentHash(ABC):
         return self._spec_table_cache[2]
 
     def lookup_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """Int32 indices into :meth:`backend_table`, one per key.
+        """Int32 indices into :meth:`backend_table`, one per key of a
+        uint64 array.
 
-        The integer twin of :meth:`lookup_batch`: defined so that
-        ``backend_table()[lookup_batch_idx(keys)]`` equals
-        ``lookup_batch(keys)`` element for element.  This default resolves
-        names through the scalar spec and maps them back -- families with
-        a real kernel override it to return their internal indices
-        directly, with no object-array traffic at all.
+        Batch calls are *pure lookups*: no CH mutates under them, so the
+        result is defined by ``backend_table()[lookup_batch_idx(keys)] ==
+        [lookup(k) for k in keys]`` -- the scalar path is the executable
+        spec, and the differential tests hold every override to it
+        key-for-key.  This default is that scalar loop mapped through
+        the table; families with a real kernel override it to return
+        their internal indices directly.  An empty batch returns an
+        empty array and never raises.
         """
         table_index = self._spec_table_index()
-        found = self.lookup_batch(keys)
+        keys = np.asarray(keys, dtype=np.uint64).tolist()
         return np.fromiter(
-            (table_index[name] for name in found.tolist()),
+            (table_index[self.lookup(k)] for k in keys),
             dtype=np.int32,
-            count=len(found),
+            count=len(keys),
         )
 
     @abstractmethod
@@ -160,41 +147,23 @@ class HorizonConsistentHash(ConsistentHash):
         (Theorem 4.4).
         """
 
-    def lookup_with_safety_batch(
-        self, keys: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(destinations, unsafe_mask)`` for a uint64 key array.
-
-        Defined as exactly ``[lookup_with_safety(k) for k in keys]`` (see
-        :meth:`ConsistentHash.lookup_batch` for the batch contract); this
-        default is that loop, vectorized families override it.
-        """
-        pairs = [
-            self.lookup_with_safety(k)
-            for k in np.asarray(keys, dtype=np.uint64).tolist()
-        ]
-        destinations = np.empty(len(pairs), dtype=object)
-        if not pairs:
-            return destinations, np.zeros(0, dtype=bool)
-        found, unsafe = zip(*pairs)
-        destinations[:] = found
-        return destinations, np.array(unsafe, dtype=bool)
-
     def lookup_with_safety_batch_idx(
         self, keys: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(indices, unsafe_mask)``: the integer twin of
-        :meth:`lookup_with_safety_batch` (indices into
-        :meth:`~ConsistentHash.backend_table`).  Default resolves through
-        the name path; vectorized families return their internal indices.
+        """``(indices, unsafe_mask)`` for a uint64 key array: exactly
+        ``[lookup_with_safety(k) for k in keys]`` with each name mapped
+        to its :meth:`~ConsistentHash.backend_table` index (see
+        :meth:`ConsistentHash.lookup_batch_idx` for the batch contract).
+        This default is that loop; vectorized families return their
+        internal indices.
         """
         table_index = self._spec_table_index()
-        found, unsafe = self.lookup_with_safety_batch(keys)
-        indices = np.fromiter(
-            (table_index[name] for name in found.tolist()),
-            dtype=np.int32,
-            count=len(found),
-        )
+        keys = np.asarray(keys, dtype=np.uint64).tolist()
+        indices = np.empty(len(keys), dtype=np.int32)
+        unsafe = np.empty(len(keys), dtype=bool)
+        for i, key in enumerate(keys):
+            name, unsafe[i] = self.lookup_with_safety(key)
+            indices[i] = table_index[name]
         return indices, unsafe
 
     @abstractmethod
@@ -235,10 +204,6 @@ class HorizonConsistentHash(ConsistentHash):
         destination, _ = self.lookup_with_safety(key_hash)
         return destination
 
-    def lookup_batch(self, keys: np.ndarray) -> np.ndarray:
-        destinations, _ = self.lookup_with_safety_batch(keys)
-        return destinations
-
     def lookup_batch_idx(self, keys: np.ndarray) -> np.ndarray:
         indices, _ = self.lookup_with_safety_batch_idx(keys)
         return indices
@@ -250,38 +215,17 @@ class HorizonConsistentHash(ConsistentHash):
         raise NotImplementedError
 
 
-def has_batch_kernel(ch: ConsistentHash) -> bool:
+def has_index_kernel(ch: ConsistentHash) -> bool:
     """True iff ``ch`` overrides its batch lookup with real vector code.
 
-    The capability probe behind the never-slower batch contract: the
-    default batch methods are scalar loops plus array packing, so driving
-    them through batch plumbing (mask bookkeeping, array splits) can only
-    lose time.  Callers probe once -- per balancer construction or per
-    replay -- and route non-vectorized stacks straight through the scalar
-    path.  Horizon hashes are judged on ``lookup_with_safety_batch``
-    (their ``lookup_batch`` merely discards the safety bit); plain hashes
-    on ``lookup_batch``.
-    """
-    cls = type(ch)
-    if isinstance(ch, HorizonConsistentHash):
-        return (
-            cls.lookup_with_safety_batch
-            is not HorizonConsistentHash.lookup_with_safety_batch
-        )
-    return cls.lookup_batch is not ConsistentHash.lookup_batch
-
-
-def has_index_kernel(ch: ConsistentHash) -> bool:
-    """True iff ``ch`` overrides its *integer* batch lookup with real
-    vector code.
-
-    The capability probe behind the columnar dataplane: the default index
-    methods route through the name path and a dict remap, so a columnar
-    driver (``get_destinations_batch_idx``, the columnar replay loop)
-    would pay the object-array cost anyway plus the remap.  As with
-    :func:`has_batch_kernel`, horizon hashes are judged on
-    ``lookup_with_safety_batch_idx`` and plain hashes on
-    ``lookup_batch_idx``.
+    The capability probe behind the never-slower contract of the columnar
+    dataplane: the default index methods are the scalar loop plus a dict
+    remap and array packing, so driving them through batch plumbing (mask
+    bookkeeping, array splits) can only lose time.  Callers probe once --
+    per balancer construction or per replay -- and route kernel-less
+    stacks straight through the scalar path.  Horizon hashes are judged
+    on ``lookup_with_safety_batch_idx`` (their ``lookup_batch_idx``
+    merely discards the safety bit); plain hashes on ``lookup_batch_idx``.
     """
     cls = type(ch)
     if isinstance(ch, HorizonConsistentHash):

@@ -31,12 +31,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.ch.base import (
-    BackendError,
-    HorizonConsistentHash,
-    Name,
-    has_index_kernel,
-)
+from repro.ch.base import BackendError, HorizonConsistentHash, Name
 from repro.ch.anchor import AnchorHash
 from repro.ch.hrw import HRWHash
 from repro.ch.jump import JumpHash
@@ -161,25 +156,17 @@ class ConcuryHash(HorizonConsistentHash):
 
     def _flowset_values(self) -> Tuple[np.ndarray, np.ndarray]:
         """(slot id, unsafe) per flowset, from the inner CH."""
-        if has_index_kernel(self._inner):
-            idx, unsafe = self._inner.lookup_with_safety_batch_idx(self._fs_keys)
-            inner_table = self._inner.backend_table()
-            # Inner table positions renumber under churn; translate them
-            # into the stable slot space once per refresh.  ``None``
-            # entries (retired inner slots) are unreachable by contract.
-            trans = np.fromiter(
-                (self._slot_index.get(name, 0) for name in inner_table.tolist()),
-                dtype=np.int64,
-                count=len(inner_table),
-            )
-            return trans[idx], unsafe
-        names, unsafe = self._inner.lookup_with_safety_batch(self._fs_keys)
-        vals = np.fromiter(
-            (self._slot_index[name] for name in names.tolist()),
+        idx, unsafe = self._inner.lookup_with_safety_batch_idx(self._fs_keys)
+        inner_table = self._inner.backend_table()
+        # Inner table positions renumber under churn; translate them
+        # into the stable slot space once per refresh.  ``None``
+        # entries (retired inner slots) are unreachable by contract.
+        trans = np.fromiter(
+            (self._slot_index.get(name, 0) for name in inner_table.tolist()),
             dtype=np.int64,
-            count=len(names),
+            count=len(inner_table),
         )
-        return vals, unsafe
+        return trans[idx], unsafe
 
     def _refresh(self) -> None:
         """Recompute flowset placement and publish a new map version.
@@ -237,16 +224,6 @@ class ConcuryHash(HorizonConsistentHash):
             raise BackendError("lookup on empty working set")
         s = self.flowset_of(key_hash)
         return self._slots[self._map.lookup(s)], bool(self._unsafe_fs[s])
-
-    def lookup_with_safety_batch(
-        self, keys: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized name path: index kernel plus one table gather."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        if len(keys) == 0:
-            return np.empty(0, dtype=object), np.zeros(0, dtype=bool)
-        indices, unsafe = self.lookup_with_safety_batch_idx(keys)
-        return self.backend_table()[indices], unsafe
 
     def lookup_with_safety_batch_idx(
         self, keys: np.ndarray

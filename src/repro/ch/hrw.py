@@ -79,12 +79,6 @@ class HRWHash(HorizonConsistentHash):
             raise BackendError("lookup on empty server set")
         return best.name
 
-    def lookup_with_safety_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized Algorithm 2 name path: the index kernel plus one
-        gather through the cached backend table."""
-        indices, unsafe = self.lookup_with_safety_batch_idx(keys)
-        return self.backend_table()[indices], unsafe
-
     def lookup_with_safety_batch_idx(
         self, keys: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:

@@ -99,14 +99,6 @@ class JumpHash(HorizonConsistentHash):
         union_bucket = jump_bucket(key_hash, len(self._order))
         return self._order[bucket], union_bucket != bucket
 
-    def lookup_with_safety_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized name path: index kernel plus one table gather."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        if len(keys) == 0:
-            return np.empty(0, dtype=object), np.zeros(0, dtype=bool)
-        indices, unsafe = self.lookup_with_safety_batch_idx(keys)
-        return self.backend_table()[indices], unsafe
-
     def lookup_with_safety_batch_idx(
         self, keys: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:

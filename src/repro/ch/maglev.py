@@ -68,21 +68,12 @@ class MaglevHash(ConsistentHash):
             raise BackendError("lookup on empty working set")
         return name
 
-    def lookup_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized table walk -- ``names[table[keys % size]]``, the same
-        row-gather the Maglev dataplane performs per packet (NSDI'16), so
-        the batch path is two fancy-indexed gathers for any batch size."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        if len(keys) == 0:
-            return np.empty(0, dtype=object)
-        if not self._perm_params:
-            raise BackendError("lookup on empty working set")
-        rows = (keys % np.uint64(self.table_size)).astype(np.intp)
-        return self._names_obj[self._table_idx[rows]]
-
     def lookup_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """All-integer table walk: one row gather, indices into
-        :meth:`backend_table` (the population's compact name array)."""
+        """Vectorized table walk -- ``table[keys % size]``, the same
+        row-gather the Maglev dataplane performs per packet (NSDI'16), so
+        the batch path is one fancy-indexed gather for any batch size;
+        indices into :meth:`backend_table` (the population's compact name
+        array)."""
         keys = np.asarray(keys, dtype=np.uint64)
         if len(keys) == 0:
             return np.empty(0, dtype=np.int32)

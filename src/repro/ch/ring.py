@@ -23,7 +23,7 @@ until the next backend change:
   (``bisect_right`` over a list of ints is the fastest scalar search);
 - a numpy kernel (sorted uint64 positions, an int32 entry->server index
   into a compact object array of names, and a bool track-flag array) that
-  turns ``lookup_with_safety_batch`` into one ``searchsorted`` plus two
+  turns ``lookup_with_safety_batch_idx`` into one ``searchsorted`` plus two
   fancy-indexed gathers -- the same table-gather shape as Maglev's packet
   dataplane (Eisenbud et al., NSDI'16);
 - a cached *union* ring (every vnode under its own owner) so the scalar
@@ -94,7 +94,6 @@ class RingHash(HorizonConsistentHash):
         self._np_entry_server = np.empty(0, dtype=np.int32)
         self._np_track = np.empty(0, dtype=bool)
         self._np_names = np.empty(0, dtype=object)
-        self._np_entry_names = np.empty(0, dtype=object)
         self._bucket_shift = np.uint64(63)
         self._bucket_lo = np.zeros(3, dtype=np.intp)
         # Cached union ring (changes only when an identity joins/leaves).
@@ -179,8 +178,6 @@ class RingHash(HorizonConsistentHash):
         self._np_entry_server = entry_server
         self._np_track = track
         self._np_names = name_array
-        # Pre-composed per-entry name gather (entry index -> owner name).
-        self._np_entry_names = name_array[entry_server] if n else np.empty(0, dtype=object)
         # Quantized-prefix successor index: split the 2^64 ring into M
         # uniform buckets (M = power of two >= 2 * entries) and record,
         # per bucket start, the bisect_right insertion point.  A batch
@@ -220,29 +217,19 @@ class RingHash(HorizonConsistentHash):
         index = bisect_right(self._positions, key_hash) % len(self._positions)
         return self._entries[index]
 
-    def lookup_with_safety_batch(
+    def lookup_with_safety_batch_idx(
         self, keys: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized successor search via the quantized-prefix index: each
         key's high bits select a ring bucket whose ``bisect_right``
         insertion point was precomputed at kernel build; a short
         active-mask loop advances past the few in-bucket positions <= key,
-        then two fancy-indexed gathers read the entry's owner name and
-        track flag.  The advance count *is* ``bisect_right`` (number of
-        positions <= key), so the result is bit-identical to the scalar
-        walk -- the differential suites hold it to that key for key."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        if len(keys) == 0:
-            return np.empty(0, dtype=object), np.zeros(0, dtype=bool)
-        index = self._search_batch(keys)
-        return self._np_entry_names[index], self._np_track[index]
-
-    def lookup_with_safety_batch_idx(
-        self, keys: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """All-integer variant: the same successor search, but the entry's
-        owner is returned as its index into :meth:`backend_table` (the
-        kernel's compact name array) instead of gathering the name."""
+        then two fancy-indexed gathers read the entry's owner -- as its
+        index into :meth:`backend_table` (the kernel's compact name
+        array) -- and track flag.  The advance count *is* ``bisect_right``
+        (number of positions <= key), so the result is bit-identical to
+        the scalar walk -- the differential suites hold it to that key
+        for key."""
         keys = np.asarray(keys, dtype=np.uint64)
         if len(keys) == 0:
             return np.empty(0, dtype=np.int32), np.zeros(0, dtype=bool)

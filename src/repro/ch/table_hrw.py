@@ -159,12 +159,6 @@ class TableHRWHash(HorizonConsistentHash):
             raise BackendError("lookup on empty working set")
         return self._names[winner], bool(self._tr[row])
 
-    def lookup_with_safety_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized Algorithm 4 name path: the index kernel plus one
-        gather through the cached backend table."""
-        indices, unsafe = self.lookup_with_safety_batch_idx(keys)
-        return self.backend_table()[indices], unsafe
-
     def lookup_with_safety_batch_idx(
         self, keys: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:

@@ -20,12 +20,7 @@ from typing import FrozenSet, Optional, Set
 
 import numpy as np
 
-from repro.ch.base import (
-    ConsistentHash,
-    HorizonConsistentHash,
-    has_batch_kernel,
-    has_index_kernel,
-)
+from repro.ch.base import ConsistentHash, HorizonConsistentHash, has_index_kernel
 from repro.core.indexing import BackendIndexer
 from repro.core.interfaces import LoadBalancer, Name
 from repro.ct.base import ConnectionTracker, credit_repeat_hits as _credit_within_chunk_hits
@@ -46,21 +41,18 @@ class FullCTLoadBalancer(LoadBalancer):
         self.active_cleanup = active_cleanup
         self._horizon_aware = isinstance(ch, HorizonConsistentHash)
         self._working: Set[Name] = set(ch.working)
-        self._ch_batch_kernel = has_batch_kernel(ch)
         self._ch_index_kernel = has_index_kernel(ch)
         self._indexer = BackendIndexer()
         self._ct_idx = False
 
     @property
-    def batch_effective(self) -> bool:
-        return bool(
-            self._ch_batch_kernel
-            and self.ct.batch_reorder_safe
-            and self.active_cleanup
-        )
-
-    @property
     def columnar_effective(self) -> bool:
+        """Same soundness gate as JET's columnar path (reorder-safe table
+        plus the active-cleanup invariant -- lazy validation needs
+        per-key interleaving) and the same payoff gate (the CH must
+        actually have an index kernel).  Otherwise drivers run the scalar
+        loop, so eviction and recency order are preserved exactly.
+        """
         return bool(
             self._ch_index_kernel
             and self.ct.batch_reorder_safe
@@ -92,35 +84,6 @@ class FullCTLoadBalancer(LoadBalancer):
         self.ct.put(key_hash, self._indexer.get_id(destination))
         return destination
 
-    def get_destinations_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Batched full CT: CT-hit mask -> CH batch -> insert every miss.
-
-        Same soundness gate as JET's batch path (reorder-safe table plus
-        the active-cleanup invariant -- lazy validation needs per-key
-        interleaving) and the same payoff gate (the CH must actually have
-        a batch kernel); ``batch_effective`` folds all three in.
-        Otherwise the scalar loop runs so eviction and recency order are
-        preserved exactly and batch never runs slower than scalar.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if len(keys) == 0:
-            return np.empty(0, dtype=object)
-        if self._ct_idx:
-            return self._indexer.name_array()[self.get_destinations_batch_idx(keys)]
-        if not self.batch_effective:
-            return LoadBalancer.get_destinations_batch(self, keys)
-        destinations = self.ct.get_batch(keys)
-        # np.equal runs the None comparison in a C loop -- ~3x faster
-        # than a Python list comprehension over the object array.
-        miss = np.equal(destinations, None)
-        if miss.any():
-            miss_keys = keys[miss]
-            found = self.ch.lookup_batch(miss_keys)
-            destinations[miss] = found
-            self.ct.put_batch(miss_keys, found)
-            _credit_within_chunk_hits(self.ct, miss_keys)
-        return destinations
-
     # ------------------------------------------------- columnar dispatch
     def _engage_idx_mode(self) -> None:
         if not self._ct_idx:
@@ -129,7 +92,10 @@ class FullCTLoadBalancer(LoadBalancer):
 
     def get_destinations_batch_idx(self, keys: np.ndarray) -> np.ndarray:
         """Batched full CT, all-integer: id probe -> integer CH kernel ->
-        stable-id translation -> insert *every* miss (track-all policy)."""
+        stable-id translation -> insert *every* miss (track-all policy).
+        Raises unless :attr:`columnar_effective`."""
+        if not self.columnar_effective:
+            return super().get_destinations_batch_idx(keys)
         keys = np.asarray(keys, dtype=np.uint64)
         self._engage_idx_mode()
         ids = self.ct.get_batch_idx(keys)

@@ -6,6 +6,11 @@ backend server, and it is told about backend change events.  The interface
 mirrors Algorithm 1's five entry points plus ``force_add_working_server``
 (an addition that bypasses the horizon -- see
 :meth:`repro.ch.base.HorizonConsistentHash.force_add_working`).
+
+Dispatch has two tiers: scalar :meth:`LoadBalancer.get_destination` (the
+executable spec) and int32 columnar
+:meth:`LoadBalancer.get_destinations_batch_idx`, for drivers whose one
+probe, :attr:`LoadBalancer.columnar_effective`, said yes.
 """
 
 from __future__ import annotations
@@ -25,55 +30,25 @@ class LoadBalancer(ABC):
     def get_destination(self, key_hash: int) -> Name:
         """Destination server for a packet of connection ``key_hash``."""
 
-    def get_destinations_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Destinations for a uint64 array of packet keys.
-
-        The batch contract: same destinations and same post-batch CT
-        key->destination mapping as dispatching the keys one by one
-        through :meth:`get_destination` (no backend change may occur
-        mid-batch).  This default *is* that scalar loop, so every LB --
-        including load-aware ones that never override it -- honours the
-        contract; JET/full-CT/stateless override it with a composed
-        CT-mask + vectorized-CH fast path.
-        """
-        found = [
-            self.get_destination(k)
-            for k in np.asarray(keys, dtype=np.uint64).tolist()
-        ]
-        out = np.empty(len(found), dtype=object)
-        out[:] = found
-        return out
-
-    @property
-    def batch_effective(self) -> bool:
-        """True iff :meth:`get_destinations_batch` actually vectorizes.
-
-        The never-slower probe for batch drivers (replay, the sim
-        engine's packet coalescing): when False, the batch path is the
-        scalar loop plus array packing, so drivers should skip batch
-        assembly entirely and dispatch scalar.  The default answers
-        "does this LB override the batch method at all?"; composed LBs
-        refine it with their runtime gates (CH kernel present, CT
-        reorder-safe, active cleanup).
-        """
-        return type(self).get_destinations_batch is not LoadBalancer.get_destinations_batch
-
     # ------------------------------------------------- columnar dispatch
     # The integer-index dataplane: destinations flow as int32 *backend
     # ids* (stable, LB-local, append-only -- see repro.core.indexing) and
     # names are materialized only at the metrics/result edge through
     # :meth:`dispatch_names`.  Drivers must probe
     # :attr:`columnar_effective` first; balancers that answer False keep
-    # these methods unimplemented and are served by the name/scalar paths.
+    # these methods raising and are served by the scalar path.
 
     @property
     def columnar_effective(self) -> bool:
         """True iff :meth:`get_destinations_batch_idx` is wired and fast.
 
-        Same never-slower philosophy as :attr:`batch_effective`, one
-        level up: the columnar path additionally needs an integer CH
-        kernel and an int-valued CT, so composed LBs gate on
-        ``has_index_kernel`` plus their CT/cleanup invariants.
+        The never-slower probe for batch drivers (``replay_batch``): when
+        False there is no vectorized path, so drivers skip batch assembly
+        entirely and dispatch scalar -- which also serves every LB that
+        never overrides the idx method (the load-aware ones).  Composed
+        LBs answer with their runtime gates: the CH has an integer kernel
+        (``has_index_kernel``), the CT offers the idx API, and cleanup is
+        active.
         """
         return False
 
@@ -81,11 +56,13 @@ class LoadBalancer(ABC):
         """Destination ids (int32, indices into :meth:`dispatch_names`)
         for a uint64 key array.
 
-        Contract: ``dispatch_names()[ids]`` equals
-        :meth:`get_destinations_batch` on the same keys, and ids are
-        stable across backend changes (an id keeps naming the same
-        server for the balancer's lifetime).  Only defined when
-        :attr:`columnar_effective` is True.
+        The batch contract: ``dispatch_names()[ids]`` and the post-batch
+        CT key->destination mapping equal those of dispatching the keys
+        one by one through :meth:`get_destination` (no backend change may
+        occur mid-batch), and ids are stable across backend changes (an
+        id keeps naming the same server for the balancer's lifetime).
+        Only defined when :attr:`columnar_effective` is True; raises
+        otherwise.
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no columnar dispatch path"

@@ -24,7 +24,7 @@ from typing import FrozenSet, Optional, Set
 
 import numpy as np
 
-from repro.ch.base import HorizonConsistentHash, has_batch_kernel, has_index_kernel
+from repro.ch.base import HorizonConsistentHash, has_index_kernel
 from repro.core.indexing import BackendIndexer
 from repro.core.interfaces import LoadBalancer, Name
 from repro.ct.base import ConnectionTracker, credit_repeat_hits as _credit_within_chunk_hits
@@ -45,10 +45,8 @@ class JETLoadBalancer(LoadBalancer):
         self.active_cleanup = active_cleanup
         # Mirror of ch.working with O(1) membership, for lazy CT validation.
         self._working: Set[Name] = set(ch.working)
-        # Capability probes, resolved once: the composed batch path only
-        # pays off when the CH actually vectorizes; the columnar path
-        # additionally needs the integer-index kernel.
-        self._ch_batch_kernel = has_batch_kernel(ch)
+        # Capability probe, resolved once: the columnar path only pays
+        # off when the CH has a real integer-index kernel.
         self._ch_index_kernel = has_index_kernel(ch)
         # Stable backend-id space for the columnar path; the CT switches
         # to storing ids (index mode) lazily, on the first columnar call.
@@ -56,15 +54,15 @@ class JETLoadBalancer(LoadBalancer):
         self._ct_idx = False
 
     @property
-    def batch_effective(self) -> bool:
-        return bool(
-            self._ch_batch_kernel
-            and self.ct.batch_reorder_safe
-            and self.active_cleanup
-        )
-
-    @property
     def columnar_effective(self) -> bool:
+        """The columnar path regroups CT operations (all gets, then all
+        puts), which is only sound when the table has no recency/eviction
+        state (``batch_reorder_safe``) and when active cleanup keeps the
+        stale-destination invariant (lazy validation needs per-key
+        interleaving) -- and it only pays off when the CH has a real
+        index kernel.  Otherwise drivers run the scalar loop, so no
+        configuration is ever slower or differently ordered than scalar.
+        """
         return bool(
             self._ch_index_kernel
             and self.ct.batch_reorder_safe
@@ -100,42 +98,6 @@ class JETLoadBalancer(LoadBalancer):
             self.ct.put(key_hash, self._indexer.get_id(destination))
         return destination
 
-    def get_destinations_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Batched Algorithm 1: CT-hit mask -> CH batch on the misses ->
-        batch-insert the unsafe misses.
-
-        The composed fast path regroups CT operations (all gets, then all
-        puts), which is only sound when the table has no recency/eviction
-        state (``batch_reorder_safe``) and when active cleanup keeps the
-        stale-destination invariant (lazy validation needs per-key
-        interleaving) -- and it only pays off when the CH has a real
-        batch kernel (``batch_effective`` folds all three in).  Otherwise
-        this falls back to the scalar loop, so the batch contract holds
-        and never runs slower than scalar for any configuration.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if len(keys) == 0:
-            return np.empty(0, dtype=object)
-        if self._ct_idx:
-            # Index mode engaged: the CT holds ids, so the name path is
-            # the columnar path plus one edge gather.
-            return self._indexer.name_array()[self.get_destinations_batch_idx(keys)]
-        if not self.batch_effective:
-            return LoadBalancer.get_destinations_batch(self, keys)
-        destinations = self.ct.get_batch(keys)
-        # np.equal runs the None comparison in a C loop -- ~3x faster
-        # than a Python list comprehension over the object array.
-        miss = np.equal(destinations, None)
-        if miss.any():
-            miss_keys = keys[miss]
-            found, unsafe = self.ch.lookup_with_safety_batch(miss_keys)
-            destinations[miss] = found
-            if unsafe.any():
-                unsafe_keys = miss_keys[unsafe]
-                self.ct.put_batch(unsafe_keys, found[unsafe])
-                _credit_within_chunk_hits(self.ct, unsafe_keys)
-        return destinations
-
     # ------------------------------------------------- columnar dispatch
     def _engage_idx_mode(self) -> None:
         """Switch the CT to storing backend ids (once, on first use)."""
@@ -149,8 +111,11 @@ class JETLoadBalancer(LoadBalancer):
         to stable backend ids -> batch-insert the unsafe misses.
 
         No Python string is materialized anywhere on this path; names
-        exist only behind :meth:`dispatch_names`.
+        exist only behind :meth:`dispatch_names`.  Raises unless
+        :attr:`columnar_effective`.
         """
+        if not self.columnar_effective:
+            return super().get_destinations_batch_idx(keys)
         keys = np.asarray(keys, dtype=np.uint64)
         self._engage_idx_mode()
         ids = self.ct.get_batch_idx(keys)
@@ -175,9 +140,9 @@ class JETLoadBalancer(LoadBalancer):
     def tracked_items(self) -> dict:
         """CT contents as ``{key: destination-name}``, decoding index mode.
 
-        The differential suites compare CT state across scalar/name/index
-        paths through this accessor so they need not know which encoding
-        the table currently holds.
+        The differential suites compare CT state across the scalar and
+        index paths through this accessor so they need not know which
+        encoding the table currently holds.
         """
         if self._ct_idx:
             names = self._indexer.names

@@ -13,12 +13,7 @@ from typing import FrozenSet, Set
 
 import numpy as np
 
-from repro.ch.base import (
-    ConsistentHash,
-    HorizonConsistentHash,
-    has_batch_kernel,
-    has_index_kernel,
-)
+from repro.ch.base import ConsistentHash, HorizonConsistentHash, has_index_kernel
 from repro.core.indexing import BackendIndexer
 from repro.core.interfaces import LoadBalancer, Name
 
@@ -30,15 +25,10 @@ class StatelessLoadBalancer(LoadBalancer):
         self.ch = ch
         self._horizon_aware = isinstance(ch, HorizonConsistentHash)
         self._working: Set[Name] = set(ch.working)
-        self._ch_batch_kernel = has_batch_kernel(ch)
         self._ch_index_kernel = has_index_kernel(ch)
         # Stable id space for the columnar path: CH table positions
         # renumber under churn, dispatch ids must not.
         self._indexer = BackendIndexer()
-
-    @property
-    def batch_effective(self) -> bool:
-        return self._ch_batch_kernel
 
     @property
     def columnar_effective(self) -> bool:
@@ -46,9 +36,6 @@ class StatelessLoadBalancer(LoadBalancer):
 
     def get_destination(self, key_hash: int) -> Name:
         return self.ch.lookup(key_hash)
-
-    def get_destinations_batch(self, keys: np.ndarray) -> np.ndarray:
-        return self.ch.lookup_batch(np.asarray(keys, dtype=np.uint64))
 
     # ------------------------------------------------- columnar dispatch
     def get_destinations_batch_idx(self, keys: np.ndarray) -> np.ndarray:

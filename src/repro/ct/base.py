@@ -11,6 +11,11 @@ evaluations (Tables 1-2 let the CT "grow as needed").
 
 All tables key on the pre-hashed 64-bit connection identifier, matching how
 the CH modules consume keys.
+
+The interface is scalar (``get`` / ``put`` / ``delete`` per packet, the
+executable spec) and the bounded tables offer nothing else; the unbounded
+table adds the integer-index API of the columnar dataplane
+(``get_batch_idx`` / ``put_batch_idx``), flagged by ``batch_reorder_safe``.
 """
 
 from __future__ import annotations
@@ -82,11 +87,12 @@ def credit_repeat_hits(ct: "ConnectionTracker", inserted_keys: np.ndarray) -> No
 class ConnectionTracker(ABC):
     """A destination cache keyed by connection identifier hash."""
 
-    #: True when batched get/put may regroup per-key operations (all gets,
-    #: then all puts) without changing future behaviour.  Only tables with
-    #: no recency or eviction state can promise this; bounded tables keep
-    #: it False so the batch dataplane falls back to the exact scalar
-    #: interleaving and eviction order is preserved.
+    #: True when the table offers the integer-index API (``remap_values``
+    #: / ``get_batch_idx`` / ``put_batch_idx``), whose batched calls
+    #: regroup per-key operations (all gets, then all puts).  Only a table
+    #: with no recency or eviction state can promise that changes no
+    #: future behaviour, so only UnboundedCT sets it; bounded tables keep
+    #: it False and balancers over them keep the exact scalar interleaving.
     batch_reorder_safe = False
 
     def __init__(self) -> None:
@@ -99,77 +105,6 @@ class ConnectionTracker(ABC):
     @abstractmethod
     def put(self, key: int, destination: Destination) -> None:
         """Track ``key``'s destination, evicting if the table is full."""
-
-    def get_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Tracked destinations for a uint64 key array (None per miss).
-
-        Semantically ``[get(k) for k in keys]`` -- stats totals included;
-        this default is that loop.  Dict-backed tables override it to
-        shed the per-call method and stats overhead.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        out = np.empty(len(keys), dtype=object)
-        for i, k in enumerate(keys.tolist()):
-            out[i] = self.get(k)
-        return out
-
-    def put_batch(self, keys: np.ndarray, destinations: np.ndarray) -> None:
-        """Track every ``(key, destination)`` pair, in array order.
-
-        Semantically ``for k, d in zip(keys, destinations): put(k, d)``;
-        the default loop keeps eviction order byte-identical to the
-        scalar path on bounded tables.
-        """
-        for k, d in zip(np.asarray(keys, dtype=np.uint64).tolist(), destinations):
-            self.put(k, d)
-
-    # ------------------------------------------------- integer-index mode
-    # The columnar dataplane stores destinations as small ints (LB-local
-    # backend ids, see repro.core.indexing) instead of names.  A balancer
-    # switches a table to index mode by remapping the stored values once
-    # (:meth:`remap_values`); from then on the ``*_idx`` entry points
-    # move int32 arrays with -1 as the miss sentinel and no per-entry
-    # Python objects.  These defaults are the scalar spec; vectorized
-    # tables (UnboundedCT's open-addressing arrays) override them.
-
-    def get_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """Tracked destination *ids* for a uint64 key array (-1 per miss).
-
-        Semantically ``[get(k) for k in keys]`` with ``None -> -1``, for a
-        table whose stored values are ints; stats totals included.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        out = np.full(len(keys), -1, dtype=np.int32)
-        for i, k in enumerate(keys.tolist()):
-            destination = self.get(k)
-            if destination is not None:
-                out[i] = destination
-        return out
-
-    def put_batch_idx(self, keys: np.ndarray, ids: np.ndarray) -> None:
-        """Track every ``(key, id)`` pair, in array order (int values)."""
-        for k, ident in zip(
-            np.asarray(keys, dtype=np.uint64).tolist(),
-            np.asarray(ids).tolist(),
-        ):
-            self.put(k, ident)
-
-    def remap_values(self, fn) -> None:
-        """Re-encode every stored destination through ``fn`` in place.
-
-        Used exactly once per table when a balancer's columnar path first
-        engages (name -> backend id).  Stats, recency order, and the key
-        set are untouched.  The default rewrites the ``_table`` dict the
-        bounded tables in this package keep; UnboundedCT overrides it to
-        move its entries out of the dict into its arrays.
-        """
-        table = getattr(self, "_table", None)
-        if table is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} does not support value remapping"
-            )
-        for key in table:
-            table[key] = fn(table[key])
 
     @abstractmethod
     def delete(self, key: int) -> bool:

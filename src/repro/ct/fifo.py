@@ -15,7 +15,8 @@ from repro.ct.base import ConnectionTracker, Destination
 
 
 class FIFOCT(ConnectionTracker):
-    """OrderedDict-backed FIFO table with a hard capacity."""
+    """OrderedDict-backed FIFO table with a hard capacity.  Scalar-only:
+    eviction order is the exact put interleaving (no ``*_idx`` API)."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:

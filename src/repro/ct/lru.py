@@ -17,7 +17,8 @@ from repro.ct.base import ConnectionTracker, Destination
 
 
 class LRUCT(ConnectionTracker):
-    """OrderedDict-backed LRU table with a hard capacity."""
+    """OrderedDict-backed LRU table with a hard capacity.  Scalar-only:
+    recency order is the exact get/put interleaving (no ``*_idx`` API)."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:

@@ -20,7 +20,8 @@ class RandomEvictCT(ConnectionTracker):
     """Hash-table CT that evicts a uniformly random entry when full.
 
     Keeps a parallel list of keys for O(1) random choice with
-    swap-with-last deletion.
+    swap-with-last deletion.  Scalar-only: evictions draw from the RNG
+    in put order (no ``*_idx`` API).
     """
 
     def __init__(self, capacity: int, seed: int = 0) -> None:

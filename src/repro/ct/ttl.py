@@ -47,7 +47,8 @@ class TTLCT(ConnectionTracker):
 
     Optionally also bounded: with ``capacity`` set, the stalest entry is
     evicted when a fresh insert finds the table full (after expiry
-    reclamation).
+    reclamation).  Scalar-only: expiry reads the clock at each get/put
+    (no ``*_idx`` API).
     """
 
     def __init__(self, ttl: float, capacity: Optional[int] = None, clock=None):

@@ -92,42 +92,18 @@ class UnboundedCT(ConnectionTracker):
             self._vals[slot] = ident
         self._note_size()
 
-    def get_batch(self, keys: np.ndarray) -> np.ndarray:
-        """One tight pass over the table; stats updated once per batch."""
-        if self._table is None:
-            return super().get_batch(keys)
-        table_get = self._table.get
-        found = [table_get(k) for k in np.asarray(keys, dtype=np.uint64).tolist()]
-        out = np.empty(len(found), dtype=object)
-        out[:] = found
-        self.stats.lookups += len(found)
-        self.stats.hits += len(found) - found.count(None)
-        return out
-
-    def put_batch(self, keys: np.ndarray, destinations: np.ndarray) -> None:
-        """Bulk insert; peak size is noted once (the table only grows)."""
-        table = self._table
-        if table is None:
-            return super().put_batch(keys, destinations)
-        inserts = 0
-        destinations = (
-            destinations.tolist()
-            if isinstance(destinations, np.ndarray)
-            else destinations
-        )
-        for k, d in zip(np.asarray(keys, dtype=np.uint64).tolist(), destinations):
-            if k not in table:
-                inserts += 1
-            table[k] = d
-        self.stats.inserts += inserts
-        self._note_size()
-
     # ------------------------------------------------- integer-index mode
-    def get_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized probe (-1 per miss); engages index mode.
+    # The columnar dataplane stores destinations as small ints (LB-local
+    # backend ids, see repro.core.indexing) instead of names: a balancer
+    # remaps the stored values once (:meth:`remap_values`), and from then
+    # on the ``*_idx`` entry points move int32 arrays, -1 per miss.
 
-        Semantically identical to the base scalar spec for int-valued
-        tables; stats are updated once per batch like :meth:`get_batch`.
+    def get_batch_idx(self, keys: np.ndarray) -> np.ndarray:
+        """Tracked destination *ids* for a uint64 key array (-1 per miss),
+        by one vectorized probe; engages index mode.
+
+        Semantically ``[get(k) for k in keys]`` with ``None -> -1``, stats
+        totals included (updated once per batch).
         """
         keys = np.asarray(keys, dtype=np.uint64)
         if self._table is not None:
@@ -151,6 +127,10 @@ class UnboundedCT(ConnectionTracker):
         self._note_size()
 
     def remap_values(self, fn) -> None:
+        """Re-encode every stored destination through ``fn`` (name ->
+        backend id) on the way from the dict into the arrays: once per
+        table, when a balancer's columnar path first engages.  Stats and
+        the key set are untouched."""
         self._engage(fn)
 
     def invalidate_destination(self, destination: Destination) -> int:

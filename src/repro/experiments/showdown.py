@@ -15,8 +15,8 @@ Four metric groups, merged into ``BENCH_dataplane.json`` under the
   backend, plus an explicit connection-independence check (the same
   stack replayed at twice the flow population must not grow for
   Concury -- asserted, not just recorded);
-- **lookup**: keys/s at every dispatch tier -- scalar loop, name-batch,
-  columnar integer-index kernel -- plus the end-to-end columnar replay
+- **lookup**: keys/s at both dispatch tiers -- scalar loop, columnar
+  integer-index kernel -- plus the end-to-end columnar replay
   pps and the sharded per-shard critical-path pps (merged result
   asserted byte-equal to the single-process replay first);
 - **update_cost**: control-plane seconds per membership event
@@ -141,7 +141,7 @@ def run_memory(params: dict, seed: int) -> List[dict]:
 
 
 def run_lookup(params: dict, seed: int) -> dict:
-    """Keys/s per dispatch tier: scalar, name-batch, columnar, sharded."""
+    """Keys/s per dispatch tier: scalar, columnar, sharded."""
     batch = params["batch"]
     repeats = max(1, params["repeats"])
     keys = np.array(sample_keys(batch, seed=seed), dtype=np.uint64)
@@ -153,21 +153,18 @@ def run_lookup(params: dict, seed: int) -> dict:
     rows = []
     for label, build in _builders(params, seed).items():
         lb = build()
-        # Differential gate before any timing: the integer-index kernel,
-        # the name batch, and the scalar loop must agree key for key.
+        # Differential gate before any timing: the integer-index kernel
+        # and the scalar loop must agree key for key.
         probe = keys[:512]
-        names = lb.get_destinations_batch(probe)
         idx = lb.get_destinations_batch_idx(probe)
         table = lb.dispatch_names()
         for i, k in enumerate(probe.tolist()):
-            scalar = lb.get_destination(k)
-            if names[i] != scalar or table[idx[i]] != scalar:
+            if table[idx[i]] != lb.get_destination(k):
                 raise AssertionError(f"{label}: dispatch tiers diverge at key {k}")
-        lb.get_destinations_batch(keys)  # warm the CT before steady-state timing
+        lb.get_destinations_batch_idx(keys)  # warm the CT before steady-state timing
         scalar_s = best_of(
             repeats, lambda: [lb.get_destination(k) for k in key_list]
         )
-        name_s = best_of(repeats, lambda: lb.get_destinations_batch(keys))
         idx_s = best_of(repeats, lambda: lb.get_destinations_batch_idx(keys))
 
         replay_pps = 0.0
@@ -196,7 +193,6 @@ def run_lookup(params: dict, seed: int) -> dict:
                 "balancer": label,
                 "batch_size": batch,
                 "scalar_keys_per_s": batch / scalar_s,
-                "name_batch_keys_per_s": batch / name_s,
                 "columnar_kernel_keys_per_s": batch / idx_s,
                 "columnar_replay_pps": replay_pps,
                 "sharded_critical_path_pps": sharded.result.rate_pps,
@@ -315,13 +311,12 @@ def format_report(payload: dict) -> str:
         )
     lookup = payload["lookup"]
     lines.append(
-        f"{'balancer':<15} {'scalar k/s':>11} {'name k/s':>11} "
+        f"{'balancer':<15} {'scalar k/s':>11} "
         f"{'idx k/s':>11} {'replay pps':>12} {'sharded pps':>12}"
     )
     for row in lookup["rows"]:
         lines.append(
             f"{row['balancer']:<15} {row['scalar_keys_per_s']:>11,.0f} "
-            f"{row['name_batch_keys_per_s']:>11,.0f} "
             f"{row['columnar_kernel_keys_per_s']:>11,.0f} "
             f"{row['columnar_replay_pps']:>12,.0f} "
             f"{row['sharded_critical_path_pps']:>12,.0f}"

@@ -1,17 +1,18 @@
-"""Batched-dataplane throughput experiment.
+"""Columnar-dataplane throughput experiment.
 
-Measures the batch lookup path introduced by the vectorized dataplane
-against the scalar reference at two layers:
+Measures the int32 columnar path against the scalar reference at two
+layers:
 
-- **CH layer**: ``lookup_with_safety_batch`` vs a ``lookup_with_safety``
-  loop for every horizon-aware CH family (HRW, table-HRW, ring, anchor,
-  jump, modulo, concury -- all vectorized), plus ``lookup_batch`` vs a
-  ``lookup`` loop for Maglev (no safety variant, Section 3.6);
+- **CH layer**: ``lookup_with_safety_batch_idx`` vs a
+  ``lookup_with_safety`` loop for every horizon-aware CH family (HRW,
+  table-HRW, ring, anchor, jump, modulo, concury -- all vectorized), plus
+  ``lookup_batch_idx`` vs a ``lookup`` loop for Maglev (no safety
+  variant, Section 3.6);
 - **LB/replay layer**: :func:`repro.traces.replay_batch` vs
   :func:`repro.traces.replay` over a Zipf trace for JET and the
   baselines.  Every balancer must satisfy the never-slower contract
-  (``batch_pps >= 0.95 * scalar_pps``) -- a balancer whose stack lacks a
-  vector kernel routes straight through the scalar loop, so batch can
+  (``batch_pps >= 0.95 * scalar_pps``) -- a balancer whose stack lacks an
+  index kernel routes straight through the scalar loop, so batch can
   only tie or win.
 
 Every timed configuration is first differentially checked key-for-key
@@ -28,8 +29,8 @@ root by default) to anchor the performance trajectory across PRs::
 against the committed numbers (CI's dataplane-smoke job): it fails when
 any family's batch path is slower than scalar, when any replay balancer
 drops below the never-slower floor, when a previously-vectorized family
-regresses below half its recorded speedup, or when a columnar replay
-rate falls below 0.9x the recorded absolute pps (same scale only).
+regresses below half its recorded speedup, or when a replay rate falls
+below 0.9x the recorded absolute pps (same scale only).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.ch import rows_for
-from repro.ch.base import HorizonConsistentHash, has_batch_kernel
+from repro.ch.base import HorizonConsistentHash, has_index_kernel
 from repro.ch.properties import sample_keys
 from repro.core.factories import make_ch, make_full_ct, make_jet
 from repro.core.stateless import StatelessLoadBalancer
@@ -53,7 +54,7 @@ from repro.traces import zipf_trace
 from repro.traces.replay import DEFAULT_CHUNK, replay, replay_batch
 
 #: Families swept at the CH layer.  "maglev" has no safety variant, so it
-#: is timed through plain ``lookup``/``lookup_batch``; "concury" is the
+#: is timed through plain ``lookup``/``lookup_batch_idx``; "concury" is the
 #: Othello perfect-mapping family (table-HRW inner, default flowsets).
 CH_SWEEP = ("hrw", "table", "ring", "anchor", "maglev", "jump", "modulo",
             "concury")
@@ -97,24 +98,25 @@ def _sweep_one(ch, family: str, repeats: int, keys: np.ndarray) -> dict:
     # Differential gate: a wrong batch path must never get timed.
     probe = keys[: min(512, batch_size)]
     if horizon_aware:
-        destinations, unsafe = ch.lookup_with_safety_batch(probe)
+        indices, unsafe = ch.lookup_with_safety_batch_idx(probe)
+        destinations = ch.backend_table()[indices]
         for i, k in enumerate(probe.tolist()):
             if (destinations[i], bool(unsafe[i])) != ch.lookup_with_safety(k):
                 raise AssertionError(f"{family}: batch diverges from scalar at key {k}")
         scalar_s = best_of(
             repeats, lambda: [ch.lookup_with_safety(k) for k in key_list]
         )
-        batch_s = best_of(repeats, lambda: ch.lookup_with_safety_batch(keys))
+        batch_s = best_of(repeats, lambda: ch.lookup_with_safety_batch_idx(keys))
     else:
-        destinations = ch.lookup_batch(probe)
+        destinations = ch.backend_table()[ch.lookup_batch_idx(probe)]
         for i, k in enumerate(probe.tolist()):
             if destinations[i] != ch.lookup(k):
                 raise AssertionError(f"{family}: batch diverges from scalar at key {k}")
         scalar_s = best_of(repeats, lambda: [ch.lookup(k) for k in key_list])
-        batch_s = best_of(repeats, lambda: ch.lookup_batch(keys))
+        batch_s = best_of(repeats, lambda: ch.lookup_batch_idx(keys))
     return {
         "family": family,
-        "vectorized": has_batch_kernel(ch),
+        "vectorized": has_index_kernel(ch),
         "batch_size": batch_size,
         "scalar_keys_per_s": batch_size / scalar_s,
         "batch_keys_per_s": batch_size / batch_s,
@@ -128,7 +130,7 @@ def run_ch_sweep(
     seed: int,
     batch_sizes: Sequence[int] = (BATCH_SIZE,),
 ) -> List[dict]:
-    """Scalar-vs-batch lookup rate for every CH family, per batch size."""
+    """Scalar-vs-idx lookup rate for every CH family, per batch size."""
     max_size = max(batch_sizes)
     all_keys = np.array(sample_keys(max_size, seed=seed), dtype=np.uint64)
     rows = []
@@ -163,15 +165,14 @@ def run_replay_compare(
     rows = []
     for label, build in _replay_balancers(n_servers).items():
         scalar_result = replay(trace, build())
-        batch_balancer = build()
-        batch_result = replay_batch(trace, batch_balancer)
+        batch_result = replay_batch(trace, build())
         if (
             scalar_result.pcc_violations != batch_result.pcc_violations
             or scalar_result.tracked_connections != batch_result.tracked_connections
             or scalar_result.server_loads != batch_result.server_loads
         ):
             raise AssertionError(f"{label}: batched replay diverges from scalar")
-        # Never-slower contract: a stack without a vector kernel routes
+        # Never-slower contract: a stack without an index kernel routes
         # through the scalar loop, so batch can at worst tie within noise.
         if batch_result.rate_pps < 0.95 * scalar_result.rate_pps:
             raise AssertionError(
@@ -189,10 +190,6 @@ def run_replay_compare(
                 else 0.0,
                 "pcc_violations": batch_result.pcc_violations,
                 "tracked_connections": batch_result.tracked_connections,
-                # Which dispatch path the batch rate measured: True means
-                # the integer-index columnar loop, False the object path.
-                # check_against keys its pps floor off this flag.
-                "columnar": bool(getattr(batch_balancer, "columnar_effective", False)),
                 "chunk_size": DEFAULT_CHUNK,
             }
         )
@@ -357,8 +354,8 @@ def check_against(payload: dict, recorded: dict) -> List[str]:
     - any family recorded as ``vectorized`` whose fresh speedup fell
       below half the recorded one.  Speedups scale with population, so
       the half-of-recorded check only applies when the scales match;
-    - any replay balancer recorded as ``columnar`` whose fresh batch rate
-      fell below :data:`REPLAY_PPS_FLOOR` of the recorded ``batch_pps``
+    - any replay balancer whose fresh batch rate fell below
+      :data:`REPLAY_PPS_FLOOR` of the recorded ``batch_pps``
       (absolute-rate gate; same scale only, like the speedup check);
     - a fresh ``showdown`` section whose Concury columnar replay rate
       fell below :data:`REPLAY_PPS_FLOOR` of the recorded one (same
@@ -415,14 +412,12 @@ def check_against(payload: dict, recorded: dict) -> List[str]:
                 )
         fresh_replay = {row["balancer"]: row for row in payload.get("replay", [])}
         for old in recorded.get("replay", []):
-            if not old.get("columnar"):
-                continue
             fresh = fresh_replay.get(old["balancer"])
             if fresh is None:
                 continue
             if fresh["batch_pps"] < REPLAY_PPS_FLOOR * old["batch_pps"]:
                 failures.append(
-                    f"replay[{old['balancer']}]: columnar rate below "
+                    f"replay[{old['balancer']}]: batch rate below "
                     f"{REPLAY_PPS_FLOOR}x recorded "
                     f"({fresh['batch_pps']:,.0f} < {REPLAY_PPS_FLOOR} * "
                     f"{old['batch_pps']:,.0f} pps)"
@@ -487,7 +482,7 @@ def check_against(payload: dict, recorded: dict) -> List[str]:
 
 def format_report(payload: dict) -> str:
     lines = [
-        f"batched dataplane @ scale={payload['scale']} "
+        f"columnar dataplane @ scale={payload['scale']} "
         f"(n={payload['n_servers']}, batches={payload.get('batch_sizes', [BATCH_SIZE])})",
         f"{'family':<10} {'batch':>7} {'scalar k/s':>12} {'batch k/s':>12} "
         f"{'speedup':>8}  vectorized",
@@ -500,13 +495,12 @@ def format_report(payload: dict) -> str:
             f"{'yes' if row['vectorized'] else 'fallback'}"
         )
     lines.append(
-        f"{'balancer':<16} {'scalar pps':>12} {'batch pps':>12} {'speedup':>8}  path"
+        f"{'balancer':<16} {'scalar pps':>12} {'batch pps':>12} {'speedup':>8}"
     )
     for row in payload["replay"]:
         lines.append(
             f"{row['balancer']:<16} {row['scalar_pps']:>12,.0f} "
-            f"{row['batch_pps']:>12,.0f} {row['speedup']:>7.2f}x  "
-            f"{'columnar' if row.get('columnar') else 'object'}"
+            f"{row['batch_pps']:>12,.0f} {row['speedup']:>7.2f}x"
         )
     sweep = payload.get("chunk_sweep")
     if sweep:

@@ -28,8 +28,6 @@ import random
 from itertools import count
 from typing import Dict, List, Optional, Set
 
-import numpy as np
-
 from repro.core.interfaces import LoadBalancer, Name
 from repro.hashing.mix import splitmix64
 from repro.obs import metrics as obs_metrics
@@ -72,7 +70,6 @@ class EventDrivenSimulation:
         sample_interval: float = 1.0,
         warmup_s: Optional[float] = None,
         injector=None,
-        coalesce_packets: bool = False,
         registry=None,
         controller=None,
         horizon_cap: int = 16,
@@ -80,7 +77,6 @@ class EventDrivenSimulation:
         self.lb = balancer
         self.injector = injector
         self.controller = controller
-        self.coalesce_packets = coalesce_packets
         # Observability: a NullRegistry by default.  Per-packet handlers
         # stay uninstrumented; obs work happens only at sample events and
         # finalization (plus one guarded delta-read per *first* packet),
@@ -91,18 +87,11 @@ class EventDrivenSimulation:
             instrument_balancer(self.obs, balancer)
         self._first_dispatches = 0
         self._first_tracked = 0
-        self._batched_packets = 0
         # Resolve the per-packet LB capability probes once: these getattr
         # probes used to run on every packet of the hot loop.
         self._note_flow_start = getattr(balancer, "note_flow_start", None)
         self._note_flow_end = getattr(balancer, "note_flow_end", None)
         self._syn_aware = bool(getattr(balancer, "dispatches_new_connections", False))
-        # Never-slower guarantee: coalescing only pays when the LB's batch
-        # path actually vectorizes; otherwise stay on the scalar loop.
-        self._batch_effective = bool(getattr(balancer, "batch_effective", False))
-        # Columnar upgrade of the same path: dispatch as int32 backend ids
-        # and decode names through one table gather per batch.
-        self._columnar_effective = bool(getattr(balancer, "columnar_effective", False))
         self.workload = workload
         self.duration_s = duration_s
         self.sample_interval = sample_interval
@@ -396,7 +385,6 @@ class EventDrivenSimulation:
 
         heap = self._heap
         sim_clock = self._sim_clock
-        coalesce = self.coalesce_packets and self._batch_effective
         while heap:
             when, _, kind, payload = heapq.heappop(heap)
             if when > self.duration_s:
@@ -405,13 +393,7 @@ class EventDrivenSimulation:
             if sim_clock is not None:
                 sim_clock.now = when
             if kind == _PACKET:
-                if coalesce and heap and heap[0][0] == when and heap[0][2] == _PACKET:
-                    batch = [payload]
-                    while heap and heap[0][0] == when and heap[0][2] == _PACKET:
-                        batch.append(heapq.heappop(heap)[3])
-                    self._on_packet_batch(batch)
-                else:
-                    self._on_packet(payload)
+                self._on_packet(payload)
             elif kind == _ARRIVAL:
                 self._on_arrival(when)
             elif kind == _FLOW_END:
@@ -461,50 +443,6 @@ class EventDrivenSimulation:
                 self._break_flow(flow)
                 return
         self._advance_flow(flow)
-
-    def _on_packet_batch(self, flows: List[Flow]) -> None:
-        """Drain a run of same-timestamp packet events through the LB's
-        batch path.
-
-        First packets keep the scalar path (they may involve load-aware
-        placement and flow-start notifications); packets of established
-        flows are dispatched in one ``get_destinations_batch`` call.
-        Same-timestamp flows have distinct keys (the workload generator
-        guarantees key uniqueness), so regrouping them cannot change any
-        destination the scalar order would have produced.
-        """
-        established: List[Flow] = []
-        for flow in flows:
-            if flow.broken:
-                continue
-            self.result.packets_processed += 1
-            if flow.true_destination is None:
-                self._dispatch_first_packet(flow)
-                self._advance_flow(flow)
-            else:
-                established.append(flow)
-        if not established:
-            return
-        self._batched_packets += len(established)
-        keys = np.fromiter(
-            (flow.key for flow in established), dtype=np.uint64, count=len(established)
-        )
-        if self._columnar_effective:
-            ids = self.lb.get_destinations_batch_idx(keys)
-            names = self.lb.dispatch_names()
-            destinations = [names[i] for i in ids.tolist()]
-        else:
-            destinations = self.lb.get_destinations_batch(keys)
-        for flow, destination in zip(established, destinations):
-            if flow.broken:
-                # Defensive: each flow has at most one packet event in the
-                # heap (the next is pushed only while processing the current
-                # one), so nothing in this batch can have broken it already.
-                continue
-            if destination != flow.true_destination:
-                self._break_flow(flow)
-            else:
-                self._advance_flow(flow)
 
     def _dispatch_first_packet(self, flow: Flow) -> None:
         # First packet (TCP SYN): load-aware LBs may run their
@@ -679,11 +617,8 @@ class EventDrivenSimulation:
             obs_metrics.BACKEND_EVENTS, "Backend change events", kind="unannounced"
         ).set_total(result.unannounced_additions)
         obs.counter(
-            obs_metrics.DISPATCH_PACKETS, "Packets by dispatch path", path="batch"
-        ).set_total(self._batched_packets)
-        obs.counter(
             obs_metrics.DISPATCH_PACKETS, "Packets by dispatch path", path="scalar"
-        ).set_total(result.packets_processed - self._batched_packets)
+        ).set_total(result.packets_processed)
         if self._track_expected and self._expected_count:
             obs.gauge(
                 obs_metrics.EXPECTED_TRACKED_FRACTION_MEAN,

@@ -171,6 +171,9 @@ def _unpairs(pairs: Optional[List[List[Any]]]) -> Optional[Dict[Any, Any]]:
 # ------------------------------------------------------------- the config
 #: Fields that carry live runtime objects and are never persisted.
 _RUNTIME_FIELDS = ("registry",)
+#: Keys older files carry for options since removed; skipped on load
+#: (either value gave identical results by contract), never written.
+_RETIRED_FIELDS = ("coalesce_packets",)
 #: Fields with dedicated encoders.
 _SPECIAL_FIELDS = (
     "fault_schedule",
@@ -215,7 +218,7 @@ def config_from_dict(payload: Dict[str, Any]) -> SimulationConfig:
     known = {f.name for f in fields(SimulationConfig)}
     kwargs: Dict[str, Any] = {}
     for name, value in payload.items():
-        if name == "format" or name in _RUNTIME_FIELDS:
+        if name == "format" or name in _RUNTIME_FIELDS or name in _RETIRED_FIELDS:
             continue
         if name not in known:
             raise PersistError(f"unknown config field {name!r}")

@@ -71,8 +71,6 @@ class SimulationConfig:
     workload_seed: Optional[int] = None
     sample_interval: float = 1.0
     warmup_s: Optional[float] = None  # balance-metric warmup; default 20%
-    # Drain same-timestamp packet events through the LB's batch path.
-    coalesce_packets: bool = False
     arrival_rate: Optional[float] = None  # derived if None
     size_dist: Optional[Distribution] = None
     duration_dist: Optional[Distribution] = None
@@ -215,7 +213,6 @@ def run_simulation(config: SimulationConfig) -> SimResult:
         sample_interval=config.sample_interval,
         warmup_s=config.warmup_s,
         injector=injector,
-        coalesce_packets=config.coalesce_packets,
         registry=config.registry,
         controller=controller,
         horizon_cap=max(config.horizon_size, 1),

@@ -17,6 +17,11 @@ lower and orderings between CH families can differ from Tables 1-2.
 
 Backend-change events can be injected mid-trace to exercise PCC under
 churn (used by integration tests and the extensions bench).
+
+Two drivers, same metrics: :func:`replay` is the scalar per-packet loop
+(the executable spec); :func:`replay_batch` is the int32 columnar loop for
+balancers whose ``columnar_effective`` probe answers True, and hands every
+other balancer to :func:`replay`.
 """
 
 from __future__ import annotations
@@ -293,10 +298,10 @@ def replay_batch(
     chunk_size: int = DEFAULT_CHUNK,
     metrics=None,
 ) -> ReplayResult:
-    """Replay ``trace`` through the LB's batched dispatch path.
+    """Replay ``trace`` through the LB's columnar dispatch path.
 
     Packets are drained in chunks of ``chunk_size`` through
-    :meth:`~repro.core.interfaces.LoadBalancer.get_destinations_batch`;
+    :meth:`~repro.core.interfaces.LoadBalancer.get_destinations_batch_idx`;
     chunks are split at every injected event's packet index so each
     backend change still lands *between* batches, exactly where the
     scalar loop applies it.  Metrics (violations, loads, tracked count)
@@ -306,74 +311,21 @@ def replay_batch(
 
     SYN-aware balancers (Section 6.3) need a per-packet new-connection
     flag, so they are delegated to the scalar loop unchanged -- as is any
-    balancer whose ``batch_effective`` probe reports no real vector path
-    (never-slower guarantee: batch assembly over a scalar-loop fallback
-    only adds overhead, the 0.75-0.82x regressions of the PR 2 bench).
-
-    Balancers whose ``columnar_effective`` probe answers True take the
-    fully columnar loop instead: destinations flow as int32 backend ids,
-    all PCC accounting runs on preallocated numpy arrays, and names are
-    resolved once at the result edge -- zero Python objects per packet.
+    balancer whose ``columnar_effective`` probe reports no real vector
+    path (never-slower guarantee: batch assembly over a scalar-loop
+    fallback only adds overhead, the 0.75-0.82x regressions of the PR 2
+    bench).  Every other balancer takes the columnar loop: destinations
+    flow as int32 backend ids, all PCC accounting runs on preallocated
+    numpy arrays, and names are resolved once at the result edge -- zero
+    Python objects per packet.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    if getattr(balancer, "dispatches_new_connections", False):
-        return replay(trace, balancer, events, metrics=metrics)
-    if (
-        getattr(balancer, "columnar_effective", False)
-        and getattr(balancer, "note_flow_start", None) is None
+    if getattr(balancer, "dispatches_new_connections", False) or not getattr(
+        balancer, "columnar_effective", False
     ):
-        return _replay_columnar(trace, balancer, events, chunk_size, metrics)
-    if not getattr(balancer, "batch_effective", False):
         return replay(trace, balancer, events, metrics=metrics)
-
-    keys = np.ascontiguousarray(trace.flow_keys, dtype=np.uint64)
-    packets = trace.packets
-    n_packets = len(packets)
-    first_destination: List[Optional[Name]] = [None] * trace.n_flows
-    broken = bytearray(trace.n_flows)
-    violations = 0
-    inevitable = 0
-    # The scalar hot path (no events) skips the working-set check and
-    # counts every mid-flow move as a violation; mirror that exactly.
-    check_working = bool(events)
-
-    event_queue = sorted(events, key=lambda ev: ev[0])
-    next_event = 0
-    note_flow_start = getattr(balancer, "note_flow_start", None)
-
-    watch = Stopwatch()
-    position = 0
-    while position < n_packets:
-        while next_event < len(event_queue) and event_queue[next_event][0] <= position:
-            event_queue[next_event][1](balancer)
-            next_event += 1
-        end = min(position + chunk_size, n_packets)
-        if next_event < len(event_queue):
-            end = min(end, event_queue[next_event][0])
-        flow_indices = packets[position:end]
-        destinations = balancer.get_destinations_batch(keys[flow_indices])
-        # tolist() once per chunk: per-item object-array indexing costs
-        # ~2x a plain list iteration and would eat the batch dividend for
-        # cheap-scalar stacks (full CT over Maglev).
-        for flow_index, destination in zip(flow_indices.tolist(), destinations.tolist()):
-            previous = first_destination[flow_index]
-            if previous is None:
-                first_destination[flow_index] = destination
-                if note_flow_start is not None:
-                    note_flow_start(destination)
-            elif destination != previous and not broken[flow_index]:
-                broken[flow_index] = 1
-                if not check_working or previous in balancer.working:
-                    violations += 1
-                else:
-                    inevitable += 1
-        position = end
-    wall = watch.stop()
-
-    result = _build_result(trace, balancer, first_destination, violations, inevitable, wall)
-    _publish_metrics(metrics, balancer, result, path="batch", n_events=len(event_queue))
-    return result
+    return _replay_columnar(trace, balancer, events, chunk_size, metrics)
 
 
 def _replay_columnar(
@@ -389,12 +341,12 @@ def _replay_columnar(
     preallocated int32/bool arrays keyed by backend id; each chunk is one
     ``get_destinations_batch_idx`` call plus a handful of vectorized
     compares.  Metric equivalence with the scalar loop rests on the same
-    argument as the name batch path (no backend change lands mid-chunk)
-    plus two index-path facts: ids are stable across backend changes, and
-    all occurrences of a newly seen flow within one chunk resolve to the
-    same id (CT gets precede puts), so fancy assignment into ``first`` is
-    order-independent.  Names are materialized exactly once, at the
-    result edge, after the stopwatch stops.
+    argument as :func:`replay_batch` gives (no backend change lands
+    mid-chunk) plus two index-path facts: ids are stable across backend
+    changes, and all occurrences of a newly seen flow within one chunk
+    resolve to the same id (CT gets precede puts), so fancy assignment
+    into ``first`` is order-independent.  Names are materialized exactly
+    once, at the result edge, after the stopwatch stops.
     """
     keys = np.ascontiguousarray(trace.flow_keys, dtype=np.uint64)
     packets = trace.packets

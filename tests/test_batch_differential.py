@@ -1,11 +1,11 @@
-"""Differential tests for the batched dataplane.
+"""Differential tests for the columnar dataplane: idx == scalar.
 
-The scalar path is the executable spec: every batch entry point
-(CH ``lookup_batch``/``lookup_with_safety_batch``, CT ``get_batch``/
-``put_batch``, LB ``get_destinations_batch``, ``replay_batch``, and the
-engine's packet-coalescing mode) must reproduce the scalar results
-key-for-key -- destinations, unsafe flags, post-batch CT state, and
-replay/simulation metrics.
+The scalar path is the executable spec: every batch entry point (CH
+``lookup_batch_idx``/``lookup_with_safety_batch_idx`` decoded through
+``backend_table()``, LB ``get_destinations_batch_idx`` decoded through
+``dispatch_names()``, and ``replay_batch``) must reproduce the scalar
+results key-for-key -- destinations, unsafe flags, post-batch CT state
+and ``CTStats``, and replay metrics.
 """
 
 import numpy as np
@@ -14,13 +14,14 @@ import pytest
 from repro.ch import (
     EXTENSION_FAMILIES,
     JET_FAMILIES,
+    BackendError,
     MaglevHash,
     ScalarTableHRW,
-    has_batch_kernel,
     has_index_kernel,
 )
 from repro.ch.properties import sample_keys
 from repro.core import (
+    FullCTLoadBalancer,
     JETLoadBalancer,
     StatelessLoadBalancer,
     make_ch,
@@ -28,16 +29,7 @@ from repro.core import (
     make_jet,
 )
 from repro.ct import LRUCT, UnboundedCT
-from repro.sim import (
-    EventDrivenSimulation,
-    SimulationConfig,
-    WorkloadGenerator,
-    build_balancer,
-    hadoop_flow_duration,
-    hadoop_flow_size,
-    run_simulation,
-    server_downtime,
-)
+from repro.sim import SimulationConfig, run_simulation
 from repro.traces import replay, replay_batch, zipf_trace
 
 WORKING = [f"w{i}" for i in range(12)]
@@ -47,29 +39,45 @@ ALL_FAMILIES = sorted(JET_FAMILIES) + sorted(EXTENSION_FAMILIES)
 KEYS = np.array(sample_keys(1500, seed=7), dtype=np.uint64)
 
 
+def _ch_kwargs(family):
+    if family == "table":
+        return {"rows": 389}
+    if family == "anchor":
+        return {"capacity": 4 * (len(WORKING) + len(HORIZON))}
+    if family in ("ring", "ring-incremental"):
+        return {"virtual_nodes": 20}
+    if family == "concury":
+        return {"flowsets": 512, "rows": 389}  # inner defaults to table
+    return {}
+
+
 def build(family):
     """Fresh test-sized CH of the given family."""
-    kwargs = {}
-    if family == "table":
-        kwargs["rows"] = 389
-    elif family == "anchor":
-        kwargs["capacity"] = 4 * (len(WORKING) + len(HORIZON))
-    elif family in ("ring", "ring-incremental"):
-        kwargs["virtual_nodes"] = 20
-    elif family == "concury":
-        kwargs.update(flowsets=512, rows=389)  # inner defaults to table
-    return make_ch(family, WORKING, HORIZON, **kwargs)
+    return make_ch(family, WORKING, HORIZON, **_ch_kwargs(family))
+
+
+def batch_names(ch, keys):
+    """``(names, unsafe)`` of the safety kernel, decoded at the edge."""
+    idx, unsafe = ch.lookup_with_safety_batch_idx(keys)
+    assert idx.dtype == np.int32
+    assert unsafe.dtype == bool
+    return ch.backend_table()[idx], unsafe
 
 
 def assert_batch_matches_scalar(ch, keys):
-    """Batch results must equal the scalar loop, key for key."""
-    destinations, unsafe = ch.lookup_with_safety_batch(keys)
+    """The safety kernel must equal the scalar loop, key for key."""
+    destinations, unsafe = batch_names(ch, keys)
     expected = [ch.lookup_with_safety(int(k)) for k in keys]
     assert list(destinations) == [d for d, _ in expected]
-    assert unsafe.dtype == bool
     assert unsafe.tolist() == [u for _, u in expected]
-    # lookup_batch is the destination column of the same computation.
-    assert list(ch.lookup_batch(keys)) == [d for d, _ in expected]
+
+
+def assert_idx_matches_scalar(ch, keys):
+    """``lookup_batch_idx`` -- the destination column of the same kernel,
+    and all Maglev has -- must equal the ``lookup`` loop."""
+    idx = ch.lookup_batch_idx(keys)
+    assert idx.dtype == np.int32
+    assert list(ch.backend_table()[idx]) == [ch.lookup(int(k)) for k in keys]
 
 
 @pytest.fixture(params=ALL_FAMILIES)
@@ -78,15 +86,16 @@ def family(request):
 
 
 class TestCHBatch:
+    """``lookup_with_safety_batch_idx`` against the ``lookup_with_safety``
+    loop, every horizon-aware family."""
+
     def test_matches_scalar(self, family):
         assert_batch_matches_scalar(build(family), KEYS)
 
     def test_empty_batch(self, family):
-        ch = build(family)
-        destinations, unsafe = ch.lookup_with_safety_batch(np.empty(0, dtype=np.uint64))
+        destinations, unsafe = batch_names(build(family), np.empty(0, dtype=np.uint64))
         assert len(destinations) == 0
         assert len(unsafe) == 0
-        assert len(ch.lookup_batch(np.empty(0, dtype=np.uint64))) == 0
 
     def test_single_key_batch(self, family):
         ch = build(family)
@@ -107,41 +116,42 @@ class TestCHBatch:
     def test_accepts_plain_int_lists(self, family):
         ch = build(family)
         ints = [int(k) for k in KEYS[:32]]
-        destinations, _ = ch.lookup_with_safety_batch(ints)
+        destinations, _ = batch_names(ch, ints)
         assert list(destinations) == [ch.lookup(k) for k in ints]
+
+    def test_duplicate_keys_in_one_batch(self, family):
+        ch = build(family)
+        assert_batch_matches_scalar(
+            ch, np.concatenate([KEYS[:50], KEYS[:50], KEYS[20:30]])
+        )
 
 
 class TestMaglevBatch:
     """Maglev's int32-table kernel against the scalar table walk."""
 
     def test_matches_scalar(self):
-        ch = MaglevHash(WORKING, table_size=251)
-        out = ch.lookup_batch(KEYS[:500])
-        assert list(out) == [ch.lookup(int(k)) for k in KEYS[:500]]
+        assert_idx_matches_scalar(MaglevHash(WORKING, table_size=251), KEYS[:500])
 
     def test_empty_batch(self):
         ch = MaglevHash(WORKING, table_size=251)
-        assert len(ch.lookup_batch(np.empty(0, dtype=np.uint64))) == 0
+        assert len(ch.lookup_batch_idx(np.empty(0, dtype=np.uint64))) == 0
 
     def test_single_server_owns_every_row(self):
         ch = MaglevHash(["only"], table_size=251)
-        out = ch.lookup_batch(KEYS[:64])
+        out = ch.backend_table()[ch.lookup_batch_idx(KEYS[:64])]
         assert set(out.tolist()) == {"only"}
 
     def test_matches_scalar_after_churn(self):
         ch = MaglevHash(WORKING, table_size=251)
         ch.remove(WORKING[0])
         ch.add("fresh")
-        out = ch.lookup_batch(KEYS[:500])
-        assert list(out) == [ch.lookup(int(k)) for k in KEYS[:500]]
+        assert_idx_matches_scalar(ch, KEYS[:500])
 
     def test_empty_working_set_raises(self):
-        from repro.ch import BackendError
-
         ch = MaglevHash(["only"], table_size=251)
         ch.remove("only")
         with pytest.raises(BackendError):
-            ch.lookup_batch(KEYS[:4])
+            ch.lookup_batch_idx(KEYS[:4])
 
 
 class TestRingKernelEdges:
@@ -172,7 +182,7 @@ class TestRingKernelEdges:
         # One working server, many horizon vnodes: most merged-ring
         # entries are tracked horizon entries pointing at the lone worker.
         ch = make_ch(family, ["solo"], HORIZON, virtual_nodes=20)
-        destinations, unsafe = ch.lookup_with_safety_batch(KEYS[:400])
+        destinations, unsafe = batch_names(ch, KEYS[:400])
         assert set(destinations.tolist()) == {"solo"}
         assert unsafe.any()
         assert_batch_matches_scalar(ch, KEYS[:400])
@@ -183,18 +193,18 @@ class TestRingKernelEdges:
         # the incremental variant); the *batch* call must be the one that
         # triggers the rebuild/kernel refresh and still match scalar.
         ch = build(family)
-        ch.lookup_with_safety_batch(KEYS[:100])  # warm the kernel arrays
+        ch.lookup_with_safety_batch_idx(KEYS[:100])  # warm the kernel arrays
         ch.remove_working(WORKING[0])
         fresh = build(family)
         fresh.remove_working(WORKING[0])
-        destinations, unsafe = ch.lookup_with_safety_batch(KEYS[:400])
+        destinations, unsafe = batch_names(ch, KEYS[:400])
         expected = [fresh.lookup_with_safety(int(k)) for k in KEYS[:400]]
         assert list(destinations) == [d for d, _ in expected]
         assert unsafe.tolist() == [u for _, u in expected]
 
     def test_single_server_no_horizon(self):
         ch = make_ch("ring", ["solo"], [], virtual_nodes=20)
-        destinations, unsafe = ch.lookup_with_safety_batch(KEYS[:100])
+        destinations, unsafe = batch_names(ch, KEYS[:100])
         assert set(destinations.tolist()) == {"solo"}
         assert not unsafe.any()
 
@@ -220,7 +230,7 @@ class TestRingKernelEdges:
 class TestAnchorKernelEdges:
     def test_single_working_bucket(self):
         ch = make_ch("anchor", ["solo"], HORIZON, capacity=32)
-        destinations, unsafe = ch.lookup_with_safety_batch(KEYS[:200])
+        destinations, _ = batch_names(ch, KEYS[:200])
         assert set(destinations.tolist()) == {"solo"}
         assert_batch_matches_scalar(ch, KEYS[:200])
 
@@ -235,42 +245,15 @@ class TestAnchorKernelEdges:
         assert_batch_matches_scalar(ch, KEYS[:600])
 
 
-class TestCTBatch:
-    def test_unbounded_batch_matches_scalar_twin(self):
-        batched, scalar = UnboundedCT(), UnboundedCT()
-        keys = KEYS[:400]
-        destinations = np.array([int(k) % 7 for k in keys], dtype=object)
-        batched.put_batch(keys, destinations)
-        for k, d in zip(keys.tolist(), destinations):
-            scalar.put(k, d)
-        probe = np.concatenate(
-            [keys[:200], np.array(sample_keys(200, seed=8), dtype=np.uint64)]
-        )
-        got = batched.get_batch(probe)
-        expected = [scalar.get(int(k)) for k in probe.tolist()]
-        assert list(got) == expected
-        assert dict(batched.items()) == dict(scalar.items())
-        assert batched.stats == scalar.stats
+TRACE = zipf_trace(skew=1.0, n_packets=5_000, population=1_000, seed=13)
 
-    def test_bounded_fallback_preserves_eviction_order(self):
-        # LRUCT keeps batch_reorder_safe=False, so the default loops run;
-        # the recency order (and therefore who got evicted) must be
-        # byte-identical to the interleaved scalar sequence.
-        assert not LRUCT.batch_reorder_safe
-        batched, scalar = LRUCT(capacity=16), LRUCT(capacity=16)
-        keys = KEYS[:64]
-        destinations = np.array([int(k) % 5 for k in keys], dtype=object)
-        batched.put_batch(keys, destinations)
-        batched.get_batch(keys[10:40])
-        batched.put_batch(keys[:8], destinations[:8])
-        for k, d in zip(keys.tolist(), destinations):
-            scalar.put(k, d)
-        for k in keys[10:40].tolist():
-            scalar.get(k)
-        for k, d in zip(keys[:8].tolist(), destinations[:8]):
-            scalar.put(k, d)
-        assert list(batched.items()) == list(scalar.items())
-        assert batched.stats == scalar.stats
+
+def churn_events():
+    """One announced remove / admit pair, mid-trace."""
+    return [
+        (1_500, lambda lb: lb.remove_working_server(WORKING[5])),
+        (3_500, lambda lb: lb.add_working_server(HORIZON[0])),
+    ]
 
 
 def _lb_pair(maker):
@@ -278,11 +261,33 @@ def _lb_pair(maker):
     return maker(), maker()
 
 
+def _tracked(lb):
+    return lb.tracked_items() if hasattr(lb, "tracked_items") else None
+
+
+def _decode_idx_run(lb, keys):
+    """Dispatch through the integer path and decode at the edge."""
+    ids = lb.get_destinations_batch_idx(keys)
+    assert ids.dtype == np.int32
+    names = lb.dispatch_names()
+    return [names[i] for i in ids.tolist()]
+
+
 def assert_lb_batch_matches(batched, scalar, keys):
-    got = batched.get_destinations_batch(keys)
+    """Same destinations, and the CT (where one exists) holds the same
+    name mappings whichever representation the run used internally."""
     expected = [scalar.get_destination(int(k)) for k in keys.tolist()]
-    assert list(got) == expected
-    assert dict(batched.ct.items()) == dict(scalar.ct.items())
+    assert _decode_idx_run(batched, keys) == expected
+    assert _tracked(batched) == _tracked(scalar)
+
+
+def assert_idx_dispatch_refused(lb):
+    """The probe says no, so the idx entry point raises -- before it
+    touches the CT (it must not engage index mode on the way out)."""
+    assert not lb.columnar_effective
+    with pytest.raises(NotImplementedError):
+        lb.get_destinations_batch_idx(KEYS[:8])
+    assert len(lb.ct) == 0 and lb.ct.stats.lookups == 0
 
 
 class TestLBBatch:
@@ -297,10 +302,11 @@ class TestLBBatch:
     def test_jet_batch_with_duplicate_keys(self):
         batched, scalar = _lb_pair(lambda: make_jet("hrw", WORKING, HORIZON))
         keys = np.concatenate([KEYS[:300], KEYS[:300], KEYS[100:200]])
-        # Destinations and the CT mapping must agree even when a key
-        # repeats within one batch (stats may differ: the scalar twin
-        # hits the CT on the repeat, the batch path re-looks it up).
+        # Destinations, the CT mapping and the hit/insert totals must
+        # agree even when a key repeats within one batch (the scalar twin
+        # hits the CT on the repeat; the batch path credits it after).
         assert_lb_batch_matches(batched, scalar, keys)
+        assert batched.ct.stats == scalar.ct.stats
 
     def test_jet_batch_after_backend_churn(self):
         batched, scalar = _lb_pair(lambda: make_jet("table", WORKING, HORIZON, rows=389))
@@ -309,28 +315,35 @@ class TestLBBatch:
             lb.remove_working_server(WORKING[3])
             lb.add_working_server(HORIZON[0])
         assert_lb_batch_matches(batched, scalar, KEYS[:500])
+        assert batched.ct.stats == scalar.ct.stats
 
     def test_jet_bounded_ct_falls_back_to_scalar(self):
-        batched, scalar = _lb_pair(
-            lambda: make_jet("hrw", WORKING, HORIZON, ct=LRUCT(capacity=32))
+        # Regrouping gets before puts would change who an LRU evicts.
+        assert not LRUCT.batch_reorder_safe
+        assert_idx_dispatch_refused(
+            make_jet("hrw", WORKING, HORIZON, ct=LRUCT(capacity=32))
         )
-        assert_lb_batch_matches(batched, scalar, KEYS[:400])
-        # Fallback must preserve the LRU recency order exactly.
-        assert list(batched.ct.items()) == list(scalar.ct.items())
-        assert batched.ct.stats == scalar.ct.stats
+        assert_idx_dispatch_refused(
+            make_full_ct("table", WORKING, HORIZON, rows=389, ct=LRUCT(capacity=32))
+        )
 
     def test_jet_lazy_cleanup_falls_back_to_scalar(self):
-        def maker():
-            return JETLoadBalancer(build("hrw"), UnboundedCT(), active_cleanup=False)
-
-        batched, scalar = _lb_pair(maker)
-        assert_lb_batch_matches(batched, scalar, KEYS[:400])
         # Stale entries (lazy cleanup) are the reason this config must
         # take the scalar loop: per-key validation interleaves deletes.
-        for lb in (batched, scalar):
-            lb.remove_working_server(WORKING[5])
-        assert_lb_batch_matches(batched, scalar, KEYS[:400])
-        assert batched.ct.stats == scalar.ct.stats
+        # An ungated idx path skips it and dispatches tracked flows to
+        # the removed server (44 of these 2000 keys).
+        lb = JETLoadBalancer(build("hrw"), UnboundedCT(), active_cleanup=False)
+        assert_idx_dispatch_refused(lb)
+        keys = np.array(sample_keys(2000, seed=7), dtype=np.uint64)
+        for k in keys.tolist():
+            lb.get_destination(k)
+        lb.remove_working_server("w3")
+        with pytest.raises(NotImplementedError):
+            lb.get_destinations_batch_idx(keys)
+        assert "w3" not in {lb.get_destination(k) for k in keys.tolist()}
+        assert_idx_dispatch_refused(
+            FullCTLoadBalancer(build("hrw"), UnboundedCT(), active_cleanup=False)
+        )
 
     @pytest.mark.parametrize("family", ["maglev", "table"])
     def test_full_ct_batch_matches_scalar_twin(self, family):
@@ -344,13 +357,15 @@ class TestLBBatch:
 
     def test_stateless_batch_matches_scalar_twin(self):
         batched, scalar = _lb_pair(lambda: StatelessLoadBalancer(build("table")))
-        keys = KEYS[:600]
-        got = batched.get_destinations_batch(keys)
-        assert list(got) == [scalar.get_destination(int(k)) for k in keys.tolist()]
+        assert_lb_batch_matches(batched, scalar, KEYS[:600])
 
     def test_empty_batch(self):
-        lb = make_jet("hrw", WORKING, HORIZON)
-        assert len(lb.get_destinations_batch(np.empty(0, dtype=np.uint64))) == 0
+        for lb in (
+            make_full_ct("table", WORKING, HORIZON, rows=389),
+            StatelessLoadBalancer(build("hrw")),
+        ):
+            out = lb.get_destinations_batch_idx(np.empty(0, dtype=np.uint64))
+            assert out.dtype == np.int32 and len(out) == 0
 
 
 IDX_FAMILIES = ["hrw", "table", "ring", "anchor", "maglev", "jump", "modulo",
@@ -389,79 +404,43 @@ def build_lb(family, mode):
     return StatelessLoadBalancer(build(family))
 
 
-def _ch_kwargs(family):
-    if family == "table":
-        return {"rows": 389}
-    if family == "anchor":
-        return {"capacity": 4 * (len(WORKING) + len(HORIZON))}
-    if family in ("ring", "ring-incremental"):
-        return {"virtual_nodes": 20}
-    if family == "concury":
-        return {"flowsets": 512, "rows": 389}
-    return {}
-
-
-def _tracked(lb):
-    return lb.tracked_items() if hasattr(lb, "tracked_items") else None
-
-
-def _decode_idx_run(lb, keys):
-    """Dispatch through the integer path and decode at the edge."""
-    ids = lb.get_destinations_batch_idx(keys)
-    assert ids.dtype == np.int32
-    names = lb.dispatch_names()
-    return [names[i] for i in ids.tolist()]
+def build_idx(family):
+    return MaglevHash(WORKING, table_size=251) if family == "maglev" else build(family)
 
 
 class TestIndexKernels:
     """CH layer: ``backend_table()[lookup_batch_idx(keys)]`` must equal
-    ``lookup_batch(keys)`` element for element, for every family."""
+    the ``lookup`` loop element for element, for every family (Maglev
+    included: it has this entry point and no safety variant)."""
 
     @pytest.mark.parametrize("family", IDX_FAMILIES)
     def test_every_family_has_an_index_kernel(self, family):
-        ch = (MaglevHash(WORKING, table_size=251) if family == "maglev"
-              else build(family))
-        assert has_index_kernel(ch), family
-        # The loop-based reference transcription keeps the spec default.
-        assert not has_index_kernel(ScalarTableHRW(WORKING, HORIZON, rows=389))
+        assert has_index_kernel(build_idx(family)), family
+        # The loop-based reference transcription keeps the spec default,
+        # which is held to the same contract.
+        spec = ScalarTableHRW(WORKING, HORIZON, rows=389)
+        assert not has_index_kernel(spec)
+        assert_idx_matches_scalar(spec, KEYS[:100])
+        assert_batch_matches_scalar(spec, KEYS[:100])
 
     @pytest.mark.parametrize("family", IDX_FAMILIES)
     def test_idx_matches_names(self, family):
-        if family == "maglev":
-            ch = MaglevHash(WORKING, table_size=251)
-            idx = ch.lookup_batch_idx(KEYS[:600])
-            assert idx.dtype == np.int32
-            assert list(ch.backend_table()[idx]) == list(ch.lookup_batch(KEYS[:600]))
-            return
-        ch = build(family)
-        idx, unsafe_idx = ch.lookup_with_safety_batch_idx(KEYS[:600])
-        names, unsafe = ch.lookup_with_safety_batch(KEYS[:600])
-        assert idx.dtype == np.int32
-        assert list(ch.backend_table()[idx]) == list(names)
-        assert unsafe_idx.tolist() == unsafe.tolist()
-        # lookup_batch_idx is the destination column of the same kernel.
-        assert ch.lookup_batch_idx(KEYS[:600]).tolist() == idx.tolist()
+        assert_idx_matches_scalar(build_idx(family), KEYS[:600])
 
     @pytest.mark.parametrize("family", IDX_FAMILIES)
     def test_idx_matches_names_after_churn(self, family):
+        ch = build_idx(family)
         if family == "maglev":
-            ch = MaglevHash(WORKING, table_size=251)
             ch.remove(WORKING[0])
             ch.add("fresh")
-            idx = ch.lookup_batch_idx(KEYS[:400])
-            assert list(ch.backend_table()[idx]) == list(ch.lookup_batch(KEYS[:400]))
+            assert_idx_matches_scalar(ch, KEYS[:400])
             return
-        ch = build(family)
         victim = WORKING[-1]
         admit = victim if family == "jump" else HORIZON[0]
         ch.remove_working(victim)
-        idx, unsafe_idx = ch.lookup_with_safety_batch_idx(KEYS[:400])
-        names, unsafe = ch.lookup_with_safety_batch(KEYS[:400])
-        assert list(ch.backend_table()[idx]) == list(names)
-        assert unsafe_idx.tolist() == unsafe.tolist()
+        assert_idx_matches_scalar(ch, KEYS[:400])
         ch.add_working(admit)
-        idx, _ = ch.lookup_with_safety_batch_idx(KEYS[:400])
-        assert list(ch.backend_table()[idx]) == list(ch.lookup_batch(KEYS[:400]))
+        assert_idx_matches_scalar(ch, KEYS[:400])
 
     @pytest.mark.parametrize("family", IDX_FAMILIES)
     def test_backend_table_identity_contract(self, family):
@@ -470,8 +449,7 @@ class TestIndexKernels:
         # published table must never be mutated in place -- a position
         # remap requires a NEW array object (W <-> H moves that keep the
         # position->name mapping intact may keep the same table).
-        ch = (MaglevHash(WORKING, table_size=251) if family == "maglev"
-              else build(family))
+        ch = build_idx(family)
         ch.lookup_batch_idx(KEYS[:16])
         table = ch.backend_table()
         snapshot = table.copy()
@@ -500,15 +478,13 @@ class TestIndexKernels:
 
     @pytest.mark.parametrize("family", IDX_FAMILIES)
     def test_empty_batch(self, family):
-        ch = (MaglevHash(WORKING, table_size=251) if family == "maglev"
-              else build(family))
-        out = ch.lookup_batch_idx(np.empty(0, dtype=np.uint64))
+        out = build_idx(family).lookup_batch_idx(np.empty(0, dtype=np.uint64))
         assert out.dtype == np.int32 and len(out) == 0
 
 
 class TestColumnarLB:
-    """LB layer: index dispatch == name dispatch == scalar dispatch --
-    destinations AND post-run CT contents -- for 7 families x 3 modes."""
+    """LB layer: index dispatch == scalar dispatch -- destinations AND
+    post-run CT contents -- for 8 families x 4 modes."""
 
     @pytest.mark.parametrize("family", IDX_FAMILIES)
     @pytest.mark.parametrize("mode", LB_MODES)
@@ -516,17 +492,10 @@ class TestColumnarLB:
         reason = _skip_cell(family, mode)
         if reason:
             pytest.skip(reason)
-        idx_lb, name_lb, scalar_lb = (build_lb(family, mode) for _ in range(3))
-        keys = KEYS[:800]
-        got_idx = _decode_idx_run(idx_lb, keys)
-        got_name = list(name_lb.get_destinations_batch(keys))
-        got_scalar = [scalar_lb.get_destination(int(k)) for k in keys.tolist()]
-        assert got_idx == got_name == got_scalar
-        # The CT (where one exists) must hold identical name mappings no
-        # matter which representation the run used internally.
-        assert _tracked(idx_lb) == _tracked(name_lb) == _tracked(scalar_lb)
+        idx_lb, scalar_lb = build_lb(family, mode), build_lb(family, mode)
+        assert_lb_batch_matches(idx_lb, scalar_lb, KEYS[:800])
         # Second pass re-reads the CT entries the first one wrote.
-        assert _decode_idx_run(idx_lb, keys) == got_scalar
+        assert_lb_batch_matches(idx_lb, scalar_lb, KEYS[:800])
 
     @pytest.mark.parametrize("family", [f for f in IDX_FAMILIES if f != "maglev"])
     @pytest.mark.parametrize("mode", LB_MODES)
@@ -550,20 +519,19 @@ class TestColumnarLB:
         assert _tracked(idx_lb) == _tracked(scalar_lb)
 
     def test_mixed_mode_single_balancer(self):
-        # One balancer serving scalar, name-batch, and index-batch calls
-        # interleaved must stay consistent with a scalar-only twin.
+        # One balancer serving scalar and index-batch calls interleaved
+        # must stay consistent with a scalar-only twin.
         mixed, twin = build_lb("table", "jet"), build_lb("table", "jet")
         k1, k2, k3 = KEYS[:200], KEYS[200:400], KEYS[100:300]
-        assert list(mixed.get_destinations_batch(k1)) == [
-            twin.get_destination(int(k)) for k in k1.tolist()
-        ]
-        assert _decode_idx_run(mixed, k2) == [
-            twin.get_destination(int(k)) for k in k2.tolist()
-        ]
-        assert [mixed.get_destination(int(k)) for k in k3.tolist()] == [
-            twin.get_destination(int(k)) for k in k3.tolist()
-        ]
+        for batch, scalar_leg in ((k1, k3), (k2, k1)):
+            assert _decode_idx_run(mixed, batch) == [
+                twin.get_destination(int(k)) for k in batch.tolist()
+            ]
+            assert [mixed.get_destination(int(k)) for k in scalar_leg.tolist()] == [
+                twin.get_destination(int(k)) for k in scalar_leg.tolist()
+            ]
         assert _tracked(mixed) == _tracked(twin)
+        assert mixed.ct.stats == twin.ct.stats
 
     @pytest.mark.parametrize("mode", LB_MODES)
     def test_columnar_effective_probes(self, mode):
@@ -579,6 +547,11 @@ class TestColumnarLB:
             assert not JETLoadBalancer(
                 build("hrw"), UnboundedCT(), active_cleanup=False
             ).columnar_effective
+        elif mode == "full-ct":
+            assert make_full_ct("maglev", WORKING, table_size=251).columnar_effective
+            assert not make_full_ct(
+                "table", WORKING, HORIZON, rows=389, ct=LRUCT(capacity=32)
+            ).columnar_effective
         elif mode == "stateless":
             assert not StatelessLoadBalancer(scalar_ch).columnar_effective
 
@@ -588,64 +561,47 @@ class TestColumnarLB:
         assert out.dtype == np.int32 and len(out) == 0
 
 
+def _forbid_idx(balancer):
+    def forbidden(keys):
+        raise AssertionError("replay_batch assembled batches the probe ruled out")
+
+    balancer.get_destinations_batch_idx = forbidden
+    return balancer
+
+
 class TestNeverSlowerRouting:
-    """Capability probes: stacks without vector kernels must route
-    straight through the scalar loop, never through batch assembly."""
-
-    def test_has_batch_kernel_probe(self):
-        # Every shipped family now has a kernel ...
-        for family in ALL_FAMILIES:
-            assert has_batch_kernel(build(family)), family
-        assert has_batch_kernel(MaglevHash(WORKING, table_size=251))
-        # ... and the loop-based reference transcription does not.
-        assert not has_batch_kernel(ScalarTableHRW(WORKING, HORIZON, rows=389))
-
-    def test_lb_batch_effective_probes(self):
-        scalar_ch = ScalarTableHRW(WORKING, HORIZON, rows=389)
-        assert not JETLoadBalancer(scalar_ch).batch_effective
-        assert not StatelessLoadBalancer(
-            ScalarTableHRW(WORKING, HORIZON, rows=389)
-        ).batch_effective
-        assert JETLoadBalancer(build("ring")).batch_effective
-        assert StatelessLoadBalancer(build("table")).batch_effective
-        # CT/cleanup gates fold into the same probe.
-        assert not make_jet(
-            "hrw", WORKING, HORIZON, ct=LRUCT(capacity=32)
-        ).batch_effective
-        assert not JETLoadBalancer(
-            build("hrw"), UnboundedCT(), active_cleanup=False
-        ).batch_effective
-        assert not make_full_ct(
-            "table", WORKING, HORIZON, rows=389, ct=LRUCT(capacity=32)
-        ).batch_effective
-        assert make_full_ct("maglev", WORKING, table_size=251).batch_effective
+    """Stacks the ``columnar_effective`` probe rejects must route straight
+    through the scalar loop, never through batch assembly."""
 
     def test_jet_scalar_ch_routes_through_scalar_loop(self):
         def maker():
             return JETLoadBalancer(ScalarTableHRW(WORKING, HORIZON, rows=389))
 
-        batched, scalar = _lb_pair(maker)
-        # The composed path would call ct.get_batch; the scalar route
-        # never does.  Results must still match the scalar twin exactly.
-        def forbidden(keys):
-            raise AssertionError("batch assembly ran for a scalar-only CH")
-
-        batched.ct.get_batch = forbidden
-        assert_lb_batch_matches(batched, scalar, KEYS[:300])
+        assert_idx_dispatch_refused(maker())
+        batched = replay_batch(TRACE, _forbid_idx(maker()), churn_events())
+        scalar = replay(TRACE, maker(), churn_events())
+        assert _replay_fields(batched) == _replay_fields(scalar)
 
     def test_replay_batch_delegates_for_scalar_only_stack(self):
-        trace = zipf_trace(skew=1.0, n_packets=5_000, population=1_000, seed=13)
-        balancer = JETLoadBalancer(ScalarTableHRW(WORKING, HORIZON, rows=389))
-
-        def forbidden(keys):
-            raise AssertionError("replay_batch assembled batches without a kernel")
-
-        balancer.get_destinations_batch = forbidden
-        batched = replay_batch(trace, balancer)
-        scalar = replay(
-            trace, JETLoadBalancer(ScalarTableHRW(WORKING, HORIZON, rows=389))
-        )
-        assert _replay_fields(batched) == _replay_fields(scalar)
+        makers = {
+            "bounded-ct": lambda: make_jet(
+                "hrw", WORKING, HORIZON, ct=LRUCT(capacity=32)
+            ),
+            "lazy-cleanup": lambda: JETLoadBalancer(
+                build("hrw"), UnboundedCT(), active_cleanup=False
+            ),
+            "full-ct-bounded": lambda: make_full_ct(
+                "table", WORKING, HORIZON, rows=389, ct=LRUCT(capacity=32)
+            ),
+        }
+        for label, maker in makers.items():
+            batched_lb, scalar_lb = _forbid_idx(maker()), maker()
+            batched = replay_batch(TRACE, batched_lb, churn_events())
+            scalar = replay(TRACE, scalar_lb, churn_events())
+            assert _replay_fields(batched) == _replay_fields(scalar), label
+            # Recency order (and therefore who got evicted) included.
+            assert list(batched_lb.ct.items()) == list(scalar_lb.ct.items()), label
+            assert batched_lb.ct.stats == scalar_lb.ct.stats, label
 
 
 def _replay_fields(result):
@@ -691,104 +647,6 @@ class TestReplayBatch:
     def test_rejects_bad_chunk_size(self):
         with pytest.raises(ValueError):
             replay_batch(self.TRACE, StatelessLoadBalancer(build("hrw")), chunk_size=0)
-
-
-class QuantizedWorkload(WorkloadGenerator):
-    """Workload with all event times floored to a coarse tick.
-
-    The base generator draws continuous times, so exact same-timestamp
-    packet ties (what the engine's coalescing mode batches) almost never
-    occur.  Flooring arrival gaps and per-flow packet offsets onto a grid
-    makes ties abundant while keeping every packet inside its flow's
-    lifetime (floor never moves a time later).
-    """
-
-    TICK = 0.05
-
-    def next_arrival_gap(self):
-        gap = super().next_arrival_gap()
-        return max(self.TICK, int(gap / self.TICK) * self.TICK)
-
-    def make_flow(self, now):
-        flow = super().make_flow(now)
-        tick = self.TICK
-        flow.packet_times = [
-            now + int((t - now) / tick) * tick for t in flow.packet_times
-        ]
-        return flow
-
-
-class TestEngineCoalescing:
-    CONFIG = SimulationConfig(
-        duration_s=30.0,
-        n_servers=8,
-        horizon_size=2,
-        update_rate_per_min=20.0,
-        mode="jet",
-        ch_family="table",
-        ch_kwargs={"rows": 389},
-        seed=3,
-    )
-
-    def _run(self, coalesce):
-        balancer, working, standby = build_balancer(self.CONFIG)
-        workload = QuantizedWorkload(
-            arrival_rate=30.0,
-            size_dist=hadoop_flow_size(),
-            duration_dist=hadoop_flow_duration(),
-            seed=self.CONFIG.seed,
-        )
-        sim = EventDrivenSimulation(
-            balancer=balancer,
-            workload=workload,
-            working_servers=working,
-            standby_servers=standby,
-            duration_s=self.CONFIG.duration_s,
-            update_rate_per_min=self.CONFIG.update_rate_per_min,
-            downtime_dist=server_downtime(),
-            seed=self.CONFIG.seed,
-            coalesce_packets=coalesce,
-        )
-        batch_sizes = []
-        original = balancer.get_destinations_batch
-        original_idx = balancer.get_destinations_batch_idx
-
-        def spy(keys):
-            batch_sizes.append(len(keys))
-            return original(keys)
-
-        def spy_idx(keys):
-            # The engine prefers the columnar entry point when the LB
-            # offers one; both count as batched dispatch.
-            batch_sizes.append(len(keys))
-            return original_idx(keys)
-
-        balancer.get_destinations_batch = spy
-        balancer.get_destinations_batch_idx = spy_idx
-        return sim.run(), batch_sizes
-
-    def test_coalesced_run_matches_scalar_run(self):
-        scalar, _ = self._run(coalesce=False)
-        coalesced, batch_sizes = self._run(coalesce=True)
-        # The quantized workload must actually produce multi-packet ties,
-        # otherwise this test proves nothing.
-        assert batch_sizes and max(batch_sizes) >= 2
-        for field in (
-            "pcc_violations",
-            "inevitably_broken",
-            "flows_started",
-            "flows_completed",
-            "packets_processed",
-            "removals",
-            "additions",
-            "peak_tracked",
-            "final_tracked",
-            "tracked_series",
-            "sample_times",
-            "oversubscription_series",
-            "max_oversubscription",
-        ):
-            assert getattr(coalesced, field) == getattr(scalar, field), field
 
 
 def test_samples_stop_at_duration():

@@ -2,7 +2,7 @@
 
 The registry-driven suites (test_batch_differential, test_batch_hypothesis,
 test_replay_columnar, test_shard_replay) already hold Concury to the
-idx == name == scalar and merge == single contracts.  This file pins the
+idx == scalar and merge == single contracts.  This file pins the
 family-specific properties: flowset granularity, control-plane patching
 with atomic version flips, connection-count-independent memory, the
 horizon-safety semantics at flowset level, and the JET-over-Concury
@@ -30,11 +30,17 @@ def build(**kwargs):
     return ConcuryHash(WORKING, HORIZON, **kwargs)
 
 
+def batch_names(ch, keys):
+    """``(names, unsafe)`` of the index kernel, decoded at the edge."""
+    idx, unsafe = ch.lookup_with_safety_batch_idx(keys)
+    return ch.backend_table()[idx], unsafe
+
+
 class TestFlowsetGranularity:
     def test_same_flowset_same_backend(self):
         ch = build()
         fs = np.array([ch.flowset_of(int(k)) for k in KEYS.tolist()])
-        names = ch.lookup_batch(KEYS)
+        names, _ = batch_names(ch, KEYS)
         by_fs = {}
         for s, name in zip(fs.tolist(), names.tolist()):
             assert by_fs.setdefault(s, name) == name
@@ -63,7 +69,7 @@ class TestFlowsetGranularity:
         if inner == "anchor":
             kwargs["capacity"] = 4 * (len(WORKING) + len(HORIZON))
         ch = ConcuryHash(WORKING, HORIZON, **kwargs)
-        names, unsafe = ch.lookup_with_safety_batch(KEYS[:500])
+        names, unsafe = batch_names(ch, KEYS[:500])
         expected = [ch.lookup_with_safety(int(k)) for k in KEYS[:500]]
         assert list(names) == [d for d, _ in expected]
         assert unsafe.tolist() == [u for _, u in expected]
@@ -73,10 +79,10 @@ class TestFlowsetGranularity:
 class TestSafetySemantics:
     def test_safe_flowsets_never_move_on_horizon_admission(self):
         ch = build()
-        names, unsafe = ch.lookup_with_safety_batch(KEYS)
+        names, unsafe = batch_names(ch, KEYS)
         for h in HORIZON:
             ch.add_working(h)
-        after = ch.lookup_batch(KEYS)
+        after, _ = batch_names(ch, KEYS)
         moved_safe = [
             (b, a)
             for b, a, u in zip(names.tolist(), after.tolist(), unsafe.tolist())
@@ -88,8 +94,8 @@ class TestSafetySemantics:
         small = ConcuryHash(WORKING, HORIZON[:1], flowsets=1024, rows=389)
         large = ConcuryHash(WORKING, HORIZON + [f"hx{i}" for i in range(9)],
                             flowsets=1024, rows=389)
-        _, u_small = small.lookup_with_safety_batch(KEYS)
-        _, u_large = large.lookup_with_safety_batch(KEYS)
+        _, u_small = batch_names(small, KEYS)
+        _, u_large = batch_names(large, KEYS)
         assert u_small.mean() < u_large.mean()
 
 
@@ -141,8 +147,8 @@ class TestMemoryModel:
     def test_memory_independent_of_connection_count(self):
         ch = build()
         before = ch.memory_bytes
-        ch.lookup_batch(KEYS)  # 4k distinct connections
-        ch.lookup_batch(np.array(sample_keys(4000, seed=77), dtype=np.uint64))
+        ch.lookup_batch_idx(KEYS)  # 4k distinct connections
+        ch.lookup_batch_idx(np.array(sample_keys(4000, seed=77), dtype=np.uint64))
         assert ch.memory_bytes == before
 
     def test_memory_scales_with_flowsets(self):
@@ -165,9 +171,9 @@ class TestLoadBalancer:
 
     def test_no_tracked_state(self):
         lb = make_concury("table", WORKING, HORIZON, flowsets=512, rows=389)
-        lb.get_destinations_batch(KEYS)
+        lb.get_destinations_batch_idx(KEYS)
         assert lb.tracked_connections == 0
-        assert lb.batch_effective and lb.columnar_effective
+        assert lb.columnar_effective
 
     def test_update_stats_surface(self):
         lb = make_concury("table", WORKING, HORIZON, flowsets=512, rows=389)
@@ -184,8 +190,8 @@ class TestLoadBalancer:
         # Bonus composition: JET at flowset granularity.  Tracked entries
         # are exactly the packets whose flowset is horizon-unsafe.
         jet = make_jet("concury", WORKING, HORIZON, flowsets=512, rows=389)
-        jet.get_destinations_batch(KEYS)
-        _, unsafe = jet.ch.lookup_with_safety_batch(KEYS)
+        jet.get_destinations_batch_idx(KEYS)
+        _, unsafe = batch_names(jet.ch, KEYS)
         assert jet.tracked_connections == len(
             {int(k) for k, u in zip(KEYS.tolist(), unsafe.tolist()) if u}
         )
@@ -200,5 +206,5 @@ class TestOthelloValueWidth:
             ch.add_horizon(f"extra{i}")
         assert isinstance(ch._map, Othello)
         assert len(ch._slots) == len(WORKING) + len(HORIZON) + 40
-        names = ch.lookup_batch(KEYS[:200])
+        names, _ = batch_names(ch, KEYS[:200])
         assert set(names.tolist()) <= set(WORKING)

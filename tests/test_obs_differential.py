@@ -205,9 +205,3 @@ class TestEngineDifferential:
         plain = run_simulation(config(None))
         live = run_simulation(config(Registry()))
         assert self._stable_fields(live) == self._stable_fields(plain)
-
-    def test_batched_engine_identical_with_registry(self):
-        base = dict(self.CONFIG, coalesce_packets=True)
-        plain = run_simulation(SimulationConfig(**base))
-        live = run_simulation(SimulationConfig(**base, registry=Registry()))
-        assert self._stable_fields(live) == self._stable_fields(plain)

@@ -120,12 +120,13 @@ class TestColumnarEquivalence:
         assert registry.value(M.DISPATCH_PACKETS, path="columnar") == TRACE.n_packets
 
     def test_columnar_run_never_touches_name_batch(self):
+        # No per-packet name path may run beside the idx loop.
         lb = build_lb("table", "jet")
 
-        def forbidden(keys):
-            raise AssertionError("columnar replay fell back to the name batch path")
+        def forbidden(key):
+            raise AssertionError("columnar replay fell back to per-packet dispatch")
 
-        lb.get_destinations_batch = forbidden
+        lb.get_destination = forbidden
         result = replay_batch(TRACE, lb)
         assert result.n_packets == TRACE.n_packets
 

@@ -32,7 +32,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.shard import simulate_sharded
-from repro.sim.persist import load_config, save_config
+from repro.sim.persist import PersistError, config_to_dict, load_config, save_config
 
 TINY = {
     "name": "tiny",
@@ -257,6 +257,24 @@ class TestDeterminism:
         direct = simulate_sharded(compiled.config, n_workers=1, n_shards=2)
         replayed = simulate_sharded(loaded, n_workers=1, n_shards=2)
         assert fingerprint(direct) == fingerprint(replayed)
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_pre_pr13_config_still_loads(self, tmp_path, value):
+        # Files written before the engine lost its coalescing option
+        # carry the retired key; it is skipped (either value gave the
+        # same results by contract) and never written back.
+        config = compile_scenario(tiny_spec()).config
+        path = tmp_path / "old.json"
+        save_config(config, str(path))
+        payload = json.loads(path.read_text())
+        assert "coalesce_packets" not in payload
+        payload["coalesce_packets"] = value
+        path.write_text(json.dumps(payload))
+        assert config_to_dict(load_config(str(path))) == config_to_dict(config)
+        payload["coalesce_pakets"] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(PersistError, match="unknown config field"):
+            load_config(str(path))
 
     def test_mode_override_changes_run_not_spec(self):
         spec = tiny_spec()
