@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config-out", default=None, metavar="PATH",
                      help="persist the effective config (seed, family, "
                           "mode, chaos schedule) as JSON for re-runs")
-    sim.add_argument("--mode", choices=lb_mode_choices() + ["p2c"], default="jet",
+    sim.add_argument("--mode", choices=lb_mode_choices(aliases=True), default="jet",
                      help="LB wrapper; with --mode concury, --family names "
                           "the inner control-plane CH")
     sim.add_argument("--family", default="anchor", choices=family_choices())

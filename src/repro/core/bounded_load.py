@@ -5,7 +5,8 @@ Section 6.3 points at load-aware dispatching and cites Mirrokni et al.'s
 ``ceil((1 + epsilon) * connections / servers)`` and cascade overflowing
 keys to the next candidate in ring order.  This module integrates CH-BL
 with JET the same way :mod:`repro.core.load_aware` integrates
-power-of-2-choices:
+power-of-2-choices -- a placement (``_decide``) and its load accounting
+over the shared :class:`~repro.core.jet.TrackingLoadBalancer`:
 
 - the cascade runs only for packets flagged ``new_connection`` (TCP SYN);
   mid-connection packets of untracked flows take the plain CH result,
@@ -23,18 +24,19 @@ of a weaker balance target (a hard cap rather than near-perfect spread).
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, Optional, Tuple
 
 from repro.ch.ring import RingHash
-from repro.core.interfaces import LoadBalancer, Name
+from repro.core.interfaces import Name
+from repro.core.jet import TrackingLoadBalancer
 from repro.ct.base import ConnectionTracker
-from repro.ct.unbounded import UnboundedCT
 
 
-class BoundedLoadJET(LoadBalancer):
+class BoundedLoadJET(TrackingLoadBalancer):
     """JET over Ring CH-BL: hard per-server connection caps."""
 
     dispatches_new_connections = True
+    needs_horizon = True
 
     def __init__(
         self,
@@ -45,11 +47,8 @@ class BoundedLoadJET(LoadBalancer):
     ):
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        self.ch = ch
-        self.ct = ct if ct is not None else UnboundedCT()
+        super().__init__(ch, ct, active_cleanup)
         self.epsilon = epsilon
-        self.active_cleanup = active_cleanup
-        self._working: Set[Name] = set(ch.working)
         self.load: Dict[Name, int] = {name: 0 for name in self._working}
         self._active = 0
         self.cascaded = 0  # connections placed off their CH choice
@@ -61,30 +60,19 @@ class BoundedLoadJET(LoadBalancer):
         return math.ceil((1 + self.epsilon) * (self._active + 1) / n)
 
     # ------------------------------------------------------------ packet
-    def get_destination(self, key_hash: int, new_connection: bool = False) -> Name:
-        destination = self.ct.get(key_hash)
-        if destination is not None:
-            if destination in self._working:
-                return destination
-            self.ct.delete(key_hash)
+    def _decide(self, key_hash: int, new_connection: bool) -> Tuple[Name, bool]:
         ch_choice, unsafe = self.ch.lookup_with_safety(key_hash)
-        if not new_connection:
-            if unsafe:
-                self.ct.put(key_hash, ch_choice)
-            return ch_choice
-        cap = self.capacity()
-        chosen = ch_choice
-        if self.load.get(ch_choice, 0) >= cap:
-            for candidate in self.ch.iter_successors(key_hash):
-                if self.load.get(candidate, 0) < cap:
-                    chosen = candidate
-                    break
-            # (all full can't happen: cap * n > active by construction)
-        if chosen != ch_choice:
-            self.cascaded += 1
-        if unsafe or chosen != ch_choice:
-            self.ct.put(key_hash, chosen)
-        return chosen
+        if new_connection:
+            cap = self.capacity()
+            if self.load.get(ch_choice, 0) >= cap:
+                for candidate in self.ch.iter_successors(key_hash):
+                    if self.load.get(candidate, 0) < cap:
+                        # Under the cap, so off the saturated CH choice:
+                        # not recomputable from the hash alone -- track.
+                        self.cascaded += 1
+                        return candidate, True
+                # (all full can't happen: cap * n > active by construction)
+        return ch_choice, unsafe
 
     # -------------------------------------------------- load accounting
     def note_flow_start(self, destination: Name) -> None:
@@ -101,35 +89,10 @@ class BoundedLoadJET(LoadBalancer):
         return max(self.load.values()) if self.load else 0
 
     # -------------------------------------------------- backend changes
-    def add_working_server(self, name: Name) -> None:
-        self.ch.add_working(name)
-        self._working.add(name)
+    def _admit(self, name: Name) -> None:
+        super()._admit(name)
         self.load.setdefault(name, 0)
 
-    def remove_working_server(self, name: Name) -> None:
-        self.ch.remove_working(name)
-        self._working.discard(name)
-        orphaned = self.load.pop(name, 0)
-        self._active -= orphaned  # those connections are inevitably broken
-        if self.active_cleanup:
-            self.ct.invalidate_destination(name)
-
-    def add_horizon_server(self, name: Name) -> None:
-        self.ch.add_horizon(name)
-
-    def remove_horizon_server(self, name: Name) -> None:
-        self.ch.remove_horizon(name)
-
-    def force_add_working_server(self, name: Name) -> None:
-        self.ch.force_add_working(name)
-        self._working.add(name)
-        self.load.setdefault(name, 0)
-
-    # ------------------------------------------------------------- state
-    @property
-    def working(self) -> FrozenSet[Name]:
-        return frozenset(self._working)
-
-    @property
-    def tracked_connections(self) -> int:
-        return len(self.ct)
+    def _retire(self, name: Name) -> None:
+        super()._retire(name)
+        self._active -= self.load.pop(name, 0)  # its connections: inevitably broken

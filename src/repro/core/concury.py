@@ -28,6 +28,8 @@ from repro.core.stateless import StatelessLoadBalancer
 class ConcuryLoadBalancer(StatelessLoadBalancer):
     """Stateless LB over a :class:`ConcuryHash` (tracked connections: 0)."""
 
+    needs_horizon = True  # the inner CH answers per-flowset safety
+
     def __init__(self, ch: ConcuryHash):
         if not isinstance(ch, ConcuryHash):
             raise TypeError("ConcuryLoadBalancer requires a ConcuryHash")

@@ -17,20 +17,12 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.ch import (
-    AnchorHash,
-    EXTENSION_FAMILIES,
-    HRWHash,
-    JET_FAMILIES,
-    MaglevHash,
-    RingHash,
-    TableHRWHash,
-)
-from repro.ch.concury import ConcuryHash
+from repro.ch import EXTENSION_FAMILIES, JET_FAMILIES, MaglevHash
 from repro.core.concury import ConcuryLoadBalancer
 from repro.core.full_ct import FullCTLoadBalancer
 from repro.core.interfaces import LoadBalancer, Name
-from repro.core.jet import JETLoadBalancer
+from repro.core.jet import JETLoadBalancer, TrackingLoadBalancer
+from repro.core.load_aware import PowerOfTwoJET
 from repro.core.stateless import StatelessLoadBalancer
 from repro.ct import make_ct
 from repro.ct.base import ConnectionTracker
@@ -64,6 +56,71 @@ def make_ch(family: str, working: Iterable[Name], horizon: Iterable[Name] = (), 
     return cls(working=working, horizon=horizon, **kwargs)
 
 
+#: The one place a mode name becomes a stack (mode -> balancer class):
+#: CLI ``--mode`` choices, :class:`repro.shard.BalancerSpec`, the
+#: simulator's ``build_balancer`` and the scenario parser all go through
+#: it, so a wrapper registered here shows up everywhere at once.
+LB_MODES = {
+    "jet": JETLoadBalancer,
+    "full": FullCTLoadBalancer,
+    "stateless": StatelessLoadBalancer,
+    "concury": ConcuryLoadBalancer,
+    "jet-p2c": PowerOfTwoJET,
+}
+
+#: Legacy spellings a saved config or scenario file may still carry
+#: (also offered by ``simulate --mode``); resolved here and nowhere else.
+LB_MODE_ALIASES = {"p2c": "jet-p2c"}
+
+
+def lb_mode_choices(aliases: bool = False):
+    """Sorted LB mode names for CLI ``choices=`` lists."""
+    return sorted(LB_MODES) + (sorted(LB_MODE_ALIASES) if aliases else [])
+
+
+def lb_class(mode: str):
+    """The balancer class a mode name (or alias) builds."""
+    cls = LB_MODES.get(LB_MODE_ALIASES.get(mode, mode))
+    if cls is None:
+        raise ValueError(f"unknown LB mode {mode!r}; choose from {lb_mode_choices()}")
+    return cls
+
+
+def make_lb(
+    mode: str,
+    family: str,
+    working: Iterable[Name],
+    horizon: Iterable[Name] = (),
+    ct: Optional[ConnectionTracker] = None,
+    ct_capacity: Optional[int] = None,
+    ct_policy: str = "lru",
+    weights=None,
+    master_seed: int = 0,
+    **ch_kwargs,
+) -> LoadBalancer:
+    """Build any registered (mode, family) LB composition.
+
+    The caller describes the whole stack and each mode takes what it
+    uses: the CT (``ct``, else ``make_ct(ct_capacity, ct_policy)``) goes
+    to the tracking modes, ``weights`` to the load-aware one, and
+    ``master_seed`` (what a sharded or simulated run derives every other
+    seed from) to the ``concury`` map.  Other kwargs reach the CH.
+    """
+    cls = lb_class(mode)
+    if cls is ConcuryLoadBalancer:
+        # ``family`` names the *inner* control-plane CH deciding flowset
+        # placement; the dataplane is the Othello flowset map.
+        family, ch_kwargs = "concury", {"seed": master_seed, **ch_kwargs, "inner": family}
+    ch = make_ch(family, working, horizon, **ch_kwargs)
+    if not issubclass(cls, TrackingLoadBalancer):
+        return cls(ch)
+    if ct is None:
+        ct = make_ct(ct_capacity, ct_policy)
+    if cls is PowerOfTwoJET:
+        return cls(ch, ct, weights=weights)
+    return cls(ch, ct)
+
+
 def make_jet(
     family: str,
     working: Iterable[Name],
@@ -74,10 +131,7 @@ def make_jet(
     **ch_kwargs,
 ) -> JETLoadBalancer:
     """Build a JET load balancer (Algorithms 1-5) for a CH family."""
-    ch = make_ch(family, working, horizon, **ch_kwargs)
-    if ct is None:
-        ct = make_ct(ct_capacity, ct_policy)
-    return JETLoadBalancer(ch, ct)
+    return make_lb("jet", family, working, horizon, ct, ct_capacity, ct_policy, **ch_kwargs)
 
 
 def make_full_ct(
@@ -94,10 +148,7 @@ def make_full_ct(
     Passing a ``horizon`` (ignored by the tracking logic) keeps the CH state
     machine identical to a paired JET run, which Proposition 4.1 requires.
     """
-    ch = make_ch(family, working, horizon, **ch_kwargs)
-    if ct is None:
-        ct = make_ct(ct_capacity, ct_policy)
-    return FullCTLoadBalancer(ch, ct)
+    return make_lb("full", family, working, horizon, ct, ct_capacity, ct_policy, **ch_kwargs)
 
 
 def make_stateless(
@@ -107,7 +158,7 @@ def make_stateless(
     **ch_kwargs,
 ) -> StatelessLoadBalancer:
     """Build the Section 2 static-setting baseline (no CT at all)."""
-    return StatelessLoadBalancer(make_ch(family, working, horizon, **ch_kwargs))
+    return make_lb("stateless", family, working, horizon, **ch_kwargs)
 
 
 def make_concury(
@@ -120,15 +171,9 @@ def make_concury(
 ) -> ConcuryLoadBalancer:
     """Build a Concury LB: Othello flowset dataplane, ``family`` as the
     *inner* control-plane CH deciding flowset placement."""
-    ch = ConcuryHash(
-        working=working,
-        horizon=horizon,
-        inner=family,
-        flowsets=flowsets,
-        seed=seed,
-        **ch_kwargs,
+    return make_lb(
+        "concury", family, working, horizon, master_seed=seed, flowsets=flowsets, **ch_kwargs
     )
-    return ConcuryLoadBalancer(ch)
 
 
 def make_jet_p2c(
@@ -145,40 +190,6 @@ def make_jet_p2c(
     occupancy weighting: new-connection candidates compared by live
     backend occupancy (driver-refreshed gauges) normalized by capacity
     ``weights``.  SYN-gated, so PCC stays sound."""
-    from repro.core.load_aware import PowerOfTwoJET
-
-    ch = make_ch(family, working, horizon, **ch_kwargs)
-    if ct is None:
-        ct = make_ct(ct_capacity, ct_policy)
-    return PowerOfTwoJET(ch, ct, weights=weights)
-
-
-#: LB wrapper modes by CLI name -- the companion registry to
-#: ``JET_FAMILIES``/``EXTENSION_FAMILIES``: CLI ``--mode`` choices are
-#: generated from here so a new wrapper shows up everywhere at once.
-LB_MODES = {
-    "jet": make_jet,
-    "full": make_full_ct,
-    "stateless": make_stateless,
-    "concury": make_concury,
-    "jet-p2c": make_jet_p2c,
-}
-
-
-def lb_mode_choices():
-    """Sorted LB mode names for CLI ``choices=`` lists."""
-    return sorted(LB_MODES)
-
-
-def make_lb(
-    mode: str,
-    family: str,
-    working: Iterable[Name],
-    horizon: Iterable[Name] = (),
-    **kwargs,
-) -> LoadBalancer:
-    """Build any registered (mode, family) LB composition."""
-    factory = LB_MODES.get(mode)
-    if factory is None:
-        raise ValueError(f"unknown LB mode {mode!r}; choose from {lb_mode_choices()}")
-    return factory(family, working, horizon, **kwargs)
+    return make_lb(
+        "jet-p2c", family, working, horizon, ct, ct_capacity, ct_policy, weights, **ch_kwargs
+    )

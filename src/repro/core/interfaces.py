@@ -44,8 +44,8 @@ class LoadBalancer(ABC):
 
         The never-slower probe for batch drivers (``replay_batch``): when
         False there is no vectorized path, so drivers skip batch assembly
-        entirely and dispatch scalar -- which also serves every LB that
-        never overrides the idx method (the load-aware ones).  Composed
+        entirely and dispatch scalar -- which also serves the SYN-gated
+        load-aware LBs, whose placement no batch can express.  Composed
         LBs answer with their runtime gates: the CH has an integer kernel
         (``has_index_kernel``), the CT offers the idx API, and cleanup is
         active.

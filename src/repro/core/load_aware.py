@@ -1,4 +1,6 @@
-"""Load-aware JET -- the Section 6.3 power-of-2-choices extension.
+"""Load-aware JET -- the Section 6.3 power-of-2-choices extension: a
+SYN-gated *placement* (``_decide``) plus its load accounting on top of
+:class:`~repro.core.jet.TrackingLoadBalancer`'s Algorithm 1.
 
 The paper sketches ("naive integration") how JET can coexist with
 power-of-choice dispatching: for a new connection, the CH result serves as
@@ -37,21 +39,22 @@ so a weight-2 machine looks half as loaded at equal occupancy.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.ch.base import HorizonConsistentHash
-from repro.core.interfaces import LoadBalancer, Name
+from repro.core.interfaces import Name
+from repro.core.jet import TrackingLoadBalancer
 from repro.ct.base import ConnectionTracker
-from repro.ct.unbounded import UnboundedCT
 from repro.hashing.mix import fmix64
 
 
-class PowerOfTwoJET(LoadBalancer):
+class PowerOfTwoJET(TrackingLoadBalancer):
     """JET with power-of-2-choices placement for new connections."""
 
     #: Capability flag: replayers/simulators should pass
     #: ``new_connection=True`` for a flow's first packet (TCP SYN).
     dispatches_new_connections = True
+    needs_horizon = True
 
     def __init__(
         self,
@@ -60,10 +63,7 @@ class PowerOfTwoJET(LoadBalancer):
         active_cleanup: bool = True,
         weights: Optional[Mapping[Name, float]] = None,
     ):
-        self.ch = ch
-        self.ct = ct if ct is not None else UnboundedCT()
-        self.active_cleanup = active_cleanup
-        self._working: Set[Name] = set(ch.working)
+        super().__init__(ch, ct, active_cleanup)
         self._order: List[Name] = sorted(self._working, key=repr)
         self.load: Dict[Name, int] = {name: 0 for name in self._working}
         #: Per-server capacity weights; absent servers count as 1.0.
@@ -75,29 +75,17 @@ class PowerOfTwoJET(LoadBalancer):
         self._load_at_observe: Dict[Name, int] = {}
 
     # ----------------------------------------------------------- packet
-    def get_destination(self, key_hash: int, new_connection: bool = False) -> Name:
-        destination = self.ct.get(key_hash)
-        if destination is not None:
-            if destination in self._working:
-                return destination
-            self.ct.delete(key_hash)
+    def _decide(self, key_hash: int, new_connection: bool) -> Tuple[Name, bool]:
         ch_choice, unsafe = self.ch.lookup_with_safety(key_hash)
-        if not new_connection:
-            # Mid-connection packet of an untracked flow: plain JET path.
-            if unsafe:
-                self.ct.put(key_hash, ch_choice)
-            return ch_choice
-        alternative = self._second_choice(key_hash)
-        chosen = ch_choice
-        if alternative != ch_choice and self._pressure(alternative) < self._pressure(
-            ch_choice
-        ):
-            chosen = alternative
-        if unsafe or chosen != ch_choice:
-            # Track when the decision is not reproducible from the hash
-            # alone (load-dependent pick) or not stable under the horizon.
-            self.ct.put(key_hash, chosen)
-        return chosen
+        if new_connection:
+            alternative = self._second_choice(key_hash)
+            if self._pressure(alternative) < self._pressure(ch_choice):
+                # Track: a load-dependent pick is not reproducible from
+                # the hash alone.
+                return alternative, True
+        # Mid-connection packet of an untracked flow, or the CH choice
+        # won: plain JET -- track iff not stable under the horizon.
+        return ch_choice, unsafe
 
     def _second_choice(self, key_hash: int) -> Name:
         """Independent uniform candidate among working servers."""
@@ -138,40 +126,12 @@ class PowerOfTwoJET(LoadBalancer):
         return max(self.load.values()) if self.load else 0
 
     # -------------------------------------------------- backend changes
-    def _sync_order(self) -> None:
+    def _admit(self, name: Name) -> None:
+        super()._admit(name)
+        self.load.setdefault(name, 0)
         self._order = sorted(self._working, key=repr)
 
-    def add_working_server(self, name: Name) -> None:
-        self.ch.add_working(name)
-        self._working.add(name)
-        self.load.setdefault(name, 0)
-        self._sync_order()
-
-    def remove_working_server(self, name: Name) -> None:
-        self.ch.remove_working(name)
-        self._working.discard(name)
+    def _retire(self, name: Name) -> None:
+        super()._retire(name)
         self.load.pop(name, None)
-        self._sync_order()
-        if self.active_cleanup:
-            self.ct.invalidate_destination(name)
-
-    def add_horizon_server(self, name: Name) -> None:
-        self.ch.add_horizon(name)
-
-    def remove_horizon_server(self, name: Name) -> None:
-        self.ch.remove_horizon(name)
-
-    def force_add_working_server(self, name: Name) -> None:
-        self.ch.force_add_working(name)
-        self._working.add(name)
-        self.load.setdefault(name, 0)
-        self._sync_order()
-
-    # ------------------------------------------------------------ state
-    @property
-    def working(self) -> FrozenSet[Name]:
-        return frozenset(self._working)
-
-    @property
-    def tracked_connections(self) -> int:
-        return len(self.ct)
+        self._order = sorted(self._working, key=repr)

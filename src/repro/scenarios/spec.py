@@ -26,8 +26,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.factories import lb_mode_choices
+
 #: LB modes a scenario may select (registry names + the legacy alias).
-MODES = ("jet", "full", "stateless", "concury", "jet-p2c", "p2c")
+MODES = tuple(lb_mode_choices(aliases=True))
 
 #: Timeline event kinds (see ``compile.py`` for their fault semantics).
 TIMELINE_KINDS = (

@@ -6,7 +6,8 @@ the whole point); it receives a :class:`BalancerSpec` and builds its own.
 ``build(shard_id)`` derives every RNG seed through
 :func:`~repro.shard.partition.shard_seed`, so a shard's balancer is a
 pure function of (spec, shard id) -- identical whichever worker process
-builds it.
+builds it.  The spec does not know the modes: the name goes to
+:func:`repro.core.factories.make_lb`, the one mode -> stack map.
 
 :class:`MembershipEvent` is the picklable form of a control-plane
 backend change keyed by packet index; the sharded runner fans every
@@ -19,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.core.factories import lb_class, make_lb
 from repro.core.interfaces import LoadBalancer, Name
+from repro.ct import make_ct
 from repro.shard.partition import shard_seed
 
 #: op name -> LoadBalancer method applied to the named server.
@@ -52,7 +55,7 @@ class MembershipEvent:
 class BalancerSpec:
     """Everything needed to rebuild one balancer stack in any process."""
 
-    mode: str = "jet"  # jet | full | stateless | concury
+    mode: str = "jet"  # any name of repro.core.factories.LB_MODES
     family: str = "table"
     working: Tuple[Name, ...] = ()
     horizon: Tuple[Name, ...] = ()
@@ -80,10 +83,8 @@ class BalancerSpec:
         Fills in the per-family constructor kwargs the CLI would (table
         rows, anchor capacity); Maglev takes no horizon (paper Section 3.6).
         """
-        if mode == "jet" and family == "maglev":
+        if family == "maglev" and lb_class(mode).needs_horizon:
             raise ValueError("maglev has no horizon; use mode='full' or 'stateless'")
-        if mode == "concury" and family == "maglev":
-            raise ValueError("concury needs a horizon-aware inner family, not maglev")
         working = tuple(f"s{i}" for i in range(n_servers))
         horizon = (
             () if family == "maglev" else tuple(f"h{i}" for i in range(horizon_size))
@@ -106,39 +107,15 @@ class BalancerSpec:
         )
 
     def build(self, shard_id: int = 0) -> LoadBalancer:
-        """Construct this balancer for one shard, seeds shard-derived."""
-        from repro.core.factories import make_ch, make_full_ct, make_jet
-        from repro.ct import make_ct
+        """Construct this balancer for one shard, seeds shard-derived.
 
-        kwargs = dict(self.ch_kwargs)
-        if self.mode == "stateless":
-            from repro.core.stateless import StatelessLoadBalancer
-
-            return StatelessLoadBalancer(
-                make_ch(self.family, list(self.working), list(self.horizon), **kwargs)
-            )
-        if self.mode == "concury":
-            # No CT, so no shard-local randomness: every shard builds the
-            # exact same Othello map (seeded by the master seed alone),
-            # which the merged-equals-single-process contract requires.
-            from repro.core.factories import make_concury
-
-            return make_concury(
-                self.family,
-                list(self.working),
-                list(self.horizon),
-                seed=self.seed,
-                **kwargs,
-            )
-        ct = make_ct(
-            self.ct_capacity, self.ct_policy, seed=shard_seed(self.seed, shard_id)
+        The CT's randomness is shard-local; a CT-less stack (the Concury
+        map is seeded by the master seed alone) comes out identical in
+        every shard, which the merged-equals-single-process contract
+        requires.
+        """
+        ct = make_ct(self.ct_capacity, self.ct_policy, seed=shard_seed(self.seed, shard_id))
+        return make_lb(
+            self.mode, self.family, list(self.working), list(self.horizon),
+            ct=ct, master_seed=self.seed, **dict(self.ch_kwargs),
         )
-        if self.mode == "jet":
-            return make_jet(
-                self.family, list(self.working), list(self.horizon), ct=ct, **kwargs
-            )
-        if self.mode == "full":
-            return make_full_ct(
-                self.family, list(self.working), list(self.horizon), ct=ct, **kwargs
-            )
-        raise ValueError(f"unknown mode {self.mode!r}")

@@ -17,11 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
-from repro.core.factories import make_ch
-from repro.core.full_ct import FullCTLoadBalancer
-from repro.core.jet import JETLoadBalancer
-from repro.core.load_aware import PowerOfTwoJET
-from repro.core.stateless import StatelessLoadBalancer
+from repro.core.factories import make_lb
 from repro.ct import Clock, make_ct
 from repro.sim.distributions import (
     Distribution,
@@ -133,21 +129,6 @@ def build_balancer(config: SimulationConfig):
             # identities too; reserve room for a full run's worth.
             extra += 4 * config.autoscale_max + 64
         ch_kwargs["capacity"] = 2 * (config.n_servers + config.horizon_size) + 16 + extra
-    if config.mode == "concury":
-        # ch_family names the *inner* control-plane CH; the dataplane is
-        # the Othello flowset map, so there is no CT to configure.
-        from repro.core.concury import ConcuryLoadBalancer
-
-        ch = make_ch(
-            "concury",
-            working,
-            standby,
-            inner=config.ch_family,
-            seed=config.seed,
-            **ch_kwargs,
-        )
-        return ConcuryLoadBalancer(ch), working, standby
-    ch = make_ch(config.ch_family, ch_working, ch_standby, **ch_kwargs)
     clock = Clock() if config.ct_policy == "ttl" else None
     ct = make_ct(
         config.ct_capacity,
@@ -156,16 +137,14 @@ def build_balancer(config: SimulationConfig):
         ttl=config.ct_ttl,
         clock=clock,
     )
-    if config.mode == "jet":
-        return JETLoadBalancer(ch, ct), working, standby
-    if config.mode == "full":
-        return FullCTLoadBalancer(ch, ct), working, standby
-    if config.mode == "stateless":
-        return StatelessLoadBalancer(ch), working, standby
-    if config.mode in ("p2c", "jet-p2c"):
-        # "p2c" is the legacy alias; "jet-p2c" is the registry name.
-        return PowerOfTwoJET(ch, ct, weights=weights), working, standby
-    raise ValueError(f"unknown mode {config.mode!r}")
+    # The mode name (or its legacy alias) resolves in one place; each
+    # stack takes what it uses of the CT, the weights and the seed (for
+    # "concury" ch_family names the *inner* control-plane CH).
+    balancer = make_lb(
+        config.mode, config.ch_family, ch_working, ch_standby,
+        ct=ct, weights=weights, master_seed=config.seed, **ch_kwargs,
+    )
+    return balancer, working, standby
 
 
 def run_simulation(config: SimulationConfig) -> SimResult:

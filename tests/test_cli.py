@@ -106,6 +106,31 @@ class TestCommands:
             if token.startswith(("tracked=", "violations=", "oversub=")):
                 assert token in sharded
 
+    def test_trace_replay_jet_p2c(self, tmp_path, capsys):
+        # --mode offers every registry name; the shard recipe must build
+        # each (was: ValueError "unknown mode 'jet-p2c'").  SYN-aware, so
+        # the scalar loop runs; stable across --workers for fixed shards.
+        out = str(tmp_path / "t.npz")
+        main(["trace", "generate", "zipf", "--packets", "20000", "--out", out])
+        capsys.readouterr()
+        base = ["trace", "replay", out, "--family", "table", "--mode", "jet-p2c",
+                "--servers", "10", "--horizon", "2"]
+
+        def figures(argv):
+            assert main(argv) == 0
+            return [
+                token for token in capsys.readouterr().out.split()
+                if token.startswith(("tracked=", "violations=", "oversub="))
+            ]
+
+        single = figures(base)
+        assert len(single) == 3 and "violations=0" in single
+        assert "tracked=0" not in single  # off-CH placements are tracked
+        one = figures(base + ["--workers", "1", "--shards", "2"])
+        assert figures(base + ["--workers", "2", "--shards", "2"]) == one
+        with pytest.raises(ValueError, match="maglev has no horizon"):
+            main(base[:3] + ["--family", "maglev", "--mode", "jet-p2c"])
+
     def test_trace_replay_default_is_columnar_and_matches_scalar(
         self, tmp_path, capsys, monkeypatch
     ):
