@@ -11,25 +11,6 @@ import pytest
 from benchmarks import reporting
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--batch-sizes",
-        action="store",
-        default=None,
-        help="comma-separated batch sizes for the dataplane speedup sweep "
-        "(one BENCH_dataplane.json row per family per size)",
-    )
-
-
-@pytest.fixture
-def batch_sizes(request):
-    """Batch sizes for the dataplane sweep (None = experiment default)."""
-    spec = request.config.getoption("--batch-sizes")
-    if spec is None:
-        return None
-    return sorted({int(s) for s in spec.split(",") if s.strip()})
-
-
 def pytest_terminal_summary(terminalreporter):
     items = reporting.drain()
     if not items:

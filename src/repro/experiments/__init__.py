@@ -1,8 +1,12 @@
 """Reproductions of every table and figure in the paper's evaluation.
 
-Each module is runnable (``python -m repro.experiments.fig3``) and exposes
-a ``run_*`` function returning structured results; the ``benchmarks/``
-directory wraps these in pytest-benchmark targets.
+Each paper module is runnable (``python -m repro.experiments.fig3``) and
+exposes a ``run_*`` function returning structured results; the
+``benchmarks/`` directory wraps these in pytest-benchmark targets.  The
+beyond-paper ``showdown`` / ``sharding`` / ``scenario_matrix`` results
+are counts, run and gated for equality by one entry point,
+``python -m repro.experiments.counted``; nothing here times anything
+but the paper's own "rate" column -- timings are ``python3 -m bench``.
 
 =================  ==========================================
 Module             Paper artifact
@@ -18,6 +22,11 @@ Module             Paper artifact
 ``lb_pool``        §6.2 LB pools behind ECMP, CT sync economy
 ``resilience``     beyond-paper: PCC under chaos (repro.faults),
                    §2.3 contract check, tracking under churn
+``control_loop``   beyond-paper: closed-loop control plane
+``counted``        beyond-paper: state bytes / PCC under churn
+                   (``showdown``), per-shard CT cost (``sharding``),
+                   scenario envelopes (``scenario_matrix``) vs the
+                   committed ``BENCH_dataplane.json``
 =================  ==========================================
 """
 

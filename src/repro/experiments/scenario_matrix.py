@@ -15,20 +15,19 @@ experiment (and CI) -- non-native modes are comparison rows, recorded
 but never failing the run.  A mode a scenario cannot express (Concury
 over a weighted inner family) records as skipped with the reason.
 
-The payload archives to ``results/scenarios.json`` and merges into
-``BENCH_dataplane.json`` under the ``"scenarios"`` key: per-scenario
-wall time and envelope margins (tracked-fraction headroom above all),
-which ``throughput.check_against`` gates against the committed bench.
+Everything recorded is a count or a margin, deterministic per seed and
+invariant to ``workers`` (each spec pins its shard partition).  The full
+matrix archives to ``results/scenarios.json``; the native-mode verdicts
+and envelope margins (:func:`bench_section`) go under the
+``"scenarios"`` key of ``BENCH_dataplane.json``, where
+:mod:`repro.experiments.counted` gates them for equality.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.report import banner, format_table, save_json
+from repro.experiments.report import banner, format_table
 
 #: The comparison modes every scenario runs under.
 MATRIX_MODES = ("jet", "full", "concury")
@@ -37,7 +36,7 @@ MATRIX_MODES = ("jet", "full", "concury")
 SCALES = {"smoke": 1.0, "default": 1.0, "paper": 4.0}
 
 
-def _mode_row(report, wall: float) -> Dict:
+def _mode_row(report) -> Dict:
     result = report.result
     return {
         "ok": report.ok,
@@ -50,31 +49,22 @@ def _mode_row(report, wall: float) -> Dict:
         "max_balance_cv": result.max_balance_cv,
         "observed_tracked_fraction": result.observed_tracked_fraction,
         "mean_expected_tracked_fraction": result.mean_expected_tracked_fraction,
-        "wall_seconds": wall,
     }
 
 
-def run_matrix(
-    scale: Optional[str] = None,
-    seed: Optional[int] = None,
-    workers: int = 1,
-    exporter=None,
-) -> Dict:
-    """Run the full matrix; returns the archive payload.
+def run_matrix(scale: str, workers: int = 1, exporter=None) -> Dict:
+    """Run the full matrix at each spec's committed seed; returns the
+    archive payload.
 
-    ``seed`` overrides every spec's own seed when given (the default
-    keeps each scenario's committed seed, so the payload is the committed
-    reference run).  When ``exporter`` is given, each native-mode run's
-    registry streams its final snapshot -- monitor verdicts included --
-    into it, producing the JSONL artifact the CI strict gate reads.
+    When ``exporter`` is given, each native-mode run's registry streams
+    its final snapshot -- monitor verdicts included -- into it, producing
+    the JSONL artifact the CI strict gate reads.
     """
     from repro.obs.registry import Registry
     from repro.scenarios import load_all, run_scenario
 
-    scale = scale or "smoke"
     factor = SCALES[scale]
     scenarios: Dict[str, Dict] = {}
-    t_start = time.perf_counter()
     for name, spec in load_all().items():
         duration = spec.duration_s * factor if factor != 1.0 else None
         modes = list(MATRIX_MODES)
@@ -87,12 +77,10 @@ def run_matrix(
             if native and exporter is not None:
                 registry = Registry()
                 registry.attach_exporter(exporter)
-            t0 = time.perf_counter()
             try:
                 report = run_scenario(
                     spec,
                     workers=workers,
-                    seed=seed,
                     mode=mode,
                     duration_s=duration,
                     registry=registry,
@@ -100,56 +88,29 @@ def run_matrix(
             except Exception as exc:  # a mode the scenario cannot express
                 rows[mode] = {"skipped": True, "reason": f"{type(exc).__name__}: {exc}"}
                 continue
-            rows[mode] = _mode_row(report, time.perf_counter() - t0)
+            rows[mode] = _mode_row(report)
         scenarios[name] = {
             "native_mode": spec.mode,
-            "seed": spec.seed if seed is None else seed,
+            "seed": spec.seed,
             "modes": rows,
             "ok": rows.get(spec.mode, {}).get("ok", False),
         }
     return {
         "experiment": "scenario_matrix",
         "scale": scale,
-        "workers": workers,
-        "wall_seconds_total": time.perf_counter() - t_start,
         "scenarios": scenarios,
         "ok": all(entry["ok"] for entry in scenarios.values()),
     }
 
 
 def bench_section(payload: Dict) -> Dict:
-    """The compact slice recorded under ``"scenarios"`` in the bench JSON:
-    wall time plus per-scenario native-mode envelope margins."""
+    """The slice recorded under ``"scenarios"`` in the bench JSON: each
+    scenario's native-mode verdict and envelope margins."""
     rows = {}
     for name, entry in payload["scenarios"].items():
         native = entry["modes"].get(entry["native_mode"], {})
-        rows[name] = {
-            "ok": entry["ok"],
-            "wall_seconds": native.get("wall_seconds"),
-            "margins": native.get("margins", {}),
-        }
-    return {
-        "scale": payload["scale"],
-        "wall_seconds_total": payload["wall_seconds_total"],
-        "scenarios": rows,
-    }
-
-
-def merge_into_bench(payload: Dict, path: str) -> None:
-    """Record the bench slice under ``"scenarios"`` in the bench JSON,
-    preserving the file's other sections (throughput owns the top level)."""
-    recorded: dict = {}
-    try:
-        with open(path) as fh:
-            recorded = json.load(fh)
-    except (OSError, ValueError):
-        recorded = {}
-    if not isinstance(recorded, dict):
-        recorded = {}
-    recorded["scenarios"] = bench_section(payload)
-    with open(path, "w") as fh:
-        json.dump(recorded, fh, indent=2)
-        fh.write("\n")
+        rows[name] = {"ok": entry["ok"], "margins": native.get("margins", {})}
+    return rows
 
 
 def format_report(payload: Dict) -> str:
@@ -175,67 +136,5 @@ def format_report(payload: Dict) -> str:
     lines.append(format_table(headers, rows))
     lines.append("(* = native mode; only native-mode envelopes gate)")
     status = "all native envelopes OK" if payload["ok"] else "ENVELOPE VIOLATIONS"
-    lines.append(f"total wall {payload['wall_seconds_total']:.1f}s -- {status}")
+    lines.append(status)
     return "\n".join(lines)
-
-
-def main(argv=None) -> Dict:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", default=None, choices=sorted(SCALES))
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override every scenario's committed seed")
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--output", default="BENCH_dataplane.json",
-                        help="bench JSON to merge the 'scenarios' section into")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="JSONL metrics artifact of the native-mode runs "
-                             "(one final snapshot per scenario, monitor "
-                             "verdicts included; feed to 'repro obs "
-                             "summarize --strict')")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit nonzero when any native-mode envelope is "
-                             "violated (CI gate)")
-    parser.add_argument("--check-against", default=None, metavar="PATH",
-                        help="recorded bench JSON to compare the fresh "
-                             "'scenarios' section against (exit nonzero on "
-                             "regression)")
-    args = parser.parse_args(argv)
-    exporter = None
-    if args.metrics_out:
-        from repro.obs import JsonlExporter
-
-        exporter = JsonlExporter(args.metrics_out)
-    payload = run_matrix(
-        scale=args.scale, seed=args.seed, workers=args.workers, exporter=exporter
-    )
-    if exporter is not None:
-        exporter.close()
-        print(f"metrics artifact: {args.metrics_out}")
-    print(format_report(payload))
-    save_json("scenarios", payload)
-    merge_into_bench(payload, args.output)
-    print(f"archived to results/scenarios.json; "
-          f"recorded under 'scenarios' in {args.output}")
-    if args.check_against:
-        import sys
-
-        from repro.experiments.throughput import check_against
-
-        with open(args.check_against) as fh:
-            recorded = json.load(fh)
-        failures = check_against(
-            {"scale": payload["scale"], "scenarios": bench_section(payload)},
-            recorded,
-        )
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            raise SystemExit(1)
-        print(f"no regressions vs {args.check_against}")
-    if args.strict and not payload["ok"]:
-        raise SystemExit("REGRESSION: scenario envelope violation(s); see table")
-    return payload
-
-
-if __name__ == "__main__":
-    main()

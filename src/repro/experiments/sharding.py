@@ -1,163 +1,57 @@
-"""Sharded-dataplane experiment: replay speedup and per-shard CT cost.
+"""Sharded-dataplane experiment: per-shard CT cost, JET vs full CT.
 
-Two questions, one payload (merged into ``BENCH_dataplane.json`` under
-the ``"sharding"`` key):
+Why is sharding cheap for JET specifically?  Each shard replicates the
+membership machine but tracks only its own unsafe flows, so per-shard CT
+state and cross-LB sync traffic (one delta per insert) stay
+``|H|/(|W|+|H|)`` of the shard's flows (Theorem 4.2) while a full-CT
+dataplane pays the whole flow table per shard.  The sweep grows
+``|W|/|H|`` at fixed horizon and records measured JET-vs-full per-shard
+entries, bytes, and sync deltas against the ``(|W|+|H|)/|H|`` theory
+ratio -- counts, deterministic per seed, recorded under the
+``"sharding"`` key of ``BENCH_dataplane.json`` and gated for equality by
+:mod:`repro.experiments.counted`.
 
-- **Speedup**: how does the RSS-partitioned replay scale with shard
-  count?  Throughput is reported as the *per-shard critical path*: each
-  shard's kernel is timed on a dedicated pass (serial execution, so
-  shards never contend for the same core) and the merged rate is total
-  packets over the slowest shard's wall -- the throughput ``N``
-  dedicated cores realize, measured robustly on any CI box including
-  single-core runners.  Every merged result is asserted byte-equal to
-  the single-process replay first, and one forked (real multi-process)
-  run is exercised for the same equality; its end-to-end wall rides
-  along for reference.
-
-- **CT cost**: why is sharding cheap for JET specifically?  Each shard
-  replicates the membership machine but tracks only its own unsafe
-  flows, so per-shard CT state and cross-LB sync traffic (one delta per
-  insert) stay ``|H|/(|W|+|H|)`` of the shard's flows (Theorem 4.2)
-  while a full-CT dataplane pays the whole flow table per shard.  The
-  sweep grows ``|W|/|H|`` at fixed horizon and records measured
-  JET-vs-full per-shard entries, bytes, and sync deltas against the
-  ``(|W|+|H|)/|H|`` theory ratio.
-
-CI gate: ``--min-speedup2 X`` fails the run when the 2-shard critical-
-path speedup over the 1-shard baseline drops below ``X``.
+What sharding does to packets per second is ``python3 -m bench
+--workload replay-sharded``, measured end to end.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.scales import scale_name
 from repro.shard import BalancerSpec, replay_sharded
-from repro.traces import replay_batch, zipf_trace
+from repro.traces import zipf_trace
 
-#: Per-scale sizing.  The speedup trace is large enough that per-chunk
-#: fixed costs vanish; the cost trace is smaller (entries, not pps).
+#: Per-scale sizing of the cost sweep.
 SCALES: Dict[str, dict] = {
     "smoke": dict(
-        n_servers=20, horizon=2, repeats=3, workers=(1, 2, 4),
-        speedup_packets=400_000, speedup_population=60_000,
-        cost_packets=120_000, cost_population=30_000,
-        cost_horizon=4, cost_ratios=(4, 10, 25, 50), cost_shards=4,
+        packets=120_000, population=30_000,
+        horizon=4, ratios=(4, 10, 25, 50), shards=4,
     ),
     "default": dict(
-        n_servers=50, horizon=5, repeats=3, workers=(1, 2, 4, 8),
-        speedup_packets=2_000_000, speedup_population=300_000,
-        cost_packets=500_000, cost_population=120_000,
-        cost_horizon=5, cost_ratios=(4, 10, 25, 50, 100), cost_shards=4,
+        packets=500_000, population=120_000,
+        horizon=5, ratios=(4, 10, 25, 50, 100), shards=4,
     ),
     "paper": dict(
-        n_servers=468, horizon=47, repeats=5, workers=(1, 2, 4, 8, 16),
-        speedup_packets=10_000_000, speedup_population=1_000_000,
-        cost_packets=2_000_000, cost_population=500_000,
-        cost_horizon=47, cost_ratios=(4, 10, 25, 50, 100), cost_shards=8,
+        packets=2_000_000, population=500_000,
+        horizon=47, ratios=(4, 10, 25, 50, 100), shards=8,
     ),
 }
 
-#: Result fields compared between merged and single-process runs
-#: (everything except the timing fields).
-_TIMING_FIELDS = ("rate_pps", "wall_seconds")
 
-
-def _assert_merged_equals_single(merged, single, context: str) -> None:
-    for field in single.__dataclass_fields__:
-        if field in _TIMING_FIELDS:
-            continue
-        if getattr(merged, field) != getattr(single, field):
-            raise AssertionError(
-                f"{context}: merged {field}={getattr(merged, field)!r} != "
-                f"single {getattr(single, field)!r}"
-            )
-
-
-def run_speedup(params: dict, seed: int) -> dict:
-    """Critical-path replay rate per shard count, gated on merge equality."""
-    trace = zipf_trace(
-        skew=1.0,
-        n_packets=params["speedup_packets"],
-        population=params["speedup_population"],
-        seed=seed,
-    )
-    spec = BalancerSpec.fleet(
-        mode="jet", family="table",
-        n_servers=params["n_servers"], horizon_size=params["horizon"], seed=seed,
-    )
-    repeats = max(1, params["repeats"])
-
-    single = replay_batch(trace, spec.build(0))
-    baseline_pps = single.rate_pps
-    for _ in range(repeats - 1):
-        baseline_pps = max(baseline_pps, replay_batch(trace, spec.build(0)).rate_pps)
-
-    rows: List[dict] = []
-    for n_shards in params["workers"]:
-        best = None
-        for _ in range(repeats):
-            sharded = replay_sharded(trace, spec, n_workers=1, n_shards=n_shards)
-            _assert_merged_equals_single(
-                sharded.result, single, f"speedup shards={n_shards}"
-            )
-            if best is None or sharded.result.rate_pps > best.result.rate_pps:
-                best = sharded
-        rows.append(
-            {
-                "shards": n_shards,
-                "critical_path_pps": best.result.rate_pps,
-                "speedup": best.result.rate_pps / baseline_pps if baseline_pps else 0.0,
-                "slowest_shard_wall_s": best.result.wall_seconds,
-                "packets_per_shard": [o.result.n_packets for o in best.outcomes],
-            }
-        )
-
-    # One real multi-process run: correctness of the fork path, plus the
-    # end-to-end wall (partition + fork + replay + merge) for reference.
-    # On a single-core host this wall shows no speedup -- the per-shard
-    # critical path above is the scaling figure; this is the proof the
-    # process fan-out produces the identical merged result.
-    forked = replay_sharded(trace, spec, n_workers=2, n_shards=2)
-    _assert_merged_equals_single(forked.result, single, "forked workers=2")
-    return {
-        "balancer": "jet-table",
-        "n_servers": params["n_servers"],
-        "horizon": params["horizon"],
-        "trace_packets": trace.n_packets,
-        "trace_population": trace.n_flows,
-        "baseline_pps": baseline_pps,
-        "rows": rows,
-        "forked": {
-            "workers": 2,
-            "end_to_end_seconds": forked.end_to_end_seconds,
-            "matches_single": True,
-            "host_cpus": os.cpu_count(),
-        },
-        "methodology": (
-            "critical_path_pps = total packets / slowest shard kernel wall, "
-            "shards timed serially so each gets a dedicated core's timing; "
-            "the merged result is asserted byte-equal to the single-process "
-            "replay before any rate is recorded."
-        ),
-    }
-
-
-def run_ct_cost(params: dict, seed: int) -> dict:
+def run_ct_cost(scale: str, seed: int) -> dict:
     """JET vs full-CT per-shard state and sync cost as |W|/|H| grows."""
-    horizon = params["cost_horizon"]
-    n_shards = params["cost_shards"]
+    params = SCALES[scale]
+    horizon = params["horizon"]
+    n_shards = params["shards"]
     trace = zipf_trace(
         skew=1.0,
-        n_packets=params["cost_packets"],
-        population=params["cost_population"],
+        n_packets=params["packets"],
+        population=params["population"],
         seed=seed + 1,
     )
     rows: List[dict] = []
-    for ratio in params["cost_ratios"]:
+    for ratio in params["ratios"]:
         working = ratio * horizon
         per_mode: Dict[str, dict] = {}
         for mode in ("jet", "full"):
@@ -165,26 +59,21 @@ def run_ct_cost(params: dict, seed: int) -> dict:
                 mode=mode, family="table",
                 n_servers=working, horizon_size=horizon, seed=seed,
             )
-            sharded = replay_sharded(trace, spec, n_workers=1, n_shards=n_shards)
-            outcomes = sharded.outcomes
+            outcomes = replay_sharded(
+                trace, spec, n_workers=1, n_shards=n_shards
+            ).outcomes
             entries = [o.result.tracked_connections for o in outcomes]
+            mean_entries = sum(entries) / n_shards
             per_mode[mode] = {
+                "entries_per_shard": mean_entries,
+                "max_entries_per_shard": max(entries),
+                "ct_bytes_per_shard": sum(o.ct_bytes for o in outcomes) / n_shards,
                 # Churn-free unbounded CT: every insert is one tracked
                 # entry and one cross-LB sync delta, so entries double as
                 # the gossip-sync traffic figure.
-                "entries_per_shard": sum(entries) / len(entries),
-                "max_entries_per_shard": max(entries),
-                "ct_bytes_per_shard": sum(o.ct_bytes for o in outcomes)
-                / len(outcomes),
-                "sync_deltas_per_shard": sum(entries) / len(entries),
+                "sync_deltas_per_shard": mean_entries,
             }
-        theory = (working + horizon) / horizon
-        measured = (
-            per_mode["full"]["entries_per_shard"]
-            / per_mode["jet"]["entries_per_shard"]
-            if per_mode["jet"]["entries_per_shard"]
-            else 0.0
-        )
+        jet_entries = per_mode["jet"]["entries_per_shard"]
         rows.append(
             {
                 "working": working,
@@ -192,8 +81,12 @@ def run_ct_cost(params: dict, seed: int) -> dict:
                 "w_over_h": ratio,
                 "jet": per_mode["jet"],
                 "full": per_mode["full"],
-                "full_over_jet_entries": measured,
-                "theory_full_over_jet": theory,
+                "full_over_jet_entries": (
+                    per_mode["full"]["entries_per_shard"] / jet_entries
+                    if jet_entries
+                    else 0.0
+                ),
+                "theory_full_over_jet": (working + horizon) / horizon,
             }
         )
     return {
@@ -202,117 +95,23 @@ def run_ct_cost(params: dict, seed: int) -> dict:
         "trace_packets": trace.n_packets,
         "trace_population": trace.n_flows,
         "rows": rows,
-        "reading": (
-            "JET tracks ~|H|/(|W|+|H|) of each shard's flows (Theorem 4.2), "
-            "so per-shard CT memory and sync traffic shrink as |W|/|H| "
-            "grows; full CT pays the whole per-shard flow table, a "
-            "(|W|+|H|)/|H| multiplier that makes sharding it expensive."
-        ),
     }
 
 
-def run_sharding(scale: Optional[str] = None, seed: int = 1) -> dict:
-    name = scale_name(scale)
-    params = SCALES[name]
-    return {
-        "experiment": "sharded-dataplane",
-        "scale": name,
-        "seed": seed,
-        "speedup": run_speedup(params, seed),
-        "ct_cost": run_ct_cost(params, seed),
-    }
-
-
-def format_report(payload: dict) -> str:
-    speedup = payload["speedup"]
+def format_report(cost: dict) -> str:
     lines = [
-        f"sharded dataplane @ scale={payload['scale']} "
-        f"({speedup['balancer']}, {speedup['trace_packets']:,} packets, "
-        f"W={speedup['n_servers']} H={speedup['horizon']})",
-        f"baseline (1 process, columnar): {speedup['baseline_pps'] / 1e6:.2f} Mpps",
-        f"{'shards':>7} {'critical-path pps':>18} {'speedup':>8}",
-    ]
-    for row in speedup["rows"]:
-        lines.append(
-            f"{row['shards']:>7} {row['critical_path_pps']:>18,.0f} "
-            f"{row['speedup']:>7.2f}x"
-        )
-    forked = speedup["forked"]
-    lines.append(
-        f"forked {forked['workers']}-worker run: merged result matches single "
-        f"(end-to-end {forked['end_to_end_seconds']:.3f}s on "
-        f"{forked['host_cpus']} cpu(s))"
-    )
-    cost = payload["ct_cost"]
-    lines.append(
         f"per-shard CT cost, {cost['n_shards']} shards, "
-        f"{cost['trace_packets']:,} packets:"
-    )
-    lines.append(
+        f"{cost['trace_packets']:,} packets:",
         f"{'|W|/|H|':>8} {'jet entries':>12} {'full entries':>13} "
-        f"{'full/jet':>9} {'theory':>7}"
-    )
+        f"{'full/jet':>9} {'theory':>7} {'jet B':>10} {'full B':>10}",
+    ]
     for row in cost["rows"]:
         lines.append(
             f"{row['w_over_h']:>8} {row['jet']['entries_per_shard']:>12,.0f} "
             f"{row['full']['entries_per_shard']:>13,.0f} "
             f"{row['full_over_jet_entries']:>8.1f}x "
-            f"{row['theory_full_over_jet']:>6.1f}x"
+            f"{row['theory_full_over_jet']:>6.1f}x "
+            f"{row['jet']['ct_bytes_per_shard']:>10,.0f} "
+            f"{row['full']['ct_bytes_per_shard']:>10,.0f}"
         )
     return "\n".join(lines)
-
-
-def merge_into_bench(payload: dict, path: str) -> None:
-    """Record the payload under ``"sharding"`` in the bench JSON at ``path``.
-
-    An existing file keeps its other sections (the throughput experiment
-    owns the top level); a missing or unreadable one is created fresh.
-    """
-    recorded: dict = {}
-    try:
-        with open(path) as fh:
-            recorded = json.load(fh)
-    except (OSError, ValueError):
-        recorded = {}
-    if not isinstance(recorded, dict):
-        recorded = {}
-    recorded["sharding"] = payload
-    with open(path, "w") as fh:
-        json.dump(recorded, fh, indent=2)
-        fh.write("\n")
-
-
-def speedup_at(payload: dict, n_shards: int) -> Optional[float]:
-    for row in payload["speedup"]["rows"]:
-        if row["shards"] == n_shards:
-            return row["speedup"]
-    return None
-
-
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", default=None, choices=sorted(SCALES))
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--output", default="BENCH_dataplane.json",
-                        help="bench JSON to merge the 'sharding' section into")
-    parser.add_argument(
-        "--min-speedup2", type=float, default=None, metavar="X",
-        help="fail when the 2-shard critical-path speedup is below X (CI gate)",
-    )
-    args = parser.parse_args(argv)
-    payload = run_sharding(scale=args.scale, seed=args.seed)
-    print(format_report(payload))
-    merge_into_bench(payload, args.output)
-    print(f"recorded under 'sharding' in {args.output}")
-    if args.min_speedup2 is not None:
-        at2 = speedup_at(payload, 2)
-        if at2 is None or at2 < args.min_speedup2:
-            raise SystemExit(
-                f"REGRESSION: 2-shard critical-path speedup "
-                f"{at2 if at2 is not None else 'missing'} < {args.min_speedup2}"
-            )
-        print(f"2-shard speedup gate (>= {args.min_speedup2}): ok ({at2:.2f}x)")
-
-
-if __name__ == "__main__":
-    main()

@@ -11,9 +11,9 @@ and Prometheus / JSONL exporters wired into the CLI
 
 Observability is strictly read-only: a run with a live registry makes
 byte-identical routing decisions and CT state to one with the
-NullRegistry (enforced by ``tests/test_obs_differential.py``), and the
-disabled path stays within the never-slower throughput floor (enforced
-by the throughput experiment's obs-overhead gate).
+NullRegistry, and a disabled registry is handed no instrument at all
+while a live one is called a number of times that does not grow with the
+trace (both enforced by ``tests/test_obs_differential.py``).
 """
 
 from repro.obs import collectors as metrics
@@ -53,7 +53,7 @@ from repro.obs.registry import (
     Registry,
     coalesce,
 )
-from repro.obs.timers import Stopwatch, best_of
+from repro.obs.timers import Stopwatch
 
 __all__ = [
     "metrics",
@@ -89,5 +89,4 @@ __all__ = [
     "merge_into",
     "load_series",
     "Stopwatch",
-    "best_of",
 ]

@@ -27,8 +27,7 @@ Two registries implement the same surface:
   skip optional work (extra bookkeeping, snapshot emission) entirely.
   Instrumentation is deliberately placed at *event and batch boundaries*,
   never inside per-packet hot loops, so a NullRegistry run costs nothing
-  measurable -- the guarantee the throughput experiment's obs-overhead
-  gate enforces.
+  measurable -- ``tests/test_obs_differential.py`` counts the calls.
 
 Observability must never change behaviour: instruments only read the
 dataplane, and the differential test suite holds every stack to

@@ -1,7 +1,7 @@
 """Shared wall-time measurement -- one way to time everything.
 
-Every wall-clock measurement in the repo (trace replay, the event-driven
-engine, the throughput benches) goes through :class:`Stopwatch`, so
+Every wall-clock measurement in the package (trace replay, the
+event-driven engine, the sharded driver) goes through :class:`Stopwatch`, so
 timing semantics -- ``time.perf_counter``, monotonic, fractional
 seconds -- are defined in exactly one place.  The hand-rolled
 ``perf_counter()`` pairs these helpers replaced each re-implemented the
@@ -41,7 +41,7 @@ class Stopwatch:
         self._started = perf_counter()
 
     def restart(self) -> "Stopwatch":
-        """Reset the start mark (for best-of-N loops reusing one watch)."""
+        """Reset the start mark."""
         self._started = perf_counter()
         return self
 
@@ -59,18 +59,3 @@ class Stopwatch:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-def best_of(repeats: int, func) -> float:
-    """Minimum wall seconds of ``func()`` over ``max(1, repeats)`` runs.
-
-    The shared best-of-N primitive for micro-benches: minimum (not mean)
-    because scheduling noise only ever adds time.
-    """
-    watch = Stopwatch()
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        watch.restart()
-        func()
-        best = min(best, watch.stop())
-    return best

@@ -21,7 +21,7 @@ membership state machine (W, H, the CH table) but tracks only its own
 *unsafe* flows, so per-shard CT state is ``|H|/(|W|+|H|)`` of the
 shard's flows (Theorem 4.2).  A full-CT dataplane sharded the same way
 pays ``(|W|+|H|)/|H|`` times more per-shard memory and cross-LB sync
-traffic -- measured by ``experiments/sharding.py``.
+traffic -- counted by ``experiments/sharding.py``.
 """
 
 from repro.shard.partition import SHARD_SALT, shard_of_key, shard_of_keys, shard_seed

@@ -30,7 +30,8 @@ from __future__ import annotations
 import multiprocessing
 import traceback
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from multiprocessing.connection import wait as wait_ready
+from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from repro.core.interfaces import LoadBalancer
 from repro.obs.registry import coalesce
@@ -41,6 +42,8 @@ from repro.shard.spec import BalancerSpec
 from repro.shard.worker import ShardOutcome, run_shard
 from repro.traces.base import Trace
 from repro.traces.replay import DEFAULT_CHUNK, ReplayResult, merge_replay_results
+
+T = TypeVar("T")
 
 #: A spec or any picklable/fork-inheritable ``shard_id -> balancer``.
 Factory = Union[BalancerSpec, Callable[[int], LoadBalancer]]
@@ -98,21 +101,15 @@ def replay_sharded(
 
     watch = Stopwatch()
     plan = ShardPlan.partition(trace, n_shards)
-    if n_workers == 1 or n_shards == 1 or not _fork_available():
-        outcomes = [
-            run_shard(
-                plan, factory, shard,
-                events=events, chunk_size=chunk_size,
-                want_metrics=want_metrics, collect_tracked=collect_tracked,
-            )
-            for shard in range(n_shards)
-        ]
-    else:
-        outcomes = _run_forked(
-            plan, factory, n_shards, min(n_workers, n_shards),
+
+    def job(shard: int) -> ShardOutcome:
+        return run_shard(
+            plan, factory, shard,
             events=events, chunk_size=chunk_size,
             want_metrics=want_metrics, collect_tracked=collect_tracked,
         )
+
+    outcomes = fan_out(job, n_shards, n_workers)
     merged = merge_replay_results([outcome.result for outcome in outcomes])
     if want_metrics:
         from repro.obs.merge import merge_into
@@ -128,55 +125,63 @@ def replay_sharded(
     )
 
 
-def _run_forked(
-    plan: ShardPlan,
-    factory: Callable[[int], LoadBalancer],
-    n_shards: int,
-    n_workers: int,
-    events: Sequence,
-    chunk_size: int,
-    want_metrics: bool,
-    collect_tracked: bool,
-) -> List[ShardOutcome]:
-    """Fan shards out over forked workers; shard ``s`` -> worker ``s % N``."""
-    context = multiprocessing.get_context("fork")
-    queue = context.SimpleQueue()
+def fan_out(job: Callable[[int], T], n_shards: int, n_workers: int) -> List[T]:
+    """``[job(0), ..., job(n_shards - 1)]``, shard ``s`` on worker ``s % N``.
 
-    def work(worker_id: int) -> None:
+    One forked process per worker, one pipe per worker: a worker sends
+    ``(shard, payload)`` per shard and a formatted traceback if ``job``
+    raises; its pipe reaching end-of-file is how the parent sees it
+    leave -- cleanly (exit code 0) or killed, in which case the rest are
+    terminated and ``RuntimeError`` names the worker and its exit code.
+    The parent blocks on pipe readiness and never polls.  One worker (or
+    no ``fork``) runs the shards serially in-process.
+    """
+    n_workers = min(n_workers, n_shards)
+    if n_workers == 1 or not _fork_available():
+        return [job(shard) for shard in range(n_shards)]
+    context = multiprocessing.get_context("fork")
+
+    def work(worker_id: int, sender) -> None:
         try:
             for shard in range(worker_id, n_shards, n_workers):
-                outcome = run_shard(
-                    plan, factory, shard,
-                    events=events, chunk_size=chunk_size,
-                    want_metrics=want_metrics, collect_tracked=collect_tracked,
-                )
-                queue.put((shard, outcome, None))
-        except BaseException:
-            queue.put((-1, None, traceback.format_exc()))
+                sender.send((shard, job(shard), None))
+        except Exception:
+            sender.send((-1, None, traceback.format_exc()))
 
-    processes = [
-        context.Process(target=work, args=(worker_id,), daemon=True)
-        for worker_id in range(n_workers)
-    ]
-    for process in processes:
+    workers = {}  # read end -> (worker id, process)
+    for worker_id in range(n_workers):
+        reader, sender = context.Pipe(duplex=False)
+        process = context.Process(target=work, args=(worker_id, sender), daemon=True)
         process.start()
-    outcomes: List[Optional[ShardOutcome]] = [None] * n_shards
-    received = 0
-    failure: Optional[str] = None
-    while received < n_shards:
-        shard, outcome, error = queue.get()
-        if error is not None:
-            failure = error
-            break
-        outcomes[shard] = outcome
-        received += 1
-    for process in processes:
-        if failure is not None:
+        sender.close()  # the worker holds the only write end now
+        workers[reader] = (worker_id, process)
+
+    payloads: List[Optional[T]] = [None] * n_shards
+    try:
+        while workers:
+            for reader in wait_ready(list(workers)):
+                worker_id, process = workers[reader]
+                try:
+                    shard, payload, error = reader.recv()
+                except (EOFError, OSError):  # the worker is gone
+                    del workers[reader]
+                    reader.close()
+                    process.join()
+                    if process.exitcode != 0:
+                        raise RuntimeError(
+                            f"shard worker {worker_id} died "
+                            f"(exit code {process.exitcode})"
+                        ) from None
+                    continue
+                if error is not None:
+                    raise RuntimeError(f"shard worker {worker_id} failed:\n{error}")
+                payloads[shard] = payload
+    finally:
+        for reader, (_, process) in workers.items():  # none left unless raising
             process.terminate()
-        process.join()
-    if failure is not None:
-        raise RuntimeError(f"shard worker failed:\n{failure}")
-    return outcomes  # type: ignore[return-value]
+            process.join()
+            reader.close()
+    return payloads  # type: ignore[return-value]
 
 
 # --------------------------------------------------------------- simulate
@@ -215,13 +220,10 @@ def simulate_sharded(config, n_workers: int = 1, n_shards: Optional[int] = None)
             changes["arrival_rate"] = base_arrival / n_shards
         shard_configs.append(config.with_(**changes))
 
-    if n_workers == 1 or n_shards == 1 or not _fork_available():
-        payloads = [
-            _run_sim_shard(shard_configs[shard], want_metrics)
-            for shard in range(n_shards)
-        ]
-    else:
-        payloads = _run_sim_forked(shard_configs, min(n_workers, n_shards), want_metrics)
+    payloads = fan_out(
+        lambda shard: _run_sim_shard(shard_configs[shard], want_metrics),
+        n_shards, n_workers,
+    )
     results = [result for result, _ in payloads]
     if want_metrics:
         from repro.obs.merge import merge_into
@@ -240,42 +242,3 @@ def _run_sim_shard(shard_config, want_metrics: bool):
         result = run_simulation(shard_config.with_(registry=shard_registry))
         return result, shard_registry.dump_series()
     return run_simulation(shard_config), []
-
-
-def _run_sim_forked(shard_configs, n_workers: int, want_metrics: bool):
-    context = multiprocessing.get_context("fork")
-    queue = context.SimpleQueue()
-    n_shards = len(shard_configs)
-
-    def work(worker_id: int) -> None:
-        try:
-            for shard in range(worker_id, n_shards, n_workers):
-                queue.put(
-                    (shard, _run_sim_shard(shard_configs[shard], want_metrics), None)
-                )
-        except BaseException:
-            queue.put((-1, None, traceback.format_exc()))
-
-    processes = [
-        context.Process(target=work, args=(worker_id,), daemon=True)
-        for worker_id in range(n_workers)
-    ]
-    for process in processes:
-        process.start()
-    payloads = [None] * n_shards
-    received = 0
-    failure: Optional[str] = None
-    while received < n_shards:
-        shard, payload, error = queue.get()
-        if error is not None:
-            failure = error
-            break
-        payloads[shard] = payload
-        received += 1
-    for process in processes:
-        if failure is not None:
-            process.terminate()
-        process.join()
-    if failure is not None:
-        raise RuntimeError(f"simulation shard worker failed:\n{failure}")
-    return payloads

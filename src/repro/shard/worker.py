@@ -7,8 +7,8 @@ the shard's packet subsequence through the ordinary ``replay_batch``
 (columnar whenever the stack supports it), applies trailing membership
 events, and returns a picklable :class:`ShardOutcome` -- the shard's
 :class:`~repro.traces.replay.ReplayResult`, an optional structured dump
-of its private metrics registry, optional CT contents, and a CT memory
-estimate for the sharding-cost experiment.
+of its private metrics registry, optional CT contents, and the CT
+store's size in bytes for the sharding-cost experiment.
 """
 
 from __future__ import annotations

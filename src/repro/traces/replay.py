@@ -85,8 +85,8 @@ def replay(
     instrumentation happens *after* the dispatch loop (counters published
     from the loop's own tallies), so the loop is identical with metrics
     off, disabled (NullRegistry), or live -- the differential suite holds
-    all three to the same decisions, and the throughput experiment's
-    obs-overhead gate holds disabled to >= 0.95x uninstrumented.
+    all three to the same decisions and counts the calls into
+    ``repro.obs`` (none when disabled; live, none that grow with the trace).
     """
     keys: List[int] = [int(k) for k in trace.flow_keys]
     packet_flows: List[int] = trace.packets.tolist()
@@ -284,10 +284,10 @@ def _publish_metrics(
         ).set(ct.stats.inserts / dispatched)
 
 
-# Chosen by the chunk-size sweep in experiments/throughput.py
-# (``--chunk-sizes``): per-chunk fixed costs (CT probe setup, mask
-# passes) amortize up to ~32k keys while the working arrays stay far
-# inside L2; the sweep's numbers ride along in BENCH_dataplane.json.
+# Unjustified until ``bench/sheet.py`` carries a chunk-size column
+# (ROADMAP): the intent is to amortize per-chunk fixed costs (CT probe
+# setup, mask passes) while the working arrays stay inside L2, and no
+# measurement in the repo says 32768 is where that happens.
 DEFAULT_CHUNK = 32768
 
 

@@ -10,6 +10,10 @@ in the event-driven engine, and (via hypothesis) under arbitrary
 injected churn schedules.
 """
 
+import collections
+import os
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +26,8 @@ from repro.traces import replay, replay_batch, zipf_trace
 
 WORKING = [f"s{i}" for i in range(20)]
 HORIZON = [f"h{i}" for i in range(4)]
+
+OBS_DIR = os.path.dirname(M.__file__) + os.sep
 
 TRACE = zipf_trace(skew=1.0, n_packets=12_000, population=2_500, seed=11)
 
@@ -164,6 +170,46 @@ class TestChurnHypothesis:
         batch_lb = make_jet("hrw", WORKING, HORIZON)
         batch = replay_batch(TRACE, batch_lb, events=events, metrics=Registry())
         assert _fingerprint(batch_lb, batch) == _fingerprint(scalar_lb, scalar)
+
+
+class TestFreeWhenOff:
+    """"Free when off" as a count, not a stopwatch: what the replay
+    drivers ask of ``repro.obs`` does not grow with the trace, so none of
+    it sits in the per-packet loop -- and a disabled registry is asked
+    for nothing at all."""
+
+    @staticmethod
+    def _obs_calls(driver, n_packets, registry):
+        """Every Python call into ``repro/obs/`` during one replay."""
+        trace = zipf_trace(skew=1.0, n_packets=n_packets, population=2_500, seed=11)
+        balancer = _builders()["jet-table"]()
+        calls = collections.Counter()
+
+        def profiler(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and OBS_DIR in code.co_filename:
+                calls[os.path.basename(code.co_filename), code.co_name] += 1
+
+        sys.setprofile(profiler)
+        try:
+            driver(trace, balancer, metrics=registry)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    @pytest.mark.parametrize("driver", [replay, replay_batch])
+    def test_live_registry_calls_do_not_grow_with_the_trace(self, driver):
+        small = self._obs_calls(driver, 5_000, Registry())
+        large = self._obs_calls(driver, 20_000, Registry())
+        assert small == large
+        assert small["registry.py", "inc"] > 0  # the recorder does see calls
+
+    @pytest.mark.parametrize("driver", [replay, replay_batch])
+    def test_null_registry_hands_out_no_instrument(self, driver):
+        for n_packets in (5_000, 20_000):
+            calls = self._obs_calls(driver, n_packets, NULL)
+            in_registry = {name for (module, name) in calls if module == "registry.py"}
+            assert in_registry == {"coalesce"}
 
 
 class TestEngineDifferential:

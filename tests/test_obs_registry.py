@@ -11,7 +11,6 @@ from repro.obs import (
     NullRegistry,
     Registry,
     Stopwatch,
-    best_of,
     coalesce,
     last_snapshot,
     load_jsonl,
@@ -222,9 +221,3 @@ class TestTimers:
         with Stopwatch() as watch:
             pass
         assert watch.stop() >= 0.0
-
-    def test_best_of_returns_minimum(self):
-        calls = []
-        wall = best_of(3, lambda: calls.append(len(calls)))
-        assert len(calls) == 3
-        assert wall > 0.0

@@ -4,17 +4,18 @@ Every library scenario must load strictly, carry a non-trivial envelope,
 and pass that envelope at its shipped scale -- the library is executable
 documentation, so a scenario that fails its own envelope is a bug in one
 or the other.  The matrix/bench plumbing (``bench_section`` ->
-``merge_into_bench`` -> ``throughput.check_against``) is exercised on
-synthetic payloads so regressions in the gate itself fail fast.
+``counted.check``) is exercised on synthetic payloads so regressions in
+the gate itself fail fast.
 """
 
+import copy
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.experiments.scenario_matrix import bench_section, merge_into_bench
-from repro.experiments.throughput import check_against
+from repro.experiments.counted import check
+from repro.experiments.scenario_matrix import bench_section
 from repro.scenarios import (
     ScenarioError,
     load_all,
@@ -69,63 +70,60 @@ class TestLibraryEnvelopes:
 
 
 class TestMatrixBenchPlumbing:
-    PAYLOAD = {
+    """``bench_section`` -> ``counted.check``: the equality gate, on a
+    synthetic payload so a regression in the gate itself fails fast."""
+
+    MATRIX = {
         "experiment": "scenario_matrix",
         "scale": "smoke",
-        "workers": 1,
-        "wall_seconds_total": 2.0,
         "scenarios": {
             "s1": {
                 "native_mode": "jet",
                 "seed": 1,
                 "ok": True,
                 "modes": {
-                    "jet": {
-                        "ok": True,
-                        "wall_seconds": 0.5,
-                        "margins": {"tracked_fraction": 0.2},
-                    },
-                    "full": {"ok": True, "wall_seconds": 0.5, "margins": {}},
+                    "jet": {"ok": True, "margins": {"tracked_fraction": 0.2}},
+                    "full": {"ok": True, "margins": {}},
                 },
             }
         },
         "ok": True,
     }
 
-    def test_bench_section_keeps_native_row_only(self):
-        section = bench_section(self.PAYLOAD)
-        assert section["scale"] == "smoke"
-        assert section["scenarios"]["s1"]["margins"] == {"tracked_fraction": 0.2}
+    @classmethod
+    def payload(cls, scale="smoke"):
+        return copy.deepcopy(
+            {"scale": scale, "scenarios": bench_section(cls.MATRIX)}
+        )
 
-    def test_merge_preserves_other_sections(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"scale": "smoke", "ch_lookup": [{"x": 1}]}))
-        merge_into_bench(self.PAYLOAD, str(path))
-        recorded = json.loads(path.read_text())
-        assert recorded["ch_lookup"] == [{"x": 1}]  # untouched
-        assert recorded["scenarios"]["scenarios"]["s1"]["ok"] is True
+    def test_bench_section_keeps_native_row_only(self):
+        assert bench_section(self.MATRIX) == {
+            "s1": {"ok": True, "margins": {"tracked_fraction": 0.2}}
+        }
 
     def test_check_against_flags_envelope_violation(self):
-        fresh = {"scale": "smoke", "scenarios": bench_section(self.PAYLOAD)}
-        fresh["scenarios"]["scenarios"]["s1"]["ok"] = False
-        failures = check_against(fresh, {"scale": "smoke"})
-        assert any("s1" in f and "envelope violated" in f for f in failures)
+        fresh = self.payload()
+        fresh["scenarios"]["s1"]["ok"] = False
+        # Flagged on its own account, with nothing recorded to compare to.
+        assert check(fresh, {}) == ["scenarios.s1: native-mode envelope violated"]
 
     def test_check_against_flags_margin_collapse(self):
-        recorded = {"scale": "smoke", "scenarios": bench_section(self.PAYLOAD)}
-        fresh = json.loads(json.dumps(recorded))
-        fresh["scenarios"]["scenarios"]["s1"]["margins"]["tracked_fraction"] = 0.05
-        failures = check_against(fresh, recorded)
-        assert any("margin collapsed" in f for f in failures)
+        # Any change of a margin, in either direction, not only a collapse.
+        for margin in (0.05, 0.2 * (1 + 1e-6), 0.4, None):
+            fresh = self.payload()
+            fresh["scenarios"]["s1"]["margins"]["tracked_fraction"] = margin
+            (failure,) = check(fresh, self.payload())
+            assert failure.startswith("scenarios.s1.margins.tracked_fraction: ")
+        fresh = self.payload()
+        fresh["scenarios"]["s1"]["margins"]["tracked_fraction"] = 0.2 * (1 + 1e-12)
+        assert check(fresh, self.payload()) == []
 
     def test_check_against_ignores_scale_mismatch_and_none_margins(self):
-        recorded = {"scale": "paper", "scenarios": bench_section(self.PAYLOAD)}
-        fresh = {"scale": "smoke", "scenarios": bench_section(self.PAYLOAD)}
-        fresh["scenarios"]["scenarios"]["s1"]["margins"]["tracked_fraction"] = 0.0001
-        assert check_against(fresh, recorded) == []
-        recorded["scale"] = "smoke"
-        recorded["scenarios"]["scenarios"]["s1"]["margins"]["tracked_fraction"] = None
-        assert check_against(fresh, recorded) == []
+        fresh = self.payload("smoke")
+        fresh["scenarios"]["s1"]["margins"]["tracked_fraction"] = 0.0001
+        assert check(fresh, self.payload("paper")) == []
+        fresh["scenarios"]["s1"]["margins"]["tracked_fraction"] = None
+        assert check(fresh, copy.deepcopy(fresh)) == []
 
 
 class TestScenarioCLI:

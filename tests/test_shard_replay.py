@@ -8,12 +8,16 @@ how shards are spread over worker processes.
 """
 
 import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
 from repro.obs import Registry
 from repro.obs.invariants import MonitorSuite, default_monitors
 from repro.shard import BalancerSpec, MembershipEvent, replay_sharded
+from repro.shard.runner import fan_out
 from repro.traces import replay_batch, zipf_trace
 from repro.traces.replay import merge_replay_results
 
@@ -247,6 +251,54 @@ class TestWorkerCountStability:
 
         with pytest.raises(RuntimeError, match="boom in worker"):
             replay_sharded(trace, bad_factory, n_workers=2, n_shards=2)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
+class TestWorkerDeath:
+    """A SIGKILLed (or OOM-killed) worker never posts an error tuple; the
+    parent has to notice the death itself instead of blocking forever."""
+
+    @pytest.fixture(autouse=True)
+    def hard_timeout(self):
+        def expired(signum, frame):
+            raise AssertionError("sharded driver hung on a dead worker")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(5)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def kill_self(shard_id):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def test_replay_sharded_raises_when_a_worker_is_killed(self):
+        with pytest.raises(RuntimeError, match=r"worker \d died \(exit code -9\)"):
+            replay_sharded(small_trace(), self.kill_self, n_workers=2, n_shards=2)
+
+    def test_fan_out_names_the_dead_worker_and_stops_the_rest(self):
+        context = multiprocessing.get_context("fork")
+        survivors, posted = context.SimpleQueue(), context.Event()
+
+        def job(shard):
+            if shard == 1:
+                posted.wait()
+                self.kill_self(shard)
+            survivors.put(os.getpid())
+            posted.set()
+            time.sleep(60)  # terminated by the parent, not waited for
+
+        with pytest.raises(RuntimeError, match=r"worker 1 died \(exit code -9\)"):
+            fan_out(job, n_shards=2, n_workers=2)
+        with pytest.raises(ProcessLookupError):
+            os.kill(survivors.get(), 0)
+
+    def test_fan_out_orders_payloads_by_shard(self):
+        assert fan_out(lambda shard: shard * shard, 5, 2) == [0, 1, 4, 9, 16]
 
 
 class TestValidation:
