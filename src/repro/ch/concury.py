@@ -129,7 +129,8 @@ class ConcuryHash(HorizonConsistentHash):
         self._fs_vals: np.ndarray = None
         self._unsafe_fs = np.zeros(flowsets, dtype=bool)
         self._slots_table = None
-        self._empty = not self._inner.working
+        self._trans_table = None  # inner backend_table self._trans was built for
+        self._empty = not len(self._inner)
         # Control-plane update-cost accounting for the showdown.
         self.rebuilds = 0
         self.patches = 0
@@ -158,15 +159,18 @@ class ConcuryHash(HorizonConsistentHash):
         """(slot id, unsafe) per flowset, from the inner CH."""
         idx, unsafe = self._inner.lookup_with_safety_batch_idx(self._fs_keys)
         inner_table = self._inner.backend_table()
-        # Inner table positions renumber under churn; translate them
-        # into the stable slot space once per refresh.  ``None``
-        # entries (retired inner slots) are unreachable by contract.
-        trans = np.fromiter(
-            (self._slot_index.get(name, 0) for name in inner_table.tolist()),
-            dtype=np.int64,
-            count=len(inner_table),
-        )
-        return trans[idx], unsafe
+        if inner_table is not self._trans_table:
+            # Inner table positions renumber under churn; translate them
+            # into the stable slot space once per published table (its
+            # identity changes iff the backend did).  ``None`` entries
+            # (retired inner slots) are unreachable by contract.
+            self._trans = np.fromiter(
+                (self._slot_index.get(name, 0) for name in inner_table.tolist()),
+                dtype=np.int64,
+                count=len(inner_table),
+            )
+            self._trans_table = inner_table
+        return self._trans[idx], unsafe
 
     def _refresh(self) -> None:
         """Recompute flowset placement and publish a new map version.
@@ -179,10 +183,9 @@ class ConcuryHash(HorizonConsistentHash):
         than one bulk construction.
         """
         self._slots_table = None
-        if not self._inner.working:
-            self._empty = True
+        self._empty = not len(self._inner)
+        if self._empty:
             return
-        self._empty = False
         new_vals, unsafe = self._flowset_values()
         self._unsafe_fs = np.asarray(unsafe, dtype=bool)
         old_vals = self._fs_vals

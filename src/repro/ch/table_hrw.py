@@ -12,11 +12,14 @@ Compared to a plain table-based CH, JET costs exactly one Boolean per row
 
 Two implementations:
 
-- :class:`TableHRWHash` -- numpy-vectorized rows; Algorithm 4's update
-  rules implemented as masked array operations, plus two cached arrays
-  (current winner weight, current max horizon weight) that make every
-  update O(rows) vector work.  This is what the paper's "300 copies per
-  server" table sizes need at n=500.
+- :class:`TableHRWHash` -- numpy-vectorized rows.  State is five row
+  arrays (winner id + weight, horizon-max id + weight, ``TR``) and one
+  seed per server; no per-server weight column is stored.  A membership
+  event recomputes weights only where Algorithm 4 says rows can change:
+  one full-length mix for the moving server, plus a |W| x owned (or
+  |H| x held) tile for the rows it gives up -- O(rows + |W|·owned), and
+  memory independent of |W ∪ H|, which is what the paper's "300 copies
+  per server" tables need at n=500.
 - :class:`ScalarTableHRW` -- a direct, loop-based transcription of
   Algorithm 4, kept as the differential-testing reference.
 
@@ -33,7 +36,7 @@ import numpy as np
 from repro.ch.base import BackendError, HorizonConsistentHash, Name
 from repro.hashing.keyed import KeyedHasher, server_seed
 from repro.hashing.mix import fmix64, mix2
-from repro.hashing.vector import v_fmix64, v_mix2
+from repro.hashing.vector import v_fmix64, v_mix2, v_mix2_argmax
 
 DEFAULT_ROWS = 4099  # prime, though any size >= 1 works for this scheme
 _ROW_SALT = 0xA076_1D64_78BD_642F
@@ -62,25 +65,23 @@ class TableHRWHash(HorizonConsistentHash):
 
         self._names: List[Name] = []           # id -> name (never reused)
         self._ids: Dict[Name, int] = {}        # name -> id
+        self._seeds = np.empty(0, dtype=np.uint64)  # id -> HRW seed
         # Cached backend table (object-array twin of _names); replaced --
         # never mutated -- whenever an id is registered or retired, so
         # downstream translation caches can key on its identity.
         self._names_table: Optional[np.ndarray] = None
-        self._weights: Dict[int, np.ndarray] = {}  # id -> per-row weights
         self._working_ids: set = set()
         self._horizon_ids: set = set()
+        for name in working:
+            self._working_ids.add(self._register(name))
+        for name in horizon:
+            self._horizon_ids.add(self._register(name))
 
         # Row state: winning server id (+weight) and horizon max (+owner).
-        self._ch = np.full(rows, _NO_SERVER, dtype=np.int64)
-        self._ch_w = np.zeros(rows, dtype=np.uint64)
-        self._h_id = np.full(rows, _NO_SERVER, dtype=np.int64)
-        self._h_w = np.zeros(rows, dtype=np.uint64)
+        self._ch, self._ch_w = self._best(self._working_ids, slice(None))
+        self._h_id, self._h_w = self._best(self._horizon_ids, slice(None))
         self._tr = np.zeros(rows, dtype=bool)
-
-        for name in working:
-            self._insert(name, working=True)
-        for name in horizon:
-            self._insert(name, working=False)
+        self._refresh_tr(slice(None))
 
     # ---------------------------------------------------------- plumbing
     def _register(self, name: Name) -> int:
@@ -90,57 +91,52 @@ class TableHRWHash(HorizonConsistentHash):
         self._names.append(name)
         self._ids[name] = new_id
         self._names_table = None
-        self._weights[new_id] = v_mix2(server_seed(name), self._row_hashes)
+        self._seeds = np.append(self._seeds, np.uint64(server_seed(name)))
         return new_id
 
-    def _insert(self, name: Name, working: bool) -> None:
-        new_id = self._register(name)
-        w = self._weights[new_id]
-        if working:
-            wins = (w > self._ch_w) | (self._ch == _NO_SERVER)
-            self._ch[wins] = new_id
-            self._ch_w[wins] = w[wins]
-            self._working_ids.add(new_id)
+    def _move(self, name: Name, src: set, dst: Optional[set], complaint: str) -> int:
+        """Take ``name``'s id out of ``src`` (into ``dst``, if given)."""
+        sid = self._ids.get(name)
+        if sid is None or sid not in src:
+            raise BackendError(f"server {name!r} {complaint}")
+        src.discard(sid)
+        if dst is not None:
+            dst.add(sid)
+        return sid
+
+    def _weights_of(self, sid: int) -> np.ndarray:
+        """One server's weight on every row (recomputed, never stored)."""
+        return v_mix2(int(self._seeds[sid]), self._row_hashes)
+
+    def _best(self, ids: set, rows) -> Tuple[np.ndarray, np.ndarray]:
+        """HRW ``(winner id, weight)`` among ``ids`` on ``rows`` (a slice
+        or index array); ``(_NO_SERVER, 0)`` when ``ids`` is empty."""
+        hashes = self._row_hashes[rows]
+        if not ids:
+            return (np.full(len(hashes), _NO_SERVER, dtype=np.int32),
+                    np.zeros(len(hashes), dtype=np.uint64))
+        id_arr = np.fromiter(ids, dtype=np.int32, count=len(ids))
+        best, weights = v_mix2_argmax(self._seeds[id_arr], hashes)
+        return id_arr[best], weights
+
+    def _refresh_tr(self, rows) -> None:
+        """Recompute TR = (max horizon weight beats the winner) on ``rows``."""
+        if self._horizon_ids and self._working_ids:
+            self._tr[rows] = self._h_w[rows] > self._ch_w[rows]
         else:
-            beats = (w > self._h_w) | (self._h_id == _NO_SERVER)
-            self._h_id[beats] = new_id
-            self._h_w[beats] = w[beats]
-            self._horizon_ids.add(new_id)
-        self._refresh_tr()
+            self._tr[rows] = False
 
-    def _refresh_tr(self, mask: Optional[np.ndarray] = None) -> None:
-        """Recompute TR = (max horizon weight beats the winner)."""
-        if not self._horizon_ids or not self._working_ids:
-            tr = np.zeros(self.rows, dtype=bool)
-            if mask is None:
-                self._tr = tr
-            else:
-                self._tr[mask] = False
-            return
-        if mask is None:
-            self._tr = self._h_w > self._ch_w
-        else:
-            self._tr[mask] = self._h_w[mask] > self._ch_w[mask]
+    def _leave_horizon_max(self, sid: int) -> np.ndarray:
+        """Rebuild the horizon maximum on the rows ``sid`` held it; returns them."""
+        held = np.flatnonzero(self._h_id == sid)
+        self._h_id[held], self._h_w[held] = self._best(self._horizon_ids, held)
+        return held
 
-    def _recompute_horizon_max(self, mask: np.ndarray) -> None:
-        """Rebuild the per-row horizon maximum on the masked rows."""
-        self._h_w[mask] = 0
-        self._h_id[mask] = _NO_SERVER
-        for hid in self._horizon_ids:
-            w = self._weights[hid]
-            beats = mask & (w > self._h_w)
-            self._h_id[beats] = hid
-            self._h_w[beats] = w[beats]
-
-    def _recompute_winner(self, mask: np.ndarray) -> None:
-        """Rebuild the per-row working winner on the masked rows."""
-        self._ch_w[mask] = 0
-        self._ch[mask] = _NO_SERVER
-        for wid in self._working_ids:
-            w = self._weights[wid]
-            beats = mask & ((w > self._ch_w) | (self._ch == _NO_SERVER))
-            self._ch[beats] = wid
-            self._ch_w[beats] = w[beats]
+    def _enter_horizon_max(self, sid: int, w: np.ndarray) -> None:
+        """Fold ``sid``'s weights ``w`` into the horizon maximum."""
+        beats = np.flatnonzero((w > self._h_w) | (self._h_id == _NO_SERVER))
+        self._h_id[beats] = sid
+        self._h_w[beats] = w[beats]
 
     # ------------------------------------------------------------- sets
     @property
@@ -150,6 +146,9 @@ class TableHRWHash(HorizonConsistentHash):
     @property
     def horizon(self) -> FrozenSet[Name]:
         return frozenset(self._names[i] for i in self._horizon_ids)
+
+    def __len__(self) -> int:
+        return len(self._working_ids)
 
     # ----------------------------------------------------------- lookup
     def lookup_with_safety(self, key_hash: int) -> Tuple[Name, bool]:
@@ -167,11 +166,10 @@ class TableHRWHash(HorizonConsistentHash):
         keys = np.asarray(keys, dtype=np.uint64)
         if len(keys) == 0:
             return np.empty(0, dtype=np.int32), np.zeros(0, dtype=bool)
-        rows = (keys % np.uint64(self.rows)).astype(np.intp)
-        winners = self._ch[rows]
         if not self._working_ids:
             raise BackendError("lookup on empty working set")
-        return winners.astype(np.int32), self._tr[rows].copy()
+        rows = (keys % np.uint64(self.rows)).astype(np.intp)
+        return self._ch[rows], self._tr[rows]
 
     def backend_table(self) -> np.ndarray:
         """Id -> name object array (retired ids hold None, never looked up)."""
@@ -197,58 +195,47 @@ class TableHRWHash(HorizonConsistentHash):
     # --------------------------------------------------------- mutation
     def add_working(self, name: Name) -> None:
         """ADDWORKINGSERVER (Algorithm 4 lines 9-15), vectorized."""
-        sid = self._ids.get(name)
-        if sid is None or sid not in self._horizon_ids:
-            raise BackendError(f"server {name!r} is not in the horizon")
-        self._horizon_ids.discard(sid)
-        self._working_ids.add(sid)
-        w = self._weights[sid]
-        # Only TR rows can change winner (elsewhere s, from H, loses).
-        wins = self._tr & (w > self._ch_w)
+        sid = self._move(name, self._horizon_ids, self._working_ids, "is not in the horizon")
+        w = self._weights_of(sid)
+        if len(self._working_ids) > 1:
+            # Only TR rows can change winner (elsewhere s, from H, loses).
+            live = np.flatnonzero(self._tr)
+            wins = live[w[live] > self._ch_w[live]]
+        else:
+            wins = live = slice(None)  # no incumbent: every row goes to s
         self._ch[wins] = sid
         self._ch_w[wins] = w[wins]
-        # s left the horizon: rebuild horizon max where s held it.
-        held = self._h_id == sid
-        self._recompute_horizon_max(held)
-        self._refresh_tr(self._tr.copy())
+        self._leave_horizon_max(sid)
+        self._refresh_tr(live)
 
     def remove_working(self, name: Name) -> None:
         """REMOVEWORKINGSERVER (Algorithm 4 lines 16-21), vectorized."""
-        sid = self._ids.get(name)
-        if sid is None or sid not in self._working_ids:
-            raise BackendError(f"server {name!r} is not working")
-        self._working_ids.discard(sid)
-        self._horizon_ids.add(sid)
-        owned = self._ch == sid
-        self._recompute_winner(owned)
-        w = self._weights[sid]
-        beats = w > self._h_w
-        self._h_id[beats] = sid
-        self._h_w[beats] = w[beats]
+        sid = self._move(name, self._working_ids, self._horizon_ids, "is not working")
+        owned = np.flatnonzero(self._ch == sid)
+        self._ch[owned], self._ch_w[owned] = self._best(self._working_ids, owned)
+        self._enter_horizon_max(sid, self._weights_of(sid))
         # Rows s owned are now unsafe w.r.t. its re-addition; others keep
-        # their flag (s cannot beat a row it already lost).
-        if self._working_ids:
-            self._tr[owned] = True
-        else:
-            self._tr[:] = False  # no working servers left; flags meaningless
+        # their flag (s cannot beat a row it already lost).  With no
+        # working server left the flags are meaningless and cleared.
+        self._tr[owned] = bool(self._working_ids)
 
     def add_horizon(self, name: Name) -> None:
         """ADDHORIZONSERVER (Algorithm 4 lines 22-25), vectorized."""
-        self._insert(name, working=False)
+        sid = self._register(name)
+        self._horizon_ids.add(sid)
+        w = self._weights_of(sid)
+        self._enter_horizon_max(sid, w)
+        if self._working_ids:
+            self._tr |= w > self._ch_w  # flags only rise: where s beats the winner
 
     def remove_horizon(self, name: Name) -> None:
         """REMOVEHORIZONSERVER (Algorithm 4 lines 26-29), vectorized."""
-        sid = self._ids.get(name)
-        if sid is None or sid not in self._horizon_ids:
-            raise BackendError(f"server {name!r} is not in the horizon")
-        self._horizon_ids.discard(sid)
+        sid = self._move(name, self._horizon_ids, None, "is not in the horizon")
         del self._ids[name]
-        del self._weights[sid]
         self._names[sid] = None  # id retired, never reused
         self._names_table = None
-        held = self._h_id == sid
-        self._recompute_horizon_max(held)
-        self._refresh_tr(self._tr.copy())
+        # Flags only drop, and only where s was the horizon maximum.
+        self._refresh_tr(self._leave_horizon_max(sid))
 
 
 class ScalarTableHRW(HorizonConsistentHash):
@@ -335,9 +322,9 @@ class ScalarTableHRW(HorizonConsistentHash):
             raise BackendError(f"server {name!r} is not in the horizon")
         self._working[name] = hasher
         for row in range(self.rows):
-            if not self._tr[row]:
-                continue
             incumbent = self._ch[row]
+            if incumbent is not None and not self._tr[row]:
+                continue  # only TR rows -- or rows with no incumbent -- can change
             w_new = self._weight(hasher, row)
             if incumbent is None or w_new > self._weight(self._working[incumbent], row):
                 self._ch[row] = name

@@ -9,23 +9,34 @@ code.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MM_M1 = np.uint64(0xFF51AFD7ED558CCD)
 _MM_M2 = np.uint64(0xC4CEB9FE1A85EC53)
 _S33 = np.uint64(33)
+# Cells per weight tile of v_mix2_argmax: tile + scratch (2 x 512 kB) stay
+# in L2.  Measured best both at 100 seeds x 30k and at 500 seeds x 150k.
+_TILE_CELLS = 1 << 16
+
+
+def _fmix64_into(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The finalizer in place on ``x``, through same-shape scratch ``tmp``."""
+    for mult in (_MM_M1, _MM_M2):
+        np.right_shift(x, _S33, out=tmp)
+        x ^= tmp
+        x *= mult
+    np.right_shift(x, _S33, out=tmp)
+    x ^= tmp
+    return x
 
 
 def v_fmix64(x: np.ndarray) -> np.ndarray:
     """MurmurHash3 finalizer over a uint64 array (new array returned)."""
     x = x.astype(np.uint64, copy=True)
-    x ^= x >> _S33
-    x *= _MM_M1
-    x ^= x >> _S33
-    x *= _MM_M2
-    x ^= x >> _S33
-    return x
+    return _fmix64_into(x, np.empty_like(x))
 
 
 def v_mix2(a: int, b: np.ndarray) -> np.ndarray:
@@ -41,6 +52,30 @@ def v_mix2_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = a.astype(np.uint64, copy=False)
     b = b.astype(np.uint64, copy=False)
     return v_fmix64(a[:, None] * _SM_GAMMA + b[None, :])
+
+
+def v_mix2_argmax(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per ``b_j`` the HRW winner among the (non-empty) seeds ``a``:
+    ``(argmax_i, max_i)`` of ``mix2(a_i, b_j)``, ties to the lowest ``i``.
+
+    The ``len(a) x len(b)`` weight matrix never exists: ``b`` is walked in
+    blocks through one reused tile, laid out (block, len(a)) so the
+    reductions run along the contiguous axis.
+    """
+    a_term = a.astype(np.uint64, copy=False) * _SM_GAMMA
+    b = b.astype(np.uint64, copy=False)
+    block = max(1, _TILE_CELLS // len(a))
+    tile = np.empty((min(block, len(b)), len(a)), dtype=np.uint64)
+    tmp = np.empty_like(tile)
+    arg = np.empty(len(b), dtype=np.intp)
+    top = np.empty(len(b), dtype=np.uint64)
+    for lo in range(0, len(b), block):
+        part = b[lo:lo + block]
+        x = np.add(part[:, None], a_term[None, :], out=tile[:len(part)])
+        _fmix64_into(x, tmp[:len(part)])
+        x.argmax(axis=1, out=arg[lo:lo + block])
+        x.max(axis=1, out=top[lo:lo + block])
+    return arg, top
 
 
 def v_splitmix64(x: np.ndarray) -> np.ndarray:

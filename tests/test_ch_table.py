@@ -2,11 +2,12 @@
 equivalence, and the single-boolean-per-row memory claim."""
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.ch.base import BackendError
-from repro.ch.properties import sample_keys
 from repro.ch.table_hrw import ScalarTableHRW, TableHRWHash, rows_for
 
 W = [f"w{i}" for i in range(10)]
@@ -83,36 +84,133 @@ class TestAlgorithm4Updates:
         assert ch.tracked_row_fraction() == 0.0
 
 
-class TestVectorVsScalarReference:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_random_operation_sequences_agree(self, seed):
-        rows = 193
-        vec = TableHRWHash(W, H, rows=rows)
-        ref = ScalarTableHRW(W, H, rows=rows)
-        rng = random.Random(seed)
-        keys = sample_keys(200, seed=seed)
-        for step in range(50):
-            working = sorted(vec.working, key=str)
-            horizon = sorted(vec.horizon, key=str)
+class TestEmptyWorkingPromotion:
+    """Draining W to empty and promoting from H must hand every row to
+    the promoted server (there is no incumbent to beat)."""
+
+    @pytest.mark.parametrize("cls", [TableHRWHash, ScalarTableHRW])
+    def test_promoted_server_takes_every_row(self, cls):
+        ch = cls(["a"], ["b", "c"], rows=101)
+        ch.remove_working("a")
+        ch.add_working("b")
+        assert ch.working == {"b"}
+        fresh = cls(["b"], ["a", "c"], rows=101)
+        for row in range(101):
+            assert ch.lookup_with_safety(row) == fresh.lookup_with_safety(row)
+            assert ch.lookup_with_safety(row)[0] == "b"
+
+    def test_batch_kernel_never_hands_out_no_server(self):
+        ch = TableHRWHash(["a"], ["b", "c"], rows=101)
+        ch.remove_working("a")
+        keys = np.arange(101, dtype=np.uint64)
+        with pytest.raises(BackendError):
+            ch.lookup_with_safety_batch_idx(keys)
+        ch.add_working("b")
+        idx, unsafe = ch.lookup_with_safety_batch_idx(keys)
+        assert idx.dtype == np.int32 and (idx >= 0).all()
+        assert set(ch.backend_table()[idx]) == {"b"}
+        assert unsafe.tolist() == [ch.lookup_with_safety(r)[1] for r in range(101)]
+
+
+# Tile budget the rebuild oracle runs under: with |W| = 10 the construction
+# block is 64 rows, and it moves as the sets grow and shrink.
+_SMALL_TILE = 640
+
+
+def _assert_matches_rebuild(vec, ref, rows):
+    """Every row of the mutated table equals a freshly built one and the
+    scalar reference, through both lookups and the batch kernel."""
+    fresh = TableHRWHash(sorted(vec.working), sorted(vec.horizon), rows=rows)
+    assert vec.working == ref.working and vec.horizon == ref.horizon
+    all_rows = np.arange(rows, dtype=np.uint64)
+    if not vec.working:
+        for ch in (vec, fresh, ref):
+            with pytest.raises(BackendError):
+                ch.lookup_with_safety(0)
+        with pytest.raises(BackendError):
+            vec.lookup_with_safety_batch_idx(all_rows)
+    else:
+        idx, unsafe = vec.lookup_with_safety_batch_idx(all_rows)
+        assert (idx >= 0).all()
+        batch = list(zip(vec.backend_table()[idx].tolist(), unsafe.tolist()))
+        expected = [ref.lookup_with_safety(row) for row in range(rows)]
+        assert batch == expected
+        assert [vec.lookup_with_safety(row) for row in range(rows)] == expected
+        assert [fresh.lookup_with_safety(row) for row in range(rows)] == expected
+    if vec.working or vec.horizon:
+        expected = [ref.lookup_union(row) for row in range(rows)]
+        assert [vec.lookup_union(row) for row in range(rows)] == expected
+        assert [fresh.lookup_union(row) for row in range(rows)] == expected
+
+
+def _run_rebuild_oracle(seed, rows):
+    vec = TableHRWHash(W, H, rows=rows)
+    ref = ScalarTableHRW(W, H, rows=rows)
+    rng = random.Random(seed)
+    fresh_names = (f"x{seed}-{i}" for i in range(1000))
+
+    def apply(op, name):
+        getattr(vec, op)(name)
+        getattr(ref, op)(name)
+        _assert_matches_rebuild(vec, ref, rows)
+
+    def random_ops(steps):
+        for _ in range(steps):
+            working = sorted(vec.working)
+            horizon = sorted(vec.horizon)
             op = rng.random()
             if op < 0.3 and horizon:
-                s = rng.choice(horizon)
-                vec.add_working(s)
-                ref.add_working(s)
-            elif op < 0.6 and len(working) > 2:
-                s = rng.choice(working)
-                vec.remove_working(s)
-                ref.remove_working(s)
+                apply("add_working", rng.choice(horizon))
+            elif op < 0.55 and working:
+                apply("remove_working", rng.choice(working))
+            elif op < 0.7:
+                apply("add_horizon", next(fresh_names))
             elif op < 0.8:
-                s = f"x{seed}-{step}"
-                vec.add_horizon(s)
-                ref.add_horizon(s)
+                apply("force_add_working", next(fresh_names))
             elif horizon:
-                s = rng.choice(horizon)
-                vec.remove_horizon(s)
-                ref.remove_horizon(s)
-            for k in keys:
-                assert vec.lookup_with_safety(k) == ref.lookup_with_safety(k)
+                apply("remove_horizon", rng.choice(horizon))
+
+    _assert_matches_rebuild(vec, ref, rows)
+    random_ops(25)
+    for name in sorted(vec.working):            # drain W to zero ...
+        apply("remove_working", name)
+    apply("add_horizon", next(fresh_names))     # ... mutate H while it is
+    apply("remove_horizon", sorted(vec.horizon)[0])
+    for name in sorted(vec.horizon)[::2]:       # ... and refill it
+        apply("add_working", name)
+    for name in sorted(vec.horizon):            # empty the horizon
+        apply("remove_horizon", name)
+    apply("force_add_working", next(fresh_names))
+    random_ops(15)
+
+
+class TestVectorVsScalarReference:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_operation_sequences_agree(self, seed, monkeypatch):
+        """Rebuild oracle: after every op the mutated table equals a fresh
+        build over the same sets and the scalar reference, on every row
+        (193 rows: three construction blocks and a one-row tail)."""
+        monkeypatch.setattr("repro.hashing.vector._TILE_CELLS", _SMALL_TILE)
+        _run_rebuild_oracle(seed, rows=193)
+
+    @pytest.mark.parametrize("rows", [40, 64, 128])
+    def test_rebuild_oracle_at_block_boundaries(self, rows, monkeypatch):
+        """Rows below, equal to, and an exact multiple of the block."""
+        monkeypatch.setattr("repro.hashing.vector._TILE_CELLS", _SMALL_TILE)
+        _run_rebuild_oracle(seed=4, rows=rows)
+
+    @pytest.mark.parametrize("rows", [40, 64, 193])
+    def test_blocked_construction_equals_one_at_a_time(self, rows, monkeypatch):
+        monkeypatch.setattr("repro.hashing.vector._TILE_CELLS", _SMALL_TILE)
+        built = TableHRWHash(W, H, rows=rows)
+        grown = TableHRWHash(rows=rows)
+        for name in W:
+            grown.add_horizon(name)
+            grown.add_working(name)
+        for name in H:
+            grown.add_horizon(name)
+        for field in ("_ch", "_ch_w", "_h_id", "_h_w", "_tr"):
+            assert np.array_equal(getattr(built, field), getattr(grown, field)), field
 
     def test_fresh_tables_agree_row_by_row(self):
         rows = 311
@@ -120,3 +218,45 @@ class TestVectorVsScalarReference:
         ref = ScalarTableHRW(W, H, rows=rows)
         for row in range(rows):
             assert vec.lookup_with_safety(row) == ref.lookup_with_safety(row)
+
+
+class TestMemoryFootprint:
+    """A count gate: table state is five row arrays and one seed per
+    server, so no (server x row) weight matrix may come back."""
+
+    MIB = 1 << 20
+
+    @staticmethod
+    def _traced(build):
+        """(retained, peak) traced bytes of ``build()``, its result alive."""
+        tracemalloc.start()
+        try:
+            ch = build()  # noqa: F841 -- held so "retained" counts it
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    def test_bench_fleet_retains_under_2_mib(self):
+        def build():
+            ch = TableHRWHash(
+                [f"s{i}" for i in range(100)],
+                [f"h{i}" for i in range(10)],
+                rows=rows_for(100),
+            )
+            ch.remove_working("s7")
+            ch.add_working("s7")
+            return ch
+
+        current, peak = self._traced(build)
+        assert current < 2 * self.MIB
+        assert peak < 4 * self.MIB
+
+    def test_paper_table1_size_builds_under_24_mib(self):
+        _, peak = self._traced(
+            lambda: TableHRWHash(
+                [f"s{i}" for i in range(500)],
+                [f"h{i}" for i in range(50)],
+                rows=rows_for(500),
+            )
+        )
+        assert peak < 24 * self.MIB

@@ -3,7 +3,13 @@
 import numpy as np
 
 from repro.hashing.mix import fmix64, mix2, splitmix64
-from repro.hashing.vector import v_fmix64, v_mix2, v_mix2_outer, v_splitmix64
+from repro.hashing.vector import (
+    v_fmix64,
+    v_mix2,
+    v_mix2_argmax,
+    v_mix2_outer,
+    v_splitmix64,
+)
 
 
 def _random_uint64(n, seed):
@@ -38,6 +44,18 @@ class TestVectorScalarEquivalence:
         for i, ai in enumerate(a.tolist()):
             for j, bj in enumerate(b.tolist()):
                 assert out[i, j] == mix2(ai, bj)
+
+    def test_v_mix2_argmax_matches_outer(self, monkeypatch):
+        # 7 seeds under a 20-cell budget: 2-row blocks, 11 = 5 blocks + tail.
+        monkeypatch.setattr("repro.hashing.vector._TILE_CELLS", 20)
+        a = _random_uint64(7, 4)
+        b = _random_uint64(11, 5)
+        full = v_mix2_outer(a, b)
+        arg, top = v_mix2_argmax(a, b)
+        assert np.array_equal(arg, full.argmax(axis=0))
+        assert np.array_equal(top, full.max(axis=0))
+        arg, top = v_mix2_argmax(a, b[:0])
+        assert arg.shape == top.shape == (0,)
 
     def test_v_splitmix64_matches_scalar(self):
         xs = _random_uint64(300, 6)
