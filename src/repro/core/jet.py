@@ -36,7 +36,7 @@ import numpy as np
 from repro.ch.base import ConsistentHash
 from repro.core.interfaces import LoadBalancer, Name
 from repro.core.stateless import StatelessLoadBalancer
-from repro.ct.base import ConnectionTracker, credit_repeat_hits
+from repro.ct.base import ConnectionTracker
 from repro.ct.unbounded import UnboundedCT
 
 
@@ -117,17 +117,22 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
             self.ct.remap_values(self._indexer.get_id)
             self._ct_idx = True
         ids = self.ct.get_batch_idx(keys)
-        miss = ids < 0
-        if miss.any():
+        miss = np.flatnonzero(ids < 0)
+        if miss.size:
             miss_keys = keys[miss]
             ch_idx, tracked = self._decide_batch_idx(miss_keys)
             found = self._indexer.translate(self.ch.backend_table())[ch_idx]
             ids[miss] = found
             if tracked is not None:
+                tracked = np.flatnonzero(tracked)
                 miss_keys, found = miss_keys[tracked], found[tracked]
             if miss_keys.size:
-                self.ct.put_batch_idx(miss_keys, found)
-                credit_repeat_hits(self.ct, miss_keys)
+                distinct = self.ct.put_batch_idx(miss_keys, found)
+                # The chunk was probed before its misses went in: repeats
+                # of a flow first tracked here probed as misses where the
+                # scalar spec (get, then put, per packet) counts hits.
+                # Exact, as an unbounded table evicts nothing in between.
+                self.ct.stats.hits += len(miss_keys) - distinct
         return ids
 
     def tracked_items(self) -> dict:

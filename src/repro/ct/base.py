@@ -67,23 +67,6 @@ def count_distinct(values: np.ndarray) -> int:
     return len(ordered) - int(np.count_nonzero(ordered[1:] == ordered[:-1]))
 
 
-def credit_repeat_hits(ct: "ConnectionTracker", inserted_keys: np.ndarray) -> None:
-    """Credit within-chunk repeats of just-inserted keys as CT hits.
-
-    The batched dataplane probes a whole chunk before inserting its
-    misses, so packets of a flow that entered the table earlier *in the
-    same chunk* probe as misses -- where the scalar spec (get, then put,
-    per packet) counts them as hits.  Crediting ``occurrences - unique``
-    of the insert batch here makes hit totals chunk-size-invariant and
-    equal to the scalar loop.  Exact only because batch paths are gated
-    on ``batch_reorder_safe`` (unbounded tables): nothing can evict a
-    just-inserted key before its same-chunk repeats.
-    """
-    repeats = len(inserted_keys) - count_distinct(inserted_keys)
-    if repeats:
-        ct.stats.hits += repeats
-
-
 class ConnectionTracker(ABC):
     """A destination cache keyed by connection identifier hash."""
 

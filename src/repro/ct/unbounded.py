@@ -40,6 +40,11 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 #: Slots with key 0 are empty (flow key 0 lives in the side slot).
 _EMPTY = np.uint64(0)
 _ID_MAX = np.iinfo(np.int32).max
+#: :meth:`UnboundedCT._settle` walks this many pending keys or fewer in
+#: Python: a vectorized round costs ~10 array calls however few keys are
+#: left.  Measured on the bench's steady trace (probe + insert, both
+#: tracking stacks): flat from 16 to 64, 5-25 % worse at 0 and at 256.
+_WALK = 32
 
 
 def _checked_ids(ids) -> np.ndarray:
@@ -113,18 +118,25 @@ class UnboundedCT(ConnectionTracker):
         self.stats.hits += int(np.count_nonzero(out >= 0))
         return out
 
-    def put_batch_idx(self, keys: np.ndarray, ids: np.ndarray) -> None:
+    def put_batch_idx(self, keys: np.ndarray, ids: np.ndarray) -> int:
         """Bulk insert of int backend-ids, in array order; engages index
-        mode.  Ids outside ``[0, 2**31 - 1]`` raise ``ValueError``."""
+        mode.  Ids outside ``[0, 2**31 - 1]`` raise ``ValueError``.
+
+        Returns the number of distinct keys in the batch: the table is
+        sized by it (by connections, not by their repeated packets), and
+        the columnar dispatch credits the rest of the batch as CT hits.
+        """
         keys = np.asarray(keys, dtype=np.uint64)
         ids = _checked_ids(ids)
         if self._table is not None:
             self._engage()
-        self._reserve(len(keys))
-        inserts = self._insert(keys, ids)
+        distinct = count_distinct(keys)
+        self._reserve(distinct)
+        inserts = distinct - self._insert(keys, ids)
         self._live += inserts
         self.stats.inserts += inserts
         self._note_size()
+        return distinct
 
     def remap_values(self, fn) -> None:
         """Re-encode every stored destination through ``fn`` (name ->
@@ -155,17 +167,24 @@ class UnboundedCT(ConnectionTracker):
         self._table = self._keys = self._vals = None
         self._live = 0
         self._reserve(count)
-        self._live = self._insert(keys, ids)
+        self._insert(keys, ids)
+        self._live = count
 
     def _reserve(self, incoming: int) -> None:
         """Room for ``incoming`` more keys under 0.6 load, else rehash the
-        live entries (tombstones dropped) into arrays sized for < 0.4."""
+        live entries (tombstones dropped) into the smallest arrays that
+        hold them under 0.6, so an insert-only run's size depends on its
+        entry count alone, not on the batching.  Where tombstones filled
+        the table the new one starts under 0.4: the next rehash is then a
+        fixed fraction of the table away."""
         old_keys, old_vals = self._keys, self._vals
-        held = self._live + self._dead + incoming
-        if old_keys is not None and 5 * held <= 3 * (len(old_keys) - 1):
+        entries = self._live + incoming
+        if old_keys is not None and 5 * (entries + self._dead) <= 3 * (len(old_keys) - 1):
             return
         size = 64
-        while 3 * size < 8 * (self._live + incoming + 1):
+        while 5 * entries > 3 * size:
+            size <<= 1
+        if self._dead and 5 * entries > 2 * size:
             size <<= 1
         self._keys = np.zeros(size + 1, dtype=np.uint64)
         self._vals = np.full(size + 1, -1, dtype=np.int32)
@@ -178,10 +197,11 @@ class UnboundedCT(ConnectionTracker):
     def _home(self, keys: np.ndarray) -> np.ndarray:
         """Multiply-shift home slot per key; key 0 -> the side slot."""
         with np.errstate(over="ignore"):
-            slots = ((keys * _GAMMA) >> self._shift).astype(np.intp)
-        zero = np.flatnonzero(keys == _EMPTY)
-        if zero.size:
-            slots[zero] = len(self._keys) - 1
+            slots = keys * _GAMMA
+        slots >>= self._shift
+        slots = slots.view(np.int64)  # < 2**58: the same bits either way
+        if np.count_nonzero(keys) < len(keys):
+            slots[keys == _EMPTY] = len(self._keys) - 1
         return slots
 
     def _settle(self, keys: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -191,50 +211,66 @@ class UnboundedCT(ConnectionTracker):
         wrap = np.intp(len(table_keys) - 2)
         resident = table_keys[slots]
         pending = np.flatnonzero((resident != keys) & (resident != _EMPTY))
-        while pending.size:
-            at = (slots[pending] + 1) & wrap
+        held, at = keys[pending], slots[pending]
+        while pending.size > _WALK:
+            at += 1
+            at &= wrap
             slots[pending] = at
             resident = table_keys[at]
-            pending = pending[(resident != keys[pending]) & (resident != _EMPTY)]
+            # (an index array: selecting by boolean mask costs ~4x this)
+            go = np.flatnonzero((resident != held) & (resident != _EMPTY))
+            pending, held, at = pending[go], held[go], at[go]
+        if pending.size:
+            # The stragglers sit on the longest runs: rounds that follow
+            # them would scale with the run length, the walk does not.
+            walk = self._walk
+            slots[pending] = [
+                walk(key, slot) for key, slot in zip(held.tolist(), at.tolist())
+            ]
         return slots
 
-    def _slot_of(self, key: int) -> int:
-        """:meth:`_settle` for one key, in Python ints."""
-        keys = self._keys
-        wrap = len(keys) - 2
-        key = int(key)
-        if key == 0:
-            return wrap + 1
-        slot = ((key * int(_GAMMA)) & 0xFFFFFFFFFFFFFFFF) >> int(self._shift)
+    def _walk(self, key: int, slot: int) -> int:
+        """:meth:`_settle` for one key from ``slot`` on, in Python ints."""
+        resident_at = self._keys.item
+        wrap = len(self._keys) - 2
         while True:
-            resident = int(keys[slot])
+            resident = resident_at(slot)
             if resident == key or resident == 0:
                 return slot
             slot = (slot + 1) & wrap
 
+    def _slot_of(self, key: int) -> int:
+        """Where ``key``'s probe run ends, from its home slot."""
+        key = int(key)
+        if key == 0:
+            return len(self._keys) - 1
+        home = ((key * int(_GAMMA)) & 0xFFFFFFFFFFFFFFFF) >> int(self._shift)
+        return self._walk(key, home)
+
     def _insert(self, keys: np.ndarray, vals: np.ndarray) -> int:
         """Vectorized linear-probe insert (capacity ensured); returns how
-        many entries are new: empty slots filled plus tombstones revived.
+        many distinct keys of the batch were live already -- every other
+        distinct key fills an empty slot or revives a tombstone.
 
         Within-batch duplicate keys resolve to the last occurrence, like
         the dict: they settle on one slot and numpy fancy assignment
         applies them in array order.
         """
         table_keys, table_vals = self._keys, self._vals
-        slots = self._home(keys)
-        inserts = 0
-        while len(keys):
-            slots = self._settle(keys, slots)
-            # Every slot reached that holds -1 gains an entry this round.
-            inserts += count_distinct(slots[table_vals[slots] < 0])
+        slots = self._settle(keys, self._home(keys))
+        # A live key sits in one slot, which all of its repeats reached.
+        overwritten = count_distinct(slots[table_vals[slots] >= 0])
+        while True:
             # Distinct keys racing for one empty slot: the last written
-            # stays, the others find it taken and probe on.
+            # stays, key and value alike, the others find it taken and
+            # probe on.
             table_keys[slots] = keys
-            won = table_keys[slots] == keys
-            table_vals[slots[won]] = vals[won]
-            lost = ~won
-            keys, vals, slots = keys[lost], vals[lost], slots[lost]
-        return inserts
+            table_vals[slots] = vals
+            lost = np.flatnonzero(table_keys[slots] != keys)
+            if not lost.size:
+                return overwritten
+            keys, vals = keys[lost], vals[lost]
+            slots = self._settle(keys, slots[lost])
 
     # ----------------------------------------------------------- plumbing
     def delete(self, key: int) -> bool:

@@ -9,6 +9,10 @@ For a given trace and backend size it measures, per the paper's setup:
 - each configuration repeated; mean ± std reported.  Repetitions vary the
   server naming (hence every hash placement), which is what spreads the
   paper's tracked/oversubscription error bars.
+
+Replays go through :func:`~repro.traces.replay.replay_batch`, the path
+``python3 -m bench`` measures (columnar where ``columnar_effective``,
+scalar otherwise); every counted column is the same on both.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from repro.ch import AnchorHash, MaglevHash, TableHRWHash, rows_for
 from repro.core.full_ct import FullCTLoadBalancer
 from repro.core.jet import JETLoadBalancer
 from repro.traces.base import Trace
-from repro.traces.replay import replay
+from repro.traces.replay import replay_batch
 
 #: (family, mode) configurations of Tables 1-2, in paper column order.
 PAPER_CONFIGS: Tuple[Tuple[str, str], ...] = (
@@ -92,7 +96,7 @@ def evaluate_trace(
         rates: List[float] = []
         for rep in range(repetitions):
             balancer = _build_balancer(family, mode, n_servers, horizon_size, rep)
-            outcome = replay(trace, balancer)
+            outcome = replay_batch(trace, balancer)
             if outcome.pcc_violations:
                 raise AssertionError(
                     f"static-backend replay must not violate PCC "

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as wait_ready
 from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
@@ -54,7 +54,8 @@ class ShardedReplay:
     """A merged replay result plus the per-shard evidence behind it."""
 
     #: Merged as-if-unsharded result; ``rate_pps``/``wall_seconds`` follow
-    #: the parallel critical path (slowest shard's kernel wall).
+    #: the parallel critical path (slowest shard's kernel wall) and are
+    #: not what :meth:`row` prints.
     result: ReplayResult
     outcomes: List[ShardOutcome]
     n_shards: int
@@ -63,8 +64,15 @@ class ShardedReplay:
     end_to_end_seconds: float
 
     def row(self) -> str:
+        """The merged row with ``rate=`` as packets over the driver's wall,
+        the rate the user experienced; ``result.rate_pps`` stays the
+        per-kernel critical-path figure."""
+        wall = self.end_to_end_seconds
+        experienced = replace(
+            self.result, rate_pps=self.result.n_packets / wall if wall > 0 else 0.0
+        )
         return (
-            f"{self.result.row()} "
+            f"{experienced.row()} "
             f"[shards={self.n_shards} workers={self.n_workers} "
             f"wall={self.end_to_end_seconds:.3f}s]"
         )

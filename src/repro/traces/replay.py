@@ -11,9 +11,14 @@ three metrics of Tables 1-2 and Fig. 7:
 
 Rate caveat (documented in EXPERIMENTS.md): the paper measures a C++
 implementation where the effect at play is L1/L2 cache residency of CT
-tables vs. CH computations.  A pure-Python replay measures interpreter
-dict/loop costs instead, so absolute rates are ~3 orders of magnitude
-lower and orderings between CH families can differ from Tables 1-2.
+tables vs. CH computations.  The scalar loop here measures interpreter
+dict/loop costs instead (~1-2 M packets/s, full CT ahead of JET); the
+columnar loop runs at 25-35 M packets/s on the bench's reference box
+with JET ahead of full CT by 1.07x on ``replay-steady`` (1.28x before
+PR 18 sped up full CT's insert path more than JET's probe) and by
+1.2-1.4x on low-skew Zipf traces, behind it on hit-heavy ones: the
+ratio is set by CT probe length and insert volume more than by cache
+residency.  Nothing asserts a rate.
 
 Backend-change events can be injected mid-trace to exercise PCC under
 churn (used by integration tests and the extensions bench).
@@ -284,11 +289,12 @@ def _publish_metrics(
         ).set(ct.stats.inserts / dispatched)
 
 
-# Unjustified until ``bench/sheet.py`` carries a chunk-size column
-# (ROADMAP): the intent is to amortize per-chunk fixed costs (CT probe
-# setup, mask passes) while the working arrays stay inside L2, and no
-# measurement in the repo says 32768 is where that happens.
-DEFAULT_CHUNK = 32768
+# Packets per ``get_destinations_batch_idx`` call.  A chunk pays a fixed
+# bill of array calls (CT probe rounds, the insert) before its first
+# packet, and loses L2 residency once its temporaries grow too large.
+# From the 16k ... 512k sweep tabulated in docs/ALGORITHMS.md: the size
+# with the smallest worst loss over three stacks and two traces.
+DEFAULT_CHUNK = 131072
 
 
 def replay_batch(
@@ -339,14 +345,15 @@ def _replay_columnar(
 
     First-destination, broken-flow, and violation accounting all run on
     preallocated int32/bool arrays keyed by backend id; each chunk is one
-    ``get_destinations_batch_idx`` call plus a handful of vectorized
-    compares.  Metric equivalence with the scalar loop rests on the same
-    argument as :func:`replay_batch` gives (no backend change lands
-    mid-chunk) plus two index-path facts: ids are stable across backend
-    changes, and all occurrences of a newly seen flow within one chunk
-    resolve to the same id (CT gets precede puts), so fancy assignment
-    into ``first`` is order-independent.  Names are materialized exactly
-    once, at the result edge, after the stopwatch stops.
+    ``get_destinations_batch_idx`` call, one gather from ``first``, one
+    compare, and the rest on the packets whose id differs from it.
+    Metric equivalence with the scalar loop rests on the same argument
+    as :func:`replay_batch` gives (no backend change lands mid-chunk)
+    plus two index-path facts: ids are stable across backend changes,
+    and all occurrences of a newly seen flow within one chunk resolve to
+    the same id (CT gets precede puts), so fancy assignment into
+    ``first`` is order-independent.  Names are materialized exactly once,
+    at the result edge, after the stopwatch stops.
     """
     keys = np.ascontiguousarray(trace.flow_keys, dtype=np.uint64)
     packets = trace.packets
@@ -380,14 +387,17 @@ def _replay_columnar(
         flow_indices = packets[position:end]
         ids = get_batch_idx(keys[flow_indices])
         previous = first[flow_indices]
-        unseen = previous < 0
-        if unseen.any():
-            first[flow_indices[unseen]] = ids[unseen]
-        moved = (ids != previous) & ~unseen
-        if moved.any():
-            moved_flows = flow_indices[moved]
-            newly = np.unique(moved_flows[~broken[moved_flows]])
-            if len(newly):
+        # A flow's first packet and a moved packet both differ from what
+        # ``first`` holds: only that subset is looked at again.
+        changed = np.flatnonzero(ids != previous)
+        if changed.size:
+            flows = flow_indices[changed]
+            was = previous[changed]
+            unseen = np.flatnonzero(was < 0)
+            first[flows[unseen]] = ids[changed[unseen]]
+            if unseen.size < changed.size:
+                moved_flows = flows[np.flatnonzero(was >= 0)]
+                newly = np.unique(moved_flows[~broken[moved_flows]])
                 broken[newly] = True
                 if check_working:
                     if working_mask is None:

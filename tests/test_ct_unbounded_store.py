@@ -5,8 +5,14 @@ A hypothesis rule machine interleaves the scalar entry points, the
 included), ``invalidate_destination``, re-insertion of invalidated keys
 and growth across a rehash, in name mode and after the hand-over to the
 arrays, and requires equal contents, ``len`` and every ``CTStats`` field
-after each step.  The example tests below pin the edge values at the
-index-mode boundary and what the store holds in each mode.
+after each step.  Its key pool holds one cluster that shares a home slot
+near the top of the table at every size, so probe runs are long and wrap;
+the machine runs once with the shipped straggler threshold (its batches
+then settle by the Python walk alone) and once with a threshold of 2
+(vectorized rounds, then the walk).  The example tests below pin the
+probe on a crafted long run, the table size against the batching, the
+edge values at the index-mode boundary and what the store holds in each
+mode.
 """
 
 import sys
@@ -17,15 +23,31 @@ import pytest
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+import repro.ct.unbounded as unbounded
 from repro.ch import TableHRWHash
-from repro.core import FullCTLoadBalancer
+from repro.core import FullCTLoadBalancer, make_full_ct, make_jet
 from repro.ct import UnboundedCT
 from repro.ct.base import CTStats
 from repro.hashing.mix import splitmix64
 from repro.shard.worker import _ct_approx_bytes
+from repro.traces import replay_batch, zipf_trace
 
-#: Flow key 0, the largest key, and enough others to collide in 64 slots.
-POOL = [0, 2**64 - 1] + [splitmix64(i) for i in range(1, 40)]
+_UNGAMMA = pow(int(unbounded._GAMMA), -1, 2**64)
+
+
+def homed(top_bits, count, bits=6):
+    """``count`` distinct keys whose multiply-shift hash starts with the
+    ``bits``-bit prefix ``top_bits``: one home slot in a ``2**bits``-slot
+    table, adjacent home slots in any larger one."""
+    return [
+        (((top_bits << (64 - bits)) + (j << 40) + 1) * _UNGAMMA) % 2**64
+        for j in range(count)
+    ]
+
+
+#: Flow key 0, the largest key, enough others to collide in 64 slots, and
+#: a cluster homed on slot 62 of 64 (a run that wraps at every size).
+POOL = [0, 2**64 - 1] + [splitmix64(i) for i in range(1, 40)] + homed(62, 30)
 KEYS = st.sampled_from(POOL)
 IDS = st.integers(min_value=0, max_value=5)
 PAIRS = st.lists(st.tuples(KEYS, IDS), max_size=40)
@@ -36,8 +58,14 @@ def u64(keys):
 
 
 class UnboundedCTMachine(RuleBasedStateMachine):
+    #: Straggler threshold to run under (None: the shipped one).
+    walk = None
+
     @initialize()
     def setup(self):
+        self.shipped_walk = unbounded._WALK
+        if self.walk is not None:
+            unbounded._WALK = self.walk
         self.ct = UnboundedCT()
         self.model = {}
         self.expected = CTStats()
@@ -115,6 +143,9 @@ class UnboundedCTMachine(RuleBasedStateMachine):
         self.fresh += count
         self.put_batch_idx([(key, ident) for key in fresh])
 
+    def teardown(self):
+        unbounded._WALK = self.shipped_walk
+
     # --------------------------------------------------------- invariant
     @invariant()
     def matches_model(self):
@@ -125,12 +156,134 @@ class UnboundedCTMachine(RuleBasedStateMachine):
         assert ct.stats == self.expected
         # One store at a time.
         assert (ct._table is None) != (ct._keys is None)
+        if ct._keys is not None:
+            assert_slots_agree(ct, self.model, POOL)
+
+
+def assert_slots_agree(ct, model, candidates):
+    """The arrays, ``_slot_of``, the vectorized settle and the dict model
+    name the same slot for every key, present, tombstoned or absent."""
+    keys, vals = ct._keys, ct._vals
+    occupied = np.flatnonzero(keys).tolist()
+    assert len(set(keys[occupied].tolist())) == len(occupied)  # one slot per key
+    held = {int(keys[slot]): int(vals[slot]) for slot in occupied}
+    if vals[-1] >= 0:
+        held[0] = int(vals[-1])
+    assert {key: ident for key, ident in held.items() if ident >= 0} == model
+    settled = ct._settle(u64(candidates), ct._home(u64(candidates))).tolist()
+    assert settled == [ct._slot_of(key) for key in candidates]
+    for key, slot in zip(candidates, settled):
+        assert vals[slot] == model.get(key, -1)
+        assert keys[slot] == (key if key in held else 0)
 
 
 TestUnboundedCTStore = UnboundedCTMachine.TestCase
 TestUnboundedCTStore.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
+
+
+class VectorRoundsMachine(UnboundedCTMachine):
+    walk = 2
+
+
+TestUnboundedCTStoreVectorRounds = VectorRoundsMachine.TestCase
+TestUnboundedCTStoreVectorRounds.settings = settings(
+    max_examples=30, stateful_step_count=40, deadline=None
+)
+
+
+class TestLongProbeRuns:
+    """140 keys homed on the last ten of 256 slots, plus flow key 0: one
+    run that starts at slot 246, wraps past slot 255 and holds the table
+    at 0.55 load -- longer than the straggler threshold, so a whole-run
+    batch goes through vectorized rounds and ends in the walk, while a
+    small batch is walked from its first collision."""
+
+    RUN = [key for top in range(246, 256) for key in homed(top, 14, bits=8)]
+    #: Absent keys homed inside the run: their probe ends past its tail.
+    ABSENT = [key for top in (246, 250, 255) for key in homed(top, 20, bits=8)[14:]]
+
+    def filled(self):
+        ct, model = UnboundedCT(), {0: 3}
+        model.update((key, i % 5) for i, key in enumerate(self.RUN))
+        ct.put_batch_idx(u64(list(model)), np.array(list(model.values()), np.int32))
+        assert len(ct._keys) - 1 == 256 and len(ct) == 141 > 0.55 * 256
+        return ct, model
+
+    @pytest.mark.parametrize("walk", [0, unbounded._WALK, 10**9])
+    def test_every_slot_agrees_whatever_finishes_the_probe(self, walk, monkeypatch):
+        monkeypatch.setattr(unbounded, "_WALK", walk)
+        ct, model = self.filled()
+        everyone = [0] + self.RUN + self.ABSENT
+        assert_slots_agree(ct, model, everyone)
+        occupied = np.flatnonzero(ct._keys[:-1])
+        assert {0, 255} <= set(occupied.tolist()) and len(occupied) == 140  # wrapped
+        got = ct.get_batch_idx(u64(everyone))
+        assert got.tolist() == [model.get(key, -1) for key in everyone]
+        # Tombstones inside the run keep it intact.
+        assert ct.invalidate_destination(2) == 28
+        model = {key: ident for key, ident in model.items() if ident != 2}
+        assert_slots_agree(ct, model, everyone)
+        # A batch under the threshold, then the tail of the run alone.
+        revived = self.RUN[2::5][:7]
+        ct.put_batch_idx(u64(revived + revived[:2]), np.full(9, 4, np.int32))
+        model.update((key, 4) for key in revived)
+        assert_slots_agree(ct, model, everyone)
+        tail = self.RUN[-3:] + self.ABSENT[-2:]
+        assert ct.get_batch_idx(u64(tail)).tolist() == [model.get(k, -1) for k in tail]
+        assert len(ct._keys) - 1 == 256 and ct.stats.inserts == 141 + 7
+
+    def test_walk_and_rounds_settle_on_the_same_slots(self, monkeypatch):
+        ct, _ = self.filled()
+        everyone = u64([0] + self.RUN + self.ABSENT)
+        slots = {}
+        for walk in (0, 10**9):
+            monkeypatch.setattr(unbounded, "_WALK", walk)
+            slots[walk] = ct._settle(everyone, ct._home(everyone)).tolist()
+        assert slots[0] == slots[10**9]
+
+
+class TestSizedByConnections:
+    """The table holds connections, so its size must not depend on how
+    many packets of one connection a batch happened to carry."""
+
+    TRACE = zipf_trace(skew=1.2, n_packets=150_000, population=20_000, seed=4)
+
+    def balancer(self, make):
+        """A table-HRW stack under which the hottest flow is unsafe."""
+        hottest = int(self.TRACE.flow_keys[np.bincount(self.TRACE.packets).argmax()])
+        for naming in range(200):
+            working = [f"n{naming}s{i}" for i in range(20)]
+            horizon = [f"n{naming}h{i}" for i in range(10)]
+            lb = make("table", working, horizon, rows=389)
+            if lb.ch.lookup_with_safety(hottest)[1]:
+                return lb
+        raise AssertionError("no naming makes the hottest flow unsafe")
+
+    @pytest.mark.parametrize("make", [make_jet, make_full_ct])
+    def test_table_size_does_not_depend_on_the_chunk_size(self, make):
+        sizes = {}
+        for chunk_size in (1_024, 32_768, 131_072):
+            lb = self.balancer(make)
+            result = replay_batch(self.TRACE, lb, chunk_size=chunk_size)
+            slots = len(lb.ct._keys) - 1
+            assert result.tracked_connections / slots >= 0.1875
+            sizes[chunk_size] = slots
+        assert len(set(sizes.values())) == 1, sizes
+
+    @pytest.mark.parametrize("batch", [1, 50, 3_000, 40_000])
+    def test_load_after_any_growth(self, batch):
+        ct = UnboundedCT()
+        stream = self.TRACE.flow_keys[self.TRACE.packets[:40_000]]
+        for start in range(0, len(stream), batch):
+            before = ct._keys
+            chunk = stream[start : start + batch]
+            ct.put_batch_idx(chunk, np.zeros(len(chunk), np.int32))
+            slots = len(ct._keys) - 1
+            if ct._keys is not before and slots > 64:
+                assert 0.1875 <= len(ct) / slots <= 0.6
+        assert len(ct) == len(set(stream.tolist()))
 
 
 ENGAGE = {

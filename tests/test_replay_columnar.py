@@ -19,8 +19,17 @@ import numpy as np
 import pytest
 
 from repro.core import StatelessLoadBalancer, make_ch, make_full_ct, make_jet
+from repro.hashing.mix import splitmix64
 from repro.obs import Registry, metrics as M
-from repro.traces import load_trace, replay, replay_batch, zipf_trace, zipf_trace_stream
+from repro.traces import (
+    Trace,
+    load_trace,
+    replay,
+    replay_batch,
+    zipf_trace,
+    zipf_trace_stream,
+)
+from repro.traces.replay import DEFAULT_CHUNK
 
 WORKING = [f"s{i}" for i in range(16)]
 HORIZON = [f"h{i}" for i in range(4)]
@@ -135,6 +144,47 @@ class TestColumnarEquivalence:
         scalar = replay(TRACE, build_lb("table", "jet"))
         columnar = replay_batch(TRACE, build_lb("table", "jet"), chunk_size=chunk_size)
         assert _fields(columnar) == _fields(scalar)
+
+
+class TestOneChunkHoldsAFlowsWholeStory:
+    """240 packets over 40 flows, each flow six times, with a removal at
+    packet 50 and an addition at packet 130: any chunk of 4 096 or
+    more would hold a flow's first packet, its repeats and its moved
+    packet at once, and both event indices fall inside it (inside a
+    7-packet chunk too), so the split at events is what keeps the
+    accounting right."""
+
+    STORY = Trace(
+        "story",
+        np.array([splitmix64(i) for i in range(1, 41)], dtype=np.uint64),
+        np.concatenate(
+            [np.random.default_rng(5).permutation(40) for _ in range(6)]
+        ),
+    )
+
+    @staticmethod
+    def events():
+        return [
+            (50, lambda lb: lb.remove_working_server(WORKING[6])),
+            (130, lambda lb: lb.add_working_server(HORIZON[0])),
+        ]
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 4_096, DEFAULT_CHUNK])
+    @pytest.mark.parametrize("mode", ["jet", "full-ct", "stateless"])
+    def test_matches_scalar_down_to_the_ct_stats(self, mode, chunk_size):
+        scalar_lb, columnar_lb = build_lb("table", mode), build_lb("table", mode)
+        scalar = replay(self.STORY, scalar_lb, self.events())
+        columnar = replay_batch(
+            self.STORY, columnar_lb, self.events(), chunk_size=chunk_size
+        )
+        assert _fields(columnar) == _fields(scalar)
+        assert scalar.inevitably_broken > 0
+        if mode == "stateless":
+            # The addition takes flows from servers that are still working.
+            assert scalar.pcc_violations > 0
+        else:
+            assert vars(columnar_lb.ct.stats) == vars(scalar_lb.ct.stats)
+            assert columnar_lb.tracked_items() == scalar_lb.tracked_items()
 
 
 class TestZeroObjectHotPath:

@@ -105,6 +105,20 @@ class TestMergeEqualsSingle:
             assert r_merged.value(name) == r_single.value(name), name
 
 
+class TestPrintedRow:
+    def test_rate_is_packets_over_the_drivers_wall(self):
+        # The row a user reads shows what they waited for; the per-kernel
+        # critical-path figure stays on ``result.rate_pps``.
+        trace = small_trace()
+        sharded = replay_sharded(trace, fleet("jet", "table"), n_shards=3)
+        experienced = trace.n_packets / sharded.end_to_end_seconds
+        assert f"rate={experienced / 1e6:.3f} Mpps" in sharded.row()
+        assert f"wall={sharded.end_to_end_seconds:.3f}s" in sharded.row()
+        kernel_wall = max(o.result.wall_seconds for o in sharded.outcomes)
+        assert sharded.result.rate_pps == trace.n_packets / kernel_wall
+        assert experienced < sharded.result.rate_pps
+
+
 class TestMembershipFanOut:
     def test_events_reach_every_shard(self):
         trace = small_trace(seed=9)
