@@ -56,19 +56,23 @@ EXTENSION_FAMILIES = {
 }
 
 
-def family_choices(jet_only: bool = False, maglev: bool = False):
+def family_choices(jet_only: bool = False, maglev: bool = False, weighted: bool = False):
     """Sorted CH family names for CLI ``choices=`` lists.
 
     The single source of truth is the registries above: a new family
     registered there appears in every ``--family`` flag automatically.
     ``jet_only`` restricts to the paper's horizon-pluggable four (plus
-    variants); ``maglev`` appends the full-CT-only MaglevHash.
+    variants); ``maglev`` appends the full-CT-only MaglevHash and
+    ``weighted`` the two server-spec variants ``make_ch`` special-cases
+    (what a scenario document's ``ch_family`` may name).
     """
     names = sorted(JET_FAMILIES)
     if not jet_only:
         names += sorted(EXTENSION_FAMILIES)
     if maglev:
         names.append("maglev")
+    if weighted:
+        names += ["weighted-hrw", "weighted-ring"]
     return names
 
 __all__ = [

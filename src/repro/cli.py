@@ -4,7 +4,8 @@ Commands
 --------
 ``experiment``  run one of the paper's tables/figures (fig3..fig7,
                 table1, table2, theory, extensions, lbpool, all)
-``simulate``    one event-driven run with explicit knobs (Section 5.1)
+``simulate``    one event-driven run: explicit knobs (Section 5.1), a
+                library scenario, or a saved scenario document
 ``scenario``    the declarative scenario library (list / show / run)
 ``trace``       generate / inspect / replay packet traces
 ``obs``         observability utilities (summarize a metrics artifact)
@@ -21,15 +22,23 @@ Examples::
     python -m repro trace generate zipf --skew 1.1 --packets 500000 \
         --out /tmp/z11.npz
     python -m repro trace replay /tmp/z11.npz --family anchor --mode jet
+
+A simulation run has one serialised description, the scenario document
+(:mod:`repro.scenarios.spec`): ``simulate``'s flags lower to one
+(:func:`_flags_document`), ``--scenario`` and ``--config`` load one, all
+three compile and run through the same call, and ``--config-out`` writes
+the document back.  A malformed document or an out-of-range flag value is
+a :class:`~repro.scenarios.ScenarioError`; :func:`main` prints it (and an
+``OSError`` on a path the user named) as ``repro: error: <field path>:
+<message>`` and returns 2, argparse's code.  Nothing else is caught.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
-
-from repro.sim.distributions import LogNormal
 
 
 def _open_metrics(args: argparse.Namespace):
@@ -101,140 +110,103 @@ def _resolve_scenario_spec(args: argparse.Namespace):
     return load_scenario(args.name)
 
 
-def _simulate_from_source(args: argparse.Namespace) -> int:
-    """``simulate --scenario NAME`` / ``simulate --config PATH``: run a
-    pre-assembled config through the plain simulation path (no envelope
-    judging -- that is ``repro scenario run``)."""
-    from repro.sim.persist import save_config
-    from repro.sim.scenario import run_simulation
+def _write_document(spec, path: Optional[str]) -> None:
+    """``--config-out``: the effective scenario document, for ``--config``."""
+    if not path:
+        return
+    with open(path, "w") as handle:
+        json.dump(spec.to_dict(), handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"config: {path}")
 
-    shards = args.shards
-    if args.scenario:
-        from repro.scenarios import compile_scenario, load_scenario
 
-        compiled = compile_scenario(load_scenario(args.scenario))
-        config = compiled.config
-        if shards is None:
-            shards = compiled.shards  # the spec pins the partition
-    else:
-        from repro.sim.persist import load_config
-
-        config = load_config(args.config)
-    if args.config_out:
-        save_config(config, args.config_out)
-        print(f"config: {args.config_out}")
-    registry, exporter = _open_metrics(args)
-    config = config.with_(registry=registry)
-    if args.workers == 1 and shards is None:
-        result = run_simulation(config)
-    else:
-        from repro.shard import simulate_sharded
-
-        result = simulate_sharded(config, n_workers=args.workers, n_shards=shards)
-    print(result.summary())
-    if registry is not None:
-        _close_metrics(args, registry, exporter, t=config.duration_s)
-    return 0
+def _flags_document(args: argparse.Namespace) -> dict:
+    """The scenario document ``simulate``'s explicit knobs describe."""
+    workload = {"connection_rate": args.rate}
+    if args.flow_duration is not None:
+        workload["flow_duration"] = {"kind": "exponential", "mean": args.flow_duration}
+    if args.flash_crowd is not None:
+        start, ramp, magnitude = args.flash_crowd
+        workload["rate_profile"] = {
+            "kind": "flash_crowd", "start": start, "ramp_s": ramp,
+            "magnitude": magnitude, "hold_s": args.flash_hold,
+        }
+    elif args.diurnal is not None:
+        workload["rate_profile"] = {
+            "kind": "diurnal", "period_s": args.diurnal,
+            "amplitude": args.diurnal_amplitude,
+        }
+    document = {
+        "name": "simulate",
+        "seed": args.seed,
+        "duration_s": args.duration,
+        "mode": args.mode,
+        "ch_family": args.family,
+        "ct_capacity": args.ct_size,
+        "ct_policy": args.ct_policy,
+        "ct_ttl": args.ct_ttl,
+        "update_rate_per_min": args.update_rate,
+        "downtime": {"kind": "lognormal", "median": args.downtime, "sigma": 0.8},
+        "probation_base_s": args.probation_base,
+        # No --workers/--shards: one engine on the master seed.
+        "shards": args.workers if args.workers > 1 else 0,
+        "fleet": {"servers": args.servers, "horizon": args.horizon},
+        "workload": workload,
+    }
+    chaos = {
+        f"{kind}_rate_per_min": rate
+        for kind, rate in (
+            ("crash", args.crash_rate), ("flap", args.flap_rate),
+            ("group", args.group_rate), ("unannounced", args.unannounced_rate),
+            ("probe_loss", args.probe_loss_rate),
+            ("stale_autoscaler", args.stale_autoscaler_rate),
+        )
+        if rate
+    }
+    if chaos:
+        document["timeline"] = [{"kind": "chaos", "group_size": args.group_size, **chaos}]
+    if args.control:
+        document["control"] = {
+            "interval_s": args.control_interval,
+            "lead_time_s": args.lead_time,
+            "autoscale_max": args.autoscale_max,
+            "forecast_precision": args.forecast_precision,
+            "forecast_recall": args.forecast_recall,
+            "probe_fail_threshold": args.probe_fail_threshold,
+            "probe_recover_threshold": args.probe_recover_threshold,
+            "probe_loss_probability": args.probe_loss,
+        }
+    return document
 
 
 def _simulate(args: argparse.Namespace) -> int:
-    from repro.sim.scenario import SimulationConfig, run_simulation
+    """One run of the document the flags, ``--scenario NAME`` or ``--config
+    PATH`` name, through the plain engine call (no envelope judging --
+    that is ``repro scenario run``)."""
+    from repro.scenarios import (
+        ScenarioSpec, compile_scenario, load_file, load_scenario, run_engine,
+    )
 
     if args.scenario and args.config:
         raise SystemExit("--scenario and --config are mutually exclusive")
-    if args.scenario or args.config:
-        return _simulate_from_source(args)
-    fault_schedule = None
-    if any(
-        rate > 0
-        for rate in (
-            args.crash_rate, args.flap_rate, args.group_rate, args.unannounced_rate,
-            args.probe_loss_rate, args.gossip_partition_rate, args.stale_autoscaler_rate,
-        )
-    ):
-        from repro.faults import FaultSchedule
-
-        fault_schedule = FaultSchedule.generate(
-            args.duration,
-            seed=args.seed,
-            crash_rate_per_min=args.crash_rate,
-            flap_rate_per_min=args.flap_rate,
-            group_rate_per_min=args.group_rate,
-            unannounced_rate_per_min=args.unannounced_rate,
-            probe_loss_rate_per_min=args.probe_loss_rate,
-            gossip_partition_rate_per_min=args.gossip_partition_rate,
-            stale_autoscaler_rate_per_min=args.stale_autoscaler_rate,
-            group_size=args.group_size,
-        )
-    rate_profile = None
-    if args.flash_crowd is not None:
-        from repro.sim.workload import RateProfile
-
-        start, ramp, magnitude = args.flash_crowd
-        rate_profile = RateProfile.flash_crowd(
-            start=start, ramp_s=ramp, magnitude=magnitude, hold_s=args.flash_hold
-        )
-    elif args.diurnal is not None:
-        from repro.sim.workload import RateProfile
-
-        rate_profile = RateProfile.diurnal(
-            period_s=args.diurnal, amplitude=args.diurnal_amplitude
-        )
-    duration_dist = None
-    if args.flow_duration is not None:
-        from repro.sim.distributions import Exponential
-
-        duration_dist = Exponential(args.flow_duration)
-    registry, exporter = _open_metrics(args)
-    config = SimulationConfig(
-        duration_s=args.duration,
-        connection_rate=args.rate,
-        n_servers=args.servers,
-        horizon_size=args.horizon,
-        update_rate_per_min=args.update_rate,
-        ct_capacity=args.ct_size,
-        ct_policy=args.ct_policy,
-        ct_ttl=args.ct_ttl,
-        mode=args.mode,
-        ch_family=args.family,
-        seed=args.seed,
-        duration_dist=duration_dist,
-        downtime_dist=LogNormal(median=args.downtime, sigma=0.8),
-        fault_schedule=fault_schedule,
-        probation_base_s=args.probation_base,
-        registry=registry,
-        control=args.control,
-        control_interval_s=args.control_interval,
-        scale_lead_time_s=args.lead_time,
-        forecast_precision=args.forecast_precision,
-        forecast_recall=args.forecast_recall,
-        autoscale_max=args.autoscale_max,
-        probe_fail_threshold=args.probe_fail_threshold,
-        probe_recover_threshold=args.probe_recover_threshold,
-        probe_loss_probability=args.probe_loss,
-        rate_profile=rate_profile,
-    )
-    if args.config_out:
-        from repro.sim.persist import save_config
-
-        save_config(config, args.config_out)
-        print(f"config: {args.config_out}")
-    if args.workers == 1 and args.shards is None:
-        result = run_simulation(config)
+    if args.scenario:
+        spec = load_scenario(args.scenario)
+    elif args.config:
+        spec = load_file(args.config)
     else:
-        from repro.shard import simulate_sharded
-
-        result = simulate_sharded(
-            config, n_workers=args.workers, n_shards=args.shards
-        )
+        spec = ScenarioSpec.parse(_flags_document(args), "simulate")
+    spec = spec.with_(shards=args.shards)  # a run option; the document pins it
+    _write_document(spec, args.config_out)
+    registry, exporter = _open_metrics(args)
+    result = run_engine(compile_scenario(spec), workers=args.workers, registry=registry)
     print(result.summary())
     if registry is not None:
-        _close_metrics(args, registry, exporter, t=args.duration)
+        _close_metrics(args, registry, exporter, t=spec.duration_s)
     return 0
 
 
 def _scenario(args: argparse.Namespace) -> int:
-    from repro.scenarios import compile_scenario, load_all, run_compiled
+    from repro.scenarios import compile_scenario, load_all, run_scenario
 
     if args.scenario_command == "list":
         for name, spec in load_all().items():
@@ -243,11 +215,9 @@ def _scenario(args: argparse.Namespace) -> int:
         return 0
 
     if args.scenario_command == "show":
-        import json as _json
-
         spec = _resolve_scenario_spec(args)
         compiled = compile_scenario(spec)
-        print(_json.dumps(spec.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
         schedule = compiled.config.fault_schedule
         print(
             f"# compiles to: {compiled.config.n_servers} servers, "
@@ -259,35 +229,19 @@ def _scenario(args: argparse.Namespace) -> int:
         return 0
 
     # run
-    from repro.scenarios import ScenarioSpec
-
-    spec = _resolve_scenario_spec(args)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.duration is not None:
-        overrides["duration_s"] = args.duration
-    if overrides:
-        spec = ScenarioSpec.parse({**spec.to_dict(), **overrides})
-    compiled = compile_scenario(spec)
-    if args.config_out:
-        from repro.sim.persist import save_config
-
-        save_config(compiled.config, args.config_out)
-        print(f"config: {args.config_out}")
+    spec = _resolve_scenario_spec(args).with_(
+        seed=args.seed, mode=args.mode, duration_s=args.duration
+    )
+    _write_document(spec, args.config_out)
     registry, exporter = _open_metrics(args)
-    report = run_compiled(compiled, workers=args.workers, registry=registry)
+    report = run_scenario(spec, workers=args.workers, registry=registry)
     if exporter is not None:
         exporter.close()
         print(f"metrics: {args.metrics_out}")
     print(report.render())
     if args.json_out:
-        import json as _json
-
         with open(args.json_out, "w") as handle:
-            _json.dump(report.to_json(), handle, indent=2, sort_keys=True)
+            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
         print(f"report: {args.json_out}")
     return 0 if report.ok else 1
 
@@ -374,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     # a CH family or LB mode is all it takes to appear in --family/--mode.
     from repro.ch import family_choices
     from repro.core.factories import lb_mode_choices
+    from repro.ct import CT_POLICIES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -397,15 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one event-driven simulation")
     sim.add_argument("--scenario", default=None, metavar="NAME",
-                     help="run a library scenario's compiled config "
-                          "(ignores the explicit knobs below; see "
-                          "'repro scenario list')")
+                     help="run a library scenario (ignores the explicit "
+                          "knobs below; see 'repro scenario list')")
     sim.add_argument("--config", default=None, metavar="PATH",
-                     help="re-run a config saved with --config-out "
-                          "(byte-identical reproduction)")
+                     help="run a scenario document, e.g. one saved with "
+                          "--config-out (byte-identical reproduction; "
+                          "ignores the explicit knobs below)")
     sim.add_argument("--config-out", default=None, metavar="PATH",
-                     help="persist the effective config (seed, family, "
-                          "mode, chaos schedule) as JSON for re-runs")
+                     help="write the run's scenario document (what the "
+                          "flags, --scenario or --config describe) as JSON")
     sim.add_argument("--mode", choices=lb_mode_choices(aliases=True), default="jet",
                      help="LB wrapper; with --mode concury, --family names "
                           "the inner control-plane CH")
@@ -420,14 +375,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--downtime", type=float, default=10.0,
                      help="median server downtime (seconds)")
     sim.add_argument("--ct-size", type=int, default=None)
-    sim.add_argument("--ct-policy", choices=["lru", "fifo", "random", "ttl"], default="lru")
+    sim.add_argument("--ct-policy", choices=CT_POLICIES, default="lru")
     sim.add_argument("--ct-ttl", type=float, default=None)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--workers", type=int, default=1,
                      help="worker processes; flows are sharded, the "
                           "membership schedule replicates to every shard")
     sim.add_argument("--shards", type=int, default=None,
-                     help="flow shards (default: --workers)")
+                     help="flow shards (default: what the document pins; "
+                          "for the explicit knobs, --workers, or one "
+                          "unsharded engine when that is 1)")
     # Chaos knobs (repro.faults) -- all default off.
     sim.add_argument("--crash-rate", type=float, default=0.0,
                      help="chaos crashes per minute")
@@ -468,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Control-plane chaos (needs --control to have any effect).
     sim.add_argument("--probe-loss-rate", type=float, default=0.0,
                      help="probe-loss fault windows per minute")
-    sim.add_argument("--gossip-partition-rate", type=float, default=0.0,
-                     help="gossip partitions per minute (pool runs)")
     sim.add_argument("--stale-autoscaler-rate", type=float, default=0.0,
                      help="stale-autoscaler-signal windows per minute")
     # Time-varying workload.
@@ -516,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--duration", type=float, default=None,
                      help="override the spec's duration (seconds)")
     run.add_argument("--config-out", default=None, metavar="PATH",
-                     help="persist the compiled effective config as JSON")
+                     help="write the effective scenario document (overrides "
+                          "applied) as JSON, for 'simulate --config'")
     run.add_argument("--json-out", default=None, metavar="PATH",
                      help="write the full scenario report as JSON")
     _add_metrics_args(run)
@@ -576,9 +532,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.scenarios import ScenarioError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioError as exc:
+        message = str(exc)
+    except OSError as exc:
+        if exc.filename is None:  # not about a path the user named
+            raise
+        message = f"{exc.filename}: {exc.strerror}"
+    # User input, not a bug: one line and argparse's exit code.
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,6 +7,10 @@ from repro.ct.fifo import FIFOCT
 from repro.ct.random_evict import RandomEvictCT
 from repro.ct.ttl import Clock, TTLCT, WallClock
 
+#: The policy names :func:`make_ct` builds; ``--ct-policy`` and the
+#: scenario document's ``ct_policy`` take their choices from here.
+CT_POLICIES = ("lru", "fifo", "random", "ttl")
+
 
 def make_ct(
     capacity=None,
@@ -45,5 +49,6 @@ __all__ = [
     "TTLCT",
     "Clock",
     "WallClock",
+    "CT_POLICIES",
     "make_ct",
 ]

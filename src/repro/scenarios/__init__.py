@@ -27,7 +27,13 @@ from repro.scenarios.library import (
     scenario_names,
     scenario_path,
 )
-from repro.scenarios.run import ScenarioReport, fingerprint, run_compiled, run_scenario
+from repro.scenarios.run import (
+    ScenarioReport,
+    fingerprint,
+    run_compiled,
+    run_engine,
+    run_scenario,
+)
 from repro.scenarios.spec import (
     ControlSpec,
     EnvelopeSpec,
@@ -65,6 +71,7 @@ __all__ = [
     "load_scenario",
     "loads",
     "run_compiled",
+    "run_engine",
     "run_scenario",
     "scenario_names",
     "scenario_path",

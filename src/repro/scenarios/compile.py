@@ -42,7 +42,9 @@ from repro.faults.events import (
     FaultSchedule,
 )
 from repro.scenarios.spec import ScenarioSpec, TimelineEvent
+from repro.sim.distributions import dist_from_dict
 from repro.sim.scenario import SimulationConfig
+from repro.sim.workload import profile_from_dict
 
 #: How long past the end of the run a ``region_failover`` blackout lasts
 #: by default -- long enough that the region never returns mid-run.
@@ -176,6 +178,12 @@ def _fleet_maps(spec: ScenarioSpec):
     return (weights or None), (probe_loss or None)
 
 
+def _distribution(written):
+    """A document's distribution field -> what ``SimulationConfig`` takes
+    (None = the paper-calibrated default ``run_simulation`` fills in)."""
+    return None if written in (None, "hadoop") else dist_from_dict(written)
+
+
 def compile_scenario(
     spec: ScenarioSpec, seed: Optional[int] = None
 ) -> CompiledScenario:
@@ -185,25 +193,9 @@ def compile_scenario(
     editing files); everything downstream -- chaos schedule included --
     derives from the effective seed.
     """
-    if seed is not None:
-        spec = ScenarioSpec.parse({**spec.to_dict(), "seed": seed})
+    spec = spec.with_(seed=seed)
     weights, probe_loss = _fleet_maps(spec)
     workload = spec.workload
-    from repro.sim.persist import dist_from_dict, profile_from_dict
-
-    duration_dist = (
-        None if workload.flow_duration == "hadoop"
-        else dist_from_dict(dict(workload.flow_duration))
-    )
-    size_dist = (
-        None if workload.flow_size == "hadoop"
-        else dist_from_dict(dict(workload.flow_size))
-    )
-    rate_profile = (
-        profile_from_dict(dict(workload.rate_profile))
-        if workload.rate_profile is not None
-        else None
-    )
     control_kwargs: Dict[str, object] = {}
     if spec.control is not None:
         control = spec.control
@@ -227,6 +219,7 @@ def compile_scenario(
         update_rate_per_min=spec.update_rate_per_min,
         ct_capacity=spec.ct_capacity,
         ct_policy=spec.ct_policy,
+        ct_ttl=spec.ct_ttl,
         mode=spec.mode,
         ch_family=spec.ch_family,
         ch_kwargs=dict(spec.ch_kwargs),
@@ -235,10 +228,16 @@ def compile_scenario(
         seed=spec.seed,
         sample_interval=spec.sample_interval,
         warmup_s=spec.warmup_s,
-        size_dist=size_dist,
-        duration_dist=duration_dist,
-        rate_profile=rate_profile,
+        size_dist=_distribution(workload.flow_size),
+        duration_dist=_distribution(workload.flow_duration),
+        downtime_dist=_distribution(spec.downtime),
+        rate_profile=(
+            profile_from_dict(workload.rate_profile)
+            if workload.rate_profile is not None
+            else None
+        ),
         fault_schedule=build_fault_schedule(spec),
+        probation_base_s=spec.probation_base_s,
         **control_kwargs,
     )
     return CompiledScenario(

@@ -1,11 +1,12 @@
 """Run compiled scenarios and judge them against their envelopes.
 
 ``run_scenario`` is the one entry point: compile the spec, run it
-through the existing sharded simulation driver (``--workers`` only
-changes process fan-out; the keyspace partition is pinned by the spec),
+through ``run_engine`` (the sharded simulation driver: ``--workers`` only
+changes process fan-out, the keyspace partition is pinned by the spec),
 evaluate the envelope monitors over the merged registry, and return a
 :class:`ScenarioReport` carrying the result, the verdicts, and the
-headroom left inside each bound.
+headroom left inside each bound.  ``repro simulate`` is ``run_engine``
+alone: the same run without the judging.
 
 Byte-stability contract: everything in the report except wall-clock
 timing is a pure function of (spec, seed, shards) -- the
@@ -26,6 +27,7 @@ from repro.scenarios.envelope import envelope_margins, envelope_monitors
 from repro.scenarios.spec import ScenarioSpec
 from repro.shard.runner import simulate_sharded
 from repro.sim.metrics import SimResult
+from repro.sim.scenario import run_simulation
 
 
 @dataclass
@@ -87,19 +89,32 @@ def fingerprint(result: SimResult) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def run_engine(
+    compiled: CompiledScenario,
+    workers: int = 1,
+    registry: Optional[Registry] = None,
+) -> SimResult:
+    """The engine call a compiled scenario describes: its pinned flow
+    partition through the sharded driver (``workers`` is process fan-out
+    only), or -- ``shards: 0`` -- one engine on the master seed."""
+    config = compiled.config.with_(registry=registry)
+    if compiled.shards == 0:
+        return run_simulation(config)
+    return simulate_sharded(config, n_workers=workers, n_shards=compiled.shards)
+
+
 def run_compiled(
     compiled: CompiledScenario,
     workers: int = 1,
     registry: Optional[Registry] = None,
 ) -> ScenarioReport:
-    """Run an already-compiled scenario (the compile/run split lets
-    callers persist the effective config via ``repro.sim.persist``)."""
+    """Run an already-compiled scenario and judge it against its envelope
+    (the compile/run split lets callers time or inspect the two apart)."""
     spec = compiled.spec
     own = registry if registry is not None else Registry()
-    config = compiled.config.with_(registry=own)
-    result = simulate_sharded(config, n_workers=workers, n_shards=compiled.shards)
+    result = run_engine(compiled, workers=workers, registry=own)
     monitors = evaluate_and_export(
-        own, t=config.duration_s, monitors=envelope_monitors(spec.envelope)
+        own, t=spec.duration_s, monitors=envelope_monitors(spec.envelope)
     )
     return ScenarioReport(
         scenario=spec.name,
@@ -124,16 +139,8 @@ def run_scenario(
     """Compile and run one scenario.
 
     ``seed``/``mode``/``duration_s`` override the spec (sweeps and smoke
-    runs re-parameterize scenarios without editing files); overrides are
-    applied *before* compilation so the chaos schedule and shard seeds
-    derive from the effective values.
+    runs re-parameterize scenarios without editing files) through
+    :meth:`ScenarioSpec.with_`, i.e. *before* compilation.
     """
-    overrides = {}
-    if mode is not None:
-        overrides["mode"] = mode
-    if duration_s is not None:
-        overrides["duration_s"] = duration_s
-    if overrides:
-        spec = ScenarioSpec.parse({**spec.to_dict(), **overrides})
-    compiled = compile_scenario(spec, seed=seed)
-    return run_compiled(compiled, workers=workers, registry=registry)
+    spec = spec.with_(seed=seed, mode=mode, duration_s=duration_s)
+    return run_compiled(compile_scenario(spec), workers=workers, registry=registry)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from typing import List, Sequence, Tuple
+from typing import Any, List, Mapping, Sequence, Tuple
 
 
 class Distribution(ABC):
@@ -139,6 +139,28 @@ class Mixture(Distribution):
             total += (threshold - previous) * dist.mean()
             previous = threshold
         return total
+
+
+#: Distribution tables (``{"kind": ..., **params}``, the scenario
+#: document's spelling) by kind: what builds each from its table.
+DIST_KINDS = {
+    "constant": lambda p: Constant(p["value"]),
+    "exponential": lambda p: Exponential(p["mean"]),
+    "lognormal": lambda p: LogNormal(median=p["median"], sigma=p["sigma"]),
+    "bounded_pareto": lambda p: BoundedPareto(p["alpha"], p["minimum"], p["maximum"]),
+    "mixture": lambda p: Mixture(
+        [(weight, dist_from_dict(part)) for weight, part in p["components"]]
+    ),
+}
+
+
+def dist_from_dict(payload: Mapping[str, Any]) -> Distribution:
+    """Build the distribution a table names (``ValueError`` on an unknown
+    kind, ``KeyError`` on a missing parameter)."""
+    build = DIST_KINDS.get(payload.get("kind"))
+    if build is None:
+        raise ValueError(f"unknown distribution kind {payload.get('kind')!r}")
+    return build(payload)
 
 
 # --------------------------------------------------------------------------

@@ -203,6 +203,16 @@ class EventDrivenSimulation:
     def note_fault(self, now: float) -> None:
         self._last_fault_time = now
 
+    def _doom_flows(self, name: Name) -> None:
+        """The connections ``name`` is serving end here, inevitably broken
+        (Section 2.1): no dispatcher could have kept them."""
+        doomed = self._flows_by_server.pop(name, set())
+        for flow in doomed:
+            flow.broken = True
+            flow.inevitable = True
+            self._load.flow_ended(name)
+        self.result.inevitably_broken += len(doomed)
+
     def crash_server(self, name: Name, now: float, downtime: Optional[float] = None) -> float:
         """Take ``name`` down immediately; returns the scheduled recovery
         time (downtime, or the given override, plus any probation delay)."""
@@ -216,13 +226,7 @@ class EventDrivenSimulation:
         # Churn exposure: this event can break at most the flows active
         # right now (the invariant-monitor bound on PCC accounting).
         self.result.churn_exposed_flows += self._load.active_flows
-        # Connections to the victim are inevitably broken (Section 2.1).
-        doomed = self._flows_by_server.pop(name, set())
-        for flow in doomed:
-            flow.broken = True
-            flow.inevitable = True
-            self._load.flow_ended(name)
-        self.result.inevitably_broken += len(doomed)
+        self._doom_flows(name)
         self.manager.remove_server(name)
         if downtime is None:
             downtime = self.downtime_dist.sample(self._rng)
@@ -280,12 +284,7 @@ class EventDrivenSimulation:
             # Its active connections break now, whatever the control
             # plane believes; count the exposure at the same instant.
             self.result.churn_exposed_flows += self._load.active_flows
-            doomed = self._flows_by_server.pop(name, set())
-            for flow in doomed:
-                flow.broken = True
-                flow.inevitable = True
-                self._load.flow_ended(name)
-            self.result.inevitably_broken += len(doomed)
+            self._doom_flows(name)
         if downtime is None:
             downtime = self.downtime_dist.sample(self._rng)
         responsive_at = now + downtime
@@ -312,12 +311,7 @@ class EventDrivenSimulation:
         self.result.churn_exposed_flows += self._load.active_flows
         # A false eviction (server actually up) re-steers its flows away;
         # they are inevitably broken exactly like a real removal's.
-        doomed = self._flows_by_server.pop(name, set())
-        for flow in doomed:
-            flow.broken = True
-            flow.inevitable = True
-            self._load.flow_ended(name)
-        self.result.inevitably_broken += len(doomed)
+        self._doom_flows(name)
         self.manager.remove_server(name)
 
     def readmit_server(self, name: Name, now: float) -> None:
@@ -359,12 +353,7 @@ class EventDrivenSimulation:
             self.result.removals += 1
             self.result.scale_ins += 1
             self.result.churn_exposed_flows += self._load.active_flows
-            doomed = self._flows_by_server.pop(name, set())
-            for flow in doomed:
-                flow.broken = True
-                flow.inevitable = True
-                self._load.flow_ended(name)
-            self.result.inevitably_broken += len(doomed)
+            self._doom_flows(name)
             self.manager.retire(name)
             self.controller.prober.forget(name)
             retired += 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Mapping, Optional
 
 from repro.hashing.mix import splitmix64
 from repro.sim.distributions import Distribution
@@ -43,16 +43,10 @@ class RateProfile:
             raise ValueError("peak must be positive")
         self.factor = factor
         self.peak = peak
-        #: Declarative recipe for profiles built via the classmethods
-        #: (``{"kind": ..., **params}``); lets ``repro.sim.persist``
-        #: round-trip a config.  None for hand-rolled callables.
-        self.spec: Optional[dict] = None
 
     @classmethod
     def flat(cls) -> "RateProfile":
-        profile = cls(lambda t: 1.0, 1.0)
-        profile.spec = {"kind": "flat"}
-        return profile
+        return cls(lambda t: 1.0, 1.0)
 
     @classmethod
     def flash_crowd(
@@ -77,15 +71,7 @@ class RateProfile:
                 return magnitude - (magnitude - 1.0) * down / ramp_s
             return 1.0
 
-        profile = cls(factor, magnitude)
-        profile.spec = {
-            "kind": "flash_crowd",
-            "start": start,
-            "ramp_s": ramp_s,
-            "magnitude": magnitude,
-            "hold_s": hold_s,
-        }
-        return profile
+        return cls(factor, magnitude)
 
     @classmethod
     def diurnal(cls, period_s: float, amplitude: float = 0.5) -> "RateProfile":
@@ -99,9 +85,26 @@ class RateProfile:
         def factor(t: float) -> float:
             return 1.0 + amplitude * math.sin(two_pi * t / period_s)
 
-        profile = cls(factor, 1.0 + amplitude)
-        profile.spec = {"kind": "diurnal", "period_s": period_s, "amplitude": amplitude}
-        return profile
+        return cls(factor, 1.0 + amplitude)
+
+
+#: Rate-profile tables (``{"kind": ..., **params}``, the scenario
+#: document's spelling) by kind: the constructor the parameters go to.
+PROFILE_KINDS = {
+    "flat": RateProfile.flat,
+    "flash_crowd": RateProfile.flash_crowd,
+    "diurnal": RateProfile.diurnal,
+}
+
+
+def profile_from_dict(payload: Mapping[str, Any]) -> RateProfile:
+    """Build the profile a table names (``ValueError`` on an unknown kind,
+    ``TypeError`` on a parameter its constructor does not take)."""
+    params = dict(payload)
+    factory = PROFILE_KINDS.get(params.pop("kind", None))
+    if factory is None:
+        raise ValueError(f"unknown rate-profile kind {payload.get('kind')!r}")
+    return factory(**params)
 
 
 class Flow:

@@ -177,9 +177,9 @@ class TestScenarioCLI:
             == 0
         )
         first = capsys.readouterr().out
-        # The config persists the engine parameters; the keyspace
-        # partition is the runner's, so the replay pins the same shards.
-        assert main(["simulate", "--config", config_out, "--shards", "2"]) == 0
+        # The document carries the spec's pinned partition: no flag to
+        # remember at replay.
+        assert main(["simulate", "--config", config_out]) == 0
         second = capsys.readouterr().out
         assert first.splitlines()[-1] == second.splitlines()[-1]
 

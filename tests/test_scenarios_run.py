@@ -8,9 +8,9 @@ The load-bearing guarantees:
 - envelope bounds compile to monitors with the documented units and
   skip/violate semantics;
 - a scenario's result is a pure function of (spec, seed, shards):
-  byte-identical across repeat runs AND across ``--workers``, and a
-  ``--config-out`` persisted config replays to the same numbers through
-  the plain simulate path.
+  byte-identical across repeat runs AND across ``--workers``, and the
+  ``--config-out`` document replays to the same numbers through the
+  plain simulate path.
 """
 
 import json
@@ -23,16 +23,17 @@ from repro.scenarios import (
     BalanceCVMonitor,
     BreakageBoundMonitor,
     EnvelopeSpec,
+    ScenarioError,
     ScenarioSpec,
     build_fault_schedule,
     compile_scenario,
     envelope_margins,
     envelope_monitors,
     fingerprint,
+    load_file,
+    run_engine,
     run_scenario,
 )
-from repro.shard import simulate_sharded
-from repro.sim.persist import PersistError, config_to_dict, load_config, save_config
 
 TINY = {
     "name": "tiny",
@@ -248,33 +249,31 @@ class TestDeterminism:
         assert "wall_seconds" not in fingerprint(result)
 
     def test_config_out_replays_identically(self, tmp_path):
-        # compile -> persist -> load -> run must equal compile -> run:
-        # the persisted config is the whole effective scenario.
-        compiled = compile_scenario(tiny_spec())
-        path = str(tmp_path / "tiny.json")
-        save_config(compiled.config, path)
-        loaded = load_config(path)
-        direct = simulate_sharded(compiled.config, n_workers=1, n_shards=2)
-        replayed = simulate_sharded(loaded, n_workers=1, n_shards=2)
+        # spec -> document -> load -> run must equal spec -> run: the
+        # written document is the whole effective scenario, pinned
+        # partition included (no --shards to remember at replay).
+        spec = tiny_spec(ct_policy="ttl", ct_ttl=4.0, probation_base_s=2.0,
+                         downtime={"kind": "constant", "value": 3.0})
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(spec.to_dict()))
+        loaded = load_file(str(path))
+        assert loaded == spec
+        direct = run_engine(compile_scenario(spec))
+        replayed = run_engine(compile_scenario(loaded))
         assert fingerprint(direct) == fingerprint(replayed)
 
-    @pytest.mark.parametrize("value", [False, True])
-    def test_pre_pr13_config_still_loads(self, tmp_path, value):
-        # Files written before the engine lost its coalescing option
-        # carry the retired key; it is skipped (either value gave the
-        # same results by contract) and never written back.
-        config = compile_scenario(tiny_spec()).config
+    def test_old_config_format_is_refused(self, tmp_path):
+        # What --config-out wrote before it wrote the scenario document
+        # (a SimulationConfig dump tagged "repro-simulation-config/1"):
+        # refused in one line that says how to get the new file.
         path = tmp_path / "old.json"
-        save_config(config, str(path))
-        payload = json.loads(path.read_text())
-        assert "coalesce_packets" not in payload
-        payload["coalesce_packets"] = value
-        path.write_text(json.dumps(payload))
-        assert config_to_dict(load_config(str(path))) == config_to_dict(config)
-        payload["coalesce_pakets"] = value
-        path.write_text(json.dumps(payload))
-        with pytest.raises(PersistError, match="unknown config field"):
-            load_config(str(path))
+        path.write_text(json.dumps({
+            "format": "repro-simulation-config/1", "n_servers": 12,
+            "coalesce_packets": True, "fault_schedule": None,
+        }))
+        with pytest.raises(ScenarioError, match="--config-out") as err:
+            load_file(str(path))
+        assert str(path) in str(err.value) and "\n" not in str(err.value)
 
     def test_mode_override_changes_run_not_spec(self):
         spec = tiny_spec()

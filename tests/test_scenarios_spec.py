@@ -9,7 +9,10 @@ specs, which is what makes ``to_dict`` a safe persistence format for
 seed/mode/duration overrides.
 """
 
+import dataclasses
 import json
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +24,11 @@ from repro.scenarios import (
     ScenarioError,
     ScenarioSpec,
     TimelineEvent,
+    compile_scenario,
     load_file,
     loads,
 )
+from repro.scenarios import spec as spec_module
 
 MINIMAL = {
     "name": "t",
@@ -111,6 +116,48 @@ class TestStrictParsing:
         data = spec_dict()
         data["workload"]["rate_profile"] = {"kind": "sawtooth"}
         expect_error(data, "rate_profile.kind")
+
+    @pytest.mark.parametrize("key", ["ct_policy", "ch_family"])
+    def test_unregistered_names_fail_at_parse_not_at_build(self, key):
+        # Was: only type-checked, so "bogus" parsed and died in make_ct /
+        # make_ch (or, for an unbounded CT, was silently ignored).
+        err = expect_error(spec_dict(**{key: "bogus"}), f".{key}: expected one of")
+        assert "'bogus'" in str(err)
+        ScenarioSpec.parse(spec_dict(ch_family="weighted-hrw", ct_policy="ttl"))
+
+    def test_the_section_5_1_knobs_reach_the_config(self):
+        # A ct_policy "ttl" scenario could not set its TTL (silently
+        # 60 s), nor could any scenario say how long servers stay down.
+        spec = ScenarioSpec.parse(spec_dict(
+            ct_policy="ttl", ct_ttl=5, probation_base_s=2,
+            downtime={"kind": "lognormal", "median": 3, "sigma": 0.8},
+        ))
+        config = compile_scenario(spec).config
+        assert (config.ct_ttl, config.probation_base_s) == (5.0, 2.0)
+        assert config.downtime_dist.mean() == pytest.approx(3 * 2.718281828 ** 0.32)
+        assert compile_scenario(ScenarioSpec.parse(spec_dict())).config.downtime_dist is None
+        expect_error(spec_dict(ct_ttl=0), ".ct_ttl: must be positive")
+        expect_error(spec_dict(downtime="hadoop"), ".downtime: unknown named")
+        expect_error(spec_dict(downtime={"kind": "lognormal", "median": 0, "sigma": 1}),
+                     ".downtime: bad distribution parameters")
+
+    def test_zero_horizon_and_unsharded_are_spellable(self):
+        data = spec_dict(shards=0)
+        data["fleet"]["horizon"] = 0
+        spec = ScenarioSpec.parse(data)
+        assert (spec.fleet.horizon, spec.shards) == (0, 0)
+        data["fleet"]["horizon"] = -1
+        expect_error(data, "fleet.horizon: must be non-negative, got -1")
+        expect_error(spec_dict(shards=-1), ".shards: must be non-negative")
+
+    def test_with_revalidates_and_none_keeps(self):
+        spec = ScenarioSpec.parse(spec_dict())
+        assert spec.with_(seed=None, mode=None) is spec
+        changed = spec.with_(seed=9, mode="full", duration_s=None)
+        assert (changed.seed, changed.mode, changed.duration_s) == (9, "full", 10.0)
+        assert spec.seed == 0
+        with pytest.raises(ScenarioError, match="mode: expected one of"):
+            spec.with_(mode="magic")
 
 
 class TestEnvelopeValidation:
@@ -265,12 +312,12 @@ fleets = st.one_of(
     st.builds(
         lambda servers, horizon: {"servers": servers, "horizon": horizon},
         st.integers(min_value=1, max_value=64),
-        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=8),
     ),
     st.builds(
         lambda zs, horizon: {"zones": zs, "horizon": horizon},
         zones,
-        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=8),
     ),
 )
 
@@ -314,6 +361,28 @@ envelopes = st.fixed_dictionaries(
     },
 )
 
+#: The fields the document gained so that ``simulate``'s flags fit in it.
+run_knobs = st.fixed_dictionaries(
+    {},
+    optional={
+        "ct_policy": st.sampled_from(["lru", "fifo", "random", "ttl"]),
+        "ct_ttl": st.floats(min_value=0.5, max_value=60, allow_nan=False),
+        "probation_base_s": st.floats(min_value=0, max_value=5, allow_nan=False),
+        "downtime": st.builds(
+            lambda median: {"kind": "lognormal", "median": median, "sigma": 0.8},
+            st.floats(min_value=0.5, max_value=60, allow_nan=False),
+        ),
+        "control": st.fixed_dictionaries(
+            {},
+            optional={
+                "lead_time_s": st.floats(min_value=0.5, max_value=9, allow_nan=False),
+                "forecast_recall": st.floats(min_value=0, max_value=1, allow_nan=False),
+                "autoscale_max": st.integers(min_value=1, max_value=8),
+            },
+        ),
+    },
+)
+
 chaos_events = st.builds(
     lambda rate: {"kind": "chaos", "crash_rate_per_min": rate},
     st.floats(min_value=0.1, max_value=10, allow_nan=False),
@@ -329,9 +398,10 @@ def scenario_dicts(draw):
         "duration_s": duration,
         "seed": draw(st.integers(min_value=0, max_value=10_000)),
         "mode": draw(st.sampled_from(["jet", "full", "concury", "jet-p2c"])),
-        "shards": draw(st.integers(min_value=1, max_value=4)),
+        "shards": draw(st.integers(min_value=0, max_value=4)),
         "fleet": fleet,
         "workload": draw(workloads),
+        **draw(run_knobs),
     }
     envelope = draw(envelopes)
     if envelope:
@@ -368,3 +438,25 @@ class TestRoundTrip:
         spec = ScenarioSpec.parse(data)
         again = loads(json.dumps(spec.to_dict()))
         assert again == spec
+
+
+class TestDeclaredOnce:
+    def sections(self):
+        return [
+            cls for cls in vars(spec_module).values()
+            if isinstance(cls, type) and issubclass(cls, spec_module._Section)
+            and dataclasses.is_dataclass(cls)
+        ]
+
+    def test_every_declared_field_is_documented(self):
+        # docs/SCENARIOS.md is the field reference: a field declared in
+        # spec.py that the page never names in backticks is undocumented.
+        page = (pathlib.Path(__file__).parent.parent / "docs" / "SCENARIOS.md").read_text()
+        documented = set(re.findall(r"[`\"]([a-z_*0-9]+)[`\"]", page))
+        declared = {
+            f.name for cls in self.sections() for f in dataclasses.fields(cls)
+        } - {"params"}
+        for params in spec_module.TIMELINE_PARAMS.values():
+            declared |= set(params)
+        assert len(self.sections()) == 7
+        assert sorted(declared - documented) == []
