@@ -36,27 +36,31 @@ def run_policy_sweep():
 
 def run_ttl_sweep():
     """TTL (idle-timeout) vs unbounded: the 'ideal eviction' of Section 5
-    approximated -- peak CT size should track *active* flows, not total."""
+    approximated -- peak CT size should track *active* flows, not total.
+
+    The timeout scales with the preset (30 s of the default 100 s run): a
+    fixed 30 s is the whole smoke run, in which nothing ever idles out."""
     cfg = base_config().with_(update_rate_per_min=10.0, seed=6)
+    ct_ttl = 0.3 * cfg.duration_s
     rows = []
     outcome = {}
     for mode in ("full", "jet"):
         unbounded = run_simulation(cfg.with_(mode=mode, ct_capacity=None))
         ttl = run_simulation(
-            cfg.with_(mode=mode, ct_capacity=None, ct_policy="ttl", ct_ttl=30.0)
+            cfg.with_(mode=mode, ct_capacity=None, ct_policy="ttl", ct_ttl=ct_ttl)
         )
         outcome[mode] = (unbounded, ttl)
         rows.append(
             [mode, unbounded.peak_tracked, ttl.peak_tracked,
              unbounded.pcc_violations, ttl.pcc_violations]
         )
-    return rows, outcome
+    return ct_ttl, rows, outcome
 
 
 def test_ct_ttl_ablation(once):
-    rows, outcome = once(run_ttl_sweep)
+    ct_ttl, rows, outcome = once(run_ttl_sweep)
     record(
-        f"Ablation -- TTL (idle timeout 30s) vs unbounded CT [scale={scale_name()}]",
+        f"Ablation -- TTL (idle timeout {ct_ttl:g}s) vs unbounded CT [scale={scale_name()}]",
         format_table(
             ["mode", "peak (unbounded)", "peak (ttl)",
              "violations (unbounded)", "violations (ttl)"],

@@ -2,9 +2,7 @@
 
 pytest captures stdout of passing tests, so each benchmark records its
 result tables here; ``benchmarks/conftest.py`` flushes them into the
-terminal summary, making ``pytest benchmarks/ --benchmark-only`` output
-self-contained (the tables land in bench_output.txt alongside the timing
-table).
+terminal summary, making ``pytest benchmarks/`` output self-contained.
 """
 
 from typing import List, Tuple

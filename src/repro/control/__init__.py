@@ -11,19 +11,18 @@ here by feedback instead of fiat:
 - :mod:`repro.control.gossip`     -- eventually-consistent CT replication
   (fanout-k epidemic rounds, versioned deltas, anti-entropy, tombstones);
 - :mod:`repro.control.loop`       -- the periodic tick binding them to
-  the event-driven simulator, and :class:`ControlledMembership`, the
-  dynamic-|H| replacement for the exogenous HorizonManager.
+  the event-driven simulator as a plug-in (the dynamic-|H| horizon is
+  ``repro.sim.backend.HorizonManager`` with a ``cap`` and no standbys).
 """
 
 from repro.control.autoscaler import Autoscaler, HorizonScorecard, ScaleDecision
 from repro.control.gossip import GossipStats, GossipSync
-from repro.control.loop import ControlledMembership, ControlLoop
+from repro.control.loop import ControlLoop
 from repro.control.prober import HealthProber, ProbeStats
 
 __all__ = [
     "Autoscaler",
     "ControlLoop",
-    "ControlledMembership",
     "GossipStats",
     "GossipSync",
     "HealthProber",

@@ -1,22 +1,21 @@
 """The closed control loop: probe -> membership -> horizon.
 
-Ties the three control-plane organs to the event-driven simulator:
+A plug-in of the event-driven simulator.  In a closed-loop run the
+horizon is the capped, standby-less configuration of
+:class:`~repro.sim.backend.HorizonManager`: exactly the *pending
+membership changes the control plane knows about* -- autoscaler launches
+in their lead-time window, plus evicted servers awaiting readmission.
+``|H|`` is therefore dynamic, which is the realistic reading of the
+paper's §2.3 contract, and every realized addition is scored against the
+announcements (:class:`~repro.control.autoscaler.HorizonScorecard`).
 
-- :class:`ControlledMembership` replaces the exogenous
-  :class:`~repro.sim.backend.HorizonManager`.  The horizon is no longer a
-  bounded FIFO of standby identities topped up by fiat -- it is exactly
-  the set of *pending membership changes the control plane knows about*:
-  autoscaler launches in their lead-time window, plus evicted servers
-  awaiting readmission.  ``|H|`` is therefore dynamic, which is the
-  realistic reading of the paper's §2.3 contract, and every realized
-  addition is scored against the announcements
-  (:class:`~repro.control.autoscaler.HorizonScorecard`).
-- :class:`ControlLoop` runs every ``interval_s`` of simulated time: it
-  fires the :class:`~repro.control.prober.HealthProber` (evidence-based
-  evictions and probation-ordered readmissions) and then lets the
-  :class:`~repro.control.autoscaler.Autoscaler` plan against the live
-  load signal, translating decisions into scheduled joins, phantom
-  announcements, and retirements on the simulator.
+:class:`ControlLoop` runs every ``interval_s`` of simulated time: it
+fires the :class:`~repro.control.prober.HealthProber` (evidence-based
+evictions and probation-ordered readmissions) and then lets the
+:class:`~repro.control.autoscaler.Autoscaler` plan against the live load
+signal.  It schedules its own continuations with ``sim.at`` -- the next
+tick, each launch's join, each phantom's expiry -- and keeps the books of
+the autoscaled fleet (what is launching, what joined and may be retired).
 
 The loop holds no RNG of its own; all stochastic choices live in the
 seeded autoscaler/prober, so a control run is exactly as reproducible as
@@ -25,140 +24,11 @@ a plain one.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Iterable, List, Sequence, Set
+from typing import List
 
-from repro.control.autoscaler import Autoscaler, HorizonScorecard
+from repro.control.autoscaler import Autoscaler
 from repro.control.prober import HealthProber
-from repro.core.interfaces import LoadBalancer, Name
-
-
-class ControlledMembership:
-    """Horizon = the control plane's pending changes (a HorizonManager
-    stand-in whose ``|H|`` floats with real anticipation)."""
-
-    def __init__(
-        self,
-        balancers: Sequence[LoadBalancer],
-        horizon_cap: int,
-    ):
-        if horizon_cap < 1:
-            raise ValueError("horizon_cap must be >= 1")
-        self.balancers: List[LoadBalancer] = list(balancers)
-        self.horizon_cap = horizon_cap
-        self._fifo: Deque[Name] = deque()
-        self._members: Set[Name] = set()
-        self._down: Set[Name] = set()
-        self.surprise_additions = 0
-        self.proper_additions = 0
-        #: Announcements that expired (or were revoked) without the server
-        #: ever joining W -- wasted tracking.
-        self.phantom_announcements = 0
-        self.retirements = 0
-        #: Announcements revoked by cap overflow while their server was
-        #: still pending/down (the eventual realization is a surprise).
-        self.revoked_announcements = 0
-        self.scorecard = HorizonScorecard()
-
-    # ------------------------------------------------------------ state
-    @property
-    def members(self) -> frozenset:
-        return frozenset(self._members)
-
-    @property
-    def down_servers(self) -> frozenset:
-        return frozenset(self._down)
-
-    @property
-    def horizon_occupancy(self) -> int:
-        return len(self._members)
-
-    # ---------------------------------------------------- announcements
-    def announce(self, name: Name, in_horizon: bool = False) -> None:
-        """The control plane anticipates ``name`` joining W: put it in H.
-        On overflow the oldest announcement is evicted (its eventual
-        realization becomes a surprise -- the Fig. 4 horizon-too-small
-        failure mode, now driven by a cap on *announcements*).
-
-        ``in_horizon=True`` means the CH already holds the name (a just-
-        removed working server lands in the horizon as part of
-        REMOVEWORKINGSERVER), so only the bookkeeping is added here."""
-        if name in self._members:
-            return
-        self._fifo.append(name)
-        self._members.add(name)
-        if not in_horizon:
-            for lb in self.balancers:
-                lb.add_horizon_server(name)
-        if len(self._fifo) > self.horizon_cap:
-            victim = self._fifo.popleft()
-            self._members.discard(victim)
-            for lb in self.balancers:
-                lb.remove_horizon_server(victim)
-            self.revoked_announcements += 1
-
-    def _withdraw(self, name: Name) -> bool:
-        """Drop ``name`` from H if present; True when it was announced."""
-        if name not in self._members:
-            return False
-        self._fifo.remove(name)
-        self._members.discard(name)
-        for lb in self.balancers:
-            lb.remove_horizon_server(name)
-        return True
-
-    def expire(self, name: Name) -> None:
-        """A phantom announcement timed out unrealized."""
-        self._withdraw(name)
-        self.phantom_announcements += 1
-        self.scorecard.phantom += 1
-
-    # ------------------------------------------------------------ churn
-    def remove_server(self, name: Name) -> None:
-        """Evidence-based eviction: the server leaves W and (because the
-        control plane expects it back) is announced into H."""
-        self._down.add(name)
-        for lb in self.balancers:
-            lb.remove_working_server(name)
-        # REMOVEWORKINGSERVER already placed the name in the CH horizon.
-        self.announce(name, in_horizon=True)
-
-    def recover_server(self, name: Name) -> bool:
-        """An evicted server is readmitted.  Proper iff still announced."""
-        self._down.discard(name)
-        return self._realize(name)
-
-    def realize(self, name: Name) -> bool:
-        """An autoscaler launch completes and joins W."""
-        return self._realize(name)
-
-    def _realize(self, name: Name) -> bool:
-        if name in self._members:
-            # Promotion, not withdrawal: the CH moves the name from H to W
-            # itself inside add_working_server, so it must still be in the
-            # horizon when we call it.
-            self._fifo.remove(name)
-            self._members.discard(name)
-            for lb in self.balancers:
-                lb.add_working_server(name)
-            self.proper_additions += 1
-            self.scorecard.matched += 1
-            return True
-        for lb in self.balancers:
-            lb.force_add_working_server(name)
-        self.surprise_additions += 1
-        self.scorecard.missed += 1
-        return False
-
-    def retire(self, name: Name) -> None:
-        """Scale-in: a planned, permanent departure (the server is not
-        expected back, so the horizon slot REMOVEWORKINGSERVER gave it is
-        immediately revoked)."""
-        self._down.discard(name)
-        for lb in self.balancers:
-            lb.remove_working_server(name)
-            lb.remove_horizon_server(name)
-        self.retirements += 1
+from repro.core.interfaces import Name
 
 
 class ControlLoop:
@@ -181,54 +51,89 @@ class ControlLoop:
         self.max_extra = max_extra
         #: How long an unrealized announcement lingers in H before it is
         #: written off as a phantom (default: two lead times).
-        self.phantom_ttl_s = (
-            phantom_ttl_s
-            if phantom_ttl_s is not None
-            else 2.0 * autoscaler.lead_time_s
-        )
+        if phantom_ttl_s is None:
+            phantom_ttl_s = 2.0 * autoscaler.lead_time_s
+        self.phantom_ttl_s = phantom_ttl_s
         self.name_prefix = name_prefix
-        self.ticks = 0
         self._seq = 0
         self._outstanding = 0  # autoscaled servers alive or launching
+        #: Autoscaled servers that joined W, oldest first (scale-in
+        #: retires the newest).
+        self._joined: List[Name] = []
 
     # ----------------------------------------------------------- wiring
-    def membership(
-        self, balancers: Sequence[LoadBalancer], horizon_cap: int
-    ) -> ControlledMembership:
-        return ControlledMembership(balancers, horizon_cap)
-
-    def attach(self, sim, working: Iterable[Name]) -> None:
-        """Bind the prober's ground-truth oracle and initial watch list."""
+    def attach(self, sim) -> None:
+        """Bind the prober's ground-truth oracle and initial watch list,
+        and schedule the first tick."""
         self.prober.is_up = sim.server_responsive
-        for name in working:
+        for name in sim.up_index:
             self.prober.watch(name)
+        sim.at(self.interval_s, self.tick, sim)
 
     # ------------------------------------------------------------- tick
-    def tick(self, sim, now: float) -> None:
-        self.ticks += 1
+    def tick(self, sim) -> None:
+        now = sim.now
+        sim.result.control_ticks += 1
         evict, readmit = self.prober.probe_all(now)
+        # Verdicts can race with recovery / retirement: act only on a
+        # server that is still on the side the prober saw it on.  A false
+        # eviction (server actually up) re-steers its flows away; they
+        # are inevitably broken exactly like a real removal's.
         for name in evict:
-            sim.evict_server(name, now)
+            if name in sim.up_index:
+                sim.take_down(name)
         for name in readmit:
-            sim.readmit_server(name, now)
+            if name not in sim.up_index:
+                sim.bring_up(name)
         working = sim.responsive_count
         self.autoscaler.observe(now, sim.active_flows, working)
         decision = self.autoscaler.plan(now, working)
-        if decision is None:
-            return
-        if decision.kind == "launch":
-            room = max(self.max_extra - self._outstanding, 0)
-            for i in range(min(decision.count, room)):
-                self._seq += 1
-                name = f"{self.name_prefix}{self._seq}"
-                if i < decision.announced:
-                    sim.manager.announce(name)
-                sim.schedule_join(name, now + self.autoscaler.lead_time_s)
-                self._outstanding += 1
-            for _ in range(decision.phantoms):
-                self._seq += 1
-                name = f"{self.name_prefix}{self._seq}"
+        if decision is not None:
+            if decision.kind == "launch":
+                self._launch(sim, decision)
+            else:
+                self._outstanding -= self._retire(sim, decision.count)
+        if now + self.interval_s <= sim.duration_s:
+            sim.at(now + self.interval_s, self.tick, sim)
+
+    def _new_name(self) -> Name:
+        self._seq += 1
+        return f"{self.name_prefix}{self._seq}"
+
+    def _launch(self, sim, decision) -> None:
+        """Start servers booting (announced, or a recall miss) and float
+        the decision's phantom announcements; each schedules its own end."""
+        room = max(self.max_extra - self._outstanding, 0)
+        for i in range(min(decision.count, room)):
+            name = self._new_name()
+            if i < decision.announced:
                 sim.manager.announce(name)
-                sim.schedule_phantom_expiry(name, now + self.phantom_ttl_s)
-        else:
-            self._outstanding -= sim.retire_autoscaled(decision.count, now)
+            sim.at(sim.now + self.autoscaler.lead_time_s, self._on_join, sim, name)
+            self._outstanding += 1
+        for _ in range(decision.phantoms):
+            name = self._new_name()
+            sim.manager.announce(name)
+            sim.at(sim.now + self.phantom_ttl_s, sim.manager.expire, name)
+
+    def _on_join(self, sim, name: Name) -> None:
+        """A launch finishes warming up and joins W."""
+        sim.result.scale_outs += 1
+        sim.bring_up(name, launched=True)
+        self._joined.append(name)
+        self.prober.watch(name)
+
+    def _retire(self, sim, count: int) -> int:
+        """Scale-in: retire up to ``count`` autoscaled servers, newest
+        first.  Returns how many actually left."""
+        retired = 0
+        while self._joined and retired < count:
+            name = self._joined.pop()
+            if name not in sim.up_index or len(sim.up_index) <= 1:
+                continue
+            if not sim.server_responsive(name):
+                continue  # dead; the prober's eviction path owns it
+            sim.result.scale_ins += 1
+            sim.take_down(name, retire=True)
+            self.prober.forget(name)
+            retired += 1
+        return retired

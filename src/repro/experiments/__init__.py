@@ -2,7 +2,7 @@
 
 Each paper module is runnable (``python -m repro.experiments.fig3``) and
 exposes a ``run_*`` function returning structured results; the
-``benchmarks/`` directory wraps these in pytest-benchmark targets.  The
+``benchmarks/`` directory wraps these in plain pytest targets.  The
 beyond-paper ``showdown`` / ``sharding`` / ``scenario_matrix`` results
 are counts, run and gated for equality by one entry point,
 ``python -m repro.experiments.counted``; nothing here times anything

@@ -1,10 +1,10 @@
 """ChaosInjector -- binds a fault schedule to the event-driven simulator.
 
-The injector owns the *semantics* of each fault kind; the simulation
-engine only dispatches.  All victim choices draw from the engine's RNG
-stream, so a chaos run is exactly as reproducible as a plain one, and a
-schedule with zero events leaves the engine's event sequence (and RNG
-stream) byte-identical to a no-injector run.
+The injector owns the *semantics* of each fault kind and schedules its
+own events (``sim.at``); the engine knows no fault kinds.  All victim
+choices draw from the engine's RNG stream, so a chaos run is exactly as
+reproducible as a plain one, and a schedule with zero events leaves the
+engine's event sequence (and RNG stream) byte-identical to a no-injector run.
 
 Fault semantics, and the paper assumption each one violates:
 
@@ -70,10 +70,13 @@ class ChaosInjector:
         """Push every scheduled fault into the engine's event heap."""
         for event in self.schedule:
             if event.time <= sim.duration_s:
-                sim.push_fault(event.time, event)
+                self._schedule(sim, event)
+
+    def _schedule(self, sim, event: FaultEvent) -> None:
+        sim.at(event.time, self.apply, sim, event)
 
     # ----------------------------------------------------------- dispatch
-    def apply(self, sim, event: FaultEvent, now: float) -> None:
+    def apply(self, sim, event: FaultEvent) -> None:
         handler = {
             CRASH: self._crash,
             FLAP: self._flap,
@@ -84,25 +87,25 @@ class ChaosInjector:
             GOSSIP_HEAL: self._gossip_heal,
             STALE_AUTOSCALER: self._stale_autoscaler,
         }[event.kind]
-        applied = handler(sim, event, now)
+        applied = handler(sim, event)
         if applied:
             sim.result.fault_events += 1
-            sim.note_fault(now)
+            sim.note_fault()
             self.obs.counter(
                 obs_metrics.FAULT_EVENTS, "Fault events applied by kind",
                 kind=event.kind,
             ).inc()
 
     # ----------------------------------------------------------- handlers
-    def _crash(self, sim, event: FaultEvent, now: float) -> bool:
+    def _crash(self, sim, event: FaultEvent) -> bool:
         victim = event.target if event.target in sim.up_index else sim.pick_up_server()
         if victim is None:
             return False
-        sim.crash_server(victim, now, downtime=event.downtime)
+        sim.crash_server(victim, downtime=event.downtime)
         sim.result.crashes += 1
         return True
 
-    def _flap(self, sim, event: FaultEvent, now: float) -> bool:
+    def _flap(self, sim, event: FaultEvent) -> bool:
         victim = event.target
         if victim is not None and victim not in sim.up_index:
             # Still down (probation damped the flap): drop this cycle.
@@ -111,11 +114,11 @@ class ChaosInjector:
             victim = sim.pick_up_server()
             if victim is None:
                 return False
-        recovery_at = sim.crash_server(victim, now, downtime=event.flap_interval)
+        recovery_at = sim.crash_server(victim, downtime=event.flap_interval)
         sim.result.flaps += 1
         if event.flap_count > 1:
-            sim.push_fault(
-                recovery_at + event.flap_interval,
+            self._schedule(
+                sim,
                 FaultEvent(
                     time=recovery_at + event.flap_interval,
                     kind=FLAP,
@@ -126,7 +129,7 @@ class ChaosInjector:
             )
         return True
 
-    def _group(self, sim, event: FaultEvent, now: float) -> bool:
+    def _group(self, sim, event: FaultEvent) -> bool:
         crashed = 0
         if event.targets:
             # Scripted victim set (a zone, a rack): crash exactly the
@@ -134,34 +137,33 @@ class ChaosInjector:
             for victim in event.targets:
                 if victim not in sim.up_index:
                     continue
-                sim.crash_server(victim, now, downtime=event.downtime)
+                sim.crash_server(victim, downtime=event.downtime)
                 crashed += 1
         else:
             for _ in range(max(event.group_size, 1)):
                 victim = sim.pick_up_server()
                 if victim is None:
                     break
-                sim.crash_server(victim, now, downtime=event.downtime)
+                sim.crash_server(victim, downtime=event.downtime)
                 crashed += 1
         if crashed:
             sim.result.correlated_failures += 1
             sim.result.crashes += crashed
         return crashed > 0
 
-    def _unannounced_add(self, sim, event: FaultEvent, now: float) -> bool:
+    def _unannounced_add(self, sim, event: FaultEvent) -> bool:
         self._chaos_births += 1
         name = f"chaos{self._chaos_births}"
-        sim.admit_unannounced(name, now)
+        sim.admit_unannounced(name)
         return True
 
     # --------------------------------------- control-plane fault handlers
     # These degrade the controller's *senses*; with no control loop (or no
     # gossip pool) they are no-ops and don't count as applied faults.
-    def _probe_loss(self, sim, event: FaultEvent, now: float) -> bool:
-        controller = getattr(sim, "controller", None)
-        if controller is None:
+    def _probe_loss(self, sim, event: FaultEvent) -> bool:
+        if sim.controller is None:
             return False
-        controller.prober.degrade(event.intensity, now + event.duration)
+        sim.controller.prober.degrade(event.intensity, event.time + event.duration)
         return True
 
     def _gossip_channel(self, sim):
@@ -170,7 +172,7 @@ class ChaosInjector:
             return channel
         return None
 
-    def _gossip_partition(self, sim, event: FaultEvent, now: float) -> bool:
+    def _gossip_partition(self, sim, event: FaultEvent) -> bool:
         channel = self._gossip_channel(sim)
         if channel is None:
             return False
@@ -181,24 +183,19 @@ class ChaosInjector:
         victim = members[self._partitions % len(members)]
         channel.partition_member(victim)
         # The heal is an internal continuation, not a scheduled fault.
-        sim.push_fault(
-            now + event.duration,
-            FaultEvent(
-                time=now + event.duration, kind=GOSSIP_HEAL, target=victim
-            ),
-        )
+        heal_at = event.time + event.duration
+        self._schedule(sim, FaultEvent(time=heal_at, kind=GOSSIP_HEAL, target=victim))
         return True
 
-    def _gossip_heal(self, sim, event: FaultEvent, now: float) -> bool:
+    def _gossip_heal(self, sim, event: FaultEvent) -> bool:
         channel = self._gossip_channel(sim)
         if channel is None:
             return False
         channel.heal_member(event.target)
         return True
 
-    def _stale_autoscaler(self, sim, event: FaultEvent, now: float) -> bool:
-        controller = getattr(sim, "controller", None)
-        if controller is None:
+    def _stale_autoscaler(self, sim, event: FaultEvent) -> bool:
+        if sim.controller is None:
             return False
-        controller.autoscaler.freeze(now + event.duration)
+        sim.controller.autoscaler.freeze(event.time + event.duration)
         return True

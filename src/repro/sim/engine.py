@@ -7,17 +7,25 @@ traverses the load balancer so that connection-tracking state (LRU
 recency, safety re-checks on horizon changes) evolves faithfully -- plus
 periodic metric sampling.
 
+There is no table of kinds: a heap entry is ``(when, seq, handler,
+args)``, pushed through the one scheduling call ``sim.at(when, handler,
+*args)``, and the loop sets ``sim.now`` and calls ``handler(*args)``.
+``seq`` is the push order, so simultaneous events run as scheduled.
+
 PCC accounting follows Section 2.1: a connection's *true destination* is
 the destination of its first packet; a later packet dispatched elsewhere is
 a PCC violation (counted once per connection, after which the client is
 assumed to reset the connection); connections whose destination is removed
 are *inevitably broken* and excluded from the violation count.
 
-Adversarial churn is layered on top via :mod:`repro.faults`: a
-:class:`~repro.faults.injector.ChaosInjector` schedules crash / flap /
-correlated-group / unannounced-addition events as a seventh event kind,
-and a :class:`~repro.faults.health.HealthMonitor` adds probation delay to
-readmissions.  With no injector the event sequence and RNG stream are
+Adversarial churn and the closed control loop are plug-ins on that
+surface, not event kinds: a :class:`~repro.faults.injector.ChaosInjector`
+(crash / flap / correlated-group / unannounced-addition faults, with a
+:class:`~repro.faults.health.HealthMonitor` adding probation delay to
+readmissions) and a :class:`~repro.control.loop.ControlLoop` (probe
+verdicts, autoscaler launches and retirements) schedule their own
+continuations with ``sim.at`` and change membership through ``take_down``
+/ ``bring_up``.  With neither, the event sequence and RNG stream are
 byte-identical to the seed engine.
 """
 
@@ -28,7 +36,10 @@ import random
 from itertools import count
 from typing import Dict, List, Optional, Set
 
+from repro.ch.base import BackendError
 from repro.core.interfaces import LoadBalancer, Name
+from repro.core.jet import JETLoadBalancer
+from repro.ct.ttl import Clock as _SimClock
 from repro.hashing.mix import splitmix64
 from repro.obs import metrics as obs_metrics
 from repro.obs.collectors import instrument_balancer
@@ -38,20 +49,6 @@ from repro.sim.backend import HorizonManager
 from repro.sim.distributions import Distribution
 from repro.sim.metrics import LoadTracker, SimResult
 from repro.sim.workload import Flow, WorkloadGenerator
-
-# Event kinds (heap entries are (time, tiebreak, kind, payload)).
-_ARRIVAL = 0
-_PACKET = 1
-_FLOW_END = 2
-_REMOVAL = 3
-_RECOVERY = 4
-_SAMPLE = 5
-_FAULT = 6
-# Closed-loop kinds (repro.control runs only).
-_CONTROL = 7      # periodic control-plane tick (probe + autoscale)
-_RESPONSIVE = 8   # a silently-dead server starts answering probes again
-_JOIN = 9         # an autoscaler launch finishes its lead time
-_EXPIRE = 10      # a phantom horizon announcement times out
 
 
 class EventDrivenSimulation:
@@ -87,8 +84,7 @@ class EventDrivenSimulation:
             instrument_balancer(self.obs, balancer)
         self._first_dispatches = 0
         self._first_tracked = 0
-        # Resolve the per-packet LB capability probes once: these getattr
-        # probes used to run on every packet of the hot loop.
+        # Resolve the per-packet LB capability probes once.
         self._note_flow_start = getattr(balancer, "note_flow_start", None)
         self._note_flow_end = getattr(balancer, "note_flow_end", None)
         self._syn_aware = bool(getattr(balancer, "dispatches_new_connections", False))
@@ -98,20 +94,20 @@ class EventDrivenSimulation:
         # Balance metrics ignore the ramp-up transient (few flows over many
         # servers trivially yields huge oversubscription ratios).
         self.warmup_s = 0.2 * duration_s if warmup_s is None else warmup_s
-        if controller is not None:
-            # Closed loop: H is the control plane's pending changes, not
-            # an exogenous standby FIFO.  Membership leaves W on probe
-            # evidence; crashes become *silent* until detected.
-            self.manager = controller.membership([balancer], horizon_cap)
-        else:
-            self.manager = HorizonManager([balancer], standby_servers)
+        # Closed loop: H is the control plane's pending changes under a
+        # cap, not an exogenous standby FIFO.  Membership leaves W on
+        # probe evidence; crashes become *silent* until detected.
+        self.manager = HorizonManager(
+            [balancer], standby_servers, cap=None if controller is None else horizon_cap
+        )
         self.downtime_dist = downtime_dist
         self._removal_rate = update_rate_per_min / 60.0
         self._rng = random.Random(splitmix64(seed ^ 0xBEEF_CAFE))
 
-        # Up-server list with O(1) random choice and removal.
+        # Up-server list with O(1) random choice and removal; the index
+        # doubles as the plug-ins' live-membership view (read-only there).
         self._up: List[Name] = list(working_servers)
-        self._up_index: Dict[Name, int] = {s: i for i, s in enumerate(self._up)}
+        self.up_index: Dict[Name, int] = {s: i for i, s in enumerate(self._up)}
 
         self._heap: list = []
         self._seq = count()
@@ -121,23 +117,20 @@ class EventDrivenSimulation:
 
         # Fault attribution: violations within the injector's window after
         # any chaos event count as violations-under-fault.
-        self._now = 0.0
+        self.now = 0.0
         self._last_fault_time = float("-inf")
         self._fault_window = injector.fault_window_s if injector is not None else 0.0
+        self._health = injector.health if injector is not None else None
         self._probated: Set[Name] = set()
 
         # Closed-loop state: silently-dead servers (still in W until the
-        # prober evicts them), a generation counter guarding stale
-        # _RESPONSIVE events across re-silencing, and the LIFO stack of
-        # autoscaled servers (scale-in retires the newest first).
+        # prober evicts them) and a generation counter guarding stale
+        # back-to-responsive events across re-silencing.
         self._silenced: Set[Name] = set()
         self._silence_gen: Dict[Name, int] = {}
-        self._auto_servers: List[Name] = []
         # Flow-weighted Theorem 4.2 expectation: with a dynamic H the
         # final-instant |H|/(|W|+|H|) misrepresents the run, so accumulate
         # it per first dispatch.  Only JET-style balancers publish it.
-        from repro.core.jet import JETLoadBalancer
-
         self._track_expected = isinstance(balancer, JETLoadBalancer)
         self._expected_sum = 0.0
         self._expected_count = 0
@@ -153,55 +146,64 @@ class EventDrivenSimulation:
         self._observe_occupancy = getattr(balancer, "observe_occupancy", None)
 
         # TTL-based CT tables carry a simulated clock we must advance.
-        from repro.ct.ttl import Clock as _SimClock
-
         ct = getattr(balancer, "ct", None)
         clock = getattr(ct, "clock", None)
         self._sim_clock = clock if isinstance(clock, _SimClock) else None
         self._ct_stats = ct.stats if ct is not None else None
 
     # ----------------------------------------------------------- events
-    def _push(self, when: float, kind: int, payload=None) -> None:
-        heapq.heappush(self._heap, (when, next(self._seq), kind, payload))
+    def at(self, when: float, handler, *args) -> None:
+        """Schedule ``handler(*args)`` at simulated time ``when`` (it
+        reads the time back from :attr:`now`).  The one way onto the heap,
+        for the engine and its plug-ins alike."""
+        heapq.heappush(self._heap, (when, next(self._seq), handler, args))
 
-    def _pick_up_server(self) -> Optional[Name]:
-        if len(self._up) <= 1:
-            return None  # never remove the last working server
-        if not self._silenced:
-            return self._up[self._rng.randrange(len(self._up))]
-        # Closed loop: a silently-dead server is still in W; crashing it
-        # again is meaningless, and at least one responsive server must
-        # survive (the no-last-server rule, under evidence-based W).
-        candidates = [s for s in self._up if s not in self._silenced]
-        if len(candidates) <= 1:
-            return None
-        return candidates[self._rng.randrange(len(candidates))]
+    def run(self) -> SimResult:
+        watch = Stopwatch()
+        self.at(self.workload.next_arrival_gap(), self._on_arrival)
+        if self._removal_rate > 0:
+            self.at(self._rng.expovariate(self._removal_rate), self._on_removal)
+        self.at(self.sample_interval, self._on_sample)
+        if self.injector is not None:
+            self.injector.prime(self)
+        if self.controller is not None:
+            self.controller.attach(self)
 
-    def _mark_down(self, name: Name) -> None:
-        position = self._up_index.pop(name)
-        last = self._up.pop()
-        if last != name:
-            self._up[position] = last
-            self._up_index[last] = position
+        heap = self._heap
+        sim_clock = self._sim_clock
+        while heap:
+            when, _, handler, args = heapq.heappop(heap)
+            if when > self.duration_s:
+                break
+            self.now = when
+            if sim_clock is not None:
+                sim_clock.now = when
+            handler(*args)
+        # What is left lies past the end; its handlers are bound to this
+        # object, a cycle that would keep the whole run alive until a gc.
+        heap.clear()
 
-    def _mark_up(self, name: Name) -> None:
-        self._up_index[name] = len(self._up)
-        self._up.append(name)
+        self._finalize()
+        self.result.wall_seconds = watch.stop()
+        if self._obs_on:
+            self.obs.histogram(
+                obs_metrics.WALL_SECONDS, "Wall time by phase", phase="simulate"
+            ).observe(self.result.wall_seconds)
+        return self.result
 
-    # ------------------------------------------------- injector interface
-    @property
-    def up_index(self) -> Dict[Name, int]:
-        """Live-server membership view (read-only use by the injector)."""
-        return self._up_index
-
+    # ------------------------------------------------------- membership
     def pick_up_server(self) -> Optional[Name]:
-        return self._pick_up_server()
-
-    def push_fault(self, when: float, event) -> None:
-        self._push(when, _FAULT, event)
-
-    def note_fault(self, now: float) -> None:
-        self._last_fault_time = now
+        """A random victim among the working servers, on the engine's RNG
+        stream; None rather than the last one standing."""
+        candidates = self._up
+        if self._silenced:
+            # Closed loop: a silently-dead server is still in W; crashing
+            # it again is meaningless, and one *responsive* server must
+            # survive (the no-last-server rule, under evidence-based W).
+            candidates = [s for s in self._up if s not in self._silenced]
+        if len(candidates) <= 1:
+            return None  # never remove the last working server
+        return candidates[self._rng.randrange(len(candidates))]
 
     def _doom_flows(self, name: Name) -> None:
         """The connections ``name`` is serving end here, inevitably broken
@@ -213,34 +215,65 @@ class EventDrivenSimulation:
             self._load.flow_ended(name)
         self.result.inevitably_broken += len(doomed)
 
-    def crash_server(self, name: Name, now: float, downtime: Optional[float] = None) -> float:
+    def take_down(self, name: Name, retire=False) -> None:
+        """``name`` leaves W now.  It enters the horizon, expected back,
+        unless it ``retire``s for good (scale-in)."""
+        position = self.up_index.pop(name)
+        last = self._up.pop()
+        if last != name:
+            self._up[position] = last
+            self.up_index[last] = position
+        self.result.removals += 1
+        # Churn exposure: this event can break at most the flows active
+        # right now (the invariant-monitor bound on PCC accounting).
+        self.result.churn_exposed_flows += self._load.active_flows
+        self._doom_flows(name)
+        if retire:
+            self.manager.retire(name)
+        else:
+            self.manager.remove_server(name)
+
+    def bring_up(self, name: Name, launched=False, scored=True) -> None:
+        """``name`` joins W now: a server coming back (the default), an
+        autoscaler launch finishing its lead time (``launched``) -- both
+        scored against the horizon -- or, ``scored=False``, a stranger
+        forced in behind the manager's back."""
+        self.up_index[name] = len(self._up)
+        self._up.append(name)
+        self.result.additions += 1
+        self.result.churn_exposed_flows += self._load.active_flows
+        if not scored:
+            self.lb.force_add_working_server(name)
+        elif launched:
+            self.manager.realize(name)
+        else:
+            self.manager.recover_server(name)
+
+    # ------------------------------------------------- injector interface
+    def note_fault(self) -> None:
+        self._last_fault_time = self.now
+
+    def crash_server(self, name: Name, downtime: Optional[float] = None) -> float:
         """Take ``name`` down immediately; returns the scheduled recovery
         time (downtime, or the given override, plus any probation delay)."""
         if self.controller is not None:
             # Evidence-based membership: the crash is *silent*.  The
             # server stops answering but stays in W until the prober's
             # consecutive-failure threshold evicts it.
-            return self.silence_server(name, now, downtime)
-        self._mark_down(name)
-        self.result.removals += 1
-        # Churn exposure: this event can break at most the flows active
-        # right now (the invariant-monitor bound on PCC accounting).
-        self.result.churn_exposed_flows += self._load.active_flows
-        self._doom_flows(name)
-        self.manager.remove_server(name)
+            return self._silence_server(name, downtime)
+        self.take_down(name)
         if downtime is None:
             downtime = self.downtime_dist.sample(self._rng)
         delay = 0.0
-        health = self.injector.health if self.injector is not None else None
-        if health is not None:
-            delay = health.record_failure(name, now)
+        if self._health is not None:
+            delay = self._health.record_failure(name, self.now)
             if delay > 0:
                 self._probated.add(name)
-        recovery_at = now + downtime + delay
-        self._push(recovery_at, _RECOVERY, name)
+        recovery_at = self.now + downtime + delay
+        self.at(recovery_at, self._on_recovery, name)
         return recovery_at
 
-    def admit_unannounced(self, name: Name, now: float) -> None:
+    def admit_unannounced(self, name: Name) -> None:
         """A never-announced server joins ``W`` (§2.3 contract violation).
 
         Records the paper's breakage prediction at this instant: under a
@@ -250,11 +283,8 @@ class EventDrivenSimulation:
         self.result.predicted_unannounced_breakage += self._load.active_flows / (
             len(self._up) + 1
         )
-        self.result.churn_exposed_flows += self._load.active_flows
-        self.lb.force_add_working_server(name)
-        self._mark_up(name)
         self.result.unannounced_additions += 1
-        self.result.additions += 1
+        self.bring_up(name, scored=False)
 
     # ---------------------------------------------- control-loop interface
     @property
@@ -272,7 +302,7 @@ class EventDrivenSimulation:
         """The prober's ground-truth oracle: does a probe get answered?"""
         return name not in self._silenced
 
-    def silence_server(self, name: Name, now: float, downtime: Optional[float] = None) -> float:
+    def _silence_server(self, name: Name, downtime: Optional[float]) -> float:
         """A server dies *silently*: it stays in W (the control plane has
         no evidence yet) but stops answering probes and blackholes flows.
         Returns the time it becomes responsive again."""
@@ -287,138 +317,28 @@ class EventDrivenSimulation:
             self._doom_flows(name)
         if downtime is None:
             downtime = self.downtime_dist.sample(self._rng)
-        responsive_at = now + downtime
-        self._push(responsive_at, _RESPONSIVE, (name, generation))
+        responsive_at = self.now + downtime
+        self.at(responsive_at, self._on_responsive, name, generation)
         return responsive_at
 
     def _on_responsive(self, name: Name, generation: int) -> None:
         if self._silence_gen.get(name) != generation:
             return  # stale: the server was re-silenced meanwhile
         self._silenced.discard(name)
-        if name in self._up_index and not self.controller.prober.is_evicted(name):
+        if name in self.up_index and not self.controller.prober.is_evicted(name):
             # The outage ended before the prober accumulated enough
             # failures: membership never changed (graceful degradation
             # under lossy evidence, at the cost of the blackhole window).
             self.result.undetected_blips += 1
 
-    def evict_server(self, name: Name, now: float) -> None:
-        """Prober verdict: remove ``name`` from W (it enters H awaiting
-        readmission).  Safe against races with recovery/retirement."""
-        if name not in self._up_index:
-            return
-        self._mark_down(name)
-        self.result.removals += 1
-        self.result.churn_exposed_flows += self._load.active_flows
-        # A false eviction (server actually up) re-steers its flows away;
-        # they are inevitably broken exactly like a real removal's.
-        self._doom_flows(name)
-        self.manager.remove_server(name)
-
-    def readmit_server(self, name: Name, now: float) -> None:
-        """Prober verdict: recovery confirmed and probation served."""
-        if name in self._up_index:
-            return
-        self._mark_up(name)
-        self.result.additions += 1
-        self.result.churn_exposed_flows += self._load.active_flows
-        self.manager.recover_server(name)
-
-    def schedule_join(self, name: Name, when: float) -> None:
-        self._push(when, _JOIN, name)
-
-    def schedule_phantom_expiry(self, name: Name, when: float) -> None:
-        self._push(when, _EXPIRE, name)
-
-    def _on_join(self, name: Name) -> None:
-        """An autoscaler launch finishes warming up and joins W."""
-        self._mark_up(name)
-        self.result.additions += 1
-        self.result.scale_outs += 1
-        self.result.churn_exposed_flows += self._load.active_flows
-        self.manager.realize(name)
-        self._auto_servers.append(name)
-        self.controller.prober.watch(name)
-
-    def retire_autoscaled(self, count: int, now: float) -> int:
-        """Scale-in: retire up to ``count`` autoscaled servers, newest
-        first.  Returns how many actually left."""
-        retired = 0
-        while self._auto_servers and retired < count:
-            name = self._auto_servers.pop()
-            if name not in self._up_index or len(self._up) <= 1:
-                continue
-            if name in self._silenced:
-                continue  # dead; the prober's eviction path owns it
-            self._mark_down(name)
-            self.result.removals += 1
-            self.result.scale_ins += 1
-            self.result.churn_exposed_flows += self._load.active_flows
-            self._doom_flows(name)
-            self.manager.retire(name)
-            self.controller.prober.forget(name)
-            retired += 1
-        return retired
-
-    # ------------------------------------------------------------- run
-    def run(self) -> SimResult:
-        watch = Stopwatch()
-        self._push(self.workload.next_arrival_gap(), _ARRIVAL)
-        if self._removal_rate > 0:
-            self._push(self._rng.expovariate(self._removal_rate), _REMOVAL)
-        self._push(self.sample_interval, _SAMPLE)
-        if self.injector is not None:
-            self.injector.prime(self)
-        if self.controller is not None:
-            self.controller.attach(self, list(self._up))
-            self._push(self.controller.interval_s, _CONTROL)
-
-        heap = self._heap
-        sim_clock = self._sim_clock
-        while heap:
-            when, _, kind, payload = heapq.heappop(heap)
-            if when > self.duration_s:
-                break
-            self._now = when
-            if sim_clock is not None:
-                sim_clock.now = when
-            if kind == _PACKET:
-                self._on_packet(payload)
-            elif kind == _ARRIVAL:
-                self._on_arrival(when)
-            elif kind == _FLOW_END:
-                self._on_flow_end(payload)
-            elif kind == _REMOVAL:
-                self._on_removal(when)
-            elif kind == _RECOVERY:
-                self._on_recovery(payload)
-            elif kind == _FAULT:
-                self.injector.apply(self, payload, when)
-            elif kind == _CONTROL:
-                self._on_control(when)
-            elif kind == _RESPONSIVE:
-                self._on_responsive(*payload)
-            elif kind == _JOIN:
-                self._on_join(payload)
-            elif kind == _EXPIRE:
-                self.manager.expire(payload)
-            else:
-                self._on_sample(when)
-
-        self._finalize()
-        self.result.wall_seconds = watch.stop()
-        if self._obs_on:
-            self.obs.histogram(
-                obs_metrics.WALL_SECONDS, "Wall time by phase", phase="simulate"
-            ).observe(self.result.wall_seconds)
-        return self.result
-
     # --------------------------------------------------------- handlers
-    def _on_arrival(self, now: float) -> None:
+    def _on_arrival(self) -> None:
+        now = self.now
         flow = self.workload.make_flow(now)
         self.result.flows_started += 1
-        self._push(now, _PACKET, flow)
-        self._push(flow.end, _FLOW_END, flow)
-        self._push(now + self.workload.next_arrival_gap(), _ARRIVAL)
+        self.at(now, self._on_packet, flow)
+        self.at(flow.end, self._on_flow_end, flow)
+        self.at(now + self.workload.next_arrival_gap(), self._on_arrival)
 
     def _on_packet(self, flow: Flow) -> None:
         if flow.broken:
@@ -431,7 +351,9 @@ class EventDrivenSimulation:
             if destination != flow.true_destination:
                 self._break_flow(flow)
                 return
-        self._advance_flow(flow)
+        flow.next_packet += 1
+        if flow.next_packet < len(flow.packet_times):
+            self.at(flow.packet_times[flow.next_packet], self._on_packet, flow)
 
     def _dispatch_first_packet(self, flow: Flow) -> None:
         # First packet (TCP SYN): load-aware LBs may run their
@@ -476,28 +398,23 @@ class EventDrivenSimulation:
 
     def _safe_weight(self, name: Name) -> float:
         """Capacity weight of ``name``; 1.0 for servers the CH does not
-        carry (chaos-born identities, autoscaled launches)."""
+        carry (chaos-born identities, autoscaled launches) -- which is the
+        one thing ``weight_of`` raises ``BackendError`` for."""
         try:
             return self._weight_of(name)
-        except Exception:
+        except BackendError:
             return 1.0
 
     def _weight_sum(self, names) -> float:
-        weight_of = self._safe_weight
-        return sum(weight_of(name) for name in names)
+        return sum(map(self._safe_weight, names))
 
     def _break_flow(self, flow: Flow) -> None:
         # PCC violation: the connection is reset by the new backend.
         flow.broken = True
         self.result.pcc_violations += 1
-        if self._now - self._last_fault_time <= self._fault_window:
+        if self.now - self._last_fault_time <= self._fault_window:
             self.result.violations_under_fault += 1
         self._retire(flow)
-
-    def _advance_flow(self, flow: Flow) -> None:
-        flow.next_packet += 1
-        if flow.next_packet < len(flow.packet_times):
-            self._push(flow.packet_times[flow.next_packet], _PACKET, flow)
 
     def _retire(self, flow: Flow) -> None:
         """Remove a finished/broken flow from load accounting."""
@@ -516,30 +433,22 @@ class EventDrivenSimulation:
         self.result.flows_completed += 1
         self._retire(flow)
 
-    def _on_removal(self, now: float) -> None:
-        victim = self._pick_up_server()
+    def _on_removal(self) -> None:
+        victim = self.pick_up_server()
         if victim is not None:
-            self.crash_server(victim, now)
-        self._push(now + self._rng.expovariate(self._removal_rate), _REMOVAL)
+            self.crash_server(victim)
+        self.at(self.now + self._rng.expovariate(self._removal_rate), self._on_removal)
 
     def _on_recovery(self, server: Name) -> None:
-        self._mark_up(server)
-        self.result.additions += 1
-        self.result.churn_exposed_flows += self._load.active_flows
-        self.manager.recover_server(server)
+        self.bring_up(server)
         if server in self._probated:
             self._probated.discard(server)
             self.result.probation_readmissions += 1
-        if self.injector is not None and self.injector.health is not None:
-            self.injector.health.note_recovered(server, self._now)
+        if self._health is not None:
+            self._health.note_recovered(server, self.now)
 
-    def _on_control(self, now: float) -> None:
-        self.result.control_ticks += 1
-        self.controller.tick(self, now)
-        if now + self.controller.interval_s <= self.duration_s:
-            self._push(now + self.controller.interval_s, _CONTROL)
-
-    def _on_sample(self, now: float) -> None:
+    def _on_sample(self) -> None:
+        now = self.now
         if self._observe_occupancy is not None:
             # Refresh the balancer's live occupancy view (jet-p2c); runs
             # unconditionally so dispatch never depends on the registry.
@@ -564,13 +473,10 @@ class EventDrivenSimulation:
         if self._obs_on:
             self._publish_telemetry()
             self.obs.export_snapshot(t=now)
-        # Re-arm only while the next sample still lands inside the run:
-        # an unconditional re-push leaks one past-the-end event per run
-        # and, worse, kept the sample chain alive in the heap on long
-        # simulations.  Samples processed are identical either way (the
-        # loop drops events past duration_s).
+        # Re-arm only while the next sample still lands inside the run
+        # (the loop would drop a later one anyway).
         if now + self.sample_interval <= self.duration_s:
-            self._push(now + self.sample_interval, _SAMPLE)
+            self.at(now + self.sample_interval, self._on_sample)
 
     def _publish_telemetry(self) -> None:
         """Flush the engine's own tallies into the registry (the CT/CH
@@ -596,15 +502,14 @@ class EventDrivenSimulation:
         obs.counter(
             obs_metrics.CHURN_EXPOSED, "Flows exposed to backend churn (upper bound)"
         ).set_total(result.churn_exposed_flows)
-        obs.counter(
-            obs_metrics.BACKEND_EVENTS, "Backend change events", kind="removal"
-        ).set_total(result.removals)
-        obs.counter(
-            obs_metrics.BACKEND_EVENTS, "Backend change events", kind="addition"
-        ).set_total(result.additions)
-        obs.counter(
-            obs_metrics.BACKEND_EVENTS, "Backend change events", kind="unannounced"
-        ).set_total(result.unannounced_additions)
+        for kind, total in (
+            ("removal", result.removals),
+            ("addition", result.additions),
+            ("unannounced", result.unannounced_additions),
+        ):
+            obs.counter(
+                obs_metrics.BACKEND_EVENTS, "Backend change events", kind=kind
+            ).set_total(total)
         obs.counter(
             obs_metrics.DISPATCH_PACKETS, "Packets by dispatch path", path="scalar"
         ).set_total(result.packets_processed)
@@ -647,8 +552,7 @@ class EventDrivenSimulation:
             result.ct_evictions = ct.stats.evictions
             result.ct_hit_rate = ct.stats.hit_rate
             result.ct_peak_size = ct.stats.peak_size
-            if ct.stats.peak_size > result.peak_tracked:
-                result.peak_tracked = ct.stats.peak_size
+            result.peak_tracked = max(result.peak_tracked, ct.stats.peak_size)
         # LB-pool balancers expose their sync channel's degradation stats.
         channel = getattr(self.lb, "channel", None)
         if channel is not None:
@@ -665,7 +569,13 @@ class EventDrivenSimulation:
             result.observed_tracked_fraction = (
                 self._first_tracked / self._first_dispatches
             )
-        self._finalize_horizon_fidelity()
+        # Horizon fidelity: the manager scores announcements against
+        # arrivals under either configuration, so late-announced chaos
+        # exposure gets attribution in exogenous runs too.
+        scorecard = self.manager.scorecard
+        result.horizon_precision = scorecard.precision
+        result.horizon_recall = scorecard.recall
+        result.phantom_announcements = self.manager.phantom_announcements
         if self.controller is not None:
             prober_stats = self.controller.prober.stats
             result.probes_sent = prober_stats.sent
@@ -674,37 +584,10 @@ class EventDrivenSimulation:
             result.probe_readmissions = prober_stats.readmissions
         if self._obs_on:
             self._publish_telemetry()
-            if result.horizon_precision is not None:
-                self.obs.gauge(
-                    obs_metrics.HORIZON_PRECISION,
-                    "Horizon announcement precision vs realized additions",
-                ).set(result.horizon_precision)
-            if result.horizon_recall is not None:
-                self.obs.gauge(
-                    obs_metrics.HORIZON_RECALL,
-                    "Horizon announcement recall vs realized additions",
-                ).set(result.horizon_recall)
-
-    def _finalize_horizon_fidelity(self) -> None:
-        """Horizon precision/recall from whichever manager drove the run.
-
-        Closed-loop runs carry a full scorecard; exogenous-H runs derive
-        the same report from the FIFO's counters (proper vs surprise
-        additions, announcements revoked while the server was down), so
-        late-announced chaos exposure gets attribution either way."""
-        result = self.result
-        scorecard = getattr(self.manager, "scorecard", None)
-        if scorecard is not None:
-            result.horizon_precision = scorecard.precision
-            result.horizon_recall = scorecard.recall
-            result.phantom_announcements = self.manager.phantom_announcements
-            return
-        proper = self.manager.proper_additions
-        surprise = self.manager.surprise_additions
-        revoked = getattr(self.manager, "revoked_announcements", 0)
-        realized = proper + surprise
-        if realized:
-            result.horizon_recall = proper / realized
-        judged = proper + revoked
-        if judged:
-            result.horizon_precision = proper / judged
+            for metric, what, value in (
+                (obs_metrics.HORIZON_PRECISION, "precision", result.horizon_precision),
+                (obs_metrics.HORIZON_RECALL, "recall", result.horizon_recall),
+            ):
+                if value is not None:
+                    text = f"Horizon announcement {what} vs realized additions"
+                    self.obs.gauge(metric, text).set(value)

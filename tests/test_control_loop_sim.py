@@ -1,10 +1,9 @@
-"""End-to-end closed-loop simulation: ControlledMembership against real
-JET balancers, and full runs through repro.sim with the control plane
-driving the horizon (repro.control.loop)."""
+"""End-to-end closed-loop simulation: the capped, standby-less
+HorizonManager against real JET balancers, and full runs through
+repro.sim with the control plane driving the horizon (repro.control.loop)."""
 
 import pytest
 
-from repro.control.loop import ControlledMembership
 from repro.core.factories import make_jet
 from repro.faults import (
     PROBE_LOSS,
@@ -13,6 +12,7 @@ from repro.faults import (
     FaultEvent,
     FaultSchedule,
 )
+from repro.sim.backend import HorizonManager
 from repro.sim.distributions import Constant, Exponential
 from repro.sim.scenario import SimulationConfig, run_simulation
 from repro.sim.workload import RateProfile
@@ -22,10 +22,13 @@ W = list(range(8))
 
 def make_membership(horizon_cap=4, n_lbs=1):
     balancers = [make_jet("ring", W, []) for _ in range(n_lbs)]
-    return ControlledMembership(balancers, horizon_cap), balancers
+    return HorizonManager(balancers, cap=horizon_cap), balancers
 
 
 class TestControlledMembership:
+    """The closed-loop configuration of the one manager (the class this
+    name refers to was merged into ``sim.backend.HorizonManager``)."""
+
     def test_announce_then_realize_is_proper(self):
         membership, (lb,) = make_membership()
         membership.announce("auto1")

@@ -1,8 +1,30 @@
 """Event-driven simulator integration tests (Section 5.1 semantics)."""
 
+import hashlib
+
 import pytest
 
-from repro.sim import LogNormal, SimulationConfig, run_paired, run_simulation
+from repro.ch.weighted import WeightedHRWHash
+from repro.faults import (
+    CRASH,
+    FLAP,
+    GROUP,
+    PROBE_LOSS,
+    UNANNOUNCED_ADD,
+    FaultEvent,
+    FaultSchedule,
+)
+from repro.scenarios import load_scenario
+from repro.scenarios.run import fingerprint, run_scenario
+from repro.sim import (
+    Constant,
+    Exponential,
+    LogNormal,
+    SimulationConfig,
+    run_paired,
+    run_simulation,
+)
+from repro.sim.workload import RateProfile
 
 BASE = SimulationConfig(
     duration_s=20.0,
@@ -125,3 +147,104 @@ class TestModes:
         jet = run_simulation(cfg.with_(mode="jet"))
         assert p2c.pcc_violations == 0
         assert p2c.peak_tracked > jet.peak_tracked
+
+
+class TestWeightedExpectation:
+    WEIGHTED = BASE.with_(
+        duration_s=6.0,
+        connection_rate=120.0,
+        n_servers=12,
+        horizon_size=2,
+        ch_family="weighted-hrw",
+        server_weights={0: 2.0, 1: 2.0},
+    )
+
+    def test_weighted_run_publishes_the_weighted_expectation(self):
+        result = run_simulation(self.WEIGHTED)
+        assert result.mean_expected_tracked_fraction is not None
+        assert result.balance_cv_series
+
+    def test_a_bug_inside_weight_of_is_not_a_balanced_fleet(self, monkeypatch):
+        # Only BackendError ("the CH does not carry this name") means
+        # weight 1.0; anything else is a bug and must surface.
+        def broken(self, name):
+            raise TypeError("weight_of is broken")
+
+        monkeypatch.setattr(WeightedHRWHash, "weight_of", broken)
+        with pytest.raises(TypeError, match="weight_of is broken"):
+            run_simulation(self.WEIGHTED)
+
+
+def _exogenous_chaos():
+    """Background churn under a 3-slot horizon plus one of each scripted
+    chaos kind: revoked announcements, probation, an unannounced add."""
+    return run_simulation(
+        SimulationConfig(
+            duration_s=16.0, connection_rate=200.0, n_servers=24, horizon_size=3,
+            update_rate_per_min=15.0, ch_family="table", mode="jet", seed=5,
+            duration_dist=Exponential(2.0), size_dist=Constant(8),
+            fault_schedule=FaultSchedule.at(
+                FaultEvent(2.0, CRASH),
+                FaultEvent(4.0, FLAP, flap_count=3, flap_interval=0.5),
+                FaultEvent(7.0, GROUP, group_size=4),
+                FaultEvent(9.0, UNANNOUNCED_ADD),
+                FaultEvent(11.0, CRASH, downtime=1.0),
+            ),
+        )
+    )
+
+
+def _closed_loop():
+    """A flash crowd under a lossy, imprecise control plane: phantoms,
+    surprises, silent crashes, false evictions, scale-out and scale-in."""
+    return run_simulation(
+        SimulationConfig(
+            duration_s=24.0, connection_rate=200.0, n_servers=12, horizon_size=3,
+            update_rate_per_min=0.0, mode="jet", seed=2,
+            duration_dist=Exponential(2.0), size_dist=Constant(8),
+            control=True, control_interval_s=0.5, scale_lead_time_s=4.0,
+            autoscale_max=8, forecast_precision=0.5, forecast_recall=0.7,
+            probe_loss_probability=0.1,
+            rate_profile=RateProfile.flash_crowd(
+                start=5.0, ramp_s=3.0, magnitude=2.5, hold_s=6.0
+            ),
+            fault_schedule=FaultSchedule.at(
+                FaultEvent(3.0, PROBE_LOSS, duration=6.0, intensity=0.6),
+                FaultEvent(6.0, CRASH, downtime=5.0),
+                FaultEvent(12.0, CRASH),
+            ),
+        )
+    )
+
+
+def _sharded_library():
+    """A shipped scenario through the two-shard driver, cut to 30 s."""
+    return run_scenario(load_scenario("multi-region-failover"), duration_s=30.0).result
+
+
+class TestGoldenDigests:
+    """sha1 of ``scenarios.fingerprint`` for three small runs, recorded at
+    the commit before the engine became ``at(when, handler, *args)`` plus
+    plug-ins.  A refactor of ``sim/``, ``faults/`` or ``control/`` that is
+    meant to change nothing must leave these alone; a change that is meant
+    to move a result re-records the digest and says which field moved."""
+
+    GOLDEN = {
+        _exogenous_chaos: "035c46053ca10ca788dcab32db7637d0a21d39b9",
+        _closed_loop: "da053241aecb5ce6a4115e290be195aa52f1e50e",
+        _sharded_library: "6fddcab912fbcd719c55762cd2ea33513fc43c36",
+    }
+
+    @pytest.mark.parametrize("run", list(GOLDEN), ids=lambda run: run.__name__.strip("_"))
+    def test_fingerprint_is_unchanged(self, run):
+        result = run()
+        digest = hashlib.sha1(fingerprint(result).encode()).hexdigest()
+        assert digest == self.GOLDEN[run], result.summary()
+
+    def test_the_runs_reach_what_they_are_there_for(self):
+        chaos, loop = _exogenous_chaos(), _closed_loop()
+        assert chaos.flaps and chaos.correlated_failures and chaos.unannounced_additions
+        assert chaos.probation_readmissions and chaos.horizon_precision < 1.0
+        assert loop.scale_outs and loop.scale_ins and loop.phantom_announcements
+        assert loop.surprise_additions and loop.probe_false_evictions
+        assert loop.blackholed_flows and loop.probe_readmissions

@@ -1,8 +1,11 @@
 """Workload-generator and horizon-manager tests."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import settings
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.core import make_jet
+from repro.core import make_full_ct, make_jet
 from repro.sim.backend import HorizonManager
 from repro.sim.distributions import Constant, Exponential
 from repro.sim.workload import WorkloadGenerator
@@ -110,3 +113,137 @@ class TestHorizonManager:
         assert manager.down_servers == frozenset({W[5]})
         manager.recover_server(W[5])
         assert manager.down_servers == frozenset()
+
+
+# --------------------------------------------------------------------------
+# One rule machine over the one manager, in both of its configurations.
+
+PICK = st.integers(min_value=0, max_value=10**6)
+
+
+def pick(names, index):
+    ordered = sorted(names, key=str)
+    return ordered[index % len(ordered)]
+
+
+class HorizonManagerMachine(RuleBasedStateMachine):
+    """Arbitrary interleavings of the six membership operations against a
+    JET balancer and a full-CT one (the Proposition 4.1 pairing): the
+    manager, both consistent hashes and a plain set model must agree
+    after every step."""
+
+    standby = ()
+    cap = None
+
+    def __init__(self):
+        super().__init__()
+        self.balancers = [make_jet("hrw", W, self.standby), make_full_ct("hrw", W, self.standby)]
+        self.manager = HorizonManager(self.balancers, self.standby, cap=self.cap)
+        self.up = set(W)
+        self.down = set()
+        self.pending = set()  # announced, neither realized nor expired
+        self.realized = 0
+        self.fresh = 0
+
+    def fresh_name(self):
+        self.fresh += 1
+        return f"auto{self.fresh}"
+
+    # ------------------------------------------------------------ rules
+    @precondition(lambda self: len(self.up) > 1)
+    @rule(index=PICK)
+    def remove(self, index):
+        name = pick(self.up, index)
+        self.manager.remove_server(name)
+        self.up.remove(name)
+        self.down.add(name)
+
+    @precondition(lambda self: self.down)
+    @rule(index=PICK)
+    def recover(self, index):
+        name = pick(self.down, index)
+        announced = name in self.manager.members
+        assert self.manager.recover_server(name) is announced
+        self.down.remove(name)
+        self.up.add(name)
+        self.realized += 1
+
+    @rule()
+    def announce(self):
+        name = self.fresh_name()
+        self.manager.announce(name)
+        self.pending.add(name)
+        assert name in self.manager.members
+
+    @precondition(lambda self: self.pending)
+    @rule(index=PICK)
+    def expire(self, index):
+        name = pick(self.pending, index)
+        phantoms = self.manager.phantom_announcements
+        self.manager.expire(name)  # possibly revoked already: still a phantom
+        self.pending.remove(name)
+        assert self.manager.phantom_announcements == phantoms + 1
+
+    @rule(index=PICK, announced=st.booleans())
+    def realize(self, index, announced):
+        # A pending launch (or, exogenous runs, a pre-announced standby)
+        # joins W -- or a stranger nobody announced does.
+        candidates = self.pending | (self.manager.members - self.down)
+        name = pick(candidates, index) if announced and candidates else self.fresh_name()
+        proper = name in self.manager.members
+        assert self.manager.realize(name) is proper
+        self.pending.discard(name)
+        self.up.add(name)
+        self.realized += 1
+
+    @precondition(lambda self: len(self.up) > 1)
+    @rule(index=PICK)
+    def retire(self, index):
+        name = pick(self.up, index)
+        self.manager.retire(name)
+        self.up.remove(name)
+
+    # ------------------------------------------------------- invariants
+    @invariant()
+    def manager_and_balancers_agree(self):
+        manager = self.manager
+        assert len(manager.members) <= manager.horizon_size
+        assert manager.down_servers == self.down
+        for lb in self.balancers:
+            assert lb.ch.horizon == manager.members
+            assert lb.ch.working == self.up
+        jet, full = self.balancers
+        assert jet.horizon == manager.members  # what Algorithm 1 tracks against
+        assert (jet.ch.working, jet.ch.horizon) == (full.ch.working, full.ch.horizon)
+
+    @invariant()
+    def every_arrival_is_scored_once(self):
+        manager = self.manager
+        assert manager.proper_additions + manager.surprise_additions == self.realized
+        card = manager.scorecard
+        assert (card.matched, card.missed) == (
+            manager.proper_additions, manager.surprise_additions,
+        )
+
+
+class ExogenousHorizonMachine(HorizonManagerMachine):
+    standby = tuple(STANDBY)
+
+    @invariant()
+    def wasted_is_what_overflow_revoked(self):
+        assert self.manager.scorecard.phantom == self.manager.revoked_announcements
+
+
+class ClosedLoopHorizonMachine(HorizonManagerMachine):
+    cap = 3
+
+    @invariant()
+    def wasted_is_what_expired(self):
+        assert self.manager.scorecard.phantom == self.manager.phantom_announcements
+
+
+MACHINE_SETTINGS = settings(max_examples=40, stateful_step_count=40, deadline=None)
+TestExogenousHorizonMachine = ExogenousHorizonMachine.TestCase
+TestExogenousHorizonMachine.settings = MACHINE_SETTINGS
+TestClosedLoopHorizonMachine = ClosedLoopHorizonMachine.TestCase
+TestClosedLoopHorizonMachine.settings = MACHINE_SETTINGS
