@@ -66,6 +66,9 @@ _MIN_FLOWSETS = 1024
 
 _SALT_CONST = 0xC0C0_12D1_5EED_0001
 
+#: Size of the backend slot space: Othello stores a slot id in 16 bits.
+_MAX_SLOTS = 1 << 16
+
 
 def _pow2_at_least(n: int) -> int:
     size = 1
@@ -150,10 +153,28 @@ class ConcuryHash(HorizonConsistentHash):
         return self._inner.horizon
 
     # ------------------------------------------------------ control plane
+    def _check_slot_room(self, name: Name) -> None:
+        """Refuse a name the append-only slot space has no id left for."""
+        if name not in self._slot_index and len(self._slots) >= _MAX_SLOTS:
+            raise BackendError(
+                f"Concury slot space is full: {_MAX_SLOTS} distinct server "
+                f"names were admitted (slot ids are 16-bit and never reused); "
+                f"cannot admit {name!r}"
+            )
+
     def _ensure_slot(self, name: Name) -> None:
+        self._check_slot_room(name)
         if name not in self._slot_index:
             self._slot_index[name] = len(self._slots)
             self._slots.append(name)
+
+    def _admit(self, name: Name, inner_add) -> None:
+        """One admission: the slot-space check comes *before* the inner CH
+        changes, so a refused call leaves every lookup as it was."""
+        self._check_slot_room(name)
+        inner_add(name)
+        self._ensure_slot(name)
+        self._refresh()
 
     def _flowset_values(self) -> Tuple[np.ndarray, np.ndarray]:
         """(slot id, unsafe) per flowset, from the inner CH."""
@@ -260,27 +281,21 @@ class ConcuryHash(HorizonConsistentHash):
 
     # --------------------------------------------------------- mutation
     def add_working(self, name: Name) -> None:
-        self._inner.add_working(name)
-        self._ensure_slot(name)
-        self._refresh()
+        self._admit(name, self._inner.add_working)
 
     def remove_working(self, name: Name) -> None:
         self._inner.remove_working(name)
         self._refresh()
 
     def add_horizon(self, name: Name) -> None:
-        self._inner.add_horizon(name)
-        self._ensure_slot(name)
-        self._refresh()
+        self._admit(name, self._inner.add_horizon)
 
     def remove_horizon(self, name: Name) -> None:
         self._inner.remove_horizon(name)
         self._refresh()
 
     def force_add_working(self, name: Name) -> None:
-        self._inner.force_add_working(name)
-        self._ensure_slot(name)
-        self._refresh()
+        self._admit(name, self._inner.force_add_working)
 
     # ------------------------------------------------------------- state
     @property

@@ -25,6 +25,12 @@ in sync and ``get_batch_idx`` is a vectorized probe (~7 ns/key against
   and absent keys alike.  A re-insert overwrites the tombstone in place.
 * Growth rehashes the live entries into fresh arrays; that is also
   where tombstones are dropped.
+
+While most probes miss (JET's table: ~94 % of them), ``get_batch_idx``
+answers the misses from a *miss filter* instead of a probe-run search:
+``1 << _FILTER_BITS`` bools per slot, one per slice of the slot's hash
+range, set for every key written since the arrays were built.  See
+:attr:`UnboundedCT._filter`.
 """
 
 from __future__ import annotations
@@ -45,6 +51,10 @@ _ID_MAX = np.iinfo(np.int32).max
 #: left.  Measured on the bench's steady trace (probe + insert, both
 #: tracking stacks): flat from 16 to 64, 5-25 % worse at 0 and at 256.
 _WALK = 32
+#: log2 of the miss-filter buckets per probed slot.  Round-robin sweep of
+#: the bench's steady JET replay in one process (docs/ALGORITHMS.md): 4 and
+#: 8 buckets level, 2 at half their gain, 1 at none -- so the smaller.
+_FILTER_BITS = 2
 
 
 def _checked_ids(ids) -> np.ndarray:
@@ -71,6 +81,14 @@ class UnboundedCT(ConnectionTracker):
         self._shift = np.uint64(0)
         self._live = 0  # entries with a value >= 0, key 0 included
         self._dead = 0  # tombstones written since the arrays were built
+        #: The miss filter, ``size << _FILTER_BITS`` bools, or None: bucket
+        #: ``b`` is set iff some key whose hash starts with ``b`` was
+        #: written since the arrays were built -- a clear bucket proves a
+        #: miss.  Built from the stored keys by the first probe of a
+        #: miss-heavy table (:meth:`get_batch_idx`), kept up by every
+        #: write, never cleared by a tombstone (so it has no false
+        #: negative), dropped with the arrays it describes.
+        self._filter: Optional[np.ndarray] = None
 
     def get(self, key: int) -> Optional[Destination]:
         self.stats.lookups += 1
@@ -95,6 +113,8 @@ class UnboundedCT(ConnectionTracker):
                 self._live += 1
             self._keys[slot] = key
             self._vals[slot] = ident
+            if self._filter is not None:
+                self._filter[self._bucket_of(key)] = True
         self._note_size()
 
     # ------------------------------------------------- integer-index mode
@@ -113,9 +133,22 @@ class UnboundedCT(ConnectionTracker):
         keys = np.asarray(keys, dtype=np.uint64)
         if self._table is not None:
             self._engage()
-        out = self._vals[self._settle(keys, self._home(keys))]
-        self.stats.lookups += len(keys)
-        self.stats.hits += int(np.count_nonzero(out >= 0))
+        stats = self.stats
+        if 2 * stats.hits < stats.lookups:
+            # Most probes so far missed, and an unsuccessful search is the
+            # long one: search only where the filter cannot rule it out.
+            # (A hit-heavy table skips this: measured on full CT, the
+            # extra gather costs more than the few searches it saves.)
+            if self._filter is None:
+                self._build_filter()
+            maybe = np.flatnonzero(self._filter[self._buckets(keys)])
+            out = np.full(len(keys), -1, dtype=np.int32)
+            probed = keys[maybe]
+            out[maybe] = self._vals[self._settle(probed, self._home(probed))]
+        else:
+            out = self._vals[self._settle(keys, self._home(keys))]
+        stats.lookups += len(keys)
+        stats.hits += int(np.count_nonzero(out >= 0))
         return out
 
     def put_batch_idx(self, keys: np.ndarray, ids: np.ndarray) -> int:
@@ -190,16 +223,42 @@ class UnboundedCT(ConnectionTracker):
         self._vals = np.full(size + 1, -1, dtype=np.int32)
         self._shift = np.uint64(64 - (size.bit_length() - 1))
         self._dead = 0
+        self._filter = None
         if old_keys is not None:
             live = np.flatnonzero(old_vals >= 0)
             self._insert(old_keys[live], old_vals[live])
 
+    @staticmethod
+    def _top_bits(keys: np.ndarray, drop: np.uint64) -> np.ndarray:
+        """The multiply-shift product of each key without its ``drop`` low
+        bits, as indices (< 2**62: the same bits signed or not)."""
+        with np.errstate(over="ignore"):
+            bits = keys * _GAMMA
+        bits >>= drop
+        return bits.view(np.int64)
+
+    def _buckets(self, keys: np.ndarray) -> np.ndarray:
+        """Filter bucket per key: the bits that pick the home slot and
+        ``_FILTER_BITS`` more, so ``home == bucket >> _FILTER_BITS``;
+        key 0 -> bucket 0."""
+        return self._top_bits(keys, self._shift - np.uint64(_FILTER_BITS))
+
+    def _bucket_of(self, key: int) -> int:
+        """:meth:`_buckets` for one key, in Python ints."""
+        product = (int(key) * int(_GAMMA)) & 0xFFFFFFFFFFFFFFFF
+        return product >> (int(self._shift) - _FILTER_BITS)
+
+    def _build_filter(self) -> None:
+        """The filter of the keys the arrays hold, live or tombstoned."""
+        keys = self._keys
+        self._filter = np.zeros((len(keys) - 1) << _FILTER_BITS, dtype=bool)
+        self._filter[self._buckets(keys[np.flatnonzero(keys)])] = True
+        if self._vals[-1] >= 0:  # flow key 0, in the side slot
+            self._filter[0] = True
+
     def _home(self, keys: np.ndarray) -> np.ndarray:
         """Multiply-shift home slot per key; key 0 -> the side slot."""
-        with np.errstate(over="ignore"):
-            slots = keys * _GAMMA
-        slots >>= self._shift
-        slots = slots.view(np.int64)  # < 2**58: the same bits either way
+        slots = self._top_bits(keys, self._shift)
         if np.count_nonzero(keys) < len(keys):
             slots[keys == _EMPTY] = len(self._keys) - 1
         return slots
@@ -244,8 +303,7 @@ class UnboundedCT(ConnectionTracker):
         key = int(key)
         if key == 0:
             return len(self._keys) - 1
-        home = ((key * int(_GAMMA)) & 0xFFFFFFFFFFFFFFFF) >> int(self._shift)
-        return self._walk(key, home)
+        return self._walk(key, self._bucket_of(key) >> _FILTER_BITS)
 
     def _insert(self, keys: np.ndarray, vals: np.ndarray) -> int:
         """Vectorized linear-probe insert (capacity ensured); returns how
@@ -257,6 +315,8 @@ class UnboundedCT(ConnectionTracker):
         applies them in array order.
         """
         table_keys, table_vals = self._keys, self._vals
+        if self._filter is not None:
+            self._filter[self._buckets(keys)] = True
         slots = self._settle(keys, self._home(keys))
         # A live key sits in one slot, which all of its repeats reached.
         overwritten = count_distinct(slots[table_vals[slots] >= 0])
@@ -294,7 +354,8 @@ class UnboundedCT(ConnectionTracker):
     def nbytes(self) -> int:
         if self._table is not None:
             return super().nbytes
-        return self._keys.nbytes + self._vals.nbytes
+        filter_bytes = self._filter.nbytes if self._filter is not None else 0
+        return self._keys.nbytes + self._vals.nbytes + filter_bytes
 
     def __len__(self) -> int:
         return len(self._table) if self._table is not None else self._live

@@ -208,3 +208,28 @@ class TestOthelloValueWidth:
         assert len(ch._slots) == len(WORKING) + len(HORIZON) + 40
         names, _ = batch_names(ch, KEYS[:200])
         assert set(names.tolist()) <= set(WORKING)
+
+    @pytest.mark.parametrize(
+        "admit", ["add_horizon_server", "force_add_working_server"]
+    )
+    def test_full_slot_space_refuses_before_anything_changes(self, admit):
+        # Retired names keep their slot, so a long-lived balancer can use
+        # up all 65 536 ids.  The refusal must come before the inner CH
+        # admits the server (it used to surface as Othello's ValueError,
+        # after), and must name the limit.
+        lb = make_concury("table", WORKING, HORIZON, flowsets=512, rows=389)
+        ch = lb.ch
+        for i in range(len(ch._slots), 1 << 16):
+            ch._slot_index[f"retired{i}"] = i
+            ch._slots.append(f"retired{i}")
+        before = lb.get_destinations_batch_idx(KEYS).copy()
+        state = (lb.working, ch.working, ch.horizon, ch._map, ch.patches)
+        with pytest.raises(BackendError, match="65536"):
+            getattr(lb, admit)("one-too-many")
+        assert (lb.working, ch.working, ch.horizon, ch._map, ch.patches) == state
+        assert ch._inner.working == ch.working and len(ch._slots) == 1 << 16
+        assert np.array_equal(lb.get_destinations_batch_idx(KEYS), before)
+        assert batch_names(ch, KEYS)[0].tolist() == [ch.lookup(int(k)) for k in KEYS]
+        # A name that has a slot already is still welcome.
+        lb.add_working_server(HORIZON[0])
+        assert HORIZON[0] in lb.working

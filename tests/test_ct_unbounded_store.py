@@ -9,10 +9,12 @@ after each step.  Its key pool holds one cluster that shares a home slot
 near the top of the table at every size, so probe runs are long and wrap;
 the machine runs once with the shipped straggler threshold (its batches
 then settle by the Python walk alone) and once with a threshold of 2
-(vectorized rounds, then the walk).  The example tests below pin the
-probe on a crafted long run, the table size against the batching, the
-edge values at the index-mode boundary and what the store holds in each
-mode.
+(vectorized rounds, then the walk), and once each with its ``CTStats``
+seeded so that every batched probe goes through the miss filter, or none
+does.  The example tests below pin the probe on a crafted long run, the
+table size against the batching, the edge values at the index-mode
+boundary, what the store holds in each mode and which balancer's table
+ever allocates the filter.
 """
 
 import sys
@@ -30,7 +32,7 @@ from repro.ct import UnboundedCT
 from repro.ct.base import CTStats
 from repro.hashing.mix import splitmix64
 from repro.shard.worker import _ct_approx_bytes
-from repro.traces import replay_batch, zipf_trace
+from repro.traces import replay, replay_batch, zipf_trace
 
 _UNGAMMA = pow(int(unbounded._GAMMA), -1, 2**64)
 
@@ -60,6 +62,9 @@ def u64(keys):
 class UnboundedCTMachine(RuleBasedStateMachine):
     #: Straggler threshold to run under (None: the shipped one).
     walk = None
+    #: ``(lookups, hits)`` the table starts from: a head start no run of
+    #: the machine overturns pins the probe regime from the first call.
+    history = (0, 0)
 
     @initialize()
     def setup(self):
@@ -69,6 +74,8 @@ class UnboundedCTMachine(RuleBasedStateMachine):
         self.ct = UnboundedCT()
         self.model = {}
         self.expected = CTStats()
+        for stats in (self.ct.stats, self.expected):
+            stats.lookups, stats.hits = self.history
         self.victims = []
         self.fresh = 1 << 40
 
@@ -109,8 +116,10 @@ class UnboundedCTMachine(RuleBasedStateMachine):
 
     @rule(keys=st.lists(KEYS, max_size=40))
     def get_batch_idx(self, keys):
+        miss_heavy = 2 * self.expected.hits < self.expected.lookups
         got = self.ct.get_batch_idx(u64(keys))
         assert got.dtype == np.int32
+        assert self.ct._filter is not None or not miss_heavy
         assert got.tolist() == [self.model.get(k, -1) for k in keys]
         self.expected.lookups += len(keys)
         self.expected.hits += sum(k in self.model for k in keys)
@@ -159,6 +168,17 @@ class UnboundedCTMachine(RuleBasedStateMachine):
         if ct._keys is not None:
             assert_slots_agree(ct, self.model, POOL)
 
+    @invariant()
+    def filter_covers_every_stored_key(self):
+        # Live or tombstoned: a clear bucket must prove a miss.
+        ct = self.ct
+        if ct._filter is not None:
+            stored = ct._keys[np.flatnonzero(ct._keys)]
+            assert len(ct._filter) == (len(ct._keys) - 1) << unbounded._FILTER_BITS
+            assert ct._filter[ct._buckets(stored)].all()
+            assert all(ct._filter[ct._bucket_of(key)] for key in stored.tolist())
+            assert ct._filter[0] or 0 not in self.model
+
 
 def assert_slots_agree(ct, model, candidates):
     """The arrays, ``_slot_of``, the vectorized settle and the dict model
@@ -190,6 +210,25 @@ class VectorRoundsMachine(UnboundedCTMachine):
 TestUnboundedCTStoreVectorRounds = VectorRoundsMachine.TestCase
 TestUnboundedCTStoreVectorRounds.settings = settings(
     max_examples=30, stateful_step_count=40, deadline=None
+)
+
+
+class MissHeavyMachine(UnboundedCTMachine):
+    history = (10**9, 0)
+
+
+class HitHeavyMachine(UnboundedCTMachine):
+    history = (10**9, 10**9)
+
+    @invariant()
+    def no_filter_is_ever_built(self):
+        assert self.ct._filter is None
+
+
+TestUnboundedCTStoreMissHeavy = MissHeavyMachine.TestCase
+TestUnboundedCTStoreHitHeavy = HitHeavyMachine.TestCase
+TestUnboundedCTStoreMissHeavy.settings = TestUnboundedCTStoreHitHeavy.settings = (
+    TestUnboundedCTStoreVectorRounds.settings
 )
 
 
@@ -284,6 +323,61 @@ class TestSizedByConnections:
             if ct._keys is not before and slots > 64:
                 assert 0.1875 <= len(ct) / slots <= 0.6
         assert len(ct) == len(set(stream.tolist()))
+
+
+class TestWhichTableBuildsTheFilter:
+    """A count gate on the probe regime: on a Zipf replay full CT's probes
+    mostly hit (every packet of a flow after its first), JET's mostly miss
+    (the safe flows are never tracked) -- so the first never pays for a
+    filter and the second has one from its second chunk on, and either
+    way the replay is the scalar one down to the CT counters."""
+
+    TRACE = zipf_trace(skew=1.1, n_packets=60_000, population=12_000, seed=9)
+    CHUNK = 2_048
+    WORKING = [f"w{i}" for i in range(12)]
+    HORIZON = [f"h{i}" for i in range(4)]
+    CH_KWARGS = {"table": {"rows": 389}, "anchor": {"capacity": 64}}
+
+    def events(self):
+        return [
+            (15_000, lambda lb: lb.remove_working_server(self.WORKING[3])),
+            (30_000, lambda lb: lb.add_working_server(self.WORKING[3])),
+            (45_000, lambda lb: lb.remove_working_server(self.WORKING[7])),
+        ]
+
+    @pytest.mark.parametrize("family", ["table", "anchor"])
+    @pytest.mark.parametrize("make", [make_jet, make_full_ct])
+    def test_regime_follows_the_tables_own_stats(self, make, family, monkeypatch):
+        built = []  # lookups on the table's counter at each build
+        build = UnboundedCT._build_filter
+
+        def counted_build(ct):
+            built.append(ct.stats.lookups)
+            build(ct)
+
+        monkeypatch.setattr(UnboundedCT, "_build_filter", counted_build)
+        balancers = [
+            make(family, self.WORKING, self.HORIZON, **self.CH_KWARGS[family])
+            for _ in range(2)
+        ]
+        scalar = replay(self.TRACE, balancers[0], self.events())
+        assert built == [] and balancers[0].ct._keys is None  # name mode throughout
+        columnar = replay_batch(
+            self.TRACE, balancers[1], self.events(), chunk_size=self.CHUNK
+        )
+        if make is make_full_ct:
+            assert built == [] and balancers[1].ct._filter is None
+        else:
+            # From the second probe on, and again after each rehash.
+            assert built[0] == self.CHUNK and len(built) > 1
+            assert balancers[1].ct._filter is not None
+        for field in (
+            "pcc_violations", "inevitably_broken", "tracked_connections",
+            "max_oversubscription", "server_loads", "ct_peak_size",
+        ):
+            assert getattr(columnar, field) == getattr(scalar, field), field
+        assert balancers[1].ct.stats == balancers[0].ct.stats
+        assert balancers[1].tracked_items() == balancers[0].tracked_items()
 
 
 ENGAGE = {
@@ -385,7 +479,13 @@ class TestStoreBytes:
             ct.put(key, "w1")
         assert ct.nbytes == sys.getsizeof(ct._table) + 36 * len(POOL)
         ct.remap_values(lambda name: 0)
+        assert ct._filter is None
         assert ct.nbytes == ct._keys.nbytes + ct._vals.nbytes
+        # The miss filter counts while it exists: a third of the slots' bytes.
+        for _ in range(2):
+            assert ct.get_batch_idx(u64([5, 6, 7])).tolist() == [-1, -1, -1]
+        assert ct._filter.nbytes == 4 * (len(ct._keys) - 1)
+        assert ct.nbytes == ct._keys.nbytes + ct._vals.nbytes + ct._filter.nbytes
 
     def test_ct_approx_bytes_does_not_walk_the_entries(self):
         lb = FullCTLoadBalancer(TableHRWHash(["a", "b", "c"], ["h"], rows=53))
