@@ -27,6 +27,7 @@ Package map:
 """
 
 from repro.core import (
+    BoundedLoadJET,
     FullCTLoadBalancer,
     JETLoadBalancer,
     LoadBalancer,
@@ -37,10 +38,8 @@ from repro.core import (
     make_jet,
 )
 from repro.core.lb_pool import LBPool
-from repro.core.bounded_load import BoundedLoadJET
 from repro.ch import (
     AnchorHash,
-    IncrementalRingHash,
     BackendError,
     ConsistentHash,
     HorizonConsistentHash,
@@ -88,7 +87,6 @@ __all__ = [
     "BackendError",
     "HRWHash",
     "RingHash",
-    "IncrementalRingHash",
     "TableHRWHash",
     "AnchorHash",
     "MaglevHash",

@@ -26,7 +26,6 @@ from repro.ch.base import (
 )
 from repro.ch.hrw import HRWHash
 from repro.ch.ring import RingHash
-from repro.ch.ring_incremental import IncrementalRingHash
 from repro.ch.table_hrw import ScalarTableHRW, TableHRWHash, rows_for
 from repro.ch.anchor import AnchorBuckets, AnchorHash
 from repro.ch.maglev import MaglevHash
@@ -35,12 +34,10 @@ from repro.ch.modulo import ModuloHash
 from repro.ch.concury import ConcuryHash
 from repro.ch.weighted import WeightedHRWHash, WeightedRingHash
 
-#: JET-compatible CH families evaluated in the paper, by name (plus the
-#: incremental ring variant from Algorithm 3's implementation notes).
+#: JET-compatible CH families evaluated in the paper, by name.
 JET_FAMILIES = {
     "hrw": HRWHash,
     "ring": RingHash,
-    "ring-incremental": IncrementalRingHash,
     "table": TableHRWHash,
     "anchor": AnchorHash,
 }
@@ -61,8 +58,8 @@ def family_choices(jet_only: bool = False, maglev: bool = False, weighted: bool 
 
     The single source of truth is the registries above: a new family
     registered there appears in every ``--family`` flag automatically.
-    ``jet_only`` restricts to the paper's horizon-pluggable four (plus
-    variants); ``maglev`` appends the full-CT-only MaglevHash and
+    ``jet_only`` restricts to the paper's horizon-pluggable four;
+    ``maglev`` appends the full-CT-only MaglevHash and
     ``weighted`` the two server-spec variants ``make_ch`` special-cases
     (what a scenario document's ``ch_family`` may name).
     """
@@ -83,7 +80,6 @@ __all__ = [
     "has_index_kernel",
     "HRWHash",
     "RingHash",
-    "IncrementalRingHash",
     "TableHRWHash",
     "ScalarTableHRW",
     "rows_for",

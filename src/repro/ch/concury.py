@@ -37,7 +37,6 @@ from repro.ch.hrw import HRWHash
 from repro.ch.jump import JumpHash
 from repro.ch.modulo import ModuloHash
 from repro.ch.ring import RingHash
-from repro.ch.ring_incremental import IncrementalRingHash
 from repro.ch.table_hrw import TableHRWHash
 from repro.hashing.mix import MASK64, splitmix64
 from repro.hashing.othello import Othello
@@ -50,7 +49,6 @@ __all__ = ["ConcuryHash"]
 _INNER_FAMILIES = {
     "hrw": HRWHash,
     "ring": RingHash,
-    "ring-incremental": IncrementalRingHash,
     "table": TableHRWHash,
     "anchor": AnchorHash,
     "jump": JumpHash,

@@ -11,13 +11,16 @@ JET integration follows POPULATERING (Algorithm 3): the ring is built from
 dispatched within ``W`` (to the server they map to *today*), but they are
 unsafe because a horizon addition would capture them.
 
-The merged ring is rebuilt lazily after backend changes (the paper notes a
-full repopulate per change is acceptable; an incremental variant only
-touches affected successors -- we rebuild, which is simpler and still
-O((|W|+|H|)·V log) per change, amortized over many lookups).
+Algorithm 3's notes offer two ways to maintain that ring: repopulate it
+per backend change, or "update only the successors/predecessors that are
+affected".  Here both keep the *same* arrays: the full :meth:`_rebuild`
+(O(R log R), R = (|W|+|H|)·V) runs lazily for construction and around an
+empty working set, where horizon vnodes have no successor and are absent;
+every other event edits the affected arcs in place, O(V log R + affected)
+(the four mutators at the bottom; their invariants are stated there).
 
-Three lookup data structures are derived from the merged ring and cached
-until the next backend change:
+Three lookup data structures are kept, the last two derived from the
+merged ring and cached until the next backend change:
 
 - ``_positions``/``_entries`` -- Python lists used by the scalar path
   (``bisect_right`` over a list of ints is the fastest scalar search);
@@ -39,7 +42,7 @@ out and back in, or rebuilding after every event, never recomputes the
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
@@ -87,6 +90,9 @@ class RingHash(HorizonConsistentHash):
         # Merged ring: parallel arrays sorted by position.
         self._positions: List[int] = []
         self._entries: List[Tuple[Name, bool]] = []
+        # The working vnodes alone, sorted, for successor queries.
+        self._w_pos: List[int] = []
+        self._w_srv: List[Name] = []
         self._dirty = True
         # Numpy kernel over the merged ring (see _ensure_kernel).
         self._kernel_dirty = True
@@ -123,7 +129,6 @@ class RingHash(HorizonConsistentHash):
         if name in self._working or name in self._horizon:
             raise BackendError(f"server {name!r} already present")
         side[name] = self._placement(name)
-        self._dirty = True
         self._union_dirty = True
 
     # --------------------------------------------------------- populate
@@ -135,19 +140,18 @@ class RingHash(HorizonConsistentHash):
             for pos in positions:
                 ring_w.append((pos, seed, name))
         ring_w.sort()
+        self._w_pos = [item[0] for item in ring_w]
+        self._w_srv = [item[2] for item in ring_w]
 
         merged: List[Tuple[int, int, Name, bool]] = [
             (pos, tiebreak, name, False) for pos, tiebreak, name in ring_w
         ]
         if ring_w:
             # Map each horizon vnode to its working successor's server.
-            w_positions = [item[0] for item in ring_w]
-            n = len(ring_w)
             for name, positions in self._horizon.items():
                 seed = _cached_seed(name)
                 for pos in positions:
-                    successor = ring_w[bisect_right(w_positions, pos) % n][2]
-                    merged.append((pos, seed, successor, True))
+                    merged.append((pos, seed, self._successor(pos), True))
         merged.sort()
         self._positions = [item[0] for item in merged]
         self._entries = [(item[2], item[3]) for item in merged]
@@ -269,7 +273,7 @@ class RingHash(HorizonConsistentHash):
         the key's position.
 
         The deterministic fallback sequence that bounded-load dispatching
-        (Mirrokni et al.; see :mod:`repro.core.bounded_load`) walks when
+        (Mirrokni et al.; see :mod:`repro.core.load_aware`) walks when
         the primary choice is saturated.
         """
         if self._dirty:
@@ -296,25 +300,91 @@ class RingHash(HorizonConsistentHash):
         return self._union_names[index]
 
     # --------------------------------------------------------- mutation
+    # Each event keeps POPULATERING's output in place: a working vnode at
+    # ``p`` carries ``(owner, False)``; a horizon vnode carries ``(working
+    # successor of p, True)``; ``_w_pos`` / ``_w_srv`` mirror the working
+    # vnodes.  ``tests/test_ch_ring_incremental.py`` holds every event
+    # sequence to a ring freshly built on the resulting (W, H).
+    def _edit_in_place(self) -> bool:
+        """True when this event can edit the merged ring; False leaves it
+        to the next lookup's full rebuild (nothing built yet, or no
+        working vnode for the horizon's to point at)."""
+        if self._dirty or not self._w_pos:
+            self._dirty = True
+            return False
+        self._kernel_dirty = True
+        return True
+
+    def _merged_index(self, pos: int) -> int:
+        index = bisect_left(self._positions, pos)
+        if index >= len(self._positions) or self._positions[index] != pos:
+            raise BackendError("ring state corrupt: vnode position missing")
+        return index
+
+    def _retarget_arc(self, pos: int, server: Name) -> None:
+        """Point the horizon vnodes between ``pos``'s working predecessor
+        and ``pos`` -- those whose working successor this event changed --
+        at ``server``."""
+        after = self._w_pos[bisect_left(self._w_pos, pos) - 1]
+        lo = bisect_right(self._positions, after)
+        hi = bisect_left(self._positions, pos)
+        arc = range(lo, hi) if after < pos else [*range(lo, len(self._positions)), *range(hi)]
+        for t in arc:
+            if self._entries[t][1]:
+                self._entries[t] = (server, True)
+
+    def _successor(self, pos: int) -> Name:
+        return self._w_srv[bisect_right(self._w_pos, pos) % len(self._w_pos)]
+
     def add_working(self, name: Name) -> None:
         positions = self._horizon.pop(name, None)
         if positions is None:
             raise BackendError(f"server {name!r} is not in the horizon")
         self._working[name] = positions
-        self._dirty = True
+        if not self._edit_in_place():
+            return
+        for pos in sorted(positions):
+            # Horizon vnodes up to this one now have it as successor.
+            self._retarget_arc(pos, name)
+            self._entries[self._merged_index(pos)] = (name, False)
+            insert_at = bisect_left(self._w_pos, pos)
+            self._w_pos.insert(insert_at, pos)
+            self._w_srv.insert(insert_at, name)
 
     def remove_working(self, name: Name) -> None:
         positions = self._working.pop(name, None)
         if positions is None:
             raise BackendError(f"server {name!r} is not working")
         self._horizon[name] = positions
-        self._dirty = True
+        if not self._dirty:
+            for pos in positions:
+                index = bisect_left(self._w_pos, pos)
+                del self._w_pos[index]
+                del self._w_srv[index]
+        if not self._edit_in_place():
+            return
+        for pos in sorted(positions):
+            successor = self._successor(pos)
+            self._entries[self._merged_index(pos)] = (successor, True)
+            self._retarget_arc(pos, successor)
 
     def add_horizon(self, name: Name) -> None:
         self._register(self._horizon, name)
+        if not self._edit_in_place():
+            return
+        for pos in self._horizon[name]:
+            index = bisect_left(self._positions, pos)
+            self._positions.insert(index, pos)
+            self._entries.insert(index, (self._successor(pos), True))
 
     def remove_horizon(self, name: Name) -> None:
-        if self._horizon.pop(name, None) is None:
+        positions = self._horizon.pop(name, None)
+        if positions is None:
             raise BackendError(f"server {name!r} is not in the horizon")
-        self._dirty = True
         self._union_dirty = True
+        if not self._edit_in_place():
+            return
+        for pos in positions:
+            index = self._merged_index(pos)
+            del self._positions[index]
+            del self._entries[index]

@@ -4,8 +4,7 @@ from repro.core.interfaces import LoadBalancer, Name
 from repro.core.jet import JETLoadBalancer
 from repro.core.full_ct import FullCTLoadBalancer
 from repro.core.stateless import StatelessLoadBalancer
-from repro.core.load_aware import PowerOfTwoJET
-from repro.core.bounded_load import BoundedLoadJET
+from repro.core.load_aware import BoundedLoadJET, PowerOfTwoJET
 from repro.core.lb_pool import LBPool
 from repro.core.safety import SafetyClass, SafetyReport, classify_event, classify_for_horizon
 from repro.core.factories import make_ch, make_full_ct, make_jet

@@ -24,7 +24,6 @@ from repro.core.interfaces import LoadBalancer, Name
 from repro.core.jet import JETLoadBalancer, TrackingLoadBalancer
 from repro.core.load_aware import PowerOfTwoJET
 from repro.core.stateless import StatelessLoadBalancer
-from repro.ct import make_ct
 from repro.ct.base import ConnectionTracker
 
 
@@ -92,8 +91,6 @@ def make_lb(
     working: Iterable[Name],
     horizon: Iterable[Name] = (),
     ct: Optional[ConnectionTracker] = None,
-    ct_capacity: Optional[int] = None,
-    ct_policy: str = "lru",
     weights=None,
     master_seed: int = 0,
     **ch_kwargs,
@@ -101,10 +98,10 @@ def make_lb(
     """Build any registered (mode, family) LB composition.
 
     The caller describes the whole stack and each mode takes what it
-    uses: the CT (``ct``, else ``make_ct(ct_capacity, ct_policy)``) goes
-    to the tracking modes, ``weights`` to the load-aware one, and
-    ``master_seed`` (what a sharded or simulated run derives every other
-    seed from) to the ``concury`` map.  Other kwargs reach the CH.
+    uses: the CT (``ct``, e.g. from :func:`repro.ct.make_ct`; unbounded
+    when None) goes to the tracking modes, ``weights`` to the load-aware
+    one, and ``master_seed`` (what a sharded or simulated run derives every
+    other seed from) to the ``concury`` map.  Other kwargs reach the CH.
     """
     cls = lb_class(mode)
     if cls is ConcuryLoadBalancer:
@@ -114,8 +111,6 @@ def make_lb(
     ch = make_ch(family, working, horizon, **ch_kwargs)
     if not issubclass(cls, TrackingLoadBalancer):
         return cls(ch)
-    if ct is None:
-        ct = make_ct(ct_capacity, ct_policy)
     if cls is PowerOfTwoJET:
         return cls(ch, ct, weights=weights)
     return cls(ch, ct)
@@ -126,12 +121,10 @@ def make_jet(
     working: Iterable[Name],
     horizon: Iterable[Name],
     ct: Optional[ConnectionTracker] = None,
-    ct_capacity: Optional[int] = None,
-    ct_policy: str = "lru",
     **ch_kwargs,
 ) -> JETLoadBalancer:
     """Build a JET load balancer (Algorithms 1-5) for a CH family."""
-    return make_lb("jet", family, working, horizon, ct, ct_capacity, ct_policy, **ch_kwargs)
+    return make_lb("jet", family, working, horizon, ct, **ch_kwargs)
 
 
 def make_full_ct(
@@ -139,8 +132,6 @@ def make_full_ct(
     working: Iterable[Name],
     horizon: Iterable[Name] = (),
     ct: Optional[ConnectionTracker] = None,
-    ct_capacity: Optional[int] = None,
-    ct_policy: str = "lru",
     **ch_kwargs,
 ) -> FullCTLoadBalancer:
     """Build a full-CT baseline LB.
@@ -148,7 +139,7 @@ def make_full_ct(
     Passing a ``horizon`` (ignored by the tracking logic) keeps the CH state
     machine identical to a paired JET run, which Proposition 4.1 requires.
     """
-    return make_lb("full", family, working, horizon, ct, ct_capacity, ct_policy, **ch_kwargs)
+    return make_lb("full", family, working, horizon, ct, **ch_kwargs)
 
 
 def make_stateless(
@@ -181,8 +172,6 @@ def make_jet_p2c(
     working: Iterable[Name],
     horizon: Iterable[Name] = (),
     ct: Optional[ConnectionTracker] = None,
-    ct_capacity: Optional[int] = None,
-    ct_policy: str = "lru",
     weights=None,
     **ch_kwargs,
 ):
@@ -190,6 +179,4 @@ def make_jet_p2c(
     occupancy weighting: new-connection candidates compared by live
     backend occupancy (driver-refreshed gauges) normalized by capacity
     ``weights``.  SYN-gated, so PCC stays sound."""
-    return make_lb(
-        "jet-p2c", family, working, horizon, ct, ct_capacity, ct_policy, weights, **ch_kwargs
-    )
+    return make_lb("jet-p2c", family, working, horizon, ct, weights, **ch_kwargs)

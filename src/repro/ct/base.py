@@ -5,15 +5,15 @@ tracked connection; ``NIL`` (None here) means untracked, evicted, or
 destination-removed.  Real LBs bound the table and *evict* under pressure
 (Section 5: "the eviction policy attempts to limit the CT table size by
 heuristically evicting ... if these connections are still alive, it may
-cause PCC violations").  We provide the paper's LRU policy plus FIFO and
-random eviction for ablations, and an unbounded table for the trace
-evaluations (Tables 1-2 let the CT "grow as needed").
+cause PCC violations").  :mod:`repro.ct.table` is that table (the paper's
+LRU policy; FIFO, random and idle-timeout eviction as ablations);
+:mod:`repro.ct.unbounded` lets it "grow as needed", as Tables 1-2 do.
 
 All tables key on the pre-hashed 64-bit connection identifier, matching how
 the CH modules consume keys.
 
 The interface is scalar (``get`` / ``put`` / ``delete`` per packet, the
-executable spec) and the bounded tables offer nothing else; the unbounded
+executable spec) and the ordered table offers nothing else; the unbounded
 table adds the integer-index API of the columnar dataplane
 (``get_batch_idx`` / ``put_batch_idx``), flagged by ``batch_reorder_safe``.
 """
@@ -97,20 +97,14 @@ class ConnectionTracker(ABC):
     def __len__(self) -> int:
         """Number of tracked connections."""
 
-    @abstractmethod
     def __iter__(self) -> Iterator[int]:
         """Iterate over tracked keys (no particular order guaranteed)."""
+        return (key for key, _ in self.items())
 
+    @abstractmethod
     def items(self) -> Iterator[Tuple[int, Destination]]:
-        """Iterate ``(key, destination)`` pairs without touching stats or
-        recency state.
-
-        The default composes :meth:`__iter__` with :meth:`peek` (one
-        method call per entry); dict-backed tables override it with a
-        single table scan, which is what makes active cleanup cheap.
-        """
-        for key in self:
-            yield key, self.peek(key)
+        """Iterate ``(key, destination)`` pairs in one table scan, without
+        touching stats or recency state (what makes active cleanup cheap)."""
 
     def invalidate_destination(self, destination: Destination) -> int:
         """Drop every entry pointing at ``destination``.

@@ -11,7 +11,9 @@ but the paper's own "rate" column -- timings are ``python3 -m bench``.
 =================  ==========================================
 Module             Paper artifact
 =================  ==========================================
-``fig3``           Fig. 3  (PCC violations vs CT size / update rate)
+``fig3``           Fig. 3  (PCC violations vs CT size / update rate;
+                   with ``fig4`` the bounded-LRU identity check: their
+                   committed ``results/*.json`` regenerate byte for byte)
 ``fig4``           Fig. 4a+4b (PCC violations vs CT size / horizon)
 ``fig5``           Fig. 5  (max oversubscription vs rates)
 ``fig6``           Fig. 6a+6b (flow-size histograms)

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.ch import AnchorHash, RingHash
-from repro.core.bounded_load import BoundedLoadJET
 from repro.core.full_ct import FullCTLoadBalancer
 from repro.core.jet import JETLoadBalancer
-from repro.core.load_aware import PowerOfTwoJET
+from repro.core.load_aware import BoundedLoadJET, PowerOfTwoJET
 from repro.experiments.report import banner, format_table, save_json
 from repro.traces.replay import replay
 from repro.traces.zipf import zipf_trace

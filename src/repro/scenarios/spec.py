@@ -508,6 +508,12 @@ class ScenarioSpec(_Section):
         return super().parse(data, path)
 
     def _checked(self, path: str) -> "ScenarioSpec":
+        if self.ct_ttl is not None and self.ct_policy != "ttl":
+            raise ScenarioError(
+                f"{path}.ct_ttl",
+                f'an idle timeout needs ct_policy "ttl" (it is {self.ct_policy!r}, '
+                "which would ignore it)",
+            )
         self.validate()
         return self
 

@@ -66,6 +66,13 @@ class BalancerSpec:
     #: CH constructor kwargs as sorted items (kept hashable/picklable).
     ch_kwargs: Tuple[Tuple[str, object], ...] = field(default_factory=tuple)
 
+    def __post_init__(self) -> None:
+        if self.ct_policy == "ttl":
+            raise ValueError(
+                'ct_policy "ttl" needs a clock and a replay has none: the table would '
+                "expire entries by wall time, so its contents would depend on the machine"
+            )
+
     @classmethod
     def fleet(
         cls,

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Set
 from repro.ch.base import BackendError
 from repro.core.interfaces import LoadBalancer, Name
 from repro.core.jet import JETLoadBalancer
-from repro.ct.ttl import Clock as _SimClock
+from repro.ct import Clock as _SimClock
 from repro.hashing.mix import splitmix64
 from repro.obs import metrics as obs_metrics
 from repro.obs.collectors import instrument_balancer

@@ -110,40 +110,27 @@ def replay(
     note_flow_start = getattr(balancer, "note_flow_start", None)
     syn_aware = getattr(balancer, "dispatches_new_connections", False)
     watch = Stopwatch()
-    if not event_queue and not syn_aware:
-        # Hot path: no churn, skip per-packet event checks.
-        for flow_index in packet_flows:
+    # One loop, events or not: this is the executable spec, not a fast path.
+    for packet_index, flow_index in enumerate(packet_flows):
+        while next_event < len(event_queue) and event_queue[next_event][0] <= packet_index:
+            event_queue[next_event][1](balancer)
+            next_event += 1
+        previous = first_destination[flow_index]
+        if syn_aware:
+            destination = get_destination(keys[flow_index], previous is None)
+        else:
             destination = get_destination(keys[flow_index])
-            previous = first_destination[flow_index]
-            if previous is None:
-                first_destination[flow_index] = destination
-                if note_flow_start is not None:
-                    note_flow_start(destination)
-            elif destination != previous and not broken[flow_index]:
-                broken[flow_index] = 1
+        if previous is None:
+            first_destination[flow_index] = destination
+            if note_flow_start is not None:
+                note_flow_start(destination)
+        elif destination != previous and not broken[flow_index]:
+            broken[flow_index] = 1
+            if previous in balancer.working:
                 violations += 1
-        wall = watch.stop()
-    else:
-        for packet_index, flow_index in enumerate(packet_flows):
-            while next_event < len(event_queue) and event_queue[next_event][0] <= packet_index:
-                event_queue[next_event][1](balancer)
-                next_event += 1
-            previous = first_destination[flow_index]
-            if syn_aware:
-                destination = get_destination(keys[flow_index], previous is None)
             else:
-                destination = get_destination(keys[flow_index])
-            if previous is None:
-                first_destination[flow_index] = destination
-                if note_flow_start is not None:
-                    note_flow_start(destination)
-            elif destination != previous and not broken[flow_index]:
-                broken[flow_index] = 1
-                if previous in balancer.working:
-                    violations += 1
-                else:
-                    inevitable += 1
-        wall = watch.stop()
+                inevitable += 1
+    wall = watch.stop()
 
     result = _build_result(trace, balancer, first_destination, violations, inevitable, wall)
     _publish_metrics(metrics, balancer, result, path="scalar", n_events=len(event_queue))
@@ -363,9 +350,6 @@ def _replay_columnar(
     broken = np.zeros(trace.n_flows, dtype=bool)
     violations = 0
     inevitable = 0
-    # Mirror the scalar hot path exactly: without events every mid-flow
-    # move counts as a violation (no working-set check).
-    check_working = bool(events)
 
     event_queue = sorted(events, key=lambda ev: ev[0])
     next_event = 0
@@ -400,15 +384,11 @@ def _replay_columnar(
                 moved_flows = flows[np.flatnonzero(was >= 0)]
                 newly = np.unique(moved_flows[~broken[moved_flows]])
                 broken[newly] = True
-                if check_working:
-                    if working_mask is None:
-                        working_mask = balancer.dispatch_working_mask()
-                    still_working = working_mask[first[newly]]
-                    hits = int(still_working.sum())
-                    violations += hits
-                    inevitable += len(newly) - hits
-                else:
-                    violations += len(newly)
+                if working_mask is None:
+                    working_mask = balancer.dispatch_working_mask()
+                hits = int(working_mask[first[newly]].sum())
+                violations += hits
+                inevitable += len(newly) - hits
         position = end
     wall = watch.stop()
 

@@ -27,6 +27,27 @@ def make_family(family: str, working=None, horizon=None):
     raise ValueError(family)
 
 
+def churned_ring(working, horizon, **kwargs):
+    """A ring on (``working``, ``horizon``) reached from a different start
+    through all four mutators, after the first build -- so the arrays its
+    kernels read were edited in place, not populated.  The differential
+    suites run it beside the freshly built ring under the test-local
+    label ``ring-incremental`` (not a registered family)."""
+    working, horizon = list(working), list(horizon)
+    ch = RingHash(
+        [*working[1:], "stray-w"], [*horizon[1:], working[0], "stray-h"], **kwargs
+    )
+    ch.lookup(0)
+    ch.add_working(working[0])
+    ch.remove_working("stray-w")
+    ch.remove_horizon("stray-w")
+    ch.remove_horizon("stray-h")
+    if horizon:
+        ch.add_horizon(horizon[0])
+    assert (ch.working, ch.horizon) == (frozenset(working), frozenset(horizon))
+    return ch
+
+
 #: The four CH families the paper integrates with JET (Algorithms 2-5).
 JET_FAMILY_NAMES = ("hrw", "ring", "table", "anchor")
 

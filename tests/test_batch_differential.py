@@ -31,10 +31,14 @@ from repro.core import (
 from repro.ct import LRUCT, UnboundedCT
 from repro.sim import SimulationConfig, run_simulation
 from repro.traces import replay, replay_batch, zipf_trace
+from tests.conftest import churned_ring
 
 WORKING = [f"w{i}" for i in range(12)]
 HORIZON = [f"h{i}" for i in range(4)]
-ALL_FAMILIES = sorted(JET_FAMILIES) + sorted(EXTENSION_FAMILIES)
+#: Test-local variant of "ring" (``conftest.churned_ring``): the same
+#: ring, its arrays edited in place by membership events.
+CHURNED_RING = "ring-incremental"
+ALL_FAMILIES = sorted([*JET_FAMILIES, CHURNED_RING]) + sorted(EXTENSION_FAMILIES)
 
 KEYS = np.array(sample_keys(1500, seed=7), dtype=np.uint64)
 
@@ -44,16 +48,22 @@ def _ch_kwargs(family):
         return {"rows": 389}
     if family == "anchor":
         return {"capacity": 4 * (len(WORKING) + len(HORIZON))}
-    if family in ("ring", "ring-incremental"):
+    if family in ("ring", CHURNED_RING):
         return {"virtual_nodes": 20}
     if family == "concury":
         return {"flowsets": 512, "rows": 389}  # inner defaults to table
     return {}
 
 
+def build_on(family, working, horizon, **kwargs):
+    if family == CHURNED_RING:
+        return churned_ring(working, horizon, **kwargs)
+    return make_ch(family, working, horizon, **kwargs)
+
+
 def build(family):
     """Fresh test-sized CH of the given family."""
-    return make_ch(family, WORKING, HORIZON, **_ch_kwargs(family))
+    return build_on(family, WORKING, HORIZON, **_ch_kwargs(family))
 
 
 def batch_names(ch, keys):
@@ -157,7 +167,7 @@ class TestMaglevBatch:
 class TestRingKernelEdges:
     """Searchsorted boundary and cache-invalidation cases for the ring."""
 
-    @pytest.mark.parametrize("family", ["ring", "ring-incremental"])
+    @pytest.mark.parametrize("family", ["ring", CHURNED_RING])
     def test_key_exactly_on_vnode_position(self, family):
         # bisect_right/searchsorted(side="right") place an exact hit
         # *after* the vnode, so the key belongs to the next entry; batch
@@ -167,7 +177,7 @@ class TestRingKernelEdges:
         boundary = np.array(ch._positions[:200], dtype=np.uint64)
         assert_batch_matches_scalar(ch, boundary)
 
-    @pytest.mark.parametrize("family", ["ring", "ring-incremental"])
+    @pytest.mark.parametrize("family", ["ring", CHURNED_RING])
     def test_wraparound_past_last_vnode(self, family):
         # Keys beyond the highest vnode wrap to entry 0 (clockwise ring).
         ch = build(family)
@@ -177,21 +187,20 @@ class TestRingKernelEdges:
                         dtype=np.uint64)
         assert_batch_matches_scalar(ch, wrap)
 
-    @pytest.mark.parametrize("family", ["ring", "ring-incremental"])
+    @pytest.mark.parametrize("family", ["ring", CHURNED_RING])
     def test_horizon_dominated_ring(self, family):
         # One working server, many horizon vnodes: most merged-ring
         # entries are tracked horizon entries pointing at the lone worker.
-        ch = make_ch(family, ["solo"], HORIZON, virtual_nodes=20)
+        ch = build_on(family, ["solo"], HORIZON, virtual_nodes=20)
         destinations, unsafe = batch_names(ch, KEYS[:400])
         assert set(destinations.tolist()) == {"solo"}
         assert unsafe.any()
         assert_batch_matches_scalar(ch, KEYS[:400])
 
-    @pytest.mark.parametrize("family", ["ring", "ring-incremental"])
+    @pytest.mark.parametrize("family", ["ring", CHURNED_RING])
     def test_batch_after_remove_working_dirty_rebuild(self, family):
-        # remove_working marks the ring dirty (or edits it in place for
-        # the incremental variant); the *batch* call must be the one that
-        # triggers the rebuild/kernel refresh and still match scalar.
+        # remove_working edits the built ring in place; the *batch* call
+        # must be the one that refreshes the kernel and still match scalar.
         ch = build(family)
         ch.lookup_with_safety_batch_idx(KEYS[:100])  # warm the kernel arrays
         ch.remove_working(WORKING[0])
@@ -293,7 +302,11 @@ def assert_idx_dispatch_refused(lb):
 class TestLBBatch:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_jet_batch_matches_scalar_twin(self, family):
-        batched, scalar = _lb_pair(lambda: make_jet(family, WORKING, HORIZON))
+        if family == CHURNED_RING:
+            maker = lambda: JETLoadBalancer(churned_ring(WORKING, HORIZON))
+        else:
+            maker = lambda: make_jet(family, WORKING, HORIZON)
+        batched, scalar = _lb_pair(maker)
         assert_lb_batch_matches(batched, scalar, KEYS[:800])
         # Second batch re-reads the CT entries populated by the first.
         assert_lb_batch_matches(batched, scalar, KEYS[:800])

@@ -6,7 +6,7 @@ import pytest
 
 from repro.ch import RingHash
 from repro.ch.properties import sample_keys
-from repro.core.bounded_load import BoundedLoadJET
+from repro.core.load_aware import BoundedLoadJET
 from repro.core import JETLoadBalancer
 
 W = [f"w{i}" for i in range(10)]

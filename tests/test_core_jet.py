@@ -187,8 +187,9 @@ class TestFactory:
             make_jet("sha256", W, H)
 
     def test_ct_capacity_plumbing(self):
-        lb = make_jet("hrw", W, H, ct_capacity=16, ct_policy="fifo")
-        from repro.ct import FIFOCT
+        from repro.ct import FIFOCT, make_ct
+
+        lb = make_jet("hrw", W, H, ct=make_ct(16, "fifo"))
 
         assert isinstance(lb.ct, FIFOCT)
         assert lb.ct.capacity == 16

@@ -168,3 +168,6 @@ class TestFactory:
     def test_unknown_policy_raises(self):
         with pytest.raises(ValueError):
             make_ct(10, "mru")
+        # Was: the name was only looked at once a capacity was given.
+        with pytest.raises(ValueError, match="bogus"):
+            make_ct(None, "bogus")

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.ct import TTLCT, make_ct
-from repro.ct.ttl import Clock
+from repro.ct import TTLCT, Clock, make_ct
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from repro.core import (
 from repro.core.concury import ConcuryLoadBalancer
 from repro.core.factories import lb_class, lb_mode_choices, make_lb
 from repro.core.jet import TrackingLoadBalancer
+from repro.core.load_aware import SynGatedJET
 from repro.ct import RandomEvictCT, UnboundedCT
 from repro.shard import BalancerSpec
 from repro.shard.partition import shard_seed
@@ -160,6 +161,14 @@ class TestRegistry:
                                      horizon_size=2, seed=5)
         assert concury.build(0).ch.seed == concury.build(3).ch.seed == 5
 
+    def test_a_replay_refuses_the_clockless_ttl_table(self):
+        # Was: built a TTLCT on the wall clock, so what a (sharded) replay
+        # still tracked at the end depended on how fast the box ran it.
+        with pytest.raises(ValueError, match="needs a clock"):
+            BalancerSpec.fleet("full", "table", ct_policy="ttl")
+        with pytest.raises(ValueError, match="needs a clock"):
+            BalancerSpec(ct_policy="ttl")
+
     @pytest.mark.parametrize("mode", [m for m in MODES if lb_class(m).needs_horizon])
     def test_safety_modes_reject_maglev_at_spec_time(self, mode):
         with pytest.raises(ValueError, match="maglev has no horizon"):
@@ -183,6 +192,47 @@ class TestRegistry:
         assert isinstance(others[-1], StatelessLoadBalancer)
         assert not isinstance(others[-1], TrackingLoadBalancer)
         assert all(isinstance(lb, TrackingLoadBalancer) for lb in others[:3])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda ch: PowerOfTwoJET(ch, weights={"s0": 0.01}),
+            lambda ch: BoundedLoadJET(ch, epsilon=0.01),
+        ],
+        ids=["p2c", "bounded-load"],
+    )
+    def test_syn_gated_placement_runs_on_the_syn_only(self, make):
+        # Through the shared base: with every server loaded far past what
+        # either placement tolerates (p2c: s0 looks 100x as loaded as its
+        # count; CH-BL: every CH choice is over a ~1-connection cap), a
+        # SYN is placed off the CH choice and tracked, while a non-SYN
+        # packet of an untracked flow gets the plain CH answer, tracked
+        # iff unsafe -- it never reaches ``_place``.
+        lb = make(RingHash(WORKING, HORIZON, virtual_nodes=8))
+        assert isinstance(lb, SynGatedJET) and lb.dispatches_new_connections
+        for _ in range(3):
+            lb.note_flow_start("s0")
+        plain = RingHash(WORKING, HORIZON, virtual_nodes=8)
+        lb._place = None  # a call would raise: mid-flow packets must not place
+        for key in KEYS[:300]:
+            choice, unsafe = plain.lookup_with_safety(key)
+            assert lb.get_destination(key) == choice
+            assert (lb.ct.peek(key) is not None) == unsafe
+        del lb._place
+        placed_off = 0
+        for key in KEYS[300:900]:
+            choice, unsafe = plain.lookup_with_safety(key)
+            destination = lb.get_destination(key, new_connection=True)
+            lb.note_flow_start(destination)
+            assert destination in lb.working
+            if destination != choice:
+                placed_off += 1
+                assert lb.ct.peek(key) == destination
+            else:
+                assert (lb.ct.peek(key) is not None) == unsafe
+            # Later packets of the flow follow the first, placed or not.
+            assert lb.get_destination(key) == destination
+        assert placed_off > 0
 
     def test_positional_constructor_order(self):
         ch, ct = TableHRWHash(WORKING, HORIZON, rows=127), UnboundedCT()

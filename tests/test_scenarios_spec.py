@@ -137,6 +137,7 @@ class TestStrictParsing:
         assert config.downtime_dist.mean() == pytest.approx(3 * 2.718281828 ** 0.32)
         assert compile_scenario(ScenarioSpec.parse(spec_dict())).config.downtime_dist is None
         expect_error(spec_dict(ct_ttl=0), ".ct_ttl: must be positive")
+        expect_error(spec_dict(ct_ttl=5), '.ct_ttl: an idle timeout needs ct_policy "ttl"')
         expect_error(spec_dict(downtime="hadoop"), ".downtime: unknown named")
         expect_error(spec_dict(downtime={"kind": "lognormal", "median": 0, "sigma": 1}),
                      ".downtime: bad distribution parameters")
@@ -361,12 +362,19 @@ envelopes = st.fixed_dictionaries(
     },
 )
 
+#: A CT policy with what may go with it: only "ttl" has an idle timeout.
+ct_knobs = st.one_of(
+    st.fixed_dictionaries({}, optional={"ct_policy": st.sampled_from(["lru", "fifo", "random"])}),
+    st.fixed_dictionaries(
+        {"ct_policy": st.just("ttl")},
+        optional={"ct_ttl": st.floats(min_value=0.5, max_value=60, allow_nan=False)},
+    ),
+)
+
 #: The fields the document gained so that ``simulate``'s flags fit in it.
 run_knobs = st.fixed_dictionaries(
     {},
     optional={
-        "ct_policy": st.sampled_from(["lru", "fifo", "random", "ttl"]),
-        "ct_ttl": st.floats(min_value=0.5, max_value=60, allow_nan=False),
         "probation_base_s": st.floats(min_value=0, max_value=5, allow_nan=False),
         "downtime": st.builds(
             lambda median: {"kind": "lognormal", "median": median, "sigma": 0.8},
@@ -401,6 +409,7 @@ def scenario_dicts(draw):
         "shards": draw(st.integers(min_value=0, max_value=4)),
         "fleet": fleet,
         "workload": draw(workloads),
+        **draw(ct_knobs),
         **draw(run_knobs),
     }
     envelope = draw(envelopes)

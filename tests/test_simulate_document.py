@@ -166,6 +166,8 @@ HOSTILE_DOCUMENTS = {
         ".timeline[0]: unknown field(s) ['blast']"),
     "unknown-ct-policy": (doc(ct_policy="bogus"), ".ct_policy: expected one of"),
     "unknown-ch-family": (doc(ch_family="bogus"), ".ch_family: expected one of"),
+    "ttl-without-its-policy": (doc(ct_policy="fifo", ct_ttl=3),
+                               '.ct_ttl: an idle timeout needs ct_policy "ttl"'),
     "negative-rate": (doc(workload={"connection_rate": -5}),
                       ".workload.connection_rate: must be positive, got -5"),
     "old-format": (json.dumps({"format": "repro-simulation-config/1", "n_servers": 3}),
@@ -221,6 +223,8 @@ class TestHostileInput:
              "simulate.timeline[0].crash_rate_per_min: must be non-negative"),
             (["--downtime", "0"], "simulate.downtime: bad distribution parameters"),
             (["--shards", "-1"], ".shards: must be non-negative, got -1"),
+            # Was: accepted, and printed what the run prints without it.
+            (["--ct-ttl", "3"], 'simulate.ct_ttl: an idle timeout needs ct_policy "ttl"'),
         ],
     )
     def test_flag_values_are_range_checked(self, flags, fragment, capsys):
