@@ -57,8 +57,8 @@ def run_ttl_sweep():
     return ct_ttl, rows, outcome
 
 
-def test_ct_ttl_ablation(once):
-    ct_ttl, rows, outcome = once(run_ttl_sweep)
+def test_ct_ttl_ablation():
+    ct_ttl, rows, outcome = run_ttl_sweep()
     record(
         f"Ablation -- TTL (idle timeout {ct_ttl:g}s) vs unbounded CT [scale={scale_name()}]",
         format_table(
@@ -101,8 +101,8 @@ def test_ct_items_fast_path():
         assert all(dest != "s3" for _, dest in ct.items()), name
 
 
-def test_ct_eviction_policy_ablation(once):
-    rows, outcome = once(run_policy_sweep)
+def test_ct_eviction_policy_ablation():
+    rows, outcome = run_policy_sweep()
     record(
         f"Ablation -- CT eviction policy at 25% table [scale={scale_name()}]",
         format_table(

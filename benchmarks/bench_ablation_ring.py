@@ -30,8 +30,8 @@ def run_vnode_sweep():
     return rows, oversub_by_vnodes
 
 
-def test_ring_vnode_ablation(once):
-    rows, oversub = once(run_vnode_sweep)
+def test_ring_vnode_ablation():
+    rows, oversub = run_vnode_sweep()
     record(
         "Ablation -- Ring virtual nodes (balance vs ring entries)",
         format_table(["vnodes", "ring entries", "max oversub"], rows),

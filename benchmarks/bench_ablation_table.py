@@ -35,8 +35,8 @@ def run_row_sweep():
     return rows, oversub_by_copies, tr_by_copies
 
 
-def test_table_rows_ablation(once):
-    rows, oversub, tr = once(run_row_sweep)
+def test_table_rows_ablation():
+    rows, oversub, tr = run_row_sweep()
     record(
         "Ablation -- table-HRW copies per server",
         format_table(["copies", "rows", "max oversub", "unsafe-row fraction"], rows),

@@ -35,8 +35,8 @@ def run_weighted_sweep():
     return rows, results
 
 
-def test_weighted_jet_tracking(once):
-    rows, results = once(run_weighted_sweep)
+def test_weighted_jet_tracking():
+    rows, results = run_weighted_sweep()
     record(
         "Ablation -- weighted HRW under JET",
         format_table(

@@ -2,34 +2,22 @@
 
 import pytest
 
-from benchmarks.reporting import record
-from repro.experiments.extensions import load_aware_comparison, simultaneous_changes
-from repro.experiments.report import format_table
+from benchmarks.conftest import published
 
 
-def test_section61_simultaneous_changes(once):
-    outcome = once(simultaneous_changes)
-    record(
-        "Section 6.1 -- simultaneous backend changes",
-        f"violations={outcome['pcc_violations']} "
-        f"inevitable={outcome['inevitably_broken']} tracked={outcome['tracked']}",
-    )
+@pytest.fixture(scope="module")
+def section6():
+    return published("extensions")
+
+
+def test_section61_simultaneous_changes(section6):
+    outcome, _rows = section6
     # JET must survive batch removals + batch horizon additions unscathed.
     assert outcome["pcc_violations"] == 0
 
 
-def test_section63_load_aware_jet(once):
-    rows = once(load_aware_comparison)
-    record(
-        "Section 6.3 -- power-of-2-choices JET",
-        format_table(
-            ["mode", "tracked fraction", "max oversubscription"],
-            [
-                [r.mode, f"{r.tracked_fraction:.3f}", f"{r.max_oversubscription:.3f}"]
-                for r in rows
-            ],
-        ),
-    )
+def test_section63_load_aware_jet(section6):
+    _outcome, rows = section6
     by = {r.mode: r for r in rows}
     # The paper's expectation: P2C saves >= ~50% of full CT's table...
     assert by["jet-p2c"].tracked_fraction <= 0.65

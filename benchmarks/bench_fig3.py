@@ -7,19 +7,11 @@ shape: violations fall with CT size, rise with update rate, and JET sits
 breaks connections.
 """
 
-from benchmarks.reporting import record
-from repro.experiments.fig3 import run_fig3
-from repro.experiments.report import format_table
-from repro.experiments.scales import scale_name
+from benchmarks.conftest import published
 
 
-def test_fig3_pcc_violations_vs_ct_size(once):
-    result = once(run_fig3)
-    headers = ["series"] + [f"CT={s}" for s in result.ct_sizes]
-    record(
-        f"Figure 3 -- PCC violations vs CT table size [scale={scale_name()}]",
-        format_table(headers, result.to_rows()),
-    )
+def test_fig3_pcc_violations_vs_ct_size():
+    result = published("fig3")
 
     total_full = sum(sum(v) for v in result.full_ct.values())
     total_jet = sum(sum(v) for v in result.jet.values())

@@ -7,24 +7,16 @@ zero violations (Fig. 4b); (b) fine-tuning is unnecessary -- every
 adequately sized horizon ends violation-free at large tables.
 """
 
-from benchmarks.reporting import record
-from repro.experiments.fig4 import run_fig4
-from repro.experiments.report import format_table
-from repro.experiments.scales import scale_name
+from benchmarks.conftest import published
 
 
-def test_fig4_pcc_violations_vs_horizon(once):
-    result = once(run_fig4)
-    headers = ["series"] + [f"CT={s}" for s in result.ct_sizes]
-    record(
-        f"Figure 4 -- PCC violations per horizon size [scale={scale_name()}]",
-        format_table(headers, result.to_rows()),
-    )
+def test_fig4_pcc_violations_vs_horizon():
+    result = published("fig4")
 
     adequate = [h for h in result.horizons if h >= max(result.horizons) // 2]
     for horizon in adequate:
         series = result.jet[horizon]
-        # Adequate horizons: zero violations once the table is large.
+        # Adequate horizons: zero violations when the table is large.
         assert series[-1] == 0
         # ... and never worse than full CT at the same table size.
         assert all(j <= max(f, 1) for j, f in zip(series, result.full_ct))

@@ -6,20 +6,11 @@ with the connection rate; JET and full CT balance identically
 (Proposition 4.1, single line per update rate).
 """
 
-from benchmarks.reporting import record
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.report import format_table
-from repro.experiments.scales import scale_name
+from benchmarks.conftest import published
 
 
-def test_fig5_oversubscription(once):
-    result = once(run_fig5)
-    headers = ["series"] + [f"rate={r:g}" for r in result.connection_rates]
-    record(
-        f"Figure 5 -- max oversubscription vs connection rate [scale={scale_name()}]",
-        format_table(headers, result.to_rows())
-        + f"\nJET == full CT balance (Prop 4.1): {result.jet_equals_full}",
-    )
+def test_fig5_oversubscription():
+    result = published("fig5")
 
     assert result.jet_equals_full
     for series in result.oversubscription.values():

@@ -1,44 +1,30 @@
 """Figure 6 benchmark: flow-size histograms of the trace generators.
 
 (a) UNI1-like vs NY18-like: UNI1 has fewer flows but larger heavy
-hitters; (b) Zipf skews 0.6-1.4: higher skew concentrates packets.
+hitters; (b) Zipf skews 0.6-1.4: higher skew packs the packets
+into fewer flows.
 """
 
-from benchmarks.reporting import record
-from repro.experiments.fig6 import run_fig6a, run_fig6b
-from repro.experiments.report import format_table
-from repro.experiments.scales import scale_name
+import pytest
+
+from benchmarks.conftest import published
 
 
-def test_fig6a_datacenter_histograms(once):
-    series = once(run_fig6a)
-    uni1, ny18 = series["UNI1"], series["NY18"]
-    rows = [
-        [name, sum(c for _, c in s), f"{max(center for center, _ in s):,.0f}"]
-        for name, s in series.items()
-    ]
-    record(
-        f"Figure 6a -- trace stand-in histograms [scale={scale_name()}]",
-        format_table(["trace", "flows", "largest size bin"], rows),
-    )
+@pytest.fixture(scope="module")
+def panels():
+    _scale, fig6a, fig6b = published("fig6")
+    return fig6a, fig6b
+
+
+def test_fig6a_datacenter_histograms(panels):
+    uni1, ny18 = panels[0]["UNI1"], panels[0]["NY18"]
     # UNI1 is the more skewed trace: fewer flows, larger heavy hitters.
     assert sum(c for _, c in uni1) < sum(c for _, c in ny18)
     assert max(center for center, _ in uni1) > max(center for center, _ in ny18)
 
 
-def test_fig6b_zipf_histograms(once):
-    series = once(run_fig6b)
-    rows = []
-    flows_by_skew = {}
-    for skew in sorted(series):
-        flows = sum(c for _, c in series[skew])
-        largest = max(center for center, _ in series[skew])
-        flows_by_skew[skew] = flows
-        rows.append([skew, flows, f"{largest:,.0f}"])
-    record(
-        f"Figure 6b -- Zipf histograms by skew [scale={scale_name()}]",
-        format_table(["skew", "distinct flows", "largest size bin"], rows),
-    )
+def test_fig6b_zipf_histograms(panels):
+    flows_by_skew = {skew: sum(c for _, c in series) for skew, series in panels[1].items()}
     skews = sorted(flows_by_skew)
     # Monotone: more skew => fewer distinct flows.
     for a, b in zip(skews, skews[1:]):

@@ -9,24 +9,11 @@ the paper's cache effects -- see EXPERIMENTS.md).
 
 import pytest
 
-from benchmarks.reporting import record
-from repro.experiments.fig7 import run_fig7
-from repro.experiments.report import format_table
-from repro.experiments.scales import scale_name
+from benchmarks.conftest import published
 
 
-def test_fig7_zipf_sweep(once):
-    results = once(run_fig7)
-    headers = ["skew", "n", "hash", "mode", "max oversub", "tracked", "rate [Mpps]"]
-    rows = [
-        [skew] + cell.row()
-        for (skew, n) in sorted(results)
-        for cell in results[(skew, n)]
-    ]
-    record(
-        f"Figure 7 -- Zipf sweep [scale={scale_name()}]",
-        format_table(headers, rows),
-    )
+def test_fig7_zipf_sweep():
+    results = published("fig7")
 
     by = {
         (skew, n, c.family, c.mode): c

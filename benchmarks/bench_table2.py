@@ -6,20 +6,12 @@ paper highlights -- NY18 tracks more absolute connections than UNI1
 because it has more (and smaller) flows.
 """
 
-from benchmarks.bench_table1 import HEADERS, check_paper_relations
-from benchmarks.reporting import record
-from repro.experiments.report import format_table
-from repro.experiments.scales import scale_name
-from repro.experiments.table12 import run_table
+from benchmarks.bench_table1 import check_paper_relations
+from benchmarks.conftest import published
 
 
-def test_table2_ny18_like(once):
-    results, trace = once(run_table, "ny18")
-    rows = [cell.row() for n in sorted(results) for cell in results[n]]
-    record(
-        f"Table 2 -- NY18-like ({trace.describe()}) [scale={scale_name()}]",
-        format_table(HEADERS, rows),
-    )
+def test_table2_ny18_like():
+    results, trace = published("table2")
     check_paper_relations(results, trace)
     # Cross-table relation: NY18 has ~5x the flows of UNI1, so JET's
     # absolute tracked count is larger (the 1:10 ratio is per-trace).

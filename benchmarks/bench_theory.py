@@ -1,78 +1,46 @@
 """Section 4 benchmark: the theoretical guarantees, measured.
 
-Theorem 4.2 (tracking probability), Theorem 4.3 (concentration),
+Theorem 4.2 (tracking probability), Theorem 4.3 (tail bound),
 Theorem 4.4 / Property 1 (order invariance), Proposition 4.1 (identical
 dispatching), and the Section 2.4 mod-N motivation.
 """
 
 import pytest
 
+from benchmarks.conftest import published
 from benchmarks.reporting import record
-from repro.experiments.report import format_table
-from repro.experiments.theory import (
-    concentration,
-    modn_unsafe_fraction,
-    order_invariance,
-    paired_dispatching,
-    tracking_probability,
-)
 
 
-def test_theorem42_tracking_probability(once):
-    rows = once(tracking_probability)
-    record(
-        "Theorem 4.2 -- tracking probability alpha/(alpha+1)",
-        format_table(
-            ["family", "alpha", "measured", "predicted"],
-            [[f, f"{a:.3f}", f"{m:.4f}", f"{p:.4f}"] for f, a, m, p in rows],
-        ),
-    )
-    for _, _, measured, predicted in rows:
+@pytest.fixture(scope="module")
+def section4():
+    """(Thm 4.2 rows, Thm 4.3 result, Thm 4.4 outcome, Prop 4.1, Sec 2.4)."""
+    return published("theory")
+
+
+def test_theorem42_tracking_probability(section4):
+    for _, _, measured, predicted in section4[0]:
         assert measured == pytest.approx(predicted, rel=0.3)
 
 
-def test_theorem43_concentration(once):
-    result = once(concentration)
-    record(
-        "Theorem 4.3 -- tracked-count concentration",
-        format_table(
-            ["t", "empirical P(X > mean+t)", "Hoeffding bound"],
-            [[t, f"{e:.4f}", f"{h:.4f}"] for t, e, h in result.exceed_by_t],
-        ),
-    )
+def test_theorem43_tail_bound(section4):
+    result = section4[1]
     # The empirical tail must decay and stay within noise of the bound.
     tail = [e for _, e, _ in result.exceed_by_t]
     assert tail == sorted(tail, reverse=True)
     assert tail[-1] <= 0.02
 
 
-def test_theorem44_order_invariance(once):
-    outcome = once(order_invariance)
-    record(
-        "Theorem 4.4 / Property 1 -- order invariance",
-        format_table(
-            ["family", "property 1", "prefix safety"],
-            [[f, str(a), str(b)] for f, (a, b) in outcome.items()],
-        ),
-    )
-    assert all(a and b for a, b in outcome.values())
+def test_theorem44_order_invariance(section4):
+    assert all(a and b for a, b in section4[2].values())
 
 
-def test_proposition41_identical_dispatching(once):
-    compared, disagreements = once(paired_dispatching)
-    record(
-        "Proposition 4.1 -- JET vs full CT dispatching",
-        f"compared={compared} disagreements={disagreements}",
-    )
+def test_proposition41_identical_dispatching(section4):
+    _compared, disagreements = section4[3]
     assert disagreements == 0
 
 
-def test_section24_modn_strawman(once):
-    measured, predicted = once(modn_unsafe_fraction)
-    record(
-        "Section 2.4 -- mod-N unsafe fraction",
-        f"measured={measured:.4f} predicted={predicted:.4f}",
-    )
+def test_section24_modn_strawman(section4):
+    measured, predicted = section4[4]
     assert measured == pytest.approx(predicted, abs=0.05)
 
 
@@ -107,8 +75,8 @@ def _model_vs_simulation():
     return measured, model.expected_tracked, model.table_size_for(1e-3)
 
 
-def test_analytical_occupancy_model(once):
-    measured, predicted, sizing = once(_model_vs_simulation)
+def test_analytical_occupancy_model():
+    measured, predicted, sizing = _model_vs_simulation()
     record(
         "Analytical CT-occupancy model vs simulation",
         f"measured steady-state tracked={measured:.0f}  "

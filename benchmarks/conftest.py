@@ -7,9 +7,19 @@ figures/tables.  Nothing here reads a clock: the assertions are counts
 and shapes, timing is ``python3 -m bench``.
 """
 
-import pytest
-
 from benchmarks import reporting
+from repro.experiments.report import load
+from repro.experiments.scales import scale_name
+
+
+def published(name: str):
+    """Run ``repro experiment``'s entry ``name`` at the active scale and
+    queue what it would print; returns the result for the assertions."""
+    entry = load(name)
+    taken = {"scale": scale_name()} if "scale" in entry.takes else {}
+    result = entry.run(**taken)
+    reporting.record(entry.title.format(**taken), entry.tables(result))
+    return result
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -22,17 +32,3 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", title)
         for line in body.splitlines():
             terminalreporter.write_line(line)
-
-
-@pytest.fixture
-def once():
-    """Run a callable exactly once: a plain call.
-
-    The experiment harnesses are full sweeps (minutes, deterministic);
-    the fixture only marks which call is the sweep a bench asserts on.
-    """
-
-    def runner(func, *args, **kwargs):
-        return func(*args, **kwargs)
-
-    return runner

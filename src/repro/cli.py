@@ -2,8 +2,9 @@
 
 Commands
 --------
-``experiment``  run one of the paper's tables/figures (fig3..fig7,
-                table1, table2, theory, extensions, lbpool, all)
+``experiment``  publish one of the paper's tables/figures or beyond-paper
+                checks (fig3, fig4, fig5, fig6, fig7, table1, table2,
+                theory, extensions, lbpool, resilience, control-loop, all)
 ``simulate``    one event-driven run: explicit knobs (Section 5.1), a
                 library scenario, or a saved scenario document
 ``scenario``    the declarative scenario library (list / show / run)
@@ -55,17 +56,11 @@ def _open_metrics(args: argparse.Namespace):
 
 def _close_metrics(args: argparse.Namespace, registry, exporter, t: float = 0.0) -> None:
     """Final snapshot + invariants + Prometheus sibling, then report."""
-    from repro.obs import (
-        MonitorSuite,
-        evaluate_and_export,
-        prometheus_sibling,
-        write_prometheus,
-    )
+    from repro.obs import MonitorSuite, evaluate_and_export
 
-    results = evaluate_and_export(registry, t=t, tolerance=args.metrics_tolerance)
-    exporter.close()
-    prom_path = write_prometheus(registry, prometheus_sibling(args.metrics_out))
-    print(f"metrics: {args.metrics_out} (prometheus: {prom_path})")
+    results = evaluate_and_export(
+        registry, t=t, tolerance=args.metrics_tolerance, exporter=exporter
+    )
     print("invariant monitors:")
     print(MonitorSuite.render(results))
     violated = MonitorSuite.violations(results)
@@ -74,28 +69,20 @@ def _close_metrics(args: argparse.Namespace, registry, exporter, t: float = 0.0)
 
 
 def _experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        control_loop, extensions, fig3, fig4, fig5, fig6, fig7, lb_pool,
-        resilience, table12, theory,
-    )
+    from repro.experiments.report import EXPERIMENTS, load, publish, takers
 
-    runners = {
-        "fig3": lambda: fig3.main(args.scale),
-        "fig4": lambda: fig4.main(args.scale),
-        "fig5": lambda: fig5.main(args.scale),
-        "fig6": lambda: fig6.main(args.scale),
-        "fig7": lambda: fig7.main(args.scale),
-        "table1": lambda: table12.main_table1(args.scale),
-        "table2": lambda: table12.main_table2(args.scale),
-        "theory": theory.main,
-        "extensions": extensions.main,
-        "lbpool": lb_pool.main,
-        "resilience": lambda: resilience.main(args.scale, seed=args.seed),
-        "control-loop": lambda: control_loop.main(args.scale, seed=args.seed),
-    }
-    names = list(runners) if args.name == "all" else [args.name]
-    for name in names:
-        runners[name]()
+    # ``all`` passes each entry what it takes; one --metrics-out artifact
+    # is one run's, so it needs one (instrumented) name.
+    takes = ("seed",) if args.name == "all" else EXPERIMENTS[args.name][1]
+    for what, flag, value in (
+        ("seed", "--seed", args.seed), ("metrics", "--metrics-out", args.metrics_out),
+    ):
+        if value is not None and what not in takes:
+            return _error(
+                f"experiment {args.name} does not take {flag} (only {takers(what)} do)"
+            )
+    for name in EXPERIMENTS if args.name == "all" else [args.name]:
+        publish(load(name), args.scale, args.seed or 0, args.metrics_out)
     return 0
 
 
@@ -329,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.ch import family_choices
     from repro.core.factories import lb_mode_choices
     from repro.ct import CT_POLICIES
+    from repro.experiments.report import EXPERIMENTS, takers
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -337,17 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     exp = sub.add_parser("experiment", help="run a paper table/figure")
-    exp.add_argument(
-        "name",
-        choices=[
-            "fig3", "fig4", "fig5", "fig6", "fig7",
-            "table1", "table2", "theory", "extensions", "lbpool",
-            "resilience", "control-loop", "all",
-        ],
-    )
+    exp.add_argument("name", choices=[*EXPERIMENTS, "all"])
     exp.add_argument("--scale", choices=["smoke", "default", "paper"], default=None)
-    exp.add_argument("--seed", type=int, default=0,
-                     help="chaos seed (resilience experiment)")
+    exp.add_argument("--seed", type=int, default=None,
+                     help=f"run seed, default 0 ({takers('seed')})")
+    exp.add_argument("--metrics-out", default=None, metavar="PATH",
+                     help="JSONL metrics artifact of the instrumented runs, "
+                          f"plus a Prometheus .prom sibling ({takers('metrics')})")
     exp.set_defaults(func=_experiment)
 
     sim = sub.add_parser("simulate", help="run one event-driven simulation")
@@ -531,6 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: str) -> int:
+    """User input, not a bug: one line and argparse's exit code."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.scenarios import ScenarioError
 
@@ -539,14 +529,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except ScenarioError as exc:
-        message = str(exc)
+        return _error(str(exc))
     except OSError as exc:
         if exc.filename is None:  # not about a path the user named
             raise
-        message = f"{exc.filename}: {exc.strerror}"
-    # User input, not a bug: one line and argparse's exit code.
-    print(f"repro: error: {message}", file=sys.stderr)
-    return 2
+        return _error(f"{exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,11 +28,11 @@ measurements, all bit-reproducible for a fixed ``--seed``:
 
 from __future__ import annotations
 
-import argparse
 from typing import Dict, List, Optional
 
-from repro.experiments.report import banner, format_table, save_json
+from repro.experiments.report import Experiment, format_table, run_module
 from repro.experiments.scales import scale_name
+from repro.obs import HorizonFidelityMonitor, default_monitors
 from repro.sim.distributions import Constant, Exponential
 from repro.sim.scenario import SimulationConfig, run_simulation
 from repro.sim.workload import RateProfile
@@ -246,37 +246,23 @@ def build_payload(
     }
 
 
-def main(scale: Optional[str] = None, seed: int = 0, metrics_out: Optional[str] = None):
-    # Always instrument (the artifact must not depend on --metrics-out).
-    from repro.obs import JsonlExporter, Registry
-
-    registry = Registry()
-    exporter = None
-    if metrics_out:
-        exporter = JsonlExporter(metrics_out)
-        registry.attach_exporter(exporter)
-    payload = build_payload(scale, seed=seed, registry=registry)
-    print(banner(f"Closed-loop control plane [scale={payload['scale']} seed={seed}]"))
-
+def _tables(payload: Dict) -> str:
     flash = payload["flash_crowd"]
     closed = flash["closed_loop"]
-    print(
+    diurnal = payload["diurnal"]
+    gossip = payload["gossip"]
+    return "\n".join([
         f"flash crowd (perfect forecast): "
         f"observed tracked {closed['observed_tracked_fraction']:.4f} vs "
         f"flow-weighted |H|/(|W|+|H|) {closed['mean_expected_tracked_fraction']:.4f} "
         f"(error {flash['tracked_fraction_error']:.3f}, "
         f"tolerance {flash['tracked_fraction_tolerance']}) "
-        f"{'OK' if flash['tracked_fraction_ok'] else 'FAIL'}"
-    )
-    print(
+        f"{'OK' if flash['tracked_fraction_ok'] else 'FAIL'}",
         f"PCC breakage: closed loop {closed['pcc_violations']} vs exogenous-H "
         f"baseline {flash['baseline_pcc_violations']} at matched churn "
         f"({flash['baseline_update_rate_per_min']:.1f} events/min) "
-        f"{'OK' if flash['breakage_ok'] else 'FAIL'}"
-    )
-
-    print("\nforecast-quality sweep:")
-    print(
+        f"{'OK' if flash['breakage_ok'] else 'FAIL'}",
+        "\nforecast-quality sweep:",
         format_table(
             [
                 "recall", "precision", "violations", "blackholed", "surprise",
@@ -294,64 +280,31 @@ def main(scale: Optional[str] = None, seed: int = 0, metrics_out: Optional[str] 
                 ]
                 for r in payload["forecast_sweep"]
             ],
-        )
-    )
-
-    diurnal = payload["diurnal"]
-    print(
+        ),
         f"\ndiurnal cycle: scale-outs {diurnal['scale_outs']}, "
         f"scale-ins {diurnal['scale_ins']} "
-        f"({'cycle closed' if diurnal['cycle_closed'] else 'no scale-in fired'})"
-    )
-
-    gossip = payload["gossip"]
-    print(
+        f"({'cycle closed' if diurnal['cycle_closed'] else 'no scale-in fired'})",
         f"gossip: staleness {gossip['staleness_during_partition']} during "
         f"partition -> {gossip['staleness_after_heal']} after heal "
         f"({gossip['rounds_to_heal']} rounds, "
         f"{gossip['anti_entropy_repairs']} anti-entropy repairs); "
         f"crash accounted {gossip['crash_lost_accounted']} lost deltas; "
-        f"mean lag {gossip['mean_lag_rounds']:.2f} rounds"
-    )
+        f"mean lag {gossip['mean_lag_rounds']:.2f} rounds",
+    ])
 
-    from repro.obs import (
-        HorizonFidelityMonitor,
-        MonitorSuite,
-        default_monitors,
-        evaluate_and_export,
-        prometheus_sibling,
-        write_prometheus,
-    )
 
+CONTROL_LOOP = Experiment(
+    name="control-loop", stem="control_loop",
+    title="Closed-loop control plane [scale={scale} seed={seed}]",
+    run=build_payload, tables=_tables, payload=lambda payload: payload,
     # The instrumented run had a perfect forecast, so gate on it: both
     # scores must sit at 1.0 (tolerance via floor) or the loop is broken.
-    monitors = [
+    monitors=[
         m for m in default_monitors(tolerance=TRACKED_TOLERANCE)
         if not isinstance(m, HorizonFidelityMonitor)
-    ]
-    monitors.append(HorizonFidelityMonitor(min_precision=0.99, min_recall=0.99))
-    results = evaluate_and_export(registry, monitors=monitors)
-    payload["invariants"] = MonitorSuite.to_json(results)
-    if exporter is not None:
-        exporter.close()
-        write_prometheus(registry, prometheus_sibling(metrics_out))
-        print(f"\nmetrics artifact: {metrics_out}")
-    print()
-    print(MonitorSuite.render(results))
-    save_json("control_loop", payload)
-    return payload
-
-
-def _cli() -> int:
-    parser = argparse.ArgumentParser(description="closed-loop control-plane experiment")
-    parser.add_argument("--scale", choices=["smoke", "default", "paper"], default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="JSONL metrics artifact for the instrumented runs")
-    args = parser.parse_args()
-    main(args.scale, seed=args.seed, metrics_out=args.metrics_out)
-    return 0
+    ] + [HorizonFidelityMonitor(min_precision=0.99, min_recall=0.99)],
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(_cli())
+    raise SystemExit(run_module(__spec__.name))

@@ -17,14 +17,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List
 
 from repro.ch import AnchorHash, RingHash
 from repro.core.full_ct import FullCTLoadBalancer
 from repro.core.jet import JETLoadBalancer
 from repro.core.load_aware import BoundedLoadJET, PowerOfTwoJET
-from repro.experiments.report import banner, format_table, save_json
+from repro.experiments.report import Experiment, banner, format_table, run_module
 from repro.traces.replay import replay
 from repro.traces.zipf import zipf_trace
 
@@ -112,39 +112,31 @@ def load_aware_comparison(
     return rows
 
 
-def main():
-    print(banner("Section 6.1 -- simultaneous backend changes"))
-    batch = simultaneous_changes()
-    print(
+def _tables(result) -> str:
+    batch, rows = result
+    return "\n".join([
         f"batch removal+addition: violations={batch['pcc_violations']} "
         f"(expected 0), inevitable={batch['inevitably_broken']}, "
-        f"tracked={batch['tracked']}"
-    )
-
-    print(banner("Section 6.3 -- load-aware JET (P2C and bounded loads)"))
-    rows = load_aware_comparison()
-    print(
+        f"tracked={batch['tracked']}",
+        banner("Section 6.3 -- load-aware JET (P2C and bounded loads)"),
         format_table(
             ["mode", "tracked fraction", "max oversubscription"],
             [[r.mode, f"{r.tracked_fraction:.3f}", f"{r.max_oversubscription:.3f}"] for r in rows],
-        )
-    )
-    save_json(
-        "extensions",
-        {
-            "simultaneous": batch,
-            "load_aware": [
-                {
-                    "mode": r.mode,
-                    "tracked_fraction": r.tracked_fraction,
-                    "max_oversubscription": r.max_oversubscription,
-                }
-                for r in rows
-            ],
-        },
-    )
-    return batch, rows
+        ),
+    ])
+
+
+EXTENSIONS = Experiment(
+    name="extensions", stem="extensions", takes=(),
+    title="Section 6.1 -- simultaneous backend changes",
+    run=lambda: (simultaneous_changes(), load_aware_comparison()),
+    tables=_tables,
+    payload=lambda result: {
+        "simultaneous": result[0],
+        "load_aware": [asdict(row) for row in result[1]],
+    },
+)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_module(__spec__.name))

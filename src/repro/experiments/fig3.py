@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.experiments.report import banner, format_table, save_json
-from repro.experiments.scales import base_config, scale_name
+from repro.experiments.report import SCALED, Experiment, format_table, run_module
+from repro.experiments.scales import base_config
 from repro.sim.scenario import SimulationConfig, run_simulation
 
 PAPER_UPDATE_RATES = (1, 2, 5, 10, 20, 40)
@@ -69,23 +69,18 @@ def run_fig3(
     return result
 
 
-def main(scale: str = None) -> Fig3Result:
-    active = scale_name(scale)
-    result = run_fig3(scale=active)
-    print(banner(f"Figure 3 -- PCC violations vs CT table size [scale={active}]"))
-    headers = ["series"] + [f"CT={s}" for s in result.ct_sizes]
-    print(format_table(headers, result.to_rows()))
-    save_json(
-        "fig3",
-        {
-            "scale": active,
-            "ct_sizes": result.ct_sizes,
-            "full_ct": {str(k): v for k, v in result.full_ct.items()},
-            "jet": {str(k): v for k, v in result.jet.items()},
-        },
-    )
-    return result
+FIG3 = Experiment(
+    name="fig3", stem="fig3", takes=SCALED,
+    title="Figure 3 -- PCC violations vs CT table size [scale={scale}]",
+    run=run_fig3,
+    tables=lambda result: format_table(
+        ["series"] + [f"CT={s}" for s in result.ct_sizes], result.to_rows()
+    ),
+    payload=lambda result: {
+        "ct_sizes": result.ct_sizes, "full_ct": result.full_ct, "jet": result.jet,
+    },
+)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_module(__spec__.name))

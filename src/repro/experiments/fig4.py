@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.experiments.fig3 import PAPER_CT_FRACTIONS
-from repro.experiments.report import banner, format_table, save_json
-from repro.experiments.scales import base_config, scale_name
+from repro.experiments.report import SCALED, Experiment, format_table, run_module
+from repro.experiments.scales import base_config
 from repro.sim.scenario import SimulationConfig, run_simulation
 
 #: The paper's horizon sizes as fractions of the 468-server backend, plus
@@ -69,23 +69,18 @@ def run_fig4(
     return result
 
 
-def main(scale: str = None) -> Fig4Result:
-    active = scale_name(scale)
-    result = run_fig4(scale=active)
-    print(banner(f"Figure 4 -- PCC violations vs CT size per horizon [scale={active}]"))
-    headers = ["series"] + [f"CT={s}" for s in result.ct_sizes]
-    print(format_table(headers, result.to_rows()))
-    save_json(
-        "fig4",
-        {
-            "scale": active,
-            "ct_sizes": result.ct_sizes,
-            "full_ct": result.full_ct,
-            "jet": {str(k): v for k, v in result.jet.items()},
-        },
-    )
-    return result
+FIG4 = Experiment(
+    name="fig4", stem="fig4", takes=SCALED,
+    title="Figure 4 -- PCC violations vs CT size per horizon [scale={scale}]",
+    run=run_fig4,
+    tables=lambda result: format_table(
+        ["series"] + [f"CT={s}" for s in result.ct_sizes], result.to_rows()
+    ),
+    payload=lambda result: {
+        "ct_sizes": result.ct_sizes, "full_ct": result.full_ct, "jet": result.jet,
+    },
+)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_module(__spec__.name))

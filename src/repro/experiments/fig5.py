@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.experiments.report import banner, format_table, save_json
-from repro.experiments.scales import base_config, scale_name
+from repro.experiments.report import SCALED, Experiment, format_table, run_module
+from repro.experiments.scales import base_config
 from repro.sim.scenario import SimulationConfig, run_simulation
 
 PAPER_UPDATE_RATES = (1, 10, 20, 40)
@@ -75,24 +75,20 @@ def run_fig5(
     return result
 
 
-def main(scale: str = None) -> Fig5Result:
-    active = scale_name(scale)
-    result = run_fig5(scale=active)
-    print(banner(f"Figure 5 -- max oversubscription vs connection rate [scale={active}]"))
-    headers = ["series"] + [f"rate={r:g}" for r in result.connection_rates]
-    print(format_table(headers, result.to_rows()))
-    print(f"JET/full-CT balance identical (Prop 4.1): {result.jet_equals_full}")
-    save_json(
-        "fig5",
-        {
-            "scale": active,
-            "connection_rates": result.connection_rates,
-            "oversubscription": {str(k): v for k, v in result.oversubscription.items()},
-            "jet_equals_full": result.jet_equals_full,
-        },
-    )
-    return result
+FIG5 = Experiment(
+    name="fig5", stem="fig5", takes=SCALED,
+    title="Figure 5 -- max oversubscription vs connection rate [scale={scale}]",
+    run=run_fig5,
+    tables=lambda result: format_table(
+        ["series"] + [f"rate={r:g}" for r in result.connection_rates], result.to_rows()
+    ) + f"\nJET/full-CT balance identical (Prop 4.1): {result.jet_equals_full}",
+    payload=lambda result: {
+        "connection_rates": result.connection_rates,
+        "oversubscription": result.oversubscription,
+        "jet_equals_full": result.jet_equals_full,
+    },
+)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_module(__spec__.name))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.stats import loglog_histogram
-from repro.experiments.report import banner, format_table, save_json
+from repro.experiments.report import SCALED, Experiment, banner, format_table, run_module
 from repro.experiments.scales import scale_name, trace_scale, zipf_params
 from repro.traces.synthetic_dc import ny18_like, uni1_like
 from repro.traces.zipf import PAPER_SKEWS, zipf_trace
@@ -40,33 +40,29 @@ def run_fig6b(
     }
 
 
-def _series_rows(series: Series) -> List[List]:
-    return [[f"{center:.1f}", count] for center, count in series]
-
-
-def main(scale: str = None):
-    active = scale_name(scale)
-    a = run_fig6a(scale=active)
-    b = run_fig6b(scale=active)
-    print(banner(f"Figure 6a -- real-trace stand-in flow sizes [scale={active}]"))
+def _tables(result) -> str:
+    scale, a, b = result
+    lines = []
     for name, series in a.items():
-        print(f"\n{name} (log-binned flow size -> #flows):")
-        print(format_table(["size bin", "flows"], _series_rows(series)))
-    print(banner(f"Figure 6b -- Zipf flow sizes by skew [scale={active}]"))
+        lines.append(f"\n{name} (log-binned flow size -> #flows):")
+        lines.append(format_table(["size bin", "flows"], [[f"{c:.1f}", n] for c, n in series]))
+    lines.append(banner(f"Figure 6b -- Zipf flow sizes by skew [scale={scale}]"))
     for skew, series in b.items():
         tail = series[-1][0] if series else 0
         total = sum(count for _, count in series)
-        print(f"skew={skew}: {total:,} distinct flows, largest bin ~{tail:,.0f} pkts")
-    save_json(
-        "fig6",
-        {
-            "scale": active,
-            "fig6a": {k: v for k, v in a.items()},
-            "fig6b": {str(k): v for k, v in b.items()},
-        },
-    )
-    return a, b
+        lines.append(f"skew={skew}: {total:,} distinct flows, largest bin ~{tail:,.0f} pkts")
+    return "\n".join(lines)
+
+
+FIG6 = Experiment(
+    name="fig6", stem="fig6", takes=SCALED,
+    title="Figure 6a -- real-trace stand-in flow sizes [scale={scale}]",
+    # Both panels; the scale rides along for panel (b)'s banner.
+    run=lambda scale: (scale, run_fig6a(scale), run_fig6b(scale)),
+    tables=_tables,
+    payload=lambda result: {"fig6a": result[1], "fig6b": result[2]},
+)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_module(__spec__.name))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.report import banner, format_table, save_json
+from repro.experiments.report import SCALED, Experiment, format_table, run_module
 from repro.experiments.scales import repeats, scale_name, zipf_params
 from repro.experiments.trace_eval import (
     PAPER_CONFIGS,
@@ -55,28 +55,26 @@ def run_fig7(
     return results
 
 
-def main(scale: str = None) -> Fig7Result:
-    active = scale_name(scale)
-    results = run_fig7(scale=active)
-    print(banner(f"Figure 7 -- JET vs full CT across Zipf skews [scale={active}]"))
+def _tables(results: Fig7Result) -> str:
     headers = ["skew", "n", "hash", "mode", "max oversub", "tracked", "rate [Mpps]"]
     rows = []
     for (skew, n) in sorted(results):
         for cell in results[(skew, n)]:
             rows.append([skew] + cell.row())
-    print(format_table(headers, rows))
-    save_json(
-        "fig7",
-        {
-            "scale": active,
-            "cells": {
-                f"skew={skew},n={n}": cells_to_payload(cells)
-                for (skew, n), cells in results.items()
-            },
-        },
-    )
-    return results
+    return format_table(headers, rows)
+
+
+FIG7 = Experiment(
+    name="fig7", stem="fig7", takes=SCALED,
+    title="Figure 7 -- JET vs full CT across Zipf skews [scale={scale}]",
+    run=run_fig7,
+    tables=_tables,
+    payload=lambda results: {"cells": {
+        f"skew={skew},n={n}": cells_to_payload(cells)
+        for (skew, n), cells in results.items()
+    }},
+)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_module(__spec__.name))

@@ -13,14 +13,14 @@ disruption: ECMP re-steers flows onto a CT-less instance), and measures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List
 
 from repro.ch import AnchorHash
 from repro.core.full_ct import FullCTLoadBalancer
 from repro.core.jet import JETLoadBalancer
 from repro.core.lb_pool import LBPool
-from repro.experiments.report import banner, format_table, save_json
+from repro.experiments.report import Experiment, format_table, run_module
 from repro.traces.replay import replay
 from repro.traces.zipf import zipf_trace
 
@@ -88,35 +88,27 @@ def run_pool_experiment(
     return rows
 
 
-def main():
-    rows = run_pool_experiment()
-    print(banner("Section 6.2 -- LB pool changes"))
-    print(
-        format_table(
-            ["mode", "sync", "PCC violations", "synced entries", "tracked total"],
-            [r.cells() for r in rows],
-        )
+def _tables(rows: List[PoolRow]) -> str:
+    text = format_table(
+        ["mode", "sync", "PCC violations", "synced entries", "tracked total"],
+        [r.cells() for r in rows],
     )
     jet_sync = next(r for r in rows if r.mode == "jet" and r.sync)
     full_sync = next(r for r in rows if r.mode == "full" and r.sync)
     if full_sync.synced_entries:
         ratio = jet_sync.synced_entries / full_sync.synced_entries
-        print(f"JET syncs {ratio:.1%} of full CT's state")
-    save_json(
-        "lb_pool",
-        [
-            {
-                "mode": r.mode,
-                "sync": r.sync,
-                "pcc_violations": r.pcc_violations,
-                "synced_entries": r.synced_entries,
-                "tracked_total": r.tracked_total,
-            }
-            for r in rows
-        ],
-    )
-    return rows
+        text += f"\nJET syncs {ratio:.1%} of full CT's state"
+    return text
+
+
+LBPOOL = Experiment(
+    name="lbpool", stem="lb_pool", takes=(),
+    title="Section 6.2 -- LB pool changes",
+    run=run_pool_experiment,
+    tables=_tables,
+    payload=lambda rows: [asdict(row) for row in rows],
+)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_module(__spec__.name))

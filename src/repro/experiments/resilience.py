@@ -34,13 +34,13 @@ plain consistent hash, which is the behaviour §2.3 reasons about.
 
 from __future__ import annotations
 
-import argparse
 from typing import Dict, List, Optional
 
 from repro.ch import rows_for
-from repro.experiments.report import banner, format_table, save_json
+from repro.experiments.report import Experiment, format_table, run_module
 from repro.experiments.scales import base_config, scale_name
 from repro.faults import FaultSchedule, chaos_mix
+from repro.obs import default_monitors
 from repro.sim.scenario import run_simulation
 
 MODES = ("jet", "full", "stateless")
@@ -153,7 +153,8 @@ def run_tracking_economy(
     the invariant monitors then check the same claim from telemetry.
     """
     cfg = _chaos_base(scale, seed)
-    schedule = chaos_mix(cfg.duration_s, fault_rates_heavy(), seed=seed)
+    heavy = FAULT_RATES_PER_MIN[-1]
+    schedule = chaos_mix(cfg.duration_s, heavy, seed=seed)
     chaos_cfg = cfg.with_(fault_schedule=schedule)
     jet = run_simulation(chaos_cfg.with_(mode="jet", registry=registry))
     full = run_simulation(chaos_cfg.with_(mode="full"))
@@ -166,7 +167,7 @@ def run_tracking_economy(
 
     jet_mean, full_mean = steady_mean(jet), steady_mean(full)
     return {
-        "fault_rate_per_min": fault_rates_heavy(),
+        "fault_rate_per_min": heavy,
         "jet_peak_tracked": jet.peak_tracked,
         "full_peak_tracked": full.peak_tracked,
         "jet_ct_peak_size": jet.ct_peak_size,
@@ -176,10 +177,6 @@ def run_tracking_economy(
         "tracked_ratio": jet_mean / full_mean if full_mean else 0.0,
         "expected_fraction": expected,
     }
-
-
-def fault_rates_heavy() -> float:
-    return FAULT_RATES_PER_MIN[-1]
 
 
 def build_payload(
@@ -199,19 +196,9 @@ def build_payload(
     }
 
 
-def main(scale: Optional[str] = None, seed: int = 0, metrics_out: Optional[str] = None):
-    # Always instrument: the archived payload must not depend on whether
-    # --metrics-out was passed (same seed -> identical artifact bytes).
-    from repro.obs import JsonlExporter, Registry
-
-    registry = Registry()
-    exporter = None
-    if metrics_out:
-        exporter = JsonlExporter(metrics_out)
-        registry.attach_exporter(exporter)
-    payload = build_payload(scale, seed=seed, registry=registry)
-    print(banner(f"Resilience under chaos [scale={payload['scale']} seed={seed}]"))
-    print(
+def _tables(payload: Dict) -> str:
+    economy = payload["tracking_economy"]
+    return "\n".join([
         format_table(
             [
                 "mode", "faults/min", "violations", "under fault", "inevitable",
@@ -226,18 +213,12 @@ def main(scale: Optional[str] = None, seed: int = 0, metrics_out: Optional[str] 
                 ]
                 for r in payload["sweep"]
             ],
-        )
-    )
-    economy = payload["tracking_economy"]
-    print(
+        ),
         f"\ntracking under heavy chaos: JET mean {economy['jet_mean_tracked']:.0f} "
         f"vs full {economy['full_mean_tracked']:.0f} "
         f"(ratio {economy['tracked_ratio']:.3f}, "
-        f"|H|/(|W|+|H|) = {economy['expected_fraction']:.3f})"
-    )
-    contract = payload["contract_check"]
-    print("\n§2.3 contract check (unannounced additions only):")
-    print(
+        f"|H|/(|W|+|H|) = {economy['expected_fraction']:.3f})",
+        "\n§2.3 contract check (unannounced additions only):",
         format_table(
             ["mode", "adds", "violations", "predicted (adj.)", "measured/predicted"],
             [
@@ -245,40 +226,20 @@ def main(scale: Optional[str] = None, seed: int = 0, metrics_out: Optional[str] 
                     mode, m["unannounced_additions"], m["pcc_violations"],
                     m["predicted_breakage_adjusted"], m["measured_over_predicted"],
                 ]
-                for mode, m in contract["modes"].items()
+                for mode, m in payload["contract_check"]["modes"].items()
             ],
-        )
-    )
-    from repro.obs import (
-        MonitorSuite,
-        evaluate_and_export,
-        prometheus_sibling,
-        write_prometheus,
-    )
-
-    results = evaluate_and_export(registry, tolerance=CHAOS_TRACKED_TOLERANCE)
-    payload["invariants"] = MonitorSuite.to_json(results)
-    if exporter is not None:
-        exporter.close()
-        write_prometheus(registry, prometheus_sibling(metrics_out))
-        print(f"\nmetrics artifact: {metrics_out}")
-    print()
-    print(MonitorSuite.render(results))
-    save_json("resilience", payload)
-    return payload
+        ),
+    ])
 
 
-def _cli() -> int:
-    parser = argparse.ArgumentParser(description="resilience-under-chaos sweep")
-    parser.add_argument("--scale", choices=["smoke", "default", "paper"], default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="JSONL metrics artifact for the instrumented "
-                             "tracking-economy JET run")
-    args = parser.parse_args()
-    main(args.scale, seed=args.seed, metrics_out=args.metrics_out)
-    return 0
+RESILIENCE = Experiment(
+    name="resilience", stem="resilience",
+    title="Resilience under chaos [scale={scale} seed={seed}]",
+    # The registry instruments the tracking-economy JET run.
+    run=build_payload, tables=_tables, payload=lambda payload: payload,
+    monitors=default_monitors(tolerance=CHAOS_TRACKED_TOLERANCE),
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(_cli())
+    raise SystemExit(run_module(__spec__.name))

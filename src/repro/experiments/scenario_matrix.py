@@ -13,7 +13,8 @@ bound that occupancy-weighted dispatch meets).
 Gate semantics: only the *native* mode's envelope verdict gates the
 experiment (and CI) -- non-native modes are comparison rows, recorded
 but never failing the run.  A mode a scenario cannot express (Concury
-over a weighted inner family) records as skipped with the reason.
+over a weighted inner family) records as skipped with the factory's
+reason; an error from a stack that could be built is a bug, and raises.
 
 Everything recorded is a count or a margin, deterministic per seed and
 invariant to ``workers`` (each spec pins its shard partition).  The full
@@ -61,7 +62,8 @@ def run_matrix(scale: str, workers: int = 1, exporter=None) -> Dict:
     the JSONL artifact the CI strict gate reads.
     """
     from repro.obs.registry import Registry
-    from repro.scenarios import load_all, run_scenario
+    from repro.scenarios import compile_scenario, load_all, run_compiled
+    from repro.sim.scenario import build_balancer
 
     factor = SCALES[scale]
     scenarios: Dict[str, Dict] = {}
@@ -72,22 +74,19 @@ def run_matrix(scale: str, workers: int = 1, exporter=None) -> Dict:
             modes.append(spec.mode)
         rows: Dict[str, Dict] = {}
         for mode in modes:
-            native = mode == spec.mode
-            registry = None
-            if native and exporter is not None:
-                registry = Registry()
-                registry.attach_exporter(exporter)
             try:
-                report = run_scenario(
-                    spec,
-                    workers=workers,
-                    mode=mode,
-                    duration_s=duration,
-                    registry=registry,
-                )
-            except Exception as exc:  # a mode the scenario cannot express
+                # Can the scenario express this mode?  The factory says, here:
+                # a forked shard worker reports its refusal as a RuntimeError.
+                compiled = compile_scenario(spec.with_(mode=mode, duration_s=duration))
+                build_balancer(compiled.config)
+            except ValueError as exc:
                 rows[mode] = {"skipped": True, "reason": f"{type(exc).__name__}: {exc}"}
                 continue
+            registry = None
+            if mode == spec.mode and exporter is not None:
+                registry = Registry()
+                registry.attach_exporter(exporter)
+            report = run_compiled(compiled, workers=workers, registry=registry)
             rows[mode] = _mode_row(report)
         scenarios[name] = {
             "native_mode": spec.mode,

@@ -17,11 +17,12 @@ horizon.  Expected shapes:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.report import banner, format_table, save_json
+from repro.experiments.report import SCALED, Experiment, format_table, run_module
 from repro.experiments.scales import repeats, scale_name, trace_scale
 from repro.experiments.trace_eval import TraceEvalCell, cells_to_payload, evaluate_trace
+from repro.traces.base import Trace
 from repro.traces.synthetic_dc import ny18_like, uni1_like
 
 PAPER_BACKEND_SIZES = (50, 500)
@@ -33,8 +34,9 @@ def run_table(
     backend_sizes: Sequence[int] = PAPER_BACKEND_SIZES,
     repetitions: int = None,
     seed: int = 0,
-) -> Dict[int, List[TraceEvalCell]]:
-    """Run Table 1 (``which="uni1"``) or Table 2 (``which="ny18"``)."""
+) -> Tuple[Dict[int, List[TraceEvalCell]], Trace]:
+    """Run Table 1 (``which="uni1"``) or Table 2 (``which="ny18"``):
+    the cells per backend size, and the trace they were measured on."""
     active = scale_name(scale)
     if repetitions is None:
         repetitions = repeats(active)
@@ -46,35 +48,25 @@ def run_table(
     }, trace
 
 
-def _print(which: str, title: str, scale: str = None):
-    active = scale_name(scale)
-    results, trace = run_table(which, scale=active)
-    print(banner(f"{title} [scale={active}]"))
-    print(trace.describe())
+def _entry(name: str, which: str, title: str) -> Experiment:
     headers = ["n", "hash", "mode", "max oversub", "tracked", "rate [Mpps]"]
-    rows = [cell.row() for n in sorted(results) for cell in results[n]]
-    print(format_table(headers, rows))
-    save_json(
-        f"table_{which}",
-        {
-            "scale": active,
-            "trace": trace.describe(),
-            "cells": {str(n): cells_to_payload(cells) for n, cells in results.items()},
+    return Experiment(
+        name=name, stem=f"table_{which}", takes=SCALED,
+        title=f"{title} [scale={{scale}}]",
+        run=lambda scale: run_table(which, scale=scale),
+        tables=lambda ran: ran[1].describe() + "\n" + format_table(
+            headers, [cell.row() for n in sorted(ran[0]) for cell in ran[0][n]]
+        ),
+        payload=lambda ran: {
+            "trace": ran[1].describe(),
+            "cells": {n: cells_to_payload(cells) for n, cells in ran[0].items()},
         },
     )
-    return results
 
 
-def main_table1(scale: str = None):
-    """Table 1 -- UNI1-like trace."""
-    return _print("uni1", "Table 1 -- UNI1-like trace evaluation", scale)
-
-
-def main_table2(scale: str = None):
-    """Table 2 -- NY18-like trace."""
-    return _print("ny18", "Table 2 -- NY18-like trace evaluation", scale)
+TABLE1 = _entry("table1", "uni1", "Table 1 -- UNI1-like trace evaluation")
+TABLE2 = _entry("table2", "ny18", "Table 2 -- NY18-like trace evaluation")
 
 
 if __name__ == "__main__":
-    main_table1()
-    main_table2()
+    raise SystemExit(run_module(__spec__.name))

@@ -24,7 +24,7 @@ from repro.ch import JET_FAMILIES, ModuloHash
 from repro.ch.properties import check_prefix_safety, check_property1, sample_keys
 from repro.core.full_ct import FullCTLoadBalancer
 from repro.core.jet import JETLoadBalancer
-from repro.experiments.report import banner, format_table, save_json
+from repro.experiments.report import Experiment, banner, format_table, run_module
 
 
 def _family_factory(family: str, working: List, horizon: List) -> Callable:
@@ -187,61 +187,56 @@ def modn_unsafe_fraction(
     return moved / n_keys, 1 - 1 / (n_servers + 1)
 
 
-def main():
-    print(banner("Theorem 4.2 -- tracking probability = alpha/(alpha+1)"))
-    rows = tracking_probability()
-    print(
+def _tables(result: Tuple) -> str:
+    rows, conc, invariance, prop41, modn = result
+    return "\n".join([
         format_table(
             ["family", "alpha", "measured", "predicted"],
             [[f, f"{a:.3f}", f"{m:.4f}", f"{p:.4f}"] for f, a, m, p in rows],
-        )
-    )
-
-    print(banner("Theorem 4.3 -- concentration of the tracked count"))
-    conc = concentration()
-    print(
+        ),
+        banner("Theorem 4.3 -- concentration of the tracked count"),
         f"gamma={conc.gamma:.3f}, bound mean={conc.bound_mean:.1f} over "
-        f"{conc.keys_per_trial} keys, {conc.trials} trials"
-    )
-    print(
+        f"{conc.keys_per_trial} keys, {conc.trials} trials",
         format_table(
             ["t", "empirical P(X > mean+t)", "Hoeffding bound"],
             [[t, f"{e:.4f}", f"{h:.4f}"] for t, e, h in conc.exceed_by_t],
-        )
-    )
-
-    print(banner("Theorem 4.4 / Property 1 -- order invariance"))
-    invariance = order_invariance()
-    print(
+        ),
+        banner("Theorem 4.4 / Property 1 -- order invariance"),
         format_table(
             ["family", "property 1", "prefix safety"],
             [[f, str(p1), str(pref)] for f, (p1, pref) in invariance.items()],
-        )
-    )
+        ),
+        banner("Proposition 4.1 -- identical dispatching JET vs full CT"),
+        "compared packets: {}, disagreements: {}".format(*prop41),
+        banner("Section 2.4 -- mod-N strawman unsafe fraction"),
+        "measured: {:.4f}  predicted ~1-1/N: {:.4f}".format(*modn),
+    ])
 
-    print(banner("Proposition 4.1 -- identical dispatching JET vs full CT"))
-    compared, disagreements = paired_dispatching()
-    print(f"compared packets: {compared}, disagreements: {disagreements}")
 
-    print(banner("Section 2.4 -- mod-N strawman unsafe fraction"))
-    measured, predicted = modn_unsafe_fraction()
-    print(f"measured: {measured:.4f}  predicted ~1-1/N: {predicted:.4f}")
-
-    save_json(
-        "theory",
-        {
-            "tracking_probability": rows,
-            "concentration": {
-                "gamma": conc.gamma,
-                "bound_mean": conc.bound_mean,
-                "exceedance": conc.exceed_by_t,
-            },
-            "order_invariance": {k: list(v) for k, v in invariance.items()},
-            "prop41": {"compared": compared, "disagreements": disagreements},
-            "modn": {"measured": measured, "predicted": predicted},
+def _payload(result: Tuple) -> Dict:
+    rows, conc, invariance, (compared, disagreements), (measured, predicted) = result
+    return {
+        "tracking_probability": rows,
+        "concentration": {
+            "gamma": conc.gamma,
+            "bound_mean": conc.bound_mean,
+            "exceedance": conc.exceed_by_t,
         },
-    )
+        "order_invariance": {k: list(v) for k, v in invariance.items()},
+        "prop41": {"compared": compared, "disagreements": disagreements},
+        "modn": {"measured": measured, "predicted": predicted},
+    }
+
+
+THEORY = Experiment(
+    name="theory", stem="theory", takes=(),
+    title="Theorem 4.2 -- tracking probability = alpha/(alpha+1)",
+    # Every check above at its default parameters, in the order above.
+    run=lambda: (tracking_probability(), concentration(), order_invariance(),
+                 paired_dispatching(), modn_unsafe_fraction()),
+    tables=_tables, payload=_payload,
+)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run_module(__spec__.name))

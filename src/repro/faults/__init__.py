@@ -14,7 +14,6 @@ from repro.faults.channel import SyncChannel, SyncStats
 from repro.faults.events import (
     CRASH,
     FLAP,
-    GOSSIP_PARTITION,
     GROUP,
     KINDS,
     PROBE_LOSS,
@@ -23,7 +22,6 @@ from repro.faults.events import (
     FaultEvent,
     FaultSchedule,
     chaos_mix,
-    control_chaos_mix,
 )
 from repro.faults.health import HealthMonitor
 from repro.faults.injector import ChaosInjector
@@ -34,13 +32,11 @@ __all__ = [
     "GROUP",
     "UNANNOUNCED_ADD",
     "PROBE_LOSS",
-    "GOSSIP_PARTITION",
     "STALE_AUTOSCALER",
     "KINDS",
     "FaultEvent",
     "FaultSchedule",
     "chaos_mix",
-    "control_chaos_mix",
     "HealthMonitor",
     "ChaosInjector",
     "SyncChannel",

@@ -21,12 +21,11 @@ those failure modes first-class, seedable event types:
                           violation whose breakage JET explicitly does
                           not cover.
 
-Closed-loop runs (:mod:`repro.control`) add three *control-plane* kinds
+Closed-loop runs (:mod:`repro.control`) add two *control-plane* kinds
 that degrade the controller's senses instead of the backends: for
 ``duration`` seconds, ``probe_loss`` drops health probes with probability
-``intensity``, ``gossip_partition`` cuts one LB-pool member out of the
-gossip CT exchange, and ``stale_autoscaler`` freezes the autoscaler's
-load signal so it plans on stale data.
+``intensity`` and ``stale_autoscaler`` freezes the autoscaler's load
+signal so it plans on stale data.
 
 A :class:`FaultSchedule` is an immutable, time-sorted list of
 :class:`FaultEvent`; :meth:`FaultSchedule.generate` draws each kind from
@@ -51,13 +50,9 @@ UNANNOUNCED_ADD = "unannounced_add"
 # Control-plane faults (repro.control closed-loop runs): they degrade the
 # *controller's senses* rather than the backends themselves.
 PROBE_LOSS = "probe_loss"            # health probes drop for a window
-GOSSIP_PARTITION = "gossip_partition"  # an LB-pool member misses gossip rounds
 STALE_AUTOSCALER = "stale_autoscaler"  # the autoscaler's load signal freezes
-#: Internal continuation kind (scheduled by the injector, never generated).
-GOSSIP_HEAL = "gossip_heal"
 KINDS: Tuple[str, ...] = (
-    CRASH, FLAP, GROUP, UNANNOUNCED_ADD,
-    PROBE_LOSS, GOSSIP_PARTITION, STALE_AUTOSCALER, GOSSIP_HEAL,
+    CRASH, FLAP, GROUP, UNANNOUNCED_ADD, PROBE_LOSS, STALE_AUTOSCALER,
 )
 
 #: Per-kind seed salts so each Poisson stream is independent.
@@ -67,7 +62,6 @@ _SALTS = {
     GROUP: 0x6E00_9A2C,
     UNANNOUNCED_ADD: 0x0ADD_ED00,
     PROBE_LOSS: 0x9B0B_E105,
-    GOSSIP_PARTITION: 0x6055_1FCC,
     STALE_AUTOSCALER: 0x57A1_EA5C,
 }
 
@@ -92,8 +86,8 @@ class FaultEvent:
     group_size: int = 0
     flap_count: int = 0
     flap_interval: float = 0.0
-    #: Window length for control-plane faults (probe loss, gossip
-    #: partition, stale autoscaler); 0 for instantaneous kinds.
+    #: Window length for control-plane faults (probe loss, stale
+    #: autoscaler); 0 for instantaneous kinds.
     duration: float = 0.0
     #: Severity knob for control-plane faults (e.g. probe loss probability).
     intensity: float = 0.0
@@ -160,7 +154,6 @@ class FaultSchedule:
         group_rate_per_min: float = 0.0,
         unannounced_rate_per_min: float = 0.0,
         probe_loss_rate_per_min: float = 0.0,
-        gossip_partition_rate_per_min: float = 0.0,
         stale_autoscaler_rate_per_min: float = 0.0,
         group_size: int = 3,
         flap_count: int = 3,
@@ -175,10 +168,9 @@ class FaultSchedule:
             GROUP: group_rate_per_min,
             UNANNOUNCED_ADD: unannounced_rate_per_min,
             PROBE_LOSS: probe_loss_rate_per_min,
-            GOSSIP_PARTITION: gossip_partition_rate_per_min,
             STALE_AUTOSCALER: stale_autoscaler_rate_per_min,
         }
-        windowed = (PROBE_LOSS, GOSSIP_PARTITION, STALE_AUTOSCALER)
+        windowed = (PROBE_LOSS, STALE_AUTOSCALER)
         events: List[FaultEvent] = []
         for kind, rate_per_min in rates.items():
             if rate_per_min <= 0:
@@ -226,27 +218,3 @@ def chaos_mix(
         group_size=group_size,
     )
 
-
-def control_chaos_mix(
-    duration_s: float,
-    fault_rate_per_min: float,
-    seed: int = 0,
-    fault_duration_s: float = 5.0,
-    probe_loss_intensity: float = 0.6,
-) -> FaultSchedule:
-    """The closed-loop chaos workload: backend crashes *plus* faults that
-    blind the control plane itself (lossy probes, gossip partitions, a
-    stale autoscaler signal), in fixed proportions so one knob sweeps the
-    whole failure matrix."""
-    if fault_rate_per_min <= 0:
-        return FaultSchedule()
-    return FaultSchedule.generate(
-        duration_s,
-        seed=seed,
-        crash_rate_per_min=fault_rate_per_min / 2,
-        probe_loss_rate_per_min=fault_rate_per_min / 4,
-        gossip_partition_rate_per_min=fault_rate_per_min / 8,
-        stale_autoscaler_rate_per_min=fault_rate_per_min / 8,
-        fault_duration_s=fault_duration_s,
-        probe_loss_intensity=probe_loss_intensity,
-    )

@@ -32,8 +32,6 @@ from typing import Optional
 from repro.faults.events import (
     CRASH,
     FLAP,
-    GOSSIP_HEAL,
-    GOSSIP_PARTITION,
     GROUP,
     PROBE_LOSS,
     STALE_AUTOSCALER,
@@ -62,7 +60,6 @@ class ChaosInjector:
         #: attributed to the fault (``violations_under_fault``).
         self.fault_window_s = fault_window_s
         self._chaos_births = 0
-        self._partitions = 0
         self.obs = coalesce(registry)
 
     # ------------------------------------------------------------ priming
@@ -83,8 +80,6 @@ class ChaosInjector:
             GROUP: self._group,
             UNANNOUNCED_ADD: self._unannounced_add,
             PROBE_LOSS: self._probe_loss,
-            GOSSIP_PARTITION: self._gossip_partition,
-            GOSSIP_HEAL: self._gossip_heal,
             STALE_AUTOSCALER: self._stale_autoscaler,
         }[event.kind]
         applied = handler(sim, event)
@@ -158,40 +153,12 @@ class ChaosInjector:
         return True
 
     # --------------------------------------- control-plane fault handlers
-    # These degrade the controller's *senses*; with no control loop (or no
-    # gossip pool) they are no-ops and don't count as applied faults.
+    # These degrade the controller's *senses*; with no control loop they
+    # are no-ops and don't count as applied faults.
     def _probe_loss(self, sim, event: FaultEvent) -> bool:
         if sim.controller is None:
             return False
         sim.controller.prober.degrade(event.intensity, event.time + event.duration)
-        return True
-
-    def _gossip_channel(self, sim):
-        channel = getattr(sim.lb, "channel", None)
-        if channel is not None and getattr(channel, "origin_based", False):
-            return channel
-        return None
-
-    def _gossip_partition(self, sim, event: FaultEvent) -> bool:
-        channel = self._gossip_channel(sim)
-        if channel is None:
-            return False
-        members = sim.lb.members
-        if len(members) < 2:
-            return False
-        self._partitions += 1
-        victim = members[self._partitions % len(members)]
-        channel.partition_member(victim)
-        # The heal is an internal continuation, not a scheduled fault.
-        heal_at = event.time + event.duration
-        self._schedule(sim, FaultEvent(time=heal_at, kind=GOSSIP_HEAL, target=victim))
-        return True
-
-    def _gossip_heal(self, sim, event: FaultEvent) -> bool:
-        channel = self._gossip_channel(sim)
-        if channel is None:
-            return False
-        channel.heal_member(event.target)
         return True
 
     def _stale_autoscaler(self, sim, event: FaultEvent) -> bool:

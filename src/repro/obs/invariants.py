@@ -33,6 +33,7 @@ from typing import List, Optional, Sequence
 
 from repro.obs import collectors as M
 from repro.obs.collectors import observed_tracked_fraction
+from repro.obs.export import prometheus_sibling, write_prometheus
 
 #: Default relative tolerance for the tracked-fraction check (the
 #: acceptance bar: observed within 10% of |H|/(|W|+|H|)).
@@ -292,12 +293,15 @@ def evaluate_and_export(
     t: float = 0.0,
     tolerance: float = DEFAULT_TOLERANCE,
     monitors: Optional[Sequence[InvariantMonitor]] = None,
+    exporter=None,
 ) -> List[MonitorResult]:
     """Evaluate the suite and emit the final snapshot to all exporters.
 
     The closing JSONL line carries ``final: true`` plus the serialized
     monitor results, which is what ``repro obs summarize --strict`` (and
-    the CI invariant gate) reads back.
+    the CI invariant gate) reads back.  ``exporter`` is the JSONL exporter
+    of a ``--metrics-out`` run: it is closed, its Prometheus sibling
+    written, and both paths printed.
     """
     registry.collect()
     suite = MonitorSuite(monitors or default_monitors(tolerance=tolerance))
@@ -305,4 +309,8 @@ def evaluate_and_export(
     registry.export_snapshot(
         t=t, final=True, invariants=MonitorSuite.to_json(results)
     )
+    if exporter is not None:
+        exporter.close()
+        prom_path = write_prometheus(registry, prometheus_sibling(exporter.path))
+        print(f"metrics: {exporter.path} (prometheus: {prom_path})")
     return results

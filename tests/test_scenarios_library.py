@@ -10,16 +10,18 @@ the gate itself fail fast.
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.experiments.counted import check
-from repro.experiments.scenario_matrix import bench_section
+from repro.experiments.scenario_matrix import bench_section, run_matrix
 from repro.scenarios import (
     ScenarioError,
     load_all,
     load_scenario,
+    run_compiled,
     run_scenario,
     scenario_names,
     scenario_path,
@@ -124,6 +126,41 @@ class TestMatrixBenchPlumbing:
         assert check(fresh, self.payload("paper")) == []
         fresh["scenarios"]["s1"]["margins"]["tracked_fraction"] = None
         assert check(fresh, copy.deepcopy(fresh)) == []
+
+
+class TestMatrixSkips:
+    """A comparison mode is skipped only when its stack cannot be built
+    (a ``ValueError`` from the factory, the same for any ``workers``); an
+    engine bug under a non-gating mode fails the run, it is not a skip."""
+
+    @staticmethod
+    def only(monkeypatch, name):
+        import repro.scenarios
+
+        monkeypatch.setattr(repro.scenarios, "load_all", lambda: {name: LIBRARY[name]})
+
+    def test_inexpressible_mode_records_a_skip(self, monkeypatch):
+        self.only(monkeypatch, "heterogeneous-fleet")  # weighted-hrw: no Concury
+        payload = run_matrix("smoke", workers=2)
+        archive = Path(__file__).resolve().parent.parent / "results" / "scenarios.json"
+        committed = json.loads(archive.read_text())
+        modes = payload["scenarios"]["heterogeneous-fleet"]["modes"]
+        assert modes["concury"]["skipped"] and payload["ok"]
+        assert modes == committed["scenarios"]["heterogeneous-fleet"]["modes"]
+
+    def test_engine_error_propagates(self, monkeypatch):
+        import repro.scenarios
+
+        self.only(monkeypatch, "zone-failure")
+
+        def run(compiled, **kwargs):
+            if compiled.spec.mode == "full":
+                raise TypeError("engine bug")
+            return run_compiled(compiled, **kwargs)
+
+        monkeypatch.setattr(repro.scenarios, "run_compiled", run)
+        with pytest.raises(TypeError, match="engine bug"):
+            run_matrix("smoke")
 
 
 class TestScenarioCLI:
