@@ -88,12 +88,12 @@ def _experiment(args: argparse.Namespace) -> int:
 
 def _resolve_scenario_spec(args: argparse.Namespace):
     """The spec named by ``--scenario NAME`` or a ``--file PATH``."""
-    from repro.scenarios import load_file, load_scenario
+    from repro.scenarios import ScenarioError, load_file, load_scenario
 
     if getattr(args, "file", None):
         return load_file(args.file)
     if not getattr(args, "name", None):
-        raise SystemExit("give a scenario name or --file PATH")
+        raise ScenarioError("scenario", "give a scenario name or --file PATH")
     return load_scenario(args.name)
 
 
@@ -175,7 +175,7 @@ def _simulate(args: argparse.Namespace) -> int:
     )
 
     if args.scenario and args.config:
-        raise SystemExit("--scenario and --config are mutually exclusive")
+        return _error("--scenario and --config are mutually exclusive")
     if args.scenario:
         spec = load_scenario(args.scenario)
     elif args.config:

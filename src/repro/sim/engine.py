@@ -2,15 +2,33 @@
 
 Four event kinds drive the system, exactly as in the paper: (1) new
 connection; (2) connection termination; (3) server removal; (4) server
-addition (recovery).  We add per-packet events in between -- every packet
-traverses the load balancer so that connection-tracking state (LRU
-recency, safety re-checks on horizon changes) evolves faithfully -- plus
-periodic metric sampling.
+addition (recovery).  Every packet in between traverses the load balancer
+too, so that connection-tracking state (LRU recency, safety re-checks on
+horizon changes) evolves faithfully, and metrics are sampled periodically.
 
-There is no table of kinds: a heap entry is ``(when, seq, handler,
-args)``, pushed through the one scheduling call ``sim.at(when, handler,
-*args)``, and the loop sets ``sim.now`` and calls ``handler(*args)``.
-``seq`` is the push order, so simultaneous events run as scheduled.
+Only what changes membership or reads state is an *event*: a heap entry
+``(when, seq, handler, args)``, pushed through the one scheduling call
+``sim.at(when, handler, *args)``; the loop sets ``sim.now`` and calls
+``handler(*args)``, and ``seq`` (push order) runs simultaneous events as
+scheduled.  Connections and their packets are a *stream* beside the heap.
+Before each event the engine takes from the workload generator the flows
+arriving before it (a window: the whole run is never drawn at once),
+merges their packet and end times into the ones carried over, and
+consumes the run of them due before the event.  A run is consumed one of
+two ways, by the probe ``replay_batch`` asks, ``columnar_effective``:
+
+- False (bounded / TTL tables, SYN-gated placement, LB pools): the
+  handlers ``_on_packet`` / ``_on_flow_end`` in time order with ``sim.now``
+  and the TTL clock set per packet -- the executable spec;
+- True: ``get_destinations_batch_idx`` over the run, with destinations,
+  breaks, completions and per-server load on arrays indexed by flow
+  (:meth:`EventDrivenSimulation._consume_columnar` states why that is
+  exact).
+
+Simultaneous things run in a defined order: an event before any packet or
+end at the same instant; otherwise by ``(time, flow, packet)`` with a
+flow's end ahead of its own later packets -- so only a flow's first
+packet, which is its arrival, can be dispatched at or after its end.
 
 PCC accounting follows Section 2.1: a connection's *true destination* is
 the destination of its first packet; a later packet dispatched elsewhere is
@@ -32,9 +50,12 @@ byte-identical to the seed engine.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from itertools import count
 from typing import Dict, List, Optional, Set
+
+import numpy as np
 
 from repro.ch.base import BackendError
 from repro.core.interfaces import LoadBalancer, Name
@@ -49,6 +70,9 @@ from repro.sim.backend import HorizonManager
 from repro.sim.distributions import Distribution
 from repro.sim.metrics import LoadTracker, SimResult
 from repro.sim.workload import Flow, WorkloadGenerator
+
+#: ``_served`` codes of the columnar consumer, beside dispatch ids (>= 0).
+_NEW, _GONE = -1, -2
 
 
 class EventDrivenSimulation:
@@ -74,10 +98,11 @@ class EventDrivenSimulation:
         self.lb = balancer
         self.injector = injector
         self.controller = controller
-        # Observability: a NullRegistry by default.  Per-packet handlers
-        # stay uninstrumented; obs work happens only at sample events and
-        # finalization (plus one guarded delta-read per *first* packet),
-        # so a disabled run pays nothing and a live run pays O(samples).
+        # Observability: a NullRegistry by default.  Neither consumer of
+        # the packet stream is instrumented; obs work happens only at
+        # sample events and finalization (plus one guarded delta-read per
+        # first dispatch), so a disabled run pays nothing and a live run
+        # pays O(samples).
         self.obs = coalesce(registry)
         self._obs_on = self.obs.enabled
         if self._obs_on:
@@ -112,8 +137,23 @@ class EventDrivenSimulation:
         self._heap: list = []
         self._seq = count()
         self._load = LoadTracker()
-        self._flows_by_server: Dict[Name, Set[Flow]] = {}
         self.result = SimResult()
+
+        # The packet stream: times, flow numbers (order of arrival) and
+        # packet indices (-1: the flow's end) not yet due, sorted.
+        self._pending = (np.empty(0), np.empty(0, np.int32), np.empty(0, np.int32))
+        # How a due run is consumed, and where that keeps its flows: the
+        # one probe between the two consumers, asked once per simulation.
+        self._columnar = bool(getattr(balancer, "columnar_effective", False))
+        if self._columnar:
+            # Indexed by flow number: key, next packet index, and the
+            # dispatch id serving the flow (or _NEW / _GONE).
+            self._keys = np.empty(0, np.uint64)
+            self._next = np.empty(0, np.int32)
+            self._served = np.empty(0, np.int32)
+        else:
+            self._flows: Dict[int, Flow] = {}
+            self._flows_by_server: Dict[Name, Set[Flow]] = {}
 
         # Fault attribution: violations within the injector's window after
         # any chaos event count as violations-under-fault.
@@ -160,7 +200,6 @@ class EventDrivenSimulation:
 
     def run(self) -> SimResult:
         watch = Stopwatch()
-        self.at(self.workload.next_arrival_gap(), self._on_arrival)
         if self._removal_rate > 0:
             self.at(self._rng.expovariate(self._removal_rate), self._on_removal)
         self.at(self.sample_interval, self._on_sample)
@@ -175,6 +214,7 @@ class EventDrivenSimulation:
             when, _, handler, args = heapq.heappop(heap)
             if when > self.duration_s:
                 break
+            self._advance(when)
             self.now = when
             if sim_clock is not None:
                 sim_clock.now = when
@@ -182,6 +222,8 @@ class EventDrivenSimulation:
         # What is left lies past the end; its handlers are bound to this
         # object, a cycle that would keep the whole run alive until a gc.
         heap.clear()
+        # The end of the run is inclusive, for events and packets alike.
+        self._advance(math.nextafter(self.duration_s, math.inf))
 
         self._finalize()
         self.result.wall_seconds = watch.stop()
@@ -208,12 +250,21 @@ class EventDrivenSimulation:
     def _doom_flows(self, name: Name) -> None:
         """The connections ``name`` is serving end here, inevitably broken
         (Section 2.1): no dispatcher could have kept them."""
-        doomed = self._flows_by_server.pop(name, set())
-        for flow in doomed:
-            flow.broken = True
-            flow.inevitable = True
-            self._load.flow_ended(name)
-        self.result.inevitably_broken += len(doomed)
+        if self._columnar:
+            names = self.lb.dispatch_names().tolist()
+            doomed = 0
+            if name in names:  # else no flow was ever dispatched to it
+                serving = np.flatnonzero(self._served == names.index(name))
+                self._served[serving] = _GONE
+                doomed = len(serving)
+        else:
+            flows = self._flows_by_server.pop(name, ())
+            for flow in flows:
+                flow.broken = True
+                flow.inevitable = True
+            doomed = len(flows)
+        self._load.flow_ended(name, doomed)
+        self.result.inevitably_broken += doomed
 
     def take_down(self, name: Name, retire=False) -> None:
         """``name`` leaves W now.  It enters the horizon, expected back,
@@ -331,14 +382,58 @@ class EventDrivenSimulation:
             # under lossy evidence, at the cost of the blackhole window).
             self.result.undetected_blips += 1
 
-    # --------------------------------------------------------- handlers
-    def _on_arrival(self) -> None:
-        now = self.now
-        flow = self.workload.make_flow(now)
-        self.result.flows_started += 1
-        self.at(now, self._on_packet, flow)
-        self.at(flow.end, self._on_flow_end, flow)
-        self.at(now + self.workload.next_arrival_gap(), self._on_arrival)
+    # ----------------------------------------------------------- stream
+    def _advance(self, until: float) -> None:
+        """One window: take the flows arriving before ``until``, merge
+        their packet and end times into the pending ones, and consume the
+        run of them due before ``until``."""
+        times, flows, index = self._pending
+        fresh = self.workload.arrivals_before(until)
+        if fresh:
+            first = self.result.flows_started
+            self.result.flows_started += len(fresh)
+            if self._columnar:
+                self._admit_columnar(first, fresh)
+            else:
+                self._flows.update(enumerate(fresh, first))
+            # Per flow: its packets, then its end.  Older flows come first
+            # and the sort is stable, so sorting on time alone orders ties
+            # by (flow, packet index).
+            stamps, sizes = [], []
+            for flow in fresh:
+                stamps += flow.packet_times
+                stamps.append(flow.end)
+                sizes.append(len(flow.packet_times) + 1)
+            stamps, sizes = np.array(stamps), np.array(sizes)
+            ends = np.cumsum(sizes) - 1
+            packet = (np.arange(len(stamps)) - np.repeat(ends - sizes + 1, sizes)).astype(np.int32)
+            packet[ends] = -1
+            # The first packet is the arrival; a later one at or after the
+            # flow's end is never sent (the end goes first).
+            keep = (packet <= 0) | (stamps < np.repeat(stamps[ends], sizes))
+            number = np.repeat(np.arange(first, first + len(fresh), dtype=np.int32), sizes)
+            times = np.concatenate((times, stamps[keep]))
+            flows = np.concatenate((flows, number[keep]))
+            index = np.concatenate((index, packet[keep]))
+            order = np.argsort(times, kind="stable")
+            times, flows, index = times[order], flows[order], index[order]
+        due = int(np.searchsorted(times, until))
+        self._pending = times[due:], flows[due:], index[due:]
+        if due:
+            consume = self._consume_columnar if self._columnar else self._consume_scalar
+            consume(times[:due], flows[:due], index[:due])
+
+    # --------------------------------------- the scalar consumer (the spec)
+    def _consume_scalar(self, times, flows, index) -> None:
+        live, sim_clock = self._flows, self._sim_clock
+        for when, number, packet in zip(times.tolist(), flows.tolist(), index.tolist()):
+            self.now = when
+            if sim_clock is not None:
+                sim_clock.now = when
+            if packet < 0:
+                self._on_flow_end(live.pop(number))
+            else:
+                self._on_packet(live[number])
 
     def _on_packet(self, flow: Flow) -> None:
         if flow.broken:
@@ -346,14 +441,8 @@ class EventDrivenSimulation:
         self.result.packets_processed += 1
         if flow.true_destination is None:
             self._dispatch_first_packet(flow)
-        else:
-            destination = self.lb.get_destination(flow.key)
-            if destination != flow.true_destination:
-                self._break_flow(flow)
-                return
-        flow.next_packet += 1
-        if flow.next_packet < len(flow.packet_times):
-            self.at(flow.packet_times[flow.next_packet], self._on_packet, flow)
+        elif self.lb.get_destination(flow.key) != flow.true_destination:
+            self._break_flow(flow)
 
     def _dispatch_first_packet(self, flow: Flow) -> None:
         # First packet (TCP SYN): load-aware LBs may run their
@@ -371,16 +460,7 @@ class EventDrivenSimulation:
             destination = self.lb.get_destination(flow.key)
         if stats is not None and stats.inserts > inserts_before:
             self._first_tracked += 1
-        if self._track_expected:
-            if self._weight_of is not None:
-                horizon = self._weight_sum(self.manager.members)
-                working = self._weight_sum(self._up)
-            else:
-                horizon = self.manager.horizon_occupancy
-                working = len(self._up)
-            if working:
-                self._expected_sum += horizon / (working + horizon)
-                self._expected_count += 1
+        self._note_expected(1)
         flow.true_destination = destination
         if destination in self._silenced:
             # Dispatched into the detection-lag blackhole: the server is
@@ -395,6 +475,23 @@ class EventDrivenSimulation:
         if self._note_flow_start is not None:
             self._note_flow_start(destination)
         self._flows_by_server.setdefault(destination, set()).add(flow)
+
+    def _note_expected(self, dispatches: int) -> None:
+        """Theorem 4.2's expectation right now, once per first dispatch:
+        added one at a time, so a batch rounds as the packets would."""
+        if not self._track_expected:
+            return
+        if self._weight_of is not None:
+            horizon = self._weight_sum(self.manager.members)
+            working = self._weight_sum(self._up)
+        else:
+            horizon = self.manager.horizon_occupancy
+            working = len(self._up)
+        if working:
+            share = horizon / (working + horizon)
+            for _ in range(dispatches):
+                self._expected_sum += share
+            self._expected_count += dispatches
 
     def _safe_weight(self, name: Name) -> float:
         """Capacity weight of ``name``; 1.0 for servers the CH does not
@@ -432,6 +529,86 @@ class EventDrivenSimulation:
         flow.broken = True  # terminated; ignore any same-time stragglers
         self.result.flows_completed += 1
         self._retire(flow)
+
+    # ------------------------------------------------ the columnar consumer
+    def _admit_columnar(self, first: int, fresh: List[Flow]) -> None:
+        room = first + len(fresh) - len(self._keys)
+        if room > 0:  # grow by doubling: the arrays are not re-made per window
+            room = max(room, len(self._keys), 1024)
+            self._keys = np.concatenate((self._keys, np.zeros(room, np.uint64)))
+            self._next = np.concatenate((self._next, np.zeros(room, np.int32)))
+            self._served = np.concatenate((self._served, np.full(room, _NEW, np.int32)))
+        self._keys[first : first + len(fresh)] = np.array(
+            [flow.key for flow in fresh], dtype=np.uint64
+        )
+
+    def _consume_columnar(self, times, flows, index) -> None:
+        """What :meth:`_consume_scalar` does to a run, as three batches.
+
+        No event falls inside a run, so membership is constant, and the
+        table evicts nothing (``columnar_effective``), so each flow's
+        destination is constant too: a flow breaks at its *first* packet
+        of the run or not at all, and once it broke -- or was dispatched
+        into a blackhole -- its later packets are not dispatched.  New
+        flows' first packets, continuing flows' first packets of the run
+        and the later packets of the flows still served are therefore
+        three batches; keys are independent of each other, which makes the
+        regrouping exact down to the CT's hit and insert counters.  Loads
+        are only read at events, so they are settled per batch.
+        """
+        result, keys, served = self.result, self._keys, self._served
+        dispatch = self.lb.get_destinations_batch_idx
+        packets = np.flatnonzero((index >= 0) & (served[flows] != _GONE))
+        flow, packet = flows[packets], index[packets]
+        lead = packet == self._next[flow]  # a flow's first packet of this run
+        np.maximum.at(self._next, flow, packet + 1)
+        heads = np.flatnonzero(lead)
+        opening = packet[heads] == 0
+        born = flow[heads[opening]]
+        if born.size:
+            stats = self._ct_stats
+            inserts_before = stats.inserts if stats is not None else 0
+            ids = dispatch(keys[born])
+            if stats is not None:
+                self._first_tracked += stats.inserts - inserts_before
+            self._first_dispatches += born.size
+            self._note_expected(born.size)
+            if self._silenced:
+                names = self.lb.dispatch_names()
+                hole = np.array([names[i] in self._silenced for i in ids.tolist()])
+                served[born[hole]] = _GONE
+                lost = int(hole.sum())
+                result.blackholed_flows += lost
+                result.inevitably_broken += lost
+                result.churn_exposed_flows += lost
+                born, ids = born[~hole], ids[~hole]
+            served[born] = ids
+            self._settle(ids, self._load.flow_started)
+        cont = heads[~opening]
+        moved = cont[dispatch(keys[flow[cont]]) != served[flow[cont]]] if cont.size else cont
+        if moved.size:
+            since_fault = times[packets[moved]] - self._last_fault_time
+            result.pcc_violations += moved.size
+            result.violations_under_fault += int((since_fault <= self._fault_window).sum())
+            self._settle(served[flow[moved]], self._load.flow_ended)
+            served[flow[moved]] = _GONE
+        rest = flow[~lead]
+        rest = rest[served[rest] >= 0]
+        if rest.size:
+            dispatch(keys[rest])
+        result.packets_processed += heads.size + rest.size
+        done = flows[index < 0]
+        done = done[served[done] >= 0]
+        result.flows_completed += done.size
+        self._settle(served[done], self._load.flow_ended)
+        served[done] = _GONE
+
+    def _settle(self, ids: np.ndarray, change) -> None:
+        """Apply a :class:`LoadTracker` change once per server of ``ids``."""
+        counts = np.bincount(ids)
+        names = self.lb.dispatch_names()
+        for i in np.flatnonzero(counts).tolist():
+            change(names[i], int(counts[i]))
 
     def _on_removal(self) -> None:
         victim = self.pick_up_server()
@@ -510,8 +687,9 @@ class EventDrivenSimulation:
             obs.counter(
                 obs_metrics.BACKEND_EVENTS, "Backend change events", kind=kind
             ).set_total(total)
+        path = "columnar" if self._columnar else "scalar"  # the consumer that ran
         obs.counter(
-            obs_metrics.DISPATCH_PACKETS, "Packets by dispatch path", path="scalar"
+            obs_metrics.DISPATCH_PACKETS, "Packets by dispatch path", path=path
         ).set_total(result.packets_processed)
         if self._track_expected and self._expected_count:
             obs.gauge(

@@ -272,21 +272,22 @@ def merge_sim_results(results: Sequence[SimResult]) -> SimResult:
 
 
 class LoadTracker:
-    """Active-connection counts per server, for oversubscription sampling."""
+    """Active-connection counts per server, for oversubscription sampling
+    (``flows`` at once count exactly as that many single calls)."""
 
     def __init__(self):
         self._load: Dict[Name, int] = {}
         self.active_flows = 0
 
-    def flow_started(self, server: Name) -> None:
-        self._load[server] = self._load.get(server, 0) + 1
-        self.active_flows += 1
+    def flow_started(self, server: Name, flows: int = 1) -> None:
+        self._load[server] = self._load.get(server, 0) + flows
+        self.active_flows += flows
 
-    def flow_ended(self, server: Name) -> None:
-        count = self._load.get(server, 0)
-        if count > 0:
-            self._load[server] = count - 1
-            self.active_flows -= 1
+    def flow_ended(self, server: Name, flows: int = 1) -> None:
+        ended = min(flows, self._load.get(server, 0))
+        if ended > 0:
+            self._load[server] -= ended
+            self.active_flows -= ended
 
     def server_load(self, server: Name) -> int:
         return self._load.get(server, 0)

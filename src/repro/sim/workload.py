@@ -15,9 +15,15 @@ Closed-loop experiments need *time-varying* arrival rates (flash crowds,
 diurnal cycles) so the autoscaler has something to forecast.  A
 :class:`RateProfile` turns the homogeneous Poisson process into a
 non-homogeneous one via Lewis-Shedler thinning, entirely inside the
-generator -- ``next_arrival_gap()`` keeps its zero-argument signature, so
-every existing driver (and subclass) is untouched, and with no profile
-the RNG stream is bit-identical to the seed generator.
+generator, and with no profile the RNG stream is bit-identical to the
+seed generator.
+
+The simulator does not ask for one flow at a time: before each of its
+events it takes, with :meth:`WorkloadGenerator.arrivals_before`, every
+flow arriving before that event.  The draws are the same calls in the
+same order (gap, flow, gap, flow, ...) however the run is cut into
+windows, so a flow's key, size, duration and packet times do not depend
+on the cut.
 """
 
 from __future__ import annotations
@@ -117,7 +123,6 @@ class Flow:
         "duration",
         "size",
         "packet_times",
-        "next_packet",
         "true_destination",
         "broken",
         "inevitable",
@@ -130,7 +135,6 @@ class Flow:
         self.duration = duration
         self.size = size
         self.packet_times: List[float] = []
-        self.next_packet = 0
         self.true_destination = None
         self.broken = False       # PCC violated (or inevitably broken)
         self.inevitable = False   # destination server was removed
@@ -160,10 +164,13 @@ class WorkloadGenerator:
         self._rng = random.Random(splitmix64(seed ^ 0x7157_9A7C))
         self._key_state = splitmix64(seed ^ 0x5DEE_CE66)
         self._next_id = 0
-        # Arrival-clock position for thinning: gaps are relative, so the
-        # generator keeps its own cumulative arrival time (the engine's
-        # usage sums gaps the same way, so the clocks agree).
+        # Two clocks, both the generator's own.  Thinning proposes on
+        # ``_arrival_clock`` (absolute, so ``factor(t)`` sees real time)
+        # and hands back relative gaps; the arrival instants are those
+        # gaps summed one by one from the first (None until it is drawn),
+        # which is not the same float as the thinning clock.
         self._arrival_clock = 0.0
+        self._next_arrival: Optional[float] = None
 
     def next_arrival_gap(self) -> float:
         """Inter-arrival time to the next connection."""
@@ -182,6 +189,19 @@ class WorkloadGenerator:
             if rng.random() * profile.peak <= profile.factor(t):
                 self._arrival_clock = t
                 return t - start
+
+    def arrivals_before(self, until: float) -> List[Flow]:
+        """The flows arriving before ``until`` that no earlier call
+        returned, in arrival order.  The arrival that ends a window has
+        its gap drawn and nothing else; its flow is made by the call whose
+        ``until`` passes it."""
+        if self._next_arrival is None:
+            self._next_arrival = self.next_arrival_gap()
+        flows = []
+        while self._next_arrival < until:
+            flows.append(self.make_flow(self._next_arrival))
+            self._next_arrival += self.next_arrival_gap()
+        return flows
 
     def make_flow(self, now: float) -> Flow:
         """Materialize the connection arriving at time ``now``.

@@ -172,6 +172,23 @@ class TestChurnHypothesis:
         assert _fingerprint(batch_lb, batch) == _fingerprint(scalar_lb, scalar)
 
 
+def count_obs_calls(run):
+    """Every Python call into ``repro/obs/`` while ``run()`` executes."""
+    calls = collections.Counter()
+
+    def profiler(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and OBS_DIR in code.co_filename:
+            calls[os.path.basename(code.co_filename), code.co_name] += 1
+
+    sys.setprofile(profiler)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 class TestFreeWhenOff:
     """"Free when off" as a count, not a stopwatch: what the replay
     drivers ask of ``repro.obs`` does not grow with the trace, so none of
@@ -183,19 +200,7 @@ class TestFreeWhenOff:
         """Every Python call into ``repro/obs/`` during one replay."""
         trace = zipf_trace(skew=1.0, n_packets=n_packets, population=2_500, seed=11)
         balancer = _builders()["jet-table"]()
-        calls = collections.Counter()
-
-        def profiler(frame, event, arg):
-            code = frame.f_code
-            if event == "call" and OBS_DIR in code.co_filename:
-                calls[os.path.basename(code.co_filename), code.co_name] += 1
-
-        sys.setprofile(profiler)
-        try:
-            driver(trace, balancer, metrics=registry)
-        finally:
-            sys.setprofile(None)
-        return calls
+        return count_obs_calls(lambda: driver(trace, balancer, metrics=registry))
 
     @pytest.mark.parametrize("driver", [replay, replay_batch])
     def test_live_registry_calls_do_not_grow_with_the_trace(self, driver):

@@ -203,9 +203,11 @@ class TestScenarioCLI:
         assert code == 0
         assert "[full]" in out and "seed=9" in out
 
-    def test_run_without_source_is_an_error(self):
-        with pytest.raises(SystemExit):
-            main(["scenario", "run"])
+    def test_run_without_source_is_an_error(self, capsys):
+        # User input like any other: one ``repro: error:`` line, exit 2
+        # (it used to be a bare SystemExit message with exit code 1).
+        assert main(["scenario", "run"]) == 2
+        assert capsys.readouterr().err.startswith("repro: error: ")
 
     def test_simulate_scenario_and_config_roundtrip(self, tmp_path, capsys):
         config_out = str(tmp_path / "cfg.json")
@@ -220,6 +222,7 @@ class TestScenarioCLI:
         second = capsys.readouterr().out
         assert first.splitlines()[-1] == second.splitlines()[-1]
 
-    def test_simulate_source_flags_are_exclusive(self):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--scenario", "zone-failure", "--config", "x.json"])
+    def test_simulate_source_flags_are_exclusive(self, capsys):
+        code = main(["simulate", "--scenario", "zone-failure", "--config", "x.json"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("repro: error: ")

@@ -17,6 +17,7 @@ from repro.faults import (
 from repro.scenarios import load_scenario
 from repro.scenarios.run import fingerprint, run_scenario
 from repro.sim import (
+    BoundedPareto,
     Constant,
     Exponential,
     LogNormal,
@@ -248,3 +249,76 @@ class TestGoldenDigests:
         assert loop.scale_outs and loop.scale_ins and loop.phantom_announcements
         assert loop.surprise_additions and loop.probe_false_evictions
         assert loop.blackholed_flows and loop.probe_readmissions
+
+
+CHURNED = SimulationConfig(
+    duration_s=16.0, connection_rate=300.0, n_servers=16, horizon_size=3,
+    update_rate_per_min=40.0, ch_family="table", mode="jet", seed=11,
+    duration_dist=Exponential(2.0), size_dist=BoundedPareto(1.2, 1, 60),
+    downtime_dist=LogNormal(median=1.5, sigma=0.5), fault_window_s=1.0,
+    fault_schedule=FaultSchedule.at(
+        FaultEvent(3.0, FLAP, flap_count=2, flap_interval=0.5),
+        FaultEvent(7.0, CRASH, downtime=2.0),
+    ),
+)
+_WEIGHTS = {0: 2.0, 1: 3.0, 17: 2.0}
+
+
+class TestGoldenStacks:
+    """The same churned run (Poisson removals overflowing a 3-slot horizon,
+    a scripted flap and a crash) under every kind of stack the engine's two
+    consumers have to serve, digests recorded at the commit *before* packets
+    left the heap.  Stacks whose ``columnar_effective`` is False (bounded /
+    TTL tables, the SYN-gated placement, weighted HRW) pin the scalar
+    consumer -- per-packet clock, ``note_flow_start/end`` order, eviction
+    order; the others pin the batch consumer against the per-packet loop
+    that recorded them."""
+
+    GOLDEN = {
+        "bounded_lru": (dict(ct_capacity=80), "2f6f66a8a298222f5cda8c8aed7e0cd3620c8402"),
+        "bounded_random": (
+            dict(ct_capacity=80, ct_policy="random"),
+            "5f76c94aba090c6fe416f135f70b6316e9325e33",
+        ),
+        "ttl": (dict(ct_policy="ttl", ct_ttl=0.4), "35ea7b63322ab08974440de6f583c91822f4fea6"),
+        "jet_p2c": (dict(mode="jet-p2c"), "c51545ff4f898830e03d73c82c19e1f592000fdb"),
+        "full": (dict(mode="full"), "0337ee648d768cb2352a6fcb3568b98a26a9d74a"),
+        "concury": (dict(mode="concury"), "162222a615db0c00c8d008429683163bd83f0173"),
+        "stateless": (dict(mode="stateless"), "cf008041a698e354a85989bfee82453e922e8532"),
+        "weighted_hrw": (
+            dict(ch_family="weighted-hrw", server_weights=_WEIGHTS),
+            "5fbb5d31e5af4df97a7b5673d445b1e576568c1d",
+        ),
+        "weighted_ring": (
+            dict(ch_family="weighted-ring", server_weights=_WEIGHTS),
+            "5f8b651a4085ad9673432a7aa3fa26367584595f",
+        ),
+        "anchor": (dict(ch_family="anchor"), "7839d630315272244c375fae19aea913f3bbc0e9"),
+    }
+    #: The consumer each stack takes, as the dispatch counter labels it.
+    SCALAR = {"bounded_lru", "bounded_random", "ttl", "jet_p2c", "weighted_hrw"}
+
+    @pytest.mark.parametrize("stack", list(GOLDEN))
+    def test_fingerprint_is_unchanged(self, stack):
+        changes, golden = self.GOLDEN[stack]
+        result = run_simulation(CHURNED.with_(**changes))
+        digest = hashlib.sha1(fingerprint(result).encode()).hexdigest()
+        assert digest == golden, result.summary()
+
+    def test_the_runs_reach_what_they_are_there_for(self):
+        results = {
+            stack: run_simulation(CHURNED.with_(**changes))
+            for stack, (changes, _) in self.GOLDEN.items()
+        }
+        for stack, result in results.items():
+            assert result.inevitably_broken and result.surprise_additions, stack
+            assert result.probation_readmissions, stack
+        for stack in ("bounded_lru", "bounded_random", "ttl", "concury", "stateless"):
+            broke, under_fault = results[stack].pcc_violations, results[stack].violations_under_fault
+            assert 0 < under_fault < broke, stack
+        assert results["bounded_lru"].ct_evictions and results["bounded_random"].ct_evictions
+        assert results["full"].pcc_violations == 0
+        assert results["ttl"].peak_tracked < results["anchor"].peak_tracked
+        for stack in ("anchor", "weighted_ring", "weighted_hrw"):
+            assert results[stack].ct_peak_size, stack
+            assert results[stack].mean_expected_tracked_fraction, stack

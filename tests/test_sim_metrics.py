@@ -23,6 +23,20 @@ class TestLoadTracker:
         assert tracker.active_flows == 0
         assert tracker.server_load("ghost") == 0
 
+    def test_counts_in_bulk_equal_one_at_a_time(self):
+        bulk, single = LoadTracker(), LoadTracker()
+        bulk.flow_started("a", 5)
+        bulk.flow_ended("a", 7)  # two more than it serves: like two no-op ends
+        bulk.flow_started("b", 2)
+        for _ in range(5):
+            single.flow_started("a")
+        for _ in range(7):
+            single.flow_ended("a")
+        for _ in range(2):
+            single.flow_started("b")
+        assert bulk.per_server() == single.per_server() == {"a": 0, "b": 2}
+        assert bulk.active_flows == single.active_flows == 2
+
     def test_oversubscription(self):
         tracker = LoadTracker()
         for _ in range(6):

@@ -210,6 +210,12 @@ class TestHostileInput:
         code = main(["scenario", "run", "no-such-name"])
         assert_clean_error(capsys, code, "scenario 'no-such-name': not in the library")
 
+    @pytest.mark.parametrize("command", ["run", "show"])
+    def test_scenario_with_neither_name_nor_file(self, command, capsys):
+        # Was: SystemExit with the bare message, exit code 1.
+        code = main(["scenario", command])
+        assert_clean_error(capsys, code, "give a scenario name or --file PATH")
+
     @pytest.mark.parametrize(
         "flags, fragment",
         [
@@ -225,6 +231,9 @@ class TestHostileInput:
             (["--shards", "-1"], ".shards: must be non-negative, got -1"),
             # Was: accepted, and printed what the run prints without it.
             (["--ct-ttl", "3"], 'simulate.ct_ttl: an idle timeout needs ct_policy "ttl"'),
+            # Was: SystemExit with the bare message, exit code 1.
+            (["--scenario", "churn-storm", "--config", "d.json"],
+             "--scenario and --config are mutually exclusive"),
         ],
     )
     def test_flag_values_are_range_checked(self, flags, fragment, capsys):
