@@ -31,7 +31,9 @@ three compile and run through the same call, and ``--config-out`` writes
 the document back.  A malformed document or an out-of-range flag value is
 a :class:`~repro.scenarios.ScenarioError`; :func:`main` prints it (and an
 ``OSError`` on a path the user named) as ``repro: error: <field path>:
-<message>`` and returns 2, argparse's code.  Nothing else is caught.
+<message>`` and returns 2, argparse's code.  ``trace replay`` reports
+an out-of-range count, or a fleet its stack refuses to build, the same
+way.  Nothing else is caught.
 """
 
 from __future__ import annotations
@@ -264,23 +266,36 @@ def _trace(args: argparse.Namespace) -> int:
     # replay
     from repro.shard import BalancerSpec, replay_sharded
 
-    spec = BalancerSpec.fleet(
-        mode=args.mode,
-        family=args.family,
-        n_servers=args.servers,
-        horizon_size=args.horizon,
-        seed=args.seed,
-    )
+    for flag, value, least in (
+        ("--workers", args.workers, 1), ("--shards", args.shards, 1),
+        ("--servers", args.servers, 1), ("--horizon", args.horizon, 0),
+    ):
+        if value is not None and value < least:
+            return _error(f"{flag} must be >= {least}, got {value}")
+    single = args.workers == 1 and args.shards is None
+    try:
+        spec = BalancerSpec.fleet(
+            mode=args.mode,
+            family=args.family,
+            n_servers=args.servers,
+            horizon_size=args.horizon,
+            seed=args.seed,
+        )
+        # The call's one build, before any fork: a fleet the stack
+        # refuses is the user's input, not a bug.
+        stack = spec.build(0) if single else spec.builder()
+    except ValueError as exc:
+        return _error(str(exc))
     registry, exporter = _open_metrics(args)
     with load_trace(args.path, mmap=args.mmap) as trace:
-        if args.workers == 1 and args.shards is None:
-            outcome = replay_batch(trace, spec.build(0), metrics=registry)
+        if single:
+            outcome = replay_batch(trace, stack, metrics=registry)
             print(outcome.row())
             elapsed = outcome.wall_seconds
         else:
             sharded = replay_sharded(
                 trace,
-                spec,
+                stack,
                 n_workers=args.workers,
                 n_shards=args.shards,
                 metrics=registry,

@@ -3,20 +3,21 @@
 ``replay_sharded`` is the multi-worker twin of
 :func:`repro.traces.replay.replay_batch`: an RSS front stage partitions
 the flow keyspace into ``n_shards`` (:mod:`repro.shard.partition`), each
-shard replays its packet subsequence through its own balancer built from
-a :class:`~repro.shard.spec.BalancerSpec`, membership events fan out to
-every shard, and the per-shard results/registries merge at the edge
+shard replays its packet subsequence through its own copy of one
+balancer built from a :class:`~repro.shard.spec.BalancerSpec`,
+membership events fan out to every shard, and the per-shard
+results/registries merge at the edge
 (:func:`repro.traces.replay.merge_replay_results`,
 :mod:`repro.obs.merge`).
 
-Process model: ``fork`` (the plan, trace columns, and factory are
-inherited by workers as copy-on-write pages -- a memmapped trace costs
-nothing per worker; only the picklable :class:`ShardOutcome` crosses
-back).  Shard ``s`` runs on worker ``s % n_workers``; because every
-shard's seeds and inputs are pure functions of the shard id, the merged
-result is byte-identical for any worker count (timing fields aside) --
-``n_workers=1`` runs the same shards serially in-process, which is also
-the fallback where ``fork`` does not exist.
+Process model: ``fork`` (the plan, trace columns, and the pickled stack
+are inherited by workers as copy-on-write pages -- a memmapped trace
+costs nothing per worker; only the picklable :class:`ShardOutcome`
+crosses back).  Shard ``s`` runs on worker ``s % n_workers``, and worker
+0 is the calling process; because every shard's seeds and inputs are
+pure functions of the shard id, the merged result is byte-identical for
+any worker count (timing fields aside) -- ``n_workers=1`` forks nothing,
+which is also the fallback where ``fork`` does not exist.
 
 ``simulate_sharded`` applies the same partition/merge shape to the
 event-driven simulator: shard workloads are independent splitmix64
@@ -53,26 +54,19 @@ Factory = Union[BalancerSpec, Callable[[int], LoadBalancer]]
 class ShardedReplay:
     """A merged replay result plus the per-shard evidence behind it."""
 
-    #: Merged as-if-unsharded result; ``rate_pps``/``wall_seconds`` follow
-    #: the parallel critical path (slowest shard's kernel wall) and are
-    #: not what :meth:`row` prints.
+    #: Merged as-if-unsharded result; ``wall_seconds`` is the driver's
+    #: end-to-end wall and ``rate_pps`` the packets over it.
     result: ReplayResult
     outcomes: List[ShardOutcome]
     n_shards: int
     n_workers: int
-    #: Wall clock of the whole driver: partition + replay + merge.
+    #: Wall clock of the whole driver: (build, given a spec) + partition +
+    #: replay + merge.
     end_to_end_seconds: float
 
     def row(self) -> str:
-        """The merged row with ``rate=`` as packets over the driver's wall,
-        the rate the user experienced; ``result.rate_pps`` stays the
-        per-kernel critical-path figure."""
-        wall = self.end_to_end_seconds
-        experienced = replace(
-            self.result, rate_pps=self.result.n_packets / wall if wall > 0 else 0.0
-        )
         return (
-            f"{experienced.row()} "
+            f"{self.result.row()} "
             f"[shards={self.n_shards} workers={self.n_workers} "
             f"wall={self.end_to_end_seconds:.3f}s]"
         )
@@ -96,18 +90,19 @@ def replay_sharded(
 
     ``n_shards`` defaults to ``n_workers``; fixing it higher decouples the
     partition from the process count (RSS indirection style), in which
-    case the merged result is invariant to ``n_workers`` entirely.
+    case the merged result is invariant to ``n_workers`` entirely.  A
+    spec is built once, here, before any fork (``BalancerSpec.builder``).
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     n_shards = n_workers if n_shards is None else n_shards
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
-    factory = spec.build if isinstance(spec, BalancerSpec) else spec
     registry = coalesce(metrics)
     want_metrics = registry.enabled
 
     watch = Stopwatch()
+    factory = spec.builder() if isinstance(spec, BalancerSpec) else spec
     plan = ShardPlan.partition(trace, n_shards)
 
     def job(shard: int) -> ShardOutcome:
@@ -125,7 +120,11 @@ def replay_sharded(
         merge_into(registry, [outcome.obs_series for outcome in outcomes])
     end_to_end = watch.stop()
     return ShardedReplay(
-        result=merged,
+        result=replace(
+            merged,
+            wall_seconds=end_to_end,
+            rate_pps=merged.n_packets / end_to_end if end_to_end > 0 else 0.0,
+        ),
         outcomes=outcomes,
         n_shards=n_shards,
         n_workers=n_workers,
@@ -136,54 +135,54 @@ def replay_sharded(
 def fan_out(job: Callable[[int], T], n_shards: int, n_workers: int) -> List[T]:
     """``[job(0), ..., job(n_shards - 1)]``, shard ``s`` on worker ``s % N``.
 
-    One forked process per worker, one pipe per worker: a worker sends
-    ``(shard, payload)`` per shard and a formatted traceback if ``job``
-    raises; its pipe reaching end-of-file is how the parent sees it
-    leave -- cleanly (exit code 0) or killed, in which case the rest are
-    terminated and ``RuntimeError`` names the worker and its exit code.
-    The parent blocks on pipe readiness and never polls.  One worker (or
-    no ``fork``) runs the shards serially in-process.
+    Worker 0 is the calling process: it forks workers ``1 .. N-1``, runs
+    its own shards, then collects theirs.  Each forked worker has one
+    pipe and sends once, after its last shard -- ``[(shard, payload),
+    ...]``, or a formatted traceback if ``job`` raises -- so it never
+    stalls on a full pipe while the caller is busy.  A worker whose pipe
+    reaches end-of-file without a word was killed: once the caller's own
+    shards are done, the rest are terminated and ``RuntimeError`` names
+    the worker and its exit code.  The caller blocks on pipe readiness
+    and never polls.  One worker (or no ``fork``) forks nothing.
     """
-    n_workers = min(n_workers, n_shards)
-    if n_workers == 1 or not _fork_available():
-        return [job(shard) for shard in range(n_shards)]
-    context = multiprocessing.get_context("fork")
+    n_workers = min(n_workers, n_shards) if _fork_available() else 1
 
     def work(worker_id: int, sender) -> None:
         try:
-            for shard in range(worker_id, n_shards, n_workers):
-                sender.send((shard, job(shard), None))
+            mine = range(worker_id, n_shards, n_workers)
+            sender.send(([(shard, job(shard)) for shard in mine], None))
         except Exception:
-            sender.send((-1, None, traceback.format_exc()))
-
-    workers = {}  # read end -> (worker id, process)
-    for worker_id in range(n_workers):
-        reader, sender = context.Pipe(duplex=False)
-        process = context.Process(target=work, args=(worker_id, sender), daemon=True)
-        process.start()
-        sender.close()  # the worker holds the only write end now
-        workers[reader] = (worker_id, process)
+            sender.send((None, traceback.format_exc()))
 
     payloads: List[Optional[T]] = [None] * n_shards
+    workers = {}  # read end -> (worker id, process)
     try:
+        for worker_id in range(1, n_workers):
+            context = multiprocessing.get_context("fork")
+            reader, sender = context.Pipe(duplex=False)
+            process = context.Process(target=work, args=(worker_id, sender), daemon=True)
+            process.start()
+            sender.close()  # the worker holds the only write end now
+            workers[reader] = (worker_id, process)
+        for shard in range(0, n_shards, n_workers):
+            payloads[shard] = job(shard)
         while workers:
             for reader in wait_ready(list(workers)):
-                worker_id, process = workers[reader]
+                worker_id, process = workers.pop(reader)
                 try:
-                    shard, payload, error = reader.recv()
-                except (EOFError, OSError):  # the worker is gone
-                    del workers[reader]
-                    reader.close()
+                    done, error = reader.recv()
+                except (EOFError, OSError):  # gone without a word: killed
                     process.join()
-                    if process.exitcode != 0:
-                        raise RuntimeError(
-                            f"shard worker {worker_id} died "
-                            f"(exit code {process.exitcode})"
-                        ) from None
-                    continue
+                    raise RuntimeError(
+                        f"shard worker {worker_id} died (exit code {process.exitcode})"
+                    ) from None
+                finally:
+                    reader.close()
+                process.join()
                 if error is not None:
                     raise RuntimeError(f"shard worker {worker_id} failed:\n{error}")
-                payloads[shard] = payload
+                for shard, payload in done:
+                    payloads[shard] = payload
     finally:
         for reader, (_, process) in workers.items():  # none left unless raising
             process.terminate()

@@ -1,13 +1,13 @@
 """Declarative, picklable descriptions of balancers and membership events.
 
-A worker process cannot receive a live balancer (CTs, CH tables and
-their caches don't pickle, and sharing one across processes would defeat
-the whole point); it receives a :class:`BalancerSpec` and builds its own.
+A shard never shares a live balancer with another (that would defeat
+the whole point); it gets its own, described by a :class:`BalancerSpec`.
 ``build(shard_id)`` derives every RNG seed through
 :func:`~repro.shard.partition.shard_seed`, so a shard's balancer is a
 pure function of (spec, shard id) -- identical whichever worker process
-builds it.  The spec does not know the modes: the name goes to
-:func:`repro.core.factories.make_lb`, the one mode -> stack map.
+holds it -- and ``builder()`` hands out exactly those balancers as
+copies of one build.  The spec does not know the modes: the name goes
+to :func:`repro.core.factories.make_lb`, the one mode -> stack map.
 
 :class:`MembershipEvent` is the picklable form of a control-plane
 backend change keyed by packet index; the sharded runner fans every
@@ -17,8 +17,9 @@ the membership state machine, only the flows are partitioned).
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.core.factories import lb_class, make_lb
 from repro.core.interfaces import LoadBalancer, Name
@@ -121,8 +122,29 @@ class BalancerSpec:
         every shard, which the merged-equals-single-process contract
         requires.
         """
-        ct = make_ct(self.ct_capacity, self.ct_policy, seed=shard_seed(self.seed, shard_id))
         return make_lb(
             self.mode, self.family, list(self.working), list(self.horizon),
-            ct=ct, master_seed=self.seed, **dict(self.ch_kwargs),
+            ct=self._ct(shard_id), master_seed=self.seed, **dict(self.ch_kwargs),
         )
+
+    def builder(self) -> Callable[[int], LoadBalancer]:
+        """``build`` for the shards of one call, at the cost of one build.
+
+        Everything but the CT is the same in every shard, so the stack is
+        built and pickled once, here; each call unpickles a copy (a small
+        fraction of a table-HRW or Concury build) and gives it the
+        shard's own CT, the one ``build(shard_id)`` makes.  Nothing
+        outlives the returned function: a second call builds again.
+        """
+        image = pickle.dumps(self.build(0), pickle.HIGHEST_PROTOCOL)
+
+        def build(shard_id: int) -> LoadBalancer:
+            balancer = pickle.loads(image)
+            if hasattr(balancer, "ct"):
+                balancer.ct = self._ct(shard_id)
+            return balancer
+
+        return build
+
+    def _ct(self, shard_id: int):
+        return make_ct(self.ct_capacity, self.ct_policy, seed=shard_seed(self.seed, shard_id))

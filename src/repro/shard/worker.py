@@ -1,8 +1,9 @@
 """The pure per-shard kernel: build, replay, account, report.
 
 ``run_shard`` is the function a worker process executes per shard.  It
-is deliberately side-effect free beyond its return value: it builds the
-shard's balancer from the spec (seeds derived from the shard id), runs
+is deliberately side-effect free beyond its return value: it gets the
+shard's balancer from ``factory(shard_id)`` (seeds derived from the
+shard id; ``replay_sharded`` passes a copy of one build), runs
 the shard's packet subsequence through the ordinary ``replay_batch``
 (columnar whenever the stack supports it), applies trailing membership
 events, and returns a picklable :class:`ShardOutcome` -- the shard's

@@ -200,9 +200,9 @@ def merge_replay_results(results: Sequence[ReplayResult]) -> ReplayResult:
     sum; ``n_flows`` is the shared flow population (max); oversubscription
     is recomputed from the merged loads over the shared working set.
 
-    Timing composes as the parallel critical path: ``wall_seconds`` is the
-    slowest shard's kernel wall and ``rate_pps`` the total packets over
-    it -- the throughput ``N`` dedicated cores would realize.
+    Timing is only a placeholder: ``wall_seconds`` is the slowest input's
+    wall and ``rate_pps`` the total packets over it.  A driver that times
+    itself puts its own wall there (``replay_sharded`` does).
 
     ``ct_peak_size`` sums, which is exact for churn-free replays into
     unbounded CTs (occupancy is monotone, so per-shard peaks coexist) and

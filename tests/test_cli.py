@@ -128,8 +128,8 @@ class TestCommands:
         assert "tracked=0" not in single  # off-CH placements are tracked
         one = figures(base + ["--workers", "1", "--shards", "2"])
         assert figures(base + ["--workers", "2", "--shards", "2"]) == one
-        with pytest.raises(ValueError, match="maglev has no horizon"):
-            main(base[:3] + ["--family", "maglev", "--mode", "jet-p2c"])
+        assert main(base[:3] + ["--family", "maglev", "--mode", "jet-p2c"]) == 2
+        assert "maglev has no horizon" in capsys.readouterr().err
 
     def test_trace_replay_default_is_columnar_and_matches_scalar(
         self, tmp_path, capsys, monkeypatch
@@ -186,3 +186,36 @@ class TestCommands:
     def test_experiment_theory_smoke(self, capsys):
         assert main(["experiment", "theory"]) == 0
         assert "Theorem 4.2" in capsys.readouterr().out
+
+
+#: ``trace replay`` flags a user can get wrong -> the one error line.
+HOSTILE_REPLAY_FLAGS = {
+    "zero-workers": (["--workers", "0"], "--workers must be >= 1, got 0"),
+    "zero-shards": (["--shards", "0"], "--shards must be >= 1, got 0"),
+    "zero-servers": (["--servers", "0"], "--servers must be >= 1, got 0"),
+    "negative-horizon": (["--horizon", "-1"], "--horizon must be >= 0, got -1"),
+    "jet-maglev": (["--family", "maglev"], "maglev has no horizon"),
+    "sharded-jet-maglev": (["--family", "maglev", "--workers", "2"],
+                           "maglev has no horizon"),
+    "concury-in-concury": (["--mode", "concury", "--family", "concury"],
+                           "unknown Concury inner family 'concury'"),
+}
+
+
+class TestHostileReplayFlags:
+    @pytest.fixture(scope="class")
+    def trace_path(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("trace") / "t.npz")
+        assert main(["trace", "generate", "zipf", "--packets", "2000", "--out", path]) == 0
+        return path
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_REPLAY_FLAGS))
+    def test_one_error_line_and_exit_2(self, case, trace_path, capsys):
+        flags, fragment = HOSTILE_REPLAY_FLAGS[case]
+        capsys.readouterr()
+        code = main(["trace", "replay", trace_path, *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: error: ") and fragment in line, line
