@@ -23,7 +23,9 @@ Package map:
 - :mod:`repro.analysis`  -- balance/statistics helpers
 - :mod:`repro.experiments` -- every table and figure, runnable
 - :mod:`repro.faults`    -- deterministic fault injection: chaos
-  schedules, health probation, fallible CT sync channels
+  schedules, health probation
+- :mod:`repro.control`   -- the closed-loop control plane, including
+  gossip CT sync for LB pools
 """
 
 from repro.core import (
@@ -58,7 +60,6 @@ from repro.faults import (
     FaultEvent,
     FaultSchedule,
     HealthMonitor,
-    SyncChannel,
     chaos_mix,
 )
 from repro.hashing.keyed import hash_key

@@ -1,15 +1,16 @@
-"""Gossip-based eventually-consistent CT replication for LB pools.
+"""CT synchronization for LB pools: the sync bill, and the one fallible
+channel.
 
-The point-to-point :class:`~repro.faults.channel.SyncChannel` offers every
-CT insert to every peer individually: O(n) messages per insert, and a
-peer that crashes or partitions simply loses its pending deliveries.
-That is fine for a handful of LBs; a large pool on a flaky control
-network wants the classic epidemic alternative (the pattern Charon-style
-UDP sync and most service meshes use):
+Section 6.2 assumes replication that is perfect and instantaneous;
+:class:`~repro.core.lb_pool.LBPool` does that itself (``sync=True``: every
+fresh insert is put into every live peer's CT on the spot) and counts it
+in a :class:`SyncStats`.  ``sync=GossipSync(...)`` replaces the push with
+the realistic, fallible channel here -- the classic epidemic pattern
+(Charon-style UDP sync, most service meshes):
 
-- every member assigns its own CT inserts **versioned sequence numbers**
-  (an append-only per-origin delta log; a deletion is a **tombstone**
-  entry, applied as ``ct.delete`` at peers);
+- every member appends its own CT inserts to an append-only per-origin
+  delta log, versioned by sequence number.  Deletions need no delta:
+  every member invalidates locally from the pool's backend broadcast;
 - once per **round** (every ``round_lookups`` pool lookups) each live
   member pushes, to ``fanout`` random peers, every delta *it* knows that
   the peer's per-origin watermark has not covered -- members forward
@@ -24,20 +25,19 @@ UDP sync and most service meshes use):
   and the repaired entries are counted in ``stats.anti_entropy``;
 - a member that **crashes** takes state with it: deltas it originated
   that no live member had applied yet are gone (``stats.unreplicated``),
-  and deltas still in flight to it are voided (``stats.dropped_targets``);
+  and deltas still owed to it are voided (``stats.dropped_targets``);
   both show up in ``stats.lost``, the accounted un-replicated bill.
 
 Convergence is measurable: :meth:`GossipSync.staleness` is the total
-number of (member, delta) pairs still undelivered across live members --
-the sync-staleness bound the invariant monitor checks goes to zero after
-:meth:`drain` (or enough quiet rounds).
+number of (member, delta) pairs still undelivered across live members,
+and it goes to zero after :meth:`~GossipSync.drain` (or enough quiet
+rounds).
 
-``GossipSync`` plugs into :class:`~repro.core.lb_pool.LBPool` as the
-``sync=`` channel: it exposes the same ``stats`` / ``on_lookup`` /
-``forget_target`` / ``drain`` surface as ``SyncChannel`` plus the
-origin-based ``offer`` entry point (``origin_based = True`` tells the
-pool to report *who* inserted, which gossip needs and point-to-point
-replication does not).
+The pool's push is gossip's degenerate case: with ``fanout`` at least
+the pool size, ``round_lookups=1`` and no loss, a replay followed by
+:meth:`~GossipSync.drain` ends with the same destinations, the same CTs
+and the same ``delivered`` count as ``sync=True`` -- only an order of
+magnitude slower, because every lookup pays for a round.
 """
 
 from __future__ import annotations
@@ -46,22 +46,36 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.faults.channel import SyncStats
 from repro.hashing.mix import splitmix64
 
 
 @dataclass
-class GossipStats(SyncStats):
-    """:class:`SyncStats` plus the gossip-specific counters."""
+class SyncStats:
+    """CT-sync counters (the §6.2 sync bill, itemised), one per event.
 
-    rounds: int = 0            # gossip rounds run
-    pushes: int = 0            # (src, dst) exchanges attempted
-    lost_pushes: int = 0       # exchanges the network dropped
-    tombstones: int = 0        # deletion deltas applied at peers
+    The pool's perfect push fills ``offered``, ``delivered`` and
+    ``anti_entropy``; gossip fills the rest as well."""
+
+    offered: int = 0          # (entry, peer) replications requested
+    delivered: int = 0        # entries applied at a peer
+    anti_entropy: int = 0     # entries re-offered to repair a stale rejoiner
+    rounds: int = 0           # gossip rounds run
+    pushes: int = 0           # (src, dst) exchanges attempted
+    lost_pushes: int = 0      # exchanges the network dropped (each retried)
+    unreplicated: int = 0     # deltas gone with a crashed origin
+    dropped_targets: int = 0  # deliveries voided when their target left
     #: Sum / count of dissemination lag in rounds (delta creation ->
     #: application at a peer), for the convergence-lag report.
     lag_rounds_sum: int = 0
     lag_rounds_count: int = 0
+
+    @property
+    def lost(self) -> int:
+        """Entries that will never reach a peer: deltas gone with their
+        crashed origin plus deliveries voided when their target left.
+        This is the accounted un-replicated state a PCC post-mortem may
+        charge to the sync layer."""
+        return self.unreplicated + self.dropped_targets
 
     @property
     def mean_lag_rounds(self) -> float:
@@ -74,11 +88,10 @@ class GossipStats(SyncStats):
 
 @dataclass
 class _Delta:
-    """One versioned CT change from an origin's append-only log."""
+    """One versioned CT insert from an origin's append-only log."""
 
     key: int
     destination: object
-    tombstone: bool
     born_round: int
 
 
@@ -94,10 +107,6 @@ class _MemberState:
 
 class GossipSync:
     """Fanout-k epidemic CT replication with versioned per-origin logs."""
-
-    #: Tells :class:`LBPool` to call :meth:`offer` (with the inserting
-    #: member) instead of target-list ``replicate``.
-    origin_based = True
 
     def __init__(
         self,
@@ -119,7 +128,7 @@ class GossipSync:
         self.round_lookups = round_lookups
         self.loss_probability = loss_probability
         self.backoff_rounds = backoff_rounds
-        self.stats = GossipStats()
+        self.stats = SyncStats()
         self._rng = random.Random(splitmix64(seed ^ 0x6055_1234))
         self._members: List[_MemberState] = []
         self._by_member: Dict[object, _MemberState] = {}
@@ -197,22 +206,13 @@ class GossipSync:
                 state.repairing = True
 
     # ------------------------------------------------------------ sending
-    def offer(self, origin, key: int, destination, tombstone: bool = False) -> None:
-        """Record one CT change at its origin; rounds disseminate it."""
+    def offer(self, origin, key: int, destination) -> None:
+        """Record one CT insert at its origin; rounds disseminate it."""
         state = self._by_member.get(origin)
         if state is None:
             return
-        state.log.append(_Delta(key, destination, tombstone, self._round))
+        state.log.append(_Delta(key, destination, self._round))
         self.stats.offered += max(len(self._live()) - 1, 0)
-
-    def replicate(self, key: int, destination, targets) -> None:
-        """Target-list compatibility shim (used by tests/tools that treat
-        any channel uniformly): attribute the insert to the first
-        registered member not in ``targets``."""
-        for state in self._members:
-            if state.member not in targets:
-                self.offer(state.member, key, destination)
-                return
 
     # ----------------------------------------------------------- delivery
     def on_lookup(self) -> None:
@@ -246,11 +246,8 @@ class GossipSync:
             self._defer.pop(pair, None)
             return
         self.stats.pushes += 1
-        self.stats.attempted += 1
         if self._rng.random() < self.loss_probability:
             self.stats.lost_pushes += 1
-            self.stats.lost_attempts += 1
-            self.stats.retries += 1
             backoff = self.backoff_rounds * (1 << min(losses, 6))
             backoff += self._rng.randrange(backoff)  # decorrelating jitter
             self._defer[pair] = (self._round + backoff, losses + 1)
@@ -259,21 +256,19 @@ class GossipSync:
         self._apply(dst, payload)
 
     def _payload(self, src: _MemberState, dst: _MemberState):
-        """Deltas src can forward that dst's watermarks lack."""
+        """Deltas src can forward that dst's watermarks lack.  A member
+        forwards another origin's log -- live or a crashed one's ghost --
+        as far as it has applied it itself."""
         out = []
         for origin in self._members + self._ghost_logs:
+            if origin is dst:
+                continue  # a member trivially has its own log
             have = (
                 len(origin.log)
                 if origin is src
                 else self._applied.get((id(src), id(origin)), 0)
             )
-            if origin in self._ghost_logs and origin is not src:
-                # Survivors may forward a dead origin's log up to what
-                # they themselves applied (`have` already reflects that).
-                pass
             need = self._applied.get((id(dst), id(origin)), 0)
-            if origin is dst:
-                continue  # a member trivially has its own log
             if have > need:
                 out.append((origin, need, have))
         return out
@@ -285,11 +280,7 @@ class GossipSync:
             for seq in range(need + 1, have + 1):
                 delta = origin.log[seq - 1]
                 if ct is not None:
-                    if delta.tombstone:
-                        ct.delete(delta.key)
-                        self.stats.tombstones += 1
-                    else:
-                        ct.put(delta.key, delta.destination)
+                    ct.put(delta.key, delta.destination)
                 self.stats.delivered += 1
                 self.stats.lag_rounds_sum += self._round - delta.born_round
                 self.stats.lag_rounds_count += 1
@@ -322,10 +313,6 @@ class GossipSync:
     @property
     def converged(self) -> bool:
         return self.staleness() == 0
-
-    @property
-    def pending(self) -> int:
-        return self.staleness()
 
     @property
     def degraded(self) -> bool:

@@ -8,18 +8,18 @@ connection breaks iff the current ``CH(W, k)`` disagrees with its true
 destination and the new LB has no CT entry for it -- Section 6.2's
 observation, true for full CT and JET alike.
 
-Synchronization is a pluggable **channel** rather than a boolean:
+CT synchronization has exactly two modes besides none (``sync=False``,
+independent CTs: the §6.2 failure mode):
 
-- ``sync=False`` -- independent CTs (the §6.2 failure mode);
-- ``sync=True``  -- a perfect :class:`~repro.faults.channel.SyncChannel`
-  (lossless, instantaneous), the paper's idealised replication.  "If
-  synchronization is employed, JET's smaller CT size means that a smaller
-  state needs to be synchronized": the channel counts replicated entries
-  so experiments can quantify exactly that;
-- ``sync=SyncChannel(loss_probability=..., lag_lookups=...)`` -- a lossy,
-  lagging channel with bounded retry + backoff.  Entries that exhaust
-  their retries are counted (``channel.stats.unreplicated``) and the pool
-  reports itself **degraded**.
+- ``sync=True`` -- the paper's idealised replication, done by the pool
+  itself: a fresh insert is put into every live peer's CT on the spot.
+  "If synchronization is employed, JET's smaller CT size means that a
+  smaller state needs to be synchronized": the pool counts replicated
+  entries in :attr:`sync_stats` so experiments can quantify exactly that;
+- ``sync=GossipSync(...)`` -- the realistic, fallible channel
+  (:mod:`repro.control.gossip`: epidemic rounds, loss, backoff,
+  anti-entropy, crash accounting).  Un-replicated state lost with a
+  crashed member is counted and the pool reports itself **degraded**.
 
 Beyond graceful scale-in (:meth:`remove_lb`), members can **crash**
 (:meth:`crash_lb`: abrupt, ECMP re-steers, the member's CT entries are
@@ -27,7 +27,9 @@ lost and counted) or **partition** (:meth:`partition_lb`: the member
 keeps serving its ECMP slice but misses backend broadcasts and sync
 traffic).  A healed member replays the suffix of the backend event log
 it missed (:meth:`heal_lb`), so pool members converge on (W, H) again --
-late joiners via :meth:`add_lb` replay the whole log.
+late joiners via :meth:`add_lb` replay the whole log.  Under perfect
+sync, a joiner copies a donor's CT and a rejoiner gets the entries it
+lacks; the donor is the first member that is not partitioned.
 
 ECMP steering is hash-mod-n over the live LB list (the common router
 behaviour, deliberately *not* consistent: that is what makes pool changes
@@ -38,8 +40,8 @@ from __future__ import annotations
 
 from typing import Callable, FrozenSet, List, Optional, Union
 
+from repro.control.gossip import GossipSync, SyncStats
 from repro.core.interfaces import LoadBalancer, Name
-from repro.faults.channel import SyncChannel
 from repro.hashing.mix import fmix64
 from repro.obs import metrics as obs_metrics
 from repro.obs.registry import coalesce
@@ -58,30 +60,31 @@ class LBPool(LoadBalancer):
         self,
         factory: BalancerFactory,
         size: int,
-        sync: Union[bool, SyncChannel] = False,
+        sync: Union[bool, GossipSync] = False,
         registry=None,
     ):
         if size < 1:
             raise ValueError("pool needs at least one LB instance")
+        if not isinstance(sync, (bool, GossipSync)):
+            raise TypeError(f"sync must be a bool or a GossipSync, got {sync!r}")
         self._factory = factory
         # Membership *events* are incremented here as they happen; pool
         # *state* (members, lost entries, occupancy, sync totals) is
         # scraped by the obs collector at snapshot boundaries.
         self.obs = coalesce(registry)
-        if sync is True:
-            self.channel: Optional[SyncChannel] = SyncChannel()  # perfect
-        elif sync is False or sync is None:
-            self.channel = None
-        else:
-            # Any channel object: SyncChannel, GossipSync, or compatible.
-            self.channel = sync
-        # Origin-based channels (gossip) want to know *which member*
-        # inserted an entry rather than a target list to push to.
-        self._origin_based = bool(getattr(self.channel, "origin_based", False))
+        #: The fallible channel (None under perfect sync or none), and the
+        #: sync bill: the channel's counters, or the pool's own under
+        #: perfect sync (None without sync).
+        self.gossip: Optional[GossipSync] = None
+        self.sync_stats: Optional[SyncStats] = None
+        if isinstance(sync, GossipSync):
+            self.gossip, self.sync_stats = sync, sync.stats
+        elif sync:
+            self.sync_stats = SyncStats()
         self.members: List[LoadBalancer] = [factory() for _ in range(size)]
-        if self._origin_based:
+        if self.gossip is not None:
             for member in self.members:
-                self.channel.register_member(member)
+                self.gossip.register_member(member)
         #: CT entries lost with crashed/removed members.
         self.lost_entries = 0
         #: Abrupt member failures observed (vs. graceful scale-in).
@@ -103,10 +106,10 @@ class LBPool(LoadBalancer):
     # ----------------------------------------------------------- packet
     def get_destination(self, key_hash: int) -> Name:
         member = self._steer(key_hash)
-        if self.channel is not None:
-            self.channel.on_lookup()
+        if self.gossip is not None:
+            self.gossip.on_lookup()
         ct = getattr(member, "ct", None)
-        if self.channel is None or ct is None:
+        if self.sync_stats is None or ct is None:
             return member.get_destination(key_hash)
         # Detect a fresh insert by the inserts counter, not the table size:
         # in a bounded CT an insert can coincide with an eviction, leaving
@@ -114,20 +117,39 @@ class LBPool(LoadBalancer):
         inserts_before = ct.stats.inserts
         destination = member.get_destination(key_hash)
         if ct.stats.inserts > inserts_before:
-            if self._origin_based:
-                self.channel.offer(member, key_hash, destination)
+            if self.gossip is not None:
+                self.gossip.offer(member, key_hash, destination)
             else:
-                self.channel.replicate(
-                    key_hash, destination, self._sync_targets(member)
-                )
+                peers = [
+                    m for m in self.members
+                    if m is not member and m not in self._partitioned
+                ]
+                for peer in peers:
+                    peer.ct.put(key_hash, destination)
+                self.sync_stats.offered += len(peers)
+                self.sync_stats.delivered += len(peers)
         return destination
 
-    def _sync_targets(self, origin: LoadBalancer) -> List[LoadBalancer]:
-        return [
-            m
-            for m in self.members
-            if m is not origin and m not in self._partitioned and hasattr(m, "ct")
-        ]
+    def _feed(self, member: LoadBalancer) -> int:
+        """Perfect sync's repair: put every entry of the donor's CT that
+        ``member`` lacks into its CT.  The donor -- for joins and heals
+        alike -- is the first other member that is not partitioned.
+        Returns the entries fed."""
+        ct = getattr(member, "ct", None)
+        donor = next(
+            (m for m in self.members if m is not member and m not in self._partitioned),
+            None,
+        )
+        if ct is None or donor is None:
+            return 0
+        fed = 0
+        for key, destination in donor.ct.items():
+            if ct.peek(key) != destination:
+                ct.put(key, destination)
+                fed += 1
+        self.sync_stats.offered += fed
+        self.sync_stats.delivered += fed
+        return fed
 
     # ----------------------------------------------------- pool changes
     def add_lb(self) -> LoadBalancer:
@@ -135,18 +157,13 @@ class LBPool(LoadBalancer):
         sync, flows landing on the new LB lose their CT protection."""
         member = self._factory()
         self._replay_log(member, 0)
-        if self._origin_based:
-            # Gossip: registration alone suffices -- the new member's
-            # watermarks start at zero, so anti-entropy streams it the
-            # full pool state over the next rounds.
-            self.channel.register_member(member)
-        elif self.channel is not None and self.members:
-            donor = self.members[0]
-            donor_ct = getattr(donor, "ct", None)
-            member_ct = getattr(member, "ct", None)
-            if donor_ct is not None and member_ct is not None:
-                for key, destination in donor_ct.items():
-                    self.channel.replicate(key, destination, (member,))
+        if self.gossip is not None:
+            # Registration alone suffices: the new member's watermarks
+            # start at zero, so anti-entropy streams it the full pool
+            # state over the next rounds.
+            self.gossip.register_member(member)
+        elif self.sync_stats is not None:
+            self._feed(member)
         self.members.append(member)
         self._note_event("add")
         return member
@@ -173,8 +190,8 @@ class LBPool(LoadBalancer):
         member = self.members.pop(position)
         if member in self._partitioned:
             self._partitioned.remove(member)
-        if self.channel is not None:
-            self.channel.forget_target(member)
+        if self.gossip is not None:
+            self.gossip.forget_target(member)
         lost = member.tracked_connections
         self.lost_entries += lost
         self._note_event("remove")
@@ -195,13 +212,10 @@ class LBPool(LoadBalancer):
         member = self.members[self._validate_index(index)]
         if member not in self._partitioned:
             self._partitioned.append(member)
-            if self.channel is not None:
-                if self._origin_based:
-                    # Gossip keeps the member's watermarks: the missed
-                    # suffix flows back automatically after the heal.
-                    self.channel.partition_member(member)
-                else:
-                    self.channel.forget_target(member)
+            if self.gossip is not None:
+                # Gossip keeps the member's watermarks: the missed suffix
+                # flows back automatically after the heal.
+                self.gossip.partition_member(member)
             self._note_event("partition")
         return member
 
@@ -210,44 +224,21 @@ class LBPool(LoadBalancer):
         so it converges on the pool's (W, H), then repair its CT.
 
         A rejoiner must never silently resume with a stale CT: gossip
-        channels resume anti-entropy from the member's watermarks, and
-        point-to-point channels get an explicit donor-diff repair
-        (counted in ``channel.stats.anti_entropy``).  Returns the backend
-        event replay length."""
+        resumes anti-entropy from the member's watermarks, and perfect
+        sync feeds it the donor's entries it lacks.  Both count the repair
+        in ``sync_stats.anti_entropy``.  Returns the backend event replay
+        length."""
         member = self.members[self._validate_index(index)]
         if member not in self._partitioned:
             return 0
         self._partitioned.remove(member)
         self._note_event("heal")
         replayed = self._replay_log(member, getattr(member, _LOG_ATTR, 0))
-        if self.channel is not None:
-            if self._origin_based:
-                self.channel.heal_member(member)
-            else:
-                self._anti_entropy(member)
+        if self.gossip is not None:
+            self.gossip.heal_member(member)
+        elif self.sync_stats is not None:
+            self.sync_stats.anti_entropy += self._feed(member)
         return replayed
-
-    def _anti_entropy(self, member: LoadBalancer) -> int:
-        """Re-offer a rejoined member every CT entry it is missing,
-        diffed against a live donor.  Returns the entries repaired."""
-        member_ct = getattr(member, "ct", None)
-        if member_ct is None:
-            return 0
-        donor_ct = None
-        for donor in self.members:
-            if donor is member or donor in self._partitioned:
-                continue
-            donor_ct = getattr(donor, "ct", None)
-            if donor_ct is not None:
-                break
-        if donor_ct is None:
-            return 0
-        repaired = 0
-        for key, destination in donor_ct.items():
-            if member_ct.peek(key) != destination:
-                self.channel.repair(key, destination, member)
-                repaired += 1
-        return repaired
 
     def _replay_log(self, member: LoadBalancer, start: int) -> int:
         for method, name in self._event_log[start:]:
@@ -266,10 +257,10 @@ class LBPool(LoadBalancer):
     @property
     def degraded(self) -> bool:
         """True when pool state is known-incomplete: partitioned members
-        are serving stale views, or the sync channel abandoned entries."""
+        are serving stale views, or gossip lost un-replicated entries."""
         if self._partitioned:
             return True
-        return self.channel is not None and self.channel.degraded
+        return self.gossip is not None and self.gossip.degraded
 
     # ------------------------------------------------- backend changes
     def _broadcast(self, method: str, name: Name) -> None:
@@ -298,13 +289,13 @@ class LBPool(LoadBalancer):
     # ------------------------------------------------------------ state
     @property
     def sync(self) -> bool:
-        """Whether CT synchronization is enabled (any channel)."""
-        return self.channel is not None
+        """Whether CT synchronization is enabled (perfect or gossip)."""
+        return self.sync_stats is not None
 
     @property
     def synced_entries(self) -> int:
         """CT entries replicated between members (the §6.2 sync cost)."""
-        return self.channel.stats.delivered if self.channel is not None else 0
+        return self.sync_stats.delivered if self.sync_stats is not None else 0
 
     @property
     def working(self) -> FrozenSet[Name]:

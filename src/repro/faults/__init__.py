@@ -1,16 +1,14 @@
-"""Deterministic fault injection: chaos schedules, health probation, and
-fallible CT-sync channels.
+"""Deterministic fault injection: chaos schedules and health probation.
 
 The package makes "robustness under adversarial churn" a measurable
 dimension: :class:`FaultSchedule` scripts crash / flap / correlated-group
 / unannounced-addition events, :class:`ChaosInjector` applies them inside
-:class:`~repro.sim.engine.EventDrivenSimulation`, :class:`HealthMonitor`
-gates readmission with exponential-backoff probation, and
-:class:`SyncChannel` replaces :class:`~repro.core.lb_pool.LBPool`'s
-perfect CT replication with a lossy, lagging, bounded-retry one.
+:class:`~repro.sim.engine.EventDrivenSimulation`, and
+:class:`HealthMonitor` gates readmission with exponential-backoff
+probation.  Fallible CT sync between LB-pool members is
+:class:`~repro.control.gossip.GossipSync`.
 """
 
-from repro.faults.channel import SyncChannel, SyncStats
 from repro.faults.events import (
     CRASH,
     FLAP,
@@ -39,6 +37,4 @@ __all__ = [
     "chaos_mix",
     "HealthMonitor",
     "ChaosInjector",
-    "SyncChannel",
-    "SyncStats",
 ]

@@ -2,7 +2,7 @@
 
 The hot paths of this repo (per-packet CT gets, CH lookups) already
 maintain cheap plain-int counters -- :class:`~repro.ct.base.CTStats`,
-:class:`~repro.faults.channel.SyncStats`.  Observability therefore never
+:class:`~repro.control.gossip.SyncStats`.  Observability therefore never
 adds calls inside those loops; instead a *collector* registered here
 reads the structural counters at snapshot boundaries (sample events,
 chunk ends, run finalization) and publishes them as registry series.
@@ -57,7 +57,7 @@ FAULT_EVENTS = "repro_fault_events_total"
 # Dispatch-path selection and wall time.
 DISPATCH_PACKETS = "repro_dispatch_packets_total"
 WALL_SECONDS = "repro_wall_seconds"
-# LB pool / sync channel.
+# LB pool / CT sync (SyncStats).
 POOL_MEMBERS = "repro_pool_members"
 POOL_EVENTS = "repro_pool_events_total"
 POOL_LOST_ENTRIES = "repro_pool_lost_entries_total"
@@ -71,7 +71,6 @@ SYNC_ANTI_ENTROPY = "repro_sync_anti_entropy_total"
 GOSSIP_ROUNDS = "repro_gossip_rounds_total"
 GOSSIP_PUSHES = "repro_gossip_pushes_total"
 GOSSIP_LOST_PUSHES = "repro_gossip_lost_pushes_total"
-GOSSIP_TOMBSTONES = "repro_gossip_tombstones_total"
 GOSSIP_STALENESS = "repro_gossip_staleness"
 GOSSIP_MEAN_LAG_ROUNDS = "repro_gossip_mean_lag_rounds"
 # Closed-loop control plane (repro.control).
@@ -99,14 +98,14 @@ def instrument_balancer(registry, balancer) -> None:
     """Register collectors exposing a balancer stack's structural stats.
 
     Safe to call with any :class:`~repro.core.interfaces.LoadBalancer`:
-    missing capabilities (no CT, no channel, no horizon) simply skip the
+    missing capabilities (no CT, no sync, no horizon) simply skip the
     corresponding series.  On a :class:`~repro.obs.registry.NullRegistry`
     this is a single no-op call.
     """
     if not registry.enabled:
         return
     members = getattr(balancer, "members", None)
-    if members is not None:  # LB pool: per-pool series plus the channel
+    if members is not None:  # LB pool: per-pool series plus its sync bill
         _instrument_pool(registry, balancer)
         return
     _instrument_single(registry, balancer)
@@ -152,7 +151,7 @@ def _instrument_single(registry, balancer) -> None:
 
 
 def _instrument_pool(registry, pool) -> None:
-    channel = getattr(pool, "channel", None)
+    stats, gossip = pool.sync_stats, pool.gossip
 
     def collect(reg) -> None:
         reg.gauge(POOL_MEMBERS, "Live LB instances in the pool").set(pool.size)
@@ -167,44 +166,41 @@ def _instrument_pool(registry, pool) -> None:
         reg.gauge(CT_OCCUPANCY, "Tracked connections right now").set(
             pool.tracked_connections
         )
-        if channel is not None:
-            stats = channel.stats
-            reg.counter(SYNC_OFFERED, "Sync replications offered").set_total(stats.offered)
-            reg.counter(SYNC_DELIVERED, "Sync entries applied at peers").set_total(
-                stats.delivered
-            )
-            reg.counter(SYNC_LOST_ATTEMPTS, "Sync delivery attempts lost").set_total(
-                stats.lost_attempts
-            )
-            reg.counter(
-                SYNC_UNREPLICATED, "Sync entries abandoned after retries"
-            ).set_total(stats.unreplicated)
-            reg.counter(
-                SYNC_LOST, "Sync entries that will never reach a peer"
-            ).set_total(stats.lost)
-            reg.counter(
-                SYNC_ANTI_ENTROPY, "Entries re-offered to repair stale rejoiners"
-            ).set_total(stats.anti_entropy)
-            rounds = getattr(stats, "rounds", None)
-            if rounds is not None:  # gossip channel: convergence series
-                reg.counter(GOSSIP_ROUNDS, "Gossip rounds run").set_total(rounds)
-                reg.counter(GOSSIP_PUSHES, "Gossip exchanges attempted").set_total(
-                    stats.pushes
-                )
-                reg.counter(
-                    GOSSIP_LOST_PUSHES, "Gossip exchanges the network dropped"
-                ).set_total(stats.lost_pushes)
-                reg.counter(
-                    GOSSIP_TOMBSTONES, "Deletion deltas applied at peers"
-                ).set_total(stats.tombstones)
-                reg.gauge(
-                    GOSSIP_STALENESS,
-                    "Undelivered (member, delta) pairs right now",
-                ).set(channel.staleness())
-                reg.gauge(
-                    GOSSIP_MEAN_LAG_ROUNDS,
-                    "Mean dissemination lag in rounds (delta birth -> apply)",
-                ).set(stats.mean_lag_rounds)
+        if stats is None:
+            return
+        reg.counter(SYNC_OFFERED, "Sync replications offered").set_total(stats.offered)
+        reg.counter(SYNC_DELIVERED, "Sync entries applied at peers").set_total(
+            stats.delivered
+        )
+        reg.counter(SYNC_LOST_ATTEMPTS, "Sync delivery attempts lost").set_total(
+            stats.lost_pushes
+        )
+        reg.counter(
+            SYNC_UNREPLICATED, "Sync entries gone with their crashed origin"
+        ).set_total(stats.unreplicated)
+        reg.counter(
+            SYNC_LOST, "Sync entries that will never reach a peer"
+        ).set_total(stats.lost)
+        reg.counter(
+            SYNC_ANTI_ENTROPY, "Entries re-offered to repair stale rejoiners"
+        ).set_total(stats.anti_entropy)
+        if gossip is None:
+            return
+        reg.counter(GOSSIP_ROUNDS, "Gossip rounds run").set_total(stats.rounds)
+        reg.counter(GOSSIP_PUSHES, "Gossip exchanges attempted").set_total(
+            stats.pushes
+        )
+        reg.counter(
+            GOSSIP_LOST_PUSHES, "Gossip exchanges the network dropped"
+        ).set_total(stats.lost_pushes)
+        reg.gauge(
+            GOSSIP_STALENESS,
+            "Undelivered (member, delta) pairs right now",
+        ).set(gossip.staleness())
+        reg.gauge(
+            GOSSIP_MEAN_LAG_ROUNDS,
+            "Mean dissemination lag in rounds (delta birth -> apply)",
+        ).set(stats.mean_lag_rounds)
 
     registry.add_collector(collect)
 

@@ -234,7 +234,7 @@ class GossipConvergenceMonitor(InvariantMonitor):
     def evaluate(self, registry) -> MonitorResult:
         staleness = registry.value(M.GOSSIP_STALENESS)
         if staleness is None:
-            return _skip(self.name, "no gossip series (point-to-point or no sync)")
+            return _skip(self.name, "no gossip series (no gossip-synced LB pool)")
         lost = registry.value(M.SYNC_LOST) or 0
         lag = registry.value(M.GOSSIP_MEAN_LAG_ROUNDS)
         return MonitorResult(

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.obs import collectors as M
 from repro.obs.invariants import (
     DEFAULT_TOLERANCE,
-    GossipConvergenceMonitor,
     HorizonFidelityMonitor,
     InvariantMonitor,
     MonitorResult,
@@ -107,9 +106,6 @@ def envelope_monitors(envelope: EnvelopeSpec) -> List[InvariantMonitor]:
             min_precision=envelope.min_horizon_precision,
             min_recall=envelope.min_horizon_recall,
         ),
-        GossipConvergenceMonitor(
-            max_staleness=envelope.max_gossip_staleness or 0.0
-        ),
     ]
     if envelope.max_breakage is not None:
         monitors.append(BreakageBoundMonitor(envelope.max_breakage))
@@ -140,7 +136,7 @@ def envelope_margins(
             error = abs(tracked.observed - tracked.expected) / tracked.expected
             margins["tracked_fraction"] = tolerance - error
 
-    for name in ("breakage_bound", "balance_cv", "gossip_convergence"):
+    for name in ("breakage_bound", "balance_cv"):
         result = by_name.get(name)
         if result is None:
             continue

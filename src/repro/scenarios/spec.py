@@ -431,7 +431,6 @@ class EnvelopeSpec(_Section):
       breakage excluded, per Section 2.1);
     - ``max_balance_cv``: bound on the post-warmup max coefficient of
       variation of per-server load (capacity-normalized);
-    - ``max_gossip_staleness``: residual gossip debt allowed at run end;
     - ``min_horizon_precision`` / ``min_horizon_recall``: floors on
       horizon-announcement fidelity (closed-loop runs).
     """
@@ -439,7 +438,6 @@ class EnvelopeSpec(_Section):
     tracked_fraction_tolerance: Optional[float] = _f(_POS, None)
     max_breakage: Optional[float] = _f(_NONNEG, None)
     max_balance_cv: Optional[float] = _f(_NONNEG, None)
-    max_gossip_staleness: Optional[float] = _f(_NONNEG, None)
     min_horizon_precision: Optional[float] = _f(_FRACTION, None)
     min_horizon_recall: Optional[float] = _f(_FRACTION, None)
 

@@ -731,14 +731,6 @@ class EventDrivenSimulation:
             result.ct_hit_rate = ct.stats.hit_rate
             result.ct_peak_size = ct.stats.peak_size
             result.peak_tracked = max(result.peak_tracked, ct.stats.peak_size)
-        # LB-pool balancers expose their sync channel's degradation stats.
-        channel = getattr(self.lb, "channel", None)
-        if channel is not None:
-            result.sync_failures = channel.stats.lost_attempts
-            result.unreplicated_entries = channel.stats.unreplicated
-            staleness = getattr(channel, "staleness", None)
-            if callable(staleness):
-                result.sync_staleness = staleness()
         if self._expected_count:
             result.mean_expected_tracked_fraction = (
                 self._expected_sum / self._expected_count

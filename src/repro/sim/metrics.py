@@ -10,9 +10,8 @@ Tracks exactly what Section 5.1 reports:
 - **tracked connections**: CT table occupancy over time;
 - bookkeeping: flows started/completed, surprise additions, CT stats;
 - **resilience counters** (chaos runs, :mod:`repro.faults`): fault events
-  by kind, violations attributed to faults, probation re-admissions, CT
-  sync failures, and the paper's §2.3 predicted breakage for unannounced
-  additions.
+  by kind, violations attributed to faults, probation re-admissions, and
+  the paper's §2.3 predicted breakage for unannounced additions.
 """
 
 from __future__ import annotations
@@ -66,8 +65,6 @@ class SimResult:
     predicted_unannounced_breakage: float = 0.0
     violations_under_fault: int = 0
     probation_readmissions: int = 0
-    sync_failures: int = 0
-    unreplicated_entries: int = 0
     # Closed-loop counters (zero unless a ControlLoop drove the run).
     #: Flows dispatched at a server that had silently died but was not
     #: yet evicted by the prober (the detection-lag blackhole window).
@@ -92,8 +89,6 @@ class SimResult:
     #: Fraction of flows CT-tracked at first dispatch (None only when no
     #: flow was dispatched; ~1 under full CT, 0 under stateless).
     observed_tracked_fraction: Optional[float] = None
-    #: Gossip convergence debt left at finalization (0 = converged).
-    sync_staleness: int = 0
 
     def summary(self) -> str:
         text = (
@@ -157,8 +152,6 @@ _SUM_FIELDS = (
     "predicted_unannounced_breakage",
     "violations_under_fault",
     "probation_readmissions",
-    "sync_failures",
-    "unreplicated_entries",
     "blackholed_flows",
     "undetected_blips",
     "scale_outs",
@@ -169,7 +162,6 @@ _SUM_FIELDS = (
     "probe_false_evictions",
     "probe_readmissions",
     "phantom_announcements",
-    "sync_staleness",
 )
 
 #: Fields where shards replicate one shared schedule (membership churn

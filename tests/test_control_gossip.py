@@ -1,10 +1,12 @@
 """GossipSync: epidemic CT replication with versioned per-origin logs,
-tombstones, partition anti-entropy, and crash accounting
-(repro.control.gossip)."""
+partition anti-entropy, and crash accounting (repro.control.gossip)."""
 
 import pytest
 
+from repro.ch import HRWHash
 from repro.control.gossip import GossipSync
+from repro.core import FullCTLoadBalancer
+from repro.core.lb_pool import LBPool
 from repro.ct import make_ct
 
 
@@ -55,16 +57,23 @@ class TestDissemination:
         assert sync.stats.rounds == 1
 
     def test_tombstones_delete_at_peers(self):
-        sync, members = make_pool(3)
-        sync.offer(members[0], 7, "a")
+        # A deletion needs no delta: every pool member invalidates locally
+        # from the pool's backend broadcast, so removing a server clears
+        # its replicated entries at every peer with no gossip traffic.
+        sync = GossipSync(fanout=2, round_lookups=8)
+        pool = LBPool(
+            lambda: FullCTLoadBalancer(HRWHash(["a", "b", "c"])), size=3, sync=sync
+        )
+        destinations = {key: pool.get_destination(key) for key in range(40)}
         sync.drain()
-        assert members[1].ct.get(7) == "a"
-        sync.offer(members[0], 7, None, tombstone=True)
+        delivered = sync.stats.delivered
+        pool.remove_working_server("a")
         sync.drain()
-        for member in members:
-            assert member.ct.get(7) is None
-        # One tombstone applied at each of the two peers.
-        assert sync.stats.tombstones == 2
+        assert sync.stats.delivered == delivered
+        survivors = {k: d for k, d in destinations.items() if d != "a"}
+        assert len(survivors) < len(destinations)
+        for member in pool.members:
+            assert dict(member.ct.items()) == survivors
 
     def test_third_party_forwarding_is_epidemic(self):
         # Origin pushes to one peer, then partitions: the delta still
@@ -87,8 +96,8 @@ class TestDissemination:
             sync.offer(members[key % 4], key, key)
         sync.drain()
         assert sync.converged
-        assert sync.stats.lost_pushes > 0
-        assert sync.stats.retries == sync.stats.lost_pushes
+        # Every lost push is retried until it lands.
+        assert 0 < sync.stats.lost_pushes < sync.stats.pushes
 
     def test_mean_lag_counts_rounds(self):
         sync, members = make_pool(3)

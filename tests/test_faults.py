@@ -1,9 +1,11 @@
-"""Fault-injection subsystem tests: schedules, probation, sync channel,
-and chaos runs through the event-driven engine."""
+"""Fault-injection subsystem tests: schedules, probation, perfect CT
+sync, and chaos runs through the event-driven engine."""
 
 import pytest
 
-from repro.ct import make_ct
+from repro.ch import HRWHash
+from repro.core import FullCTLoadBalancer
+from repro.core.lb_pool import LBPool
 from repro.experiments import scales
 from repro.faults import (
     CRASH,
@@ -13,7 +15,6 @@ from repro.faults import (
     FaultEvent,
     FaultSchedule,
     HealthMonitor,
-    SyncChannel,
     chaos_mix,
 )
 from repro.sim.scenario import run_simulation
@@ -130,110 +131,20 @@ class TestHealthMonitor:
             HealthMonitor(multiplier=0.5)
 
 
-class _Peer:
-    def __init__(self):
-        self.ct = make_ct(None, "lru")
-
-
 class TestSyncChannel:
+    """Perfect CT sync is the LB pool's own push (fallible sync is
+    ``repro.control.gossip``, tested in ``test_control_gossip.py``)."""
+
     def test_perfect_channel_is_instantaneous(self):
-        channel = SyncChannel()
-        peer = _Peer()
-        channel.replicate(1, "s1", (peer,))
-        assert peer.ct.peek(1) == "s1"
-        assert channel.stats.delivered == 1
-        assert channel.pending == 0
-        assert not channel.degraded
-
-    def test_lag_delays_delivery_by_lookups(self):
-        channel = SyncChannel(lag_lookups=3)
-        peer = _Peer()
-        channel.replicate(1, "s1", (peer,))
-        for _ in range(2):
-            channel.on_lookup()
-            assert peer.ct.peek(1) is None
-        channel.on_lookup()
-        assert peer.ct.peek(1) == "s1"
-
-    def test_loss_retries_then_abandons(self):
-        # loss_probability ~1: every attempt fails; the entry burns its
-        # retries and is counted unreplicated -> degraded channel.
-        channel = SyncChannel(
-            loss_probability=0.999999, lag_lookups=1, max_retries=2,
-            backoff_lookups=2, seed=3,
+        pool = LBPool(
+            lambda: FullCTLoadBalancer(HRWHash(["s1", "s2", "s3"])), size=3, sync=True
         )
-        peer = _Peer()
-        channel.replicate(1, "s1", (peer,))
-        channel.drain()
-        assert peer.ct.peek(1) is None
-        assert channel.stats.attempted == 3  # first try + 2 retries
-        assert channel.stats.retries == 2
-        assert channel.stats.unreplicated == 1
-        assert channel.degraded
-
-    def test_seeded_loss_is_deterministic(self):
-        def run():
-            channel = SyncChannel(loss_probability=0.5, lag_lookups=1, seed=11)
-            peer = _Peer()
-            for key in range(200):
-                channel.replicate(key, f"s{key % 5}", (peer,))
-                channel.on_lookup()
-            channel.drain()
-            return (
-                channel.stats.delivered, channel.stats.lost_attempts,
-                channel.stats.unreplicated, sorted(peer.ct.items()),
-            )
-
-        assert run() == run()
-
-    def test_drain_settles_everything(self):
-        channel = SyncChannel(loss_probability=0.5, lag_lookups=10, seed=7)
-        peer = _Peer()
-        for key in range(50):
-            channel.replicate(key, "s1", (peer,))
-        channel.drain()
-        assert channel.pending == 0
-        stats = channel.stats
-        assert stats.delivered + stats.unreplicated == stats.offered
-
-    def test_forget_target_voids_pending(self):
-        channel = SyncChannel(lag_lookups=100)
-        gone, kept = _Peer(), _Peer()
-        channel.replicate(1, "s1", (gone, kept))
-        assert channel.forget_target(gone) == 1
-        channel.drain()
-        assert gone.ct.peek(1) is None
-        assert kept.ct.peek(1) == "s1"
-        assert channel.stats.dropped_targets == 1
-
-    def test_retry_backoff_carries_bounded_seeded_jitter(self):
-        # A lost attempt re-enqueues at base*2^(attempt-1) plus jitter
-        # drawn from the channel RNG: due in [backoff, 2*backoff).
-        def first_retry_due(seed):
-            channel = SyncChannel(
-                loss_probability=0.999999, lag_lookups=1, max_retries=3,
-                backoff_lookups=4, seed=seed,
-            )
-            peer = _Peer()
-            channel.replicate(1, "s1", (peer,))
-            channel.on_lookup()  # first attempt at lookup 1: lost
-            assert channel.pending == 1
-            return channel._pending[0][0]
-
-        for seed in range(8):
-            due = first_retry_due(seed)
-            assert 1 + 4 <= due < 1 + 8
-        # The jitter decorrelates differently-seeded channels (a shared
-        # schedule would re-synchronize retry storms after a heal)...
-        assert len({first_retry_due(seed) for seed in range(8)}) > 1
-        # ...while the same seed reproduces the same draw.
-        assert first_retry_due(3) == first_retry_due(3)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            SyncChannel(loss_probability=1.0)
-        with pytest.raises(ValueError):
-            SyncChannel(backoff_lookups=0)
+        destination = pool.get_destination(1)
+        # Every peer holds the entry the moment the origin inserted it.
+        assert all(member.ct.peek(1) == destination for member in pool.members)
+        assert pool.sync_stats.offered == pool.sync_stats.delivered == 2
+        assert pool.gossip is None
+        assert not pool.degraded
 
 
 class TestChaosRuns:

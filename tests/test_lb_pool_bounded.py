@@ -1,15 +1,17 @@
 """LB-pool tests with *bounded* CTs and fallible sync (Section 6.2 under
-real-world constraints): eviction-masking, member crash/partition, and
-degraded-mode replication."""
+real-world constraints): eviction-masking, member crash/partition,
+gossip replication, and perfect sync as gossip's degenerate case."""
 
 import pytest
 
-from repro.ch import HRWHash
+from repro.ch import AnchorHash, HRWHash
 from repro.ch.properties import sample_keys
+from repro.control import GossipSync
 from repro.core import FullCTLoadBalancer, JETLoadBalancer
 from repro.core.lb_pool import LBPool
 from repro.ct import make_ct
-from repro.faults import SyncChannel
+from repro.traces.replay import replay
+from repro.traces.zipf import zipf_trace
 
 W = [f"w{i}" for i in range(12)]
 H = ["h0", "h1"]
@@ -33,7 +35,7 @@ class TestEvictionMasksInsert:
         for k in KEYS[:400]:  # distinct keys, well past capacity
             pool.get_destination(k)
         # Full CT inserts every new flow; each is offered to the one peer.
-        assert pool.channel.stats.offered == 400
+        assert pool.sync_stats.offered == 400
         assert pool.synced_entries == 400
 
     def test_entry_inserted_at_capacity_reaches_peer(self):
@@ -59,6 +61,18 @@ class TestPoolChangesMidTraffic:
         # The donor's (bounded) CT is what gets copied, capped by capacity.
         assert member.tracked_connections <= 64
         assert member.working == pool.members[0].working
+
+    def test_grow_never_seeds_from_a_partitioned_donor(self):
+        # Member 0 is partitioned, so it misses its peers' replication; a
+        # joiner seeded from it would break every flow ECMP re-steers onto
+        # it that member 0 never saw.  The donor is a live member.
+        pool = LBPool(bounded_full_factory(capacity=1024), size=3, sync=True)
+        stale = pool.partition_lb(0)
+        destinations = {k: pool.get_destination(k) for k in KEYS[:300]}
+        assert stale.tracked_connections < len(destinations)
+        member = pool.add_lb()
+        assert member.tracked_connections == len(destinations)
+        assert all(member.ct.peek(k) == d for k, d in destinations.items())
 
     def test_shrink_reports_lost_entries(self):
         pool = LBPool(bounded_full_factory(capacity=64), size=3, sync=False)
@@ -142,23 +156,25 @@ class TestCrashAndPartition:
 
 class TestDegradedSync:
     def test_lossy_channel_reports_degraded(self):
-        channel = SyncChannel(
-            loss_probability=0.9, lag_lookups=1, max_retries=1,
-            backoff_lookups=2, seed=2,
-        )
+        # Loss is reported (lost pushes) and retried until delivered, so
+        # lossy gossip converges after a drain and nothing is abandoned:
+        # only a crash that takes un-replicated state degrades the pool.
+        channel = GossipSync(fanout=1, round_lookups=2, loss_probability=0.9, seed=2)
         pool = LBPool(bounded_full_factory(capacity=256), size=2, sync=channel)
-        for k in KEYS[:400]:
-            pool.get_destination(k)
+        destinations = {k: pool.get_destination(k) for k in KEYS[:200]}
         channel.drain()
-        assert channel.stats.unreplicated > 0
-        assert pool.degraded
-        stats = channel.stats
-        assert stats.delivered + stats.unreplicated == stats.offered
+        assert channel.stats.lost_pushes > 0
+        assert channel.converged and not pool.degraded
+        for member in pool.members:
+            assert all(member.ct.peek(k) == d for k, d in destinations.items())
 
     def test_lagged_sync_eventually_protects(self):
-        channel = SyncChannel(lag_lookups=4)
+        # One round per 4 lookups stands in for replication lag.
+        channel = GossipSync(fanout=1, round_lookups=4)
         pool = LBPool(bounded_full_factory(capacity=1024), size=2, sync=channel)
         destinations = {k: pool.get_destination(k) for k in KEYS[:200]}
+        peer = pool.members[1]
+        assert any(peer.ct.peek(k) is None for k in destinations)  # lagging
         channel.drain()
         # After the lag settles, every entry is on both members.
         for member in pool.members:
@@ -168,33 +184,37 @@ class TestDegradedSync:
     def test_sync_bool_back_compat(self):
         assert LBPool(bounded_full_factory(), size=2, sync=True).sync is True
         assert LBPool(bounded_full_factory(), size=2, sync=False).sync is False
-        channel = SyncChannel(loss_probability=0.1, seed=1)
+        channel = GossipSync(loss_probability=0.1, seed=1)
         assert LBPool(bounded_full_factory(), size=2, sync=channel).sync is True
+        with pytest.raises(TypeError):  # no third, duck-typed channel
+            LBPool(bounded_full_factory(), size=2, sync=object())
 
 
 class TestCrashSyncAccounting:
     def test_crash_voids_pending_deliveries_into_lost(self):
-        # Entries still in flight to the crashed member must show up in
-        # the channel's accounted bill (stats.lost), never vanish.
-        channel = SyncChannel(lag_lookups=10_000)  # nothing delivers yet
-        pool = LBPool(bounded_full_factory(capacity=256), size=2, sync=channel)
+        # Deliveries still owed to the crashed member, and the deltas only
+        # it held, must show up in the accounted bill (stats.lost), never
+        # vanish.
+        channel = GossipSync(round_lookups=10_000)  # nothing delivers yet
+        pool = LBPool(bounded_full_factory(capacity=256), size=3, sync=channel)
         for k in KEYS[:100]:
             pool.get_destination(k)
-        pending_before = channel.pending
-        assert pending_before > 0
+        victim = pool.members[1]
+        owed = channel.staleness_of(victim)
+        only_held = victim.tracked_connections
+        assert owed > 0 and only_held > 0
         pool.crash_lb(1)
-        # Only deliveries owed *to* the victim are voided; entries the
-        # victim originated still pend toward the survivor.
-        dropped = channel.stats.dropped_targets
-        assert 0 < dropped < pending_before
-        assert channel.stats.lost >= dropped
-        assert channel.pending == pending_before - dropped
+        assert channel.stats.dropped_targets == owed
+        assert channel.stats.unreplicated == only_held
+        assert channel.stats.lost == owed + only_held
+        channel.drain()
+        assert channel.converged  # the survivors still converge
 
     def test_heal_repairs_ct_via_anti_entropy(self):
-        # A healed member must not resume with a stale CT: heal_lb runs a
-        # donor-diff repair, billed to stats.anti_entropy.
-        channel = SyncChannel()
-        pool = LBPool(bounded_full_factory(capacity=1024), size=3, sync=channel)
+        # A healed member must not resume with a stale CT: under perfect
+        # sync heal_lb feeds it the donor's entries it lacks, billed to
+        # sync_stats.anti_entropy.
+        pool = LBPool(bounded_full_factory(capacity=1024), size=3, sync=True)
         stale = pool.partition_lb(1)
         destinations = {k: pool.get_destination(k) for k in KEYS[:200]}
         missing = [
@@ -202,8 +222,7 @@ class TestCrashSyncAccounting:
         ]
         assert missing  # the partitioned member missed replication
         pool.heal_lb(1)
-        channel.drain()
-        assert channel.stats.anti_entropy >= len(missing)
+        assert pool.sync_stats.anti_entropy == len(missing)
         donor = pool.members[0]
         for k, d in donor.ct.items():
             assert stale.ct.peek(k) == d
@@ -213,8 +232,6 @@ class TestGossipPool:
     """LBPool driven by the epidemic GossipSync channel."""
 
     def make_pool(self, size=3, **gossip_kwargs):
-        from repro.control import GossipSync
-
         gossip_kwargs.setdefault("fanout", 2)
         gossip_kwargs.setdefault("round_lookups", 16)
         channel = GossipSync(**gossip_kwargs)
@@ -272,3 +289,39 @@ class TestGossipPool:
         assert channel.staleness_of(member) == 0
         for k, d in destinations.items():
             assert member.ct.peek(k) == d
+
+
+class TestPerfectSyncIsDegenerateGossip:
+    """``sync=True`` is what gossip does when every member pushes to every
+    peer each lookup with no loss: a replay with a backend addition and a
+    pool growth gives the same destinations, PCC violations, sync bill and
+    per-member CTs either way (gossip after a final drain)."""
+
+    N_PACKETS = 5000
+    TRACE = zipf_trace(0.9, n_packets=N_PACKETS, population=N_PACKETS // 4, seed=19)
+    EVENTS = [
+        (N_PACKETS // 4, lambda pool: pool.add_working_server("h0")),
+        (N_PACKETS // 2, lambda pool: pool.add_lb()),
+    ]
+
+    def run(self, mode, sync):
+        working = [f"w{i}" for i in range(20)]
+
+        def factory():
+            return mode(AnchorHash(working, ["h0", "h1"], capacity=44))
+
+        pool = LBPool(factory, size=3, sync=sync)
+        seen, dispatch = [], pool.get_destination
+        pool.get_destination = lambda key: seen.append(dispatch(key)) or seen[-1]
+        outcome = replay(self.TRACE, pool, events=self.EVENTS)
+        if pool.gossip is not None:
+            pool.gossip.drain()
+        cts = [dict(member.ct.items()) for member in pool.members]
+        return seen, outcome.pcc_violations, pool.synced_entries, cts
+
+    @pytest.mark.parametrize("mode", [JETLoadBalancer, FullCTLoadBalancer])
+    def test_push_equals_full_fanout_gossip_after_drain(self, mode):
+        pushed = self.run(mode, True)
+        gossiped = self.run(mode, GossipSync(fanout=4, round_lookups=1))
+        assert pushed[2] > 0 and len(pushed[3]) == 4
+        assert gossiped == pushed

@@ -183,6 +183,13 @@ class TestEnvelopeValidation:
     def test_unknown_envelope_field(self):
         expect_error(spec_dict(envelope={"max_latency": 1}), "envelope: unknown")
 
+    def test_gossip_staleness_is_not_an_envelope_bound(self):
+        # No simulator stack syncs CTs, so there is no staleness to bound.
+        expect_error(
+            spec_dict(envelope={"max_gossip_staleness": 0}),
+            "envelope: unknown field(s) ['max_gossip_staleness']",
+        )
+
     def test_horizon_floors_need_churn(self):
         # A static fleet with no control/churn/timeline has no horizon
         # announcements to judge fidelity against.
@@ -358,7 +365,6 @@ envelopes = st.fixed_dictionaries(
         ),
         "max_breakage": st.floats(min_value=0, max_value=1, allow_nan=False),
         "max_balance_cv": st.floats(min_value=0, max_value=5, allow_nan=False),
-        "max_gossip_staleness": st.floats(min_value=0, max_value=10, allow_nan=False),
     },
 )
 
