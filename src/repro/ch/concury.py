@@ -42,11 +42,11 @@ from repro.hashing.mix import MASK64, splitmix64
 from repro.hashing.othello import Othello
 from repro.hashing.vector import v_splitmix64
 
-__all__ = ["ConcuryHash"]
+__all__ = ["ConcuryHash", "INNER_FAMILIES"]
 
 #: Inner CH families the control plane may drive flowset placement with.
 #: Maglev is excluded (no horizon, so no safety answer to delegate).
-_INNER_FAMILIES = {
+INNER_FAMILIES = {
     "hrw": HRWHash,
     "ring": RingHash,
     "table": TableHRWHash,
@@ -94,11 +94,11 @@ class ConcuryHash(HorizonConsistentHash):
         seed: int = 0,
         **inner_kwargs,
     ):
-        cls = _INNER_FAMILIES.get(inner)
+        cls = INNER_FAMILIES.get(inner)
         if cls is None:
             raise BackendError(
                 f"unknown Concury inner family {inner!r}; choose from "
-                f"{sorted(_INNER_FAMILIES)}"
+                f"{sorted(INNER_FAMILIES)}"
             )
         self.inner_family = inner
         self._inner = cls(working=working, horizon=horizon, **inner_kwargs)
@@ -132,7 +132,7 @@ class ConcuryHash(HorizonConsistentHash):
         self._slots_table = None
         self._trans_table = None  # inner backend_table self._trans was built for
         self._empty = not len(self._inner)
-        # Control-plane update-cost accounting for the showdown.
+        # Control-plane update-cost accounting for the frontier.
         self.rebuilds = 0
         self.patches = 0
         self.last_refresh_changed = 0

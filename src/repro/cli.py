@@ -4,7 +4,8 @@ Commands
 --------
 ``experiment``  publish one of the paper's tables/figures or beyond-paper
                 checks (fig3, fig4, fig5, fig6, fig7, table1, table2,
-                theory, extensions, lbpool, resilience, control-loop, all)
+                theory, extensions, lbpool, resilience, control-loop,
+                frontier, all)
 ``simulate``    one event-driven run: explicit knobs (Section 5.1), a
                 library scenario, or a saved scenario document
 ``scenario``    the declarative scenario library (list / show / run)

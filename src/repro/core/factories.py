@@ -142,16 +142,6 @@ def make_full_ct(
     return make_lb("full", family, working, horizon, ct, **ch_kwargs)
 
 
-def make_stateless(
-    family: str,
-    working: Iterable[Name],
-    horizon: Iterable[Name] = (),
-    **ch_kwargs,
-) -> StatelessLoadBalancer:
-    """Build the Section 2 static-setting baseline (no CT at all)."""
-    return make_lb("stateless", family, working, horizon, **ch_kwargs)
-
-
 def make_concury(
     family: str,
     working: Iterable[Name],
@@ -165,18 +155,3 @@ def make_concury(
     return make_lb(
         "concury", family, working, horizon, master_seed=seed, flowsets=flowsets, **ch_kwargs
     )
-
-
-def make_jet_p2c(
-    family: str,
-    working: Iterable[Name],
-    horizon: Iterable[Name] = (),
-    ct: Optional[ConnectionTracker] = None,
-    weights=None,
-    **ch_kwargs,
-):
-    """Build the Section 6.3 power-of-2-choices JET with Charon-style
-    occupancy weighting: new-connection candidates compared by live
-    backend occupancy (driver-refreshed gauges) normalized by capacity
-    ``weights``.  SYN-gated, so PCC stays sound."""
-    return make_lb("jet-p2c", family, working, horizon, ct, weights, **ch_kwargs)

@@ -6,7 +6,7 @@ name -> module table, the one publisher and ``repro experiment``'s flags
 live in :mod:`repro.experiments.report` (``python -m
 repro.experiments.fig3`` is ``python -m repro experiment fig3``, and
 ``benchmarks/`` renders through the same entries).  The beyond-paper
-``showdown`` / ``sharding`` / ``scenario_matrix`` results are counts, run
+``frontier`` / ``sharding`` / ``scenario_matrix`` results are counts, run
 and gated for equality by ``python -m repro.experiments.counted``;
 nothing here times anything but the paper's own "rate" column.
 
@@ -26,7 +26,9 @@ nothing here times anything but the paper's own "rate" column.
 ``resilience``    ``resilience``    beyond-paper: PCC under chaos, §2.3
                                     contract check, tracking under churn
 ``control-loop``  ``control_loop``  beyond-paper: closed-loop control plane
-(own ``main``)    ``counted``       beyond-paper: ``showdown``, ``sharding``,
+``frontier``      ``frontier``      beyond-paper: stateless ... full CT, state
+                                    vs broken flows (Fig. 4's claim)
+(own ``main``)    ``counted``       beyond-paper: ``frontier``, ``sharding``,
                                     ``scenario_matrix`` vs the committed
                                     ``BENCH_dataplane.json``
 ================  ================  ================================

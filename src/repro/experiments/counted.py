@@ -1,8 +1,9 @@
 """Counted results: what the beyond-paper experiments count, gated by equality.
 
 Three experiments produce numbers that are pure functions of the seed --
-:mod:`~repro.experiments.showdown` (state bytes per flow, Concury's
-patches / rebuilds / cells per membership event, PCC under churn),
+:mod:`~repro.experiments.frontier` (the registry entry ``frontier``: CT
+entries, state bytes and broken flows from stateless to full CT, and
+Concury's patches / rebuilds / cells per membership event),
 :mod:`~repro.experiments.sharding` (CT entries and bytes per shard vs
 Theorem 4.2) and :mod:`~repro.experiments.scenario_matrix` (envelope
 verdicts and margins).  This module runs all three at the scale and seed
@@ -27,13 +28,13 @@ import sys
 from contextlib import nullcontext
 from typing import List, Tuple
 
-from repro.experiments import scenario_matrix, sharding, showdown
+from repro.experiments import frontier, scenario_matrix, sharding
 from repro.experiments.report import save_json
 
 #: The committed file, relative to the working directory (the repo root).
 BENCH_FILE = "BENCH_dataplane.json"
 
-#: Trace / Othello seed of the showdown and sharding sections (each
+#: Trace / Othello seed of the frontier and sharding sections (each
 #: scenario runs at its spec's own committed seed).
 SEED = 1
 
@@ -45,7 +46,7 @@ def run_counted(scale: str, workers: int = 1, exporter=None) -> Tuple[dict, dict
         "experiment": "counted-results",
         "scale": scale,
         "seed": SEED,
-        "showdown": showdown.run_showdown(scale, SEED),
+        "frontier": frontier.FRONTIER.payload(frontier.FRONTIER.run(scale, SEED)),
         "sharding": sharding.run_ct_cost(scale, SEED),
         "scenarios": scenario_matrix.bench_section(matrix),
     }
@@ -104,7 +105,7 @@ def format_report(payload: dict, matrix: dict) -> str:
     return "\n".join(
         [
             f"counted results @ scale={payload['scale']} seed={payload['seed']}",
-            showdown.format_report(payload["showdown"]),
+            frontier.FRONTIER.tables(payload["frontier"]),
             sharding.format_report(payload["sharding"]),
             scenario_matrix.format_report(matrix),
         ]
@@ -113,7 +114,7 @@ def format_report(payload: dict, matrix: dict) -> str:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", default=None, choices=sorted(showdown.SCALES),
+    parser.add_argument("--scale", default=None, choices=sorted(frontier.SCALES),
                         help="default: the committed file's scale")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes per scenario run (the results "

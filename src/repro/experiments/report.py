@@ -65,6 +65,7 @@ def banner(title: str) -> str:
 #: What an entry takes: ``scale`` (a :mod:`.scales` preset), ``seed``, and
 #: ``metrics`` (a live :class:`repro.obs.Registry`, passed as ``registry=``).
 SCALED = ("scale",)
+SEEDED = ("scale", "seed")
 INSTRUMENTED = ("scale", "seed", "metrics")
 
 
@@ -98,6 +99,7 @@ EXPERIMENTS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "lbpool": ("lb_pool", ()),
     "resilience": ("resilience", INSTRUMENTED),
     "control-loop": ("control_loop", INSTRUMENTED),
+    "frontier": ("frontier", SEEDED),
 }
 
 

@@ -13,8 +13,8 @@ bound that occupancy-weighted dispatch meets).
 Gate semantics: only the *native* mode's envelope verdict gates the
 experiment (and CI) -- non-native modes are comparison rows, recorded
 but never failing the run.  A mode a scenario cannot express (Concury
-over a weighted inner family) records as skipped with the factory's
-reason; an error from a stack that could be built is a bug, and raises.
+over a weighted inner family) records as skipped with the spec's reason;
+an error from a document that parsed is a bug, and raises.
 
 Everything recorded is a count or a margin, deterministic per seed and
 invariant to ``workers`` (each spec pins its shard partition).  The full
@@ -63,7 +63,6 @@ def run_matrix(scale: str, workers: int = 1, exporter=None) -> Dict:
     """
     from repro.obs.registry import Registry
     from repro.scenarios import compile_scenario, load_all, run_compiled
-    from repro.sim.scenario import build_balancer
 
     factor = SCALES[scale]
     scenarios: Dict[str, Dict] = {}
@@ -75,10 +74,9 @@ def run_matrix(scale: str, workers: int = 1, exporter=None) -> Dict:
         rows: Dict[str, Dict] = {}
         for mode in modes:
             try:
-                # Can the scenario express this mode?  The factory says, here:
-                # a forked shard worker reports its refusal as a RuntimeError.
+                # Can the scenario express this mode?  The spec says: one
+                # that parses is one that runs.
                 compiled = compile_scenario(spec.with_(mode=mode, duration_s=duration))
-                build_balancer(compiled.config)
             except ValueError as exc:
                 rows[mode] = {"skipped": True, "reason": f"{type(exc).__name__}: {exc}"}
                 continue

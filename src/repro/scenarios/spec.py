@@ -38,7 +38,8 @@ from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
 
 from repro.ch import family_choices
-from repro.core.factories import lb_mode_choices
+from repro.ch.concury import INNER_FAMILIES
+from repro.core.factories import LB_MODE_ALIASES, lb_mode_choices
 from repro.ct import CT_POLICIES
 from repro.sim.distributions import DIST_KINDS, dist_from_dict
 from repro.sim.workload import PROFILE_KINDS, profile_from_dict
@@ -512,6 +513,21 @@ class ScenarioSpec(_Section):
                 f'an idle timeout needs ct_policy "ttl" (it is {self.ct_policy!r}, '
                 "which would ignore it)",
             )
+        mode = LB_MODE_ALIASES.get(self.mode, self.mode)
+        if mode == "concury" and self.ch_family not in INNER_FAMILIES:
+            raise ScenarioError(
+                f"{path}.ch_family",
+                f"mode 'concury' places flowsets with one of {sorted(INNER_FAMILIES)}, "
+                f"not {self.ch_family!r}",
+            )
+        if mode != "jet-p2c" and self.ch_family not in ("weighted-hrw", "weighted-ring"):
+            for i, zone in enumerate(self.fleet.zones):
+                if zone.weight != 1.0:
+                    raise ScenarioError(
+                        f"{path}.fleet.zones[{i}].weight",
+                        f"ch_family {self.ch_family!r} cannot weight servers (weighted-hrw "
+                        "and weighted-ring can; mode 'jet-p2c' normalises occupancy by weight)",
+                    )
         self.validate()
         return self
 

@@ -50,23 +50,13 @@ class TestCommittedFile:
         timing = re.compile(r"_pps|_seconds|_per_s$|speedup|wall")
         assert [key for key in _keys(committed) if timing.search(key)] == []
 
-    def test_connection_independence_is_concury_alone(self, committed):
-        # full CT sits on one power-of-two table at 1x and 2x population:
-        # equal bytes, twice the entries -- not independent.
-        rows = {row["balancer"]: row for row in committed["showdown"]["memory"]}
-        full = rows["full-ct-table"]
-        assert full["tracked_connections_2x_population"] > full["tracked_connections"]
-        assert {name for name, row in rows.items() if row["connection_independent"]} == {
-            "concury-table"
-        }
-
 
 class TestGateNamesTheKey:
     def test_integer(self, fresh, committed):
         edited = copy.deepcopy(committed)
-        edited["showdown"]["pcc_churn"][2]["pcc_violations"] += 1
+        edited["frontier"]["rows"][2]["pcc_violations"] += 1
         (failure,) = counted.check(fresh, edited)
-        assert failure.startswith("showdown.pcc_churn[2].pcc_violations: ")
+        assert failure.startswith("frontier.rows[2].pcc_violations: ")
 
     def test_float(self, fresh, committed):
         edited = copy.deepcopy(committed)
@@ -77,12 +67,12 @@ class TestGateNamesTheKey:
     def test_bool_and_missing_and_extra_keys(self, fresh, committed):
         edited = copy.deepcopy(committed)
         edited["scenarios"]["zone-failure"]["ok"] = 1  # an int is not a bool
-        del edited["showdown"]["concury_updates"]["patches"]
+        del edited["frontier"]["rows"][1]["patches"]
         edited["sharding"]["speedup"] = 2.25
         assert [f.split(":")[0] for f in counted.check(fresh, edited)] == [
+            "frontier.rows[1].patches",
             "scenarios.zone-failure.ok",
             "sharding.speedup",
-            "showdown.concury_updates.patches",
         ]
 
 
@@ -108,7 +98,7 @@ class TestCommandLine:
         with pytest.raises(SystemExit) as exit_info:
             counted.main([])
         assert exit_info.value.code == 1
-        assert "showdown.concury_updates.rebuilds" in capsys.readouterr().err
+        assert "frontier.rows[1].rebuilds" in capsys.readouterr().err
 
     def test_write_regenerates_byte_identically(self, workdir):
         path = workdir / counted.BENCH_FILE
@@ -119,7 +109,7 @@ class TestCommandLine:
     def test_other_scale_compares_nothing(self, workdir, run, monkeypatch, capsys):
         payload, matrix = copy.deepcopy(run)
         payload["scale"] = "default"
-        payload["showdown"]["memory"][0]["state_bytes"] += 1
+        payload["frontier"]["rows"][0]["state_bytes"] += 1
         monkeypatch.setattr(counted, "run_counted", lambda *args: (payload, matrix))
         counted.main(["--scale", "default"])
         assert "nothing compared" in capsys.readouterr().out

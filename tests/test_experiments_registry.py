@@ -175,9 +175,12 @@ class TestFlagChecks:
         assert cli.main(["experiment", "fig3", *flag]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        takers = {
+            "--seed": "resilience, control-loop, frontier",
+            "--metrics-out": "resilience, control-loop",
+        }[flag[0]]
         assert captured.err == (
-            f"repro: error: experiment fig3 does not take {flag[0]} "
-            "(only resilience, control-loop do)\n"
+            f"repro: error: experiment fig3 does not take {flag[0]} (only {takers} do)\n"
         )
 
     def test_metrics_out_with_all(self, capsys, monkeypatch):

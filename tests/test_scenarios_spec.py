@@ -407,11 +407,21 @@ chaos_events = st.builds(
 def scenario_dicts(draw):
     fleet = draw(fleets)
     duration = draw(st.floats(min_value=5, max_value=120, allow_nan=False))
+    mode = draw(st.sampled_from(["jet", "full", "concury", "jet-p2c"]))
+    family = {}
+    if mode != "jet-p2c" and any(z["weight"] != 1.0 for z in fleet.get("zones", ())):
+        # Zone weights need a family that reads them, and Concury's map
+        # places flowsets with neither weighted one.
+        if mode == "concury":
+            fleet = {**fleet, "zones": [{**z, "weight": 1.0} for z in fleet["zones"]]}
+        else:
+            family["ch_family"] = draw(st.sampled_from(["weighted-hrw", "weighted-ring"]))
     data = {
         "name": draw(st.sampled_from(["alpha", "beta-2", "gamma_x"])),
         "duration_s": duration,
         "seed": draw(st.integers(min_value=0, max_value=10_000)),
-        "mode": draw(st.sampled_from(["jet", "full", "concury", "jet-p2c"])),
+        "mode": mode,
+        **family,
         "shards": draw(st.integers(min_value=0, max_value=4)),
         "fleet": fleet,
         "workload": draw(workloads),

@@ -172,6 +172,14 @@ HOSTILE_DOCUMENTS = {
                       ".workload.connection_rate: must be positive, got -5"),
     "old-format": (json.dumps({"format": "repro-simulation-config/1", "n_servers": 3}),
                    "--config-out"),
+    # Was: a traceback from the factory, exit code 1.
+    "unbuildable-stack": (doc(mode="concury", ch_family="concury"),
+                          ".ch_family: mode 'concury' places flowsets with one of"),
+    # Was: accepted, and the weights silently dropped by AnchorHash.
+    "unread-zone-weight": (
+        doc(ch_family="anchor", fleet={"horizon": 2, "zones": [
+            {"name": "big", "servers": 4, "weight": 3.0}, {"name": "std", "servers": 4}]}),
+        ".fleet.zones[0].weight: ch_family 'anchor' cannot weight servers"),
 }
 
 
@@ -234,10 +242,21 @@ class TestHostileInput:
             # Was: SystemExit with the bare message, exit code 1.
             (["--scenario", "churn-storm", "--config", "d.json"],
              "--scenario and --config are mutually exclusive"),
+            # Was: a traceback from the factory, exit code 1.
+            (["--mode", "concury", "--family", "concury", "--duration", "2"],
+             "simulate.ch_family: mode 'concury' places flowsets with one of"),
         ],
     )
     def test_flag_values_are_range_checked(self, flags, fragment, capsys):
         assert_clean_error(capsys, main(["simulate", *flags]), fragment)
+
+    def test_scenario_run_override_is_checked(self, capsys):
+        # Was: a traceback from the factory, exit code 1.
+        code = main(["scenario", "run", "heterogeneous-fleet", "--mode", "concury",
+                     "--duration", "2"])
+        assert_clean_error(
+            capsys, code, "scenario 'heterogeneous-fleet'.ch_family: mode 'concury'"
+        )
 
     def test_anything_else_still_raises(self):
         # Only user input is turned into an error line.
