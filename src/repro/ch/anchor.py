@@ -164,10 +164,6 @@ class AnchorBuckets:
     def is_working(self, b: int) -> bool:
         return self.A[b] == 0
 
-    @property
-    def removed_count(self) -> int:
-        return len(self.R)
-
 
 class AnchorHash(HorizonConsistentHash):
     """AnchorHash with JET horizon support (Algorithm 5)."""
@@ -227,9 +223,6 @@ class AnchorHash(HorizonConsistentHash):
             self._bucket_of[name_a] = bucket_b
         if name_b is not None:
             self._bucket_of[name_b] = bucket_a
-
-    def _horizon_region_size(self) -> int:
-        return len(self._horizon_names)
 
     # ------------------------------------------------------------- sets
     @property

@@ -303,8 +303,3 @@ class ConcuryHash(HorizonConsistentHash):
         if self._map is None:
             return self._unsafe_fs.nbytes
         return self._map.memory_bytes + self._unsafe_fs.nbytes
-
-    @property
-    def map_attempts(self) -> int:
-        """Build attempts the current Othello version burned."""
-        return 0 if self._map is None else self._map.attempts

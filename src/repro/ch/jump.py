@@ -86,11 +86,6 @@ class JumpHash(HorizonConsistentHash):
     def horizon(self) -> FrozenSet[Name]:
         return frozenset(self._order[self._n_working :])
 
-    @property
-    def admission_order(self) -> Tuple[Name, ...]:
-        """Horizon servers in the order Jump will admit them."""
-        return tuple(self._order[self._n_working :])
-
     # ----------------------------------------------------------- lookup
     def lookup_with_safety(self, key_hash: int) -> Tuple[Name, bool]:
         if self._n_working == 0:

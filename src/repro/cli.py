@@ -32,9 +32,9 @@ three compile and run through the same call, and ``--config-out`` writes
 the document back.  A malformed document or an out-of-range flag value is
 a :class:`~repro.scenarios.ScenarioError`; :func:`main` prints it (and an
 ``OSError`` on a path the user named) as ``repro: error: <field path>:
-<message>`` and returns 2, argparse's code.  ``trace replay`` reports
-an out-of-range count, or a fleet its stack refuses to build, the same
-way.  Nothing else is caught.
+<message>`` and returns 2, argparse's code.  ``trace generate`` and ``trace
+replay`` report an out-of-range number, and ``trace replay`` a fleet its
+stack refuses to build, the same way.  Nothing else is caught.
 """
 
 from __future__ import annotations
@@ -57,16 +57,14 @@ def _open_metrics(args: argparse.Namespace):
     return registry, exporter
 
 
-def _close_metrics(args: argparse.Namespace, registry, exporter, t: float = 0.0) -> None:
+def _close_metrics(registry, exporter, t: float = 0.0) -> None:
     """Final snapshot + invariants + Prometheus sibling, then report."""
-    from repro.obs import MonitorSuite, evaluate_and_export
+    from repro.obs import evaluate_and_export, render, violations
 
-    results = evaluate_and_export(
-        registry, t=t, tolerance=args.metrics_tolerance, exporter=exporter
-    )
+    results = evaluate_and_export(registry, t=t, exporter=exporter)
     print("invariant monitors:")
-    print(MonitorSuite.render(results))
-    violated = MonitorSuite.violations(results)
+    print(render(results))
+    violated = violations(results)
     if violated:
         print(f"{len(violated)} invariant violation(s)")
 
@@ -191,7 +189,7 @@ def _simulate(args: argparse.Namespace) -> int:
     result = run_engine(compile_scenario(spec), workers=args.workers, registry=registry)
     print(result.summary())
     if registry is not None:
-        _close_metrics(args, registry, exporter, t=spec.duration_s)
+        _close_metrics(registry, exporter, t=spec.duration_s)
     return 0
 
 
@@ -242,10 +240,21 @@ def _trace(args: argparse.Namespace) -> int:
     )
 
     if args.trace_command == "generate":
+        for flag, value, bad, rule in (
+            ("--packets", args.packets, args.packets < 1, ">= 1"),
+            ("--population", args.population,
+             args.population is not None and args.population < 1, ">= 1"),
+            ("--skew", args.skew, not args.skew >= 0, ">= 0"),
+            ("--trace-scale", args.trace_scale, not args.trace_scale > 0, "> 0"),
+        ):
+            if bad:
+                return _error(f"{flag} must be {rule}, got {value}")
         if args.kind == "zipf":
+            population = args.population
+            if population is None:
+                population = max(1, args.packets // 4)
             trace = zipf_trace(
-                args.skew, n_packets=args.packets,
-                population=args.population or args.packets // 4, seed=args.seed,
+                args.skew, n_packets=args.packets, population=population, seed=args.seed,
             )
         elif args.kind == "uni1":
             trace = uni1_like(scale=args.trace_scale, seed=args.seed)
@@ -304,7 +313,7 @@ def _trace(args: argparse.Namespace) -> int:
             print(sharded.row())
             elapsed = sharded.end_to_end_seconds
     if registry is not None:
-        _close_metrics(args, registry, exporter, t=elapsed)
+        _close_metrics(registry, exporter, t=elapsed)
     return 0
 
 
@@ -321,9 +330,6 @@ def _add_metrics_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write a JSONL metrics time series here "
                              "(plus a Prometheus .prom sibling)")
-    parser.add_argument("--metrics-tolerance", type=float, default=0.10,
-                        help="relative tolerance for the tracked-fraction "
-                             "invariant monitor")
 
 
 def build_parser() -> argparse.ArgumentParser:

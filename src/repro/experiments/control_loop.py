@@ -23,7 +23,8 @@ measurements, all bit-reproducible for a fixed ``--seed``:
 4. **Gossip convergence** -- an LB pool replicating CT entries by
    fanout-k gossip: partition a member (staleness grows), heal it
    (anti-entropy drains the missed suffix to zero), crash one (its
-   unreplicated deltas land in ``stats.lost``, never silently).
+   unreplicated deltas land in ``stats.lost``, never silently).  The run
+   raises unless the pool has converged after its last drain.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional
 
 from repro.experiments.report import Experiment, format_table, run_module
 from repro.experiments.scales import scale_name
-from repro.obs import HorizonFidelityMonitor, default_monitors
+from repro.scenarios.spec import EnvelopeSpec
 from repro.sim.distributions import Constant, Exponential
 from repro.sim.scenario import SimulationConfig, run_simulation
 from repro.sim.workload import RateProfile
@@ -216,6 +217,12 @@ def run_gossip_convergence(
     lost_before_crash = channel.stats.lost
     pool.crash_lb(2)
     channel.drain()
+    # The sync-staleness bound: once drained, no live member still misses
+    # a delta (what was truly lost is in ``stats.lost``).
+    if not channel.converged:
+        raise AssertionError(
+            f"gossip did not converge: staleness {channel.staleness()} after the last drain"
+        )
     return {
         "members": pool.size,
         "deliveries": channel.stats.delivered,
@@ -299,10 +306,11 @@ CONTROL_LOOP = Experiment(
     run=build_payload, tables=_tables, payload=lambda payload: payload,
     # The instrumented run had a perfect forecast, so gate on it: both
     # scores must sit at 1.0 (tolerance via floor) or the loop is broken.
-    monitors=[
-        m for m in default_monitors(tolerance=TRACKED_TOLERANCE)
-        if not isinstance(m, HorizonFidelityMonitor)
-    ] + [HorizonFidelityMonitor(min_precision=0.99, min_recall=0.99)],
+    envelope=EnvelopeSpec(
+        tracked_fraction_tolerance=TRACKED_TOLERANCE,
+        min_horizon_precision=0.99,
+        min_horizon_recall=0.99,
+    ),
 )
 
 

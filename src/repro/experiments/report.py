@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.scales import scale_name
-from repro.obs import JsonlExporter, MonitorSuite, Registry, evaluate_and_export
+from repro.obs import JsonlExporter, Registry, evaluate_and_export, render
+from repro.scenarios.spec import EnvelopeSpec
 
 RESULTS_DIR = Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
 
@@ -80,7 +81,7 @@ class Experiment:
     tables: Callable[[Any], str]  # result -> everything printed under the banner
     payload: Callable[[Any], Any]  # result -> the archived JSON document
     takes: Tuple[str, ...] = INSTRUMENTED
-    monitors: Optional[Sequence[Any]] = None  # None: repro.obs.default_monitors()
+    envelope: Optional[EnvelopeSpec] = None  # the invariants' bounds; None: defaults
 
 
 #: ``repro experiment`` name -> (module, what its entry takes), in ``all``'s
@@ -166,8 +167,8 @@ def publish(
     if registry is not None:
         if exporter is not None:
             print()
-        verdicts = evaluate_and_export(registry, monitors=experiment.monitors, exporter=exporter)
-        document["invariants"] = MonitorSuite.to_json(verdicts)
-        print(f"\n{MonitorSuite.render(verdicts)}")
+        verdicts = evaluate_and_export(registry, envelope=experiment.envelope, exporter=exporter)
+        document["invariants"] = [v.to_json() for v in verdicts]
+        print(f"\n{render(verdicts)}")
     save_json(experiment.stem, document)
     return result

@@ -40,7 +40,7 @@ from repro.ch import rows_for
 from repro.experiments.report import Experiment, format_table, run_module
 from repro.experiments.scales import base_config, scale_name
 from repro.faults import FaultSchedule, chaos_mix
-from repro.obs import default_monitors
+from repro.scenarios.spec import EnvelopeSpec
 from repro.sim.scenario import run_simulation
 
 MODES = ("jet", "full", "stateless")
@@ -237,7 +237,7 @@ RESILIENCE = Experiment(
     title="Resilience under chaos [scale={scale} seed={seed}]",
     # The registry instruments the tracking-economy JET run.
     run=build_payload, tables=_tables, payload=lambda payload: payload,
-    monitors=default_monitors(tolerance=CHAOS_TRACKED_TOLERANCE),
+    envelope=EnvelopeSpec(tracked_fraction_tolerance=CHAOS_TRACKED_TOLERANCE),
 )
 
 

@@ -216,10 +216,6 @@ class Othello:
         ha, hb = self._probe(keys)
         return self.a[ha] ^ self.b[hb]
 
-    def value_of(self, key: int) -> int:
-        """The stored value of a *member* key (control-plane accessor)."""
-        return int(self._values[self._key_index[int(key) & MASK64]])
-
     # ---------------------------------------------------------- mutation
     def update(self, key: int, value: int) -> int:
         """Change one key's value in place; returns cells touched.

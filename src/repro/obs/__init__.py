@@ -4,9 +4,11 @@ One instrument panel for the reproduction: a metrics
 :class:`~repro.obs.registry.Registry` (counters, gauges, fixed-bucket
 histograms, timer contexts) with a true no-op
 :class:`~repro.obs.registry.NullRegistry` fast path, collectors that
-scrape existing dataplane counters at snapshot boundaries, live
-invariant monitors that check the paper's theorems against telemetry,
-and Prometheus / JSONL exporters wired into the CLI
+scrape existing dataplane counters at snapshot boundaries, one
+invariant :func:`~repro.obs.invariants.check` that judges the paper's
+theorems against telemetry within the bounds of a scenario envelope
+(:class:`repro.scenarios.spec.EnvelopeSpec`, or ``None`` for the
+defaults), and Prometheus / JSONL exporters wired into the CLI
 (``--metrics-out``, ``repro obs summarize``) and the experiments.
 
 Observability is strictly read-only: a run with a live registry makes
@@ -32,16 +34,13 @@ from repro.obs.export import (
 )
 from repro.obs.invariants import (
     DEFAULT_TOLERANCE,
-    GossipConvergenceMonitor,
-    HorizonFidelityMonitor,
-    InvariantMonitor,
+    MIN_FLOWS,
     MonitorResult,
-    MonitorSuite,
-    OccupancyBoundMonitor,
-    PCCAccountingMonitor,
-    TrackedFractionMonitor,
-    default_monitors,
+    check,
     evaluate_and_export,
+    margins,
+    render,
+    violations,
 )
 from repro.obs.merge import GAUGE_SUM, load_series, merge_into, merge_series
 from repro.obs.registry import (
@@ -67,16 +66,13 @@ __all__ = [
     "render_prometheus",
     "write_prometheus",
     "DEFAULT_TOLERANCE",
-    "InvariantMonitor",
+    "MIN_FLOWS",
     "MonitorResult",
-    "MonitorSuite",
-    "GossipConvergenceMonitor",
-    "HorizonFidelityMonitor",
-    "OccupancyBoundMonitor",
-    "PCCAccountingMonitor",
-    "TrackedFractionMonitor",
-    "default_monitors",
+    "check",
     "evaluate_and_export",
+    "margins",
+    "render",
+    "violations",
     "NULL",
     "Counter",
     "Gauge",

@@ -14,7 +14,7 @@ import argparse
 from typing import List, Optional
 
 from repro.obs.export import last_snapshot, load_jsonl
-from repro.obs.invariants import MonitorResult, MonitorSuite
+from repro.obs.invariants import MonitorResult, render, violations
 
 
 def summarize(path) -> dict:
@@ -56,7 +56,7 @@ def format_summary(digest: dict) -> str:
     invariants: List[MonitorResult] = digest["invariants"]
     if invariants:
         lines.append("invariant monitors:")
-        lines.append(MonitorSuite.render(invariants))
+        lines.append(render(invariants))
     else:
         lines.append("invariant monitors: none recorded")
     return "\n".join(lines)
@@ -76,7 +76,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     digest = summarize(args.path)
     print(format_summary(digest))
-    violated = MonitorSuite.violations(digest["invariants"])
+    violated = violations(digest["invariants"])
     if violated:
         print(f"{len(violated)} invariant violation(s)")
         if args.strict:

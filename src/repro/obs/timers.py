@@ -50,10 +50,6 @@ class Stopwatch:
         self.elapsed = perf_counter() - self._started
         return self.elapsed
 
-    def lap(self) -> float:
-        """Seconds since construction/restart, without recording."""
-        return perf_counter() - self._started
-
     def __enter__(self) -> "Stopwatch":
         return self.restart()
 

@@ -4,21 +4,15 @@ A scenario is a named, versioned description of a production situation
 -- fleet shape, workload, membership/chaos timeline -- plus an
 *expected envelope* stating what the paper's theory predicts for it.
 Specs (:mod:`.spec`) compile (:mod:`.compile`) into the existing
-simulation stack unchanged; envelopes compile (:mod:`.envelope`) into
-:mod:`repro.obs` invariant monitors; :mod:`.run` executes and judges;
-:mod:`.library` ships the named scenarios (``repro scenario list``).
+simulation stack unchanged; :mod:`.run` executes them and judges the
+envelope, whose bounds :func:`repro.obs.invariants.check` reads as they
+are; :mod:`.library` ships the named scenarios (``repro scenario list``).
 """
 
 from repro.scenarios.compile import (
     CompiledScenario,
     build_fault_schedule,
     compile_scenario,
-)
-from repro.scenarios.envelope import (
-    BalanceCVMonitor,
-    BreakageBoundMonitor,
-    envelope_margins,
-    envelope_monitors,
 )
 from repro.scenarios.library import (
     library_dir,
@@ -48,8 +42,6 @@ from repro.scenarios.spec import (
 )
 
 __all__ = [
-    "BalanceCVMonitor",
-    "BreakageBoundMonitor",
     "CompiledScenario",
     "ControlSpec",
     "EnvelopeSpec",
@@ -62,8 +54,6 @@ __all__ = [
     "ZoneSpec",
     "build_fault_schedule",
     "compile_scenario",
-    "envelope_margins",
-    "envelope_monitors",
     "fingerprint",
     "library_dir",
     "load_all",

@@ -3,7 +3,8 @@
 ``run_scenario`` is the one entry point: compile the spec, run it
 through ``run_engine`` (the sharded simulation driver: ``--workers`` only
 changes process fan-out, the keyspace partition is pinned by the spec),
-evaluate the envelope monitors over the merged registry, and return a
+:func:`repro.obs.invariants.check` the merged registry against the
+spec's envelope, and return a
 :class:`ScenarioReport` carrying the result, the verdicts, and the
 headroom left inside each bound.  ``repro simulate`` is ``run_engine``
 alone: the same run without the judging.
@@ -20,10 +21,12 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from repro.obs.invariants import MonitorResult, MonitorSuite, evaluate_and_export
+from repro.obs import invariants
+# Bound by name here: the benchmark's traced sim-churn pass times the
+# judging by patching ``repro.scenarios.run.evaluate_and_export``.
+from repro.obs.invariants import MonitorResult, evaluate_and_export
 from repro.obs.registry import Registry
 from repro.scenarios.compile import CompiledScenario, compile_scenario
-from repro.scenarios.envelope import envelope_margins, envelope_monitors
 from repro.scenarios.spec import ScenarioSpec
 from repro.shard.runner import simulate_sharded
 from repro.sim.metrics import SimResult
@@ -42,16 +45,16 @@ class ScenarioReport:
     result: SimResult
     monitors: List[MonitorResult] = field(default_factory=list)
     #: Headroom inside each envelope bound (negative = violated,
-    #: None = the monitor skipped at this scale).
+    #: None = the check skipped at this scale).
     margins: Dict[str, Optional[float]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return not any(m.violated for m in self.monitors)
+        return not self.violations
 
     @property
     def violations(self) -> List[MonitorResult]:
-        return [m for m in self.monitors if m.violated]
+        return invariants.violations(self.monitors)
 
     def render(self) -> str:
         status = "OK" if self.ok else "ENVELOPE VIOLATED"
@@ -59,7 +62,7 @@ class ScenarioReport:
             f"scenario {self.scenario} [{self.mode}] seed={self.seed} "
             f"shards={self.shards} workers={self.workers}: {status}",
             f"  {self.result.summary()}",
-            MonitorSuite.render(self.monitors),
+            invariants.render(self.monitors),
         ]
         return "\n".join(lines)
 
@@ -72,7 +75,7 @@ class ScenarioReport:
             "workers": self.workers,
             "ok": self.ok,
             "result": asdict(self.result),
-            "monitors": MonitorSuite.to_json(self.monitors),
+            "monitors": [m.to_json() for m in self.monitors],
             "margins": self.margins,
         }
 
@@ -113,9 +116,7 @@ def run_compiled(
     spec = compiled.spec
     own = registry if registry is not None else Registry()
     result = run_engine(compiled, workers=workers, registry=own)
-    monitors = evaluate_and_export(
-        own, t=spec.duration_s, monitors=envelope_monitors(spec.envelope)
-    )
+    verdicts = evaluate_and_export(own, t=spec.duration_s, envelope=spec.envelope)
     return ScenarioReport(
         scenario=spec.name,
         mode=spec.mode,
@@ -123,8 +124,8 @@ def run_compiled(
         shards=compiled.shards,
         workers=workers,
         result=result,
-        monitors=monitors,
-        margins=envelope_margins(spec.envelope, monitors),
+        monitors=verdicts,
+        margins=invariants.margins(spec.envelope, verdicts),
     )
 
 

@@ -7,12 +7,12 @@ size and policy), a membership/chaos timeline (rolling deploy,
 correlated zone failure, flap storms, multi-region failover), and an
 **expected-envelope** block stating what the paper's theory predicts for
 the run (tracked-fraction band vs |H|/(|W|+|H|), max breakage, balance
-CV bound, gossip-staleness decay).  ``repro simulate`` lowers its flags
+CV bound, horizon-fidelity floors).  ``repro simulate`` lowers its flags
 to this document and ``--config-out`` / ``--config`` write and read it.
 The spec compiles into a :class:`~repro.sim.scenario.SimulationConfig`
 plus a scripted :class:`~repro.faults.events.FaultSchedule`
-(:mod:`.compile`) and the envelope compiles into :mod:`repro.obs`
-invariant monitors (:mod:`.envelope`) evaluated at run end.
+(:mod:`.compile`) and the envelope bounds :func:`repro.obs.invariants.check`
+at run end.
 
 Every field is declared once, on its dataclass attribute: ``_f(convert,
 default)`` names the converter that type- and range-checks a written
@@ -422,18 +422,23 @@ class TimelineEvent(_Section):
 class EnvelopeSpec(_Section):
     """The expected envelope: what theory predicts for this scenario.
 
-    Every bound is optional; set ones compile into invariant monitors
-    (:func:`repro.scenarios.envelope.envelope_monitors`) evaluated over
-    the run's merged registry at the final snapshot:
+    This is the one description of the invariant bounds:
+    :func:`repro.obs.invariants.check` reads these five fields by name
+    over the run's merged registry at the final snapshot, and experiments
+    that judge their own runs pass one (``Experiment.envelope``).  Every
+    bound is optional:
 
     - ``tracked_fraction_tolerance``: relative band around the
-      flow-weighted |H|/(|W|+|H|) expectation (Theorems 4.2/4.3);
+      flow-weighted |H|/(|W|+|H|) expectation (Theorems 4.2/4.3); unset
+      is the check's default of 0.10;
     - ``max_breakage``: PCC violations as a fraction of flows (inevitable
-      breakage excluded, per Section 2.1);
+      breakage excluded, per Section 2.1); checked only when set;
     - ``max_balance_cv``: bound on the post-warmup max coefficient of
-      variation of per-server load (capacity-normalized);
+      variation of per-server load (capacity-normalized); checked only
+      when set;
     - ``min_horizon_precision`` / ``min_horizon_recall``: floors on
-      horizon-announcement fidelity (closed-loop runs).
+      horizon-announcement fidelity (closed-loop runs); unset, the scores
+      need only lie in [0, 1].
     """
 
     tracked_fraction_tolerance: Optional[float] = _f(_POS, None)

@@ -219,3 +219,34 @@ class TestHostileReplayFlags:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("repro: error: ") and fragment in line, line
+
+
+#: ``trace generate`` arguments a user can get wrong -> the one error line.
+HOSTILE_GENERATE_FLAGS = {
+    "zero-packets": (["zipf", "--packets", "0"], "--packets must be >= 1, got 0"),
+    "negative-skew": (["zipf", "--skew", "-1"], "--skew must be >= 0, got -1.0"),
+    "zero-population": (["zipf", "--packets", "100", "--population", "0"],
+                        "--population must be >= 1, got 0"),
+    "zero-trace-scale": (["uni1", "--trace-scale", "0"],
+                         "--trace-scale must be > 0, got 0.0"),
+    "negative-trace-scale": (["ny18", "--trace-scale", "-1"],
+                             "--trace-scale must be > 0, got -1.0"),
+}
+
+
+class TestHostileGenerateFlags:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_GENERATE_FLAGS))
+    def test_one_error_line_and_exit_2(self, case, tmp_path, capsys):
+        flags, fragment = HOSTILE_GENERATE_FLAGS[case]
+        out = tmp_path / "t.npz"
+        code = main(["trace", "generate", *flags, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: error: ") and fragment in line, line
+        assert not out.exists()
+
+    def test_tiny_zipf_gets_one_flow(self, capsys):
+        assert main(["trace", "generate", "zipf", "--packets", "3"]) == 0
+        assert "1 flows" in capsys.readouterr().out

@@ -22,7 +22,8 @@ from repro.experiments import report
 from repro.experiments.report import (
     EXPERIMENTS, INSTRUMENTED, SCALED, Experiment, format_table, load, publish,
 )
-from repro.obs import PCCAccountingMonitor, load_jsonl
+from repro.obs import load_jsonl
+from repro.scenarios import EnvelopeSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -124,7 +125,7 @@ class TestPublish:
         entry = _stub(
             takes=INSTRUMENTED, title="Stub [scale={scale} seed={seed}]", run=run,
             tables=lambda payload: "body", payload=lambda payload: payload,
-            monitors=[PCCAccountingMonitor()],
+            envelope=EnvelopeSpec(max_balance_cv=0.5),
         )
         metrics = tmp_path / "m.jsonl"
         publish(entry, "smoke", seed=3, metrics_out=str(metrics))
@@ -132,7 +133,12 @@ class TestPublish:
         assert seen == {"scale": "smoke", "seed": 3}
         assert out[1] == "Stub [scale=smoke seed=3]"
         assert out[3:6] == ["body", "", f"metrics: {metrics} (prometheus: {tmp_path / 'm.prom'})"]
-        assert out[6] == "" and "pcc_accounting" in out[7]
+        assert out[6] == "" and "tracked_fraction" in out[7]
+        # The envelope's bound adds its check after the four standard ones.
+        assert [line.split("] ")[1].split(":")[0] for line in out[7:]] == [
+            "tracked_fraction", "pcc_accounting", "ct_occupancy_bound",
+            "horizon_fidelity", "balance_cv",
+        ]
         document = json.loads((results_dir / "stub.json").read_text())
         # The result's own header stays first; the verdicts are appended.
         assert list(document) == ["experiment", "scale", "seed", "invariants"]

@@ -1,29 +1,29 @@
-"""Invariant monitors and the telemetry integration they run over.
+"""Invariant checks and the telemetry integration they run over.
 
-Covers monitor semantics on synthetic registries (ok / violation /
-skip), the collector layer's derived series, the ``evaluate_and_export``
+Covers each check's semantics on synthetic registries (ok / violation /
+skip), the order ``check`` runs them in and how the envelope bounds
+them, the collector layer's derived series, the ``evaluate_and_export``
 final line, ``repro obs summarize --strict``, and the acceptance bar:
 a live-registry simulation whose observed tracked fraction lands within
-tolerance of |H|/(|W|+|H|) with every monitor green.
+tolerance of |H|/(|W|+|H|) with every check green.
 """
 
 import pytest
 
 from repro import cli
 from repro.obs import (
+    MIN_FLOWS,
     JsonlExporter,
     MonitorResult,
-    MonitorSuite,
-    OccupancyBoundMonitor,
-    PCCAccountingMonitor,
     Registry,
-    TrackedFractionMonitor,
-    default_monitors,
+    check,
     evaluate_and_export,
     metrics as M,
     observed_tracked_fraction,
+    render,
 )
 from repro.obs.summarize import main as summarize_main, summarize
+from repro.scenarios import EnvelopeSpec, ScenarioError
 from repro.sim import SimulationConfig, run_simulation
 
 
@@ -35,35 +35,48 @@ def _registry_with(flows=1000, tracked=100, expected=0.1):
     return reg
 
 
+def verdict(registry, name, envelope=None):
+    """The one result ``check`` reports under ``name``."""
+    (result,) = [r for r in check(registry, envelope) if r.name == name]
+    return result
+
+
 class TestTrackedFractionMonitor:
     def test_within_tolerance(self):
-        result = TrackedFractionMonitor(0.10).evaluate(
-            _registry_with(flows=1000, tracked=105, expected=0.1)
+        result = verdict(
+            _registry_with(flows=1000, tracked=105, expected=0.1), "tracked_fraction"
         )
         assert result.ok and not result.skipped
         assert result.observed == pytest.approx(0.105)
 
     def test_violation_outside_tolerance(self):
-        result = TrackedFractionMonitor(0.10).evaluate(
-            _registry_with(flows=1000, tracked=200, expected=0.1)
+        result = verdict(
+            _registry_with(flows=1000, tracked=200, expected=0.1), "tracked_fraction"
         )
         assert result.violated
+        # A wider envelope tolerates the same drift.
+        wide = EnvelopeSpec(tracked_fraction_tolerance=1.5)
+        assert verdict(
+            _registry_with(flows=1000, tracked=200, expected=0.1), "tracked_fraction", wide
+        ).ok
 
     def test_skips_without_expectation(self):
         reg = Registry()
         reg.counter(M.FLOWS).inc(1000)
-        result = TrackedFractionMonitor().evaluate(reg)
+        result = verdict(reg, "tracked_fraction")
         assert result.skipped and result.ok
 
     def test_skips_below_min_flows(self):
-        result = TrackedFractionMonitor(min_flows=200).evaluate(
-            _registry_with(flows=50, tracked=5, expected=0.1)
-        )
-        assert result.skipped
+        reg = _registry_with(flows=MIN_FLOWS - 1, tracked=5, expected=0.1)
+        result = verdict(reg, "tracked_fraction")
+        assert result.skipped and f"(< {MIN_FLOWS})" in result.detail
+        assert not verdict(
+            _registry_with(flows=MIN_FLOWS, tracked=20, expected=0.1), "tracked_fraction"
+        ).skipped
 
     def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            TrackedFractionMonitor(tolerance=0.0)
+        with pytest.raises(ScenarioError, match="tracked_fraction_tolerance"):
+            EnvelopeSpec.parse({"tracked_fraction_tolerance": 0})
 
 
 class TestPCCAccountingMonitor:
@@ -72,16 +85,16 @@ class TestPCCAccountingMonitor:
         reg.counter(M.PCC_VIOLATIONS).inc(3)
         reg.counter(M.INEVITABLY_BROKEN).inc(4)
         reg.counter(M.CHURN_EXPOSED).inc(100)
-        assert PCCAccountingMonitor().evaluate(reg).ok
+        assert verdict(reg, "pcc_accounting").ok
 
     def test_violation_when_broken_exceeds_exposure(self):
         reg = Registry()
         reg.counter(M.PCC_VIOLATIONS).inc(10)
         reg.counter(M.CHURN_EXPOSED).inc(4)
-        assert PCCAccountingMonitor().evaluate(reg).violated
+        assert verdict(reg, "pcc_accounting").violated
 
     def test_skips_without_exposure_series(self):
-        assert PCCAccountingMonitor().evaluate(Registry()).skipped
+        assert verdict(Registry(), "pcc_accounting").skipped
 
 
 class TestOccupancyBoundMonitor:
@@ -89,36 +102,54 @@ class TestOccupancyBoundMonitor:
         reg = Registry()
         reg.gauge(M.CT_OCCUPANCY_PEAK).set(90)
         reg.gauge(M.CT_CAPACITY).set(100)
-        result = OccupancyBoundMonitor().evaluate(reg)
+        result = verdict(reg, "ct_occupancy_bound")
         assert result.ok and "capacity" in result.detail
 
     def test_capacity_violation(self):
         reg = Registry()
         reg.gauge(M.CT_OCCUPANCY_PEAK).set(150)
         reg.gauge(M.CT_CAPACITY).set(100)
-        assert OccupancyBoundMonitor().evaluate(reg).violated
+        assert verdict(reg, "ct_occupancy_bound").violated
 
     def test_falls_back_to_inserts_bound(self):
         reg = Registry()
         reg.gauge(M.CT_OCCUPANCY_PEAK).set(10)
         reg.counter(M.CT_INSERTS).set_total(12)
-        result = OccupancyBoundMonitor().evaluate(reg)
+        result = verdict(reg, "ct_occupancy_bound")
         assert result.ok and "inserts" in result.detail
 
     def test_skips_stateless(self):
-        assert OccupancyBoundMonitor().evaluate(Registry()).skipped
+        assert verdict(Registry(), "ct_occupancy_bound").skipped
 
 
 class TestSuiteAndSerialization:
     def test_default_suite_composition(self):
-        names = [m.name for m in default_monitors()]
+        names = [r.name for r in check(Registry())]
         assert names == [
             "tracked_fraction",
             "pcc_accounting",
             "ct_occupancy_bound",
             "horizon_fidelity",
-            "gossip_convergence",
         ]
+        # A set envelope bound appends its check, after the four.
+        full = EnvelopeSpec(max_breakage=0.1, max_balance_cv=1.0)
+        assert [r.name for r in check(Registry(), full)] == [
+            *names, "breakage_bound", "balance_cv",
+        ]
+
+    def test_no_envelope_is_the_default_envelope(self):
+        reg = _registry_with(flows=1000, tracked=108, expected=0.1)
+        reg.gauge(M.HORIZON_PRECISION).set(0.5)
+        assert check(reg) == check(reg, EnvelopeSpec())
+
+    def test_horizon_floors_come_from_the_envelope(self):
+        reg = Registry()
+        reg.gauge(M.HORIZON_PRECISION).set(0.9)
+        reg.gauge(M.HORIZON_RECALL).set(1.0)
+        assert verdict(reg, "horizon_fidelity").ok
+        floors = EnvelopeSpec(min_horizon_precision=0.99, min_horizon_recall=0.99)
+        result = verdict(reg, "horizon_fidelity", floors)
+        assert result.violated and result.detail == "precision 0.900 below floor 0.99"
 
     def test_result_json_round_trip(self):
         result = MonitorResult(name="x", ok=False, observed=1.0, expected=2.0)
@@ -126,7 +157,7 @@ class TestSuiteAndSerialization:
         assert result.violated
 
     def test_render_marks_status(self):
-        rendered = MonitorSuite.render([
+        rendered = render([
             MonitorResult(name="a", ok=True),
             MonitorResult(name="b", ok=False),
             MonitorResult(name="c", ok=True, skipped=True),
@@ -151,7 +182,7 @@ class TestEvaluateAndExport:
         assert digest["final_t"] == 5.0
         assert [r.name for r in digest["invariants"]] == [
             "tracked_fraction", "pcc_accounting", "ct_occupancy_bound",
-            "horizon_fidelity", "gossip_convergence",
+            "horizon_fidelity",
         ]
 
 
@@ -196,7 +227,7 @@ class TestSimulationTelemetry:
 
     def test_all_monitors_green(self, instrumented):
         _, registry = instrumented
-        results = MonitorSuite(default_monitors(tolerance=0.10)).evaluate(registry)
+        results = check(registry)
         assert [r for r in results if r.violated] == []
         assert not all(r.skipped for r in results)
 
@@ -242,6 +273,12 @@ class TestCLIMetricsOut:
         assert out.exists()
         assert out.with_suffix(".prom").exists()
         assert summarize_main([str(out), "--strict"]) == 0
+
+    def test_metrics_tolerance_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["simulate", "--metrics-tolerance", "0.5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --metrics-tolerance" in capsys.readouterr().err
 
     def test_obs_summarize_subcommand(self, tmp_path, capsys):
         out = tmp_path / "sim.jsonl"

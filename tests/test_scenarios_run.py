@@ -5,8 +5,8 @@ The load-bearing guarantees:
 - timeline lowering is exact (zone failures target the zone's contiguous
   server range, rolling deploys march through explicit batches, region
   failovers black out past the end of the run);
-- envelope bounds compile to monitors with the documented units and
-  skip/violate semantics;
+- envelope bounds reach ``repro.obs.check`` with the documented units
+  and skip/violate semantics;
 - a scenario's result is a pure function of (spec, seed, shards):
   byte-identical across repeat runs AND across ``--workers``, and the
   ``--config-out`` document replays to the same numbers through the
@@ -18,17 +18,13 @@ import json
 import pytest
 
 from repro.faults.events import FLAP, GROUP, PROBE_LOSS
-from repro.obs import Registry, metrics as M
+from repro.obs import Registry, check, margins, metrics as M
 from repro.scenarios import (
-    BalanceCVMonitor,
-    BreakageBoundMonitor,
     EnvelopeSpec,
     ScenarioError,
     ScenarioSpec,
     build_fault_schedule,
     compile_scenario,
-    envelope_margins,
-    envelope_monitors,
     fingerprint,
     load_file,
     run_engine,
@@ -175,57 +171,68 @@ class TestCompileLowering:
         assert compiled.config.scale_lead_time_s == 4.0
 
 
+def verdict(registry, name, **bounds):
+    """The one result ``check`` reports under ``name`` inside ``bounds``."""
+    (result,) = [r for r in check(registry, EnvelopeSpec(**bounds)) if r.name == name]
+    return result
+
+
 class TestEnvelopeMonitors:
     def test_breakage_bound_semantics(self):
         reg = Registry()
         reg.counter(M.FLOWS).inc(1000)
         reg.counter(M.PCC_VIOLATIONS).inc(30)
-        assert BreakageBoundMonitor(0.05).evaluate(reg).ok
-        result = BreakageBoundMonitor(0.02).evaluate(reg)
+        assert verdict(reg, "breakage_bound", max_breakage=0.05).ok
+        result = verdict(reg, "breakage_bound", max_breakage=0.02)
         assert result.violated
         assert result.observed == pytest.approx(0.03)
 
     def test_breakage_skips_without_flows(self):
-        result = BreakageBoundMonitor(0.05).evaluate(Registry())
+        result = verdict(Registry(), "breakage_bound", max_breakage=0.05)
         assert result.skipped and result.ok
 
     def test_balance_cv_semantics(self):
         reg = Registry()
         reg.gauge(M.BALANCE_CV_MAX).set(0.9)
-        assert BalanceCVMonitor(1.0).evaluate(reg).ok
-        assert BalanceCVMonitor(0.8).evaluate(reg).violated
-        assert BalanceCVMonitor(0.8).evaluate(Registry()).skipped
+        assert verdict(reg, "balance_cv", max_balance_cv=1.0).ok
+        assert verdict(reg, "balance_cv", max_balance_cv=0.8).violated
+        assert verdict(Registry(), "balance_cv", max_balance_cv=0.8).skipped
 
     def test_monitor_suite_composition(self):
         env = EnvelopeSpec.parse(
             {"tracked_fraction_tolerance": 0.3, "max_breakage": 0.1}
         )
-        names = [m.name for m in envelope_monitors(env)]
-        assert "tracked_fraction" in names
-        assert "breakage_bound" in names
-        assert "balance_cv" not in names  # bound not set
+        names = [r.name for r in check(Registry(), env)]
+        assert names == [
+            "tracked_fraction", "pcc_accounting", "ct_occupancy_bound",
+            "horizon_fidelity", "breakage_bound",  # balance_cv: bound not set
+        ]
 
     def test_margins_units(self):
         env = EnvelopeSpec.parse(
-            {"tracked_fraction_tolerance": 0.3, "max_breakage": 0.1}
+            {"tracked_fraction_tolerance": 0.3, "max_breakage": 0.1, "max_balance_cv": 1.5}
         )
         reg = Registry()
         reg.counter(M.FLOWS).inc(1000)
         reg.counter(M.TRACKED_FLOWS).inc(110)
         reg.gauge(M.EXPECTED_TRACKED_FRACTION).set(0.1)
         reg.counter(M.PCC_VIOLATIONS).inc(40)
-        margins = envelope_margins(env, [m.evaluate(reg) for m in envelope_monitors(env)])
+        reg.gauge(M.BALANCE_CV_MAX).set(0.9)
+        headroom = margins(env, check(reg, env))
+        assert list(headroom) == ["tracked_fraction", "breakage_bound", "balance_cv"]
         # tracked error = |0.11 - 0.1| / 0.1 = 0.1 -> margin 0.3 - 0.1
-        assert margins["tracked_fraction"] == pytest.approx(0.2)
+        assert headroom["tracked_fraction"] == pytest.approx(0.2)
         # breakage margin is in the bound's own units: 0.1 - 0.04
-        assert margins["breakage_bound"] == pytest.approx(0.06)
+        assert headroom["breakage_bound"] == pytest.approx(0.06)
+        assert headroom["balance_cv"] == pytest.approx(0.6)
+        # Without a tolerance the default 0.10 bounds the tracked fraction.
+        assert margins(None, check(reg))["tracked_fraction"] == pytest.approx(0.0)
 
     def test_margins_none_when_skipped(self):
-        env = EnvelopeSpec.parse({"max_breakage": 0.1})
-        margins = envelope_margins(
-            env, [m.evaluate(Registry()) for m in envelope_monitors(env)]
-        )
-        assert margins["breakage_bound"] is None
+        env = EnvelopeSpec.parse({"max_breakage": 0.1, "max_balance_cv": 1.0})
+        assert margins(env, check(Registry(), env)) == {
+            "tracked_fraction": None, "breakage_bound": None, "balance_cv": None,
+        }
 
 
 class TestDeterminism:

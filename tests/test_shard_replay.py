@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.obs import Registry
-from repro.obs.invariants import MonitorSuite, default_monitors
+from repro.obs.invariants import check
 from repro.shard import BalancerSpec, MembershipEvent, replay_sharded
 from repro.shard.runner import fan_out
 from repro.traces import replay_batch, zipf_trace
@@ -83,9 +83,8 @@ class TestMergeEqualsSingle:
             assert union == items()
 
         # Invariant verdicts over the merged registry match byte for byte.
-        suite = MonitorSuite(default_monitors())
-        single_verdicts = [v.to_json() for v in suite.evaluate(single_registry)]
-        merged_verdicts = [v.to_json() for v in suite.evaluate(merged_registry)]
+        single_verdicts = [v.to_json() for v in check(single_registry)]
+        merged_verdicts = [v.to_json() for v in check(merged_registry)]
         assert merged_verdicts == single_verdicts
 
     def test_registry_counters_match_single(self):
