@@ -34,6 +34,7 @@ library ships JSON so every supported interpreter can load it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
 
@@ -76,6 +77,8 @@ def _number(interval: Optional[tuple] = None, integer: bool = False) -> Convert:
         if not isinstance(value, types):
             wanted = "/".join(t.__name__ for t in types)
             raise ScenarioError(path, f"expected {wanted}, got {type(value).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioError(path, f"must be finite, got {value}")
         if interval is not None:
             lo_open, hi, hi_open = interval
             inside = (value > 0 if lo_open else value >= 0) and (

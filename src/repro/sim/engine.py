@@ -389,32 +389,32 @@ class EventDrivenSimulation:
         run of them due before ``until``."""
         times, flows, index = self._pending
         fresh = self.workload.arrivals_before(until)
-        if fresh:
+        n = len(fresh)
+        if n:
             first = self.result.flows_started
-            self.result.flows_started += len(fresh)
+            self.result.flows_started += n
             if self._columnar:
-                self._admit_columnar(first, fresh)
+                self._admit_columnar(first, fresh.key)
             else:
-                self._flows.update(enumerate(fresh, first))
+                self._flows.update(enumerate(fresh.flows(), first))
             # Per flow: its packets, then its end.  Older flows come first
             # and the sort is stable, so sorting on time alone orders ties
             # by (flow, packet index).
-            stamps, sizes = [], []
-            for flow in fresh:
-                stamps += flow.packet_times
-                stamps.append(flow.end)
-                sizes.append(len(flow.packet_times) + 1)
-            stamps, sizes = np.array(stamps), np.array(sizes)
-            ends = np.cumsum(sizes) - 1
-            packet = (np.arange(len(stamps)) - np.repeat(ends - sizes + 1, sizes)).astype(np.int32)
+            size = fresh.size + 1
+            ends = fresh.offsets[1:] + np.arange(n)
+            end = fresh.start + fresh.duration
+            stamps = np.empty(ends[-1] + 1)
+            packet = np.arange(len(stamps)) - np.repeat(ends - fresh.size, size)
             packet[ends] = -1
+            stamps[packet >= 0] = fresh.times
+            stamps[ends] = end
             # The first packet is the arrival; a later one at or after the
             # flow's end is never sent (the end goes first).
-            keep = (packet <= 0) | (stamps < np.repeat(stamps[ends], sizes))
-            number = np.repeat(np.arange(first, first + len(fresh), dtype=np.int32), sizes)
+            keep = (packet <= 0) | (stamps < np.repeat(end, size))
+            number = np.repeat(np.arange(first, first + n, dtype=np.int32), size)
             times = np.concatenate((times, stamps[keep]))
             flows = np.concatenate((flows, number[keep]))
-            index = np.concatenate((index, packet[keep]))
+            index = np.concatenate((index, packet[keep].astype(np.int32)))
             order = np.argsort(times, kind="stable")
             times, flows, index = times[order], flows[order], index[order]
         due = int(np.searchsorted(times, until))
@@ -531,16 +531,14 @@ class EventDrivenSimulation:
         self._retire(flow)
 
     # ------------------------------------------------ the columnar consumer
-    def _admit_columnar(self, first: int, fresh: List[Flow]) -> None:
-        room = first + len(fresh) - len(self._keys)
+    def _admit_columnar(self, first: int, keys: np.ndarray) -> None:
+        room = first + len(keys) - len(self._keys)
         if room > 0:  # grow by doubling: the arrays are not re-made per window
             room = max(room, len(self._keys), 1024)
             self._keys = np.concatenate((self._keys, np.zeros(room, np.uint64)))
             self._next = np.concatenate((self._next, np.zeros(room, np.int32)))
             self._served = np.concatenate((self._served, np.full(room, _NEW, np.int32)))
-        self._keys[first : first + len(fresh)] = np.array(
-            [flow.key for flow in fresh], dtype=np.uint64
-        )
+        self._keys[first : first + len(keys)] = keys
 
     def _consume_columnar(self, times, flows, index) -> None:
         """What :meth:`_consume_scalar` does to a run, as three batches.

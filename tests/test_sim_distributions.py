@@ -10,6 +10,7 @@ from repro.sim.distributions import (
     Exponential,
     LogNormal,
     Mixture,
+    dist_from_dict,
     hadoop_flow_duration,
     hadoop_flow_size,
     server_downtime,
@@ -80,6 +81,45 @@ class TestMixture:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Mixture([])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestHostileParameters:
+    """A NaN passes every ``<=`` check, so each parameter is checked for
+    being a finite number; weights for being non-negative, not all zero."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Constant(NAN),
+            lambda: Constant(INF),
+            lambda: Exponential(NAN),
+            lambda: Exponential(INF),
+            lambda: LogNormal(NAN, 1.0),
+            lambda: LogNormal(1.0, INF),
+            lambda: BoundedPareto(NAN, 1, 10),
+            lambda: BoundedPareto(1.5, 1, INF),
+            lambda: BoundedPareto(400.0, 1e10, 1e11),  # minimum ** alpha overflows
+            lambda: Exponential(True),
+            lambda: Mixture([(0, Constant(1)), (0.0, Constant(2))]),
+            lambda: Mixture([(-1, Constant(1)), (2, Constant(2))]),
+            lambda: Mixture([(NAN, Constant(1))]),
+            lambda: Mixture([(1, "constant")]),
+            lambda: dist_from_dict({"kind": "mixture", "components": [{"kind": "constant", "value": 1}]}),
+            lambda: dist_from_dict({"kind": "mixture", "components": [[1, 5]]}),
+            lambda: dist_from_dict({"kind": "mixture", "components": 3}),
+            lambda: dist_from_dict(["constant", 1]),
+        ],
+    )
+    def test_rejected_with_a_value_or_type_error(self, build):
+        with pytest.raises((ValueError, TypeError)):
+            build()
+
+    def test_a_zero_weight_component_is_allowed(self):
+        m = Mixture([(0, Constant(1)), (2, Constant(5))])
+        assert m.mean() == 5 and m.sample(random.Random(0)) == 5
 
 
 class TestPaperFactories:

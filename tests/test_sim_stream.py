@@ -12,13 +12,15 @@ accounting on arrays.  Four contracts:
 (b) nothing per flow or per packet is scheduled: the number of ``sim.at``
     calls (and of calls into ``repro.obs``) does not grow with the load;
 (c) simultaneous things run in the documented order;
-(d) the generator draws the same flows however the run is cut into windows.
+(d) the generator draws the same flows however the run is cut into windows
+    (``test_sim_draws.py`` has how those draws are made).
 """
 
 import collections
 import functools
 import random
 
+import numpy as np
 import pytest
 
 import repro.sim.scenario as sim_scenario
@@ -43,8 +45,9 @@ from repro.sim import (
     run_simulation,
 )
 from repro.sim.engine import EventDrivenSimulation
-from repro.sim.workload import Flow, RateProfile
+from repro.sim.workload import Arrivals, RateProfile
 from tests.test_obs_differential import count_obs_calls
+from tests.test_sim_draws import _exponential, _pareto, described, todays_draws
 
 
 class ScalarOnly:
@@ -219,31 +222,32 @@ class TestNothingPerFlowIsScheduled:
 
 
 # -------------------------------------------------------------- (c) ties
-class OnTheBeat(WorkloadGenerator):
+class OnTheBeat:
     """A flow every 0.5 s, lasting exactly 1 s, with packets at +0, +0.5
     and +1.0: arrivals and second packets fall on the 0.5 s sample beat
     (and on other flows' packets), third packets on the flow's own end."""
 
-    def __init__(self):
-        super().__init__(1.0, Constant(3), Constant(1.0))
+    packets = (0.0, 0.5, 1.0)
+    duration = 1.0
 
-    def next_arrival_gap(self) -> float:
-        return 0.5
+    def __init__(self, flows: int = 40):
+        start = 0.5 * np.arange(1, flows + 1)
+        self._ahead = Arrivals(
+            0, start, np.full(flows, len(self.packets)), np.full(flows, self.duration),
+            (start[:, None] + self.packets).ravel(),
+            key=1_000_003 * np.arange(1, flows + 1),
+        )
 
-    def make_flow(self, now: float) -> Flow:
-        flow = Flow(self._next_id, 1_000_003 * (self._next_id + 1), now, 1.0, 3)
-        flow.packet_times = [now, now + 0.5, now + 1.0]
-        self._next_id += 1
-        return flow
+    def arrivals_before(self, until: float) -> Arrivals:
+        window, self._ahead = self._ahead.before(until)
+        return window
 
 
 class EndsAsItArrives(OnTheBeat):
     """Two packets and the end, all at the arrival instant."""
 
-    def make_flow(self, now: float) -> Flow:
-        flow = super().make_flow(now)
-        flow.duration, flow.size, flow.packet_times = 0.0, 2, [now, now]
-        return flow
+    packets = (0.0, 0.0)
+    duration = 0.0
 
 
 class TestTies:
@@ -319,21 +323,6 @@ class TestTies:
 
 
 # ----------------------------------------------------------- (d) windows
-def described(flows):
-    return [
-        (f.flow_id, f.key, f.start, f.duration, f.size, f.packet_times) for f in flows
-    ]
-
-
-def by_hand(generator, until):
-    """The draws the engine used to make, one arrival event at a time."""
-    flows, now = [], generator.next_arrival_gap()
-    while now < until:
-        flows.append(generator.make_flow(now))
-        now += generator.next_arrival_gap()
-    return flows
-
-
 PROFILES = {
     "homogeneous": lambda: None,
     "flash-crowd": lambda: RateProfile.flash_crowd(start=3.0, ramp_s=2.0, magnitude=3.0, hold_s=2.0),
@@ -350,9 +339,11 @@ class TestWindows:
         )
 
     def test_one_window_equals_the_per_arrival_draws(self, profile):
-        expected = by_hand(self.generator(profile), 12.0)
+        expected = todays_draws(
+            120.0, _pareto(1.2, 1, 40)[1], _exponential(2.0)[1], 9, PROFILES[profile](), 12.0
+        )
         assert len(expected) > 1000
-        assert described(self.generator(profile).arrivals_before(12.0)) == described(expected)
+        assert described([self.generator(profile).arrivals_before(12.0)]) == expected
 
     def test_any_cut_into_windows_draws_the_same_flows(self, profile):
         whole = self.generator(profile).arrivals_before(12.0)
@@ -360,9 +351,9 @@ class TestWindows:
         cuts = sorted(rng.uniform(0.0, 12.0) for _ in range(200))
         # Cuts exactly on an arrival (it belongs to the *next* window),
         # repeated cuts and an empty first window.
-        cuts += [whole[10].start, whole[500].start, whole[500].start, 0.0, 12.0]
+        cuts += [whole.start[10], whole.start[500], whole.start[500], 0.0, 12.0]
         windowed = self.generator(profile)
         pieces = [windowed.arrivals_before(until) for until in sorted(cuts)]
-        assert described([flow for piece in pieces for flow in piece]) == described(whole)
-        assert all(flow.start < until for piece, until in zip(pieces, sorted(cuts)) for flow in piece)
+        assert described(pieces) == described([whole])
+        assert all((piece.start < until).all() for piece, until in zip(pieces, sorted(cuts)))
         assert windowed.flows_created == len(whole)

@@ -1,6 +1,7 @@
 """Workload-generator and horizon-manager tests."""
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -8,7 +9,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core import make_full_ct, make_jet
 from repro.sim.backend import HorizonManager
 from repro.sim.distributions import Constant, Exponential
-from repro.sim.workload import WorkloadGenerator
+from repro.sim.workload import RateProfile, WorkloadGenerator
 
 W = [f"w{i}" for i in range(12)]
 STANDBY = ["s0", "s1", "s2"]
@@ -20,45 +21,64 @@ def generator(rate=50.0, seed=0, size=Constant(5), duration=Constant(2.0)):
 
 class TestWorkloadGenerator:
     def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            generator(rate=0)
+        for rate in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                generator(rate=rate)
 
     def test_arrival_gaps_positive_with_correct_mean(self):
-        g = generator(rate=50.0)
-        gaps = [g.next_arrival_gap() for _ in range(20_000)]
-        assert all(gap >= 0 for gap in gaps)
-        assert sum(gaps) / len(gaps) == pytest.approx(1 / 50.0, rel=0.05)
+        gaps = np.diff(generator(rate=50.0).arrivals_before(400.0).start)
+        assert len(gaps) > 19_000
+        assert (gaps >= 0).all()
+        assert gaps.mean() == pytest.approx(1 / 50.0, rel=0.05)
 
     def test_flow_packet_schedule(self):
-        g = generator(size=Constant(10), duration=Constant(4.0))
-        flow = g.make_flow(now=100.0)
-        assert flow.size == 10
-        assert len(flow.packet_times) == 10
-        assert flow.packet_times[0] == 100.0
-        assert all(100.0 <= t <= 104.0 for t in flow.packet_times)
-        assert flow.packet_times == sorted(flow.packet_times)
+        window = generator(size=Constant(10), duration=Constant(4.0)).arrivals_before(100.0)
+        assert (window.size == 10).all() and (np.diff(window.offsets) == 10).all()
+        for i, start in enumerate(window.start.tolist()):
+            times = window.times[window.offsets[i] : window.offsets[i + 1]]
+            assert times[0] == start
+            assert ((start <= times) & (times <= start + 4.0)).all()
+            assert (np.diff(times) >= 0).all()
 
     def test_single_packet_flow(self):
-        g = generator(size=Constant(1))
-        flow = g.make_flow(now=5.0)
-        assert flow.packet_times == [5.0]
+        window = generator(size=Constant(1)).arrivals_before(5.0)
+        assert window.times.tolist() == window.start.tolist()
 
     def test_keys_unique_across_flows(self):
-        g = generator()
-        keys = {g.make_flow(i * 0.1).key for i in range(5000)}
-        assert len(keys) == 5000
+        keys = generator().arrivals_before(100.0).key
+        assert len(keys) > 4000 and len(set(keys.tolist())) == len(keys)
 
     def test_seeded_reproducibility(self):
-        a, b = generator(seed=9), generator(seed=9)
-        fa, fb = a.make_flow(1.0), b.make_flow(1.0)
-        assert fa.key == fb.key
-        assert fa.packet_times == fb.packet_times
+        a, b = generator(seed=9).arrivals_before(3.0), generator(seed=9).arrivals_before(3.0)
+        assert len(a) > 50
+        for field in ("start", "key", "size", "duration", "times"):
+            assert getattr(a, field).tolist() == getattr(b, field).tolist()
+        assert generator(seed=10).arrivals_before(3.0).key.tolist() != a.key.tolist()
 
     def test_flow_ids_sequential(self):
         g = generator()
-        flows = [g.make_flow(0.0) for _ in range(5)]
-        assert [f.flow_id for f in flows] == list(range(5))
-        assert g.flows_created == 5
+        windows = [g.arrivals_before(until) for until in (0.5, 0.5, 1.0, 2.0)]
+        sizes = [len(w) for w in windows]
+        assert [w.first for w in windows] == np.cumsum([0] + sizes[:-1]).tolist()
+        assert [flow.flow_id for w in windows for flow in w.flows()] == list(range(g.flows_created))
+        assert g.flows_created == sum(map(len, windows)) > 50
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RateProfile(lambda t: 1.0, float("nan")),
+        lambda: RateProfile.flash_crowd(start=float("nan"), ramp_s=1.0, magnitude=2.0),
+        lambda: RateProfile.flash_crowd(start=1.0, ramp_s=1.0, magnitude=float("inf")),
+        lambda: RateProfile.flash_crowd(start=1.0, ramp_s=1.0, magnitude=2.0, hold_s=float("nan")),
+        lambda: RateProfile.diurnal(period_s=float("nan")),
+        lambda: RateProfile.diurnal(period_s=float("inf")),
+    ],
+)
+def test_a_rate_profile_refuses_non_finite_parameters(build):
+    # A NaN factor would reject every thinning proposal: a hang, not a run.
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestHorizonManager:

@@ -180,6 +180,40 @@ HOSTILE_DOCUMENTS = {
         doc(ch_family="anchor", fleet={"horizon": 2, "zones": [
             {"name": "big", "servers": 4, "weight": 3.0}, {"name": "std", "servers": 4}]}),
         ".fleet.zones[0].weight: ch_family 'anchor' cannot weight servers"),
+    # Distribution tables.  Were: ZeroDivisionError / AttributeError
+    # tracebacks, a NaN mean that ran with no flows (exit 0), and a
+    # negative weight that bent the mixture's CDF.
+    "zero-mixture-weights": (
+        doc(workload={"connection_rate": 50, "flow_size": {"kind": "mixture", "components": [
+            [0, {"kind": "constant", "value": 2}], [0.0, {"kind": "constant", "value": 3}]]}}),
+        ".workload.flow_size: bad distribution parameters: mixture weights must not all be zero"),
+    "component-not-a-pair": (
+        doc(workload={"connection_rate": 50, "flow_size": {"kind": "mixture", "components": [
+            {"kind": "constant", "value": 2}]}}),
+        ".workload.flow_size: bad distribution parameters: component 0 must be a [weight, table]"),
+    "component-not-a-table": (
+        doc(workload={"connection_rate": 50, "flow_size": {"kind": "mixture", "components": [
+            [1, 5]]}}),
+        ".workload.flow_size: bad distribution parameters: expected a distribution table, got 5"),
+    "negative-mixture-weight": (
+        doc(workload={"connection_rate": 50, "flow_duration": {"kind": "mixture", "components": [
+            [-1, {"kind": "exponential", "mean": 1}], [2, {"kind": "exponential", "mean": 3}]]}}),
+        ".workload.flow_duration: bad distribution parameters: component 0 weight must be "
+        "non-negative, got -1"),
+    "nan-mean": (
+        doc(workload={"connection_rate": 50,
+                      "flow_duration": {"kind": "exponential", "mean": float("nan")}}),
+        ".workload.flow_duration: bad distribution parameters: mean must be finite, got nan"),
+    "infinite-pareto-bound": (
+        doc(workload={"connection_rate": 50, "flow_size": {
+            "kind": "bounded_pareto", "alpha": 1.5, "minimum": 1, "maximum": float("inf")}}),
+        ".workload.flow_size: bad distribution parameters: maximum must be finite, got inf"),
+    "infinite-rate": (doc(workload={"connection_rate": float("inf")}),
+                      ".workload.connection_rate: must be finite, got inf"),
+    "nan-rate-profile": (
+        doc(workload={"connection_rate": 50,
+                      "rate_profile": {"kind": "diurnal", "period_s": float("nan")}}),
+        ".workload.rate_profile: bad rate-profile parameters: period_s must be finite, got nan"),
 }
 
 
