@@ -217,7 +217,7 @@ class ConcuryHash(HorizonConsistentHash):
         self.last_refresh_touched = 0
         if changed is None or len(changed) > self.flowsets // 2:
             self._map = Othello(
-                range(self.flowsets), new_vals.tolist(), seed=self.seed
+                np.arange(self.flowsets, dtype=np.uint64), new_vals, seed=self.seed
             )
             self.rebuilds += 1
             self.last_refresh_changed = int(
@@ -225,9 +225,7 @@ class ConcuryHash(HorizonConsistentHash):
             )
         else:
             patched = self._map.clone()
-            touched = 0
-            for s in changed.tolist():
-                touched += patched.update(s, int(new_vals[s]))
+            touched = patched.update_many(changed, new_vals[changed])
             self._map = patched
             self.patches += 1
             self.last_refresh_changed = len(changed)

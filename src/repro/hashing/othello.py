@@ -8,22 +8,29 @@ integer arrays ``A`` (size ``ma``) and ``B`` (size ``mb``) such that
 
 -- two seeded hash probes and one XOR, branch-free and O(1) regardless of
 how many keys are stored.  Construction views each key as an edge of a
-bipartite graph between A-nodes and B-nodes; when that graph is acyclic
+bipartite graph between A-nodes and B-nodes; when that graph is a forest
 (which holds with high probability for ``ma >= 1.33 n``, ``mb >= n``) the
-array cells can be assigned by walking each tree once so every edge's
-endpoint XOR equals its value.  A cyclic draw is retried with the next
-seed pair derived deterministically from the master seed, so two builds
-from the same ``(keys, values, seed)`` are identical arrays -- including
-how many attempts they burned.
+array cells can be assigned so every edge's endpoint XOR equals its value.
+A cyclic draw is retried with the next seed pair derived deterministically
+from the master seed, so two builds from the same ``(keys, values, seed)``
+are identical arrays -- including how many attempts they burned.
+
+The build is one numpy peeling pass (:func:`_peel`): a draw is a forest
+iff repeatedly removing the edges that have a degree-1 endpoint removes
+every edge, and assigning cells in reverse peel order, one vectorised
+step per round, fixes every edge's XOR.  The graph is kept as CSR arrays
+(node offsets and neighbours) and the keys as a sorted array, so an
+``Othello`` holds -- and pickles as -- numpy arrays and ints only.
 
 The *control plane* owns all mutation:
 
-- :meth:`update` changes one key's value in place by XOR-ing the value
-  delta along the affected tree component (the key's edge is the only
-  edge leaving that component, so every other key's lookup is preserved);
-- :meth:`clone` is a cheap copy-on-write snapshot (arrays copied, the
-  immutable edge structure shared) used to patch a new version aside and
-  flip it atomically into the dataplane.
+- :meth:`update` / :meth:`update_many` change keys' values in place by
+  XOR-ing each value delta along the affected tree component (the key's
+  edge is the only edge leaving that component, so every other key's
+  lookup is preserved);
+- :meth:`clone` is a cheap copy-on-write snapshot (cells copied, the
+  read-only graph shared) used to patch a new version aside and flip it
+  atomically into the dataplane.
 
 Lookups of keys *outside* the built key set return well-defined garbage
 (whatever the two probed cells XOR to); callers that need membership must
@@ -33,7 +40,8 @@ exactly the built key set.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import operator
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +49,10 @@ from repro.hashing.mix import MASK64, fmix64
 from repro.hashing.vector import v_fmix64
 
 __all__ = ["Othello", "OthelloBuildError"]
+
+#: One peeling round: the edges removed, and for each its degree-1 end
+#: (``free``) and the end it still hangs from (``other``).
+Round = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class OthelloBuildError(RuntimeError):
@@ -64,13 +76,69 @@ def _probe_seeds(seed: int, attempt: int) -> Tuple[int, int]:
     return base, fmix64(base ^ 0xC4CEB9FE1A85EC53)
 
 
+def _key_array(keys) -> np.ndarray:
+    """``keys`` as uint64, refusing anything but integers in [0, 2**64)."""
+    if isinstance(keys, np.ndarray) and keys.dtype.kind in "ui":
+        if keys.dtype.kind == "i" and len(keys) and keys.min() < 0:
+            pos = int(np.argmax(keys < 0))
+            raise ValueError(f"Othello key at position {pos} is {keys[pos]}, not in [0, 2**64)")
+        return keys.astype(np.uint64)
+    checked = []
+    for pos, key in enumerate(keys):
+        try:
+            key = operator.index(key)
+        except TypeError:
+            raise ValueError(f"Othello key at position {pos} is {key!r}, not an integer") from None
+        if not 0 <= key <= MASK64:
+            raise ValueError(f"Othello key at position {pos} is {key}, not in [0, 2**64)")
+        checked.append(key)
+    return np.array(checked, dtype=np.uint64)
+
+
+def _value_array(values, value_bits: int) -> np.ndarray:
+    if not isinstance(values, np.ndarray):
+        values = [int(v) for v in values]
+    values = np.asarray(values)
+    if len(values) and (values.min() < 0 or values.max() >= 1 << value_bits):
+        raise ValueError(f"values must fit in {value_bits} bits")
+    return values
+
+
+def _peel(u: np.ndarray, v: np.ndarray, total: int) -> Optional[List[Round]]:
+    """Peeling rounds if the edges ``u[e] -- v[e]`` form a forest, else None.
+
+    Each round removes every alive edge with a degree-1 endpoint; a draw
+    is a forest iff that empties the graph (a cycle, including the 2-cycle
+    of a duplicate pair, never loses a degree-1 node).  An edge's free end
+    is its degree-1 node, the A-side one when both are.  A free end has no
+    other alive edge, so no node is free twice or free and other in one
+    round.
+    """
+    deg = np.bincount(u, minlength=total) + np.bincount(v, minlength=total)
+    alive = np.arange(len(u))
+    rounds: List[Round] = []
+    while len(alive):
+        au, av = u[alive], v[alive]
+        u_free = deg[au] == 1
+        leaf = u_free | (deg[av] == 1)
+        if not leaf.any():
+            return None
+        u_free = u_free[leaf]
+        free = np.where(u_free, au[leaf], av[leaf])
+        other = np.where(u_free, av[leaf], au[leaf])
+        rounds.append((alive[leaf], free, other))
+        deg[free] = 0
+        deg -= np.bincount(other, minlength=total)
+        alive = alive[~leaf]
+    return rounds
+
+
 class Othello:
     """Static perfect mapping ``uint64 key -> value`` with XOR lookup."""
 
     __slots__ = (
         "a", "b", "ma", "mb", "seed", "attempts", "value_bits",
-        "_seed_a", "_seed_b", "_keys", "_values", "_key_index",
-        "_edge_a", "_edge_b", "_adjacency",
+        "_seed_a", "_seed_b", "_keys", "_offsets", "_neighbors",
     )
 
     #: Sizing from the Othello paper: |A| >= 1.33 n keeps the bipartite
@@ -87,27 +155,29 @@ class Othello:
         ma: int = None,
         mb: int = None,
     ):
-        keys = [int(k) & MASK64 for k in keys]
-        values = [int(v) for v in values]
-        if len(keys) != len(values):
-            raise ValueError("keys and values must pair up")
-        if len(set(keys)) != len(keys):
-            raise ValueError("Othello keys must be distinct")
         if value_bits < 1 or value_bits > 32:
             raise ValueError("value_bits must be in [1, 32]")
-        limit = 1 << value_bits
-        if any(v < 0 or v >= limit for v in values):
-            raise ValueError(f"values must fit in {value_bits} bits")
+        keys = _key_array(keys)
+        values = _value_array(values, value_bits)
+        if len(keys) != len(values):
+            raise ValueError("keys and values must pair up")
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if len(repeated):
+            first, second = order[repeated[0]:repeated[0] + 2].tolist()
+            raise ValueError(
+                f"Othello keys must be distinct: positions {first} and {second} "
+                f"are both {keys[repeated[0]]}"
+            )
         n = max(1, len(keys))
         self.ma = ma if ma is not None else _pow2_at_least(int(self.A_LOAD * n) + 1)
         self.mb = mb if mb is not None else _pow2_at_least(n)
         self.seed = seed
         self.value_bits = value_bits
         dtype = np.uint8 if value_bits <= 8 else (np.uint16 if value_bits <= 16 else np.uint32)
-        self._keys = np.array(keys, dtype=np.uint64)
-        self._values = np.array(values, dtype=dtype)
-        self._key_index: Dict[int, int] = {k: i for i, k in enumerate(keys)}
-        self._build(max_attempts, dtype)
+        self._keys = keys
+        self._build(values[order].astype(dtype), max_attempts)
 
     # ------------------------------------------------------ construction
     def _probe(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -118,89 +188,40 @@ class Othello:
         hb = (v_fmix64(keys ^ sb) & np.uint64(self.mb - 1)).astype(np.int64)
         return ha, hb
 
-    def _build(self, max_attempts: int, dtype) -> None:
-        """Find an acyclic seed pair, then 2-color the forest.
+    def _build(self, values: np.ndarray, max_attempts: int) -> None:
+        """Find an acyclic seed pair, assign the cells, keep the graph.
 
         Each failed attempt advances the deterministic seed chain --
         ``attempts`` records how many were burned, and the hypothesis
-        suite bounds it.
-        """
-        n = len(self._keys)
-        for attempt in range(max_attempts):
-            self._seed_a, self._seed_b = _probe_seeds(self.seed, attempt)
-            ha, hb = self._probe(self._keys)
-            adjacency = self._acyclic_adjacency(ha, hb, n)
-            if adjacency is not None:
-                self.attempts = attempt + 1
-                self._edge_a = ha
-                self._edge_b = hb
-                self._adjacency = adjacency
-                self._assign(dtype)
-                return
-        raise OthelloBuildError(
-            f"no acyclic Othello draw for {n} keys in {max_attempts} attempts "
-            f"(ma={self.ma}, mb={self.mb})"
-        )
-
-    def _acyclic_adjacency(self, ha, hb, n):
-        """Adjacency lists if the edge draw is a forest, else None.
-
-        Nodes are numbered A-side ``0..ma-1`` and B-side ``ma..ma+mb-1``;
-        each adjacency entry is ``(neighbor, edge)``.  Acyclicity is
-        checked with one union-find pass (duplicate (h_a, h_b) pairs form
-        a 2-cycle and fail it like any other cycle).
+        suite bounds it.  Nodes are numbered A-side ``0..ma-1`` and
+        B-side ``ma..ma+mb-1``; the one node of each tree that peeling
+        never frees holds 0, and every freed node is fixed from the node
+        it hung from, which a later round (or no round) freed.
         """
         total = self.ma + self.mb
-        parent = list(range(total))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(total)]
-        ma = self.ma
-        for edge in range(n):
-            u = int(ha[edge])
-            v = ma + int(hb[edge])
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return None
-            parent[ru] = rv
-            adjacency[u].append((v, edge))
-            adjacency[v].append((u, edge))
-        return adjacency
-
-    def _assign(self, dtype) -> None:
-        """Walk each tree once, fixing cells so every edge XORs right."""
-        a = np.zeros(self.ma, dtype=dtype)
-        b = np.zeros(self.mb, dtype=dtype)
-        ma = self.ma
-        values = self._values
-        adjacency = self._adjacency
-        seen = bytearray(ma + self.mb)
-        cell = [0] * (ma + self.mb)
-        for root in range(ma + self.mb):
-            if seen[root] or not adjacency[root]:
+        for attempt in range(max_attempts):
+            self._seed_a, self._seed_b = _probe_seeds(self.seed, attempt)
+            u, v = self._probe(self._keys)
+            v += self.ma
+            rounds = _peel(u, v, total)
+            if rounds is None:
                 continue
-            seen[root] = 1
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                here = cell[node]
-                for neighbor, edge in adjacency[node]:
-                    if seen[neighbor]:
-                        continue
-                    seen[neighbor] = 1
-                    cell[neighbor] = here ^ int(values[edge])
-                    stack.append(neighbor)
-        if ma + self.mb:
-            flat = np.asarray(cell, dtype=dtype)
-            a[:] = flat[:ma]
-            b[:] = flat[ma:]
-        self.a = a
-        self.b = b
+            self.attempts = attempt + 1
+            cell = np.zeros(total, dtype=values.dtype)
+            for edges, free, other in reversed(rounds):
+                cell[free] = cell[other] ^ values[edges]
+            self.a, self.b = cell[:self.ma].copy(), cell[self.ma:].copy()
+            ends = np.concatenate((u, v))
+            self._neighbors = np.concatenate((v, u))[np.argsort(ends, kind="stable")]
+            self._offsets = np.zeros(total + 1, dtype=np.int64)
+            np.cumsum(np.bincount(ends, minlength=total), out=self._offsets[1:])
+            for shared in (self._keys, self._neighbors, self._offsets):
+                shared.flags.writeable = False
+            return
+        raise OthelloBuildError(
+            f"no acyclic Othello draw for {len(self._keys)} keys in {max_attempts} attempts "
+            f"(ma={self.ma}, mb={self.mb})"
+        )
 
     # ------------------------------------------------------------ lookup
     def lookup(self, key: int) -> int:
@@ -227,55 +248,60 @@ class Othello:
         changes.  Cost is the component size -- O(log n) expected at the
         subcritical load the builder enforces.
         """
-        edge = self._key_index[int(key) & MASK64]
-        old = int(self._values[edge])
-        value = int(value)
-        if value < 0 or value >= (1 << self.value_bits):
-            raise ValueError(f"value must fit in {self.value_bits} bits")
-        delta = old ^ value
-        if not delta:
-            return 0
+        return self.update_many([key], [value])
+
+    def update_many(self, keys, values) -> int:
+        """:meth:`update` each ``(key, value)`` pair in order; total touched.
+
+        Every key and value is checked before any cell changes.  In a
+        forest the key's edge is the only path from its A end to its B
+        end, so the walk starts at the A end with the B end marked seen.
+        """
+        keys = _key_array(keys)
+        values = _value_array(values, self.value_bits)
+        if len(keys) != len(values):
+            raise ValueError("keys and values must pair up")
+        rank = np.searchsorted(self._keys, keys)
+        member = rank < len(self._keys)
+        member[member] = self._keys[rank[member]] == keys[member]
+        if not member.all():
+            raise KeyError(int(keys[np.argmin(member)]))
+        ha, hb = self._probe(keys)
         ma = self.ma
-        start = int(self._edge_a[edge])
-        seen = {start}
-        stack = [start]
+        a, b = memoryview(self.a), memoryview(self.b)
+        offsets, neighbors = memoryview(self._offsets), memoryview(self._neighbors)
         touched = 0
-        a, b = self.a, self.b
-        adjacency = self._adjacency
-        while stack:
-            node = stack.pop()
-            if node < ma:
-                a[node] ^= delta
-            else:
-                b[node - ma] ^= delta
-            touched += 1
-            for neighbor, via in adjacency[node]:
-                if via == edge or neighbor in seen:
-                    continue
-                seen.add(neighbor)
-                stack.append(neighbor)
-        self._values[edge] = value
+        for start, end, value in zip(ha.tolist(), hb.tolist(), values.tolist()):
+            delta = a[start] ^ b[end] ^ value
+            if not delta:
+                continue
+            seen = {start, ma + end}
+            stack = [start]
+            while stack:
+                node = stack.pop()
+                if node < ma:
+                    a[node] ^= delta
+                else:
+                    b[node - ma] ^= delta
+                touched += 1
+                for neighbor in neighbors[offsets[node]:offsets[node + 1]]:
+                    if neighbor not in seen:
+                        seen.add(neighbor)
+                        stack.append(neighbor)
         return touched
 
     def clone(self) -> "Othello":
-        """Copy-on-write snapshot: arrays copied, edge structure shared.
+        """Copy-on-write snapshot: cells copied, read-only graph shared.
 
         The control plane patches the clone with :meth:`update` calls and
         flips it into the dataplane in one reference assignment, so
         readers only ever see a fully consistent version.
         """
         twin = object.__new__(Othello)
-        twin.ma, twin.mb = self.ma, self.mb
-        twin.seed, twin.attempts = self.seed, self.attempts
-        twin.value_bits = self.value_bits
-        twin._seed_a, twin._seed_b = self._seed_a, self._seed_b
+        for name in self.__slots__:
+            setattr(twin, name, getattr(self, name))
         twin.a = self.a.copy()
         twin.b = self.b.copy()
-        twin._keys = self._keys
-        twin._values = self._values.copy()
-        twin._key_index = self._key_index
-        twin._edge_a, twin._edge_b = self._edge_a, self._edge_b
-        twin._adjacency = self._adjacency
         return twin
 
     # ------------------------------------------------------------- state
@@ -292,5 +318,5 @@ class Othello:
         return len(self._keys)
 
     def items(self):
-        """Control-plane view of the stored mapping."""
-        return zip(self._keys.tolist(), self._values.tolist())
+        """Control-plane view of the stored mapping, in key order."""
+        return zip(self._keys.tolist(), self.lookup_batch(self._keys).tolist())

@@ -1,6 +1,6 @@
 """Property-based suite for the Othello perfect mapping.
 
-Four contracts (ISSUE 9 satellite):
+Six contracts:
 
 1. **Build/lookup correctness** -- over random key sets and values, every
    stored key must look up to exactly its value, scalar and batch alike.
@@ -13,7 +13,17 @@ Four contracts (ISSUE 9 satellite):
 4. **Cycle-retry bounds** -- undersized arrays force cyclic draws; the
    builder must either succeed within ``max_attempts`` seeded retries or
    raise :class:`OthelloBuildError`, never loop or return a broken map.
+5. **Peeling == union-find** -- the numpy peeling build against the loop
+   builder it replaced (:class:`LoopOthello`, kept here as the
+   reference): same verdict per attempt, same seeds, same lookups, and
+   the same lookups and touched counts along any update sequence.
+6. **Arrays only, hostile keys refused** -- an unpickled map reaches no
+   list or dict, and a key that is not an integer in [0, 2**64) is a
+   ``ValueError`` naming its position.
 """
+
+import gc
+import pickle
 
 import numpy as np
 import pytest
@@ -21,9 +31,112 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing.mix import MASK64
-from repro.hashing.othello import Othello, OthelloBuildError
+from repro.hashing.othello import (
+    Othello, OthelloBuildError, _peel, _pow2_at_least, _probe_seeds,
+)
+from repro.hashing.vector import v_fmix64
 
 keys64 = st.integers(min_value=0, max_value=MASK64)
+
+
+def sizes(n, ma, mb):
+    """``(ma, mb)`` as the builder sizes them for ``n`` keys."""
+    n = max(1, n)
+    return (
+        ma if ma is not None else _pow2_at_least(int(Othello.A_LOAD * n) + 1),
+        mb if mb is not None else _pow2_at_least(n),
+    )
+
+
+class LoopOthello:
+    """The union-find + DFS builder the peeling build replaced.
+
+    Same sizing and seed chain; adjacency lists of ``(neighbor, edge)``,
+    cells assigned by walking each tree from its lowest-numbered node,
+    and :meth:`update` walking the lists.
+    """
+
+    def __init__(self, keys, values, seed=0, value_bits=16, max_attempts=64,
+                 ma=None, mb=None):
+        self.keys = np.array([int(k) for k in keys], dtype=np.uint64)
+        self.values = [int(v) for v in values]
+        self.key_index = {int(k): i for i, k in enumerate(self.keys.tolist())}
+        self.ma, self.mb = sizes(len(self.keys), ma, mb)
+        for attempt in range(max_attempts):
+            self.seed_a, self.seed_b = _probe_seeds(seed, attempt)
+            self.edge_a, self.edge_b = self.probe(self.keys)
+            self.adjacency = loop_forest(self.edge_a, self.edge_b, self.ma, self.mb)
+            if self.adjacency is not None:
+                self.attempts = attempt + 1
+                self.cells = self._assign()
+                return
+        raise OthelloBuildError(f"no acyclic draw in {max_attempts} attempts")
+
+    def probe(self, keys):
+        ha = v_fmix64(keys ^ np.uint64(self.seed_a)) & np.uint64(self.ma - 1)
+        hb = v_fmix64(keys ^ np.uint64(self.seed_b)) & np.uint64(self.mb - 1)
+        return ha.astype(np.int64).tolist(), hb.astype(np.int64).tolist()
+
+    def _assign(self):
+        cell = [0] * (self.ma + self.mb)
+        seen = [False] * (self.ma + self.mb)
+        for root in range(self.ma + self.mb):
+            if seen[root] or not self.adjacency[root]:
+                continue
+            seen[root] = True
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                for neighbor, edge in self.adjacency[node]:
+                    if not seen[neighbor]:
+                        seen[neighbor] = True
+                        cell[neighbor] = cell[node] ^ self.values[edge]
+                        stack.append(neighbor)
+        return cell
+
+    def lookup_batch(self, keys):
+        ha, hb = self.probe(np.asarray(keys, dtype=np.uint64))
+        return [self.cells[a] ^ self.cells[self.ma + b] for a, b in zip(ha, hb)]
+
+    def update(self, key, value):
+        edge = self.key_index[key]
+        delta = self.values[edge] ^ value
+        if not delta:
+            return 0
+        start = self.edge_a[edge]
+        seen, stack, touched = {start}, [start], 0
+        while stack:
+            node = stack.pop()
+            self.cells[node] ^= delta
+            touched += 1
+            for neighbor, via in self.adjacency[node]:
+                if via != edge and neighbor not in seen:
+                    seen.add(neighbor)
+                    stack.append(neighbor)
+        self.values[edge] = value
+        return touched
+
+
+def loop_forest(ha, hb, ma, mb):
+    """Adjacency lists if the draw is a forest (union-find), else None."""
+    parent = list(range(ma + mb))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    adjacency = [[] for _ in range(ma + mb)]
+    for edge, (a, b) in enumerate(zip(ha, hb)):
+        u, v = a, ma + b
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return None
+        parent[ru] = rv
+        adjacency[u].append((v, edge))
+        adjacency[v].append((u, edge))
+    return adjacency
 
 
 @st.composite
@@ -184,3 +297,187 @@ class TestCycleRetryBounds:
             assert all(o.lookup(k) == 0 for k in range(12))
             return
         pytest.fail("no seed built a tight Othello in 20 tries")
+
+
+# --------------------------------------------- peeling == union-find
+@st.composite
+def othello_cases(draw):
+    """Keys, values, build kwargs and update steps over three draw shapes:
+    default sizing (forests w.h.p.), undersized arrays (cyclic draws
+    likely) and one or two cells per side (duplicate pairs forced)."""
+    shape = draw(st.sampled_from(["sized", "undersized", "duplicates"]))
+    if shape == "sized":
+        n, ma, mb, attempts = draw(st.integers(1, 500)), None, None, 64
+    elif shape == "undersized":
+        n = draw(st.integers(2, 60))
+        ma, mb = draw(st.sampled_from([4, 8, 16, 32])), draw(st.sampled_from([4, 8, 16, 32]))
+        attempts = 8
+    else:
+        n, ma, mb, attempts = draw(st.integers(2, 4)), draw(st.sampled_from([1, 2])), 2, 8
+    keys = draw(st.lists(keys64, min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(st.integers(0, 4095), min_size=n, max_size=n))
+    kwargs = dict(seed=draw(st.integers(0, 2**32)), value_bits=12, ma=ma, mb=mb,
+                  max_attempts=attempts)
+    steps = draw(st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 4095)), max_size=20))
+    return keys, values, kwargs, steps
+
+
+def assert_same_map(keys, values, kwargs, steps):
+    """Both builders agree on the outcome, the seeds, every member lookup,
+    and every lookup and touched count along ``steps``."""
+    try:
+        ref = LoopOthello(keys, values, **kwargs)
+    except OthelloBuildError:
+        with pytest.raises(OthelloBuildError):
+            Othello(keys, values, **kwargs)
+        return
+    got = Othello(keys, values, **kwargs)
+    assert (got.attempts, got._seed_a, got._seed_b) == (ref.attempts, ref.seed_a, ref.seed_b)
+    probe = np.array(keys, dtype=np.uint64)
+    assert got.lookup_batch(probe).tolist() == ref.lookup_batch(probe) == list(values)
+    for pick, value in steps:
+        key = keys[pick % len(keys)]
+        assert got.update(key, value) == ref.update(key, value)
+        assert got.lookup_batch(probe).tolist() == ref.lookup_batch(probe)
+
+
+@pytest.fixture(scope="module")
+def pair_keys():
+    """A key for every ``(h_a, h_b)`` of a 128 x 128 draw at seed 0's first
+    attempt, at index ``128 h_a + h_b``: any graph on those cells can be
+    built as an Othello key set."""
+    seed_a, seed_b = _probe_seeds(0, 0)
+    candidates = np.arange(1 << 20, dtype=np.uint64)
+    ha = v_fmix64(candidates ^ np.uint64(seed_a)) & np.uint64(127)
+    hb = v_fmix64(candidates ^ np.uint64(seed_b)) & np.uint64(127)
+    codes, first = np.unique((ha << np.uint64(7)) | hb, return_index=True)
+    assert len(codes) == 128 * 128
+    return candidates[first].tolist()
+
+
+HAND_BUILT = {
+    # A0 - B0 - A1 - B1 - ... - A127 - B127: 255 edges, 128 peel rounds.
+    "long path": [(i, i) for i in range(128)] + [(i + 1, i) for i in range(127)],
+    "A-centred star": [(0, j) for j in range(128)],
+    "B-centred star": [(i, 0) for i in range(128)],
+}
+
+
+class TestPeelingMatchesUnionFind:
+    @given(case=othello_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_same_maps_and_updates(self, case):
+        assert_same_map(*case)
+
+    @given(case=othello_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_same_verdict_on_every_attempt(self, case):
+        keys, _, kwargs, _ = case
+        ma, mb = sizes(len(keys), kwargs["ma"], kwargs["mb"])
+        probe = np.array(keys, dtype=np.uint64)
+        for attempt in range(8):
+            seed_a, seed_b = _probe_seeds(kwargs["seed"], attempt)
+            ha = (v_fmix64(probe ^ np.uint64(seed_a)) & np.uint64(ma - 1)).astype(np.int64)
+            hb = (v_fmix64(probe ^ np.uint64(seed_b)) & np.uint64(mb - 1)).astype(np.int64)
+            forest = loop_forest(ha.tolist(), hb.tolist(), ma, mb) is not None
+            assert (_peel(ha, hb + ma, ma + mb) is not None) == forest
+
+    @pytest.mark.parametrize("shape", sorted(HAND_BUILT))
+    @given(steps=st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 4095)),
+                          min_size=1, max_size=30))
+    @settings(max_examples=10, deadline=None)
+    def test_hand_built_forests(self, pair_keys, shape, steps):
+        pairs = HAND_BUILT[shape]
+        keys = [pair_keys[128 * a + b] for a, b in pairs]
+        values = [(7 * i + 3) % 4096 for i in range(len(keys))]
+        assert_same_map(keys, values, dict(seed=0, value_bits=12, ma=128, mb=128), steps)
+        assert Othello(keys, values, value_bits=12, ma=128, mb=128).attempts == 1
+
+    def test_long_path_peels_from_both_ends(self):
+        u = np.array([a for a, _ in HAND_BUILT["long path"]])
+        v = np.array([128 + b for _, b in HAND_BUILT["long path"]])
+        assert len(_peel(u, v, 256)) == 128
+
+    def test_duplicate_pair_never_peels(self):
+        assert _peel(np.array([0, 0]), np.array([1, 1]), 2) is None
+
+    def test_concury_sized_map(self):
+        # The bench fleet's map: 4096 flowsets over 110 slots.
+        rng = np.random.default_rng(7)
+        values = rng.integers(0, 110, 4096).tolist()
+        steps = list(zip(rng.integers(0, 4096, 300).tolist(), rng.integers(0, 110, 300).tolist()))
+        assert_same_map(list(range(4096)), values, dict(seed=0), steps)
+
+
+# ------------------------------------------------- arrays, hostile keys
+def reachable(root):
+    """Every object reachable from ``root`` (classes excluded), following
+    numpy arrays to their buffers."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))
+        if isinstance(obj, np.ndarray) and obj.base is not None:
+            stack.append(obj.base)
+
+
+def test_pickles_as_arrays():
+    values = [k % 110 for k in range(4096)]
+    o = Othello(range(4096), values)
+    image = pickle.dumps(o)
+    twin = pickle.loads(image)
+    found = list(reachable(twin))
+    assert not [type(x) for x in found if isinstance(x, (list, dict))]
+    assert all(x.dtype != object for x in found if isinstance(x, np.ndarray))
+    arrays = [getattr(o, s) for s in Othello.__slots__ if isinstance(getattr(o, s), np.ndarray)]
+    assert len(image) <= sum(x.nbytes for x in arrays) + 1024
+    # The copy is a working map of its own.
+    probe = np.arange(4096, dtype=np.uint64)
+    assert twin.lookup_batch(probe).tolist() == values
+    assert twin.update(5, 100) >= 1
+    assert (twin.lookup(5), o.lookup(5)) == (100, 5)
+
+
+def test_clone_shares_a_read_only_graph():
+    o = Othello(range(64), [k % 9 for k in range(64)], value_bits=4)
+    twin = o.clone()
+    assert twin._neighbors is o._neighbors and twin._offsets is o._offsets
+    assert not (o._neighbors.flags.writeable or o._offsets.flags.writeable
+                or o._keys.flags.writeable)
+    assert twin.a is not o.a and twin.b is not o.b
+
+
+class TestHostileKeys:
+    @pytest.mark.parametrize("keys,position", [
+        ([-1, 2**64 - 1], 0),
+        ([0, 2**64], 1),
+        ([3, 1.5], 1),
+        ([3, 1.0], 1),
+        ([3, 4, "5"], 2),
+        ([None], 0),
+        (np.array([3, -2]), 1),
+        (np.array([1.0, 2.0]), 0),
+    ])
+    def test_non_key_is_a_value_error_naming_its_position(self, keys, position):
+        with pytest.raises(ValueError, match=f"position {position} "):
+            Othello(keys, [0] * len(keys))
+
+    def test_minus_one_no_longer_aliases_the_top_key(self):
+        o = Othello([2**64 - 1, 0], [1, 2])
+        assert (o.lookup(2**64 - 1), o.lookup(0)) == (1, 2)
+
+    def test_duplicate_names_both_positions(self):
+        with pytest.raises(ValueError, match="positions 0 and 2 are both 5"):
+            Othello([5, 7, 5], [0, 1, 2])
+
+    def test_update_refuses_a_non_key(self):
+        o = Othello([1, 2, 3], [0, 1, 2], value_bits=4)
+        with pytest.raises(ValueError, match="position 0"):
+            o.update(1.5, 3)
+        with pytest.raises(KeyError):
+            o.update(2**64 - 1, 3)
+        assert [o.lookup(k) for k in (1, 2, 3)] == [0, 1, 2]

@@ -18,7 +18,7 @@ from repro.obs import Registry
 from repro.obs.invariants import check
 from repro.shard import BalancerSpec, MembershipEvent, replay_sharded
 from repro.shard.runner import fan_out
-from repro.traces import replay_batch, zipf_trace
+from repro.traces import load_trace, replay_batch, save_trace, zipf_trace
 from repro.traces.replay import merge_replay_results
 
 #: Every (mode, family) pair the CLI can build; JET and Concury need a
@@ -325,6 +325,31 @@ class TestWorkerDeath:
 
     def test_fan_out_orders_payloads_by_shard(self):
         assert fan_out(lambda shard: shard * shard, 5, 2) == [0, 1, 4, 9, 16]
+
+    @pytest.mark.parametrize("bad_shard", [0, 1])
+    def test_shard_error_over_an_mmap_trace(self, bad_shard, tmp_path):
+        # Shard 0 fails in the calling process, shard 1 in the forked
+        # worker, both mid-replay, while the shard's trace and the replay
+        # loop hold views of the mapped columns.  Either way the caller
+        # sees that shard's own error: not a BufferError from closing a
+        # mapping those views still pin.
+        path = tmp_path / "trace.npz"
+        save_trace(small_trace(), path, compressed=False)
+        build = fleet("jet", "table").build
+
+        def factory(shard_id):
+            balancer = build(shard_id)
+            if shard_id == bad_shard:
+                def refuse(keys):
+                    raise ValueError(f"shard {shard_id} refuses")
+
+                balancer.get_destinations_batch_idx = refuse
+            return balancer
+
+        with pytest.raises((ValueError, RuntimeError), match=f"shard {bad_shard} refuses"):
+            with load_trace(path, mmap=True) as trace:
+                replay_sharded(trace, factory, n_workers=2, n_shards=2)
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(
