@@ -10,6 +10,8 @@ JET-pluggable (implement :class:`~repro.ch.base.HorizonConsistentHash`):
 - :class:`ModuloHash` -- the Section 2.4 strawman (not consistent);
 - :class:`ConcuryHash` -- Concury-style Othello perfect mapping over
   flowsets (extension; O(1) dataplane, control-plane mutation).
+- :class:`WeightedHRWHash` / :class:`WeightedRingHash` -- heterogeneous
+  capacities (``{name: weight}`` server specs).
 
 Full-CT only (implements plain :class:`~repro.ch.base.ConsistentHash`):
 
@@ -53,24 +55,28 @@ EXTENSION_FAMILIES = {
 }
 
 
-def family_choices(jet_only: bool = False, maglev: bool = False, weighted: bool = False):
-    """Sorted CH family names for CLI ``choices=`` lists.
+#: The heterogeneous variants: their ``working`` / ``horizon`` take
+#: ``{name: weight}`` server specs (plain names weigh 1.0).
+WEIGHTED_FAMILIES = {
+    "weighted-hrw": WeightedHRWHash,
+    "weighted-ring": WeightedRingHash,
+}
 
-    The single source of truth is the registries above: a new family
-    registered there appears in every ``--family`` flag automatically.
-    ``jet_only`` restricts to the paper's horizon-pluggable four;
-    ``maglev`` appends the full-CT-only MaglevHash and
-    ``weighted`` the two server-spec variants ``make_ch`` special-cases
-    (what a scenario document's ``ch_family`` may name).
-    """
-    names = sorted(JET_FAMILIES)
-    if not jet_only:
-        names += sorted(EXTENSION_FAMILIES)
-    if maglev:
-        names.append("maglev")
-    if weighted:
-        names += ["weighted-hrw", "weighted-ring"]
-    return names
+#: Every CH family by name: what each ``--family`` flag and a scenario's
+#: ``ch_family`` accept.  Which (mode, family) pairs build, and how, is
+#: :func:`repro.core.factories.check_stack`'s decision.
+FAMILIES = {
+    **JET_FAMILIES,
+    **EXTENSION_FAMILIES,
+    "maglev": MaglevHash,
+    **WEIGHTED_FAMILIES,
+}
+
+
+def family_choices():
+    """Sorted CH family names: the one list every entry point accepts."""
+    return sorted(FAMILIES)
+
 
 __all__ = [
     "BackendError",
@@ -95,5 +101,7 @@ __all__ = [
     "WeightedRingHash",
     "JET_FAMILIES",
     "EXTENSION_FAMILIES",
+    "WEIGHTED_FAMILIES",
+    "FAMILIES",
     "family_choices",
 ]

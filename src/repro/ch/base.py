@@ -27,8 +27,6 @@ from typing import FrozenSet, Hashable, Tuple
 
 import numpy as np
 
-from repro.hashing.keyed import server_seed
-
 Name = Hashable
 
 
@@ -53,54 +51,11 @@ class ConsistentHash(ABC):
         """
 
     # --------------------------------------------------- index dataplane
-    def backend_table(self) -> np.ndarray:
-        """Canonical backend table: an object array of server names that
-        :meth:`lookup_batch_idx` results index into.
-
-        The table's *identity* is the cache key of the columnar dataplane
-        (:class:`repro.core.indexing.BackendIndexer` translations): a CH
-        must return the **same array object** while the backend is
-        unchanged and a **new array** after any change -- never mutate a
-        published table in place.  ``None`` entries (retired slots) are
-        allowed; no lookup may ever resolve to one.  This default caches
-        on the working set and serves the scalar-spec index path below;
-        vectorized families override it with their kernel's own table.
-        """
-        cached = getattr(self, "_spec_table_cache", None)
-        working = self.working
-        if cached is not None and cached[0] == working:
-            return cached[1]
-        names = sorted(working, key=server_seed)
-        table = np.empty(len(names), dtype=object)
-        table[:] = names
-        self._spec_table_cache = (working, table, {n: i for i, n in enumerate(names)})
-        return table
-
-    def _spec_table_index(self) -> dict:
-        """Name -> index map for the default :meth:`backend_table`."""
-        self.backend_table()
-        return self._spec_table_cache[2]
-
-    def lookup_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """Int32 indices into :meth:`backend_table`, one per key of a
-        uint64 array.
-
-        Batch calls are *pure lookups*: no CH mutates under them, so the
-        result is defined by ``backend_table()[lookup_batch_idx(keys)] ==
-        [lookup(k) for k in keys]`` -- the scalar path is the executable
-        spec, and the differential tests hold every override to it
-        key-for-key.  This default is that scalar loop mapped through
-        the table; families with a real kernel override it to return
-        their internal indices directly.  An empty batch returns an
-        empty array and never raises.
-        """
-        table_index = self._spec_table_index()
-        keys = np.asarray(keys, dtype=np.uint64).tolist()
-        return np.fromiter(
-            (table_index[self.lookup(k)] for k in keys),
-            dtype=np.int32,
-            count=len(keys),
-        )
+    # A family with an integer-index kernel defines ``backend_table()``
+    # (server names; a new array after any change, never mutated; ``None``
+    # for retired slots) and ``lookup_batch_idx`` (horizon hashes:
+    # ``lookup_with_safety_batch_idx``), int32 indices into it equal key
+    # for key to the scalar lookups.  Others run scalar (has_index_kernel).
 
     @abstractmethod
     def add(self, name: Name) -> None:
@@ -146,25 +101,6 @@ class HorizonConsistentHash(ConsistentHash):
         connection must be tracked to survive future horizon additions
         (Theorem 4.4).
         """
-
-    def lookup_with_safety_batch_idx(
-        self, keys: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(indices, unsafe_mask)`` for a uint64 key array: exactly
-        ``[lookup_with_safety(k) for k in keys]`` with each name mapped
-        to its :meth:`~ConsistentHash.backend_table` index (see
-        :meth:`ConsistentHash.lookup_batch_idx` for the batch contract).
-        This default is that loop; vectorized families return their
-        internal indices.
-        """
-        table_index = self._spec_table_index()
-        keys = np.asarray(keys, dtype=np.uint64).tolist()
-        indices = np.empty(len(keys), dtype=np.int32)
-        unsafe = np.empty(len(keys), dtype=bool)
-        for i, key in enumerate(keys):
-            name, unsafe[i] = self.lookup_with_safety(key)
-            indices[i] = table_index[name]
-        return indices, unsafe
 
     @abstractmethod
     def add_working(self, name: Name) -> None:
@@ -216,21 +152,13 @@ class HorizonConsistentHash(ConsistentHash):
 
 
 def has_index_kernel(ch: ConsistentHash) -> bool:
-    """True iff ``ch`` overrides its batch lookup with real vector code.
+    """True iff ``ch``'s class defines an integer-index kernel.
 
-    The capability probe behind the never-slower contract of the columnar
-    dataplane: the default index methods are the scalar loop plus a dict
-    remap and array packing, so driving them through batch plumbing (mask
-    bookkeeping, array splits) can only lose time.  Callers probe once --
-    per balancer construction or per replay -- and route kernel-less
-    stacks straight through the scalar path.  Horizon hashes are judged
-    on ``lookup_with_safety_batch_idx`` (their ``lookup_batch_idx``
-    merely discards the safety bit); plain hashes on ``lookup_batch_idx``.
+    Horizon hashes are judged on ``lookup_with_safety_batch_idx`` (their
+    ``lookup_batch_idx`` merely discards the safety bit); plain hashes on
+    ``lookup_batch_idx``.  Balancers probe once, at construction, and
+    fold the answer into ``columnar_effective``.
     """
-    cls = type(ch)
     if isinstance(ch, HorizonConsistentHash):
-        return (
-            cls.lookup_with_safety_batch_idx
-            is not HorizonConsistentHash.lookup_with_safety_batch_idx
-        )
-    return cls.lookup_batch_idx is not ConsistentHash.lookup_batch_idx
+        return hasattr(type(ch), "lookup_with_safety_batch_idx")
+    return hasattr(type(ch), "lookup_batch_idx")

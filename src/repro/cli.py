@@ -25,6 +25,12 @@ Examples::
         --out /tmp/z11.npz
     python -m repro trace replay /tmp/z11.npz --family anchor --mode jet
 
+``simulate --family`` / ``--mode`` and ``trace replay --family`` /
+``--mode`` take the same names (:func:`repro.ch.family_choices`,
+:func:`repro.core.factories.lb_mode_choices`), and a (mode, family) pair
+builds on both or on neither: :func:`repro.core.factories.check_stack`
+decides, and its refusal is the one error line below.
+
 A simulation run has one serialised description, the scenario document
 (:mod:`repro.scenarios.spec`): ``simulate``'s flags lower to one
 (:func:`_flags_document`), ``--scenario`` and ``--config`` load one, all
@@ -367,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config-out", default=None, metavar="PATH",
                      help="write the run's scenario document (what the "
                           "flags, --scenario or --config describe) as JSON")
-    sim.add_argument("--mode", choices=lb_mode_choices(aliases=True), default="jet",
+    sim.add_argument("--mode", choices=lb_mode_choices(), default="jet",
                      help="LB wrapper; with --mode concury, --family names "
                           "the inner control-plane CH")
     sim.add_argument("--family", default="anchor", choices=family_choices())
@@ -504,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = trace_sub.add_parser("replay")
     rep.add_argument("path")
-    rep.add_argument("--family", default="anchor", choices=family_choices(maglev=True))
+    rep.add_argument("--family", default="anchor", choices=family_choices())
     rep.add_argument("--mode", choices=lb_mode_choices(), default="jet",
                      help="LB wrapper; with --mode concury, --family names "
                           "the inner control-plane CH")

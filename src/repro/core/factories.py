@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.ch import EXTENSION_FAMILIES, JET_FAMILIES, MaglevHash
+from repro.ch import FAMILIES, WEIGHTED_FAMILIES, HorizonConsistentHash
+from repro.ch.concury import INNER_FAMILIES
 from repro.core.concury import ConcuryLoadBalancer
 from repro.core.full_ct import FullCTLoadBalancer
 from repro.core.interfaces import LoadBalancer, Name
@@ -27,31 +28,24 @@ from repro.core.stateless import StatelessLoadBalancer
 from repro.ct.base import ConnectionTracker
 
 
-def make_ch(family: str, working: Iterable[Name], horizon: Iterable[Name] = (), **kwargs):
-    """Build a CH module by family name ("hrw", "ring", "table", "anchor",
-    "maglev", plus the "jump"/"modulo" extensions and the heterogeneous
-    "weighted-hrw"/"weighted-ring" variants, which accept ``{name:
-    weight}`` mappings for ``working``/``horizon``).  Extra kwargs reach
-    the CH constructor (e.g. ``rows=...``, ``virtual_nodes=...``,
-    ``capacity=...``, ``table_size=...``)."""
-    if family == "maglev":
-        if horizon:
-            raise ValueError("MaglevHash cannot take a horizon (paper Section 3.6)")
-        return MaglevHash(working, **kwargs)
-    if family in ("weighted-hrw", "weighted-ring"):
-        # Special-cased like maglev rather than registered: the weighted
-        # variants take server-spec mappings and have no batch kernels,
-        # so they stay out of the family-sweep registries.
-        from repro.ch.weighted import WeightedHRWHash, WeightedRingHash
-
-        cls = WeightedHRWHash if family == "weighted-hrw" else WeightedRingHash
-        return cls(working=working, horizon=horizon, **kwargs)
-    cls = JET_FAMILIES.get(family) or EXTENSION_FAMILIES.get(family)
+def _family_class(family: str):
+    cls = FAMILIES.get(family)
     if cls is None:
-        raise ValueError(
-            f"unknown CH family {family!r}; choose from "
-            f"{sorted(JET_FAMILIES) + sorted(EXTENSION_FAMILIES) + ['maglev']}"
-        )
+        raise ValueError(f"unknown CH family {family!r}; choose from {sorted(FAMILIES)}")
+    return cls
+
+
+def make_ch(family: str, working: Iterable[Name], horizon: Iterable[Name] = (), **kwargs):
+    """Build a CH module by family name (any of ``repro.ch.FAMILIES``).
+
+    A horizon-less family (Maglev, paper Section 3.6) is built without
+    the horizon.  Extra kwargs reach the CH constructor (e.g.
+    ``rows=...``, ``virtual_nodes=...``, ``capacity=...``,
+    ``table_size=...``).
+    """
+    cls = _family_class(family)
+    if not issubclass(cls, HorizonConsistentHash):
+        return cls(working=working, **kwargs)
     return cls(working=working, horizon=horizon, **kwargs)
 
 
@@ -67,14 +61,15 @@ LB_MODES = {
     "jet-p2c": PowerOfTwoJET,
 }
 
-#: Legacy spellings a saved config or scenario file may still carry
-#: (also offered by ``simulate --mode``); resolved here and nowhere else.
+#: Legacy spellings a saved config or scenario file may still carry;
+#: resolved here and nowhere else.
 LB_MODE_ALIASES = {"p2c": "jet-p2c"}
 
 
-def lb_mode_choices(aliases: bool = False):
-    """Sorted LB mode names for CLI ``choices=`` lists."""
-    return sorted(LB_MODES) + (sorted(LB_MODE_ALIASES) if aliases else [])
+def lb_mode_choices():
+    """Sorted LB mode names, aliases last: the one list every entry point
+    accepts."""
+    return sorted(LB_MODES) + sorted(LB_MODE_ALIASES)
 
 
 def lb_class(mode: str):
@@ -83,6 +78,32 @@ def lb_class(mode: str):
     if cls is None:
         raise ValueError(f"unknown LB mode {mode!r}; choose from {lb_mode_choices()}")
     return cls
+
+
+def check_stack(mode: str, family: str, weighted: bool = False) -> None:
+    """Raise ``ValueError`` unless (``mode``, ``family``) builds -- with
+    per-server ``weighted`` capacities if set.  The three rules:
+
+    - a horizon-less family (Maglev: its rows flip, Section 3.6) cannot
+      serve a mode that asks the CH for safety;
+    - under ``concury`` the family names the inner CH placing flowsets,
+      which must be one of ``INNER_FAMILIES``;
+    - weights go to the weighted families (as server specs) and to
+      ``jet-p2c`` (as occupancy normalisers); nothing else reads them.
+    """
+    cls, ch_cls = lb_class(mode), _family_class(family)
+    if cls.needs_horizon and not issubclass(ch_cls, HorizonConsistentHash):
+        raise ValueError(f"{family} has no horizon; use mode='full' or 'stateless'")
+    if cls is ConcuryLoadBalancer and family not in INNER_FAMILIES:
+        raise ValueError(
+            f"mode 'concury' places flowsets with one of {sorted(INNER_FAMILIES)}, "
+            f"not {family!r}"
+        )
+    if weighted and family not in WEIGHTED_FAMILIES and cls is not PowerOfTwoJET:
+        raise ValueError(
+            f"ch_family {family!r} cannot weight servers (weighted-hrw and weighted-ring "
+            "can; mode 'jet-p2c' normalises occupancy by weight)"
+        )
 
 
 def make_lb(
@@ -95,15 +116,21 @@ def make_lb(
     master_seed: int = 0,
     **ch_kwargs,
 ) -> LoadBalancer:
-    """Build any registered (mode, family) LB composition.
+    """Build any (mode, family) LB composition :func:`check_stack` admits.
 
-    The caller describes the whole stack and each mode takes what it
+    The caller describes the whole stack and each layer takes what it
     uses: the CT (``ct``, e.g. from :func:`repro.ct.make_ct`; unbounded
-    when None) goes to the tracking modes, ``weights`` to the load-aware
-    one, and ``master_seed`` (what a sharded or simulated run derives every
-    other seed from) to the ``concury`` map.  Other kwargs reach the CH.
+    when None) goes to the tracking modes; ``weights`` (``{name:
+    weight}``, absent names 1.0) to a weighted family as server specs and
+    to ``jet-p2c``; ``master_seed`` (what a sharded or simulated run
+    derives every other seed from) to the ``concury`` map.  Other kwargs
+    reach the CH.
     """
+    check_stack(mode, family, weighted=bool(weights))
     cls = lb_class(mode)
+    if weights and family in WEIGHTED_FAMILIES:
+        working = {name: weights.get(name, 1.0) for name in working}
+        horizon = {name: weights.get(name, 1.0) for name in horizon}
     if cls is ConcuryLoadBalancer:
         # ``family`` names the *inner* control-plane CH deciding flowset
         # placement; the dataplane is the Othello flowset map.

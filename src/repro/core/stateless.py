@@ -53,7 +53,10 @@ class StatelessLoadBalancer(LoadBalancer):
 
     # ------------------------------------------------- columnar dispatch
     def get_destinations_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """Integer CH kernel plus the table-position -> stable-id gather."""
+        """Integer CH kernel plus the table-position -> stable-id gather.
+        Raises unless :attr:`columnar_effective` (a CH with no kernel)."""
+        if not self.columnar_effective:
+            return LoadBalancer.get_destinations_batch_idx(self, keys)
         ch_idx = self.ch.lookup_batch_idx(np.asarray(keys, dtype=np.uint64))
         return self._indexer.translate(self.ch.backend_table())[ch_idx]
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.stats import MeanStd, aggregate
-from repro.ch import AnchorHash, MaglevHash, TableHRWHash, rows_for
-from repro.core.full_ct import FullCTLoadBalancer
-from repro.core.jet import JETLoadBalancer
+from repro.ch import rows_for
+from repro.core.factories import make_lb
 from repro.traces.base import Trace
 from repro.traces.replay import replay_batch
 
@@ -65,19 +64,12 @@ class TraceEvalCell:
 def _build_balancer(family: str, mode: str, n_servers: int, horizon_size: int, rep: int):
     working = [f"r{rep}s{i}" for i in range(n_servers)]
     horizon = [f"r{rep}h{i}" for i in range(horizon_size)]
-    if family == "maglev":
-        if mode != "full":
-            raise ValueError("MaglevHash supports full CT only (Section 3.6)")
-        return FullCTLoadBalancer(MaglevHash(working, table_size=MAGLEV_TABLE_SIZE))
-    if family == "table":
-        ch = TableHRWHash(working, horizon, rows=rows_for(n_servers, TABLE_COPIES))
-    elif family == "anchor":
-        ch = AnchorHash(working, horizon, capacity=2 * (n_servers + horizon_size))
-    else:
-        raise ValueError(f"unsupported trace-eval family {family!r}")
-    if mode == "jet":
-        return JETLoadBalancer(ch)
-    return FullCTLoadBalancer(ch)
+    ch_kwargs = {
+        "table": {"rows": rows_for(n_servers, TABLE_COPIES)},
+        "anchor": {"capacity": 2 * (n_servers + horizon_size)},
+        "maglev": {"table_size": MAGLEV_TABLE_SIZE},
+    }.get(family, {})
+    return make_lb(mode, family, working, horizon, **ch_kwargs)
 
 
 def evaluate_trace(

@@ -39,8 +39,7 @@ from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
 
 from repro.ch import family_choices
-from repro.ch.concury import INNER_FAMILIES
-from repro.core.factories import LB_MODE_ALIASES, lb_mode_choices
+from repro.core.factories import check_stack, lb_mode_choices
 from repro.ct import CT_POLICIES
 from repro.sim.distributions import DIST_KINDS, dist_from_dict
 from repro.sim.workload import PROFILE_KINDS, profile_from_dict
@@ -474,8 +473,8 @@ class ScenarioSpec(_Section):
     description: str = _f(_STR, "")
     seed: int = _f(_number(integer=True), 0)
     #: LB stack, inner CH family and CT policy: registered names only.
-    mode: str = _f(_text(tuple(lb_mode_choices(aliases=True))), "jet")
-    ch_family: str = _f(_text(tuple(family_choices(weighted=True))), "anchor")
+    mode: str = _f(_text(tuple(lb_mode_choices())), "jet")
+    ch_family: str = _f(_text(tuple(family_choices())), "anchor")
     ch_kwargs: Mapping[str, Any] = _f(_table, default_factory=dict)
     ct_capacity: Optional[int] = _f(_POS_INT, None)  # None = unbounded
     ct_policy: str = _f(_text(CT_POLICIES), "lru")
@@ -521,27 +520,17 @@ class ScenarioSpec(_Section):
                 f'an idle timeout needs ct_policy "ttl" (it is {self.ct_policy!r}, '
                 "which would ignore it)",
             )
-        mode = LB_MODE_ALIASES.get(self.mode, self.mode)
-        if mode == "concury" and self.ch_family not in INNER_FAMILIES:
-            raise ScenarioError(
-                f"{path}.ch_family",
-                f"mode 'concury' places flowsets with one of {sorted(INNER_FAMILIES)}, "
-                f"not {self.ch_family!r}",
-            )
-        if mode != "jet-p2c" and self.ch_family not in ("weighted-hrw", "weighted-ring"):
-            for i, zone in enumerate(self.fleet.zones):
-                if zone.weight != 1.0:
-                    raise ScenarioError(
-                        f"{path}.fleet.zones[{i}].weight",
-                        f"ch_family {self.ch_family!r} cannot weight servers (weighted-hrw "
-                        "and weighted-ring can; mode 'jet-p2c' normalises occupancy by weight)",
-                    )
-        self.validate()
-        return self
-
-    def validate(self) -> None:
-        """Cross-field consistency (zone references, control dependencies)."""
-        path = f"scenario {self.name!r}"
+        # What builds is make_lb's one decision, asked here so the error
+        # names the field: the stack, then the first weighted zone.
+        checks = [(f"{path}.ch_family", False)]
+        heavy = [i for i, zone in enumerate(self.fleet.zones) if zone.weight != 1.0]
+        if heavy:
+            checks.append((f"{path}.fleet.zones[{heavy[0]}].weight", True))
+        for field_path, weighted in checks:
+            try:
+                check_stack(self.mode, self.ch_family, weighted)
+            except ValueError as exc:
+                raise ScenarioError(field_path, str(exc)) from None
         ranges = self.fleet.zone_ranges()
         for i, event in enumerate(self.timeline):
             event_path = f"{path}.timeline[{i}]"
@@ -574,6 +563,7 @@ class ScenarioSpec(_Section):
                 "horizon fidelity floors need membership churn (control, "
                 "update_rate_per_min, or timeline events) to be judged",
             )
+        return self
 
     def with_(self, **overrides: Any) -> "ScenarioSpec":
         """A re-validated copy with top-level fields replaced (``None``

@@ -21,7 +21,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
-from repro.core.factories import lb_class, make_lb
+from repro.core.factories import check_stack, make_lb
 from repro.core.interfaces import LoadBalancer, Name
 from repro.ct import make_ct
 from repro.shard.partition import shard_seed
@@ -68,6 +68,7 @@ class BalancerSpec:
     ch_kwargs: Tuple[Tuple[str, object], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        check_stack(self.mode, self.family)
         if self.ct_policy == "ttl":
             raise ValueError(
                 'ct_policy "ttl" needs a clock and a replay has none: the table would '
@@ -89,14 +90,11 @@ class BalancerSpec:
         """The CLI's conventional fleet: servers ``s0..``, horizon ``h0..``.
 
         Fills in the per-family constructor kwargs the CLI would (table
-        rows, anchor capacity); Maglev takes no horizon (paper Section 3.6).
+        rows, anchor capacity); which stacks build is ``check_stack``'s
+        call, asked when the spec is made.
         """
-        if family == "maglev" and lb_class(mode).needs_horizon:
-            raise ValueError("maglev has no horizon; use mode='full' or 'stateless'")
         working = tuple(f"s{i}" for i in range(n_servers))
-        horizon = (
-            () if family == "maglev" else tuple(f"h{i}" for i in range(horizon_size))
-        )
+        horizon = tuple(f"h{i}" for i in range(horizon_size))
         if family == "table" and "rows" not in ch_kwargs:
             from repro.ch import rows_for
 

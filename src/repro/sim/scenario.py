@@ -109,12 +109,6 @@ def build_balancer(config: SimulationConfig):
         standby = []
     else:
         standby = list(range(config.n_servers, config.n_servers + config.horizon_size))
-    weights = config.server_weights
-    ch_working, ch_standby = working, standby
-    if weights and config.ch_family in ("weighted-hrw", "weighted-ring"):
-        # Weighted families take {name: weight} server specs directly.
-        ch_working = {name: weights.get(name, 1.0) for name in working}
-        ch_standby = {name: weights.get(name, 1.0) for name in standby}
     ch_kwargs = dict(config.ch_kwargs)
     if config.ch_family == "anchor" and "capacity" not in ch_kwargs:
         # Leave headroom for forced additions and horizon churn; chaos
@@ -137,12 +131,12 @@ def build_balancer(config: SimulationConfig):
         ttl=config.ct_ttl,
         clock=clock,
     )
-    # The mode name (or its legacy alias) resolves in one place; each
-    # stack takes what it uses of the CT, the weights and the seed (for
-    # "concury" ch_family names the *inner* control-plane CH).
+    # make_lb decides what builds; each stack takes what it uses of the
+    # CT, the weights and the seed (for "concury" ch_family names the
+    # *inner* control-plane CH).
     balancer = make_lb(
-        config.mode, config.ch_family, ch_working, ch_standby,
-        ct=ct, weights=weights, master_seed=config.seed, **ch_kwargs,
+        config.mode, config.ch_family, working, standby,
+        ct=ct, weights=config.server_weights, master_seed=config.seed, **ch_kwargs,
     )
     return balancer, working, standby
 

@@ -48,25 +48,21 @@ class Trace:
 
     # --------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release memmap file handles backing the trace columns.
+        """Drop the trace's own references to memmap-backed columns.
 
-        A ``load_trace(path, mmap=True)`` trace holds the file open for
-        as long as its arrays are mapped; close it (or use the trace as a
-        context manager) when done so the handle does not live until GC.
-        Idempotent; in-memory traces are unaffected.  The columns are
-        swapped for empty arrays first, so a stale reference to a closed
-        trace raises cleanly instead of faulting on the dead mapping --
-        but views handed out earlier (e.g. shard sub-traces sharing
-        ``flow_keys``) still pin the mapping and make close fail, so
-        close only traces you own outright.
+        A ``load_trace(path, mmap=True)`` trace maps the file for as long
+        as its arrays live.  ``close`` (or leaving the trace's ``with``
+        block) swaps the columns for empty arrays, so the mapping and its
+        file handle die with their last view: at once for a trace that
+        owned them outright, later if views handed out earlier (a shard's
+        sub-trace, a replay loop's ``keys``, a traceback frame) still
+        read them -- never under such a view.  Idempotent; in-memory
+        traces are unaffected.
         """
         for attr in ("flow_keys", "packets"):
             array = getattr(self, attr)
-            mapping = getattr(array, "_mmap", None)
-            if mapping is not None:
+            if isinstance(array, np.memmap):
                 setattr(self, attr, np.empty(0, dtype=array.dtype))
-                del array
-                mapping.close()
 
     def __enter__(self) -> "Trace":
         return self

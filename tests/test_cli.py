@@ -198,7 +198,7 @@ HOSTILE_REPLAY_FLAGS = {
     "sharded-jet-maglev": (["--family", "maglev", "--workers", "2"],
                            "maglev has no horizon"),
     "concury-in-concury": (["--mode", "concury", "--family", "concury"],
-                           "unknown Concury inner family 'concury'"),
+                           "mode 'concury' places flowsets with one of"),
 }
 
 

@@ -9,6 +9,7 @@ from repro.core import (
     PowerOfTwoJET,
     StatelessLoadBalancer,
     make_full_ct,
+    make_jet,
 )
 from repro.ct import LRUCT
 
@@ -58,8 +59,13 @@ class TestFullCT:
         assert lb.get_destination(7) in lb.working
 
     def test_factory_rejects_maglev_horizon(self):
-        with pytest.raises(ValueError):
-            make_full_ct("maglev", W, horizon=H, table_size=101)
+        # Maglev gets no horizon (Section 3.6): under full CT the names are
+        # dropped, so a simulator's standby fleet builds; a mode that asks
+        # the CH for safety is refused.
+        lb = make_full_ct("maglev", W, horizon=H, table_size=101)
+        assert lb.ch.working == frozenset(W) and not hasattr(lb.ch, "horizon")
+        with pytest.raises(ValueError, match="maglev has no horizon"):
+            make_jet("maglev", W, H, table_size=101)
 
 
 class TestStateless:

@@ -180,6 +180,10 @@ HOSTILE_DOCUMENTS = {
         doc(ch_family="anchor", fleet={"horizon": 2, "zones": [
             {"name": "big", "servers": 4, "weight": 3.0}, {"name": "std", "servers": 4}]}),
         ".fleet.zones[0].weight: ch_family 'anchor' cannot weight servers"),
+    # Was: named "scenario 't'" instead of the file, unlike every other
+    # field error of the document.
+    "unknown-zone": (doc(timeline=[{"kind": "zone_failure", "at": 1, "zone": "nope"}]),
+                     ".timeline[0].zone: unknown zone 'nope'"),
     # Distribution tables.  Were: ZeroDivisionError / AttributeError
     # tracebacks, a NaN mean that ran with no flows (exit 0), and a
     # negative weight that bent the mixture's CDF.
@@ -236,7 +240,9 @@ class TestHostileInput:
     def test_bad_document_is_one_error_line(self, case, argv, tmp_path, capsys):
         text, fragment = HOSTILE_DOCUMENTS[case]
         path = write(tmp_path, text)
-        assert_clean_error(capsys, main([*argv, path]), path, fragment)
+        # A field path is prefixed with the file it came from.
+        prefixed = path + fragment if fragment.startswith(".") else path
+        assert_clean_error(capsys, main([*argv, path]), prefixed, fragment)
 
     def test_missing_file_and_directory(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")

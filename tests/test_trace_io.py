@@ -8,7 +8,13 @@ written in one shot or streamed chunk by chunk -- is memmap-loadable
 with contents identical to the in-memory load.
 """
 
+import gc
+import os
+import subprocess
+import sys
+import weakref
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,13 +71,35 @@ class TestRoundtrip:
 
 class TestLifecycle:
     def test_close_releases_memmap_handles(self, tmp_path):
+        # A trace that owned its mapping outright releases it on close.
         save_trace(small_trace(), tmp_path / "t", compressed=False)
         mapped = load_trace(tmp_path / "t", mmap=True)
-        backing = mapped.flow_keys._mmap
+        column = weakref.ref(mapped.flow_keys)
         mapped.close()
-        assert backing.closed
-        # Columns are detached, not left pointing at the dead mapping.
+        gc.collect()
+        assert column() is None
+        # Columns are detached, not left pointing at the mapping.
         assert mapped.flow_keys.size == 0 and mapped.packets.size == 0
+
+    def test_a_view_outlives_close(self, tmp_path):
+        # Was: close() unmapped the file under the view, and reading the
+        # view killed the interpreter (SIGSEGV).  In a subprocess so a
+        # regression fails this test instead of the whole run.
+        save_trace(small_trace(), tmp_path / "t", compressed=False)
+        expected = int(small_trace().packets[100:200].sum())
+        script = (
+            "from repro.traces import load_trace\n"
+            f"trace = load_trace({str(tmp_path / 't')!r}, mmap=True)\n"
+            "view = trace.packets[100:200]\n"
+            "trace.close()\n"
+            "print(int(view.sum()))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env
+        )
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        assert int(done.stdout) == expected
 
     def test_close_is_idempotent(self, tmp_path):
         save_trace(small_trace(), tmp_path / "t", compressed=False)
@@ -90,14 +118,14 @@ class TestLifecycle:
         save_trace(trace, tmp_path / "t", compressed=False)
         with load_trace(tmp_path / "t", mmap=True) as mapped:
             assert_traces_equal(mapped, trace)
-            backing = mapped.packets._mmap
-        assert backing.closed
+            column = weakref.ref(mapped.packets)
+        gc.collect()
+        assert column() is None
 
     def test_load_error_leaves_no_open_handle(self, tmp_path):
         # The non-mmap loader owns its file handle, so a parse failure
         # (truncated archive) must not leak it -- checked by promoting
         # ResourceWarning to an error for the collection window.
-        import gc
         import warnings
 
         save_trace(small_trace(), tmp_path / "t", compressed=False)
