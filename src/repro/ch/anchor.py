@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.ch.base import BackendError, HorizonConsistentHash, Name
 from repro.hashing.mix import MASK64, fmix64, mix2
-from repro.hashing.vector import _SM_GAMMA, v_fmix64
+from repro.hashing.vector import _SM_GAMMA, v_fmix64, v_remainder
 
 _JUMP_SALT = 0x5851_F42D_4C95_7F2D
 
@@ -119,7 +119,7 @@ class AnchorBuckets:
         if self._mix is None:
             ids = np.arange(self.capacity, dtype=np.uint64) ^ np.uint64(_JUMP_SALT)
             self._mix = v_fmix64(ids)
-        b = (keys % np.uint64(self.capacity)).astype(np.int64)
+        b = v_remainder(keys, self.capacity)
         penultimate = np.full(len(keys), -1, dtype=np.int64)
         active = np.flatnonzero(A[b] > 0)  # keys sitting on a removed bucket
         with np.errstate(over="ignore"):

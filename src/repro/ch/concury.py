@@ -40,7 +40,7 @@ from repro.ch.ring import RingHash
 from repro.ch.table_hrw import TableHRWHash
 from repro.hashing.mix import MASK64, splitmix64
 from repro.hashing.othello import Othello
-from repro.hashing.vector import v_splitmix64
+from repro.hashing.vector import _TILE_KEYS, _splitmix64_into, v_splitmix64
 
 __all__ = ["ConcuryHash", "INNER_FAMILIES"]
 
@@ -250,16 +250,33 @@ class ConcuryHash(HorizonConsistentHash):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The branch-free columnar dataplane: splitmix64 + mask to the
         flowset, two Othello gathers + XOR to the slot, one gather for
-        the safety bit.  No per-connection state anywhere."""
+        the safety bit.  No per-connection state anywhere.
+
+        Walked in L2-sized tiles: every step runs in place on three
+        reused uint64 scratch arrays and writes straight into the two
+        outputs, so no chunk-sized temporary exists.  ``keys`` is only
+        read."""
         keys = np.asarray(keys, dtype=np.uint64)
         if len(keys) == 0:
             return np.empty(0, dtype=np.int32), np.zeros(0, dtype=bool)
         if self._empty:
             raise BackendError("lookup on empty working set")
-        s = v_splitmix64(keys ^ self._salt64) & self._smask
-        slots = self._map.lookup_batch(s)
-        fs = s.astype(np.int64)
-        return slots.astype(np.int32), self._unsafe_fs[fs]
+        slots = np.empty(len(keys), dtype=np.int32)
+        unsafe = np.empty(len(keys), dtype=bool)
+        fs = np.empty(min(len(keys), _TILE_KEYS), dtype=np.uint64)
+        h, tmp = np.empty_like(fs), np.empty_like(fs)
+        omap = self._map  # one published map version for the whole batch
+        for lo in range(0, len(keys), _TILE_KEYS):
+            part = keys[lo:lo + _TILE_KEYS]
+            n = len(part)
+            s = np.bitwise_xor(part, self._salt64, out=fs[:n])
+            _splitmix64_into(s, tmp[:n])
+            s &= self._smask
+            omap.lookup_into(s, slots[lo:lo + n], h[:n], tmp[:n])
+            # Flowsets are masked in range; "clip" lets take write ``out``
+            # unbuffered (the default "raise" copies through a temporary).
+            np.take(self._unsafe_fs, s.view(np.int64), out=unsafe[lo:lo + n], mode="clip")
+        return slots, unsafe
 
     def backend_table(self) -> np.ndarray:
         """The slot space itself: Othello values index straight into it."""

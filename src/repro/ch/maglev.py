@@ -22,6 +22,7 @@ from repro.ch.base import BackendError, ConsistentHash, Name
 from repro.hashing.fnv import fnv1a64
 from repro.hashing.keyed import server_seed
 from repro.hashing.mix import fmix64
+from repro.hashing.vector import v_remainder
 
 DEFAULT_TABLE_SIZE = 4099  # must be prime so every `skip` is a generator
 
@@ -79,7 +80,7 @@ class MaglevHash(ConsistentHash):
             return np.empty(0, dtype=np.int32)
         if not self._perm_params:
             raise BackendError("lookup on empty working set")
-        rows = (keys % np.uint64(self.table_size)).astype(np.intp)
+        rows = v_remainder(keys, self.table_size)
         return self._table_idx[rows]
 
     def backend_table(self) -> np.ndarray:

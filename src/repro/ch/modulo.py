@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.ch.base import BackendError, HorizonConsistentHash, Name
 from repro.hashing.keyed import server_seed
+from repro.hashing.vector import v_remainder
 
 
 class ModuloHash(HorizonConsistentHash):
@@ -66,10 +67,10 @@ class ModuloHash(HorizonConsistentHash):
         n = len(self._working)
         if n == 0:
             raise BackendError("lookup on empty working set")
-        indices = keys % np.uint64(n)
+        indices = v_remainder(keys, n)
         unsafe = np.zeros(len(keys), dtype=bool)
         for extra in range(1, len(self._horizon) + 1):
-            unsafe |= keys % np.uint64(n + extra) != indices
+            unsafe |= v_remainder(keys, n + extra) != indices
         return indices.astype(np.int32), unsafe
 
     def backend_table(self) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 from repro.ch.base import BackendError, HorizonConsistentHash, Name
 from repro.hashing.keyed import KeyedHasher, server_seed
 from repro.hashing.mix import fmix64, mix2
-from repro.hashing.vector import v_fmix64, v_mix2, v_mix2_argmax
+from repro.hashing.vector import v_fmix64, v_mix2, v_mix2_argmax, v_remainder
 
 DEFAULT_ROWS = 4099  # prime, though any size >= 1 works for this scheme
 _ROW_SALT = 0xA076_1D64_78BD_642F
@@ -168,7 +168,7 @@ class TableHRWHash(HorizonConsistentHash):
             return np.empty(0, dtype=np.int32), np.zeros(0, dtype=bool)
         if not self._working_ids:
             raise BackendError("lookup on empty working set")
-        rows = (keys % np.uint64(self.rows)).astype(np.intp)
+        rows = v_remainder(keys, self.rows)
         return self._ch[rows], self._tr[rows]
 
     def backend_table(self) -> np.ndarray:

@@ -46,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.hashing.mix import MASK64, fmix64
-from repro.hashing.vector import v_fmix64
+from repro.hashing.vector import _TILE_KEYS, _fmix64_into
 
 __all__ = ["Othello", "OthelloBuildError"]
 
@@ -180,12 +180,20 @@ class Othello:
         self._build(values[order].astype(dtype), max_attempts)
 
     # ------------------------------------------------------ construction
+    @staticmethod
+    def _hash_into(keys, seed: int, size: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """One probe, ``fmix64(k ^ seed) & (size - 1)``, written into the
+        uint64 scratch ``out`` (``tmp`` same shape); an int64 view of it."""
+        np.bitwise_xor(keys, np.uint64(seed), out=out)
+        _fmix64_into(out, tmp)
+        out &= np.uint64(size - 1)
+        return out.view(np.int64)
+
     def _probe(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized (h_a, h_b) node positions for a uint64 key array."""
-        sa = np.uint64(self._seed_a)
-        sb = np.uint64(self._seed_b)
-        ha = (v_fmix64(keys ^ sa) & np.uint64(self.ma - 1)).astype(np.int64)
-        hb = (v_fmix64(keys ^ sb) & np.uint64(self.mb - 1)).astype(np.int64)
+        tmp = np.empty(len(keys), dtype=np.uint64)
+        ha = self._hash_into(keys, self._seed_a, self.ma, np.empty_like(tmp), tmp)
+        hb = self._hash_into(keys, self._seed_b, self.mb, np.empty_like(tmp), tmp)
         return ha, hb
 
     def _build(self, values: np.ndarray, max_attempts: int) -> None:
@@ -232,10 +240,24 @@ class Othello:
         return int(self.a[ha]) ^ int(self.b[hb])
 
     def lookup_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`lookup` over a uint64 array (branch-free)."""
+        """Vectorized :meth:`lookup` over a uint64 array (branch-free),
+        walked in L2-sized tiles through two reused scratch arrays."""
         keys = np.asarray(keys, dtype=np.uint64)
-        ha, hb = self._probe(keys)
-        return self.a[ha] ^ self.b[hb]
+        out = np.empty(len(keys), dtype=self.a.dtype)
+        h = np.empty(min(len(keys), _TILE_KEYS), dtype=np.uint64)
+        tmp = np.empty_like(h)
+        for lo in range(0, len(keys), _TILE_KEYS):
+            part = keys[lo:lo + _TILE_KEYS]
+            n = len(part)
+            self.lookup_into(part, out[lo:lo + n], h[:n], tmp[:n])
+        return out
+
+    def lookup_into(self, keys: np.ndarray, out: np.ndarray, h: np.ndarray, tmp: np.ndarray) -> None:
+        """:meth:`lookup` of one tile of uint64 ``keys`` written into
+        ``out``, through uint64 scratch ``h`` and ``tmp`` of the tile's
+        length; ``keys`` is only read."""
+        cells = self.a[self._hash_into(keys, self._seed_a, self.ma, h, tmp)]
+        np.bitwise_xor(cells, self.b[self._hash_into(keys, self._seed_b, self.mb, h, tmp)], out=out)
 
     # ---------------------------------------------------------- mutation
     def update(self, key: int, value: int) -> int:

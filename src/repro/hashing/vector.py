@@ -16,10 +16,16 @@ import numpy as np
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MM_M1 = np.uint64(0xFF51AFD7ED558CCD)
 _MM_M2 = np.uint64(0xC4CEB9FE1A85EC53)
+_SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_SM_M2 = np.uint64(0x94D049BB133111EB)
 _S33 = np.uint64(33)
 # Cells per weight tile of v_mix2_argmax: tile + scratch (2 x 512 kB) stay
 # in L2.  Measured best both at 100 seeds x 30k and at 500 seeds x 150k.
 _TILE_CELLS = 1 << 16
+# Keys per dataplane tile (Othello probes, the Concury kernel): three
+# uint64 scratch arrays (3 x 128 kB) plus the tile's gathers stay in L2.
+# 16k and 32k replay level, 8k 1-6 % slower (sweep in docs/ALGORITHMS.md).
+_TILE_KEYS = 1 << 14
 
 
 def _fmix64_into(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -29,6 +35,18 @@ def _fmix64_into(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         x ^= tmp
         x *= mult
     np.right_shift(x, _S33, out=tmp)
+    x ^= tmp
+    return x
+
+
+def _splitmix64_into(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 in place on ``x``, through same-shape scratch ``tmp``."""
+    x += _SM_GAMMA
+    for shift, mult in ((30, _SM_M1), (27, _SM_M2)):
+        np.right_shift(x, np.uint64(shift), out=tmp)
+        x ^= tmp
+        x *= mult
+    np.right_shift(x, np.uint64(31), out=tmp)
     x ^= tmp
     return x
 
@@ -73,15 +91,27 @@ def v_mix2_argmax(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
         part = b[lo:lo + block]
         x = np.add(part[:, None], a_term[None, :], out=tile[:len(part)])
         _fmix64_into(x, tmp[:len(part)])
-        x.argmax(axis=1, out=arg[lo:lo + block])
-        x.max(axis=1, out=top[lo:lo + block])
+        won = x.argmax(axis=1, out=arg[lo:lo + block])
+        top[lo:lo + block] = np.take_along_axis(x, won[:, None], axis=1)[:, 0]
     return arg, top
 
 
 def v_splitmix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 over a uint64 array."""
     x = x.astype(np.uint64, copy=True)
-    x += _SM_GAMMA
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    return _splitmix64_into(x, np.empty_like(x))
+
+
+def v_remainder(x: np.ndarray, m: int) -> np.ndarray:
+    """``x % m`` for a uint64 array and a scalar ``0 < m < 2**63``, as intp.
+
+    Computed as ``x - (x // m) * m`` in place on the quotient: numpy runs
+    uint64 ``//`` by a scalar as a multiply-shift, ~3x faster than ``%``,
+    and the result is exact because ``(x // m) * m <= x``.  ``x`` itself
+    is only read.
+    """
+    m = np.uint64(m)
+    q = np.floor_divide(x, m)
+    q *= m
+    np.subtract(x, q, out=q)
+    return q.view(np.intp)

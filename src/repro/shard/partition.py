@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing.mix import MASK64, splitmix64
-from repro.hashing.vector import v_splitmix64
+from repro.hashing.vector import v_remainder, v_splitmix64
 
 #: Salt XORed into keys before the shard mix, so the shard selector is
 #: independent of every CH family's own use of the same key bits.
@@ -59,7 +59,7 @@ def shard_of_keys(keys: np.ndarray, n_shards: int) -> np.ndarray:
     if n_shards == 1:
         return np.zeros(len(keys), dtype=np.int32)
     mixed = v_splitmix64(keys ^ np.uint64(SHARD_SALT))
-    return (mixed % np.uint64(n_shards)).astype(np.int32)
+    return v_remainder(mixed, n_shards).astype(np.int32)
 
 
 def shard_seed(master_seed: int, shard_id: int) -> int:

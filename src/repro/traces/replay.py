@@ -13,13 +13,14 @@ Rate caveat (documented in EXPERIMENTS.md): the paper measures a C++
 implementation where the effect at play is L1/L2 cache residency of CT
 tables vs. CH computations.  The scalar loop here measures interpreter
 dict/loop costs instead (~1-2 M packets/s, full CT ahead of JET); the
-columnar loop runs at 24-32 M packets/s on the bench's reference box
-with JET ahead of full CT by 1.24x on ``replay-steady`` (1.05-1.07x
-between PR 18, which sped up full CT's insert path, and PR 21, which
-answers JET's never-tracked flows from the CT's miss filter) and by
-1.3-1.7x on low-skew Zipf traces, level with it on hit-heavy ones: the
-ratio is set by how many packets need a CT search or an insert more
-than by cache residency.  Nothing asserts a rate.
+columnar loop runs at 15-34 M packets/s on the bench's reference box
+(``replay-steady`` medians over seeds 1-4: Concury 33-35 M, JET
+26-29 M, full CT 15-20 M) with JET ahead of full CT by 1.4-1.7x there
+and by 1.3-1.7x on low-skew Zipf traces, level with it on hit-heavy
+ones: the ratio is set by how many packets need a CT search or an
+insert more than by cache residency.  Concury's CT-less kernel walks
+each chunk in L2-sized tiles, so its rate is its hashing and two Othello
+gathers rather than cache bandwidth.  Nothing asserts a rate.
 
 Backend-change events can be injected mid-trace to exercise PCC under
 churn (used by integration tests and the extensions bench).

@@ -17,6 +17,7 @@ from repro.ch.properties import sample_keys
 from repro.core.concury import ConcuryLoadBalancer
 from repro.core.factories import make_concury, make_jet, make_lb
 from repro.hashing.othello import Othello
+from repro.hashing.vector import _TILE_KEYS
 
 WORKING = [f"s{i}" for i in range(10)]
 HORIZON = [f"h{i}" for i in range(3)]
@@ -195,6 +196,35 @@ class TestLoadBalancer:
         assert jet.tracked_connections == len(
             {int(k) for k, u in zip(KEYS.tolist(), unsafe.tolist()) if u}
         )
+
+
+class TestTiledKernel:
+    """The columnar kernel runs in ``_TILE_KEYS`` tiles on reused scratch;
+    every tile boundary must agree with the scalar dataplane."""
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _TILE_KEYS - 1, _TILE_KEYS, _TILE_KEYS + 1, 3 * _TILE_KEYS + 5]
+    )
+    def test_equals_scalar_at_tile_edges(self, n):
+        ch = build()
+        keys = np.random.default_rng(n).integers(0, 2**64, size=n, dtype=np.uint64)
+        copy = keys.copy()
+        idx, unsafe = ch.lookup_with_safety_batch_idx(keys)
+        assert idx.dtype == np.int32 and unsafe.dtype == bool
+        assert idx.shape == unsafe.shape == (n,)
+        expected = [ch.lookup_with_safety(k) for k in keys.tolist()]
+        assert ch.backend_table()[idx].tolist() == [d for d, _ in expected]
+        assert unsafe.tolist() == [u for _, u in expected]
+        assert np.array_equal(keys, copy)
+
+    def test_read_only_input(self):
+        ch = build()
+        keys = KEYS.copy()
+        keys.setflags(write=False)
+        names, unsafe = batch_names(ch, keys)
+        expected = [ch.lookup_with_safety(int(k)) for k in KEYS.tolist()]
+        assert names.tolist() == [d for d, _ in expected]
+        assert unsafe.tolist() == [u for _, u in expected]
 
 
 class TestOthelloValueWidth:

@@ -1,13 +1,19 @@
 """Differential tests: vectorized mixers must equal the scalar ones bit-for-bit."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.hashing.mix import fmix64, mix2, splitmix64
+from repro.hashing.mix import MASK64, fmix64, mix2, splitmix64
 from repro.hashing.vector import (
+    _fmix64_into,
+    _splitmix64_into,
     v_fmix64,
     v_mix2,
     v_mix2_argmax,
     v_mix2_outer,
+    v_remainder,
     v_splitmix64,
 )
 
@@ -68,3 +74,39 @@ class TestVectorScalarEquivalence:
         assert v_fmix64(empty).shape == (0,)
         assert v_mix2(5, empty).shape == (0,)
         assert v_splitmix64(empty).shape == (0,)
+
+    def test_in_place_mixers_match_scalar(self):
+        for into, scalar in ((_fmix64_into, fmix64), (_splitmix64_into, splitmix64)):
+            xs = _random_uint64(300, 7)
+            expected = [scalar(x) for x in xs.tolist()]
+            out = into(xs, np.empty_like(xs))
+            assert out is xs
+            assert xs.tolist() == expected
+
+
+MODULI = [1, 2, 4099, 30_000, 65_537, 2**32 + 15]
+
+
+class TestRemainder:
+    @pytest.mark.parametrize("m", MODULI)
+    def test_edges_match_modulo(self, m):
+        xs = np.array(
+            [0, m - 1, m, m + 1, 2 * m, 7 * m, MASK64, MASK64 - 1, (MASK64 // m) * m],
+            dtype=np.uint64,
+        )
+        copy = xs.copy()
+        got = v_remainder(xs, m)
+        assert got.dtype == np.intp
+        assert got.tolist() == [x % m for x in xs.tolist()]
+        assert np.array_equal(xs, copy)
+
+    @given(m=st.sampled_from(MODULI), xs=st.lists(st.integers(0, MASK64), max_size=50))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_modulo(self, m, xs):
+        got = v_remainder(np.array(xs, dtype=np.uint64), m)
+        assert got.tolist() == [x % m for x in xs]
+
+    def test_read_only_input(self):
+        xs = _random_uint64(100, 8)
+        xs.setflags(write=False)
+        assert v_remainder(xs, 4099).tolist() == [x % 4099 for x in xs.tolist()]

@@ -34,7 +34,7 @@ from repro.hashing.mix import MASK64
 from repro.hashing.othello import (
     Othello, OthelloBuildError, _peel, _pow2_at_least, _probe_seeds,
 )
-from repro.hashing.vector import v_fmix64
+from repro.hashing.vector import _TILE_KEYS, v_fmix64
 
 keys64 = st.integers(min_value=0, max_value=MASK64)
 
@@ -187,6 +187,30 @@ class TestBuildLookup:
         assert o.memory_bytes == o.a.nbytes + o.b.nbytes
         assert o.ma >= int(Othello.A_LOAD * 1000)
         assert o.mb >= 1000
+
+
+class TestTiledLookup:
+    """``lookup_batch`` walks its input in ``_TILE_KEYS`` tiles through
+    reused scratch; every tile boundary must agree with the scalar probe."""
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _TILE_KEYS - 1, _TILE_KEYS, _TILE_KEYS + 1, 3 * _TILE_KEYS + 5]
+    )
+    def test_equals_scalar_at_tile_edges(self, n):
+        o = Othello(range(1024), [i % 97 for i in range(1024)], seed=5)
+        probes = np.random.default_rng(n).integers(0, 2**64, size=n, dtype=np.uint64)
+        probes[: min(n, 1024)] = np.arange(min(n, 1024))
+        copy = probes.copy()
+        got = o.lookup_batch(probes)
+        assert got.dtype == o.a.dtype and got.shape == (n,)
+        assert got.tolist() == [o.lookup(k) for k in probes.tolist()]
+        assert np.array_equal(probes, copy)
+
+    def test_read_only_input(self):
+        o = Othello(range(100), [i % 7 for i in range(100)])
+        probes = np.arange(100, dtype=np.uint64)
+        probes.setflags(write=False)
+        assert o.lookup_batch(probes).tolist() == [i % 7 for i in range(100)]
 
 
 class TestSeededDeterminism:
