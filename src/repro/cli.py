@@ -230,8 +230,7 @@ def _scenario(args: argparse.Namespace) -> int:
     registry, exporter = _open_metrics(args)
     report = run_scenario(spec, workers=args.workers, registry=registry)
     if exporter is not None:
-        exporter.close()
-        print(f"metrics: {args.metrics_out}")
+        exporter.finish(registry)
     print(report.render())
     if args.json_out:
         with open(args.json_out, "w") as handle:
@@ -534,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     osum = obs_sub.add_parser("summarize", help="summarize a JSONL metrics artifact")
     osum.add_argument("path", help="metrics JSONL file written by --metrics-out")
     osum.add_argument("--strict", action="store_true",
-                      help="exit 1 on any recorded invariant violation")
+                      help="exit 1 on any recorded invariant violation "
+                           "or when no snapshot is final")
     obs.set_defaults(func=_obs)
 
     ver = sub.add_parser("version", help="print the package version")

@@ -44,7 +44,6 @@ from repro.control.gossip import GossipSync, SyncStats
 from repro.core.interfaces import LoadBalancer, Name
 from repro.hashing.mix import fmix64
 from repro.obs import metrics as obs_metrics
-from repro.obs.registry import coalesce
 
 BalancerFactory = Callable[[], LoadBalancer]
 
@@ -71,7 +70,7 @@ class LBPool(LoadBalancer):
         # Membership *events* are incremented here as they happen; pool
         # *state* (members, lost entries, occupancy, sync totals) is
         # scraped by the obs collector at snapshot boundaries.
-        self.obs = coalesce(registry)
+        self.obs = registry
         #: The fallible channel (None under perfect sync or none), and the
         #: sync bill: the channel's counters, or the pool's own under
         #: perfect sync (None without sync).
@@ -169,9 +168,10 @@ class LBPool(LoadBalancer):
         return member
 
     def _note_event(self, kind: str) -> None:
-        self.obs.counter(
-            obs_metrics.POOL_EVENTS, "Pool membership events by kind", kind=kind
-        ).inc()
+        if self.obs is not None:
+            self.obs.counter(
+                obs_metrics.POOL_EVENTS, "Pool membership events by kind", kind=kind
+            ).inc()
 
     def _validate_index(self, index: int) -> int:
         if not isinstance(index, int) or isinstance(index, bool):

@@ -41,7 +41,6 @@ from repro.faults.events import (
 )
 from repro.faults.health import HealthMonitor
 from repro.obs import metrics as obs_metrics
-from repro.obs.registry import coalesce
 
 
 class ChaosInjector:
@@ -60,7 +59,7 @@ class ChaosInjector:
         #: attributed to the fault (``violations_under_fault``).
         self.fault_window_s = fault_window_s
         self._chaos_births = 0
-        self.obs = coalesce(registry)
+        self.obs = registry
 
     # ------------------------------------------------------------ priming
     def prime(self, sim) -> None:
@@ -86,10 +85,11 @@ class ChaosInjector:
         if applied:
             sim.result.fault_events += 1
             sim.note_fault()
-            self.obs.counter(
-                obs_metrics.FAULT_EVENTS, "Fault events applied by kind",
-                kind=event.kind,
-            ).inc()
+            if self.obs is not None:
+                self.obs.counter(
+                    obs_metrics.FAULT_EVENTS, "Fault events applied by kind",
+                    kind=event.kind,
+                ).inc()
 
     # ----------------------------------------------------------- handlers
     def _crash(self, sim, event: FaultEvent) -> bool:

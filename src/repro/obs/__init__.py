@@ -1,9 +1,8 @@
 """``repro.obs`` -- unified observability for the whole dataplane.
 
 One instrument panel for the reproduction: a metrics
-:class:`~repro.obs.registry.Registry` (counters, gauges, fixed-bucket
-histograms, timer contexts) with a true no-op
-:class:`~repro.obs.registry.NullRegistry` fast path, collectors that
+:class:`~repro.obs.registry.Registry` (counters and gauges) that every
+driver takes as ``registry=None`` when off, collectors that
 scrape existing dataplane counters at snapshot boundaries, one
 invariant :func:`~repro.obs.invariants.check` that judges the paper's
 theorems against telemetry within the bounds of a scenario envelope
@@ -12,10 +11,10 @@ defaults), and Prometheus / JSONL exporters wired into the CLI
 (``--metrics-out``, ``repro obs summarize``) and the experiments.
 
 Observability is strictly read-only: a run with a live registry makes
-byte-identical routing decisions and CT state to one with the
-NullRegistry, and a disabled registry is handed no instrument at all
-while a live one is called a number of times that does not grow with the
-trace (both enforced by ``tests/test_obs_differential.py``).
+byte-identical routing decisions and CT state to one without, an off run
+makes no call into the registry at all, and a live one is called a
+number of times that does not grow with the trace (both enforced by
+``tests/test_obs_differential.py``).
 """
 
 from repro.obs import collectors as metrics
@@ -43,15 +42,7 @@ from repro.obs.invariants import (
     violations,
 )
 from repro.obs.merge import GAUGE_SUM, load_series, merge_into, merge_series
-from repro.obs.registry import (
-    NULL,
-    Counter,
-    Gauge,
-    Histogram,
-    NullRegistry,
-    Registry,
-    coalesce,
-)
+from repro.obs.registry import Counter, Gauge, Registry
 from repro.obs.timers import Stopwatch
 
 __all__ = [
@@ -73,13 +64,9 @@ __all__ = [
     "margins",
     "render",
     "violations",
-    "NULL",
     "Counter",
     "Gauge",
-    "Histogram",
-    "NullRegistry",
     "Registry",
-    "coalesce",
     "GAUGE_SUM",
     "merge_series",
     "merge_into",

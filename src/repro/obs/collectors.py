@@ -6,7 +6,7 @@ maintain cheap plain-int counters -- :class:`~repro.ct.base.CTStats`,
 adds calls inside those loops; instead a *collector* registered here
 reads the structural counters at snapshot boundaries (sample events,
 chunk ends, run finalization) and publishes them as registry series.
-That is what makes the ``NullRegistry`` path genuinely free and the
+That is what makes an off run (``registry=None``) genuinely free and the
 live path O(metrics) per snapshot instead of O(packets).
 
 Derived series are documented where they are computed; the catalogue
@@ -38,7 +38,6 @@ EXPECTED_TRACKED_FRACTION = "repro_expected_tracked_fraction"
 #: by the engine when H/W vary mid-run (closed-loop runs).  Monitors
 #: prefer this over the instantaneous gauge when both exist.
 EXPECTED_TRACKED_FRACTION_MEAN = "repro_expected_tracked_fraction_mean"
-OBSERVED_TRACKED_FRACTION = "repro_observed_tracked_fraction"
 PCC_VIOLATIONS = "repro_pcc_violations_total"
 #: Post-warmup maximum coefficient of variation of per-server active
 #: connections (capacity-normalized on weighted fleets); published by the
@@ -54,7 +53,7 @@ CHURN_EXPOSED = "repro_churn_exposed_flows_total"
 BACKEND_EVENTS = "repro_backend_events_total"
 # Fault injection.
 FAULT_EVENTS = "repro_fault_events_total"
-# Dispatch-path selection and wall time.
+# Dispatch-path selection and wall time (a gauge each run sets once).
 DISPATCH_PACKETS = "repro_dispatch_packets_total"
 WALL_SECONDS = "repro_wall_seconds"
 # LB pool / CT sync (SyncStats).
@@ -99,10 +98,9 @@ def instrument_balancer(registry, balancer) -> None:
 
     Safe to call with any :class:`~repro.core.interfaces.LoadBalancer`:
     missing capabilities (no CT, no sync, no horizon) simply skip the
-    corresponding series.  On a :class:`~repro.obs.registry.NullRegistry`
-    this is a single no-op call.
+    corresponding series.  With ``registry=None`` it does nothing.
     """
-    if not registry.enabled:
+    if registry is None:
         return
     members = getattr(balancer, "members", None)
     if members is not None:  # LB pool: per-pool series plus its sync bill
@@ -208,7 +206,7 @@ def _instrument_pool(registry, pool) -> None:
 def instrument_controller(registry, controller) -> None:
     """Register collectors for a :class:`~repro.control.loop.ControlLoop`
     (prober counters, scale events, horizon fidelity)."""
-    if not registry.enabled:
+    if registry is None:
         return
     prober = controller.prober
     autoscaler = controller.autoscaler

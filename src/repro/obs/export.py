@@ -3,9 +3,9 @@
 Two formats, two audiences:
 
 - :func:`render_prometheus` / :func:`write_prometheus` -- the standard
-  `text exposition format`_ (``# HELP`` / ``# TYPE`` plus samples;
-  histograms expand to ``_bucket{le=...}`` / ``_sum`` / ``_count``), so
-  a run's final state can be diffed, scraped, or pushed to a gateway.
+  `text exposition format`_ (``# HELP`` / ``# TYPE`` plus one sample
+  per series), so a run's final state can be diffed, scraped, or pushed
+  to a gateway.
 - :class:`JsonlExporter` -- one JSON object per snapshot instant,
   appended as a line: ``{"t": <seconds>, "metrics": {...}}``.  The final
   line of a run carries ``"final": true`` plus the invariant-monitor
@@ -22,7 +22,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.obs.registry import Histogram, Registry, series_name
+from repro.obs.registry import Registry
 
 
 def render_prometheus(registry: Registry) -> str:
@@ -38,19 +38,7 @@ def render_prometheus(registry: Registry) -> str:
             if help_text:
                 lines.append(f"# HELP {name} {help_text}")
             lines.append(f"# TYPE {name} {registry.kind_of(name)}")
-        if isinstance(instrument, Histogram):
-            for le, cumulative in instrument.cumulative_buckets():
-                labels = instrument.labels + (("le", le),)
-                lines.append(f"{series_name(name + '_bucket', labels)} {cumulative}")
-            lines.append(
-                f"{series_name(name + '_sum', instrument.labels)} "
-                f"{_fmt(instrument.total)}"
-            )
-            lines.append(
-                f"{series_name(name + '_count', instrument.labels)} {instrument.count}"
-            )
-        else:
-            lines.append(f"{rendered} {_fmt(instrument.value)}")
+        lines.append(f"{rendered} {_fmt(instrument.value)}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -94,6 +82,13 @@ class JsonlExporter:
     def close(self) -> None:
         if not self._fh.closed:
             self._fh.close()
+
+    def finish(self, registry: Registry) -> None:
+        """End a ``--metrics-out`` run: close the file, write the
+        registry's Prometheus sibling, and print both paths."""
+        self.close()
+        prom_path = write_prometheus(registry, prometheus_sibling(self.path))
+        print(f"metrics: {self.path} (prometheus: {prom_path})")
 
     def __enter__(self) -> "JsonlExporter":
         return self

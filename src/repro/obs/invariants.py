@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs import collectors as M
 from repro.obs.collectors import observed_tracked_fraction
-from repro.obs.export import prometheus_sibling, write_prometheus
 
 #: Default relative tolerance for the tracked-fraction check (the
 #: acceptance bar: observed within 10% of |H|/(|W|+|H|)).
@@ -289,7 +288,7 @@ def evaluate_and_export(
     results, which is what ``repro obs summarize --strict`` (and the CI
     invariant gate) reads back.  ``exporter`` is the JSONL exporter of a
     ``--metrics-out`` run: it is closed, its Prometheus sibling written,
-    and both paths printed.
+    and both paths printed (:meth:`~repro.obs.export.JsonlExporter.finish`).
     """
     registry.collect()
     results = check(registry, envelope)
@@ -297,7 +296,5 @@ def evaluate_and_export(
         t=t, final=True, invariants=[r.to_json() for r in results]
     )
     if exporter is not None:
-        exporter.close()
-        prom_path = write_prometheus(registry, prometheus_sibling(exporter.path))
-        print(f"metrics: {exporter.path} (prometheus: {prom_path})")
+        exporter.finish(registry)
     return results

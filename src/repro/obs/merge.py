@@ -11,14 +11,15 @@ over a single-process run:
 - **counters** sum: shards partition the flow keyspace, so their CT
   lookups/hits/inserts, flow tallies, and violation counts are disjoint
   contributions to the same totals;
-- **histograms** sum bucket-wise (bounds must agree);
 - **gauges** follow a per-metric rule: extensive state (CT occupancy,
   its peak, capacity) sums across shards, while intensive values
   (expected tracked fraction -- identical in every shard, which shares
-  the full membership replica) take the max, which is the shared value;
-- **derived gauges** are recomputed from the merged counters rather than
-  merged themselves: the observed tracked fraction must be
-  ``sum(tracked) / sum(flows)``, not any combination of per-shard ratios.
+  the full membership replica -- or a run's wall seconds) take the max.
+
+No ratio is stored: the observed tracked fraction is computed from the
+merged counters when it is read
+(:func:`~repro.obs.collectors.observed_tracked_fraction`), so it is
+``sum(tracked) / sum(flows)`` by construction.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ GAUGE_SUM = frozenset(
     }
 )
 
-#: Gauges recomputed from merged counters; per-shard values are dropped.
-_DERIVED = frozenset({metrics.OBSERVED_TRACKED_FRACTION})
-
 _Key = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 
@@ -54,90 +52,41 @@ def _key(entry: Dict[str, object]) -> _Key:
 def merge_series(dumps: Iterable[Sequence[Dict[str, object]]]) -> List[Dict[str, object]]:
     """Combine several ``dump_series`` payloads kind-aware into one."""
     merged: Dict[_Key, Dict[str, object]] = {}
-    order: List[_Key] = []
     for dump in dumps:
         for entry in dump:
             name = str(entry["name"])
             key = _key(entry)
             existing = merged.get(key)
             if existing is None:
-                copied = dict(entry)
-                if "bucket_counts" in copied:
-                    copied["bucket_counts"] = list(copied["bucket_counts"])
-                merged[key] = copied
-                order.append(key)
+                merged[key] = dict(entry)
                 continue
-            if existing["kind"] != entry["kind"]:
-                raise ValueError(
-                    f"metric {name!r} merged as both {existing['kind']} "
-                    f"and {entry['kind']}"
-                )
             kind = entry["kind"]
-            if kind == "counter":
+            if existing["kind"] != kind:
+                raise ValueError(
+                    f"metric {name!r} merged as both {existing['kind']} and {kind}"
+                )
+            if kind == "counter" or name in GAUGE_SUM:
                 existing["value"] += entry["value"]
-            elif kind == "gauge":
-                if name in GAUGE_SUM:
-                    existing["value"] += entry["value"]
-                else:
-                    existing["value"] = max(existing["value"], entry["value"])
-            elif kind == "histogram":
-                if list(existing["bounds"]) != list(entry["bounds"]):
-                    raise ValueError(f"histogram {name!r} bucket bounds differ")
-                existing["bucket_counts"] = [
-                    a + b
-                    for a, b in zip(existing["bucket_counts"], entry["bucket_counts"])
-                ]
-                existing["sum"] += entry["sum"]
-                existing["count"] += entry["count"]
             else:
-                raise ValueError(f"unknown series kind {kind!r} for {name!r}")
-    out = [merged[key] for key in order]
-    _recompute_derived(out)
-    return out
-
-
-def _recompute_derived(entries: List[Dict[str, object]]) -> None:
-    """Rewrite ratio gauges from the merged counters they derive from."""
-    by_name: Dict[str, Dict[str, object]] = {}
-    for entry in entries:
-        if not entry.get("labels"):
-            by_name.setdefault(str(entry["name"]), entry)
-    flows = by_name.get(metrics.FLOWS)
-    tracked = by_name.get(metrics.TRACKED_FLOWS)
-    observed = by_name.get(metrics.OBSERVED_TRACKED_FRACTION)
-    if observed is not None and flows is not None and flows["value"]:
-        observed["value"] = (tracked["value"] if tracked else 0) / flows["value"]
+                existing["value"] = max(existing["value"], entry["value"])
+    return list(merged.values())
 
 
 def load_series(registry, entries: Sequence[Dict[str, object]]) -> None:
     """Fold merged entries into a live registry (additively).
 
-    Counters increment by the merged totals, gauges are set, histograms
-    accumulate bucket-wise -- so loading into a fresh registry reproduces
-    the merged snapshot exactly, and loading into a registry that already
-    carries series composes.
+    Counters increment by the merged totals and gauges are set, so
+    loading into a fresh registry reproduces the merged snapshot exactly,
+    and loading into a registry that already carries series composes.
     """
     for entry in entries:
         name = str(entry["name"])
-        kind = entry["kind"]
         help_text = str(entry.get("help", ""))
         labels = dict(entry.get("labels") or {})
-        if kind == "counter":
+        if entry["kind"] == "counter":
             registry.counter(name, help_text, **labels).inc(entry["value"])
-        elif kind == "gauge":
-            registry.gauge(name, help_text, **labels).set(entry["value"])
-        elif kind == "histogram":
-            bounds = tuple(entry["bounds"])
-            histogram = registry.histogram(name, help_text, buckets=bounds, **labels)
-            if tuple(histogram.bounds) != bounds:
-                raise ValueError(f"histogram {name!r} bucket bounds differ")
-            histogram.bucket_counts = [
-                a + b for a, b in zip(histogram.bucket_counts, entry["bucket_counts"])
-            ]
-            histogram.total += entry["sum"]
-            histogram.count += entry["count"]
         else:
-            raise ValueError(f"unknown series kind {kind!r} for {name!r}")
+            registry.gauge(name, help_text, **labels).set(entry["value"])
 
 
 def merge_into(registry, dumps: Iterable[Sequence[Dict[str, object]]]) -> None:

@@ -3,9 +3,11 @@
 Reads the time series a run emitted via ``--metrics-out``, prints the
 final value of every series plus the recorded invariant-monitor
 verdicts, and (with ``--strict``) exits non-zero when any monitor
-reported a violation.  CI uses the strict mode as its invariant gate:
-the run itself only *records* verdicts, so a red gate always points at a
-concrete artifact that can be downloaded and re-summarized locally.
+reported a violation or no record is a run's closing ``final`` line (the
+run died before it judged anything).  CI uses the strict mode as its
+invariant gate: the run itself only *records* verdicts, so a red gate
+always points at a concrete artifact that can be downloaded and
+re-summarized locally.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ def summarize(path) -> dict:
     return {
         "path": str(path),
         "snapshots": len(records),
+        "finished": any(record.get("final") for record in records),
         "final_t": (final or {}).get("t"),
         "metrics": (final or {}).get("metrics", {}),
         "invariants": invariants,
@@ -47,12 +50,7 @@ def format_summary(digest: dict) -> str:
         f"final at t={digest['final_t']}"
     ]
     for name, value in sorted(digest["metrics"].items()):
-        if isinstance(value, dict):  # histogram
-            lines.append(
-                f"  {name}: count={value.get('count')} sum={value.get('sum'):.6g}"
-            )
-        else:
-            lines.append(f"  {name}: {value:g}" if isinstance(value, float) else f"  {name}: {value}")
+        lines.append(f"  {name}: {value:g}" if isinstance(value, float) else f"  {name}: {value}")
     invariants: List[MonitorResult] = digest["invariants"]
     if invariants:
         lines.append("invariant monitors:")
@@ -71,7 +69,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="exit 1 if any recorded invariant monitor reported a violation",
+        help="exit 1 if any recorded invariant monitor reported a violation, "
+             "or if no record is a final (verdict-bearing) snapshot",
     )
     args = parser.parse_args(argv)
     digest = summarize(args.path)
@@ -81,4 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{len(violated)} invariant violation(s)")
         if args.strict:
             return 1
+    if args.strict and not digest["finished"]:
+        print("no final snapshot: the run ended before it judged its invariants")
+        return 1
     return 0

@@ -10,9 +10,8 @@ lost exception paths).
 
 :class:`Stopwatch` is deliberately registry-free: hot measurement loops
 must not pay for observability.  Callers that want the measurement *as a
-metric* observe ``stopwatch.elapsed`` into a registry histogram after
-the timed region, or use :meth:`repro.obs.registry.Registry.timer`
-which bundles both.
+metric* set a registry gauge to ``stopwatch.stop()`` after the timed
+region, as the engine and replay do for ``repro_wall_seconds``.
 """
 
 from __future__ import annotations

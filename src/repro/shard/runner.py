@@ -35,7 +35,6 @@ from multiprocessing.connection import wait as wait_ready
 from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from repro.core.interfaces import LoadBalancer
-from repro.obs.registry import coalesce
 from repro.obs.timers import Stopwatch
 from repro.shard.partition import shard_seed
 from repro.shard.plan import ShardPlan
@@ -98,8 +97,7 @@ def replay_sharded(
     n_shards = n_workers if n_shards is None else n_shards
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
-    registry = coalesce(metrics)
-    want_metrics = registry.enabled
+    want_metrics = metrics is not None
 
     watch = Stopwatch()
     factory = spec.builder() if isinstance(spec, BalancerSpec) else spec
@@ -117,7 +115,7 @@ def replay_sharded(
     if want_metrics:
         from repro.obs.merge import merge_into
 
-        merge_into(registry, [outcome.obs_series for outcome in outcomes])
+        merge_into(metrics, [outcome.obs_series for outcome in outcomes])
     end_to_end = watch.stop()
     return ShardedReplay(
         result=replace(
@@ -212,8 +210,8 @@ def simulate_sharded(config, n_workers: int = 1, n_shards: Optional[int] = None)
     n_shards = n_workers if n_shards is None else n_shards
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
-    registry = coalesce(config.registry)
-    want_metrics = registry.enabled
+    registry = config.registry
+    want_metrics = registry is not None
 
     base_arrival = config.arrival_rate
     shard_configs = []

@@ -64,7 +64,6 @@ from repro.ct import Clock as _SimClock
 from repro.hashing.mix import splitmix64
 from repro.obs import metrics as obs_metrics
 from repro.obs.collectors import instrument_balancer
-from repro.obs.registry import coalesce
 from repro.obs.timers import Stopwatch
 from repro.sim.backend import HorizonManager
 from repro.sim.distributions import Distribution
@@ -98,15 +97,13 @@ class EventDrivenSimulation:
         self.lb = balancer
         self.injector = injector
         self.controller = controller
-        # Observability: a NullRegistry by default.  Neither consumer of
-        # the packet stream is instrumented; obs work happens only at
-        # sample events and finalization (plus one guarded delta-read per
-        # first dispatch), so a disabled run pays nothing and a live run
-        # pays O(samples).
-        self.obs = coalesce(registry)
-        self._obs_on = self.obs.enabled
-        if self._obs_on:
-            instrument_balancer(self.obs, balancer)
+        # Observability: off (None) by default.  Neither consumer of the
+        # packet stream is instrumented; obs work happens only at sample
+        # events and finalization, so an off run pays nothing and a live
+        # run pays O(samples).
+        self.obs = registry
+        if registry is not None:
+            instrument_balancer(registry, balancer)
         self._first_dispatches = 0
         self._first_tracked = 0
         # Resolve the per-packet LB capability probes once.
@@ -227,10 +224,10 @@ class EventDrivenSimulation:
 
         self._finalize()
         self.result.wall_seconds = watch.stop()
-        if self._obs_on:
-            self.obs.histogram(
+        if self.obs is not None:
+            self.obs.gauge(
                 obs_metrics.WALL_SECONDS, "Wall time by phase", phase="simulate"
-            ).observe(self.result.wall_seconds)
+            ).set(self.result.wall_seconds)
         return self.result
 
     # ------------------------------------------------------- membership
@@ -645,7 +642,7 @@ class EventDrivenSimulation:
         self.result.sample_times.append(now)
         if tracked > self.result.peak_tracked:
             self.result.peak_tracked = tracked
-        if self._obs_on:
+        if self.obs is not None:
             self._publish_telemetry()
             self.obs.export_snapshot(t=now)
         # Re-arm only while the next sample still lands inside the run
@@ -664,10 +661,6 @@ class EventDrivenSimulation:
         obs.counter(
             obs_metrics.TRACKED_FLOWS, "Flows tracked at first dispatch"
         ).set_total(self._first_tracked)
-        if self._first_dispatches:
-            obs.gauge(
-                obs_metrics.OBSERVED_TRACKED_FRACTION, "Observed tracked fraction"
-            ).set(self._first_tracked / self._first_dispatches)
         obs.counter(obs_metrics.PCC_VIOLATIONS, "PCC violations").set_total(
             result.pcc_violations
         )
@@ -750,7 +743,7 @@ class EventDrivenSimulation:
             result.probe_evictions = prober_stats.evictions
             result.probe_false_evictions = prober_stats.false_evictions
             result.probe_readmissions = prober_stats.readmissions
-        if self._obs_on:
+        if self.obs is not None:
             self._publish_telemetry()
             for metric, what, value in (
                 (obs_metrics.HORIZON_PRECISION, "precision", result.horizon_precision),

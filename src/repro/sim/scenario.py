@@ -76,7 +76,7 @@ class SimulationConfig:
     fault_window_s: float = 10.0
     probation_base_s: float = 1.0
     probation_cap_s: float = 60.0
-    # Observability (repro.obs); None keeps the zero-cost NullRegistry path.
+    # Observability (repro.obs); None is off and costs nothing.
     registry: Optional[object] = None  # repro.obs.Registry
     # Closed-loop control plane (repro.control); False keeps exogenous H.
     control: bool = False

@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.core.interfaces import LoadBalancer, Name
 from repro.obs import metrics as obs_metrics
-from repro.obs.registry import coalesce
 from repro.obs.timers import Stopwatch
 from repro.traces.base import Trace
 
@@ -91,9 +90,9 @@ def replay(
     ``metrics`` is an optional :class:`repro.obs.registry.Registry`.  All
     instrumentation happens *after* the dispatch loop (counters published
     from the loop's own tallies), so the loop is identical with metrics
-    off, disabled (NullRegistry), or live -- the differential suite holds
-    all three to the same decisions and counts the calls into
-    ``repro.obs`` (none when disabled; live, none that grow with the trace).
+    off (``None``) or live -- the differential suite holds both to the
+    same decisions and counts the calls into ``repro.obs``'s registry
+    (none when off; live, none that grow with the trace).
     """
     keys: List[int] = [int(k) for k in trace.flow_keys]
     packet_flows: List[int] = trace.packets.tolist()
@@ -235,17 +234,16 @@ def merge_replay_results(results: Sequence[ReplayResult]) -> ReplayResult:
 
 
 def _publish_metrics(
-    metrics, balancer: LoadBalancer, result: ReplayResult, path: str, n_events: int
+    registry, balancer: LoadBalancer, result: ReplayResult, path: str, n_events: int
 ) -> None:
-    """Publish one replay's tallies to a registry (no-op when disabled).
+    """Publish one replay's tallies to a registry (no-op when ``None``).
 
-    The tracked-fraction series are only published for churn-free
+    The tracked-flow counter is only published for churn-free
     replays: with injected backend events, CT inserts include re-tracks
     after invalidation and no longer count distinct unsafe flows, so the
     Theorem 4.2 comparison would be against the wrong denominator.
     """
-    registry = coalesce(metrics)
-    if not registry.enabled:
+    if registry is None:
         return
     obs_metrics.instrument_balancer(registry, balancer)
     dispatched = sum(result.server_loads.values())
@@ -265,17 +263,14 @@ def _publish_metrics(
     registry.counter(
         obs_metrics.DISPATCH_PACKETS, "Packets by dispatch path", path=path
     ).inc(result.n_packets)
-    registry.histogram(
+    registry.gauge(
         obs_metrics.WALL_SECONDS, "Wall time by phase", phase="replay"
-    ).observe(result.wall_seconds)
+    ).set(result.wall_seconds)
     ct = getattr(balancer, "ct", None)
     if n_events == 0 and ct is not None and dispatched:
         registry.counter(
             obs_metrics.TRACKED_FLOWS, "Flows tracked at first dispatch"
         ).inc(ct.stats.inserts)
-        registry.gauge(
-            obs_metrics.OBSERVED_TRACKED_FRACTION, "Observed tracked fraction"
-        ).set(ct.stats.inserts / dispatched)
 
 
 # Packets per ``get_destinations_batch_idx`` call.  A chunk pays a fixed

@@ -1,9 +1,8 @@
-"""Observability must be read-only: metrics off / disabled / live runs
-make identical decisions.
+"""Observability must be read-only: metrics off / live runs make
+identical decisions.
 
 The contract the whole obs layer rests on: ``replay(metrics=None)``
-(uninstrumented), ``replay(metrics=NULL)`` (instrumented code path, no-op
-registry), and ``replay(metrics=Registry())`` (live telemetry) produce
+(off) and ``replay(metrics=Registry())`` (live telemetry) produce
 byte-identical routing decisions, PCC accounting, and post-run CT state
 -- across every balancer stack, through both scalar and batched replay,
 in the event-driven engine, and (via hypothesis) under arbitrary
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.ch import rows_for
 from repro.core import StatelessLoadBalancer, make_ch, make_full_ct, make_jet
-from repro.obs import NULL, Registry, metrics as M
+from repro.obs import Registry, metrics as M
 from repro.sim import SimulationConfig, run_simulation
 from repro.traces import replay, replay_batch, zipf_trace
 
@@ -71,7 +70,6 @@ def _fingerprint(balancer, result):
 
 REGISTRY_VARIANTS = {
     "off": lambda: None,
-    "disabled": lambda: NULL,
     "live": Registry,
 }
 
@@ -192,8 +190,8 @@ def count_obs_calls(run):
 class TestFreeWhenOff:
     """"Free when off" as a count, not a stopwatch: what the replay
     drivers ask of ``repro.obs`` does not grow with the trace, so none of
-    it sits in the per-packet loop -- and a disabled registry is asked
-    for nothing at all."""
+    it sits in the per-packet loop -- and an off run (``metrics=None``)
+    makes no call into the registry at all."""
 
     @staticmethod
     def _obs_calls(driver, n_packets, registry):
@@ -212,9 +210,9 @@ class TestFreeWhenOff:
     @pytest.mark.parametrize("driver", [replay, replay_batch])
     def test_null_registry_hands_out_no_instrument(self, driver):
         for n_packets in (5_000, 20_000):
-            calls = self._obs_calls(driver, n_packets, NULL)
+            calls = self._obs_calls(driver, n_packets, None)
             in_registry = {name for (module, name) in calls if module == "registry.py"}
-            assert in_registry == {"coalesce"}
+            assert in_registry == set()
 
 
 class TestEngineDifferential:
@@ -237,9 +235,7 @@ class TestEngineDifferential:
 
     def test_simulation_identical_with_and_without_registry(self):
         plain = run_simulation(SimulationConfig(**self.CONFIG))
-        nulled = run_simulation(SimulationConfig(**self.CONFIG, registry=NULL))
         live = run_simulation(SimulationConfig(**self.CONFIG, registry=Registry()))
-        assert self._stable_fields(nulled) == self._stable_fields(plain)
         assert self._stable_fields(live) == self._stable_fields(plain)
 
     def test_chaos_simulation_identical_with_registry(self):

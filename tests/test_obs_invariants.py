@@ -205,6 +205,28 @@ class TestSummarizeCLI:
         assert summarize_main([path, "--strict"]) == 1
         assert "violation" in capsys.readouterr().out
 
+    def test_strict_red_on_empty_artifact(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert summarize_main([str(path)]) == 0
+        assert summarize_main([str(path), "--strict"]) == 1
+        assert capsys.readouterr().out.endswith(
+            "no final snapshot: the run ended before it judged its invariants\n"
+        )
+
+    def test_strict_red_on_cut_off_artifact(self, tmp_path, capsys):
+        # A run that died before its closing line: every sample snapshot is
+        # there, the final (verdict-bearing) one is not.
+        path = tmp_path / "sim.jsonl"
+        cli.main(["simulate", "--duration", "10", "--rate", "200",
+                  "--metrics-out", str(path)])
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) > 1 and '"final": true' in lines[-1]
+        path.write_text("".join(lines[:-1]))
+        capsys.readouterr()
+        assert summarize_main([str(path), "--strict"]) == 1
+        assert "no final snapshot" in capsys.readouterr().out
+
 
 class TestSimulationTelemetry:
     """The acceptance bar, at test-sized scale."""
@@ -272,6 +294,18 @@ class TestCLIMetricsOut:
         assert "VIOLATION" not in captured
         assert out.exists()
         assert out.with_suffix(".prom").exists()
+        assert summarize_main([str(out), "--strict"]) == 0
+
+    def test_scenario_run_writes_prometheus_sibling(self, tmp_path, capsys):
+        out = tmp_path / "m.jsonl"
+        code = cli.main([
+            "scenario", "run", "flash-crowd", "--duration", "10",
+            "--metrics-out", str(out),
+        ])
+        assert code == 0
+        prom = tmp_path / "m.prom"
+        assert f"metrics: {out} (prometheus: {prom})" in capsys.readouterr().out
+        assert "# TYPE repro_flows_total counter" in prom.read_text()
         assert summarize_main([str(out), "--strict"]) == 0
 
     def test_metrics_tolerance_flag_is_gone(self, capsys):

@@ -1,4 +1,4 @@
-"""Unit tests for the repro.obs metrics registry, exporters, and timers."""
+"""Unit tests for the repro.obs metrics registry, merge, exporters, and timers."""
 
 import json
 import math
@@ -6,19 +6,20 @@ import math
 import pytest
 
 from repro.obs import (
-    NULL,
+    GAUGE_SUM,
     JsonlExporter,
-    NullRegistry,
     Registry,
     Stopwatch,
-    coalesce,
     last_snapshot,
     load_jsonl,
+    load_series,
+    merge_series,
+    metrics as M,
     prometheus_sibling,
     render_prometheus,
     write_prometheus,
 )
-from repro.obs.registry import DEFAULT_TIME_BUCKETS, series_name
+from repro.obs.registry import series_name
 
 
 class TestInstruments:
@@ -44,9 +45,9 @@ class TestInstruments:
         reg = Registry()
         gauge = reg.gauge("repro_test")
         gauge.set(3.5)
-        gauge.inc()
-        gauge.dec(2.0)
-        assert reg.value("repro_test") == pytest.approx(2.5)
+        assert reg.value("repro_test") == 3.5
+        gauge.set(1.25)
+        assert reg.value("repro_test") == 1.25
 
     def test_labelled_series_are_independent(self):
         reg = Registry()
@@ -69,32 +70,6 @@ class TestInstruments:
         with pytest.raises(ValueError):
             reg.counter("repro_ok_total", **{"bad-label": "x"})
 
-    def test_histogram_buckets(self):
-        reg = Registry()
-        hist = reg.histogram("repro_lat", buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 0.5, 5.0, 50.0):
-            hist.observe(value)
-        assert hist.count == 5
-        assert hist.total == pytest.approx(56.05)
-        assert hist.cumulative_buckets() == [
-            ("0.1", 1), ("1", 3), ("10", 4), ("+Inf", 5),
-        ]
-
-    def test_histogram_rejects_unsorted_bounds(self):
-        with pytest.raises(ValueError):
-            Registry().histogram("repro_lat", buckets=(1.0, 0.1))
-
-    def test_timer_observes_elapsed(self):
-        reg = Registry()
-        with reg.timer("repro_span") as span:
-            pass
-        assert span.elapsed >= 0.0
-        hist = reg.histogram("repro_span")
-        assert hist.count == 1
-
-    def test_default_time_buckets_sorted(self):
-        assert list(DEFAULT_TIME_BUCKETS) == sorted(DEFAULT_TIME_BUCKETS)
-
 
 class TestRegistry:
     def test_collectors_run_on_snapshot(self):
@@ -108,11 +83,9 @@ class TestRegistry:
     def test_snapshot_flattens_series(self):
         reg = Registry()
         reg.counter("repro_c_total").inc(3)
-        reg.histogram("repro_h", buckets=(1.0,)).observe(0.5)
+        reg.gauge("repro_g", phase="replay").set(0.5)
         snap = reg.snapshot()
-        assert snap["repro_c_total"] == 3
-        assert snap["repro_h"]["count"] == 1
-        assert snap["repro_h"]["buckets"] == {"1": 1, "+Inf": 1}
+        assert snap == {"repro_c_total": 3, 'repro_g{phase="replay"}': 0.5}
 
     def test_series_name_rendering(self):
         assert series_name("m", ()) == "m"
@@ -130,16 +103,6 @@ class TestPrometheus:
         assert 'repro_c_total{family="hrw"} 2' in text
         assert "# TYPE repro_g gauge" in text
         assert "repro_g 0.25" in text
-
-    def test_render_histogram_expansion(self):
-        reg = Registry()
-        reg.histogram("repro_h", "hist", buckets=(1.0, 5.0)).observe(0.4)
-        text = render_prometheus(reg)
-        assert 'repro_h_bucket{le="1"} 1' in text
-        assert 'repro_h_bucket{le="5"} 1' in text
-        assert 'repro_h_bucket{le="+Inf"} 1' in text
-        assert "repro_h_sum 0.4" in text
-        assert "repro_h_count 1" in text
 
     def test_write_prometheus_and_sibling(self, tmp_path):
         reg = Registry()
@@ -177,35 +140,43 @@ class TestJsonl:
         assert last_snapshot([]) is None
 
 
-class TestNullRegistry:
-    def test_shared_inert_instruments(self):
-        null = NullRegistry()
-        counter = null.counter("repro_c_total", family="hrw")
-        assert counter is null.gauge("repro_g") is null.histogram("repro_h")
-        counter.inc(5)
-        counter.set_total(10)
-        null.gauge("repro_g").set(3)
-        null.histogram("repro_h").observe(1.0)
-        assert null.value("repro_c_total", family="hrw") is None
-        assert null.series() == {}
-        assert null.snapshot() == {}
-        assert not null.enabled
+class TestMerge:
+    def test_each_merge_rule(self):
+        def shard(flows, occupancy, expected, wall):
+            reg = Registry()
+            reg.counter(M.FLOWS, "Flows dispatched").inc(flows)
+            reg.counter(M.CH_LOOKUPS, family="hrw").inc(flows // 2)
+            reg.gauge(M.CT_OCCUPANCY).set(occupancy)
+            reg.gauge(M.EXPECTED_TRACKED_FRACTION).set(expected)
+            reg.gauge(M.WALL_SECONDS, phase="replay").set(wall)
+            return reg.dump_series()
 
-    def test_timer_context_is_noop(self):
-        with NULL.timer("repro_span") as span:
-            pass
-        assert span.elapsed == 0.0
+        assert M.CT_OCCUPANCY in GAUGE_SUM
+        assert M.WALL_SECONDS not in GAUGE_SUM
+        merged = merge_series([shard(10, 3, 0.1, 2.0), shard(30, 4, 0.1, 5.0)])
+        values = {(e["name"], tuple(e["labels"].items())): e["value"] for e in merged}
+        assert values == {
+            (M.FLOWS, ()): 40,                              # counters sum
+            (M.CH_LOOKUPS, (("family", "hrw"),)): 20,
+            (M.CT_OCCUPANCY, ()): 7,                        # GAUGE_SUM gauges sum
+            (M.EXPECTED_TRACKED_FRACTION, ()): 0.1,         # other gauges: max
+            (M.WALL_SECONDS, (("phase", "replay"),)): 5.0,
+        }
 
-    def test_collectors_and_exporters_ignored(self):
-        NULL.add_collector(lambda r: (_ for _ in ()).throw(AssertionError))
-        NULL.attach_exporter(object())
-        NULL.collect()
-        NULL.export_snapshot(t=0.0)
+        clash = Registry()
+        clash.gauge(M.FLOWS).set(1)
+        with pytest.raises(ValueError, match="merged as both"):
+            merge_series([shard(1, 1, 0.1, 1.0), clash.dump_series()])
 
-    def test_coalesce(self):
-        assert coalesce(None) is NULL
-        live = Registry()
-        assert coalesce(live) is live
+        # Loading into a fresh registry reproduces the merged dump...
+        fresh = Registry()
+        load_series(fresh, merged)
+        assert fresh.dump_series() == merged
+        assert fresh.help_of(M.FLOWS) == "Flows dispatched"
+        # ...and loading into one that already has series adds to it.
+        load_series(fresh, merged)
+        assert fresh.value(M.FLOWS) == 80
+        assert fresh.value(M.CT_OCCUPANCY) == 7  # a gauge is set, not added
 
 
 class TestTimers:
