@@ -10,6 +10,7 @@ from repro.analysis.balance import (
 from repro.analysis.model import (
     CTOccupancyModel,
     memory_saving_factor,
+    tracked_fraction_band,
     tracking_probability,
 )
 
@@ -24,5 +25,6 @@ __all__ = [
     "expected_oversubscription",
     "CTOccupancyModel",
     "memory_saving_factor",
+    "tracked_fraction_band",
     "tracking_probability",
 ]

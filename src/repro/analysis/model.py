@@ -17,6 +17,11 @@ measured simulations:
 
 - **memory-saving factor** vs full CT: ``(1+γ)/γ`` (the Section 4.2
   corollary).
+
+- **tracked-fraction band**: each of n flows is tracked with probability
+  p (Theorem 4.2), so the tracked fraction is binomial with standard
+  deviation ``sqrt(p(1-p)/n)``; the invariant check allows
+  :data:`BAND_SIGMAS` of them.
 """
 
 from __future__ import annotations
@@ -30,6 +35,20 @@ def tracking_probability(n_working: int, n_horizon: int) -> float:
     if n_working < 0 or n_horizon < 0 or n_working + n_horizon == 0:
         raise ValueError("need non-negative sizes with a non-empty union")
     return n_horizon / (n_working + n_horizon)
+
+
+#: Width of the tracked-fraction band in binomial standard deviations.
+BAND_SIGMAS = 4.0
+
+
+def tracked_fraction_band(n_flows: float, expected: float) -> float:
+    """Half-width of the band the tracked fraction of ``n_flows`` flows,
+    each tracked with mean probability ``expected``, lies in (Theorems
+    4.2/4.3): ``BAND_SIGMAS * sqrt(p(1-p)/n)``.  When p differs between
+    flows (a moving horizon), the true variance is at most this."""
+    if n_flows <= 0 or not 0 < expected < 1:
+        raise ValueError("need n_flows > 0 and an expectation in (0, 1)")
+    return BAND_SIGMAS * math.sqrt(expected * (1 - expected) / n_flows)
 
 
 def memory_saving_factor(gamma: float) -> float:

@@ -8,8 +8,9 @@ and a health prober evicts/readmits backends on probe evidence.  Four
 measurements, all bit-reproducible for a fixed ``--seed``:
 
 1. **Flash crowd, perfect forecast** -- the acceptance run.  Tracked
-   fraction must stay within tolerance of the *flow-weighted* mean
-   ``|H|/(|W|+|H|)`` (Theorems 4.2/4.3 with a time-varying horizon), and
+   fraction must stay inside the invariant check's binomial band around
+   the *flow-weighted* mean ``|H|/(|W|+|H|)`` (Theorems 4.2/4.3 with a
+   time-varying horizon), and
    PCC breakage must not exceed an exogenous-H baseline running the same
    workload with the same membership-event rate through the paper's own
    §5 churn model.
@@ -33,6 +34,7 @@ from typing import Dict, List, Optional
 
 from repro.experiments.report import Experiment, format_table, run_module
 from repro.experiments.scales import scale_name
+from repro.obs import Registry, check
 from repro.scenarios.spec import EnvelopeSpec
 from repro.sim.distributions import Constant, Exponential
 from repro.sim.scenario import SimulationConfig, run_simulation
@@ -60,8 +62,6 @@ CONTROL_SCALES: Dict[str, dict] = {
     ),
 }
 
-#: Tracked-fraction acceptance tolerance for the perfect-forecast run.
-TRACKED_TOLERANCE = 0.15
 #: (recall, precision) grid for the forecast-quality sweep.
 FORECAST_GRID = ((1.0, 1.0), (0.7, 1.0), (0.3, 1.0), (0.0, 1.0), (1.0, 0.5))
 
@@ -121,25 +121,24 @@ def run_flash_crowd(
     the §5 update churn dialed to the closed-loop run's *realized*
     membership-event rate, so both runs disturb the backend equally often
     -- the comparison isolates *how* H is produced, not how much churn
-    there is."""
+    there is.  The tracked fraction's verdict is
+    :func:`repro.obs.check`'s over the closed-loop run (on a private
+    registry when none is given)."""
     cfg = control_base(scale, seed)
+    registry = Registry() if registry is None else registry
     closed = run_simulation(cfg.with_(registry=registry))
     events = closed.scale_outs + closed.scale_ins + closed.removals
     baseline_rate = 60.0 * events / cfg.duration_s
     baseline = run_simulation(
         cfg.with_(control=False, update_rate_per_min=baseline_rate, registry=None)
     )
-    expected = closed.mean_expected_tracked_fraction or 0.0
-    observed = closed.observed_tracked_fraction
-    error = abs(observed - expected) / expected if expected else 0.0
+    (tracked,) = [r for r in check(registry) if r.name == "tracked_fraction"]
     return {
         "closed_loop": _control_row(closed),
         "baseline_update_rate_per_min": baseline_rate,
         "baseline_pcc_violations": baseline.pcc_violations,
         "baseline_observed_tracked_fraction": baseline.observed_tracked_fraction,
-        "tracked_fraction_error": error,
-        "tracked_fraction_tolerance": TRACKED_TOLERANCE,
-        "tracked_fraction_ok": error <= TRACKED_TOLERANCE,
+        "tracked_fraction": tracked.to_json(),
         "breakage_ok": closed.pcc_violations <= baseline.pcc_violations,
     }
 
@@ -256,15 +255,12 @@ def build_payload(
 def _tables(payload: Dict) -> str:
     flash = payload["flash_crowd"]
     closed = flash["closed_loop"]
+    tracked = flash["tracked_fraction"]
     diurnal = payload["diurnal"]
     gossip = payload["gossip"]
     return "\n".join([
-        f"flash crowd (perfect forecast): "
-        f"observed tracked {closed['observed_tracked_fraction']:.4f} vs "
-        f"flow-weighted |H|/(|W|+|H|) {closed['mean_expected_tracked_fraction']:.4f} "
-        f"(error {flash['tracked_fraction_error']:.3f}, "
-        f"tolerance {flash['tracked_fraction_tolerance']}) "
-        f"{'OK' if flash['tracked_fraction_ok'] else 'FAIL'}",
+        f"flash crowd (perfect forecast): observed tracked vs flow-weighted "
+        f"|H|/(|W|+|H|) {tracked['detail']} {'OK' if tracked['ok'] else 'FAIL'}",
         f"PCC breakage: closed loop {closed['pcc_violations']} vs exogenous-H "
         f"baseline {flash['baseline_pcc_violations']} at matched churn "
         f"({flash['baseline_update_rate_per_min']:.1f} events/min) "
@@ -306,11 +302,7 @@ CONTROL_LOOP = Experiment(
     run=build_payload, tables=_tables, payload=lambda payload: payload,
     # The instrumented run had a perfect forecast, so gate on it: both
     # scores must sit at 1.0 (tolerance via floor) or the loop is broken.
-    envelope=EnvelopeSpec(
-        tracked_fraction_tolerance=TRACKED_TOLERANCE,
-        min_horizon_precision=0.99,
-        min_horizon_recall=0.99,
-    ),
+    envelope=EnvelopeSpec(min_horizon_precision=0.99, min_horizon_recall=0.99),
 )
 
 

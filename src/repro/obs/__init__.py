@@ -32,7 +32,6 @@ from repro.obs.export import (
     write_prometheus,
 )
 from repro.obs.invariants import (
-    DEFAULT_TOLERANCE,
     MIN_FLOWS,
     MonitorResult,
     check,
@@ -56,7 +55,6 @@ __all__ = [
     "prometheus_sibling",
     "render_prometheus",
     "write_prometheus",
-    "DEFAULT_TOLERANCE",
     "MIN_FLOWS",
     "MonitorResult",
     "check",

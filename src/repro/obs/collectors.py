@@ -34,10 +34,11 @@ CH_LOOKUPS = "repro_ch_lookups_total"
 FLOWS = "repro_flows_total"
 TRACKED_FLOWS = "repro_tracked_flows_total"
 EXPECTED_TRACKED_FRACTION = "repro_expected_tracked_fraction"
-#: Flow-weighted mean of |H|/(|W|+|H|) over first dispatches; published
-#: by the engine when H/W vary mid-run (closed-loop runs).  Monitors
-#: prefer this over the instantaneous gauge when both exist.
-EXPECTED_TRACKED_FRACTION_MEAN = "repro_expected_tracked_fraction_mean"
+#: Theorem 4.2's expected number of tracked flows: the sum, over first
+#: dispatches, of |H|/(|W|+|H|) at that moment (weight shares on weighted
+#: fleets).  Over FLOWS it is the expectation the invariant check bounds,
+#: and, being a counter, it sums across shards.
+EXPECTED_TRACKED_FLOWS = "repro_expected_tracked_flows_total"
 PCC_VIOLATIONS = "repro_pcc_violations_total"
 #: Post-warmup maximum coefficient of variation of per-server active
 #: connections (capacity-normalized on weighted fleets); published by the
@@ -136,14 +137,12 @@ def _instrument_single(registry, balancer) -> None:
             reg.counter(
                 CH_LOOKUPS, "CH lookups by hash family", family=family
             ).set_total(stats.misses)
-        if _is_jet(balancer):
-            horizon = getattr(balancer, "horizon", None)
-            working = getattr(balancer, "working", None)
-            if horizon and working:
-                reg.gauge(
-                    EXPECTED_TRACKED_FRACTION,
-                    "Theorem 4.2 expected tracked fraction |H|/(|W|+|H|)",
-                ).set(len(horizon) / (len(working) + len(horizon)))
+        share = expected_tracked_fraction(balancer)
+        if share is not None:
+            reg.gauge(
+                EXPECTED_TRACKED_FRACTION,
+                "Theorem 4.2 expected tracked fraction |H|/(|W|+|H|)",
+            ).set(share)
 
     registry.add_collector(collect)
 
@@ -233,12 +232,18 @@ def instrument_controller(registry, controller) -> None:
     registry.add_collector(collect)
 
 
-def _is_jet(balancer) -> bool:
-    """True for balancers that track only *unsafe* connections, i.e. the
-    ones Theorem 4.2's |H|/(|W|+|H|) expectation applies to."""
+def expected_tracked_fraction(balancer) -> Optional[float]:
+    """Theorem 4.2's |H|/(|W|+|H|) for the balancer's sets right now, or
+    None unless it tracks only *unsafe* connections (JET) and both sets
+    are non-empty."""
     from repro.core.jet import JETLoadBalancer
 
-    return isinstance(balancer, JETLoadBalancer)
+    if not isinstance(balancer, JETLoadBalancer):
+        return None
+    horizon, working = balancer.horizon, balancer.working
+    if not (horizon and working):
+        return None
+    return len(horizon) / (len(working) + len(horizon))
 
 
 def observed_tracked_fraction(registry) -> Optional[float]:

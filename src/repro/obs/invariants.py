@@ -5,16 +5,20 @@ so the same checks run identically over a live run, a sharded merge, a
 replayed JSONL artifact, or a synthetic registry in tests.  Each check
 returns a :class:`MonitorResult` that is ``ok``, a *violation*, or
 *skipped* (required series absent -- e.g. the tracked-fraction check on a
-stateless balancer that publishes no expectation gauge).
+stateless balancer that publishes no expectation).
 
 The bounds come from one object, the *envelope*: the scenario document's
-envelope block (:class:`repro.scenarios.spec.EnvelopeSpec`, whose five
-fields are read here by name), or ``None`` for the defaults.  The checks,
-in order, and the claims they guard:
+envelope block (:class:`repro.scenarios.spec.EnvelopeSpec`, whose four
+fields are read here by name), or ``None`` for the defaults.  The
+tracked-fraction band is not an envelope field: the theorem fixes it.
+The checks, in order, and the claims they guard:
 
 - ``tracked_fraction`` -- Theorems 4.2/4.3: the observed fraction of
-  connections JET tracks lies within ``tracked_fraction_tolerance``
-  (default :data:`DEFAULT_TOLERANCE`) relative error of ``|H|/(|W|+|H|)``.
+  connections JET tracks lies within
+  :func:`~repro.analysis.model.tracked_fraction_band` (four binomial
+  standard deviations) of the expectation, which is the mean over first
+  dispatches of ``|H|/(|W|+|H|)`` at that moment: the counter
+  ``repro_expected_tracked_flows_total`` over ``repro_flows_total``.
 - ``pcc_accounting`` -- PCC violations plus inevitably-broken
   connections cannot exceed the flows that were exposed to churn (each
   backend event can break at most the connections active when it fired).
@@ -34,15 +38,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.model import BAND_SIGMAS, tracked_fraction_band
 from repro.obs import collectors as M
 from repro.obs.collectors import observed_tracked_fraction
 
-#: Default relative tolerance for the tracked-fraction check (the
-#: acceptance bar: observed within 10% of |H|/(|W|+|H|)).
-DEFAULT_TOLERANCE = 0.10
-
 #: Below this many flows the binomial noise on the tracked fraction
-#: swamps any tolerance worth enforcing; the check skips instead.
+#: swamps any band worth enforcing; the check skips instead.
 MIN_FLOWS = 200
 
 
@@ -56,6 +57,9 @@ class MonitorResult:
     observed: Optional[float] = None
     expected: Optional[float] = None
     detail: str = ""
+    #: Headroom left inside the bound (negative = violated), set by the
+    #: bounded checks; see :func:`margins`.
+    margin: Optional[float] = None
 
     @property
     def violated(self) -> bool:
@@ -77,39 +81,27 @@ def _bound(envelope, name: str) -> Optional[float]:
     return None if envelope is None else getattr(envelope, name)
 
 
-def _tolerance(envelope) -> float:
-    return _bound(envelope, "tracked_fraction_tolerance") or DEFAULT_TOLERANCE
-
-
-def _relative_error(observed: float, expected: float) -> float:
-    return abs(observed - expected) / expected
-
-
-def _tracked_fraction(registry, tolerance: float) -> MonitorResult:
+def _tracked_fraction(registry) -> MonitorResult:
     name = "tracked_fraction"
-    # Prefer the flow-weighted mean expectation: when H and W vary
-    # mid-run (closed-loop autoscaling), the instantaneous gauge
-    # reflects only the final sample, not what flows actually saw.
-    expected = registry.value(M.EXPECTED_TRACKED_FRACTION_MEAN)
-    if expected is None:
-        expected = registry.value(M.EXPECTED_TRACKED_FRACTION)
-    if expected is None or expected <= 0:
+    expected_flows = registry.value(M.EXPECTED_TRACKED_FLOWS)
+    if not expected_flows:
         return _skip(name, "no expectation published (not a JET run)")
     flows = registry.value(M.FLOWS) or 0
     if flows < MIN_FLOWS:
         return _skip(name, f"only {flows:.0f} flows (< {MIN_FLOWS})")
     observed = observed_tracked_fraction(registry)
-    if observed is None:
-        return _skip(name, "tracked-flow series absent")
-    error = _relative_error(observed, expected)
+    expected = expected_flows / flows
+    band = tracked_fraction_band(flows, expected)
+    z = BAND_SIGMAS * (observed - expected) / band
     return MonitorResult(
         name=name,
-        ok=error <= tolerance,
+        ok=abs(z) <= BAND_SIGMAS,
         observed=observed,
         expected=expected,
+        margin=BAND_SIGMAS - abs(z),
         detail=(
-            f"|{observed:.4f} - {expected:.4f}| / {expected:.4f} "
-            f"= {error:.3f} (tolerance {tolerance})"
+            f"{observed:.4f} vs {expected:.4f} over {flows:.0f} flows "
+            f"= {z:+.2f} sigma (band {BAND_SIGMAS:g} sigma = {band:.4f})"
         ),
     )
 
@@ -203,6 +195,7 @@ def _breakage_bound(registry, max_breakage: float) -> MonitorResult:
         ok=fraction <= max_breakage,
         observed=fraction,
         expected=max_breakage,
+        margin=max_breakage - fraction,
         detail=(
             f"{violations:.0f} violations / {flows:.0f} flows "
             f"= {fraction:.5f} (bound {max_breakage})"
@@ -220,6 +213,7 @@ def _balance_cv(registry, max_balance_cv: float) -> MonitorResult:
         ok=observed <= max_balance_cv,
         observed=observed,
         expected=max_balance_cv,
+        margin=max_balance_cv - observed,
         detail=f"max load CV {observed:.3f} (bound {max_balance_cv})",
     )
 
@@ -227,7 +221,7 @@ def _balance_cv(registry, max_balance_cv: float) -> MonitorResult:
 def check(registry, envelope=None) -> List[MonitorResult]:
     """Every invariant over ``registry``, bounded by ``envelope``."""
     results = [
-        _tracked_fraction(registry, _tolerance(envelope)),
+        _tracked_fraction(registry),
         _pcc_accounting(registry),
         _ct_occupancy_bound(registry),
         _horizon_fidelity(
@@ -245,26 +239,20 @@ def check(registry, envelope=None) -> List[MonitorResult]:
     return results
 
 
-def margins(envelope, results: Sequence[MonitorResult]) -> Dict[str, Optional[float]]:
+def margins(results: Sequence[MonitorResult]) -> Dict[str, Optional[float]]:
     """Headroom left inside each bound (negative = violated).
 
     Keys are the ``tracked_fraction``, ``breakage_bound`` and
     ``balance_cv`` results present; a ``None`` margin means the check
     skipped (its series was absent at this scale).  Tracked-fraction
-    margin is in relative-error units (tolerance minus observed error);
+    headroom is in binomial standard deviations (``BAND_SIGMAS - |z|``);
     the others are in the bound's own units.
     """
-    headroom: Dict[str, Optional[float]] = {}
-    for r in results:
-        if r.name not in ("tracked_fraction", "breakage_bound", "balance_cv"):
-            continue
-        if r.skipped or r.observed is None or r.expected is None:
-            headroom[r.name] = None
-        elif r.name == "tracked_fraction":
-            headroom[r.name] = _tolerance(envelope) - _relative_error(r.observed, r.expected)
-        else:
-            headroom[r.name] = r.expected - r.observed
-    return headroom
+    return {
+        r.name: r.margin
+        for r in results
+        if r.name in ("tracked_fraction", "breakage_bound", "balance_cv")
+    }
 
 
 def violations(results: Sequence[MonitorResult]) -> List[MonitorResult]:

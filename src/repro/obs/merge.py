@@ -9,17 +9,16 @@ invariant monitors evaluate over *merged* counters exactly as they would
 over a single-process run:
 
 - **counters** sum: shards partition the flow keyspace, so their CT
-  lookups/hits/inserts, flow tallies, and violation counts are disjoint
-  contributions to the same totals;
+  lookups/hits/inserts, flow tallies, violation counts and expected
+  tracked flows are disjoint contributions to the same totals;
 - **gauges** follow a per-metric rule: extensive state (CT occupancy,
-  its peak, capacity) sums across shards, while intensive values
-  (expected tracked fraction -- identical in every shard, which shares
-  the full membership replica -- or a run's wall seconds) take the max.
+  its peak, capacity) sums across shards, while intensive values (the
+  instantaneous |H|/(|W|+|H|), a run's wall seconds) take the max.
 
-No ratio is stored: the observed tracked fraction is computed from the
-merged counters when it is read
-(:func:`~repro.obs.collectors.observed_tracked_fraction`), so it is
-``sum(tracked) / sum(flows)`` by construction.
+No ratio is stored: under closed-loop control each shard's horizon
+moves on its own, and no rule over per-shard ratios gives the fleet's.
+Both tracked fractions are computed from merged counters when read:
+``sum(tracked) / sum(flows)`` and ``sum(expected) / sum(flows)``.
 """
 
 from __future__ import annotations

@@ -125,7 +125,7 @@ def run_compiled(
         workers=workers,
         result=result,
         monitors=verdicts,
-        margins=invariants.margins(spec.envelope, verdicts),
+        margins=invariants.margins(verdicts),
     )
 
 

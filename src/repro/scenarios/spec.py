@@ -425,14 +425,12 @@ class EnvelopeSpec(_Section):
     """The expected envelope: what theory predicts for this scenario.
 
     This is the one description of the invariant bounds:
-    :func:`repro.obs.invariants.check` reads these five fields by name
+    :func:`repro.obs.invariants.check` reads these four fields by name
     over the run's merged registry at the final snapshot, and experiments
     that judge their own runs pass one (``Experiment.envelope``).  Every
-    bound is optional:
+    bound is optional.  The tracked fraction has no field: Theorems
+    4.2/4.3 fix its band (:func:`repro.analysis.model.tracked_fraction_band`).
 
-    - ``tracked_fraction_tolerance``: relative band around the
-      flow-weighted |H|/(|W|+|H|) expectation (Theorems 4.2/4.3); unset
-      is the check's default of 0.10;
     - ``max_breakage``: PCC violations as a fraction of flows (inevitable
       breakage excluded, per Section 2.1); checked only when set;
     - ``max_balance_cv``: bound on the post-warmup max coefficient of
@@ -443,7 +441,6 @@ class EnvelopeSpec(_Section):
       need only lie in [0, 1].
     """
 
-    tracked_fraction_tolerance: Optional[float] = _f(_POS, None)
     max_breakage: Optional[float] = _f(_NONNEG, None)
     max_balance_cv: Optional[float] = _f(_NONNEG, None)
     min_horizon_precision: Optional[float] = _f(_FRACTION, None)

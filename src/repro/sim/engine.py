@@ -682,11 +682,11 @@ class EventDrivenSimulation:
         obs.counter(
             obs_metrics.DISPATCH_PACKETS, "Packets by dispatch path", path=path
         ).set_total(result.packets_processed)
-        if self._track_expected and self._expected_count:
-            obs.gauge(
-                obs_metrics.EXPECTED_TRACKED_FRACTION_MEAN,
-                "Flow-weighted mean expected tracked fraction",
-            ).set(self._expected_sum / self._expected_count)
+        if self._track_expected:
+            obs.counter(
+                obs_metrics.EXPECTED_TRACKED_FLOWS,
+                "Sum of |H|/(|W|+|H|) over first dispatches",
+            ).set_total(self._expected_sum)
         if result.balance_cv_series:
             obs.gauge(
                 obs_metrics.BALANCE_CV_MAX,

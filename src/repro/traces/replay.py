@@ -238,10 +238,12 @@ def _publish_metrics(
 ) -> None:
     """Publish one replay's tallies to a registry (no-op when ``None``).
 
-    The tracked-flow counter is only published for churn-free
-    replays: with injected backend events, CT inserts include re-tracks
-    after invalidation and no longer count distinct unsafe flows, so the
-    Theorem 4.2 comparison would be against the wrong denominator.
+    The tracked-flow counter and its expectation are only published for
+    churn-free replays: with injected backend events, CT inserts include
+    re-tracks after invalidation and no longer count distinct unsafe
+    flows, so the Theorem 4.2 comparison would be against the wrong
+    denominator.  Without events H and W hold still, so every flow saw
+    the same |H|/(|W|+|H|).
     """
     if registry is None:
         return
@@ -271,6 +273,12 @@ def _publish_metrics(
         registry.counter(
             obs_metrics.TRACKED_FLOWS, "Flows tracked at first dispatch"
         ).inc(ct.stats.inserts)
+        share = obs_metrics.expected_tracked_fraction(balancer)
+        if share is not None:
+            registry.counter(
+                obs_metrics.EXPECTED_TRACKED_FLOWS,
+                "Sum of |H|/(|W|+|H|) over first dispatches",
+            ).inc(share * dispatched)
 
 
 # Packets per ``get_destinations_batch_idx`` call.  A chunk pays a fixed

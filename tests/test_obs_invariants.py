@@ -4,13 +4,16 @@ Covers each check's semantics on synthetic registries (ok / violation /
 skip), the order ``check`` runs them in and how the envelope bounds
 them, the collector layer's derived series, the ``evaluate_and_export``
 final line, ``repro obs summarize --strict``, and the acceptance bar:
-a live-registry simulation whose observed tracked fraction lands within
-tolerance of |H|/(|W|+|H|) with every check green.
+a live-registry simulation whose observed tracked fraction lands inside
+the four-sigma binomial band around |H|/(|W|+|H|) with every check green.
 """
+
+import math
 
 import pytest
 
 from repro import cli
+from repro.analysis.model import BAND_SIGMAS
 from repro.obs import (
     MIN_FLOWS,
     JsonlExporter,
@@ -18,12 +21,13 @@ from repro.obs import (
     Registry,
     check,
     evaluate_and_export,
+    merge_into,
     metrics as M,
     observed_tracked_fraction,
     render,
 )
 from repro.obs.summarize import main as summarize_main, summarize
-from repro.scenarios import EnvelopeSpec, ScenarioError
+from repro.scenarios import EnvelopeSpec
 from repro.sim import SimulationConfig, run_simulation
 
 
@@ -31,8 +35,14 @@ def _registry_with(flows=1000, tracked=100, expected=0.1):
     reg = Registry()
     reg.counter(M.FLOWS).inc(flows)
     reg.counter(M.TRACKED_FLOWS).inc(tracked)
-    reg.gauge(M.EXPECTED_TRACKED_FRACTION).set(expected)
+    reg.counter(M.EXPECTED_TRACKED_FLOWS).inc(expected * flows)
     return reg
+
+
+def _at_sigmas(z, flows=10_000, p=0.1):
+    """A registry whose tracked count sits ``z`` binomial sigmas off ``p``."""
+    tracked = (p + z * math.sqrt(p * (1 - p) / flows)) * flows
+    return _registry_with(flows=flows, tracked=tracked, expected=p)
 
 
 def verdict(registry, name, envelope=None):
@@ -42,29 +52,44 @@ def verdict(registry, name, envelope=None):
 
 
 class TestTrackedFractionMonitor:
-    def test_within_tolerance(self):
-        result = verdict(
-            _registry_with(flows=1000, tracked=105, expected=0.1), "tracked_fraction"
-        )
+    @pytest.mark.parametrize("z", [3.9, -3.9])
+    def test_inside_four_sigma(self, z):
+        result = verdict(_at_sigmas(z), "tracked_fraction")
         assert result.ok and not result.skipped
-        assert result.observed == pytest.approx(0.105)
+        assert result.margin == pytest.approx(BAND_SIGMAS - 3.9)
+        assert f"{z:+.2f} sigma" in result.detail
 
-    def test_violation_outside_tolerance(self):
-        result = verdict(
-            _registry_with(flows=1000, tracked=200, expected=0.1), "tracked_fraction"
-        )
+    @pytest.mark.parametrize("z", [4.1, -4.1])
+    def test_outside_four_sigma(self, z):
+        result = verdict(_at_sigmas(z), "tracked_fraction")
         assert result.violated
-        # A wider envelope tolerates the same drift.
-        wide = EnvelopeSpec(tracked_fraction_tolerance=1.5)
-        assert verdict(
-            _registry_with(flows=1000, tracked=200, expected=0.1), "tracked_fraction", wide
-        ).ok
+        assert result.margin == pytest.approx(BAND_SIGMAS - 4.1)
+
+    def test_band_narrows_with_flows(self):
+        # The same 10% relative error is 1.05 sigma at 1 000 flows and
+        # 10.5 sigma at 100 000: the band is the theorem's, not a ratio.
+        few = verdict(_registry_with(flows=1_000, tracked=110), "tracked_fraction")
+        many = verdict(_registry_with(flows=100_000, tracked=11_000), "tracked_fraction")
+        assert few.ok and many.violated
+        assert few.margin == pytest.approx(BAND_SIGMAS - 0.01 / math.sqrt(0.09 / 1_000))
+
+    def test_expectation_is_the_counter_over_flows(self):
+        reg = Registry()
+        reg.counter(M.FLOWS).inc(4000)
+        reg.counter(M.TRACKED_FLOWS).inc(300)
+        reg.counter(M.EXPECTED_TRACKED_FLOWS).inc(320.0)
+        # The instantaneous gauge is telemetry, not the expectation.
+        reg.gauge(M.EXPECTED_TRACKED_FRACTION).set(0.5)
+        result = verdict(reg, "tracked_fraction")
+        assert result.expected == pytest.approx(0.08)
+        assert result.observed == pytest.approx(0.075)
 
     def test_skips_without_expectation(self):
         reg = Registry()
         reg.counter(M.FLOWS).inc(1000)
+        reg.gauge(M.EXPECTED_TRACKED_FRACTION).set(0.1)
         result = verdict(reg, "tracked_fraction")
-        assert result.skipped and result.ok
+        assert result.skipped and result.ok and result.margin is None
 
     def test_skips_below_min_flows(self):
         reg = _registry_with(flows=MIN_FLOWS - 1, tracked=5, expected=0.1)
@@ -74,9 +99,19 @@ class TestTrackedFractionMonitor:
             _registry_with(flows=MIN_FLOWS, tracked=20, expected=0.1), "tracked_fraction"
         ).skipped
 
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ScenarioError, match="tracked_fraction_tolerance"):
-            EnvelopeSpec.parse({"tracked_fraction_tolerance": 0})
+    def test_merged_shards_sum_the_expectation(self):
+        # Two closed-loop shards whose horizons moved differently: the
+        # fleet's expectation is sum(expected) / sum(flows) = 0.075, not
+        # the larger shard's 0.1.
+        def shard(flows, tracked, expected):
+            return _registry_with(flows, tracked, expected).dump_series()
+
+        reg = Registry()
+        merge_into(reg, [shard(1000, 100, 0.1), shard(3000, 200, 0.0666667)])
+        result = verdict(reg, "tracked_fraction")
+        assert result.expected == pytest.approx(300 / 4000, rel=1e-6)
+        assert result.observed == pytest.approx(300 / 4000)
+        assert result.ok
 
 
 class TestPCCAccountingMonitor:
@@ -260,8 +295,18 @@ class TestSimulationTelemetry:
         # Scraped live, so |W| reflects servers down at run end -- near
         # (not exactly) the nominal 10/110.
         assert expected == pytest.approx(10 / 110, rel=0.10)
-        observed = observed_tracked_fraction(registry)
-        assert observed == pytest.approx(expected, rel=0.10)
+        tracked = verdict(registry, "tracked_fraction")
+        assert tracked.observed == observed_tracked_fraction(registry)
+        assert tracked.ok and not tracked.skipped
+
+    # The default simulation at seeds whose tracked fraction sits two
+    # sigma off the expectation: a 10% relative tolerance failed them.
+    @pytest.mark.parametrize("seed", [18, 28, 29])
+    def test_default_simulation_inside_band(self, seed, tmp_path, capsys):
+        path = str(tmp_path / "m.jsonl")
+        assert cli.main(["simulate", "--seed", str(seed), "--metrics-out", path]) == 0
+        assert summarize_main([path, "--strict"]) == 0
+        assert "[       ok] tracked_fraction" in capsys.readouterr().out
 
     def test_series_match_sim_result(self, instrumented):
         result, registry = instrumented

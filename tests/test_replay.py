@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import tracked_fraction_band
 from repro.ch import AnchorHash
 from repro.core import JETLoadBalancer, PowerOfTwoJET, make_full_ct, make_jet
 from repro.traces import replay, zipf_trace
@@ -24,9 +25,9 @@ class TestStaticReplay:
 
     def test_jet_tracks_about_horizon_fraction(self):
         outcome = replay(TRACE, make_jet("hrw", W, H))
-        assert outcome.tracked_connections / outcome.n_flows == pytest.approx(
-            len(H) / (len(W) + len(H)), rel=0.35
-        )
+        p = len(H) / (len(W) + len(H))
+        observed = outcome.tracked_connections / outcome.n_flows
+        assert abs(observed - p) <= tracked_fraction_band(outcome.n_flows, p)
 
     def test_full_ct_tracks_everything(self):
         outcome = replay(TRACE, make_full_ct("hrw", W, H))

@@ -14,9 +14,11 @@ The load-bearing guarantees:
 """
 
 import json
+import math
 
 import pytest
 
+from repro.analysis.model import BAND_SIGMAS
 from repro.faults.events import FLAP, GROUP, PROBE_LOSS
 from repro.obs import Registry, check, margins, metrics as M
 from repro.scenarios import (
@@ -42,7 +44,7 @@ TINY = {
         "flow_duration": {"kind": "exponential", "mean": 2.0},
     },
     "update_rate_per_min": 6,
-    "envelope": {"tracked_fraction_tolerance": 1.0, "max_breakage": 0.5},
+    "envelope": {"max_breakage": 0.5},
 }
 
 ZONED = {
@@ -199,9 +201,7 @@ class TestEnvelopeMonitors:
         assert verdict(Registry(), "balance_cv", max_balance_cv=0.8).skipped
 
     def test_monitor_suite_composition(self):
-        env = EnvelopeSpec.parse(
-            {"tracked_fraction_tolerance": 0.3, "max_breakage": 0.1}
-        )
+        env = EnvelopeSpec.parse({"max_breakage": 0.1})
         names = [r.name for r in check(Registry(), env)]
         assert names == [
             "tracked_fraction", "pcc_accounting", "ct_occupancy_bound",
@@ -209,28 +209,26 @@ class TestEnvelopeMonitors:
         ]
 
     def test_margins_units(self):
-        env = EnvelopeSpec.parse(
-            {"tracked_fraction_tolerance": 0.3, "max_breakage": 0.1, "max_balance_cv": 1.5}
-        )
+        env = EnvelopeSpec.parse({"max_breakage": 0.1, "max_balance_cv": 1.5})
         reg = Registry()
         reg.counter(M.FLOWS).inc(1000)
         reg.counter(M.TRACKED_FLOWS).inc(110)
-        reg.gauge(M.EXPECTED_TRACKED_FRACTION).set(0.1)
+        reg.counter(M.EXPECTED_TRACKED_FLOWS).inc(100)
         reg.counter(M.PCC_VIOLATIONS).inc(40)
         reg.gauge(M.BALANCE_CV_MAX).set(0.9)
-        headroom = margins(env, check(reg, env))
+        headroom = margins(check(reg, env))
         assert list(headroom) == ["tracked_fraction", "breakage_bound", "balance_cv"]
-        # tracked error = |0.11 - 0.1| / 0.1 = 0.1 -> margin 0.3 - 0.1
-        assert headroom["tracked_fraction"] == pytest.approx(0.2)
+        # tracked: 0.11 vs 0.1 over 1000 flows is 1.05 binomial sigma,
+        # so 4 - 1.05 sigma of headroom are left.
+        sigma = math.sqrt(0.1 * 0.9 / 1000)
+        assert headroom["tracked_fraction"] == pytest.approx(BAND_SIGMAS - 0.01 / sigma)
         # breakage margin is in the bound's own units: 0.1 - 0.04
         assert headroom["breakage_bound"] == pytest.approx(0.06)
         assert headroom["balance_cv"] == pytest.approx(0.6)
-        # Without a tolerance the default 0.10 bounds the tracked fraction.
-        assert margins(None, check(reg))["tracked_fraction"] == pytest.approx(0.0)
 
     def test_margins_none_when_skipped(self):
         env = EnvelopeSpec.parse({"max_breakage": 0.1, "max_balance_cv": 1.0})
-        assert margins(env, check(Registry(), env)) == {
+        assert margins(check(Registry(), env)) == {
             "tracked_fraction": None, "breakage_bound": None, "balance_cv": None,
         }
 

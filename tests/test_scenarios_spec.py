@@ -162,10 +162,11 @@ class TestStrictParsing:
 
 
 class TestEnvelopeValidation:
-    def test_negative_tolerance(self):
+    def test_tracked_fraction_band_is_not_an_envelope_bound(self):
+        # Theorems 4.2/4.3 fix the band (repro.analysis.tracked_fraction_band).
         expect_error(
-            spec_dict(envelope={"tracked_fraction_tolerance": -0.1}),
-            "tracked_fraction_tolerance: must be positive",
+            spec_dict(envelope={"tracked_fraction_tolerance": 0.5}),
+            "envelope: unknown field(s) ['tracked_fraction_tolerance']",
         )
 
     def test_breakage_over_one(self):
@@ -360,9 +361,6 @@ workloads = st.builds(
 envelopes = st.fixed_dictionaries(
     {},
     optional={
-        "tracked_fraction_tolerance": st.floats(
-            min_value=0.01, max_value=2, allow_nan=False
-        ),
         "max_breakage": st.floats(min_value=0, max_value=1, allow_nan=False),
         "max_balance_cv": st.floats(min_value=0, max_value=5, allow_nan=False),
     },
