@@ -72,7 +72,10 @@ GOSSIP_ROUNDS = "repro_gossip_rounds_total"
 GOSSIP_PUSHES = "repro_gossip_pushes_total"
 GOSSIP_LOST_PUSHES = "repro_gossip_lost_pushes_total"
 GOSSIP_STALENESS = "repro_gossip_staleness"
-GOSSIP_MEAN_LAG_ROUNDS = "repro_gossip_mean_lag_rounds"
+#: Dissemination lag in rounds (delta birth -> apply), summed over the
+#: deliveries counted in GOSSIP_LAG_DELIVERIES; their quotient is the mean.
+GOSSIP_LAG_ROUNDS = "repro_gossip_lag_rounds_total"
+GOSSIP_LAG_DELIVERIES = "repro_gossip_lag_deliveries_total"
 # Closed-loop control plane (repro.control).
 PROBES = "repro_probes_total"
 PROBE_EVICTIONS = "repro_probe_evictions_total"
@@ -82,8 +85,12 @@ SCALE_EVENTS = "repro_scale_events_total"
 BLACKHOLED_FLOWS = "repro_blackholed_flows_total"
 PHANTOM_ANNOUNCEMENTS = "repro_phantom_announcements_total"
 HORIZON_OCCUPANCY = "repro_horizon_occupancy"
-HORIZON_PRECISION = "repro_horizon_precision"
-HORIZON_RECALL = "repro_horizon_recall"
+#: Horizon announcements by ``outcome``: ``matched`` (the server joined
+#: W), ``wasted`` (it never did), ``missed`` (a join nobody announced).
+#: Precision and recall are computed from these when read.
+HORIZON_ANNOUNCEMENTS = "repro_horizon_announcements_total"
+#: Its ``outcome`` labels, in ``HorizonScorecard``'s field order.
+HORIZON_OUTCOMES = ("matched", "wasted", "missed")
 
 
 def ch_family(ch) -> str:
@@ -194,10 +201,13 @@ def _instrument_pool(registry, pool) -> None:
             GOSSIP_STALENESS,
             "Undelivered (member, delta) pairs right now",
         ).set(gossip.staleness())
-        reg.gauge(
-            GOSSIP_MEAN_LAG_ROUNDS,
-            "Mean dissemination lag in rounds (delta birth -> apply)",
-        ).set(stats.mean_lag_rounds)
+        reg.counter(
+            GOSSIP_LAG_ROUNDS,
+            "Dissemination lag in rounds (delta birth -> apply), summed",
+        ).set_total(stats.lag_rounds_sum)
+        reg.counter(
+            GOSSIP_LAG_DELIVERIES, "Gossip deliveries whose lag is summed"
+        ).set_total(stats.lag_rounds_count)
 
     registry.add_collector(collect)
 

@@ -24,8 +24,9 @@ The checks, in order, and the claims they guard:
   backend event can break at most the connections active when it fired).
 - ``ct_occupancy_bound`` -- the CT never exceeds its capacity bound, and
   its high-water mark never exceeds total inserts.
-- ``horizon_fidelity`` -- horizon precision/recall (closed-loop runs) lie
-  in [0, 1], and above ``min_horizon_precision`` / ``min_horizon_recall``
+- ``horizon_fidelity`` -- horizon precision/recall, computed from the
+  ``repro_horizon_announcements_total`` counts (matched / wasted /
+  missed), lie above ``min_horizon_precision`` / ``min_horizon_recall``
   when those floors are set.
 - ``breakage_bound`` -- only when ``max_breakage`` is set: PCC violations
   as a fraction of flows (inevitable breakage excluded, per Section 2.1).
@@ -39,6 +40,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.model import BAND_SIGMAS, tracked_fraction_band
+from repro.control.autoscaler import HorizonScorecard
 from repro.obs import collectors as M
 from repro.obs.collectors import observed_tracked_fraction
 
@@ -152,33 +154,31 @@ def _horizon_fidelity(
     registry, min_precision: Optional[float], min_recall: Optional[float]
 ) -> MonitorResult:
     name = "horizon_fidelity"
-    precision = registry.value(M.HORIZON_PRECISION)
-    recall = registry.value(M.HORIZON_RECALL)
+    scorecard = HorizonScorecard(
+        *(
+            registry.value(M.HORIZON_ANNOUNCEMENTS, outcome=outcome) or 0
+            for outcome in M.HORIZON_OUTCOMES
+        )
+    )
+    precision, recall = scorecard.precision, scorecard.recall
     if precision is None and recall is None:
         return _skip(name, "no horizon fidelity series (exogenous H)")
-    problems = []
-    for label, value, floor in (
-        ("precision", precision, min_precision),
-        ("recall", recall, min_recall),
-    ):
-        if value is None:
-            continue
-        if not 0.0 <= value <= 1.0:
-            problems.append(f"{label} {value:.3f} outside [0, 1]")
-        elif floor is not None and value < floor:
-            problems.append(f"{label} {value:.3f} below floor {floor}")
-    shown = precision if precision is not None else recall
+    problems = [
+        f"{label} {value:.3f} below floor {floor}"
+        for label, value, floor in (
+            ("precision", precision, min_precision),
+            ("recall", recall, min_recall),
+        )
+        if value is not None and floor is not None and value < floor
+    ]
     return MonitorResult(
         name=name,
         ok=not problems,
-        observed=shown,
-        detail=(
-            "; ".join(problems)
-            if problems
-            else (
-                f"precision={precision if precision is not None else 'n/a'} "
-                f"recall={recall if recall is not None else 'n/a'}"
-            )
+        observed=precision if precision is not None else recall,
+        detail="; ".join(problems)
+        or (
+            f"precision={'n/a' if precision is None else precision} "
+            f"recall={'n/a' if recall is None else recall}"
         ),
     )
 

@@ -10,15 +10,21 @@ over a single-process run:
 
 - **counters** sum: shards partition the flow keyspace, so their CT
   lookups/hits/inserts, flow tallies, violation counts and expected
-  tracked flows are disjoint contributions to the same totals;
+  tracked flows are disjoint contributions to the same totals; the
+  horizon announcements by outcome sum too (each shard's horizon
+  manager judges its own), which pools precision and recall;
 - **gauges** follow a per-metric rule: extensive state (CT occupancy,
   its peak, capacity) sums across shards, while intensive values (the
-  instantaneous |H|/(|W|+|H|), a run's wall seconds) take the max.
+  instantaneous |H|/(|W|+|H|), a run's wall seconds, the worst balance
+  CV) take the max.
 
-No ratio is stored: under closed-loop control each shard's horizon
-moves on its own, and no rule over per-shard ratios gives the fleet's.
-Both tracked fractions are computed from merged counters when read:
-``sum(tracked) / sum(flows)`` and ``sum(expected) / sum(flows)``.
+No run-level ratio is stored: under closed-loop control each shard's
+horizon moves on its own, and no rule over per-shard ratios gives the
+fleet's.  Every ratio a check reads is computed from merged counters
+when read: the tracked fractions as ``sum(tracked) / sum(flows)`` and
+``sum(expected) / sum(flows)``, horizon precision and recall from the
+summed matched / wasted / missed announcements, the mean gossip lag as
+summed rounds over summed deliveries.
 """
 
 from __future__ import annotations

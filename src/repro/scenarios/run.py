@@ -74,7 +74,7 @@ class ScenarioReport:
             "shards": self.shards,
             "workers": self.workers,
             "ok": self.ok,
-            "result": asdict(self.result),
+            "result": self.result.to_json(),
             "monitors": [m.to_json() for m in self.monitors],
             "margins": self.margins,
         }

@@ -54,7 +54,7 @@ class ShardedReplay:
     """A merged replay result plus the per-shard evidence behind it."""
 
     #: Merged as-if-unsharded result; ``wall_seconds`` is the driver's
-    #: end-to-end wall and ``rate_pps`` the packets over it.
+    #: end-to-end wall, so ``rate_pps`` is the packets over it.
     result: ReplayResult
     outcomes: List[ShardOutcome]
     n_shards: int
@@ -118,11 +118,7 @@ def replay_sharded(
         merge_into(metrics, [outcome.obs_series for outcome in outcomes])
     end_to_end = watch.stop()
     return ShardedReplay(
-        result=replace(
-            merged,
-            wall_seconds=end_to_end,
-            rate_pps=merged.n_packets / end_to_end if end_to_end > 0 else 0.0,
-        ),
+        result=replace(merged, wall_seconds=end_to_end),
         outcomes=outcomes,
         n_shards=n_shards,
         n_workers=n_workers,

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.interfaces import LoadBalancer, Name
 from repro.shard.plan import ShardPlan
-from repro.traces.replay import DEFAULT_CHUNK, ReplayResult, _oversubscription, replay_batch
+from repro.traces.replay import DEFAULT_CHUNK, ReplayResult, replay_batch
 
 
 @dataclass
@@ -74,9 +74,6 @@ def run_shard(
             apply(balancer)
         result.tracked_connections = balancer.tracked_connections
         result.active_servers = len(balancer.working)
-        result.max_oversubscription = _oversubscription(
-            result.server_loads, result.active_servers
-        )
 
     tracked: Optional[Dict[int, Name]] = None
     if collect_tracked:

@@ -104,8 +104,6 @@ class EventDrivenSimulation:
         self.obs = registry
         if registry is not None:
             instrument_balancer(registry, balancer)
-        self._first_dispatches = 0
-        self._first_tracked = 0
         # Resolve the per-packet LB capability probes once.
         self._note_flow_start = getattr(balancer, "note_flow_start", None)
         self._note_flow_end = getattr(balancer, "note_flow_end", None)
@@ -169,8 +167,6 @@ class EventDrivenSimulation:
         # final-instant |H|/(|W|+|H|) misrepresents the run, so accumulate
         # it per first dispatch.  Only JET-style balancers publish it.
         self._track_expected = isinstance(balancer, JETLoadBalancer)
-        self._expected_sum = 0.0
-        self._expected_count = 0
         # Weighted CH families generalize Theorem 4.2's expectation to
         # weight(H)/(weight(W)+weight(H)); detect once so unweighted runs
         # keep the count-based O(1) path byte-identical.
@@ -448,15 +444,15 @@ class EventDrivenSimulation:
         # the first dispatch means this flow was classified unsafe.
         # Unconditional -- SimResult must not depend on whether a
         # registry is attached (the obs-differential invariant).
-        stats = self._ct_stats
+        result, stats = self.result, self._ct_stats
         inserts_before = stats.inserts if stats is not None else 0
-        self._first_dispatches += 1
+        result.first_dispatches += 1
         if self._syn_aware:
             destination = self.lb.get_destination(flow.key, True)
         else:
             destination = self.lb.get_destination(flow.key)
         if stats is not None and stats.inserts > inserts_before:
-            self._first_tracked += 1
+            result.first_tracked += 1
         self._note_expected(1)
         flow.true_destination = destination
         if destination in self._silenced:
@@ -464,9 +460,9 @@ class EventDrivenSimulation:
             # silently dead but still in W, so the flow dies on arrival.
             flow.broken = True
             flow.inevitable = True
-            self.result.blackholed_flows += 1
-            self.result.inevitably_broken += 1
-            self.result.churn_exposed_flows += 1
+            result.blackholed_flows += 1
+            result.inevitably_broken += 1
+            result.churn_exposed_flows += 1
             return
         self._load.flow_started(destination)
         if self._note_flow_start is not None:
@@ -486,9 +482,11 @@ class EventDrivenSimulation:
             working = len(self._up)
         if working:
             share = horizon / (working + horizon)
+            total = self.result.expected_tracked_sum
             for _ in range(dispatches):
-                self._expected_sum += share
-            self._expected_count += dispatches
+                total += share
+            self.result.expected_tracked_sum = total
+            self.result.expected_dispatches += dispatches
 
     def _safe_weight(self, name: Name) -> float:
         """Capacity weight of ``name``; 1.0 for servers the CH does not
@@ -565,8 +563,8 @@ class EventDrivenSimulation:
             inserts_before = stats.inserts if stats is not None else 0
             ids = dispatch(keys[born])
             if stats is not None:
-                self._first_tracked += stats.inserts - inserts_before
-            self._first_dispatches += born.size
+                result.first_tracked += stats.inserts - inserts_before
+            result.first_dispatches += born.size
             self._note_expected(born.size)
             if self._silenced:
                 names = self.lb.dispatch_names()
@@ -656,11 +654,11 @@ class EventDrivenSimulation:
         obs = self.obs
         result = self.result
         obs.counter(obs_metrics.FLOWS, "Flows dispatched").set_total(
-            self._first_dispatches
+            result.first_dispatches
         )
         obs.counter(
             obs_metrics.TRACKED_FLOWS, "Flows tracked at first dispatch"
-        ).set_total(self._first_tracked)
+        ).set_total(result.first_tracked)
         obs.counter(obs_metrics.PCC_VIOLATIONS, "PCC violations").set_total(
             result.pcc_violations
         )
@@ -686,7 +684,7 @@ class EventDrivenSimulation:
             obs.counter(
                 obs_metrics.EXPECTED_TRACKED_FLOWS,
                 "Sum of |H|/(|W|+|H|) over first dispatches",
-            ).set_total(self._expected_sum)
+            ).set_total(result.expected_tracked_sum)
         if result.balance_cv_series:
             obs.gauge(
                 obs_metrics.BALANCE_CV_MAX,
@@ -719,23 +717,16 @@ class EventDrivenSimulation:
         ct = getattr(self.lb, "ct", None)
         if ct is not None:
             result.ct_evictions = ct.stats.evictions
-            result.ct_hit_rate = ct.stats.hit_rate
+            result.ct_lookups = ct.stats.lookups
+            result.ct_hits = ct.stats.hits
             result.ct_peak_size = ct.stats.peak_size
             result.peak_tracked = max(result.peak_tracked, ct.stats.peak_size)
-        if self._expected_count:
-            result.mean_expected_tracked_fraction = (
-                self._expected_sum / self._expected_count
-            )
-        if self._first_dispatches:
-            result.observed_tracked_fraction = (
-                self._first_tracked / self._first_dispatches
-            )
         # Horizon fidelity: the manager scores announcements against
         # arrivals under either configuration, so late-announced chaos
         # exposure gets attribution in exogenous runs too.
         scorecard = self.manager.scorecard
-        result.horizon_precision = scorecard.precision
-        result.horizon_recall = scorecard.recall
+        result.horizon_matched = scorecard.matched
+        result.horizon_wasted = scorecard.phantom
         result.phantom_announcements = self.manager.phantom_announcements
         if self.controller is not None:
             prober_stats = self.controller.prober.stats
@@ -745,10 +736,11 @@ class EventDrivenSimulation:
             result.probe_readmissions = prober_stats.readmissions
         if self.obs is not None:
             self._publish_telemetry()
-            for metric, what, value in (
-                (obs_metrics.HORIZON_PRECISION, "precision", result.horizon_precision),
-                (obs_metrics.HORIZON_RECALL, "recall", result.horizon_recall),
-            ):
-                if value is not None:
-                    text = f"Horizon announcement {what} vs realized additions"
-                    self.obs.gauge(metric, text).set(value)
+            counts = (result.horizon_matched, result.horizon_wasted, result.surprise_additions)
+            if any(counts):
+                for outcome, total in zip(obs_metrics.HORIZON_OUTCOMES, counts):
+                    self.obs.counter(
+                        obs_metrics.HORIZON_ANNOUNCEMENTS,
+                        "Horizon announcements by outcome",
+                        outcome=outcome,
+                    ).set_total(total)

@@ -9,6 +9,9 @@ Tracks exactly what Section 5.1 reports:
   active servers)``;
 - **tracked connections**: CT table occupancy over time;
 - bookkeeping: flows started/completed, surprise additions, CT stats;
+- the run's ratios (CT hit rate, tracked fractions, horizon precision
+  and recall), each a property over the counts it divides, so a shard
+  merge sums the counts and never folds a ratio;
 - **resilience counters** (chaos runs, :mod:`repro.faults`): fault events
   by kind, violations attributed to faults, probation re-admissions, and
   the paper's §2.3 predicted breakage for unannounced additions.
@@ -16,10 +19,25 @@ Tracks exactly what Section 5.1 reports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, List, Optional, Sequence
 
+from repro.control.autoscaler import HorizonScorecard
 from repro.core.interfaces import Name
+
+
+def _ratio(part: float, whole: int) -> Optional[float]:
+    return part / whole if whole else None
+
+
+#: The ratios a :class:`SimResult` derives from its counts when read.
+RATIOS = (
+    "ct_hit_rate",
+    "observed_tracked_fraction",
+    "mean_expected_tracked_fraction",
+    "horizon_precision",
+    "horizon_recall",
+)
 
 
 @dataclass
@@ -46,7 +64,8 @@ class SimResult:
     peak_tracked: int = 0
     final_tracked: int = 0
     ct_evictions: int = 0
-    ct_hit_rate: float = 0.0
+    ct_lookups: int = 0
+    ct_hits: int = 0
     #: CT occupancy high-water mark straight from ``CTStats.peak_size``
     #: (``peak_tracked`` folds in the sampled series; this is the exact
     #: per-insert mark, surfaced for the resilience report and obs layer).
@@ -79,16 +98,49 @@ class SimResult:
     probe_false_evictions: int = 0
     probe_readmissions: int = 0
     phantom_announcements: int = 0
-    #: Horizon announcement fidelity vs realized membership changes
-    #: (None when no additions/announcements were judged).
-    horizon_precision: Optional[float] = None
-    horizon_recall: Optional[float] = None
-    #: Flow-weighted mean of |H|/(|W|+|H|) over first dispatches -- the
-    #: Theorem 4.2 expectation when H and W vary mid-run.
-    mean_expected_tracked_fraction: Optional[float] = None
-    #: Fraction of flows CT-tracked at first dispatch (None only when no
-    #: flow was dispatched; ~1 under full CT, 0 under stateless).
-    observed_tracked_fraction: Optional[float] = None
+    #: Horizon announcements that were followed by the server joining W,
+    #: and those wasted on one that never did; with ``surprise_additions``
+    #: (joins nobody announced) they are the run's ``HorizonScorecard``.
+    horizon_matched: int = 0
+    horizon_wasted: int = 0
+    #: Flows dispatched, and of those the ones CT-tracked at that first
+    #: dispatch (all of them under full CT, none under stateless).
+    first_dispatches: int = 0
+    first_tracked: int = 0
+    #: Theorem 4.2's |H|/(|W|+|H|) at each first dispatch of a JET stack,
+    #: summed, and the number of dispatches it was summed over.
+    expected_tracked_sum: float = 0.0
+    expected_dispatches: int = 0
+
+    @property
+    def ct_hit_rate(self) -> float:
+        return self.ct_hits / self.ct_lookups if self.ct_lookups else 0.0
+
+    @property
+    def observed_tracked_fraction(self) -> Optional[float]:
+        return _ratio(self.first_tracked, self.first_dispatches)
+
+    @property
+    def mean_expected_tracked_fraction(self) -> Optional[float]:
+        """The Theorem 4.2 expectation when H and W vary mid-run."""
+        return _ratio(self.expected_tracked_sum, self.expected_dispatches)
+
+    def _scorecard(self) -> HorizonScorecard:
+        return HorizonScorecard(
+            self.horizon_matched, self.horizon_wasted, self.surprise_additions
+        )
+
+    @property
+    def horizon_precision(self) -> Optional[float]:
+        return self._scorecard().precision
+
+    @property
+    def horizon_recall(self) -> Optional[float]:
+        return self._scorecard().recall
+
+    def to_json(self) -> dict:
+        """Every field, plus the ratios derived from them."""
+        return {**asdict(self), **{name: getattr(self, name) for name in RATIOS}}
 
     def summary(self) -> str:
         text = (
@@ -110,15 +162,9 @@ class SimResult:
                 f"probation readmissions={self.probation_readmissions}"
             )
         if self.control_ticks:
-            precision = (
-                f"{self.horizon_precision:.2f}"
-                if self.horizon_precision is not None
-                else "n/a"
-            )
-            recall = (
-                f"{self.horizon_recall:.2f}"
-                if self.horizon_recall is not None
-                else "n/a"
+            precision, recall = (
+                "n/a" if value is None else f"{value:.3f}"
+                for value in (self.horizon_precision, self.horizon_recall)
             )
             text += (
                 f" | control ticks={self.control_ticks} "
@@ -131,39 +177,6 @@ class SimResult:
         return text
 
 
-#: Flow- and event-level tallies that sum across keyspace shards.
-_SUM_FIELDS = (
-    "pcc_violations",
-    "inevitably_broken",
-    "flows_started",
-    "flows_completed",
-    "packets_processed",
-    "surprise_additions",
-    "peak_tracked",
-    "final_tracked",
-    "ct_evictions",
-    "ct_peak_size",
-    "churn_exposed_flows",
-    "fault_events",
-    "crashes",
-    "flaps",
-    "correlated_failures",
-    "unannounced_additions",
-    "predicted_unannounced_breakage",
-    "violations_under_fault",
-    "probation_readmissions",
-    "blackholed_flows",
-    "undetected_blips",
-    "scale_outs",
-    "scale_ins",
-    "control_ticks",
-    "probes_sent",
-    "probe_evictions",
-    "probe_false_evictions",
-    "probe_readmissions",
-    "phantom_announcements",
-)
-
 #: Fields where shards replicate one shared schedule (membership churn
 #: fans out identically to every shard) or that compose as a worst case.
 _MAX_FIELDS = (
@@ -175,91 +188,46 @@ _MAX_FIELDS = (
 )
 
 
-def _weighted_mean(
-    pairs: Sequence[Tuple[Optional[float], float]]
-) -> Optional[float]:
-    """Weight-averaged value over non-None entries (None if all None)."""
-    known = [(value, weight) for value, weight in pairs if value is not None]
-    if not known:
-        return None
-    total_weight = sum(weight for _, weight in known)
-    if total_weight <= 0:
-        return sum(value for value, _ in known) / len(known)
-    return sum(value * weight for value, weight in known) / total_weight
-
-
 def merge_sim_results(results: Sequence[SimResult]) -> SimResult:
     """Fold per-shard simulation results into one fleet-level result.
 
     Shards partition the *flows* of one simulated deployment while each
-    replicates the full membership state machine, so flow-level tallies
-    sum, membership-event counts take the per-shard maximum (the same
-    schedule fans out to every shard -- summing would multiply-count it),
-    and oversubscription reports the worst shard (each shard's sampler
-    sees only its own 1/N of the load; the fleet-level figure over the
-    union of flows is not recoverable from per-shard maxima, so the merge
-    keeps the conservative bound).  Ratio metrics are weighted means:
-    CT hit rate by packets, tracked fractions by flows started.
+    replicates the full membership state machine, so every count sums
+    except those in ``_MAX_FIELDS``: membership-event counts take the
+    per-shard maximum (the same schedule fans out to every shard --
+    summing would multiply-count it), and oversubscription reports the
+    worst shard (each shard's sampler sees only its own 1/N of the load;
+    the fleet-level figure over the union of flows is not recoverable
+    from per-shard maxima, so the merge keeps the conservative bound).
+    No ratio is folded: each one is a property over counts that sum, so
+    the merged ratio is the fleet's.
 
     Associative and commutative in every field, so partial merges compose.
     """
     if not results:
         raise ValueError("nothing to merge")
     merged = SimResult()
-    for name in _SUM_FIELDS:
-        setattr(merged, name, sum(getattr(result, name) for result in results))
-    for name in _MAX_FIELDS:
-        setattr(merged, name, max(getattr(result, name) for result in results))
-    merged.ct_hit_rate = (
-        _weighted_mean(
-            [(r.ct_hit_rate, float(r.packets_processed)) for r in results]
-        )
-        or 0.0
-    )
-    merged.horizon_precision = _weighted_mean(
-        [(r.horizon_precision, float(max(r.additions, 1))) for r in results]
-    )
-    merged.horizon_recall = _weighted_mean(
-        [(r.horizon_recall, float(max(r.additions, 1))) for r in results]
-    )
-    merged.mean_expected_tracked_fraction = _weighted_mean(
-        [(r.mean_expected_tracked_fraction, float(r.flows_started)) for r in results]
-    )
-    merged.observed_tracked_fraction = _weighted_mean(
-        [(r.observed_tracked_fraction, float(r.flows_started)) for r in results]
-    )
+    for name in (spec.name for spec in fields(SimResult)):
+        values = [getattr(result, name) for result in results]
+        if name in _MAX_FIELDS:
+            setattr(merged, name, max(values))
+        elif not isinstance(values[0], list):  # the series fold below
+            setattr(merged, name, sum(values))
     # Sampled series: shards sample on one shared clock, so tracked
     # occupancy sums element-wise and oversubscription takes the
     # element-wise worst shard; lengths may differ by a tail sample.
     longest = max(results, key=lambda result: len(result.sample_times))
     merged.sample_times = list(longest.sample_times)
     length = len(merged.sample_times)
-    merged.tracked_series = [
-        sum(r.tracked_series[i] for r in results if i < len(r.tracked_series))
-        for i in range(length)
-    ]
-    merged.oversubscription_series = [
-        max(
-            (
-                r.oversubscription_series[i]
-                for r in results
-                if i < len(r.oversubscription_series)
-            ),
-            default=0.0,
-        )
-        for i in range(length)
-    ]
-    merged.balance_cv_series = [
-        max(
-            (
-                r.balance_cv_series[i]
-                for r in results
-                if i < len(r.balance_cv_series)
-            ),
-            default=0.0,
-        )
-        for i in range(length)
-    ]
+
+    def columns(name: str) -> List[list]:
+        """Sample ``i`` of every shard's series ``name`` that reached it."""
+        rows = [getattr(result, name) for result in results]
+        return [[row[i] for row in rows if i < len(row)] for i in range(length)]
+
+    merged.tracked_series = [sum(column) for column in columns("tracked_series")]
+    for name in ("oversubscription_series", "balance_cv_series"):
+        setattr(merged, name, [max(column, default=0.0) for column in columns(name)])
     return merged
 
 

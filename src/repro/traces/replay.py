@@ -54,9 +54,7 @@ class ReplayResult:
     trace_name: str
     n_flows: int
     n_packets: int
-    max_oversubscription: float
     tracked_connections: int
-    rate_pps: float
     wall_seconds: float
     pcc_violations: int
     inevitably_broken: int
@@ -64,8 +62,16 @@ class ReplayResult:
     #: CT occupancy high-water mark over the replay (0 for stateless).
     ct_peak_size: int = 0
     #: Active (working) servers at finalization; the denominator of the
-    #: oversubscription average, carried so merged results can recompute it.
+    #: oversubscription average.
     active_servers: int = 0
+
+    @property
+    def max_oversubscription(self) -> float:
+        return _oversubscription(self.server_loads, self.active_servers)
+
+    @property
+    def rate_pps(self) -> float:
+        return self.n_packets / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     def row(self) -> str:
         return (
@@ -156,8 +162,9 @@ def _build_result(
 def _oversubscription(loads: Dict[Name, int], active_servers: int) -> float:
     """Max per-server load over the active-server average (0.0 when idle).
 
-    Shared by single-run finalization and result merging so the merged
-    figure is byte-identical to a single-process run over the same loads.
+    What :attr:`ReplayResult.max_oversubscription` reads, so a merged
+    result's figure is byte-identical to a single-process run's over the
+    same loads.
     """
     dispatched_flows = sum(loads.values())
     average = dispatched_flows / active_servers if active_servers else 0.0
@@ -179,9 +186,7 @@ def _finalize(
         trace_name=trace.name,
         n_flows=trace.n_flows,
         n_packets=trace.n_packets,
-        max_oversubscription=_oversubscription(loads, active_servers),
         tracked_connections=balancer.tracked_connections,
-        rate_pps=trace.n_packets / wall if wall > 0 else 0.0,
         wall_seconds=wall,
         pcc_violations=violations,
         inevitably_broken=inevitable,
@@ -198,11 +203,11 @@ def merge_replay_results(results: Sequence[ReplayResult]) -> ReplayResult:
     partitions of one trace: flow- and packet-level tallies (violations,
     inevitable breaks, tracked connections, per-server loads, packets)
     sum; ``n_flows`` is the shared flow population (max); oversubscription
-    is recomputed from the merged loads over the shared working set.
+    is read off the merged loads over the shared working set.
 
     Timing is only a placeholder: ``wall_seconds`` is the slowest input's
-    wall and ``rate_pps`` the total packets over it.  A driver that times
-    itself puts its own wall there (``replay_sharded`` does).
+    wall, so ``rate_pps`` is the total packets over it.  A driver that
+    times itself puts its own wall there (``replay_sharded`` does).
 
     ``ct_peak_size`` sums, which is exact for churn-free replays into
     unbounded CTs (occupancy is monotone, so per-shard peaks coexist) and
@@ -214,22 +219,17 @@ def merge_replay_results(results: Sequence[ReplayResult]) -> ReplayResult:
     for result in results:
         for name, count in result.server_loads.items():
             loads[name] = loads.get(name, 0) + count
-    active_servers = max(result.active_servers for result in results)
-    wall = max(result.wall_seconds for result in results)
-    n_packets = sum(result.n_packets for result in results)
     return ReplayResult(
         trace_name=results[0].trace_name,
         n_flows=max(result.n_flows for result in results),
-        n_packets=n_packets,
-        max_oversubscription=_oversubscription(loads, active_servers),
+        n_packets=sum(result.n_packets for result in results),
         tracked_connections=sum(r.tracked_connections for r in results),
-        rate_pps=n_packets / wall if wall > 0 else 0.0,
-        wall_seconds=wall,
+        wall_seconds=max(result.wall_seconds for result in results),
         pcc_violations=sum(r.pcc_violations for r in results),
         inevitably_broken=sum(r.inevitably_broken for r in results),
         server_loads=loads,
         ct_peak_size=sum(r.ct_peak_size for r in results),
-        active_servers=active_servers,
+        active_servers=max(result.active_servers for result in results),
     )
 
 

@@ -39,6 +39,13 @@ def _registry_with(flows=1000, tracked=100, expected=0.1):
     return reg
 
 
+def _announced(reg, matched=0, wasted=0, missed=0):
+    """Publish horizon announcement outcomes the way the engine does."""
+    for outcome, count in (("matched", matched), ("wasted", wasted), ("missed", missed)):
+        reg.counter(M.HORIZON_ANNOUNCEMENTS, outcome=outcome).inc(count)
+    return reg
+
+
 def _at_sigmas(z, flows=10_000, p=0.1):
     """A registry whose tracked count sits ``z`` binomial sigmas off ``p``."""
     tracked = (p + z * math.sqrt(p * (1 - p) / flows)) * flows
@@ -174,17 +181,27 @@ class TestSuiteAndSerialization:
 
     def test_no_envelope_is_the_default_envelope(self):
         reg = _registry_with(flows=1000, tracked=108, expected=0.1)
-        reg.gauge(M.HORIZON_PRECISION).set(0.5)
+        _announced(reg, matched=1, wasted=1)
         assert check(reg) == check(reg, EnvelopeSpec())
 
     def test_horizon_floors_come_from_the_envelope(self):
-        reg = Registry()
-        reg.gauge(M.HORIZON_PRECISION).set(0.9)
-        reg.gauge(M.HORIZON_RECALL).set(1.0)
+        reg = _announced(Registry(), matched=9, wasted=1, missed=0)
         assert verdict(reg, "horizon_fidelity").ok
         floors = EnvelopeSpec(min_horizon_precision=0.99, min_horizon_recall=0.99)
         result = verdict(reg, "horizon_fidelity", floors)
         assert result.violated and result.detail == "precision 0.900 below floor 0.99"
+
+    def test_horizon_fidelity_pools_merged_shards(self):
+        # Recall 13/16 and 15/16 per shard; the fleet's is 28/32, not
+        # the better shard's.
+        shards = [_announced(Registry(), matched=13, missed=3),
+                  _announced(Registry(), matched=15, missed=1)]
+        reg = Registry()
+        merge_into(reg, [shard.dump_series() for shard in shards])
+        result = verdict(reg, "horizon_fidelity")
+        assert result.ok and result.detail == "precision=1.0 recall=0.875"
+        floor = verdict(reg, "horizon_fidelity", EnvelopeSpec(min_horizon_recall=0.9))
+        assert floor.violated and floor.detail == "recall 0.875 below floor 0.9"
 
     def test_result_json_round_trip(self):
         result = MonitorResult(name="x", ok=False, observed=1.0, expected=2.0)

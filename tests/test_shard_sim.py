@@ -1,9 +1,9 @@
 """Sharded event-driven simulation: the merge fold and the driver.
 
-``merge_sim_results`` is checked as algebra (sums, maxima, weighted
-means, series folding, associativity); ``simulate_sharded`` as a driver
-(flow conservation, replicated membership schedule, worker-count
-determinism up to timing).
+``merge_sim_results`` is checked as algebra (sums, maxima, series
+folding, associativity; ratios are read off the summed counts);
+``simulate_sharded`` as a driver (flow conservation, replicated
+membership schedule, worker-count determinism up to timing).
 """
 
 import multiprocessing
@@ -54,16 +54,31 @@ class TestMergeFold:
 
     def test_weighted_ratios(self):
         a = SimResult(
-            flows_started=100, packets_processed=1_000, ct_hit_rate=0.8,
-            observed_tracked_fraction=0.10,
+            flows_started=100, packets_processed=1_000, ct_hits=800, ct_lookups=1_000,
+            first_tracked=10, first_dispatches=100,
         )
         b = SimResult(
-            flows_started=300, packets_processed=3_000, ct_hit_rate=0.4,
-            observed_tracked_fraction=0.20,
+            flows_started=300, packets_processed=3_000, ct_hits=1_200, ct_lookups=3_000,
+            first_tracked=60, first_dispatches=300,
         )
         merged = merge_sim_results([a, b])
         assert merged.ct_hit_rate == pytest.approx(0.5)
         assert merged.observed_tracked_fraction == pytest.approx(0.175)
+
+    def test_tracked_fraction_pools_first_dispatches(self):
+        # Flows that arrived but were never dispatched count in
+        # ``flows_started`` only; the fraction is over dispatches.
+        a = SimResult(flows_started=120, first_dispatches=100, first_tracked=9)
+        b = SimResult(flows_started=40, first_dispatches=30, first_tracked=7)
+        merged = merge_sim_results([a, b])
+        assert merged.observed_tracked_fraction == (9 + 7) / (100 + 30)
+
+    def test_horizon_ratios_pool_the_scorecards(self):
+        a = SimResult(horizon_matched=13, surprise_additions=3)
+        b = SimResult(horizon_matched=15, surprise_additions=1, horizon_wasted=2)
+        merged = merge_sim_results([a, b])
+        assert merged.horizon_recall == 28 / 32
+        assert merged.horizon_precision == 28 / 30
 
     def test_none_ratios_stay_none(self):
         merged = merge_sim_results([SimResult(), SimResult()])
@@ -87,7 +102,8 @@ class TestMergeFold:
     def test_associative(self):
         shards = [
             SimResult(flows_started=10 * (i + 1), packets_processed=100 * (i + 1),
-                      ct_hit_rate=0.1 * (i + 1), pcc_violations=i)
+                      ct_hits=10 * (i + 1) ** 2, ct_lookups=100 * (i + 1),
+                      pcc_violations=i)
             for i in range(4)
         ]
         nested = merge_sim_results(

@@ -230,16 +230,25 @@ class TestGoldenDigests:
     meant to change nothing must leave these alone; a change that is meant
     to move a result re-records the digest and says which field moved.
 
-    Re-recorded once since, by deletion only: ``SimResult`` lost
+    Re-recorded twice since.  First by deletion only: ``SimResult`` lost
     ``sync_failures``, ``unreplicated_entries`` and ``sync_staleness``
     (no simulator stack is an LB pool, so all three were always 0).  The
     fingerprint with those three re-inserted as 0 hashes to the earlier
-    digests."""
+    digests.  Then by projection, when ``SimResult``'s five ratio fields
+    became properties over counts: drop the eight count fields
+    (``ct_lookups``, ``ct_hits``, ``first_dispatches``, ``first_tracked``,
+    ``expected_tracked_sum``, ``expected_dispatches``, ``horizon_matched``,
+    ``horizon_wasted``), re-insert the five ratios as read, and the two
+    unsharded runs hash to the earlier digests.  The sharded run does
+    not: one field moved, ``mean_expected_tracked_fraction``, by one ulp
+    (0.08183038900529878 -> ...879), because the merge now divides the
+    summed expectation by the summed dispatches instead of taking the
+    flows-weighted mean of the two shards' quotients."""
 
     GOLDEN = {
-        _exogenous_chaos: "313de14bc19a05407bb8488b76f5eb4f43f454f8",
-        _closed_loop: "740d0610e234c9331fb8285ceecf8f9367f4c1fb",
-        _sharded_library: "a35881f85539e7754f34d10482c7e9ce9f448c34",
+        _exogenous_chaos: "5752be13a30c0a6881583228d0cebfce0eb9b4fc",
+        _closed_loop: "d399777e63745d47e396dbde8fa7283d365d380c",
+        _sharded_library: "140c55f9094621e3d909010fcab96077a85fa25d",
     }
 
     @pytest.mark.parametrize("run", list(GOLDEN), ids=lambda run: run.__name__.strip("_"))
@@ -278,30 +287,33 @@ class TestGoldenStacks:
     TTL tables, the SYN-gated placement, weighted HRW) pin the scalar
     consumer -- per-packet clock, ``note_flow_start/end`` order, eviction
     order; the others pin the batch consumer against the per-packet loop
-    that recorded them.  Re-recorded by deletion only, like
-    :class:`TestGoldenDigests`: the three always-zero sync fields left
-    ``SimResult``."""
+    that recorded them.  Re-recorded twice, like
+    :class:`TestGoldenDigests`: by deletion when the three always-zero
+    sync fields left ``SimResult``, then by projection when its ratios
+    became properties over counts -- with the count fields dropped and
+    the five ratios re-inserted as read, all ten hash to the earlier
+    digests."""
 
     GOLDEN = {
-        "bounded_lru": (dict(ct_capacity=80), "c7af4d0bc74844e45a9095d56c66c52f682e41b0"),
+        "bounded_lru": (dict(ct_capacity=80), "12c1b7434095e1f2e2877f67afe39ffe654e7061"),
         "bounded_random": (
             dict(ct_capacity=80, ct_policy="random"),
-            "3bf1f8ac64aa33985026431615c602d74bf909df",
+            "84374f336c36f79586495c7802acaefff0bfafb0",
         ),
-        "ttl": (dict(ct_policy="ttl", ct_ttl=0.4), "bab1a9dc905a107d9dce35aac51751cab322ef01"),
-        "jet_p2c": (dict(mode="jet-p2c"), "411c8e3517f160e13a5e2f8efab3e0e50e4043bb"),
-        "full": (dict(mode="full"), "45b58142e55c6d03c08e516d9f81ddf3a2a9ad60"),
-        "concury": (dict(mode="concury"), "a98f794522bab24d5639cb904842991da8104051"),
-        "stateless": (dict(mode="stateless"), "a34e646ea5e5cfa5431a7103a33ce3f744990ee3"),
+        "ttl": (dict(ct_policy="ttl", ct_ttl=0.4), "b590e6630a5f61f851d561d2167ca107bac97060"),
+        "jet_p2c": (dict(mode="jet-p2c"), "00c98be36ece2286c7efce4b493548c49caa7766"),
+        "full": (dict(mode="full"), "5cad36cb55ddd8fe14eda34461db6a699587793f"),
+        "concury": (dict(mode="concury"), "cbba6ccaf7df11758e9c027309a41744614bc371"),
+        "stateless": (dict(mode="stateless"), "f273b668709672e137d153ff76804099d4267086"),
         "weighted_hrw": (
             dict(ch_family="weighted-hrw", server_weights=_WEIGHTS),
-            "edac09a67519611a5f7c69830a7a5349889e4a52",
+            "8325d6a2b4bf3a03c1680360861a5a516d1f7678",
         ),
         "weighted_ring": (
             dict(ch_family="weighted-ring", server_weights=_WEIGHTS),
-            "091b4d426fd4ec7443be8ace3d64f13cfa09a0ba",
+            "ee55aa05ca38e49e1e7311ac271eee812f333e40",
         ),
-        "anchor": (dict(ch_family="anchor"), "50e9ea5d3b6feed973c4fc76ebee6951e1d979e4"),
+        "anchor": (dict(ch_family="anchor"), "70e0cb9d6b67348032f87fb6cd41f9bf727c78c5"),
     }
     #: The consumer each stack takes, as the dispatch counter labels it.
     SCALAR = {"bounded_lru", "bounded_random", "ttl", "jet_p2c", "weighted_hrw"}
