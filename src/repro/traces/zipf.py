@@ -15,6 +15,8 @@ Flows that receive zero packets are dropped from the population, so
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.hashing.mix import splitmix64
@@ -43,6 +45,75 @@ def _unique_keys(count: int, seed: int, start: int = 0) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+#: A draw ``u`` lies in coarse bucket ``int(u * 2**b)`` -- exact, since the
+#: scale is a power of two -- and the CDF cut points of the bucket's two
+#: ends bound its answer.  ``b`` is at most 18: 2**18 + 1 cut points are
+#: 2 MiB, so the table stays cache-resident while the CDF itself may not;
+#: fewer draws than that get a table no longer than their count.
+_COARSE_BITS = 18
+#: Draws taken from ``rng.random`` per block: the stream is the same however
+#: it is split, so a block bounds the scratch, not the result.
+_BLOCK = 1 << 14
+#: ``Generator.choice``'s tolerance on the probabilities' sum.
+_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _cut_points(cdf: np.ndarray, side: str, draws: int) -> np.ndarray:
+    """``cdf.searchsorted(j / 2**b, side)`` for the 2**b + 1 bucket edges,
+    with 2**b the smallest power of two not below ``draws``, capped at
+    2**_COARSE_BITS (so the table never costs more than the draws it
+    serves)."""
+    buckets = 1 << min(_COARSE_BITS, (draws - 1).bit_length())
+    edges = np.arange(buckets + 1, dtype=np.float64)
+    edges *= 1.0 / buckets
+    return cdf.searchsorted(edges, side)
+
+
+def _inverse_cdf(
+    cdf: np.ndarray, rng: np.random.Generator, out: np.ndarray, side: str,
+    cuts: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Fill ``out`` with ``cdf.searchsorted(rng.random(len(out)), side)``.
+
+    Draw for draw the same integers: searchsorted is monotone in ``u``, so
+    a draw in bucket ``j`` has its answer in ``[cuts[j], cuts[j + 1]]``,
+    and only the draws whose interval is not a single point are searched
+    -- by a vectorized bisection that adds halving steps to ``cuts[j]``
+    while ``cdf`` at the probe is still below ``u`` (a probe past the end
+    reads ``cdf[-1] == 1.0``, which no draw reaches).  ``cuts`` (from
+    :func:`_cut_points` with the same ``side``) may be passed to reuse one
+    table across calls; its length sets the bucket scale.
+    """
+    if cuts is None:
+        cuts = _cut_points(cdf, side, len(out))
+    below = np.less_equal if side == "right" else np.less
+    last = len(cdf) - 1
+    scale = float(len(cuts) - 1)
+    for start in range(0, len(out), _BLOCK):
+        u = rng.random(min(_BLOCK, len(out) - start))
+        bucket = (u * scale).astype(np.intp)
+        lo = cuts[bucket]
+        bucket += 1
+        hi = cuts[bucket]
+        pending = np.flatnonzero(lo < hi)
+        if len(pending):
+            # base is the last index known to sit below the draw (the
+            # lower cut point minus one to start); it takes a step when the
+            # CDF there is still below, and base + 1 is the answer.
+            base, value = lo[pending], u[pending]
+            step = 1 << (int((hi[pending] - base).max()).bit_length() - 1)
+            base -= 1
+            while step:
+                probe = base + step
+                np.minimum(probe, last, out=probe)
+                base += below(cdf[probe], value) * step
+                step >>= 1
+            base += 1
+            lo[pending] = base
+        out[start:start + len(lo)] = lo
+    return out
+
+
 def zipf_trace(
     skew: float,
     n_packets: int = 1_000_000,
@@ -55,24 +126,39 @@ def zipf_trace(
     distinct flow count is whatever the sampling touches (decreasing in
     ``skew``).  The paper's full-scale traces use 100M packets; defaults are
     scaled for laptop runs and can be raised to paper scale.
+
+    The draws are bit for bit those of ``Generator.choice`` with these
+    probabilities: the CDF is built in place with the operations choice
+    uses and searched by :func:`_inverse_cdf` on the same ``rng.random``
+    stream.  Compaction to the touched flows counts instead of sorting,
+    and gives the sorted-unique inverse indices.
     """
     if skew < 0:
         raise ValueError("skew must be non-negative")
     if n_packets < 1 or population < 1:
         raise ValueError("n_packets and population must be positive")
     rng = np.random.default_rng(splitmix64(seed ^ 0x21F0_AAAD) & 0x7FFF_FFFF)
-    ranks = np.arange(1, population + 1, dtype=np.float64)
-    weights = ranks ** (-skew)
-    probabilities = weights / weights.sum()
-    draws = rng.choice(population, size=n_packets, p=probabilities)
+    cdf = np.arange(1, population + 1, dtype=np.float64)
+    cdf **= -skew
+    cdf /= cdf.sum()
+    if not (cdf.min() >= 0 and abs(cdf.sum() - 1.0) <= _ATOL):
+        raise ValueError("probabilities must be non-negative and sum to 1")
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    packets = _inverse_cdf(cdf, rng, np.empty(n_packets, np.int64), "right")
+    del cdf
 
-    # Compact to distinct flows only.
-    distinct, packets = np.unique(draws, return_inverse=True)
+    # Compact to distinct flows only: a flow's new index is its rank among
+    # the flows that drew a packet.
+    remap = np.bincount(packets)
+    distinct = np.flatnonzero(remap)
+    remap[distinct] = np.arange(len(distinct))
+    np.take(remap, packets, out=packets, mode="clip")
     keys = _unique_keys(len(distinct), seed=splitmix64(seed ^ 0x51AF_E234))
     return Trace(
         name=f"zipf(skew={skew}, packets={n_packets})",
         flow_keys=keys,
-        packets=packets.astype(np.int64),
+        packets=packets,
     )
 
 
@@ -111,6 +197,8 @@ def zipf_trace_stream(
     cdf /= cdf[-1]
     name = f"zipf-stream(skew={skew}, packets={n_packets})"
     key_seed = splitmix64(seed ^ 0x51AF_E234)
+    draws = np.empty(min(chunk, n_packets), np.int64)
+    cuts = _cut_points(cdf, "left", len(draws))
     with TraceWriter(path, name, n_flows=population, n_packets=n_packets) as writer:
         for start in range(0, population, chunk):
             count = min(chunk, population - start)
@@ -120,6 +208,7 @@ def zipf_trace_stream(
             rng = np.random.default_rng(
                 splitmix64(seed ^ 0x21F0_AAAD ^ (block + 1)) & 0x7FFF_FFFF
             )
-            draws = np.searchsorted(cdf, rng.random(count), side="left")
-            writer.write_packets(draws.astype(np.int64))
+            writer.write_packets(
+                _inverse_cdf(cdf, rng, draws[:count], "left", cuts)
+            )
     return writer._final

@@ -334,3 +334,49 @@ class TestZipfStream:
             )
         )
         assert np.array_equal(np.asarray(trace.flow_keys), full.flow_keys)
+
+
+class TestAlignedMembers:
+    """Stored members start on 64-byte file offsets, so mapped columns are
+    aligned; the padding is a standard zip extra field."""
+
+    @staticmethod
+    def assert_aligned(trace):
+        for column in (trace.flow_keys, trace.packets):
+            assert column.ctypes.data % 64 == 0
+            assert column.flags.aligned
+
+    def test_save_trace_columns_map_aligned(self, tmp_path):
+        for seed in range(4):
+            trace = small_trace(seed)
+            save_trace(trace, tmp_path / f"t{seed}", compressed=False)
+            with load_trace(tmp_path / f"t{seed}", mmap=True) as mapped:
+                self.assert_aligned(mapped)
+                assert_traces_equal(mapped, trace)
+
+    def test_stream_columns_map_aligned(self, tmp_path):
+        path = zipf_trace_stream(
+            tmp_path / "t", skew=1.0, n_packets=5_000, population=777, seed=2,
+            chunk=1_001,
+        )
+        with load_trace(path, mmap=True) as mapped:
+            self.assert_aligned(mapped)
+
+    def test_np_load_reads_padded_file(self, tmp_path):
+        trace = small_trace()
+        save_trace(trace, tmp_path / "t", compressed=False)
+        with np.load(tmp_path / "t.npz") as data:
+            assert str(data["name"]) == trace.name
+            assert np.array_equal(data["flow_keys"], trace.flow_keys)
+            assert np.array_equal(data["packets"], trace.packets)
+        with zipfile.ZipFile(tmp_path / "t.npz") as archive:
+            assert archive.testzip() is None
+
+    def test_plain_savez_file_still_maps(self, tmp_path):
+        trace = small_trace()
+        np.savez(
+            tmp_path / "t.npz", name=np.asarray(trace.name),
+            flow_keys=trace.flow_keys, packets=trace.packets,
+        )
+        with load_trace(tmp_path / "t", mmap=True) as mapped:
+            assert_traces_equal(mapped, trace)
