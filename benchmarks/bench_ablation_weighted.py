@@ -1,16 +1,17 @@
 """Ablation: weighted consistent hashing (heterogeneous backends).
 
 Extension beyond the paper's uniform-server evaluation: JET over
-weight-proportional rendezvous hashing.  Verifies that (a) dispatch
-shares follow the weights, and (b) the tracking probability generalizes
-from Theorem 4.2's |H|/(|W|+|H|) to weight(H)/weight(W ∪ H).
+weight-proportional rendezvous hashing (``HRWHash(..., weights=...)``).
+Verifies that (a) dispatch shares follow the weights, and (b) the
+tracking probability generalizes from Theorem 4.2's |H|/(|W|+|H|) to
+weight(H)/weight(W ∪ H).
 """
 
 import pytest
 
 from benchmarks.reporting import record
 from repro.ch.properties import sample_keys
-from repro.ch.weighted import WeightedHRWHash
+from repro.ch import HRWHash
 from repro.experiments.report import format_table
 
 KEYS = sample_keys(40_000, seed=202)
@@ -21,7 +22,7 @@ def run_weighted_sweep():
     results = {}
     for horizon_weight in (0.5, 1.0, 2.0, 4.0):
         working = {f"s{i}": 1.0 + (i % 3) for i in range(12)}  # weights 1..3
-        ch = WeightedHRWHash(working, {"h0": horizon_weight})
+        ch = HRWHash(working, ["h0"], weights={**working, "h0": horizon_weight})
         tracked = sum(ch.lookup_with_safety(k)[1] for k in KEYS) / len(KEYS)
         predicted = horizon_weight / (sum(working.values()) + horizon_weight)
         heaviest = max(working, key=working.get)

@@ -5,12 +5,13 @@ Real pools mix server generations; the LB weights its dispatching so a
 2x machine takes 2x the connections. JET composes with weighted
 rendezvous hashing unchanged -- the safety test is the same one-line
 score comparison -- and the tracking probability generalizes to
-weight(H) / weight(W ∪ H).
+weight(H) / weight(W ∪ H).  A weight is a property of a server:
+``HRWHash`` takes them as ``weights={name: weight}``.
 
 Run:  python examples/heterogeneous_backends.py
 """
 
-from repro import JETLoadBalancer, WeightedHRWHash
+from repro import HRWHash, JETLoadBalancer
 from repro.hashing.mix import splitmix64
 
 # Three server generations: small (1x), medium (2x), large (4x).
@@ -23,7 +24,7 @@ STANDBY = {"standby-large": 4.0}
 
 
 def main() -> None:
-    ch = WeightedHRWHash(FLEET, STANDBY)
+    ch = HRWHash(FLEET, STANDBY, weights={**FLEET, **STANDBY})
     lb = JETLoadBalancer(ch)
 
     keys, state = [], 11

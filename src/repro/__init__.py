@@ -51,8 +51,6 @@ from repro.ch import (
     ModuloHash,
     RingHash,
     TableHRWHash,
-    WeightedHRWHash,
-    WeightedRingHash,
 )
 from repro.ct import FIFOCT, LRUCT, RandomEvictCT, TTLCT, UnboundedCT, make_ct
 from repro.faults import (
@@ -93,8 +91,6 @@ __all__ = [
     "MaglevHash",
     "JumpHash",
     "ModuloHash",
-    "WeightedHRWHash",
-    "WeightedRingHash",
     # connection tracking
     "UnboundedCT",
     "LRUCT",

@@ -10,8 +10,10 @@ JET-pluggable (implement :class:`~repro.ch.base.HorizonConsistentHash`):
 - :class:`ModuloHash` -- the Section 2.4 strawman (not consistent);
 - :class:`ConcuryHash` -- Concury-style Othello perfect mapping over
   flowsets (extension; O(1) dataplane, control-plane mutation).
-- :class:`WeightedHRWHash` / :class:`WeightedRingHash` -- heterogeneous
-  capacities (``{name: weight}`` server specs).
+
+:class:`HRWHash` and :class:`RingHash` also take per-server capacities
+(``weights={name: weight}``, absent names 1.0): a weight is a property of
+a server, not a family of its own (``takes_weights``).
 
 Full-CT only (implements plain :class:`~repro.ch.base.ConsistentHash`):
 
@@ -34,7 +36,6 @@ from repro.ch.maglev import MaglevHash
 from repro.ch.jump import JumpHash, jump_bucket, v_jump_bucket
 from repro.ch.modulo import ModuloHash
 from repro.ch.concury import ConcuryHash
-from repro.ch.weighted import WeightedHRWHash, WeightedRingHash
 
 #: JET-compatible CH families evaluated in the paper, by name.
 JET_FAMILIES = {
@@ -54,14 +55,6 @@ EXTENSION_FAMILIES = {
     "concury": ConcuryHash,
 }
 
-
-#: The heterogeneous variants: their ``working`` / ``horizon`` take
-#: ``{name: weight}`` server specs (plain names weigh 1.0).
-WEIGHTED_FAMILIES = {
-    "weighted-hrw": WeightedHRWHash,
-    "weighted-ring": WeightedRingHash,
-}
-
 #: Every CH family by name: what each ``--family`` flag and a scenario's
 #: ``ch_family`` accept.  Which (mode, family) pairs build, and how, is
 #: :func:`repro.core.factories.check_stack`'s decision.
@@ -69,7 +62,6 @@ FAMILIES = {
     **JET_FAMILIES,
     **EXTENSION_FAMILIES,
     "maglev": MaglevHash,
-    **WEIGHTED_FAMILIES,
 }
 
 
@@ -97,11 +89,8 @@ __all__ = [
     "v_jump_bucket",
     "ModuloHash",
     "ConcuryHash",
-    "WeightedHRWHash",
-    "WeightedRingHash",
     "JET_FAMILIES",
     "EXTENSION_FAMILIES",
-    "WEIGHTED_FAMILIES",
     "FAMILIES",
     "family_choices",
 ]

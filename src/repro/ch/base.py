@@ -23,7 +23,7 @@ shared between the CH module and the CT table.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Hashable, Tuple
+from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -35,8 +35,29 @@ class BackendError(ValueError):
     additions that bypass the horizon contract, capacity exhaustion)."""
 
 
+def capacity_weights(weights: Optional[Mapping[Name, float]]) -> Optional[Dict[Name, float]]:
+    """A weighted family's ``weights=`` argument, checked: every weight
+    must be positive; names absent from it (or weighing exactly 1.0)
+    weigh 1.0, so what is kept is the non-unit entries -- ``None`` when
+    there are none, a unit fleet."""
+    kept = {}
+    for name, weight in (weights or {}).items():
+        if not weight > 0:
+            raise BackendError(f"server {name!r} needs a positive weight")
+        if weight != 1.0:
+            kept[name] = weight
+    return kept or None
+
+
 class ConsistentHash(ABC):
     """A consistent hash over a dynamic working set of servers."""
+
+    #: True for a family whose constructor takes ``weights=`` (per-server
+    #: capacities); :func:`repro.core.factories.check_stack` reads it.
+    takes_weights = False
+    #: The capacities such a family was built with (see
+    #: :func:`capacity_weights`); ``None`` on a unit fleet.
+    weights: Optional[Dict[Name, float]] = None
 
     @property
     @abstractmethod

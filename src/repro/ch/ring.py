@@ -34,6 +34,10 @@ merged ring and cached until the next backend change:
   per call.  The union only changes when a server identity enters or
   leaves the system -- moving between W and H preserves it.
 
+Capacities (``weights={name: c}``, absent names 1.0) scale a server's
+vnode count to ``max(1, round(virtual_nodes * c))``, through the one
+``_placement`` hook every registration goes through.
+
 Vnode positions and server seeds are deterministic in the name, so they
 are memoized process-wide (:func:`_server_placement`): churning a server
 out and back in, or rebuilding after every event, never recomputes the
@@ -44,11 +48,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ch.base import BackendError, HorizonConsistentHash, Name
+from repro.ch.base import BackendError, HorizonConsistentHash, Name, capacity_weights
 from repro.hashing.keyed import server_seed
 from repro.hashing.mix import fmix64, mix2
 
@@ -76,15 +80,19 @@ def _vnode_positions(name: Name, virtual_nodes: int) -> Sequence[int]:
 class RingHash(HorizonConsistentHash):
     """Ring hashing over ``W`` with the horizon folded in per Algorithm 3."""
 
+    takes_weights = True
+
     def __init__(
         self,
         working: Iterable[Name] = (),
         horizon: Iterable[Name] = (),
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
+        weights: Optional[Mapping[Name, float]] = None,
     ):
         if virtual_nodes < 1:
             raise ValueError("virtual_nodes must be >= 1")
         self.virtual_nodes = virtual_nodes
+        self.weights = capacity_weights(weights)
         self._working: Dict[Name, Sequence[int]] = {}
         self._horizon: Dict[Name, Sequence[int]] = {}
         # Merged ring: parallel arrays sorted by position.
@@ -121,9 +129,12 @@ class RingHash(HorizonConsistentHash):
         return frozenset(self._horizon)
 
     def _placement(self, name: Name) -> Sequence[int]:
-        """Vnode positions used for a newly registered server (weighted
-        subclasses override to vary the vnode count per server)."""
-        return _vnode_positions(name, self.virtual_nodes)
+        """Vnode positions of a newly registered server, as many as its
+        capacity asks for."""
+        if self.weights is None:
+            return _vnode_positions(name, self.virtual_nodes)
+        capacity = self.weights.get(name, 1.0)
+        return _vnode_positions(name, max(1, round(self.virtual_nodes * capacity)))
 
     def _register(self, side: Dict[Name, Sequence[int]], name: Name) -> None:
         if name in self._working or name in self._horizon:

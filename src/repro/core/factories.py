@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.ch import FAMILIES, WEIGHTED_FAMILIES, HorizonConsistentHash
+from repro.ch import FAMILIES, HorizonConsistentHash
 from repro.ch.concury import INNER_FAMILIES
 from repro.core.concury import ConcuryLoadBalancer
 from repro.core.full_ct import FullCTLoadBalancer
@@ -88,8 +88,8 @@ def check_stack(mode: str, family: str, weighted: bool = False) -> None:
       serve a mode that asks the CH for safety;
     - under ``concury`` the family names the inner CH placing flowsets,
       which must be one of ``INNER_FAMILIES``;
-    - weights go to the weighted families (as server specs) and to
-      ``jet-p2c`` (as occupancy normalisers); nothing else reads them.
+    - weights go to a family that ``takes_weights`` and to ``jet-p2c``
+      (as occupancy normalisers); Concury's flowset map reads none.
     """
     cls, ch_cls = lb_class(mode), _family_class(family)
     if cls.needs_horizon and not issubclass(ch_cls, HorizonConsistentHash):
@@ -99,9 +99,14 @@ def check_stack(mode: str, family: str, weighted: bool = False) -> None:
             f"mode 'concury' places flowsets with one of {sorted(INNER_FAMILIES)}, "
             f"not {family!r}"
         )
-    if weighted and family not in WEIGHTED_FAMILIES and cls is not PowerOfTwoJET:
+    if not weighted:
+        return
+    if cls is ConcuryLoadBalancer:
+        raise ValueError("mode 'concury' cannot weight servers (its flowset map has no capacities)")
+    if not ch_cls.takes_weights and cls is not PowerOfTwoJET:
+        weighing = sorted(name for name, c in FAMILIES.items() if c.takes_weights)
         raise ValueError(
-            f"ch_family {family!r} cannot weight servers (weighted-hrw and weighted-ring "
+            f"ch_family {family!r} cannot weight servers ({' and '.join(weighing)} "
             "can; mode 'jet-p2c' normalises occupancy by weight)"
         )
 
@@ -121,16 +126,15 @@ def make_lb(
     The caller describes the whole stack and each layer takes what it
     uses: the CT (``ct``, e.g. from :func:`repro.ct.make_ct`; unbounded
     when None) goes to the tracking modes; ``weights`` (``{name:
-    weight}``, absent names 1.0) to a weighted family as server specs and
-    to ``jet-p2c``; ``master_seed`` (what a sharded or simulated run
+    weight}``, absent names 1.0) to a family that takes weights and to
+    ``jet-p2c``; ``master_seed`` (what a sharded or simulated run
     derives every other seed from) to the ``concury`` map.  Other kwargs
     reach the CH.
     """
     check_stack(mode, family, weighted=bool(weights))
     cls = lb_class(mode)
-    if weights and family in WEIGHTED_FAMILIES:
-        working = {name: weights.get(name, 1.0) for name in working}
-        horizon = {name: weights.get(name, 1.0) for name in horizon}
+    if weights and _family_class(family).takes_weights:
+        ch_kwargs["weights"] = weights
     if cls is ConcuryLoadBalancer:
         # ``family`` names the *inner* control-plane CH deciding flowset
         # placement; the dataplane is the Othello flowset map.

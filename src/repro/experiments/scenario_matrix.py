@@ -13,7 +13,7 @@ bound that occupancy-weighted dispatch meets).
 Gate semantics: only the *native* mode's envelope verdict gates the
 experiment (and CI) -- non-native modes are comparison rows, recorded
 but never failing the run.  A mode a scenario cannot express (Concury
-over a weighted inner family) records as skipped with the spec's reason;
+on a weighted fleet) records as skipped with the spec's reason;
 an error from a document that parsed is a bug, and raises.
 
 Everything recorded is a count or a margin, deterministic per seed and

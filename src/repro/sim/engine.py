@@ -57,7 +57,6 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.ch.base import BackendError
 from repro.core.interfaces import LoadBalancer, Name
 from repro.core.jet import JETLoadBalancer
 from repro.ct import Clock as _SimClock
@@ -167,11 +166,10 @@ class EventDrivenSimulation:
         # final-instant |H|/(|W|+|H|) misrepresents the run, so accumulate
         # it per first dispatch.  Only JET-style balancers publish it.
         self._track_expected = isinstance(balancer, JETLoadBalancer)
-        # Weighted CH families generalize Theorem 4.2's expectation to
-        # weight(H)/(weight(W)+weight(H)); detect once so unweighted runs
-        # keep the count-based O(1) path byte-identical.
-        ch_weight_of = getattr(getattr(balancer, "ch", None), "weight_of", None)
-        self._weight_of = ch_weight_of if callable(ch_weight_of) else None
+        # A CH built with capacities generalizes Theorem 4.2's expectation
+        # to weight(H)/(weight(W)+weight(H)); unweighted runs keep the
+        # count-based O(1) path.
+        self._weights = getattr(getattr(balancer, "ch", None), "weights", None)
         # Occupancy-consuming balancers (jet-p2c) get the per-backend
         # active-flow view refreshed at every sample event -- always, not
         # just when a registry is attached, so observability can never
@@ -474,9 +472,9 @@ class EventDrivenSimulation:
         added one at a time, so a batch rounds as the packets would."""
         if not self._track_expected:
             return
-        if self._weight_of is not None:
-            horizon = self._weight_sum(self.manager.members)
-            working = self._weight_sum(self._up)
+        if self._weights is not None:
+            horizon = sum(map(self._weight, self.manager.members))
+            working = sum(map(self._weight, self._up))
         else:
             horizon = self.manager.horizon_occupancy
             working = len(self._up)
@@ -488,17 +486,9 @@ class EventDrivenSimulation:
             self.result.expected_tracked_sum = total
             self.result.expected_dispatches += dispatches
 
-    def _safe_weight(self, name: Name) -> float:
-        """Capacity weight of ``name``; 1.0 for servers the CH does not
-        carry (chaos-born identities, autoscaled launches) -- which is the
-        one thing ``weight_of`` raises ``BackendError`` for."""
-        try:
-            return self._weight_of(name)
-        except BackendError:
-            return 1.0
-
-    def _weight_sum(self, names) -> float:
-        return sum(map(self._safe_weight, names))
+    def _weight(self, name: Name) -> float:
+        """Capacity weight of ``name`` in the CH's mapping (absent: 1.0)."""
+        return self._weights.get(name, 1.0)
 
     def _break_flow(self, flow: Flow) -> None:
         # PCC violation: the connection is reset by the new backend.
@@ -629,7 +619,7 @@ class EventDrivenSimulation:
             if oversub > self.result.max_oversubscription:
                 self.result.max_oversubscription = oversub
             cv = self._load.cv_over(
-                self._up, self._safe_weight if self._weight_of is not None else None
+                self._up, self._weight if self._weights is not None else None
             )
             if cv is not None:
                 self.result.balance_cv_series.append(cv)

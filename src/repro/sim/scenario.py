@@ -51,9 +51,9 @@ class SimulationConfig:
     ch_family: str = "anchor"
     ch_kwargs: Dict = field(default_factory=dict)
     #: Per-server capacity weights (heterogeneous fleets); None = uniform.
-    #: Weighted CH families ("weighted-hrw"/"weighted-ring") consume them
-    #: as server specs, "jet-p2c" as occupancy normalizers, and the
-    #: engine's expected-tracked-fraction accounting generalizes to
+    #: The families that take weights ("hrw", "ring") read them as
+    #: capacities, "jet-p2c" as occupancy normalizers, and the engine's
+    #: expected-tracked-fraction accounting generalizes to
     #: weight(H)/(weight(W)+weight(H)) whenever the CH carries weights.
     server_weights: Optional[Dict] = None
     #: Extra per-server health-probe loss probability (asymmetric-latency

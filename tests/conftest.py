@@ -9,15 +9,26 @@ WORKING = [f"w{i}" for i in range(16)]
 HORIZON = [f"h{i}" for i in range(3)]
 
 
+#: Capacities of the test-local "hrw-weighted" / "ring-weighted" labels:
+#: mild enough for the contract's unweighted balance envelopes
+#: (tests/test_ch_weighted.py holds shares to w/Σw).
+CAPACITIES = {WORKING[0]: 1.5, WORKING[5]: 0.75, HORIZON[0]: 1.25}
+
+
 def make_family(family: str, working=None, horizon=None):
     """Construct a JET-capable CH of the given family with test-sized
-    parameters (small tables/capacities keep tests fast)."""
+    parameters (small tables/capacities keep tests fast).  The weighted
+    labels are built from one-shot iterables, which must read as lists."""
     working = WORKING if working is None else working
     horizon = HORIZON if horizon is None else horizon
     if family == "hrw":
         return HRWHash(working, horizon)
     if family == "ring":
         return RingHash(working, horizon, virtual_nodes=40)
+    if family == "hrw-weighted":
+        return HRWHash(iter(working), iter(horizon), weights=CAPACITIES)
+    if family == "ring-weighted":
+        return RingHash(iter(working), iter(horizon), virtual_nodes=40, weights=CAPACITIES)
     if family == "table":
         return TableHRWHash(working, horizon, rows=1031)
     if family == "anchor":
@@ -48,8 +59,9 @@ def churned_ring(working, horizon, **kwargs):
     return ch
 
 
-#: The four CH families the paper integrates with JET (Algorithms 2-5).
-JET_FAMILY_NAMES = ("hrw", "ring", "table", "anchor")
+#: The four CH families the paper integrates with JET (Algorithms 2-5),
+#: and the two that take capacities built with some.
+JET_FAMILY_NAMES = ("hrw", "ring", "table", "anchor", "hrw-weighted", "ring-weighted")
 
 
 @pytest.fixture(params=JET_FAMILY_NAMES)

@@ -1,7 +1,7 @@
 """Property-based differential tests for the columnar lookup path.
 
-For every registered CH family (the paper's four JET families and the
-jump/modulo extensions), under random
+For every registered CH family (the paper's four JET families, HRW with
+capacities and the jump/modulo extensions), under random
 working/horizon sets and random key batches -- including the empty batch
 and single-key batches -- the vectorized ``lookup_batch_idx`` /
 ``lookup_with_safety_batch_idx``, decoded through ``backend_table()``,
@@ -9,7 +9,10 @@ must agree with the scalar reference, key for key, before and after
 backend churn.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,22 +20,31 @@ from repro.ch import (
     EXTENSION_FAMILIES,
     JET_FAMILIES,
     AnchorHash,
+    HRWHash,
     MaglevHash,
     RingHash,
     TableHRWHash,
+    hrw,
 )
 from repro.hashing.mix import MASK64
 from tests.conftest import churned_ring
 
 keys64 = st.integers(min_value=0, max_value=MASK64)
 
-#: "ring-incremental" is test-local (``conftest.churned_ring``), not a
-#: registered family: the ring with its arrays edited in place.
-ALL_FAMILIES = sorted([*JET_FAMILIES, "ring-incremental"]) + sorted(EXTENSION_FAMILIES)
+#: "ring-incremental" and "hrw-weighted" are test-local, not registered
+#: families: the ring with its arrays edited in place
+#: (``conftest.churned_ring``), and HRW ranking by capacity score.
+ALL_FAMILIES = sorted([*JET_FAMILIES, "ring-incremental", "hrw-weighted"]) + sorted(
+    EXTENSION_FAMILIES
+)
+#: Capacities of "hrw-weighted": working and horizon names of both kinds.
+CAPACITIES = {"w0": 3.0, "w2": 0.5, "w5": 1.75, "h0": 2.0, "h2": 0.25}
 
 
 def build(family, working, horizon):
     """Small-parameter CH instance so hypothesis examples stay fast."""
+    if family == "hrw-weighted":
+        return HRWHash(working, horizon, weights=CAPACITIES)
     if family == "concury":
         from repro.ch import ConcuryHash
 
@@ -112,6 +124,24 @@ class TestBatchEqualsScalarEverywhere:
     def test_single_key_batch(self, family, key):
         ch = build(family, ["w0", "w1", "w2"], ["h0"])
         assert_batch_equals_scalar(ch, [key])
+
+
+class TestWeightedHRWExactPath:
+    """With the recheck bound at infinity every key of the weighted kernel
+    is decided by the scalar score, and must still agree."""
+
+    @given(
+        n_working=st.integers(min_value=1, max_value=8),
+        n_horizon=st.integers(min_value=0, max_value=3),
+        key_sample=st.lists(keys64, min_size=0, max_size=30),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_fresh_instance(self, n_working, n_horizon, key_sample):
+        ch = build("hrw-weighted", [f"w{i}" for i in range(n_working)],
+                   [f"h{i}" for i in range(n_horizon)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hrw, "_RECHECK", math.inf)
+            assert_batch_equals_scalar(ch, key_sample)
 
 
 class TestIndexKernelProperties:

@@ -1,8 +1,9 @@
 """Contract tests every JET-capable CH family must satisfy.
 
-Parametrized over the paper's four families (HRW, Ring, Table, Anchor) via
-the ``jet_ch`` / ``jet_ch_factory`` fixtures -- these are the semantics
-Algorithm 1 relies on.
+Parametrized over the paper's four families (HRW, Ring, Table, Anchor),
+and HRW and Ring built with capacities, via the ``jet_ch`` /
+``jet_ch_factory`` fixtures -- these are the semantics Algorithm 1 relies
+on.
 """
 
 import random

@@ -10,7 +10,6 @@ import pytest
 from repro.ch.base import BackendError
 from repro.ch.properties import sample_keys
 from repro.ch.ring import RingHash
-from repro.ch.weighted import WeightedRingHash
 
 W = [f"w{i}" for i in range(8)]
 H = [f"h{i}" for i in range(3)]
@@ -27,15 +26,9 @@ def driven(working=W, horizon=H, virtual_nodes=20):
 
 
 def fresh_like(ch):
-    if isinstance(ch, WeightedRingHash):
-        weights = lambda names: {name: ch.weight_of(name) for name in names}
-        return WeightedRingHash(
-            weights(sorted(ch.working, key=str)), weights(sorted(ch.horizon, key=str)),
-            base_virtual_nodes=ch.base_virtual_nodes,
-        )
     return RingHash(
         sorted(ch.working, key=str), sorted(ch.horizon, key=str),
-        virtual_nodes=ch.virtual_nodes,
+        virtual_nodes=ch.virtual_nodes, weights=ch.weights,
     )
 
 
@@ -144,12 +137,14 @@ class TestChurnEquivalence:
     def test_weighted_ring_sequence(self):
         # The mutators reach the weighted ring through ``_placement``:
         # servers own different vnode counts.
-        ch = WeightedRingHash({"a": 1.0, "b": 3.0, "c": 0.5}, {"x": 2.0}, base_virtual_nodes=8)
+        weights = {"b": 3.0, "c": 0.5, "x": 2.0}
+        weights.update({f"n{step}": (0.5, 1.0, 2.5)[step % 3] for step in range(30)})
+        ch = RingHash(["a", "b", "c"], ["x"], virtual_nodes=8, weights=weights)
         ch.lookup(0)
         rng = random.Random(9)
         for step in range(30):
             if rng.random() < 0.2:
-                ch.add_horizon(f"n{step}", weight=rng.choice([0.5, 1.0, 2.5]))
+                ch.add_horizon(f"n{step}")
             else:
                 random_event(ch, rng, f"u{step}")
             if ch.working:

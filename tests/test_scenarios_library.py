@@ -140,7 +140,7 @@ class TestMatrixSkips:
         monkeypatch.setattr(repro.scenarios, "load_all", lambda: {name: LIBRARY[name]})
 
     def test_inexpressible_mode_records_a_skip(self, monkeypatch):
-        self.only(monkeypatch, "heterogeneous-fleet")  # weighted-hrw: no Concury
+        self.only(monkeypatch, "heterogeneous-fleet")  # weighted zones: no Concury
         payload = run_matrix("smoke", workers=2)
         archive = Path(__file__).resolve().parent.parent / "results" / "scenarios.json"
         committed = json.loads(archive.read_text())

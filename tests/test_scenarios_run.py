@@ -50,7 +50,7 @@ TINY = {
 ZONED = {
     "name": "zoned",
     "duration_s": 20,
-    "ch_family": "weighted-hrw",  # a family that reads zone weights
+    "ch_family": "hrw",  # a family that reads zone weights
     "fleet": {
         "horizon": 2,
         "zones": [

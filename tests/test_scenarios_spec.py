@@ -123,7 +123,7 @@ class TestStrictParsing:
         # make_ch (or, for an unbounded CT, was silently ignored).
         err = expect_error(spec_dict(**{key: "bogus"}), f".{key}: expected one of")
         assert "'bogus'" in str(err)
-        ScenarioSpec.parse(spec_dict(ch_family="weighted-hrw", ct_policy="ttl"))
+        ScenarioSpec.parse(spec_dict(ch_family="hrw", ct_policy="ttl"))
 
     def test_the_section_5_1_knobs_reach_the_config(self):
         # A ct_policy "ttl" scenario could not set its TTL (silently
@@ -409,11 +409,11 @@ def scenario_dicts(draw):
     family = {}
     if mode != "jet-p2c" and any(z["weight"] != 1.0 for z in fleet.get("zones", ())):
         # Zone weights need a family that reads them, and Concury's map
-        # places flowsets with neither weighted one.
+        # reads none.
         if mode == "concury":
             fleet = {**fleet, "zones": [{**z, "weight": 1.0} for z in fleet["zones"]]}
         else:
-            family["ch_family"] = draw(st.sampled_from(["weighted-hrw", "weighted-ring"]))
+            family["ch_family"] = draw(st.sampled_from(["hrw", "ring"]))
     data = {
         "name": draw(st.sampled_from(["alpha", "beta-2", "gamma_x"])),
         "duration_s": duration,

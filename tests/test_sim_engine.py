@@ -4,7 +4,6 @@ import hashlib
 
 import pytest
 
-from repro.ch.weighted import WeightedHRWHash
 from repro.faults import (
     CRASH,
     FLAP,
@@ -25,6 +24,7 @@ from repro.sim import (
     run_paired,
     run_simulation,
 )
+from repro.sim.scenario import build_balancer
 from repro.sim.workload import RateProfile
 
 BASE = SimulationConfig(
@@ -156,7 +156,7 @@ class TestWeightedExpectation:
         connection_rate=120.0,
         n_servers=12,
         horizon_size=2,
-        ch_family="weighted-hrw",
+        ch_family="hrw",
         server_weights={0: 2.0, 1: 2.0},
     )
 
@@ -164,16 +164,6 @@ class TestWeightedExpectation:
         result = run_simulation(self.WEIGHTED)
         assert result.mean_expected_tracked_fraction is not None
         assert result.balance_cv_series
-
-    def test_a_bug_inside_weight_of_is_not_a_balanced_fleet(self, monkeypatch):
-        # Only BackendError ("the CH does not carry this name") means
-        # weight 1.0; anything else is a bug and must surface.
-        def broken(self, name):
-            raise TypeError("weight_of is broken")
-
-        monkeypatch.setattr(WeightedHRWHash, "weight_of", broken)
-        with pytest.raises(TypeError, match="weight_of is broken"):
-            run_simulation(self.WEIGHTED)
 
 
 def _exogenous_chaos():
@@ -284,15 +274,19 @@ class TestGoldenStacks:
     a scripted flap and a crash) under every kind of stack the engine's two
     consumers have to serve, digests recorded at the commit *before* packets
     left the heap.  Stacks whose ``columnar_effective`` is False (bounded /
-    TTL tables, the SYN-gated placement, weighted HRW) pin the scalar
-    consumer -- per-packet clock, ``note_flow_start/end`` order, eviction
-    order; the others pin the batch consumer against the per-packet loop
-    that recorded them.  Re-recorded twice, like
-    :class:`TestGoldenDigests`: by deletion when the three always-zero
-    sync fields left ``SimResult``, then by projection when its ratios
-    became properties over counts -- with the count fields dropped and
-    the five ratios re-inserted as read, all ten hash to the earlier
-    digests."""
+    TTL tables, the SYN-gated placement) pin the scalar consumer --
+    per-packet clock, ``note_flow_start/end`` order, eviction order; the
+    others pin the batch consumer against the per-packet loop that
+    recorded them.  Re-recorded twice, like :class:`TestGoldenDigests`:
+    by deletion when the three always-zero sync fields left
+    ``SimResult``, then by projection when its ratios became properties
+    over counts -- with the count fields dropped and the five ratios
+    re-inserted as read, all ten hash to the earlier digests.  The two
+    weighted stacks were re-recorded once more when weights became a
+    mapping the CH keeps: server 17 (weight 2) leaves the horizon and
+    re-enters it twice, and the weighted families it replaced re-admitted
+    it at weight 1.  Their old code with only that re-admission fixed
+    hashes to the digests below."""
 
     GOLDEN = {
         "bounded_lru": (dict(ct_capacity=80), "12c1b7434095e1f2e2877f67afe39ffe654e7061"),
@@ -306,17 +300,17 @@ class TestGoldenStacks:
         "concury": (dict(mode="concury"), "cbba6ccaf7df11758e9c027309a41744614bc371"),
         "stateless": (dict(mode="stateless"), "f273b668709672e137d153ff76804099d4267086"),
         "weighted_hrw": (
-            dict(ch_family="weighted-hrw", server_weights=_WEIGHTS),
-            "8325d6a2b4bf3a03c1680360861a5a516d1f7678",
+            dict(ch_family="hrw", server_weights=_WEIGHTS),
+            "a9b68936d8849a3f84c5266961736f8922c7a761",
         ),
         "weighted_ring": (
-            dict(ch_family="weighted-ring", server_weights=_WEIGHTS),
-            "ee55aa05ca38e49e1e7311ac271eee812f333e40",
+            dict(ch_family="ring", server_weights=_WEIGHTS),
+            "e564c9c99090e0ea65e75d4c79e3bfeefb003838",
         ),
         "anchor": (dict(ch_family="anchor"), "70e0cb9d6b67348032f87fb6cd41f9bf727c78c5"),
     }
     #: The consumer each stack takes, as the dispatch counter labels it.
-    SCALAR = {"bounded_lru", "bounded_random", "ttl", "jet_p2c", "weighted_hrw"}
+    SCALAR = {"bounded_lru", "bounded_random", "ttl", "jet_p2c"}
 
     @pytest.mark.parametrize("stack", list(GOLDEN))
     def test_fingerprint_is_unchanged(self, stack):
@@ -324,6 +318,11 @@ class TestGoldenStacks:
         result = run_simulation(CHURNED.with_(**changes))
         digest = hashlib.sha1(fingerprint(result).encode()).hexdigest()
         assert digest == golden, result.summary()
+
+    @pytest.mark.parametrize("stack", list(GOLDEN))
+    def test_the_stack_takes_its_consumer(self, stack):
+        balancer, _, _ = build_balancer(CHURNED.with_(**self.GOLDEN[stack][0]))
+        assert balancer.columnar_effective == (stack not in self.SCALAR)
 
     def test_the_runs_reach_what_they_are_there_for(self):
         results = {

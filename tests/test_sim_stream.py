@@ -99,11 +99,12 @@ WEIGHTS = {0: 2.0, 1: 3.0, 13: 2.0}
 def sweep_config(seed: int) -> SimulationConfig:
     """One point of the sweep, drawn from the seed."""
     rng = random.Random(seed)
-    family = rng.choice(["table", "anchor", "ring", "hrw", "weighted-ring"])
+    family, weighted = rng.choice(
+        [("table", False), ("anchor", False), ("ring", False), ("hrw", False), ("ring", True)]
+    )
     closed_loop = rng.random() < 0.4
     mode = rng.choice(["jet", "full", "stateless", "concury"])
-    if mode == "concury" and family == "weighted-ring":
-        family = "ring"  # Concury's inner families carry no weights
+    weighted = weighted and mode != "concury"  # Concury takes no weights
     return SimulationConfig(
         duration_s=8.0,
         connection_rate=rng.choice([60.0, 150.0, 300.0]),
@@ -112,7 +113,7 @@ def sweep_config(seed: int) -> SimulationConfig:
         update_rate_per_min=rng.choice([0.0, 20.0, 90.0]),
         mode=mode,
         ch_family=family,
-        server_weights=WEIGHTS if family == "weighted-ring" else None,
+        server_weights=WEIGHTS if weighted else None,
         seed=seed,
         duration_dist=Exponential(rng.choice([0.5, 2.0])),
         size_dist=rng.choice([Constant(1), Constant(6), BoundedPareto(1.2, 1, 80)]),
@@ -151,7 +152,7 @@ class TestConsumersAgree:
     def test_the_sweep_reaches_what_it_is_there_for(self):
         results = [(sweep_config(seed), batch_result(seed)) for seed in range(40)]
         assert {c.mode for c, _ in results} == {"jet", "full", "stateless", "concury"}
-        assert len({c.ch_family for c, _ in results}) == 5
+        assert len({(c.ch_family, c.server_weights is not None) for c, _ in results}) == 5
         assert sum(r.pcc_violations > 0 for _, r in results) >= 5
         assert sum(0 < r.violations_under_fault < r.pcc_violations for _, r in results) >= 1
         assert sum(r.inevitably_broken > 0 for _, r in results) >= 20

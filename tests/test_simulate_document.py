@@ -295,7 +295,7 @@ class TestHostileInput:
         code = main(["scenario", "run", "heterogeneous-fleet", "--mode", "concury",
                      "--duration", "2"])
         assert_clean_error(
-            capsys, code, "scenario 'heterogeneous-fleet'.ch_family: mode 'concury'"
+            capsys, code, "scenario 'heterogeneous-fleet'.fleet.zones[0].weight: mode 'concury'"
         )
 
     def test_anything_else_still_raises(self):

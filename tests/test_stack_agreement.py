@@ -8,7 +8,7 @@ three ways a user reaches a stack -- the shard recipe
 ``build_balancer``) and ``repro trace replay`` -- either all build or
 all refuse with the same one message; and where they build, the shard
 recipe and the simulator's builder, given the same names and kwargs,
-dispatch alike.
+dispatch alike, on the columnar path.
 """
 
 import argparse
@@ -62,8 +62,9 @@ def refusal(build):
 
 @pytest.mark.parametrize("mode,family", PAIRS)
 def test_every_entry_point_agrees(mode, family, trace_path, capsys):
+    built = []
     spec_says = refusal(
-        lambda: BalancerSpec.fleet(mode, family, N_SERVERS, HORIZON).build(0)
+        lambda: built.append(BalancerSpec.fleet(mode, family, N_SERVERS, HORIZON).build(0))
     )
     document_says = refusal(
         lambda: build_balancer(
@@ -78,6 +79,9 @@ def test_every_entry_point_agrees(mode, family, trace_path, capsys):
         assert document_says is None
         assert code == 0 and captured.err == ""
         assert_same_dispatch(mode, family)
+        # Over the default unbounded CT every stack but the SYN-gated
+        # placement runs columnar: no family is left on the scalar loop.
+        assert built[0].columnar_effective == (mode not in ("jet-p2c", "p2c"))
         return
     assert document_says == spec_says
     assert code == 2 and captured.out == ""
