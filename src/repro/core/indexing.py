@@ -15,7 +15,9 @@ id space to store in the CT and account against across backend changes.
   after it (exactly like the name strings they replace);
 - a CH-table -> id translation array is cached on the *identity* of the
   CH's ``backend_table()`` (families replace -- never mutate -- their
-  table on change, so ``is`` is a sound and O(1) cache key);
+  table on change, so ``is`` is a sound and O(1) cache key), and a
+  kernel's positions become ids through :meth:`BackendIndexer.ids_at`:
+  one ``np.take``, or none where the translation is the identity;
 - names are materialized only at the metrics/result edge, via
   :attr:`names` or :meth:`decode`.
 """
@@ -38,8 +40,9 @@ class BackendIndexer:
         #: id -> name; index into this list IS the id.
         self.names: List[Name] = []
         self._ids: Dict[Name, int] = {}
-        # (source table object, int32 translation) -- identity-keyed.
-        self._translation: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # (source table object, int32 translation, is it the identity?)
+        # -- identity-keyed.
+        self._translation: Optional[Tuple[np.ndarray, np.ndarray, bool]] = None
         self._names_arr: Optional[np.ndarray] = None
 
     def get_id(self, name: Name) -> int:
@@ -60,17 +63,33 @@ class BackendIndexer:
         returned with zero per-call work.  ``None`` table entries (retired
         slots no lookup can resolve to) map to -1.
         """
+        return self._cached(table)[1]
+
+    def ids_at(self, table: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Dispatch ids of the int32 CH ``positions`` into ``table``: the
+        :meth:`translate` array at ``positions``, gathered by ``np.take``
+        (an int32 fancy index takes numpy's slow path, ~3x the cost).
+
+        Where the translation is the identity -- a table listing its names
+        in the order this registry first saw them, as every family but
+        AnchorHash does until a slot is retired -- ``positions`` itself is
+        returned, so the caller must own it."""
+        _, translation, identity = self._cached(table)
+        return positions if identity else np.take(translation, positions)
+
+    def _cached(self, table: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
         cached = self._translation
         if cached is not None and cached[0] is table:
-            return cached[1]
+            return cached
         get_id = self.get_id
         translation = np.fromiter(
             (-1 if name is None else get_id(name) for name in table.tolist()),
             dtype=np.int32,
             count=len(table),
         )
-        self._translation = (table, translation)
-        return translation
+        identity = bool(np.array_equal(translation, np.arange(len(table))))
+        self._translation = (table, translation, identity)
+        return self._translation
 
     def name_array(self) -> np.ndarray:
         """Object-array twin of :attr:`names` (for edge-only name gathers)."""

@@ -21,6 +21,15 @@ track-flags, TR table, anchor-path inspection) -- so this single class
 *is* JET-HRW / JET-Ring / JET-Table / JET-AnchorHash depending on the CH
 plugged in (see :mod:`repro.core.factories`).
 
+The columnar tier keeps the answers and the CT of that per-packet loop
+but not its order.  A chunk of full CT probes the CT first and asks the
+CH for the misses: most of its packets hit.  JET asks the CH first, for
+the whole chunk in one kernel call, and then the CT for the keys its miss
+filter admits: by Theorem 4.2 most of JET's packets are never tracked,
+so they cost that kernel call and a filter test, not a miss's gathers
+and scatters.  The CH has no side effects, which makes the two orders
+agree exactly.
+
 Removed-destination hygiene follows footnote 3: on ``remove_working_server``
 the table is cleaned either actively (drop all entries pointing at the dead
 server) or lazily (validate on hit); both prevent a stale CT entry from
@@ -43,8 +52,8 @@ from repro.ct.unbounded import UnboundedCT
 class TrackingLoadBalancer(StatelessLoadBalancer):
     """Algorithm 1 over a CH and a CT.  A subclass supplies the policy of
     lines 4-6 as ``_decide(key_hash, new_connection) -> (destination,
-    track?)`` and, for the columnar tier, ``_decide_batch_idx(keys) -> (CH
-    table positions, mask of the keys to track or None for all)``."""
+    track?)`` and, for the CT-first columnar tier, ``_decide_batch_idx(keys)
+    -> (CH table positions, mask of the keys to track or None for all)``."""
 
     #: Subclasses placing new connections by load set this: drivers then
     #: pass ``new_connection`` (TCP SYN) with each flow's first packet.
@@ -101,9 +110,11 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
 
     # ------------------------------------------------- columnar dispatch
     def get_destinations_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """Batched Algorithm 1, all-integer: CT id probe (-1 miss) ->
-        integer CH kernel on the misses -> translate CH table positions
-        to stable backend ids -> batch-insert the tracked misses.
+        """Batched Algorithm 1 CT first, all-integer: CT id probe
+        (-1 miss) -> integer CH kernel on the misses -> stable backend
+        ids -> batch-insert the tracked misses.  The order for a table
+        most packets hit (full CT); :class:`JETLoadBalancer` asks the CH
+        first.
 
         No Python string is materialized anywhere on this path; names
         exist only behind :meth:`dispatch_names`.  Raises unless
@@ -112,28 +123,36 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
         """
         if not self.columnar_effective:
             return LoadBalancer.get_destinations_batch_idx(self, keys)
-        keys = np.asarray(keys, dtype=np.uint64)
-        if not self._ct_idx:
-            self.ct.remap_values(self._indexer.get_id)
-            self._ct_idx = True
+        keys = self._columnar_keys(keys)
         ids = self.ct.get_batch_idx(keys)
         miss = np.flatnonzero(ids < 0)
         if miss.size:
             miss_keys = keys[miss]
             ch_idx, tracked = self._decide_batch_idx(miss_keys)
-            found = self._indexer.translate(self.ch.backend_table())[ch_idx]
+            found = self._indexer.ids_at(self.ch.backend_table(), ch_idx)
             ids[miss] = found
             if tracked is not None:
                 tracked = np.flatnonzero(tracked)
                 miss_keys, found = miss_keys[tracked], found[tracked]
-            if miss_keys.size:
-                distinct = self.ct.put_batch_idx(miss_keys, found)
-                # The chunk was probed before its misses went in: repeats
-                # of a flow first tracked here probed as misses where the
-                # scalar spec (get, then put, per packet) counts hits.
-                # Exact, as an unbounded table evicts nothing in between.
-                self.ct.stats.hits += len(miss_keys) - distinct
+            self._track_batch_idx(miss_keys, found)
         return ids
+
+    def _columnar_keys(self, keys: np.ndarray) -> np.ndarray:
+        """``keys`` as uint64, with the CT storing backend ids."""
+        if not self._ct_idx:
+            self.ct.remap_values(self._indexer.get_id)
+            self._ct_idx = True
+        return np.asarray(keys, dtype=np.uint64)
+
+    def _track_batch_idx(self, keys: np.ndarray, ids: np.ndarray) -> None:
+        """Insert a chunk's CT misses to track (line 6)."""
+        if keys.size:
+            distinct = self.ct.put_batch_idx(keys, ids)
+            # The chunk was probed before its misses went in: repeats of
+            # a flow first tracked here probed as misses where the scalar
+            # spec (get, then put, per packet) counts hits.  Exact, as an
+            # unbounded table evicts nothing in between.
+            self.ct.stats.hits += len(keys) - distinct
 
     def tracked_items(self) -> dict:
         """CT contents as ``{key: destination-name}``, decoding index mode.
@@ -170,8 +189,28 @@ class JETLoadBalancer(TrackingLoadBalancer):
     def _decide(self, key_hash: int, new_connection: bool) -> Tuple[Name, bool]:
         return self.ch.lookup_with_safety(key_hash)
 
-    def _decide_batch_idx(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self.ch.lookup_with_safety_batch_idx(keys)
+    def get_destinations_batch_idx(self, keys: np.ndarray) -> np.ndarray:
+        """Batched Algorithm 1 in JET's order: the CH first, for every key
+        (lines 4-5 as one kernel call), then the CT for the keys its miss
+        filter admits.  A CT hit overwrites the CH answer and is not
+        tracked again; the unsafe misses are inserted (line 6).
+
+        Theorem 4.2 is the reason: most of JET's packets miss, so a miss
+        costs one kernel call and a filter test, not the gathers and the
+        scatter of a CT-first chunk.  The CH has no side effects, so the
+        answer, the CT and its stats are those of the CT-first order.
+        """
+        if not self.columnar_effective:
+            return LoadBalancer.get_destinations_batch_idx(self, keys)
+        keys = self._columnar_keys(keys)
+        ch_idx, unsafe = self.ch.lookup_with_safety_batch_idx(keys)
+        ids = self._indexer.ids_at(self.ch.backend_table(), ch_idx)
+        positions, held = self.ct.get_hits_idx(keys)
+        ids[positions] = held
+        unsafe[positions] = False
+        track = np.flatnonzero(unsafe)
+        self._track_batch_idx(keys[track], ids[track])
+        return ids
 
     @property
     def horizon(self) -> FrozenSet[Name]:

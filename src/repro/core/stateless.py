@@ -58,7 +58,7 @@ class StatelessLoadBalancer(LoadBalancer):
         if not self.columnar_effective:
             return LoadBalancer.get_destinations_batch_idx(self, keys)
         ch_idx = self.ch.lookup_batch_idx(np.asarray(keys, dtype=np.uint64))
-        return self._indexer.translate(self.ch.backend_table())[ch_idx]
+        return self._indexer.ids_at(self.ch.backend_table(), ch_idx)
 
     def dispatch_names(self) -> np.ndarray:
         return self._indexer.name_array()

@@ -26,10 +26,11 @@ in sync and ``get_batch_idx`` is a vectorized probe (~7 ns/key against
 * Growth rehashes the live entries into fresh arrays; that is also
   where tombstones are dropped.
 
-While most probes miss (JET's table: ~94 % of them), ``get_batch_idx``
-answers the misses from a *miss filter* instead of a probe-run search:
-``1 << _FILTER_BITS`` bools per slot, one per slice of the slot's hash
-range, set for every key written since the arrays were built.  See
+While most probes miss (JET's table: ~94 % of them), a probe -- dense
+(``get_batch_idx``, -1 per miss) or sparse (``get_hits_idx``, the hits
+alone) -- answers the misses from a *miss filter* instead of a probe-run
+search: ``1 << _FILTER_BITS`` bools per slot, one per slice of the slot's
+hash range, set for every key written since the arrays were built.  See
 :attr:`UnboundedCT._filter`.
 """
 
@@ -85,7 +86,7 @@ class UnboundedCT(ConnectionTracker):
         #: ``b`` is set iff some key whose hash starts with ``b`` was
         #: written since the arrays were built -- a clear bucket proves a
         #: miss.  Built from the stored keys by the first probe of a
-        #: miss-heavy table (:meth:`get_batch_idx`), kept up by every
+        #: miss-heavy table (:meth:`_probe`), kept up by every
         #: write, never cleared by a tombstone (so it has no false
         #: negative), dropped with the arrays it describes.
         self._filter: Optional[np.ndarray] = None
@@ -131,6 +132,27 @@ class UnboundedCT(ConnectionTracker):
         totals included (updated once per batch).
         """
         keys = np.asarray(keys, dtype=np.uint64)
+        searched, found = self._probe(keys)
+        if searched is None:
+            return found
+        out = np.full(len(keys), -1, dtype=np.int32)
+        out[searched] = found
+        return out
+
+    def get_hits_idx(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The same probe in sparse form: ``(positions, ids)``, where
+        ``positions`` (ascending) are those of the answers
+        :meth:`get_batch_idx` would give as ids >= 0; the stats move
+        exactly as there.  A caller that already holds an answer for
+        every key (JET's CH verdict) overwrites the hits alone."""
+        searched, found = self._probe(np.asarray(keys, dtype=np.uint64))
+        hit = np.flatnonzero(found >= 0)
+        return (hit if searched is None else searched[hit]), found[hit]
+
+    def _probe(self, keys: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """``(searched, found)``: the stored id, or -1, of the keys at
+        positions ``searched`` (every key where it is None -- no filter
+        test ran); every other key is a miss.  Counts the batch."""
         if self._table is not None:
             self._engage()
         stats = self.stats
@@ -141,15 +163,14 @@ class UnboundedCT(ConnectionTracker):
             # extra gather costs more than the few searches it saves.)
             if self._filter is None:
                 self._build_filter()
-            maybe = np.flatnonzero(self._filter[self._buckets(keys)])
-            out = np.full(len(keys), -1, dtype=np.int32)
-            probed = keys[maybe]
-            out[maybe] = self._vals[self._settle(probed, self._home(probed))]
+            searched = np.flatnonzero(self._filter[self._buckets(keys)])
+            probed = keys[searched]
         else:
-            out = self._vals[self._settle(keys, self._home(keys))]
+            searched, probed = None, keys
+        found = self._vals[self._settle(probed, self._home(probed))]
         stats.lookups += len(keys)
-        stats.hits += int(np.count_nonzero(out >= 0))
-        return out
+        stats.hits += int(np.count_nonzero(found >= 0))
+        return searched, found
 
     def put_batch_idx(self, keys: np.ndarray, ids: np.ndarray) -> int:
         """Bulk insert of int backend-ids, in array order; engages index

@@ -139,8 +139,9 @@ def _instrument_single(registry, balancer) -> None:
             capacity = getattr(ct, "capacity", None)
             if capacity is not None:
                 reg.gauge(CT_CAPACITY, "CT table capacity bound").set(capacity)
-            # Every CT miss falls through to exactly one CH lookup
-            # (Algorithm 1 line 4), so the CH bill is the miss count.
+            # Algorithm 1's CH lookups (line 4): one per CT miss.  JET's
+            # columnar dispatch asks the CH for the CT hits as well and
+            # discards those answers; the series counts the spec's calls.
             reg.counter(
                 CH_LOOKUPS, "CH lookups by hash family", family=family
             ).set_total(stats.misses)

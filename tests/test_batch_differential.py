@@ -8,15 +8,21 @@ results key-for-key -- destinations, unsafe flags, post-batch CT state
 and ``CTStats``, and replay metrics.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from repro.ch import (
     EXTENSION_FAMILIES,
+    FAMILIES,
     JET_FAMILIES,
     BackendError,
+    HorizonConsistentHash,
     MaglevHash,
     ScalarTableHRW,
+    TableHRWHash,
+    family_choices,
     has_index_kernel,
 )
 from repro.ch.properties import sample_keys
@@ -28,9 +34,11 @@ from repro.core import (
     make_full_ct,
     make_jet,
 )
+from repro.core.indexing import BackendIndexer
 from repro.ct import LRUCT, UnboundedCT
 from repro.sim import SimulationConfig, run_simulation
-from repro.traces import replay, replay_batch, zipf_trace
+from repro.traces import Trace, replay, replay_batch, zipf_trace
+from repro.traces.replay import DEFAULT_CHUNK
 from tests.conftest import churned_ring
 
 WORKING = [f"w{i}" for i in range(12)]
@@ -660,6 +668,155 @@ class TestReplayBatch:
     def test_rejects_bad_chunk_size(self):
         with pytest.raises(ValueError):
             replay_batch(self.TRACE, StatelessLoadBalancer(build("hrw")), chunk_size=0)
+
+
+HORIZON_FAMILIES = [
+    f for f in family_choices() if issubclass(FAMILIES[f], HorizonConsistentHash)
+]
+
+
+def _jet(family):
+    return make_jet(family, WORKING, HORIZON, **_ch_kwargs(family))
+
+
+def _hot_unsafe_trace(family):
+    """Three packets in four belong to one flow JET tracks: its CT turns
+    hit-heavy, so the probe leaves the miss filter for the full search."""
+    ch = _jet(family).ch
+    hot = next(k for k in KEYS.tolist() if ch.lookup_with_safety(k)[1])
+    keys = [hot] + [k for k in KEYS.tolist()[:1000] if k != hot]
+    rng = np.random.default_rng(5)
+    packets = np.where(rng.random(6_000) < 0.75, 0, rng.integers(1, len(keys), 6_000))
+    return Trace("hot-unsafe", np.array(keys, dtype=np.uint64), packets)
+
+
+TRACE_6K = zipf_trace(skew=1.0, n_packets=6_000, population=1_500, seed=21)
+#: Remove / re-add the last working server (Jump's LIFO order allows no
+#: other), at packet indices no chunk size above 1 divides.
+CHURN = [
+    (1_234, lambda lb: lb.remove_working_server(WORKING[-1])),
+    (2_999, lambda lb: lb.add_working_server(WORKING[-1])),
+    (4_097, lambda lb: lb.remove_working_server(WORKING[-1])),
+    (5_555, lambda lb: lb.add_working_server(WORKING[-1])),
+]
+#: Every working server leaves, last first; the packet at DRAINED has none.
+DRAINED = 2_000 + 150 * (len(WORKING) - 1)
+DRAIN = [
+    (2_000 + 150 * i, lambda lb, name=name: lb.remove_working_server(name))
+    for i, name in enumerate(reversed(WORKING))
+]
+RUNS = {
+    "hot-unsafe": (_hot_unsafe_trace, ()),
+    "churn": (lambda family: TRACE_6K, CHURN),
+    "drain": (lambda family: TRACE_6K, DRAIN),
+}
+
+
+@lru_cache(maxsize=None)
+def _scalar_run(family, run):
+    """The scalar spec's replay, and its balancer, once per family and run."""
+    make_trace, events = RUNS[run]
+    lb = _jet(family)
+    return replay(make_trace(family), lb, events), lb
+
+
+class TestColumnarJETEqualsScalar:
+    """JET asks the CH first in ``replay_batch``: the CT must still end up
+    as the scalar loop leaves it, counters included, for every horizon
+    family and chunk size."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 4_096, DEFAULT_CHUNK])
+    @pytest.mark.parametrize("run", ["hot-unsafe", "churn"])
+    @pytest.mark.parametrize("family", HORIZON_FAMILIES)
+    def test_replay_down_to_the_ct(self, family, run, chunk_size, monkeypatch):
+        scalar, scalar_lb = _scalar_run(family, run)
+        make_trace, events = RUNS[run]
+        lb = _jet(family)
+        regimes = []  # per probe: did it start hit-heavy (the full search)?
+        probe = UnboundedCT._probe
+
+        def spied(ct, keys):
+            regimes.append(2 * ct.stats.hits >= ct.stats.lookups > 0)
+            return probe(ct, keys)
+
+        monkeypatch.setattr(UnboundedCT, "_probe", spied)
+        batched = replay_batch(make_trace(family), lb, events, chunk_size=chunk_size)
+        assert _replay_fields(batched) == _replay_fields(scalar)
+        assert lb.ct.stats == scalar_lb.ct.stats
+        assert lb.tracked_items() == scalar_lb.tracked_items()
+        if run == "hot-unsafe" and chunk_size < DEFAULT_CHUNK:
+            assert any(regimes)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 4_096, DEFAULT_CHUNK])
+    @pytest.mark.parametrize("family", HORIZON_FAMILIES)
+    def test_drained_working_set_raises_from_the_first_chunk_after(
+        self, family, chunk_size
+    ):
+        # With active cleanup the drain leaves no live CT entry: every key
+        # of the next chunk misses, so a CT-first dispatch would raise from
+        # the CH on that call too, and no earlier call may.
+        lb = _jet(family)
+        dispatched = []
+        dispatch = lb.get_destinations_batch_idx
+
+        def spied(keys):
+            dispatched.append((len(keys), len(lb.working)))
+            return dispatch(keys)
+
+        lb.get_destinations_batch_idx = spied
+        with pytest.raises(BackendError):
+            replay_batch(TRACE_6K, lb, DRAIN, chunk_size=chunk_size)
+        assert len(lb.ct) == 0
+        *served, (_, working) = dispatched
+        assert working == 0 and all(alive for _, alive in served)
+        assert sum(n for n, _ in served) == DRAINED
+        with pytest.raises(BackendError):
+            _scalar_run(family, "drain")
+
+
+class TestBackendIndexerIdsAt:
+    """``ids_at`` is the fancy-indexed translation, gathered cheaply."""
+
+    def assert_ids_at(self, indexer, table, positions):
+        got = indexer.ids_at(table, positions)
+        assert got.dtype == np.int32
+        assert got.tolist() == indexer.translate(table)[positions].tolist()
+        return got
+
+    def test_identity_hands_back_the_positions(self):
+        ch = TableHRWHash(WORKING, HORIZON, rows=389)
+        indexer = BackendIndexer()
+        positions = ch.lookup_batch_idx(KEYS[:300])
+        assert self.assert_ids_at(indexer, ch.backend_table(), positions) is positions
+
+    def test_identity_ends_with_a_retired_slot(self):
+        ch = TableHRWHash(WORKING, HORIZON, rows=389)
+        indexer = BackendIndexer()
+        self.assert_ids_at(indexer, ch.backend_table(), ch.lookup_batch_idx(KEYS[:50]))
+        ch.remove_working(WORKING[2])
+        ch.remove_horizon(WORKING[2])
+        ch.add_horizon("fresh")
+        ch.add_working("fresh")
+        table = ch.backend_table()
+        assert None in table.tolist()
+        retired = table.tolist().index(None)
+        assert indexer.translate(table)[retired] == -1
+        positions = np.append(ch.lookup_batch_idx(KEYS[:300]), np.int32(retired))
+        got = self.assert_ids_at(indexer, table, positions)
+        assert got is not positions and got[-1] == -1
+        assert got[:-1].tolist() == [
+            indexer.get_id(ch.lookup(k)) for k in KEYS[:300].tolist()
+        ]
+
+    @pytest.mark.parametrize("family", ["anchor", "ring"])
+    def test_other_orders_are_gathered(self, family):
+        ch = build(family)
+        indexer = BackendIndexer()
+        indexer.get_id(HORIZON[-1])  # registered before the table is seen
+        positions = ch.lookup_batch_idx(KEYS[:300])
+        got = self.assert_ids_at(indexer, ch.backend_table(), positions)
+        assert got is not positions
+        assert indexer.decode(got) == [ch.lookup(k) for k in KEYS[:300].tolist()]
 
 
 def test_samples_stop_at_duration():

@@ -5,8 +5,10 @@ A hypothesis rule machine interleaves the scalar entry points, the
 included), ``invalidate_destination``, re-insertion of invalidated keys
 and growth across a rehash, in name mode and after the hand-over to the
 arrays, and requires equal contents, ``len`` and every ``CTStats`` field
-after each step.  Its key pool holds one cluster that shares a home slot
-near the top of the table at every size, so probe runs are long and wrap;
+after each step; the sparse probe ``get_hits_idx`` must be the dense
+``get_batch_idx`` without its misses.  Its key pool holds one cluster
+that shares a home slot near the top of the table at every size, so
+probe runs are long and wrap;
 the machine runs once with the shipped straggler threshold (its batches
 then settle by the Python walk alone) and once with a threshold of 2
 (vectorized rounds, then the walk), and once each with its ``CTStats``
@@ -17,6 +19,7 @@ boundary, what the store holds in each mode and which balancer's table
 ever allocates the filter.
 """
 
+import copy
 import sys
 
 import hypothesis.strategies as st
@@ -123,6 +126,25 @@ class UnboundedCTMachine(RuleBasedStateMachine):
         assert got.tolist() == [self.model.get(k, -1) for k in keys]
         self.expected.lookups += len(keys)
         self.expected.hits += sum(k in self.model for k in keys)
+
+    @rule(keys=st.lists(KEYS, max_size=40))
+    def get_hits_idx(self, keys):
+        # The sparse probe is the dense one without its misses, counters
+        # included: a twin of the table answers the dense call.
+        miss_heavy = 2 * self.expected.hits < self.expected.lookups
+        twin = copy.deepcopy(self.ct)
+        dense = twin.get_batch_idx(u64(keys))
+        positions, ids = self.ct.get_hits_idx(u64(keys))
+        assert ids.dtype == np.int32
+        assert self.ct._filter is not None or not miss_heavy
+        assert positions.tolist() == np.flatnonzero(dense >= 0).tolist()
+        assert ids.tolist() == dense[positions].tolist()
+        assert self.ct.stats == twin.stats
+        hits = [i for i, k in enumerate(keys) if k in self.model]
+        assert positions.tolist() == hits
+        assert ids.tolist() == [self.model[keys[i]] for i in hits]
+        self.expected.lookups += len(keys)
+        self.expected.hits += len(hits)
 
     @rule()
     def remap_values(self):

@@ -319,6 +319,8 @@ def test_ct_and_ch_are_read_at_call_time(mode, monkeypatch):
     for name in (scalar, batch, "backend_table", "add_working", "remove_working",
                  "add_horizon", "remove_horizon", "force_add_working"):
         assert ch.calls[name] > 0, name
-    for name in ("get", "put", "remap_values", "get_batch_idx", "put_batch_idx",
+    # JET asks the CH first and probes the CT for its hits alone.
+    probe = "get_hits_idx" if mode == "jet" else "get_batch_idx"
+    for name in ("get", "put", "remap_values", probe, "put_batch_idx",
                  "invalidate_destination"):
         assert ct.calls[name] > 0, name
