@@ -26,11 +26,10 @@ from repro.ch.base import (
     ConsistentHash,
     HorizonConsistentHash,
     Name,
-    has_index_kernel,
 )
 from repro.ch.hrw import HRWHash
 from repro.ch.ring import RingHash
-from repro.ch.table_hrw import ScalarTableHRW, TableHRWHash, rows_for
+from repro.ch.table_hrw import TableHRWHash, rows_for
 from repro.ch.anchor import AnchorBuckets, AnchorHash
 from repro.ch.maglev import MaglevHash
 from repro.ch.jump import JumpHash, jump_bucket, v_jump_bucket
@@ -75,11 +74,9 @@ __all__ = [
     "ConsistentHash",
     "HorizonConsistentHash",
     "Name",
-    "has_index_kernel",
     "HRWHash",
     "RingHash",
     "TableHRWHash",
-    "ScalarTableHRW",
     "rows_for",
     "AnchorHash",
     "AnchorBuckets",

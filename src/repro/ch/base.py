@@ -72,11 +72,11 @@ class ConsistentHash(ABC):
         """
 
     # --------------------------------------------------- index dataplane
-    # A family with an integer-index kernel defines ``backend_table()``
-    # (server names; a new array after any change, never mutated; ``None``
-    # for retired slots) and ``lookup_batch_idx`` (horizon hashes:
-    # ``lookup_with_safety_batch_idx``), int32 indices into it equal key
-    # for key to the scalar lookups.  Others run scalar (has_index_kernel).
+    # Every family defines ``backend_table()`` (server names; a new array
+    # after any change, never mutated; ``None`` for retired slots) and an
+    # integer-index kernel, ``lookup_batch_idx`` (horizon hashes:
+    # ``lookup_with_safety_batch_idx``), whose int32 indices into it equal
+    # key for key the scalar lookups.
 
     @abstractmethod
     def add(self, name: Name) -> None:
@@ -171,15 +171,3 @@ class HorizonConsistentHash(ConsistentHash):
         property tests; subclasses may override with a faster version."""
         raise NotImplementedError
 
-
-def has_index_kernel(ch: ConsistentHash) -> bool:
-    """True iff ``ch``'s class defines an integer-index kernel.
-
-    Horizon hashes are judged on ``lookup_with_safety_batch_idx`` (their
-    ``lookup_batch_idx`` merely discards the safety bit); plain hashes on
-    ``lookup_batch_idx``.  Balancers probe once, at construction, and
-    fold the answer into ``columnar_effective``.
-    """
-    if isinstance(ch, HorizonConsistentHash):
-        return hasattr(type(ch), "lookup_with_safety_batch_idx")
-    return hasattr(type(ch), "lookup_batch_idx")

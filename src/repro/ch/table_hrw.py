@@ -10,20 +10,17 @@ i.e. whether keys landing on that row are unsafe
 Compared to a plain table-based CH, JET costs exactly one Boolean per row
 (the paper's "memory overhead of only a single Boolean flag per row").
 
-Two implementations:
+:class:`TableHRWHash` keeps numpy-vectorized rows.  State is five row
+arrays (winner id + weight, horizon-max id + weight, ``TR``) and one seed
+per server; no per-server weight column is stored.  A membership event
+recomputes weights only where Algorithm 4 says rows can change: one
+full-length mix for the moving server, plus a |W| x owned (or |H| x held)
+tile for the rows it gives up -- O(rows + |W|·owned), and memory
+independent of |W ∪ H|, which is what the paper's "300 copies per server"
+tables need at n=500.  The tests hold it to a loop-based transcription of
+Algorithm 4 (``tests/table_hrw_reference.py``).
 
-- :class:`TableHRWHash` -- numpy-vectorized rows.  State is five row
-  arrays (winner id + weight, horizon-max id + weight, ``TR``) and one
-  seed per server; no per-server weight column is stored.  A membership
-  event recomputes weights only where Algorithm 4 says rows can change:
-  one full-length mix for the moving server, plus a |W| x owned (or
-  |H| x held) tile for the rows it gives up -- O(rows + |W|·owned), and
-  memory independent of |W ∪ H|, which is what the paper's "300 copies
-  per server" tables need at n=500.
-- :class:`ScalarTableHRW` -- a direct, loop-based transcription of
-  Algorithm 4, kept as the differential-testing reference.
-
-Both resolve HRW strictly by the 64-bit weight; a tie between two servers
+HRW is resolved strictly by the 64-bit weight; a tie between two servers
 on one row has probability ~2^-64 per pair and is ignored.
 """
 
@@ -34,8 +31,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.ch.base import BackendError, HorizonConsistentHash, Name
-from repro.hashing.keyed import KeyedHasher, server_seed
-from repro.hashing.mix import fmix64, mix2
+from repro.hashing.keyed import server_seed
 from repro.hashing.vector import v_fmix64, v_mix2, v_mix2_argmax, v_remainder
 
 DEFAULT_ROWS = 4099  # prime, though any size >= 1 works for this scheme
@@ -237,134 +233,3 @@ class TableHRWHash(HorizonConsistentHash):
         # Flags only drop, and only where s was the horizon maximum.
         self._refresh_tr(self._leave_horizon_max(sid))
 
-
-class ScalarTableHRW(HorizonConsistentHash):
-    """Loop-based reference transcription of Algorithm 4 (for tests)."""
-
-    def __init__(
-        self,
-        working: Iterable[Name] = (),
-        horizon: Iterable[Name] = (),
-        rows: int = 101,
-    ):
-        if rows < 1:
-            raise ValueError("rows must be >= 1")
-        self.rows = rows
-        self._row_hashes = [fmix64(r ^ _ROW_SALT) for r in range(rows)]
-        self._working: Dict[Name, KeyedHasher] = {}
-        self._horizon: Dict[Name, KeyedHasher] = {}
-        self._ch: List[Optional[Name]] = [None] * rows
-        self._tr: List[bool] = [False] * rows
-        for name in working:
-            self._insert_working(name)
-        for name in horizon:
-            self.add_horizon(name)
-
-    @property
-    def working(self) -> FrozenSet[Name]:
-        return frozenset(self._working)
-
-    @property
-    def horizon(self) -> FrozenSet[Name]:
-        return frozenset(self._horizon)
-
-    def _weight(self, hasher: KeyedHasher, row: int) -> int:
-        return mix2(hasher.seed, self._row_hashes[row])
-
-    def _row_argmax(self, row: int) -> Optional[Name]:
-        best_name, best_weight = None, -1
-        for name, hasher in self._working.items():
-            w = self._weight(hasher, row)
-            if w > best_weight:
-                best_name, best_weight = name, w
-        return best_name
-
-    def _horizon_beats(self, row: int, weight: int) -> bool:
-        return any(self._weight(h, row) > weight for h in self._horizon.values())
-
-    def lookup_with_safety(self, key_hash: int) -> Tuple[Name, bool]:
-        row = key_hash % self.rows
-        destination = self._ch[row]
-        if destination is None:
-            raise BackendError("lookup on empty working set")
-        return destination, self._tr[row]
-
-    def lookup_union(self, key_hash: int) -> Name:
-        row = key_hash % self.rows
-        best_name, best_weight = None, -1
-        for side in (self._working, self._horizon):
-            for name, hasher in side.items():
-                w = self._weight(hasher, row)
-                if w > best_weight:
-                    best_name, best_weight = name, w
-        if best_name is None:
-            raise BackendError("lookup on empty server set")
-        return best_name
-
-    def _check_new(self, name: Name) -> None:
-        if name in self._working or name in self._horizon:
-            raise BackendError(f"server {name!r} already present")
-
-    def _insert_working(self, name: Name) -> None:
-        self._check_new(name)
-        hasher = KeyedHasher(name)
-        self._working[name] = hasher
-        for row in range(self.rows):
-            incumbent = self._ch[row]
-            if incumbent is None or self._weight(hasher, row) > self._weight(
-                self._working[incumbent], row
-            ):
-                self._ch[row] = name
-
-    def add_working(self, name: Name) -> None:
-        hasher = self._horizon.pop(name, None)
-        if hasher is None:
-            raise BackendError(f"server {name!r} is not in the horizon")
-        self._working[name] = hasher
-        for row in range(self.rows):
-            incumbent = self._ch[row]
-            if incumbent is not None and not self._tr[row]:
-                continue  # only TR rows -- or rows with no incumbent -- can change
-            w_new = self._weight(hasher, row)
-            if incumbent is None or w_new > self._weight(self._working[incumbent], row):
-                self._ch[row] = name
-                winner_weight = w_new
-            else:
-                winner_weight = self._weight(self._working[incumbent], row)
-            self._tr[row] = self._horizon_beats(row, winner_weight)
-
-    def remove_working(self, name: Name) -> None:
-        hasher = self._working.pop(name, None)
-        if hasher is None:
-            raise BackendError(f"server {name!r} is not working")
-        self._horizon[name] = hasher
-        for row in range(self.rows):
-            if self._ch[row] == name:
-                self._ch[row] = self._row_argmax(row)
-                self._tr[row] = bool(self._working)
-
-    def add_horizon(self, name: Name) -> None:
-        self._check_new(name)
-        hasher = KeyedHasher(name)
-        self._horizon[name] = hasher
-        for row in range(self.rows):
-            if self._tr[row]:
-                continue
-            incumbent = self._ch[row]
-            if incumbent is not None and self._weight(hasher, row) > self._weight(
-                self._working[incumbent], row
-            ):
-                self._tr[row] = True
-
-    def remove_horizon(self, name: Name) -> None:
-        if self._horizon.pop(name, None) is None:
-            raise BackendError(f"server {name!r} is not in the horizon")
-        for row in range(self.rows):
-            if not self._tr[row]:
-                continue
-            incumbent = self._ch[row]
-            if incumbent is None:
-                continue
-            self._tr[row] = self._horizon_beats(
-                row, self._weight(self._working[incumbent], row)
-            )

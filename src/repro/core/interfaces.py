@@ -42,13 +42,14 @@ class LoadBalancer(ABC):
     def columnar_effective(self) -> bool:
         """True iff :meth:`get_destinations_batch_idx` is wired and fast.
 
-        The never-slower probe for batch drivers (``replay_batch``): when
-        False there is no vectorized path, so drivers skip batch assembly
+        The one probe batch drivers (``replay_batch``) ask: when False
+        there is no vectorized path, so drivers skip batch assembly
         entirely and dispatch scalar -- which also serves the SYN-gated
-        load-aware LBs, whose placement no batch can express.  Composed
-        LBs answer with their runtime gates: the CH has an integer kernel
-        (``has_index_kernel``), the CT offers the idx API, and cleanup is
-        active.
+        load-aware LBs, whose placement no batch can express.  Every CH
+        family has an integer kernel, so composed LBs answer with the
+        CT's gates alone: the table offers the idx API and cleanup is
+        active.  Which order a columnar chunk takes is not a capability
+        but the CT's regime, read per chunk.
         """
         return False
 

@@ -22,13 +22,13 @@ track-flags, TR table, anchor-path inspection) -- so this single class
 plugged in (see :mod:`repro.core.factories`).
 
 The columnar tier keeps the answers and the CT of that per-packet loop
-but not its order.  A chunk of full CT probes the CT first and asks the
-CH for the misses: most of its packets hit.  JET asks the CH first, for
-the whole chunk in one kernel call, and then the CT for the keys its miss
-filter admits: by Theorem 4.2 most of JET's packets are never tracked,
-so they cost that kernel call and a filter test, not a miss's gathers
-and scatters.  The CH has no side effects, which makes the two orders
-agree exactly.
+but not its order, which it reads from the CT's regime before each chunk
+(:attr:`~repro.ct.base.CTStats.miss_heavy`), not from the class: while
+most probes so far missed -- JET's table, by Theorem 4.2, and any table
+still filling -- the CH answers the whole chunk in one kernel call and
+the CT is asked for its hits alone; otherwise the CT is probed first and
+the CH asked for the misses.  The CH has no side effects, which makes
+the two orders agree exactly.
 
 Removed-destination hygiene follows footnote 3: on ``remove_working_server``
 the table is cleaned either actively (drop all entries pointing at the dead
@@ -52,8 +52,9 @@ from repro.ct.unbounded import UnboundedCT
 class TrackingLoadBalancer(StatelessLoadBalancer):
     """Algorithm 1 over a CH and a CT.  A subclass supplies the policy of
     lines 4-6 as ``_decide(key_hash, new_connection) -> (destination,
-    track?)`` and, for the CT-first columnar tier, ``_decide_batch_idx(keys)
-    -> (CH table positions, mask of the keys to track or None for all)``."""
+    track?)`` and, for the columnar tier, ``_decide_batch_idx(keys) ->
+    (CH table positions, mask of the keys to track or None for all)``;
+    the columnar order is the CT's regime, not the subclass's."""
 
     #: Subclasses placing new connections by load set this: drivers then
     #: pass ``new_connection`` (TCP SYN) with each flow's first packet.
@@ -78,14 +79,12 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
         puts), which is only sound when the table has no recency/eviction
         state (``batch_reorder_safe``) and when active cleanup keeps the
         stale-destination invariant (lazy validation needs per-key
-        interleaving) -- and it only pays off when the CH has a real
-        index kernel.  SYN-gated placement needs a per-packet flag no
+        interleaving).  SYN-gated placement needs a per-packet flag no
         batch carries.  Otherwise drivers run the scalar loop, so no
-        configuration is ever slower or differently ordered than scalar.
+        configuration is ever differently ordered than scalar.
         """
         return bool(
-            self._ch_index_kernel
-            and self.ct.batch_reorder_safe
+            self.ct.batch_reorder_safe
             and self.active_cleanup
             and not self.dispatches_new_connections
         )
@@ -110,11 +109,16 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
 
     # ------------------------------------------------- columnar dispatch
     def get_destinations_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """Batched Algorithm 1 CT first, all-integer: CT id probe
-        (-1 miss) -> integer CH kernel on the misses -> stable backend
-        ids -> batch-insert the tracked misses.  The order for a table
-        most packets hit (full CT); :class:`JETLoadBalancer` asks the CH
-        first.
+        """Batched Algorithm 1, all-integer: CT id probe, integer CH
+        kernel, stable backend ids, batch insert of the keys to track.
+
+        The order is the CT's regime before the chunk.  While most probes
+        so far missed, the CH answers every key (lines 4-5 as one kernel
+        call) and the CT its hits alone, which overwrite the CH answer and
+        are not tracked again; a miss then costs a kernel call and a
+        filter test, not a gather and a scatter.  Otherwise the CT answers
+        first and the CH its misses.  The CH has no side effects, so both
+        orders give the same ids, CT and stats.
 
         No Python string is materialized anywhere on this path; names
         exist only behind :meth:`dispatch_names`.  Raises unless
@@ -124,17 +128,27 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
         if not self.columnar_effective:
             return LoadBalancer.get_destinations_batch_idx(self, keys)
         keys = self._columnar_keys(keys)
-        ids = self.ct.get_batch_idx(keys)
-        miss = np.flatnonzero(ids < 0)
-        if miss.size:
-            miss_keys = keys[miss]
-            ch_idx, tracked = self._decide_batch_idx(miss_keys)
+        if self.ct.stats.miss_heavy:
+            ch_idx, track = self._decide_batch_idx(keys)
+            ids = found = self._indexer.ids_at(self.ch.backend_table(), ch_idx)
+            hits, held = self.ct.get_hits_idx(keys)
+            ids[hits] = held
+            if track is None:
+                track = np.ones(len(keys), dtype=bool)
+            track[hits] = False
+        else:
+            ids = self.ct.get_batch_idx(keys)
+            miss = np.flatnonzero(ids < 0)
+            if not miss.size:
+                return ids
+            keys = keys[miss]
+            ch_idx, track = self._decide_batch_idx(keys)
             found = self._indexer.ids_at(self.ch.backend_table(), ch_idx)
             ids[miss] = found
-            if tracked is not None:
-                tracked = np.flatnonzero(tracked)
-                miss_keys, found = miss_keys[tracked], found[tracked]
-            self._track_batch_idx(miss_keys, found)
+        if track is not None:
+            track = np.flatnonzero(track)
+            keys, found = keys[track], found[track]
+        self._track_batch_idx(keys, found)
         return ids
 
     def _columnar_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -189,28 +203,8 @@ class JETLoadBalancer(TrackingLoadBalancer):
     def _decide(self, key_hash: int, new_connection: bool) -> Tuple[Name, bool]:
         return self.ch.lookup_with_safety(key_hash)
 
-    def get_destinations_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """Batched Algorithm 1 in JET's order: the CH first, for every key
-        (lines 4-5 as one kernel call), then the CT for the keys its miss
-        filter admits.  A CT hit overwrites the CH answer and is not
-        tracked again; the unsafe misses are inserted (line 6).
-
-        Theorem 4.2 is the reason: most of JET's packets miss, so a miss
-        costs one kernel call and a filter test, not the gathers and the
-        scatter of a CT-first chunk.  The CH has no side effects, so the
-        answer, the CT and its stats are those of the CT-first order.
-        """
-        if not self.columnar_effective:
-            return LoadBalancer.get_destinations_batch_idx(self, keys)
-        keys = self._columnar_keys(keys)
-        ch_idx, unsafe = self.ch.lookup_with_safety_batch_idx(keys)
-        ids = self._indexer.ids_at(self.ch.backend_table(), ch_idx)
-        positions, held = self.ct.get_hits_idx(keys)
-        ids[positions] = held
-        unsafe[positions] = False
-        track = np.flatnonzero(unsafe)
-        self._track_batch_idx(keys[track], ids[track])
-        return ids
+    def _decide_batch_idx(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return self.ch.lookup_with_safety_batch_idx(keys)
 
     @property
     def horizon(self) -> FrozenSet[Name]:

@@ -18,7 +18,7 @@ from typing import FrozenSet, Set
 
 import numpy as np
 
-from repro.ch.base import ConsistentHash, HorizonConsistentHash, has_index_kernel
+from repro.ch.base import ConsistentHash, HorizonConsistentHash
 from repro.core.indexing import BackendIndexer
 from repro.core.interfaces import LoadBalancer, Name
 
@@ -37,26 +37,20 @@ class StatelessLoadBalancer(LoadBalancer):
         self._horizon_aware = isinstance(ch, HorizonConsistentHash)
         # Mirror of ch.working with O(1) membership.
         self._working: Set[Name] = set(ch.working)
-        # Capability probe, resolved once: the columnar path only pays
-        # off when the CH has a real integer-index kernel.
-        self._ch_index_kernel = has_index_kernel(ch)
         # Stable id space for the columnar path: CH table positions
         # renumber under churn, dispatch ids must not.
         self._indexer = BackendIndexer()
 
     @property
     def columnar_effective(self) -> bool:
-        return self._ch_index_kernel
+        return True  # every CH family has an integer-index kernel
 
     def get_destination(self, key_hash: int) -> Name:
         return self.ch.lookup(key_hash)
 
     # ------------------------------------------------- columnar dispatch
     def get_destinations_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """Integer CH kernel plus the table-position -> stable-id gather.
-        Raises unless :attr:`columnar_effective` (a CH with no kernel)."""
-        if not self.columnar_effective:
-            return LoadBalancer.get_destinations_batch_idx(self, keys)
+        """Integer CH kernel plus the table-position -> stable-id gather."""
         ch_idx = self.ch.lookup_batch_idx(np.asarray(keys, dtype=np.uint64))
         return self._indexer.ids_at(self.ch.backend_table(), ch_idx)
 

@@ -59,6 +59,13 @@ class CTStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
+    @property
+    def miss_heavy(self) -> bool:
+        """Most lookups so far missed (``2·hits < lookups``; False on a
+        table never probed): the regime that picks the columnar dispatch
+        order and ``UnboundedCT``'s miss filter."""
+        return 2 * self.hits < self.lookups
+
 
 def count_distinct(values: np.ndarray) -> int:
     """Number of distinct values, by one sort (``np.unique`` on a

@@ -156,7 +156,7 @@ class UnboundedCT(ConnectionTracker):
         if self._table is not None:
             self._engage()
         stats = self.stats
-        if 2 * stats.hits < stats.lookups:
+        if stats.miss_heavy:
             # Most probes so far missed, and an unsuccessful search is the
             # long one: search only where the filter cannot rule it out.
             # (A hit-heavy table skips this: measured on full CT, the

@@ -309,13 +309,12 @@ def replay_batch(
 
     SYN-aware balancers (Section 6.3) need a per-packet new-connection
     flag, so they are delegated to the scalar loop unchanged -- as is any
-    balancer whose ``columnar_effective`` probe reports no real vector
-    path (never-slower guarantee: batch assembly over a scalar-loop
-    fallback only adds overhead, the 0.75-0.82x regressions of the PR 2
-    bench).  Every other balancer takes the columnar loop: destinations
-    flow as int32 backend ids, all PCC accounting runs on preallocated
-    numpy arrays, and names are resolved once at the result edge -- zero
-    Python objects per packet.
+    balancer whose ``columnar_effective`` probe says no (a CT with
+    recency or eviction state, or lazy cleanup: a batch would regroup
+    their per-key gets and puts).  Every other balancer takes the
+    columnar loop: destinations flow as int32 backend ids, all PCC
+    accounting runs on preallocated numpy arrays, and names are resolved
+    once at the result edge -- zero Python objects per packet.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")

@@ -20,10 +20,8 @@ from repro.ch import (
     BackendError,
     HorizonConsistentHash,
     MaglevHash,
-    ScalarTableHRW,
     TableHRWHash,
     family_choices,
-    has_index_kernel,
 )
 from repro.ch.properties import sample_keys
 from repro.core import (
@@ -434,15 +432,20 @@ class TestIndexKernels:
     the ``lookup`` loop element for element, for every family (Maglev
     included: it has this entry point and no safety variant)."""
 
-    @pytest.mark.parametrize("family", IDX_FAMILIES)
+    @pytest.mark.parametrize("family", family_choices())
     def test_every_family_has_an_index_kernel(self, family):
-        assert has_index_kernel(build_idx(family)), family
-        # The loop-based reference transcription has no kernel and no
-        # batch entry point: it runs scalar, nothing in between.
-        spec = ScalarTableHRW(WORKING, HORIZON, rows=389)
-        assert not has_index_kernel(spec)
-        assert not hasattr(spec, "lookup_with_safety_batch_idx")
-        assert not hasattr(spec, "backend_table")
+        # The columnar tier calls the kernel unprobed, so every family's
+        # class defines it: a horizon hash its safety kernel (the plain
+        # ``lookup_batch_idx`` is that kernel's first column), Maglev the
+        # plain one.
+        cls = type(build_idx(family))
+        kernel = (
+            "lookup_with_safety_batch_idx"
+            if issubclass(cls, HorizonConsistentHash)
+            else "lookup_batch_idx"
+        )
+        assert callable(getattr(cls, kernel, None)), family
+        assert callable(getattr(cls, "backend_table", None)), family
 
     @pytest.mark.parametrize("family", IDX_FAMILIES)
     def test_idx_matches_names(self, family):
@@ -557,11 +560,9 @@ class TestColumnarLB:
     @pytest.mark.parametrize("mode", LB_MODES)
     def test_columnar_effective_probes(self, mode):
         assert build_lb("table", mode).columnar_effective
-        # Stacks without an index kernel must report not-effective ...
-        scalar_ch = ScalarTableHRW(WORKING, HORIZON, rows=389)
+        # CT configs the columnar path cannot serve must report
+        # not-effective.
         if mode == "jet":
-            assert not JETLoadBalancer(scalar_ch).columnar_effective
-            # ... as must CT configs the columnar path cannot serve.
             assert not make_jet(
                 "hrw", WORKING, HORIZON, ct=LRUCT(capacity=32)
             ).columnar_effective
@@ -573,8 +574,6 @@ class TestColumnarLB:
             assert not make_full_ct(
                 "table", WORKING, HORIZON, rows=389, ct=LRUCT(capacity=32)
             ).columnar_effective
-        elif mode == "stateless":
-            assert not StatelessLoadBalancer(scalar_ch).columnar_effective
 
     def test_idx_empty_batch(self):
         lb = build_lb("hrw", "jet")
@@ -593,15 +592,6 @@ def _forbid_idx(balancer):
 class TestNeverSlowerRouting:
     """Stacks the ``columnar_effective`` probe rejects must route straight
     through the scalar loop, never through batch assembly."""
-
-    def test_jet_scalar_ch_routes_through_scalar_loop(self):
-        def maker():
-            return JETLoadBalancer(ScalarTableHRW(WORKING, HORIZON, rows=389))
-
-        assert_idx_dispatch_refused(maker())
-        batched = replay_batch(TRACE, _forbid_idx(maker()), churn_events())
-        scalar = replay(TRACE, maker(), churn_events())
-        assert _replay_fields(batched) == _replay_fields(scalar)
 
     def test_replay_batch_delegates_for_scalar_only_stack(self):
         makers = {
@@ -675,19 +665,45 @@ HORIZON_FAMILIES = [
 ]
 
 
+STACKS = {"jet": make_jet, "full": make_full_ct}
+
+
+def _stack(mode, family):
+    return STACKS[mode](family, WORKING, HORIZON, **_ch_kwargs(family))
+
+
 def _jet(family):
-    return make_jet(family, WORKING, HORIZON, **_ch_kwargs(family))
+    return _stack("jet", family)
+
+
+def _unsafe_keys(family, count):
+    """The first ``count`` keys of KEYS that JET tracks on sight."""
+    ch = _jet(family).ch
+    return [k for k in KEYS.tolist() if ch.lookup_with_safety(k)[1]][:count]
 
 
 def _hot_unsafe_trace(family):
     """Three packets in four belong to one flow JET tracks: its CT turns
     hit-heavy, so the probe leaves the miss filter for the full search."""
-    ch = _jet(family).ch
-    hot = next(k for k in KEYS.tolist() if ch.lookup_with_safety(k)[1])
+    [hot] = _unsafe_keys(family, 1)
     keys = [hot] + [k for k in KEYS.tolist()[:1000] if k != hot]
     rng = np.random.default_rng(5)
     packets = np.where(rng.random(6_000) < 0.75, 0, rng.integers(1, len(keys), 6_000))
     return Trace("hot-unsafe", np.array(keys, dtype=np.uint64), packets)
+
+
+def _crossing_trace(family):
+    """Hot on four flows both stacks track, a flood of 3 000 fresh flows,
+    hot again: the cumulative CT hit ratio falls below 1/2 in the flood
+    (packet ~2 000) and climbs back over it in the second hot phase
+    (~6 000), for JET and full CT alike."""
+    hot = _unsafe_keys(family, 4)
+    keys = np.array(hot + sample_keys(3_000, seed=9), dtype=np.uint64)
+    rng = np.random.default_rng(3)
+    packets = np.concatenate(
+        [rng.integers(0, 4, 1_000), np.arange(4, len(keys)), rng.integers(0, 4, 5_000)]
+    )
+    return Trace("crossing", keys, packets)
 
 
 TRACE_6K = zipf_trace(skew=1.0, n_packets=6_000, population=1_500, seed=21)
@@ -699,6 +715,9 @@ CHURN = [
     (4_097, lambda lb: lb.remove_working_server(WORKING[-1])),
     (5_555, lambda lb: lb.add_working_server(WORKING[-1])),
 ]
+#: Chunk cuts (no-op events) at the crossing run's phase boundaries and
+#: past its upward crossing: every chunk size reads the regime there.
+CUTS = [(at, lambda lb: None) for at in (1_000, 4_000, 7_000)]
 #: Every working server leaves, last first; the packet at DRAINED has none.
 DRAINED = 2_000 + 150 * (len(WORKING) - 1)
 DRAIN = [
@@ -708,31 +727,46 @@ DRAIN = [
 RUNS = {
     "hot-unsafe": (_hot_unsafe_trace, ()),
     "churn": (lambda family: TRACE_6K, CHURN),
+    "crossing": (_crossing_trace, CUTS),
     "drain": (lambda family: TRACE_6K, DRAIN),
 }
+CHUNKS = [1, 7, 4_096, DEFAULT_CHUNK]
+REPLAYED = ["hot-unsafe", "churn", "crossing"]
 
 
 @lru_cache(maxsize=None)
-def _scalar_run(family, run):
-    """The scalar spec's replay, and its balancer, once per family and run."""
+def _scalar_run(mode, family, run):
+    """The scalar spec's replay, and its balancer, once per stack and run."""
     make_trace, events = RUNS[run]
-    lb = _jet(family)
+    lb = _stack(mode, family)
     return replay(make_trace(family), lb, events), lb
 
 
 class TestColumnarJETEqualsScalar:
-    """JET asks the CH first in ``replay_batch``: the CT must still end up
-    as the scalar loop leaves it, counters included, for every horizon
-    family and chunk size."""
+    """The columnar Algorithm 1 asks the CH or the CT first, as the CT's
+    regime says: the CT must still end up as the scalar loop leaves it,
+    counters included, for JET and full CT over every horizon family and
+    chunk size."""
 
-    @pytest.mark.parametrize("chunk_size", [1, 7, 4_096, DEFAULT_CHUNK])
-    @pytest.mark.parametrize("run", ["hot-unsafe", "churn"])
+    @pytest.mark.parametrize("chunk_size", CHUNKS)
+    @pytest.mark.parametrize("run", REPLAYED)
     @pytest.mark.parametrize("family", HORIZON_FAMILIES)
     def test_replay_down_to_the_ct(self, family, run, chunk_size, monkeypatch):
-        scalar, scalar_lb = _scalar_run(family, run)
+        self.assert_replay_down_to_the_ct("jet", family, run, chunk_size, monkeypatch)
+
+    @pytest.mark.parametrize("chunk_size", CHUNKS)
+    @pytest.mark.parametrize("run", REPLAYED)
+    @pytest.mark.parametrize("family", HORIZON_FAMILIES)
+    def test_full_ct_replay_down_to_the_ct(self, family, run, chunk_size, monkeypatch):
+        self.assert_replay_down_to_the_ct("full", family, run, chunk_size, monkeypatch)
+
+    @staticmethod
+    def assert_replay_down_to_the_ct(mode, family, run, chunk_size, monkeypatch):
+        scalar, scalar_lb = _scalar_run(mode, family, run)
         make_trace, events = RUNS[run]
-        lb = _jet(family)
+        lb = _stack(mode, family)
         regimes = []  # per probe: did it start hit-heavy (the full search)?
+        orders = []  # per dispatch: the CT's probe, i.e. which came first
         probe = UnboundedCT._probe
 
         def spied(ct, keys):
@@ -740,14 +774,27 @@ class TestColumnarJETEqualsScalar:
             return probe(ct, keys)
 
         monkeypatch.setattr(UnboundedCT, "_probe", spied)
+        for name in ("get_batch_idx", "get_hits_idx"):
+            entry = getattr(UnboundedCT, name)
+
+            def recorded(ct, keys, _entry=entry, _name=name):
+                orders.append(_name)
+                return _entry(ct, keys)
+
+            monkeypatch.setattr(UnboundedCT, name, recorded)
         batched = replay_batch(make_trace(family), lb, events, chunk_size=chunk_size)
         assert _replay_fields(batched) == _replay_fields(scalar)
         assert lb.ct.stats == scalar_lb.ct.stats
         assert lb.tracked_items() == scalar_lb.tracked_items()
         if run == "hot-unsafe" and chunk_size < DEFAULT_CHUNK:
             assert any(regimes)
+        if run == "crossing":
+            # CT first while hit-heavy, CH first in the flood, CT first
+            # again once the hot flows have won the ratio back.
+            switches = [a for a, b in zip(orders, orders[1:]) if a != b]
+            assert switches[-2:] == ["get_batch_idx", "get_hits_idx"], switches
 
-    @pytest.mark.parametrize("chunk_size", [1, 7, 4_096, DEFAULT_CHUNK])
+    @pytest.mark.parametrize("chunk_size", CHUNKS)
     @pytest.mark.parametrize("family", HORIZON_FAMILIES)
     def test_drained_working_set_raises_from_the_first_chunk_after(
         self, family, chunk_size
@@ -771,7 +818,7 @@ class TestColumnarJETEqualsScalar:
         assert working == 0 and all(alive for _, alive in served)
         assert sum(n for n, _ in served) == DRAINED
         with pytest.raises(BackendError):
-            _scalar_run(family, "drain")
+            _scalar_run("jet", family, "drain")
 
 
 class TestBackendIndexerIdsAt:

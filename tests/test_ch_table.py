@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.ch.base import BackendError
-from repro.ch.table_hrw import ScalarTableHRW, TableHRWHash, rows_for
+from repro.ch.table_hrw import TableHRWHash, rows_for
+from tests.table_hrw_reference import ScalarTableHRW
 
 W = [f"w{i}" for i in range(10)]
 H = [f"h{i}" for i in range(2)]

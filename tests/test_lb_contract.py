@@ -297,6 +297,7 @@ def test_ct_and_ch_are_read_at_call_time(mode, monkeypatch):
 
     for key in KEYS[:300]:                       # scalar tier, names in the CT
         lb.get_destination(key)
+    miss_heavy = ct.stats.miss_heavy             # the regime picks the order
     lb.get_destinations_batch_idx(KEY_ARRAY)     # columnar tier, ids in the CT
     lb.remove_working_server("s4")               # backend change + invalidation
     lb.add_working_server("s4")
@@ -319,8 +320,8 @@ def test_ct_and_ch_are_read_at_call_time(mode, monkeypatch):
     for name in (scalar, batch, "backend_table", "add_working", "remove_working",
                  "add_horizon", "remove_horizon", "force_add_working"):
         assert ch.calls[name] > 0, name
-    # JET asks the CH first and probes the CT for its hits alone.
-    probe = "get_hits_idx" if mode == "jet" else "get_batch_idx"
+    # A miss-heavy table is asked for its hits alone, after the CH.
+    probe = "get_hits_idx" if miss_heavy else "get_batch_idx"
     for name in ("get", "put", "remap_values", probe, "put_batch_idx",
                  "invalidate_destination"):
         assert ct.calls[name] > 0, name
