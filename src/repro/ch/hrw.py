@@ -31,7 +31,7 @@ import numpy as np
 from repro.ch.base import BackendError, HorizonConsistentHash, Name, capacity_weights
 from repro.hashing.keyed import KeyedHasher
 from repro.hashing.mix import MASK64
-from repro.hashing.vector import v_mix2_outer
+from repro.hashing.vector import v_mix2_argmax, v_mix2_outer
 
 _DENOM = MASK64 + 2  # 2^64 + 1: (w + 1) / _DENOM lies in (0, 1)
 #: A batch key whose numpy scores (numpy's log and its uint64 -> float
@@ -110,11 +110,12 @@ class HRWHash(HorizonConsistentHash):
     def lookup_with_safety_batch_idx(
         self, keys: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized Algorithm 2: one weight matrix per side, argmax over
-        servers.  Server rows are sorted by descending seed so that
-        ``argmax`` (first maximum) realizes the scalar ``(weight, seed)``
-        lexicographic tie-break.  Returns indices into
-        :meth:`backend_table` (the seed-sorted working names)."""
+        """Vectorized Algorithm 2: one tiled argmax per side
+        (:func:`~repro.hashing.vector.v_mix2_argmax`, no servers x keys
+        matrix).  Server rows are sorted by descending seed so that the
+        first maximum realizes the scalar ``(weight, seed)`` lexicographic
+        tie-break.  Returns indices into :meth:`backend_table` (the
+        seed-sorted working names)."""
         keys = np.asarray(keys, dtype=np.uint64)
         n = len(keys)
         if n == 0:
@@ -124,22 +125,14 @@ class HRWHash(HorizonConsistentHash):
         if self.weights is not None:
             return self._scored_batch(keys)
         w_seeds, _ = self._working_matrix()
-        weights = v_mix2_outer(w_seeds, keys)
-        winner = weights.argmax(axis=0)
+        winner, best_weight = v_mix2_argmax(w_seeds, keys)
         indices = winner.astype(np.int32)
-        columns = np.arange(n)
-        best_weight = weights[winner, columns]
         if not self._horizon:
             return indices, np.zeros(n, dtype=bool)
-        best_seed = w_seeds[winner]
         h_seeds, _ = self._horizon_matrix()
-        h_weights = v_mix2_outer(h_seeds, keys)
-        challenger = h_weights.argmax(axis=0)
-        h_best = h_weights[challenger, columns]
-        h_seed = h_seeds[challenger]
-        unsafe = (h_best > best_weight) | (
-            (h_best == best_weight) & (h_seed > best_seed)
-        )
+        challenger, h_best = v_mix2_argmax(h_seeds, keys)
+        tie_won = h_seeds.take(challenger) > w_seeds.take(winner)
+        unsafe = (h_best > best_weight) | ((h_best == best_weight) & tie_won)
         return indices, unsafe
 
     def _scored_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

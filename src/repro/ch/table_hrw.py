@@ -165,7 +165,7 @@ class TableHRWHash(HorizonConsistentHash):
         if not self._working_ids:
             raise BackendError("lookup on empty working set")
         rows = v_remainder(keys, self.rows)
-        return self._ch[rows], self._tr[rows]
+        return self._ch.take(rows), self._tr.take(rows)
 
     def backend_table(self) -> np.ndarray:
         """Id -> name object array (retired ids hold None, never looked up)."""

@@ -24,11 +24,11 @@ plugged in (see :mod:`repro.core.factories`).
 The columnar tier keeps the answers and the CT of that per-packet loop
 but not its order, which it reads from the CT's regime before each chunk
 (:attr:`~repro.ct.base.CTStats.miss_heavy`), not from the class: while
-most probes so far missed -- JET's table, by Theorem 4.2, and any table
-still filling -- the CH answers the whole chunk in one kernel call and
-the CT is asked for its hits alone; otherwise the CT is probed first and
-the CH asked for the misses.  The CH has no side effects, which makes
-the two orders agree exactly.
+most probes so far missed -- JET's table, by Theorem 4.2, any table
+still filling, and a table never probed -- the CH answers the whole
+chunk in one kernel call and the CT is asked for its hits alone;
+otherwise the CT is probed first and the CH asked for the misses.  The
+CH has no side effects, which makes the two orders agree exactly.
 
 Removed-destination hygiene follows footnote 3: on ``remove_working_server``
 the table is cleaned either actively (drop all entries pointing at the dead
@@ -141,13 +141,13 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
             miss = np.flatnonzero(ids < 0)
             if not miss.size:
                 return ids
-            keys = keys[miss]
+            keys = keys.take(miss)
             ch_idx, track = self._decide_batch_idx(keys)
             found = self._indexer.ids_at(self.ch.backend_table(), ch_idx)
             ids[miss] = found
         if track is not None:
             track = np.flatnonzero(track)
-            keys, found = keys[track], found[track]
+            keys, found = keys.take(track), found.take(track)
         self._track_batch_idx(keys, found)
         return ids
 

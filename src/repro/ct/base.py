@@ -61,10 +61,11 @@ class CTStats:
 
     @property
     def miss_heavy(self) -> bool:
-        """Most lookups so far missed (``2·hits < lookups``; False on a
-        table never probed): the regime that picks the columnar dispatch
-        order and ``UnboundedCT``'s miss filter."""
-        return 2 * self.hits < self.lookups
+        """Most lookups so far missed (``2·hits < lookups``), or none was
+        made yet -- a table never probed answers its first probe from
+        nothing: the regime that picks the columnar dispatch order and
+        ``UnboundedCT``'s miss filter."""
+        return 2 * self.hits < self.lookups or not self.lookups
 
 
 def count_distinct(values: np.ndarray) -> int:

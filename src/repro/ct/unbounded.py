@@ -147,7 +147,7 @@ class UnboundedCT(ConnectionTracker):
         every key (JET's CH verdict) overwrites the hits alone."""
         searched, found = self._probe(np.asarray(keys, dtype=np.uint64))
         hit = np.flatnonzero(found >= 0)
-        return (hit if searched is None else searched[hit]), found[hit]
+        return (hit if searched is None else searched.take(hit)), found.take(hit)
 
     def _probe(self, keys: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndarray]:
         """``(searched, found)``: the stored id, or -1, of the keys at
@@ -163,11 +163,15 @@ class UnboundedCT(ConnectionTracker):
             # extra gather costs more than the few searches it saves.)
             if self._filter is None:
                 self._build_filter()
-            searched = np.flatnonzero(self._filter[self._buckets(keys)])
-            probed = keys[searched]
+            buckets = self._buckets(keys)
+            searched = np.flatnonzero(self._filter.take(buckets))
+            probed = keys.take(searched)
+            # The bucket's top bits are the home slot: no second hash.
+            slots = self._home(probed, buckets.take(searched) >> _FILTER_BITS)
         else:
             searched, probed = None, keys
-        found = self._vals[self._settle(probed, self._home(probed))]
+            slots = self._home(keys)
+        found = self._vals.take(self._settle(probed, slots))
         stats.lookups += len(keys)
         stats.hits += int(np.count_nonzero(found >= 0))
         return searched, found
@@ -277,9 +281,11 @@ class UnboundedCT(ConnectionTracker):
         if self._vals[-1] >= 0:  # flow key 0, in the side slot
             self._filter[0] = True
 
-    def _home(self, keys: np.ndarray) -> np.ndarray:
-        """Multiply-shift home slot per key; key 0 -> the side slot."""
-        slots = self._top_bits(keys, self._shift)
+    def _home(self, keys: np.ndarray, slots: Optional[np.ndarray] = None) -> np.ndarray:
+        """Multiply-shift home slot per key (``slots``, when the caller
+        already holds them, is updated in place); key 0 -> the side slot."""
+        if slots is None:
+            slots = self._top_bits(keys, self._shift)
         if np.count_nonzero(keys) < len(keys):
             slots[keys == _EMPTY] = len(self._keys) - 1
         return slots
@@ -289,17 +295,17 @@ class UnboundedCT(ConnectionTracker):
         the slot holding the key, live or tombstoned, else an empty one."""
         table_keys = self._keys
         wrap = np.intp(len(table_keys) - 2)
-        resident = table_keys[slots]
+        resident = table_keys.take(slots)
         pending = np.flatnonzero((resident != keys) & (resident != _EMPTY))
-        held, at = keys[pending], slots[pending]
+        held, at = keys.take(pending), slots.take(pending)
         while pending.size > _WALK:
             at += 1
             at &= wrap
             slots[pending] = at
-            resident = table_keys[at]
+            resident = table_keys.take(at)
             # (an index array: selecting by boolean mask costs ~4x this)
             go = np.flatnonzero((resident != held) & (resident != _EMPTY))
-            pending, held, at = pending[go], held[go], at[go]
+            pending, held, at = pending.take(go), held.take(go), at.take(go)
         if pending.size:
             # The stragglers sit on the longest runs: rounds that follow
             # them would scale with the run length, the walk does not.
@@ -340,18 +346,18 @@ class UnboundedCT(ConnectionTracker):
             self._filter[self._buckets(keys)] = True
         slots = self._settle(keys, self._home(keys))
         # A live key sits in one slot, which all of its repeats reached.
-        overwritten = count_distinct(slots[table_vals[slots] >= 0])
+        overwritten = count_distinct(slots[table_vals.take(slots) >= 0])
         while True:
             # Distinct keys racing for one empty slot: the last written
             # stays, key and value alike, the others find it taken and
             # probe on.
             table_keys[slots] = keys
             table_vals[slots] = vals
-            lost = np.flatnonzero(table_keys[slots] != keys)
+            lost = np.flatnonzero(table_keys.take(slots) != keys)
             if not lost.size:
                 return overwritten
-            keys, vals = keys[lost], vals[lost]
-            slots = self._settle(keys, slots[lost])
+            keys, vals = keys.take(lost), vals.take(lost)
+            slots = self._settle(keys, slots.take(lost))
 
     # ----------------------------------------------------------- plumbing
     def delete(self, key: int) -> bool:

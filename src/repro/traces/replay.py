@@ -13,12 +13,15 @@ Rate caveat (documented in EXPERIMENTS.md): the paper measures a C++
 implementation where the effect at play is L1/L2 cache residency of CT
 tables vs. CH computations.  The scalar loop here measures interpreter
 dict/loop costs instead (~1-2 M packets/s, full CT ahead of JET); the
-columnar loop runs at 15-34 M packets/s on the bench's reference box
-(``replay-steady`` medians over seeds 1-4: Concury 33-35 M, JET
-26-29 M, full CT 15-20 M) with JET ahead of full CT by 1.4-1.7x there
-and by 1.3-1.7x on low-skew Zipf traces, level with it on hit-heavy
-ones: the ratio is set by how many packets need a CT search or an
-insert more than by cache residency.  Concury's CT-less kernel walks
+columnar loop runs at 20-55 M packets/s on the bench's 2-vCPU reference
+box (``replay-steady``, seed 1, medians that drift ~15 % between
+sessions: Concury 48-55 M, JET 40-50 M, full CT 21-29 M), with JET
+ahead of full CT by 1.7-1.9x there and level with it on hit-heavy
+traces: the ratio is set by how many packets need a CT search or an
+insert more than by cache residency.  What does hinge on residency is
+the loop's own per-flow state: the first-destination column is gathered
+once per packet, so it is kept at the id space's width (int8 up to 128
+backends) and stays in L2 beside the CT.  Concury's CT-less kernel walks
 each chunk in L2-sized tiles, so its rate is its hashing and two Othello
 gathers rather than cache bandwidth.  Nothing asserts a rate.
 
@@ -26,7 +29,7 @@ Backend-change events can be injected mid-trace to exercise PCC under
 churn (used by integration tests and the extensions bench).
 
 Two drivers, same metrics: :func:`replay` is the scalar per-packet loop
-(the executable spec); :func:`replay_batch` is the int32 columnar loop for
+(the executable spec); :func:`replay_batch` is the columnar loop for
 balancers whose ``columnar_effective`` probe answers True, and hands every
 other balancer to :func:`replay`.
 """
@@ -325,6 +328,25 @@ def replay_batch(
     return _replay_columnar(trace, balancer, events, chunk_size, metrics)
 
 
+#: The types ``first`` (:func:`_replay_columnar`) widens through, narrowest
+#: first; each holds the ids ``0 .. max`` and the "unseen" sentinel -1.
+_FIRST_WIDTHS = (np.int8, np.int16, np.int32)
+
+
+def _id_limit(dtype) -> int:
+    """How many backend ids a signed integer type holds beside -1."""
+    return int(np.iinfo(dtype).max) + 1
+
+
+def _widened(first: np.ndarray, n_ids: int) -> np.ndarray:
+    """``first`` at the narrowest of :data:`_FIRST_WIDTHS` holding
+    ``n_ids`` ids, -1 staying -1."""
+    for dtype in _FIRST_WIDTHS:
+        if n_ids <= _id_limit(dtype):
+            return first.astype(dtype)
+    raise ValueError(f"{n_ids} backend ids overflow the int32 id space")
+
+
 def _replay_columnar(
     trace: Trace,
     balancer: LoadBalancer,
@@ -335,9 +357,17 @@ def _replay_columnar(
     """The integer-index replay loop: no Python object per packet.
 
     First-destination, broken-flow, and violation accounting all run on
-    preallocated int32/bool arrays keyed by backend id; each chunk is one
+    preallocated numpy arrays keyed by backend id; each chunk is one
     ``get_destinations_batch_idx`` call, one gather from ``first``, one
     compare, and the rest on the packets whose id differs from it.
+    ``first`` -- one id per flow, -1 until its first packet -- is gathered
+    once per packet, so it is kept at the narrowest signed type that holds
+    the balancer's id space (:data:`_FIRST_WIDTHS`): int8 for up to 128
+    backends, so a 285k-flow trace's column stays in L2 beside the CT.
+    Ids are registered lazily inside the dispatch call, so the id space
+    is read after each call, and ``first`` widens (never narrows) before
+    the chunk's ids are stored.
+
     Metric equivalence with the scalar loop rests on the same argument
     as :func:`replay_batch` gives (no backend change lands mid-chunk)
     plus two index-path facts: ids are stable across backend changes,
@@ -349,7 +379,8 @@ def _replay_columnar(
     keys = np.ascontiguousarray(trace.flow_keys, dtype=np.uint64)
     packets = trace.packets
     n_packets = len(packets)
-    first = np.full(trace.n_flows, -1, dtype=np.int32)
+    first = np.full(trace.n_flows, -1, dtype=_FIRST_WIDTHS[0])
+    id_limit = _id_limit(first.dtype)
     broken = np.zeros(trace.n_flows, dtype=bool)
     violations = 0
     inevitable = 0
@@ -358,6 +389,7 @@ def _replay_columnar(
     next_event = 0
     n_events = len(event_queue)
     get_batch_idx = balancer.get_destinations_batch_idx
+    dispatch_names = balancer.dispatch_names
     # id -> currently-working, cached between events (ids are stable, the
     # working set only changes when an event fires).
     working_mask: Optional[np.ndarray] = None
@@ -373,17 +405,26 @@ def _replay_columnar(
         if next_event < n_events:
             end = min(end, event_queue[next_event][0])
         flow_indices = packets[position:end]
-        ids = get_batch_idx(keys[flow_indices])
-        previous = first[flow_indices]
+        # ``take`` in its default mode raises on an out-of-range index, as
+        # a fancy index would, and skips the fancy-index machinery.
+        ids = get_batch_idx(keys.take(flow_indices))
+        n_ids = len(dispatch_names())
+        if n_ids > id_limit:
+            first = _widened(first, n_ids)
+            id_limit = _id_limit(first.dtype)
+        previous = first.take(flow_indices)
         # A flow's first packet and a moved packet both differ from what
         # ``first`` holds: only that subset is looked at again.
         changed = np.flatnonzero(ids != previous)
         if changed.size:
             flows = flow_indices[changed]
             was = previous[changed]
-            unseen = np.flatnonzero(was < 0)
-            first[flows[unseen]] = ids[changed[unseen]]
-            if unseen.size < changed.size:
+            if was.max() < 0:
+                # First appearances only (every steady chunk): one scatter.
+                first[flows] = ids[changed]
+            else:
+                unseen = np.flatnonzero(was < 0)
+                first[flows[unseen]] = ids[changed[unseen]]
                 moved_flows = flows[np.flatnonzero(was >= 0)]
                 newly = np.unique(moved_flows[~broken[moved_flows]])
                 broken[newly] = True
@@ -396,7 +437,7 @@ def _replay_columnar(
     wall = watch.stop()
 
     # Edge-only name resolution: one bincount over ids, one gather.
-    names = balancer.dispatch_names()
+    names = dispatch_names()
     loads: Dict[Name, int] = {}
     dispatched = first[first >= 0]
     if len(dispatched):

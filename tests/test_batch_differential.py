@@ -788,9 +788,13 @@ class TestColumnarJETEqualsScalar:
         assert lb.tracked_items() == scalar_lb.tracked_items()
         if run == "hot-unsafe" and chunk_size < DEFAULT_CHUNK:
             assert any(regimes)
+        # A never-probed table counts as miss-heavy: the first chunk asks
+        # the CH first and the empty CT for its hits alone.
+        assert orders[0] == "get_hits_idx", orders[:3]
         if run == "crossing":
-            # CT first while hit-heavy, CH first in the flood, CT first
-            # again once the hot flows have won the ratio back.
+            # CH first into the empty table, CT first while hit-heavy, CH
+            # first in the flood, CT first again once the hot flows have
+            # won the ratio back.
             switches = [a for a, b in zip(orders, orders[1:]) if a != b]
             assert switches[-2:] == ["get_batch_idx", "get_hits_idx"], switches
 

@@ -10,6 +10,7 @@ backend churn.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from repro.ch import (
     hrw,
 )
 from repro.hashing.mix import MASK64
+from repro.hashing.vector import v_mix2_outer
+from repro.traces.replay import DEFAULT_CHUNK
 from tests.conftest import churned_ring
 
 keys64 = st.integers(min_value=0, max_value=MASK64)
@@ -233,3 +236,49 @@ class TestRingBoundaryKeys:
             (positions[p % len(positions)] + offset) & MASK64 for p in picks
         ]
         assert_batch_equals_scalar(ch, key_sample)
+
+
+class TestHRWKernelMemory:
+    """Unweighted HRW walks the keys in tiles: one ``DEFAULT_CHUNK`` call
+    over 100 + 10 servers stays under a fixed traced peak, where the
+    servers x keys weight matrices it replaced took ~200 MiB, and it
+    answers bit for bit as those matrices do."""
+
+    PEAK_BYTES = 16 << 20
+
+    @staticmethod
+    def matrix_form(ch, keys):
+        """The servers x keys form, kept here as the spec: one weight
+        matrix per side, argmax over the seed-sorted rows."""
+        w_seeds, _ = ch._working_matrix()
+        h_seeds, _ = ch._horizon_matrix()
+        weights = v_mix2_outer(w_seeds, keys)
+        winner = weights.argmax(axis=0)
+        best = weights.max(axis=0)
+        h_weights = v_mix2_outer(h_seeds, keys)
+        challenger = h_weights.argmax(axis=0)
+        h_best = h_weights.max(axis=0)
+        unsafe = (h_best > best) | (
+            (h_best == best) & (h_seeds[challenger] > w_seeds[winner])
+        )
+        return winner.astype(np.int32), unsafe
+
+    def test_one_chunk_peak_and_bits(self):
+        ch = HRWHash([f"s{i}" for i in range(100)], [f"h{i}" for i in range(10)])
+        keys = np.random.default_rng(7).integers(
+            0, MASK64, DEFAULT_CHUNK, dtype=np.uint64, endpoint=True
+        )
+        ch.lookup_with_safety_batch_idx(keys[:1])  # the seed arrays, once
+        tracemalloc.start()
+        try:
+            idx, unsafe = ch.lookup_with_safety_batch_idx(keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_BYTES, peak
+        assert 0 < unsafe.sum() < len(keys)
+        # The spec in blocks, so the check itself stays small.
+        for lo in range(0, len(keys), 8_192):
+            want_idx, want_unsafe = self.matrix_form(ch, keys[lo:lo + 8_192])
+            assert np.array_equal(idx[lo:lo + 8_192], want_idx)
+            assert np.array_equal(unsafe[lo:lo + 8_192], want_unsafe)

@@ -350,9 +350,10 @@ class TestSizedByConnections:
 class TestWhichTableBuildsTheFilter:
     """A count gate on the probe regime: on a Zipf replay full CT's probes
     mostly hit (every packet of a flow after its first), JET's mostly miss
-    (the safe flows are never tracked) -- so the first never pays for a
-    filter and the second has one from its second chunk on, and either
-    way the replay is the scalar one down to the CT counters."""
+    (the safe flows are never tracked) -- so the first builds a filter
+    only for its first probe, into the empty table, and the second has
+    one from its first chunk on, and either way the replay is the scalar
+    one down to the CT counters."""
 
     TRACE = zipf_trace(skew=1.1, n_packets=60_000, population=12_000, seed=9)
     CHUNK = 2_048
@@ -388,10 +389,12 @@ class TestWhichTableBuildsTheFilter:
             self.TRACE, balancers[1], self.events(), chunk_size=self.CHUNK
         )
         if make is make_full_ct:
-            assert built == [] and balancers[1].ct._filter is None
+            # A never-probed table counts as miss-heavy; the first insert's
+            # rehash drops its filter, and the hit-heavy table builds none.
+            assert built == [0] and balancers[1].ct._filter is None
         else:
-            # From the second probe on, and again after each rehash.
-            assert built[0] == self.CHUNK and len(built) > 1
+            # From the first probe on, and again after each rehash.
+            assert built[0] == 0 and len(built) > 1
             assert balancers[1].ct._filter is not None
         for field in (
             "pcc_violations", "inevitably_broken", "tracked_connections",

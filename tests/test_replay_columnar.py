@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import StatelessLoadBalancer, make_ch, make_full_ct, make_jet
+from repro.core.interfaces import LoadBalancer
 from repro.hashing.mix import splitmix64
 from repro.obs import Registry, metrics as M
 from repro.traces import (
@@ -255,3 +256,134 @@ class TestBiggerThanRamTrace:
         scalar = replay(trace, build_lb("table", "jet"))
         columnar = replay_batch(trace, build_lb("table", "jet"))
         assert _fields(columnar) == _fields(scalar)
+
+
+class _Growing(LoadBalancer):
+    """A columnar stub whose fleet only grows: key ``k`` goes to server
+    ``k mod n`` of the first ``n``, and ``grow(n)`` moves the fleet to
+    ``n`` servers.  The id space passes 32 768 servers without building a
+    CH over them; ids are registered by the dispatch call, as a real
+    balancer's are."""
+
+    columnar_effective = True
+
+    def __init__(self, n):
+        self.n = n
+        self.names = []
+        self._working = frozenset()
+        self.grow(n)
+
+    def grow(self, n):
+        self.n = n
+        self._working = frozenset(f"b{i}" for i in range(n))
+
+    def get_destination(self, key_hash):
+        return f"b{key_hash % self.n}"
+
+    def get_destinations_batch_idx(self, keys):
+        self.names.extend(f"b{i}" for i in range(len(self.names), self.n))
+        return (keys % np.uint64(self.n)).astype(np.int32)
+
+    def dispatch_names(self):
+        names = np.empty(len(self.names), dtype=object)
+        names[:] = self.names
+        return names
+
+    def dispatch_working_mask(self):
+        return np.arange(len(self.names)) < self.n
+
+    @property
+    def working(self):
+        return self._working
+
+    @property
+    def tracked_connections(self):
+        return 0
+
+    def add_working_server(self, name):
+        raise NotImplementedError
+
+    def remove_working_server(self, name):
+        raise NotImplementedError
+
+
+class TestFirstColumnWidth:
+    """The per-flow first-destination column starts at int8 and widens,
+    before it stores, as the balancer's id space outgrows its type: each
+    crossing must leave the metrics the scalar loop's."""
+
+    WIDTH_TRACE = zipf_trace(skew=1.0, n_packets=4_000, population=1_500, seed=8)
+
+    @staticmethod
+    def replay_both(make, events, chunk_size, monkeypatch):
+        """(scalar, columnar) results, and the widths ``first`` took."""
+        import importlib
+
+        replay_module = importlib.import_module("repro.traces.replay")
+        widths = []
+        widened = replay_module._widened
+
+        def spied(first, n_ids):
+            out = widened(first, n_ids)
+            widths.append((n_ids, out.dtype))
+            return out
+
+        monkeypatch.setattr(replay_module, "_widened", spied)
+        trace = TestFirstColumnWidth.WIDTH_TRACE
+        scalar = replay(trace, make(), events())
+        columnar = replay_batch(trace, make(), events(), chunk_size=chunk_size)
+        assert _fields(columnar) == _fields(scalar)
+        return scalar, widths
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, DEFAULT_CHUNK])
+    @pytest.mark.parametrize("mode", ["jet", "stateless"])
+    def test_crossing_128_through_announced_servers(
+        self, mode, chunk_size, monkeypatch
+    ):
+        fresh = [f"n{i}" for i in range(120)]
+
+        def events():
+            # 120 servers announced at packet 1 000, admitted at 2 500:
+            # their ids are registered at the first dispatch after each.
+            return [
+                (1_000, lambda lb: [lb.add_horizon_server(n) for n in fresh]),
+                (2_500, lambda lb: [lb.add_working_server(n) for n in fresh]),
+            ]
+
+        scalar, widths = self.replay_both(
+            lambda: build_lb("table", mode), events, chunk_size, monkeypatch
+        )
+        assert [dtype for _, dtype in widths] == [np.int16]
+        assert 128 < widths[0][0] <= len(WORKING) + len(HORIZON) + len(fresh)
+        assert scalar.pcc_violations > 0  # moved flows, counted at int16
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, DEFAULT_CHUNK])
+    def test_crossing_32768_through_a_stub(self, chunk_size, monkeypatch):
+        def events():
+            return [
+                (1_000, lambda lb: lb.grow(200)),
+                (2_000, lambda lb: lb.grow(40_000)),
+            ]
+
+        scalar, widths = self.replay_both(
+            lambda: _Growing(100), events, chunk_size, monkeypatch
+        )
+        assert widths == [(200, np.int16), (40_000, np.int32)]
+        assert scalar.pcc_violations > 0
+        assert max(int(name[1:]) for name in scalar.server_loads) > 32_767
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, DEFAULT_CHUNK])
+    @pytest.mark.parametrize("mode", ["jet", "full-ct"])
+    def test_first_chunk_over_127_widens_before_it_stores(
+        self, mode, chunk_size, monkeypatch
+    ):
+        working = [f"s{i}" for i in range(150)]
+
+        def make():
+            if mode == "jet":
+                return make_jet("table", working, HORIZON, rows=1_031)
+            return make_full_ct("table", working, HORIZON, rows=1_031)
+
+        scalar, widths = self.replay_both(make, lambda: [], chunk_size, monkeypatch)
+        assert [dtype for _, dtype in widths] == [np.int16]
+        assert max(int(name[1:]) for name in scalar.server_loads) > 127
