@@ -28,7 +28,10 @@ most probes so far missed -- JET's table, by Theorem 4.2, any table
 still filling, and a table never probed -- the CH answers the whole
 chunk in one kernel call and the CT is asked for its hits alone;
 otherwise the CT is probed first and the CH asked for the misses.  The
-CH has no side effects, which makes the two orders agree exactly.
+CH has no side effects, which makes the two orders agree exactly.  Line
+6 tracks only the keys the policy selects (JET: the unsafe), so until a
+backend change no other key can hit: while that holds, the CH-first
+order probes the selected keys alone and counts the rest as misses.
 
 Removed-destination hygiene follows footnote 3: on ``remove_working_server``
 the table is cleaned either actively (drop all entries pointing at the dead
@@ -53,8 +56,9 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
     """Algorithm 1 over a CH and a CT.  A subclass supplies the policy of
     lines 4-6 as ``_decide(key_hash, new_connection) -> (destination,
     track?)`` and, for the columnar tier, ``_decide_batch_idx(keys) ->
-    (CH table positions, mask of the keys to track or None for all)``;
-    the columnar order is the CT's regime, not the subclass's."""
+    (CH table positions, mask of the keys to track or None for all)``,
+    the same policy; the columnar order is the CT's regime, not the
+    subclass's."""
 
     #: Subclasses placing new connections by load set this: drivers then
     #: pass ``new_connection`` (TCP SYN) with each flow's first packet.
@@ -72,6 +76,9 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
         self.active_cleanup = active_cleanup
         # The CT stores names until the first columnar call, ids after.
         self._ct_idx = False
+        #: ``_state()`` as of the last moment every key in the CT was one
+        #: the tracking policy selects (see :meth:`_fresh`).
+        self._stamp: Optional[tuple] = None
 
     @property
     def columnar_effective(self) -> bool:
@@ -103,8 +110,11 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
             self.ct.delete(key_hash)
         destination, track = self._decide(key_hash, new_connection)
         if track:
+            fresh = self._fresh()
             value = self._indexer.get_id(destination) if self._ct_idx else destination
             self.ct.put(key_hash, value)
+            if fresh:
+                self._stamp = self._state()
         return destination
 
     # ------------------------------------------------- columnar dispatch
@@ -116,9 +126,12 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
         so far missed, the CH answers every key (lines 4-5 as one kernel
         call) and the CT its hits alone, which overwrite the CH answer and
         are not tracked again; a miss then costs a kernel call and a
-        filter test, not a gather and a scatter.  Otherwise the CT answers
-        first and the CH its misses.  The CH has no side effects, so both
-        orders give the same ids, CT and stats.
+        filter test, not a gather and a scatter.  While every key in the
+        CT is one the track mask selects (:meth:`_fresh`), the CT is asked
+        about the masked keys alone and the others count as lookups that
+        missed: a packet JET calls safe then costs the kernel call only.
+        Otherwise the CT answers first and the CH its misses.  The CH has
+        no side effects, so both orders give the same ids, CT and stats.
 
         No Python string is materialized anywhere on this path; names
         exist only behind :meth:`dispatch_names`.  Raises unless
@@ -128,11 +141,22 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
         if not self.columnar_effective:
             return LoadBalancer.get_destinations_batch_idx(self, keys)
         keys = self._columnar_keys(keys)
+        fresh = self._fresh()
         if self.ct.stats.miss_heavy:
             ch_idx, track = self._decide_batch_idx(keys)
             ids = found = self._indexer.ids_at(self.ch.backend_table(), ch_idx)
+            probed = None
+            if track is not None and fresh:
+                # No key outside the mask can be in the CT: probe the mask
+                # alone, every probed miss to be tracked.
+                probed = np.flatnonzero(track)
+                keys, found, track = keys.take(probed), found.take(probed), None
             hits, held = self.ct.get_hits_idx(keys)
-            ids[hits] = held
+            if probed is None:
+                ids[hits] = held
+            else:
+                ids[probed.take(hits)] = held
+                self.ct.stats.lookups += len(ids) - len(keys)
             if track is None:
                 track = np.ones(len(keys), dtype=bool)
             track[hits] = False
@@ -149,7 +173,30 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
             track = np.flatnonzero(track)
             keys, found = keys.take(track), found.take(track)
         self._track_batch_idx(keys, found)
+        if fresh:
+            self._stamp = self._state()
         return ids
+
+    def _state(self) -> tuple:
+        """What the CT's key set can have changed by since a stamp:
+        backend changes, and inserts into this CT object."""
+        ct = self.ct
+        return self._changes, ct, ct.stats.inserts
+
+    def _fresh(self) -> bool:
+        """Whether every key in the CT is one the tracking policy
+        selects (for JET: one the CH calls unsafe), so a key outside the
+        track mask cannot hit.  True while the CT is empty (which stamps
+        the state) and while the state is the stamp, which only the
+        balancer's own line-6 inserts renew.  A backend change (a tracked
+        key may turn safe), an insert it did not make (a pool's sync) or
+        a swapped CT voids it until the CT is empty again."""
+        state = self._state()
+        if state != self._stamp:
+            if len(self.ct):
+                return False
+            self._stamp = state
+        return True
 
     def _columnar_keys(self, keys: np.ndarray) -> np.ndarray:
         """``keys`` as uint64, with the CT storing backend ids."""

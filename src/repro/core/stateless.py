@@ -40,6 +40,8 @@ class StatelessLoadBalancer(LoadBalancer):
         # Stable id space for the columnar path: CH table positions
         # renumber under churn, dispatch ids must not.
         self._indexer = BackendIndexer()
+        #: Calls of the five backend-change entry points so far.
+        self._changes = 0
 
     @property
     def columnar_effective(self) -> bool:
@@ -65,6 +67,7 @@ class StatelessLoadBalancer(LoadBalancer):
     # go through its add/remove and the horizon entry points are no-ops.
     def add_working_server(self, name: Name) -> None:
         """ADDWORKINGSERVER (lines 8-10): ``name`` must be in the horizon."""
+        self._changes += 1
         if self._horizon_aware:
             self.ch.add_working(name)
         else:
@@ -73,6 +76,7 @@ class StatelessLoadBalancer(LoadBalancer):
 
     def remove_working_server(self, name: Name) -> None:
         """REMOVEWORKINGSERVER (lines 11-13): ``name`` joins the horizon."""
+        self._changes += 1
         if self._horizon_aware:
             self.ch.remove_working(name)
         else:
@@ -81,17 +85,20 @@ class StatelessLoadBalancer(LoadBalancer):
 
     def add_horizon_server(self, name: Name) -> None:
         """ADDHORIZONSERVER (line 14)."""
+        self._changes += 1
         if self._horizon_aware:
             self.ch.add_horizon(name)
 
     def remove_horizon_server(self, name: Name) -> None:
         """REMOVEHORIZONSERVER (line 15)."""
+        self._changes += 1
         if self._horizon_aware:
             self.ch.remove_horizon(name)
 
     def force_add_working_server(self, name: Name) -> None:
         """Unanticipated addition (violates the Section 2.3 contract; JET's
         PCC guarantee does not cover connections unsafe w.r.t. this server)."""
+        self._changes += 1
         if self._horizon_aware:
             self.ch.force_add_working(name)
         else:

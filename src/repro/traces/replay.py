@@ -15,10 +15,12 @@ tables vs. CH computations.  The scalar loop here measures interpreter
 dict/loop costs instead (~1-2 M packets/s, full CT ahead of JET); the
 columnar loop runs at 20-55 M packets/s on the bench's 2-vCPU reference
 box (``replay-steady``, seed 1, medians that drift ~15 % between
-sessions: Concury 48-55 M, JET 40-50 M, full CT 21-29 M), with JET
-ahead of full CT by 1.7-1.9x there and level with it on hit-heavy
-traces: the ratio is set by how many packets need a CT search or an
-insert more than by cache residency.  What does hinge on residency is
+sessions: Concury 48-55 M, JET 45-55 M, full CT 21-29 M), with JET
+ahead of full CT by ~2x there (2.0-2.1x with transparent huge pages on
+or off) and level with it on hit-heavy traces: the ratio is set by how
+many packets need a CT search or an insert more than by cache
+residency -- until a backend change, a packet JET calls safe asks
+nothing of its CT.  What does hinge on residency is
 the loop's own per-flow state: the first-destination column is gathered
 once per packet, so it is kept at the id space's width (int8 up to 128
 backends) and stays in L2 beside the CT.  Concury's CT-less kernel walks
@@ -288,7 +290,8 @@ def _publish_metrics(
 # bill of array calls (CT probe rounds, the insert) before its first
 # packet, and loses L2 residency once its temporaries grow too large.
 # From the 16k ... 512k sweep tabulated in docs/ALGORITHMS.md: the size
-# with the smallest worst loss over three stacks and two traces.
+# with the smallest worst loss over three stacks and two traces when it
+# was set; the latest sweep puts 262k ahead, a move left to bench pairs.
 DEFAULT_CHUNK = 131072
 
 

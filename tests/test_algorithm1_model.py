@@ -8,11 +8,12 @@ and ``lookup_union`` (CH(W ∪ H, k)) -- never a kernel and never
 
 One rule machine drives {jet, full} x {table, anchor, ring, hrw} x
 {scalar, columnar in slices of 1, 7 and the whole chunk} through
-arbitrary interleavings of packets, chunks and membership changes.  A
-chunk's keys all come from one small pool -- flows the CT holds, flows
-seen before, or fresh ones that repeat within the chunk -- so the CT's
-cumulative hit ratio crosses 1/2 both ways and the columnar dispatch
-runs in both of its orders.
+arbitrary interleavings of packets, chunks, membership changes and CT
+writes the balancer did not make (a pool peer's sync).  A chunk's keys
+all come from one small pool -- flows the CT holds, flows seen before,
+or fresh ones that repeat within the chunk -- so the CT's cumulative hit
+ratio crosses 1/2 both ways and the columnar dispatch runs in both of
+its orders.
 
 Each invariant is stated once:
 
@@ -91,6 +92,12 @@ class Algorithm1:
     def force_add_working_server(self, name):
         self.W.add(name)
 
+    def sync(self, key, destination):
+        """A CT write the balancer did not make: a pool peer's entry."""
+        if key not in self.ct:
+            self.inserts += 1
+        self.ct[key] = destination
+
 
 class Algorithm1Machine(RuleBasedStateMachine):
     @initialize(
@@ -159,6 +166,24 @@ class Algorithm1Machine(RuleBasedStateMachine):
     )
     def chunk(self, pool, picks):
         self._dispatch(self._keys(pool, picks), self.tier)
+
+    @rule(
+        pool=st.sampled_from(POOLS),
+        index=st.integers(0, 2**16),
+        server=st.integers(0, 64),
+    )
+    def sync(self, pool, index, server):
+        """A peer's entry put into the CT in its current encoding (names,
+        or ids once a columnar call has run), as LBPool's sync does; the
+        flow is at that destination from now on, and its next packet
+        arrives here."""
+        [key] = self._keys(pool, [index])
+        name = self._pick(self.model.W, server)
+        lb = self.lb
+        lb.ct.put(key, lb._indexer.get_id(name) if lb._ct_idx else name)
+        self.model.sync(key, name)
+        self.last[key] = (name, self.clock)
+        self._dispatch([key], self.tier)
 
     # ------------------------------------------------------ membership
     def _change(self, entry, name):

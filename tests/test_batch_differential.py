@@ -729,6 +729,7 @@ RUNS = {
     "churn": (lambda family: TRACE_6K, CHURN),
     "crossing": (_crossing_trace, CUTS),
     "drain": (lambda family: TRACE_6K, DRAIN),
+    "steady": (lambda family: TRACE_6K, ()),
 }
 CHUNKS = [1, 7, 4_096, DEFAULT_CHUNK]
 REPLAYED = ["hot-unsafe", "churn", "crossing"]
@@ -823,6 +824,120 @@ class TestColumnarJETEqualsScalar:
         assert sum(n for n, _ in served) == DRAINED
         with pytest.raises(BackendError):
             _scalar_run("jet", family, "drain")
+
+
+#: Each backend-change entry point, with a name it accepts on a fresh stack.
+CHANGES = {
+    "add_working_server": HORIZON[0],
+    "remove_working_server": WORKING[-1],
+    "add_horizon_server": "fresh",
+    "remove_horizon_server": HORIZON[-1],
+    "force_add_working_server": "fresh",
+}
+#: Modulo's conservative rule calls almost every key unsafe under a
+#: horizon, which leaves the sparse probe no key to skip.
+SPARSE_FAMILIES = [f for f in HORIZON_FAMILIES if f != "modulo"]
+
+
+class TestUnsafeOnlyProbe:
+    """Until a backend change, every key JET's CT holds is one the CH
+    calls unsafe, so the CH-first dispatch asks the CT for those keys
+    alone; a change, or a CT write JET did not make, sends every key
+    through the probe again until the CT is empty."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The key arrays ``UnboundedCT.get_hits_idx`` receives."""
+        probed = []
+        entry = UnboundedCT.get_hits_idx
+
+        def recorded(ct, keys):
+            probed.append(np.array(keys))
+            return entry(ct, keys)
+
+        monkeypatch.setattr(UnboundedCT, "get_hits_idx", recorded)
+        return probed
+
+    @staticmethod
+    def dispatch(lb, scalar_lb, keys):
+        """One chunk through ``lb`` and packet by packet through
+        ``scalar_lb``: names, CT contents and counters must agree."""
+        ids = lb.get_destinations_batch_idx(keys)
+        names = lb.dispatch_names()[ids].tolist()
+        assert names == [scalar_lb.get_destination(k) for k in keys.tolist()]
+        assert lb.tracked_items() == scalar_lb.tracked_items()
+        assert lb.ct.stats == scalar_lb.ct.stats
+        return names
+
+    @pytest.mark.parametrize("chunk_size", [1_000, DEFAULT_CHUNK])
+    @pytest.mark.parametrize("family", HORIZON_FAMILIES)
+    def test_event_free_replay_probes_the_unsafe_keys(
+        self, family, chunk_size, monkeypatch
+    ):
+        scalar, scalar_lb = _scalar_run("jet", family, "steady")
+        lb = _jet(family)
+        probed = self.spy(monkeypatch)
+        sparse = []  # per chunk: its keys, and what get_hits_idx received
+        dispatch = lb.get_destinations_batch_idx
+
+        def spied(keys):
+            calls = len(probed)
+            ids = dispatch(keys)
+            sparse.append((keys, probed[calls:]))
+            return ids
+
+        lb.get_destinations_batch_idx = spied
+        batched = replay_batch(TRACE_6K, lb, chunk_size=chunk_size)
+        assert _replay_fields(batched) == _replay_fields(scalar)
+        assert lb.ct.stats == scalar_lb.ct.stats
+        assert lb.tracked_items() == scalar_lb.tracked_items()
+        # Every CH-first chunk (the first at least; a CT-first one makes
+        # no sparse probe) asks for exactly its unsafe keys.
+        assert sparse[0][1]
+        for chunk, calls in sparse:
+            _, unsafe = lb.ch.lookup_with_safety_batch_idx(chunk)
+            assert [got.tolist() for got in calls] in ([], [chunk[unsafe].tolist()])
+
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    @pytest.mark.parametrize("family", SPARSE_FAMILIES)
+    def test_a_backend_change_probes_every_key_until_the_ct_empties(
+        self, family, change, monkeypatch
+    ):
+        if (family, change) == ("jump", "force_add_working_server"):
+            pytest.skip("Jump cannot force-add while a horizon exists")
+        lb, scalar_lb = _jet(family), _jet(family)
+        chunks = np.array_split(KEYS, 5)
+        probed = self.spy(monkeypatch)
+        self.dispatch(lb, scalar_lb, chunks[0])
+        assert len(probed[-1]) < len(chunks[0]) and len(lb.ct)
+        for balancer in (lb, scalar_lb):
+            getattr(balancer, change)(CHANGES[change])
+        assert len(lb.ct)
+        for chunk in chunks[1:3]:
+            self.dispatch(lb, scalar_lb, chunk)
+            assert probed[-1].tolist() == chunk.tolist()
+        for balancer in (lb, scalar_lb):
+            for key in list(balancer.ct):
+                balancer.ct.delete(key)
+        for chunk in chunks[3:]:
+            self.dispatch(lb, scalar_lb, chunk)
+            _, unsafe = lb.ch.lookup_with_safety_batch_idx(chunk)
+            assert probed[-1].tolist() == chunk[unsafe].tolist()
+
+    @pytest.mark.parametrize("encoding", ["names", "ids"])
+    @pytest.mark.parametrize("family", SPARSE_FAMILIES)
+    def test_a_foreign_put_of_a_safe_key_hits(self, family, encoding):
+        lb, scalar_lb = _jet(family), _jet(family)
+        if encoding == "ids":  # the first chunk moves the CT to ids
+            self.dispatch(lb, scalar_lb, KEYS[:500])
+        rest = KEYS[500:900]
+        safe = next(k for k in rest.tolist() if not lb.ch.lookup_with_safety(k)[1])
+        peer = next(w for w in WORKING if w != lb.ch.lookup(safe))
+        for balancer in (lb, scalar_lb):  # in the table's encoding, as LBPool syncs
+            value = balancer._indexer.get_id(peer) if balancer._ct_idx else peer
+            balancer.ct.put(safe, value)
+        keys = np.concatenate([np.array([safe], dtype=np.uint64), rest])
+        assert self.dispatch(lb, scalar_lb, keys)[0] == peer
 
 
 class TestBackendIndexerIdsAt:
