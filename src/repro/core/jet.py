@@ -30,8 +30,11 @@ chunk in one kernel call and the CT is asked for its hits alone;
 otherwise the CT is probed first and the CH asked for the misses.  The
 CH has no side effects, which makes the two orders agree exactly.  Line
 6 tracks only the keys the policy selects (JET: the unsafe), so until a
-backend change no other key can hit: while that holds, the CH-first
-order probes the selected keys alone and counts the rest as misses.
+backend change no other key can hit, and the CH-first order probes the
+selected keys alone and counts the rest as misses.  After a change the
+first CH-first chunk re-checks the CT: one kernel call over its keys
+marks the answers of those the CH now calls safe, and until the next
+change a key is probed if it is selected or its answer is marked.
 
 Removed-destination hygiene follows footnote 3: on ``remove_working_server``
 the table is cleaned either actively (drop all entries pointing at the dead
@@ -77,8 +80,13 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
         # The CT stores names until the first columnar call, ids after.
         self._ct_idx = False
         #: ``_state()`` as of the last moment every key in the CT was one
-        #: the tracking policy selects (see :meth:`_fresh`).
+        #: the tracking policy selects or one whose CH answer is marked
+        #: (see :meth:`_fresh`).
         self._stamp: Optional[tuple] = None
+        #: Per backend id, whether it is the CH answer of a key the CT
+        #: held and the CH called safe at the last :meth:`_recheck`; None
+        #: where no such key was found.
+        self._marked: Optional[np.ndarray] = None
 
     @property
     def columnar_effective(self) -> bool:
@@ -125,13 +133,13 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
         The order is the CT's regime before the chunk.  While most probes
         so far missed, the CH answers every key (lines 4-5 as one kernel
         call) and the CT its hits alone, which overwrite the CH answer and
-        are not tracked again; a miss then costs a kernel call and a
-        filter test, not a gather and a scatter.  While every key in the
-        CT is one the track mask selects (:meth:`_fresh`), the CT is asked
-        about the masked keys alone and the others count as lookups that
-        missed: a packet JET calls safe then costs the kernel call only.
-        Otherwise the CT answers first and the CH its misses.  The CH has
-        no side effects, so both orders give the same ids, CT and stats.
+        are not tracked again.  With a track mask, the CT is asked about
+        the masked keys and those whose CH answer is marked (:meth:`_fresh`,
+        else :meth:`_recheck`), the others count as lookups that missed,
+        and only masked misses are tracked: a packet JET calls safe then
+        costs the kernel call only.  Otherwise the CT answers first and
+        the CH its misses.  The CH has no side effects, so both orders
+        give the same ids, CT and stats.
 
         No Python string is materialized anywhere on this path; names
         exist only behind :meth:`dispatch_names`.  Raises unless
@@ -146,11 +154,16 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
             ch_idx, track = self._decide_batch_idx(keys)
             ids = found = self._indexer.ids_at(self.ch.backend_table(), ch_idx)
             probed = None
-            if track is not None and fresh:
-                # No key outside the mask can be in the CT: probe the mask
-                # alone, every probed miss to be tracked.
-                probed = np.flatnonzero(track)
-                keys, found, track = keys.take(probed), found.take(probed), None
+            if track is not None:
+                if not fresh:
+                    self._recheck()
+                    fresh = True
+                # No other key can be in the CT: probe these alone, and
+                # track the misses the mask selects.
+                marked = self._marked
+                probe = track if marked is None else track | marked.take(found)
+                probed = np.flatnonzero(probe)
+                keys, found, track = keys.take(probed), found.take(probed), track.take(probed)
             hits, held = self.ct.get_hits_idx(keys)
             if probed is None:
                 ids[hits] = held
@@ -185,18 +198,32 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
 
     def _fresh(self) -> bool:
         """Whether every key in the CT is one the tracking policy
-        selects (for JET: one the CH calls unsafe), so a key outside the
-        track mask cannot hit.  True while the CT is empty (which stamps
-        the state) and while the state is the stamp, which only the
-        balancer's own line-6 inserts renew.  A backend change (a tracked
-        key may turn safe), an insert it did not make (a pool's sync) or
-        a swapped CT voids it until the CT is empty again."""
+        selects (for JET: one the CH calls unsafe) or one whose CH answer
+        is marked, so no other key can hit.  True while the CT is empty
+        (which stamps the state and clears the marks) and while the state
+        is the stamp, which the balancer's own line-6 inserts and
+        :meth:`_recheck` renew.  A backend change (a tracked key may turn
+        safe), an insert it did not make (a pool's sync) or a swapped CT
+        voids it until the CT is empty or re-checked."""
         state = self._state()
         if state != self._stamp:
             if len(self.ct):
                 return False
-            self._stamp = state
+            self._stamp, self._marked = state, None
         return True
+
+    def _recheck(self) -> None:
+        """Make :meth:`_fresh` hold again over a non-empty CT: ask the CH
+        about every key it holds (one kernel call) and mark the answers
+        of those it calls safe.  Until the next change each such key
+        keeps its answer, and each other one its track bit."""
+        keys = self.ct.get_live_keys()
+        ch_idx, track = self._decide_batch_idx(keys)
+        ids = self._indexer.ids_at(self.ch.backend_table(), ch_idx)
+        marked = np.zeros(len(self._indexer), dtype=bool)
+        marked[ids[~track]] = True
+        self._marked = marked if marked.any() else None
+        self._stamp = self._state()
 
     def _columnar_keys(self, keys: np.ndarray) -> np.ndarray:
         """``keys`` as uint64, with the CT storing backend ids."""

@@ -63,8 +63,7 @@ class CTStats:
     def miss_heavy(self) -> bool:
         """Most lookups so far missed (``2·hits < lookups``), or none was
         made yet -- a table never probed answers its first probe from
-        nothing: the regime that picks the columnar dispatch order and
-        ``UnboundedCT``'s miss filter."""
+        nothing: the regime that picks the columnar dispatch order."""
         return 2 * self.hits < self.lookups or not self.lookups
 
 

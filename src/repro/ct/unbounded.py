@@ -26,12 +26,8 @@ in sync and ``get_batch_idx`` is a vectorized probe (~7 ns/key against
 * Growth rehashes the live entries into fresh arrays; that is also
   where tombstones are dropped.
 
-While most probes miss (JET's table: ~94 % of them), a probe -- dense
-(``get_batch_idx``, -1 per miss) or sparse (``get_hits_idx``, the hits
-alone) -- answers the misses from a *miss filter* instead of a probe-run
-search: ``1 << _FILTER_BITS`` bools per slot, one per slice of the slot's
-hash range, set for every key written since the arrays were built.  See
-:attr:`UnboundedCT._filter`.
+A table with no live entry -- a fresh one, or one holding only tombstones
+-- answers every probe as a miss without a search.
 """
 
 from __future__ import annotations
@@ -52,10 +48,6 @@ _ID_MAX = np.iinfo(np.int32).max
 #: left.  Measured on the bench's steady trace (probe + insert, both
 #: tracking stacks): flat from 16 to 64, 5-25 % worse at 0 and at 256.
 _WALK = 32
-#: log2 of the miss-filter buckets per probed slot.  Round-robin sweep of
-#: the bench's steady JET replay in one process (docs/ALGORITHMS.md): 4 and
-#: 8 buckets level, 2 at half their gain, 1 at none -- so the smaller.
-_FILTER_BITS = 2
 
 
 def _checked_ids(ids) -> np.ndarray:
@@ -82,14 +74,6 @@ class UnboundedCT(ConnectionTracker):
         self._shift = np.uint64(0)
         self._live = 0  # entries with a value >= 0, key 0 included
         self._dead = 0  # tombstones written since the arrays were built
-        #: The miss filter, ``size << _FILTER_BITS`` bools, or None: bucket
-        #: ``b`` is set iff some key whose hash starts with ``b`` was
-        #: written since the arrays were built -- a clear bucket proves a
-        #: miss.  Built from the stored keys by the first probe of a
-        #: miss-heavy table (:meth:`_probe`), kept up by every
-        #: write, never cleared by a tombstone (so it has no false
-        #: negative), dropped with the arrays it describes.
-        self._filter: Optional[np.ndarray] = None
 
     def get(self, key: int) -> Optional[Destination]:
         self.stats.lookups += 1
@@ -114,8 +98,6 @@ class UnboundedCT(ConnectionTracker):
                 self._live += 1
             self._keys[slot] = key
             self._vals[slot] = ident
-            if self._filter is not None:
-                self._filter[self._bucket_of(key)] = True
         self._note_size()
 
     # ------------------------------------------------- integer-index mode
@@ -131,13 +113,7 @@ class UnboundedCT(ConnectionTracker):
         Semantically ``[get(k) for k in keys]`` with ``None -> -1``, stats
         totals included (updated once per batch).
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        searched, found = self._probe(keys)
-        if searched is None:
-            return found
-        out = np.full(len(keys), -1, dtype=np.int32)
-        out[searched] = found
-        return out
+        return self._probe(np.asarray(keys, dtype=np.uint64))
 
     def get_hits_idx(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The same probe in sparse form: ``(positions, ids)``, where
@@ -145,36 +121,28 @@ class UnboundedCT(ConnectionTracker):
         :meth:`get_batch_idx` would give as ids >= 0; the stats move
         exactly as there.  A caller that already holds an answer for
         every key (JET's CH verdict) overwrites the hits alone."""
-        searched, found = self._probe(np.asarray(keys, dtype=np.uint64))
+        found = self._probe(np.asarray(keys, dtype=np.uint64))
         hit = np.flatnonzero(found >= 0)
-        return (hit if searched is None else searched.take(hit)), found.take(hit)
+        return hit, found.take(hit)
 
-    def _probe(self, keys: np.ndarray) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """``(searched, found)``: the stored id, or -1, of the keys at
-        positions ``searched`` (every key where it is None -- no filter
-        test ran); every other key is a miss.  Counts the batch."""
+    def get_live_keys(self) -> np.ndarray:
+        """The keys of the live entries, as uint64, in no set order."""
+        if self._table is not None:
+            return np.fromiter(self._table, dtype=np.uint64, count=len(self._table))
+        return self._keys[np.flatnonzero(self._vals >= 0)]
+
+    def _probe(self, keys: np.ndarray) -> np.ndarray:
+        """The stored id of each key, or -1; counts the batch."""
         if self._table is not None:
             self._engage()
         stats = self.stats
-        if stats.miss_heavy:
-            # Most probes so far missed, and an unsuccessful search is the
-            # long one: search only where the filter cannot rule it out.
-            # (A hit-heavy table skips this: measured on full CT, the
-            # extra gather costs more than the few searches it saves.)
-            if self._filter is None:
-                self._build_filter()
-            buckets = self._buckets(keys)
-            searched = np.flatnonzero(self._filter.take(buckets))
-            probed = keys.take(searched)
-            # The bucket's top bits are the home slot: no second hash.
-            slots = self._home(probed, buckets.take(searched) >> _FILTER_BITS)
-        else:
-            searched, probed = None, keys
-            slots = self._home(keys)
-        found = self._vals.take(self._settle(probed, slots))
         stats.lookups += len(keys)
+        if not self._live:
+            # Nothing to find: no probe run is worth a search.
+            return np.full(len(keys), -1, dtype=np.int32)
+        found = self._vals.take(self._settle(keys, self._home(keys)))
         stats.hits += int(np.count_nonzero(found >= 0))
-        return searched, found
+        return found
 
     def put_batch_idx(self, keys: np.ndarray, ids: np.ndarray) -> int:
         """Bulk insert of int backend-ids, in array order; engages index
@@ -225,7 +193,8 @@ class UnboundedCT(ConnectionTracker):
         self._table = self._keys = self._vals = None
         self._live = 0
         self._reserve(count)
-        self._insert(keys, ids)
+        if count:
+            self._insert(keys, ids)
         self._live = count
 
     def _reserve(self, incoming: int) -> None:
@@ -248,44 +217,18 @@ class UnboundedCT(ConnectionTracker):
         self._vals = np.full(size + 1, -1, dtype=np.int32)
         self._shift = np.uint64(64 - (size.bit_length() - 1))
         self._dead = 0
-        self._filter = None
         if old_keys is not None:
             live = np.flatnonzero(old_vals >= 0)
             self._insert(old_keys[live], old_vals[live])
 
-    @staticmethod
-    def _top_bits(keys: np.ndarray, drop: np.uint64) -> np.ndarray:
-        """The multiply-shift product of each key without its ``drop`` low
-        bits, as indices (< 2**62: the same bits signed or not)."""
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        """Multiply-shift home slot per key (the product's top bits, as
+        indices < 2**62: the same bits signed or not); key 0 -> the side
+        slot."""
         with np.errstate(over="ignore"):
-            bits = keys * _GAMMA
-        bits >>= drop
-        return bits.view(np.int64)
-
-    def _buckets(self, keys: np.ndarray) -> np.ndarray:
-        """Filter bucket per key: the bits that pick the home slot and
-        ``_FILTER_BITS`` more, so ``home == bucket >> _FILTER_BITS``;
-        key 0 -> bucket 0."""
-        return self._top_bits(keys, self._shift - np.uint64(_FILTER_BITS))
-
-    def _bucket_of(self, key: int) -> int:
-        """:meth:`_buckets` for one key, in Python ints."""
-        product = (int(key) * int(_GAMMA)) & 0xFFFFFFFFFFFFFFFF
-        return product >> (int(self._shift) - _FILTER_BITS)
-
-    def _build_filter(self) -> None:
-        """The filter of the keys the arrays hold, live or tombstoned."""
-        keys = self._keys
-        self._filter = np.zeros((len(keys) - 1) << _FILTER_BITS, dtype=bool)
-        self._filter[self._buckets(keys[np.flatnonzero(keys)])] = True
-        if self._vals[-1] >= 0:  # flow key 0, in the side slot
-            self._filter[0] = True
-
-    def _home(self, keys: np.ndarray, slots: Optional[np.ndarray] = None) -> np.ndarray:
-        """Multiply-shift home slot per key (``slots``, when the caller
-        already holds them, is updated in place); key 0 -> the side slot."""
-        if slots is None:
-            slots = self._top_bits(keys, self._shift)
+            slots = keys * _GAMMA
+        slots >>= self._shift
+        slots = slots.view(np.int64)
         if np.count_nonzero(keys) < len(keys):
             slots[keys == _EMPTY] = len(self._keys) - 1
         return slots
@@ -330,7 +273,8 @@ class UnboundedCT(ConnectionTracker):
         key = int(key)
         if key == 0:
             return len(self._keys) - 1
-        return self._walk(key, self._bucket_of(key) >> _FILTER_BITS)
+        home = ((key * int(_GAMMA)) & 0xFFFFFFFFFFFFFFFF) >> int(self._shift)
+        return self._walk(key, home)
 
     def _insert(self, keys: np.ndarray, vals: np.ndarray) -> int:
         """Vectorized linear-probe insert (capacity ensured); returns how
@@ -342,8 +286,6 @@ class UnboundedCT(ConnectionTracker):
         applies them in array order.
         """
         table_keys, table_vals = self._keys, self._vals
-        if self._filter is not None:
-            self._filter[self._buckets(keys)] = True
         slots = self._settle(keys, self._home(keys))
         # A live key sits in one slot, which all of its repeats reached.
         overwritten = count_distinct(slots[table_vals.take(slots) >= 0])
@@ -381,8 +323,7 @@ class UnboundedCT(ConnectionTracker):
     def nbytes(self) -> int:
         if self._table is not None:
             return super().nbytes
-        filter_bytes = self._filter.nbytes if self._filter is not None else 0
-        return self._keys.nbytes + self._vals.nbytes + filter_bytes
+        return self._keys.nbytes + self._vals.nbytes
 
     def __len__(self) -> int:
         return len(self._table) if self._table is not None else self._live
@@ -390,7 +331,7 @@ class UnboundedCT(ConnectionTracker):
     def __iter__(self) -> Iterator[int]:
         if self._table is not None:
             return iter(list(self._table))
-        return iter(self._keys[np.flatnonzero(self._vals >= 0)].tolist())
+        return iter(self.get_live_keys().tolist())
 
     def items(self) -> Iterator[Tuple[int, Destination]]:
         if self._table is not None:

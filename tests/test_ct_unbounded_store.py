@@ -12,11 +12,11 @@ probe runs are long and wrap;
 the machine runs once with the shipped straggler threshold (its batches
 then settle by the Python walk alone) and once with a threshold of 2
 (vectorized rounds, then the walk), and once each with its ``CTStats``
-seeded so that every batched probe goes through the miss filter, or none
-does.  The example tests below pin the probe on a crafted long run, the
+seeded miss-heavy and hit-heavy, a regime the store itself must not
+read.  The example tests below pin the probe on a crafted long run, the
 table size against the batching, the edge values at the index-mode
-boundary, what the store holds in each mode and which balancer's table
-ever allocates the filter.
+boundary, what the store holds in each mode, the table with nothing
+live, and which order each balancer's table picks for its dispatch.
 """
 
 import copy
@@ -119,10 +119,8 @@ class UnboundedCTMachine(RuleBasedStateMachine):
 
     @rule(keys=st.lists(KEYS, max_size=40))
     def get_batch_idx(self, keys):
-        miss_heavy = 2 * self.expected.hits < self.expected.lookups
         got = self.ct.get_batch_idx(u64(keys))
         assert got.dtype == np.int32
-        assert self.ct._filter is not None or not miss_heavy
         assert got.tolist() == [self.model.get(k, -1) for k in keys]
         self.expected.lookups += len(keys)
         self.expected.hits += sum(k in self.model for k in keys)
@@ -131,12 +129,10 @@ class UnboundedCTMachine(RuleBasedStateMachine):
     def get_hits_idx(self, keys):
         # The sparse probe is the dense one without its misses, counters
         # included: a twin of the table answers the dense call.
-        miss_heavy = 2 * self.expected.hits < self.expected.lookups
         twin = copy.deepcopy(self.ct)
         dense = twin.get_batch_idx(u64(keys))
         positions, ids = self.ct.get_hits_idx(u64(keys))
         assert ids.dtype == np.int32
-        assert self.ct._filter is not None or not miss_heavy
         assert positions.tolist() == np.flatnonzero(dense >= 0).tolist()
         assert ids.tolist() == dense[positions].tolist()
         assert self.ct.stats == twin.stats
@@ -190,17 +186,6 @@ class UnboundedCTMachine(RuleBasedStateMachine):
         if ct._keys is not None:
             assert_slots_agree(ct, self.model, POOL)
 
-    @invariant()
-    def filter_covers_every_stored_key(self):
-        # Live or tombstoned: a clear bucket must prove a miss.
-        ct = self.ct
-        if ct._filter is not None:
-            stored = ct._keys[np.flatnonzero(ct._keys)]
-            assert len(ct._filter) == (len(ct._keys) - 1) << unbounded._FILTER_BITS
-            assert ct._filter[ct._buckets(stored)].all()
-            assert all(ct._filter[ct._bucket_of(key)] for key in stored.tolist())
-            assert ct._filter[0] or 0 not in self.model
-
 
 def assert_slots_agree(ct, model, candidates):
     """The arrays, ``_slot_of``, the vectorized settle and the dict model
@@ -241,10 +226,6 @@ class MissHeavyMachine(UnboundedCTMachine):
 
 class HitHeavyMachine(UnboundedCTMachine):
     history = (10**9, 10**9)
-
-    @invariant()
-    def no_filter_is_ever_built(self):
-        assert self.ct._filter is None
 
 
 TestUnboundedCTStoreMissHeavy = MissHeavyMachine.TestCase
@@ -348,12 +329,14 @@ class TestSizedByConnections:
 
 
 class TestWhichTableBuildsTheFilter:
-    """A count gate on the probe regime: on a Zipf replay full CT's probes
-    mostly hit (every packet of a flow after its first), JET's mostly miss
-    (the safe flows are never tracked) -- so the first builds a filter
-    only for its first probe, into the empty table, and the second has
-    one from its first chunk on, and either way the replay is the scalar
-    one down to the CT counters."""
+    """On a Zipf replay full CT's probes mostly hit (every packet of a
+    flow after its first), JET's mostly miss (the safe flows are never
+    tracked): each table's own ``CTStats.miss_heavy`` before a chunk picks
+    that chunk's order -- CH first (the sparse ``get_hits_idx``) or CT
+    first (the dense ``get_batch_idx``) -- so full CT asks the CH first
+    only for its first chunk, into the never-probed table, and JET for
+    every chunk; either way the replay is the scalar one down to the CT
+    counters."""
 
     TRACE = zipf_trace(skew=1.1, n_packets=60_000, population=12_000, seed=9)
     CHUNK = 2_048
@@ -371,31 +354,33 @@ class TestWhichTableBuildsTheFilter:
     @pytest.mark.parametrize("family", ["table", "anchor"])
     @pytest.mark.parametrize("make", [make_jet, make_full_ct])
     def test_regime_follows_the_tables_own_stats(self, make, family, monkeypatch):
-        built = []  # lookups on the table's counter at each build
-        build = UnboundedCT._build_filter
-
-        def counted_build(ct):
-            built.append(ct.stats.lookups)
-            build(ct)
-
-        monkeypatch.setattr(UnboundedCT, "_build_filter", counted_build)
+        orders = []  # per chunk: (regime before it, the probe it made)
         balancers = [
             make(family, self.WORKING, self.HORIZON, **self.CH_KWARGS[family])
             for _ in range(2)
         ]
         scalar = replay(self.TRACE, balancers[0], self.events())
-        assert built == [] and balancers[0].ct._keys is None  # name mode throughout
+        assert balancers[0].ct._keys is None  # name mode throughout
+        ct = balancers[1].ct
+        for probe in ("get_hits_idx", "get_batch_idx"):
+            entry = getattr(UnboundedCT, probe)
+
+            def recorded(table, keys, entry=entry, probe=probe):
+                orders.append((table.stats.miss_heavy, probe))
+                return entry(table, keys)
+
+            monkeypatch.setattr(UnboundedCT, probe, recorded)
         columnar = replay_batch(
             self.TRACE, balancers[1], self.events(), chunk_size=self.CHUNK
         )
+        assert len(orders) > len(self.TRACE.packets) // self.CHUNK  # one a chunk
+        for miss_heavy, probe in orders:
+            assert probe == ("get_hits_idx" if miss_heavy else "get_batch_idx")
+        sparse = [probe == "get_hits_idx" for _, probe in orders]
         if make is make_full_ct:
-            # A never-probed table counts as miss-heavy; the first insert's
-            # rehash drops its filter, and the hit-heavy table builds none.
-            assert built == [0] and balancers[1].ct._filter is None
+            assert sparse[0] and not any(sparse[1:])
         else:
-            # From the first probe on, and again after each rehash.
-            assert built[0] == 0 and len(built) > 1
-            assert balancers[1].ct._filter is not None
+            assert all(sparse) and ct.stats.miss_heavy
         for field in (
             "pcc_violations", "inevitably_broken", "tracked_connections",
             "max_oversubscription", "server_loads", "ct_peak_size",
@@ -497,6 +482,34 @@ class TestIndexModeEdgeValues:
         assert ct.stats.inserts == 4 and ct.stats.invalidations == 1
 
 
+class TestNothingLive:
+    """A table with no live entry answers a probe as a miss without a
+    search, and counts its lookups all the same."""
+
+    def empty(self, how):
+        ct = UnboundedCT()
+        if how == "tombstones":
+            ct.put_batch_idx(u64(POOL), np.zeros(len(POOL), np.int32))
+            assert ct.invalidate_destination(0) == len(POOL) and len(ct) == 0
+        return ct
+
+    @pytest.mark.parametrize("how", ["fresh", "tombstones"])
+    def test_probe_makes_no_search(self, how, monkeypatch):
+        ct = self.empty(how)
+        before = CTStats(**vars(ct.stats))
+
+        def searched(*args):
+            raise AssertionError("a table with nothing live searched")
+
+        monkeypatch.setattr(UnboundedCT, "_settle", searched)
+        assert ct.get_batch_idx(u64(POOL)).tolist() == [-1] * len(POOL)
+        positions, ids = ct.get_hits_idx(u64(POOL[:9]))
+        assert positions.size == ids.size == 0 and ids.dtype == np.int32
+        assert ct._table is None
+        assert ct.stats.lookups == before.lookups + len(POOL) + 9
+        assert ct.stats.hits == before.hits
+
+
 class TestStoreBytes:
     def test_nbytes_reads_the_store_in_each_mode(self):
         ct = UnboundedCT()
@@ -504,13 +517,13 @@ class TestStoreBytes:
             ct.put(key, "w1")
         assert ct.nbytes == sys.getsizeof(ct._table) + 36 * len(POOL)
         ct.remap_values(lambda name: 0)
-        assert ct._filter is None
-        assert ct.nbytes == ct._keys.nbytes + ct._vals.nbytes
-        # The miss filter counts while it exists: a third of the slots' bytes.
+        # A uint64 key and an int32 id per slot, the side slot included,
+        # however the table is probed.
+        assert ct.nbytes == 12 * len(ct._keys)
         for _ in range(2):
             assert ct.get_batch_idx(u64([5, 6, 7])).tolist() == [-1, -1, -1]
-        assert ct._filter.nbytes == 4 * (len(ct._keys) - 1)
-        assert ct.nbytes == ct._keys.nbytes + ct._vals.nbytes + ct._filter.nbytes
+            ct.get_hits_idx(u64([5, 6, 7]))
+        assert ct.nbytes == ct._keys.nbytes + ct._vals.nbytes == 12 * len(ct._keys)
 
     def test_ct_approx_bytes_does_not_walk_the_entries(self):
         lb = FullCTLoadBalancer(TableHRWHash(["a", "b", "c"], ["h"], rows=53))
