@@ -13,9 +13,10 @@ Compared to a plain table-based CH, JET costs exactly one Boolean per row
 :class:`TableHRWHash` keeps numpy-vectorized rows.  State is five row
 arrays (winner id + weight, horizon-max id + weight, ``TR``) and one seed
 per server; no per-server weight column is stored.  A membership event
-recomputes weights only where Algorithm 4 says rows can change: one
-full-length mix for the moving server, plus a |W| x owned (or |H| x held)
-tile for the rows it gives up -- O(rows + |W|·owned), and memory
+recomputes weights only where Algorithm 4 says rows can change: one mix
+for the moving server (over the ``TR`` rows alone when it joins a
+non-empty ``W``), plus a |W| x owned (or |H| x held) tile for the rows it
+gives up -- O(rows + |W|·owned), and memory
 independent of |W ∪ H|, which is what the paper's "300 copies per server"
 tables need at n=500.  The tests hold it to a loop-based transcription of
 Algorithm 4 (``tests/table_hrw_reference.py``).
@@ -192,15 +193,18 @@ class TableHRWHash(HorizonConsistentHash):
     def add_working(self, name: Name) -> None:
         """ADDWORKINGSERVER (Algorithm 4 lines 9-15), vectorized."""
         sid = self._move(name, self._horizon_ids, self._working_ids, "is not in the horizon")
-        w = self._weights_of(sid)
         if len(self._working_ids) > 1:
-            # Only TR rows can change winner (elsewhere s, from H, loses).
+            # Only TR rows can change winner (elsewhere s, from H, loses),
+            # so s's weight is mixed on those rows alone.
             live = np.flatnonzero(self._tr)
-            wins = live[w[live] > self._ch_w[live]]
+            w = v_mix2(int(self._seeds[sid]), self._row_hashes.take(live))
+            beats = np.flatnonzero(w > self._ch_w.take(live))
+            wins, w = live.take(beats), w.take(beats)
         else:
             wins = live = slice(None)  # no incumbent: every row goes to s
+            w = self._weights_of(sid)
         self._ch[wins] = sid
-        self._ch_w[wins] = w[wins]
+        self._ch_w[wins] = w
         self._leave_horizon_max(sid)
         self._refresh_tr(live)
 

@@ -139,7 +139,9 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
         and only masked misses are tracked: a packet JET calls safe then
         costs the kernel call only.  Otherwise the CT answers first and
         the CH its misses.  The CH has no side effects, so both orders
-        give the same ids, CT and stats.
+        give the same ids, CT and stats.  Either way the CT searches a
+        key once: the insert writes each tracked miss where the probe's
+        search for it ended.
 
         No Python string is materialized anywhere on this path; names
         exist only behind :meth:`dispatch_names`.  Raises unless
@@ -173,19 +175,22 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
             if track is None:
                 track = np.ones(len(keys), dtype=bool)
             track[hits] = False
+            at = np.flatnonzero(track)
+            keys, found = keys.take(at), found.take(at)
         else:
             ids = self.ct.get_batch_idx(keys)
-            miss = np.flatnonzero(ids < 0)
+            at = miss = np.flatnonzero(ids < 0)
             if not miss.size:
                 return ids
             keys = keys.take(miss)
             ch_idx, track = self._decide_batch_idx(keys)
             found = self._indexer.ids_at(self.ch.backend_table(), ch_idx)
             ids[miss] = found
-        if track is not None:
-            track = np.flatnonzero(track)
-            keys, found = keys.take(track), found.take(track)
-        self._track_batch_idx(keys, found)
+            if track is not None:
+                track = np.flatnonzero(track)
+                keys, found, at = keys.take(track), found.take(track), miss.take(track)
+        # ``at``: where each key to track sat in the keys the CT probed.
+        self._track_batch_idx(keys, found, at)
         if fresh:
             self._stamp = self._state()
         return ids
@@ -232,10 +237,11 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
             self._ct_idx = True
         return np.asarray(keys, dtype=np.uint64)
 
-    def _track_batch_idx(self, keys: np.ndarray, ids: np.ndarray) -> None:
-        """Insert a chunk's CT misses to track (line 6)."""
+    def _track_batch_idx(self, keys: np.ndarray, ids: np.ndarray, at: np.ndarray) -> None:
+        """Insert a chunk's CT misses to track (line 6), each where the
+        chunk's probe, in whose keys it sat at position ``at``, ended."""
         if keys.size:
-            distinct = self.ct.put_batch_idx(keys, ids)
+            distinct = self.ct.put_batch_idx(keys, ids, at)
             # The chunk was probed before its misses went in: repeats of
             # a flow first tracked here probed as misses where the scalar
             # spec (get, then put, per packet) counts hits.  Exact, as an

@@ -28,6 +28,11 @@ in sync and ``get_batch_idx`` is a vectorized probe (~7 ns/key against
 
 A table with no live entry -- a fresh one, or one holding only tombstones
 -- answers every probe as a miss without a search.
+
+A probe that searched keeps where each key's search ended, and
+``put_batch_idx`` may write the keys that probe missed right there: a
+columnar dispatch then searches each key once, not once to probe and once
+more to insert.  A rehash, or a scalar ``put``, drops what it kept.
 """
 
 from __future__ import annotations
@@ -43,10 +48,14 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 #: Slots with key 0 are empty (flow key 0 lives in the side slot).
 _EMPTY = np.uint64(0)
 _ID_MAX = np.iinfo(np.int32).max
-#: :meth:`UnboundedCT._settle` walks this many pending keys or fewer in
-#: Python: a vectorized round costs ~10 array calls however few keys are
-#: left.  Measured on the bench's steady trace (probe + insert, both
-#: tracking stacks): flat from 16 to 64, 5-25 % worse at 0 and at 256.
+#: :meth:`UnboundedCT._settle` advances at most this many pending keys
+#: by ``_STRIDE`` slots a round (one 2-D gather), and more of them by one
+#: slot a round: the few keys left on the longest runs would otherwise
+#: pay a round of array calls per slot.
+_TAIL = 256
+_STRIDE = 16
+_STEPS = np.arange(1, _STRIDE + 1, dtype=np.intp)
+#: ... and walks this many pending keys or fewer in Python.
 _WALK = 32
 
 
@@ -74,6 +83,9 @@ class UnboundedCT(ConnectionTracker):
         self._shift = np.uint64(0)
         self._live = 0  # entries with a value >= 0, key 0 included
         self._dead = 0  # tombstones written since the arrays were built
+        #: Where the last probe's search ended for each of its keys; None
+        #: after a rehash, a scalar put or a probe that made no search.
+        self._ends: Optional[np.ndarray] = None
 
     def get(self, key: int) -> Optional[Destination]:
         self.stats.lookups += 1
@@ -92,6 +104,7 @@ class UnboundedCT(ConnectionTracker):
         else:
             ident = _checked_ids(destination)
             self._reserve(1)
+            self._ends = None  # this write may void the kept ends
             slot = self._slot_of(key)
             if self._vals[slot] < 0:
                 self.stats.inserts += 1
@@ -139,14 +152,24 @@ class UnboundedCT(ConnectionTracker):
         stats.lookups += len(keys)
         if not self._live:
             # Nothing to find: no probe run is worth a search.
+            self._ends = None
             return np.full(len(keys), -1, dtype=np.int32)
-        found = self._vals.take(self._settle(keys, self._home(keys)))
+        self._ends = self._settle(keys, self._home(keys))
+        found = self._vals.take(self._ends)
         stats.hits += int(np.count_nonzero(found >= 0))
         return found
 
-    def put_batch_idx(self, keys: np.ndarray, ids: np.ndarray) -> int:
+    def put_batch_idx(
+        self, keys: np.ndarray, ids: np.ndarray, probed: Optional[np.ndarray] = None
+    ) -> int:
         """Bulk insert of int backend-ids, in array order; engages index
         mode.  Ids outside ``[0, 2**31 - 1]`` raise ``ValueError``.
+
+        ``probed``, if given, holds each key's position in the keys of
+        the last probe of this table, which must have missed it: the
+        insert writes the key where that probe's search ended, and
+        searches only if nothing was kept (see the module docstring) or
+        another key of the batch took the slot first.
 
         Returns the number of distinct keys in the batch: the table is
         sized by it (by connections, not by their repeated packets), and
@@ -158,7 +181,9 @@ class UnboundedCT(ConnectionTracker):
             self._engage()
         distinct = count_distinct(keys)
         self._reserve(distinct)
-        inserts = distinct - self._insert(keys, ids)
+        ends, self._ends = self._ends, None
+        slots = ends.take(probed) if ends is not None and probed is not None else None
+        inserts = distinct - self._insert(keys, ids, slots)
         self._live += inserts
         self.stats.inserts += inserts
         self._note_size()
@@ -217,6 +242,7 @@ class UnboundedCT(ConnectionTracker):
         self._vals = np.full(size + 1, -1, dtype=np.int32)
         self._shift = np.uint64(64 - (size.bit_length() - 1))
         self._dead = 0
+        self._ends = None
         if old_keys is not None:
             live = np.flatnonzero(old_vals >= 0)
             self._insert(old_keys[live], old_vals[live])
@@ -241,7 +267,7 @@ class UnboundedCT(ConnectionTracker):
         resident = table_keys.take(slots)
         pending = np.flatnonzero((resident != keys) & (resident != _EMPTY))
         held, at = keys.take(pending), slots.take(pending)
-        while pending.size > _WALK:
+        while pending.size > _TAIL:
             at += 1
             at &= wrap
             slots[pending] = at
@@ -249,6 +275,21 @@ class UnboundedCT(ConnectionTracker):
             # (an index array: selecting by boolean mask costs ~4x this)
             go = np.flatnonzero((resident != held) & (resident != _EMPTY))
             pending, held, at = pending.take(go), held.take(go), at.take(go)
+        while pending.size > _WALK:
+            # The next _STRIDE slots of each pending key, row by row.
+            ahead = at[:, None] + _STEPS
+            ahead &= wrap
+            resident = table_keys.take(ahead)
+            end = resident == held[:, None]
+            end |= resident == _EMPTY
+            first = end.argmax(axis=1)  # the first end in a row, else 0
+            flat = np.arange(len(first)) * _STRIDE + first
+            ended = end.take(flat)
+            done = np.flatnonzero(ended)
+            slots[pending.take(done)] = ahead.take(flat.take(done))
+            go = np.flatnonzero(~ended)
+            pending, held = pending.take(go), held.take(go)
+            at = ahead[go, -1]
         if pending.size:
             # The stragglers sit on the longest runs: rounds that follow
             # them would scale with the run length, the walk does not.
@@ -276,19 +317,26 @@ class UnboundedCT(ConnectionTracker):
         home = ((key * int(_GAMMA)) & 0xFFFFFFFFFFFFFFFF) >> int(self._shift)
         return self._walk(key, home)
 
-    def _insert(self, keys: np.ndarray, vals: np.ndarray) -> int:
+    def _insert(
+        self, keys: np.ndarray, vals: np.ndarray, slots: Optional[np.ndarray] = None
+    ) -> int:
         """Vectorized linear-probe insert (capacity ensured); returns how
         many distinct keys of the batch were live already -- every other
-        distinct key fills an empty slot or revives a tombstone.
+        distinct key fills an empty slot or revives a tombstone.  Each key
+        goes where its search ends, or to ``slots``, where a probe that
+        missed every key found the ends already.
 
         Within-batch duplicate keys resolve to the last occurrence, like
         the dict: they settle on one slot and numpy fancy assignment
         applies them in array order.
         """
         table_keys, table_vals = self._keys, self._vals
-        slots = self._settle(keys, self._home(keys))
-        # A live key sits in one slot, which all of its repeats reached.
-        overwritten = count_distinct(slots[table_vals.take(slots) >= 0])
+        if slots is None:
+            slots = self._settle(keys, self._home(keys))
+            # A live key sits in one slot, which all of its repeats reached.
+            overwritten = count_distinct(slots[table_vals.take(slots) >= 0])
+        else:
+            overwritten = 0
         while True:
             # Distinct keys racing for one empty slot: the last written
             # stays, key and value alike, the others find it taken and

@@ -13,15 +13,16 @@ Rate caveat (documented in EXPERIMENTS.md): the paper measures a C++
 implementation where the effect at play is L1/L2 cache residency of CT
 tables vs. CH computations.  The scalar loop here measures interpreter
 dict/loop costs instead (~1-2 M packets/s, full CT ahead of JET); the
-columnar loop runs at 20-55 M packets/s on the bench's 2-vCPU reference
-box (``replay-steady``, seed 1, medians that drift ~15 % between
-sessions: Concury 48-55 M, JET 45-55 M, full CT 21-29 M), with JET
+columnar loop runs at 20-61 M packets/s on the bench's 2-vCPU reference
+box (``replay-steady``, seed 1, medians that drift ~15 % from one
+day to another: Concury 48-56 M, JET 45-61 M, full CT 21-29 M), with JET
 ahead of full CT by ~2x there (2.0-2.1x with transparent huge pages on
 or off) and level with it on hit-heavy traces: the ratio is set by how
 many packets need a CT search or an insert more than by cache
 residency -- until a backend change, a packet JET calls safe asks
-nothing of its CT.  What does hinge on residency is
-the loop's own per-flow state: the first-destination column is gathered
+nothing of its CT, and a key the CT misses is searched once, by the
+probe, whose slot the insert then writes.  What does hinge on residency
+is the loop's own per-flow state: the first-destination column is gathered
 once per packet, so it is kept at the id space's width (int8 up to 128
 backends) and stays in L2 beside the CT.  Concury's CT-less kernel walks
 each chunk in L2-sized tiles, so its rate is its hashing and two Othello
@@ -291,7 +292,10 @@ def _publish_metrics(
 # packet, and loses L2 residency once its temporaries grow too large.
 # From the 16k ... 512k sweep tabulated in docs/ALGORITHMS.md: the size
 # with the smallest worst loss over three stacks and two traces when it
-# was set; the latest sweep puts 262k ahead, a move left to bench pairs.
+# was set.  262 144, which the latest sweep puts ahead, was tried with
+# bench runs: JET read x1.08-1.12 in-process on ``replay-steady``, but
+# the memory probe of ``replay-sharded`` read a peak RSS of 87.0 against
+# 81.0 MiB in 3 of 3 runs, past the benchmark's 5 % bound.
 DEFAULT_CHUNK = 131072
 
 

@@ -6,17 +6,21 @@ included), ``invalidate_destination``, re-insertion of invalidated keys
 and growth across a rehash, in name mode and after the hand-over to the
 arrays, and requires equal contents, ``len`` and every ``CTStats`` field
 after each step; the sparse probe ``get_hits_idx`` must be the dense
-``get_batch_idx`` without its misses.  Its key pool holds one cluster
-that shares a home slot near the top of the table at every size, so
-probe runs are long and wrap;
-the machine runs once with the shipped straggler threshold (its batches
-then settle by the Python walk alone) and once with a threshold of 2
-(vectorized rounds, then the walk), and once each with its ``CTStats``
+``get_batch_idx`` without its misses, and a probe followed by the
+insert of its misses at the slots the probe's search ended on (the
+columnar dispatch's CT side) must store what the model stores, across a
+rehash between the two calls.  Its key pool holds one cluster that
+shares a home slot near the top of the table at every size, so probe
+runs are long and wrap, and distinct missing keys race for one empty
+slot; the machine runs once with the shipped straggler threshold (its
+batches then settle by the Python walk alone) and once with a threshold
+of 2 (strided rounds, then the walk), and once each with its ``CTStats``
 seeded miss-heavy and hit-heavy, a regime the store itself must not
 read.  The example tests below pin the probe on a crafted long run, the
-table size against the batching, the edge values at the index-mode
-boundary, what the store holds in each mode, the table with nothing
-live, and which order each balancer's table picks for its dispatch.
+insert that follows a probe, the table size against the batching, the
+edge values at the index-mode boundary, what the store holds in each
+mode, the table with nothing live, and which order each balancer's table
+picks for its dispatch.
 """
 
 import copy
@@ -142,6 +146,33 @@ class UnboundedCTMachine(RuleBasedStateMachine):
         self.expected.lookups += len(keys)
         self.expected.hits += len(hits)
 
+    @rule(
+        keys=st.lists(KEYS, max_size=40),
+        ident=IDS,
+        sparse=st.booleans(),
+        between=st.sampled_from([None, None, None, "grow", "put"]),
+    )
+    def probe_then_insert_misses(self, keys, ident, sparse, between):
+        # Probe, then put the misses where the probe's search ended, as
+        # the columnar dispatch does.  A growth or a scalar put of a
+        # missed key in between must void those slots.
+        if sparse:
+            positions, _ = self.ct.get_hits_idx(u64(keys))
+            miss = np.setdiff1d(np.arange(len(keys)), positions)
+        else:
+            miss = np.flatnonzero(self.ct.get_batch_idx(u64(keys)) < 0)
+        self.expected.lookups += len(keys)
+        self.expected.hits += sum(k in self.model for k in keys)
+        missed = [keys[i] for i in miss]
+        if between == "grow":
+            self.ct._reserve(300)
+        elif between == "put" and missed:
+            self.put(missed[-1], ident)
+        ids = [(ident + i) % 6 for i in range(len(missed))]  # repeats differ
+        self.ct.put_batch_idx(u64(missed), np.array(ids, np.int32), miss)
+        for key, i in zip(missed, ids):
+            self._model_put(key, i)
+
     @rule()
     def remap_values(self):
         self.ct.remap_values(lambda ident: ident)
@@ -239,8 +270,9 @@ class TestLongProbeRuns:
     """140 keys homed on the last ten of 256 slots, plus flow key 0: one
     run that starts at slot 246, wraps past slot 255 and holds the table
     at 0.55 load -- longer than the straggler threshold, so a whole-run
-    batch goes through vectorized rounds and ends in the walk, while a
-    small batch is walked from its first collision."""
+    batch goes through strided rounds (one-slot rounds first when the
+    tail threshold is below it) and ends in the walk, while a small
+    batch is walked from its first collision."""
 
     RUN = [key for top in range(246, 256) for key in homed(top, 14, bits=8)]
     #: Absent keys homed inside the run: their probe ends past its tail.
@@ -253,8 +285,14 @@ class TestLongProbeRuns:
         assert len(ct._keys) - 1 == 256 and len(ct) == 141 > 0.55 * 256
         return ct, model
 
-    @pytest.mark.parametrize("walk", [0, unbounded._WALK, 10**9])
-    def test_every_slot_agrees_whatever_finishes_the_probe(self, walk, monkeypatch):
+    #: ``(_TAIL, _WALK)``: one-slot rounds alone, strided rounds alone
+    #: (across the wrap), the shipped mix, and the walk alone.
+    @pytest.mark.parametrize(
+        "tail, walk",
+        [(0, 0), (10**9, 0), (unbounded._TAIL, unbounded._WALK), (10**9, 10**9)],
+    )
+    def test_every_slot_agrees_whatever_finishes_the_probe(self, tail, walk, monkeypatch):
+        monkeypatch.setattr(unbounded, "_TAIL", tail)
         monkeypatch.setattr(unbounded, "_WALK", walk)
         ct, model = self.filled()
         everyone = [0] + self.RUN + self.ABSENT
@@ -279,11 +317,104 @@ class TestLongProbeRuns:
     def test_walk_and_rounds_settle_on_the_same_slots(self, monkeypatch):
         ct, _ = self.filled()
         everyone = u64([0] + self.RUN + self.ABSENT)
-        slots = {}
-        for walk in (0, 10**9):
+        slots = []
+        for tail, walk in ((0, 0), (10**9, 0), (10**9, 10**9)):
+            monkeypatch.setattr(unbounded, "_TAIL", tail)
             monkeypatch.setattr(unbounded, "_WALK", walk)
-            slots[walk] = ct._settle(everyone, ct._home(everyone)).tolist()
-        assert slots[0] == slots[10**9]
+            slots.append(ct._settle(everyone, ct._home(everyone)).tolist())
+        assert slots[0] == slots[1] == slots[2]
+
+
+class TestInsertWhereTheProbeEnded:
+    """A probe keeps where each key's search ended, and the insert of
+    the keys it missed writes them there: no second search unless the
+    table rehashed in between, or distinct keys raced for one empty slot
+    (the losers search on from it)."""
+
+    FRESH = list(range(1 << 40, (1 << 40) + 200))  # grows the table to 512
+
+    @staticmethod
+    def searches(monkeypatch):
+        """The names of the search routines called from here on."""
+        calls = []
+        for name in ("_home", "_settle"):
+            entry = getattr(UnboundedCT, name)
+
+            def recorded(ct, *args, _entry=entry, _name=name):
+                calls.append(_name)
+                return _entry(ct, *args)
+
+            monkeypatch.setattr(UnboundedCT, name, recorded)
+        return calls
+
+    @staticmethod
+    def probe(ct, keys, sparse):
+        """The positions of the keys the probe missed."""
+        if sparse:
+            return np.setdiff1d(np.arange(len(keys)), ct.get_hits_idx(u64(keys))[0])
+        return np.flatnonzero(ct.get_batch_idx(u64(keys)) < 0)
+
+    def filled(self, held):
+        ct = UnboundedCT()
+        model = dict.fromkeys(self.FRESH + held, 1)
+        ct.put_batch_idx(u64(list(model)), np.ones(len(model), np.int32))
+        return ct, model
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_insert_after_a_probe_makes_no_search(self, sparse, monkeypatch):
+        ct, model = self.filled(POOL[1:41:2])
+        keys = POOL[:41] + POOL[:41:3]  # flow key 0 and repeats included
+        miss = self.probe(ct, keys, sparse)
+        calls = self.searches(monkeypatch)
+        missed = [keys[i] for i in miss]
+        ct.put_batch_idx(u64(missed), np.full(len(missed), 2, np.int32), miss)
+        assert calls == [] and 0 in missed
+        model.update(dict.fromkeys(missed, 2))
+        assert dict(ct.items()) == model and ct.stats.inserts == len(model)
+        assert_slots_agree(ct, model, POOL)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_a_rehash_in_between_voids_the_slots(self, sparse, monkeypatch):
+        ct, model = self.filled(POOL[1:41:2])
+        miss = self.probe(ct, POOL, sparse)
+        before = ct._keys
+        ct._reserve(1_000)
+        assert ct._keys is not before
+        calls = self.searches(monkeypatch)
+        missed = [POOL[i] for i in miss]
+        ct.put_batch_idx(u64(missed), np.full(len(missed), 2, np.int32), miss)
+        assert calls[0] == "_home"
+        model.update(dict.fromkeys(missed, 2))
+        assert dict(ct.items()) == model
+        assert_slots_agree(ct, model, POOL)
+
+    def test_racing_keys_search_on_from_the_slot_they_lost(self, monkeypatch):
+        cluster = homed(62, 12)
+        ct, model = UnboundedCT(), dict.fromkeys(cluster[:4], 0)
+        ct.put_batch_idx(u64(cluster[:4]), np.zeros(4, np.int32))
+        keys = cluster[4:] + cluster[4:6]
+        ends = ct.get_batch_idx(u64(keys))
+        assert ends.max() == -1 and len(set(ct._ends.tolist())) == 1  # one empty slot
+        calls = self.searches(monkeypatch)
+        ct.put_batch_idx(u64(keys), np.arange(len(keys), dtype=np.int32), np.arange(len(keys)))
+        assert "_home" not in calls and "_settle" in calls
+        model.update((key, i) for i, key in enumerate(keys))
+        assert dict(ct.items()) == model and ct.stats.inserts == 12
+        assert_slots_agree(ct, model, cluster)
+
+    def test_a_tombstone_is_revived_in_place(self, monkeypatch):
+        keys = POOL[:41]
+        ct, model = self.filled([])
+        ct.put_batch_idx(u64(keys), np.full(len(keys), 2, np.int32))
+        assert ct.invalidate_destination(2) == len(keys)
+        slots = [ct._slot_of(key) for key in keys]
+        miss = self.probe(ct, keys, sparse=False)
+        assert len(miss) == len(keys)
+        calls = self.searches(monkeypatch)
+        ct.put_batch_idx(u64(keys), np.full(len(keys), 3, np.int32), miss)
+        assert calls == [] and [ct._slot_of(key) for key in keys] == slots
+        model.update(dict.fromkeys(keys, 3))
+        assert dict(ct.items()) == model
 
 
 class TestSizedByConnections:
