@@ -17,7 +17,8 @@ Package map:
 - :mod:`repro.core`      -- the JET framework (Algorithm 1) + baselines
 - :mod:`repro.ch`        -- consistent hashes (HRW, Ring, Table, Anchor,
   Maglev, Jump, mod-N)
-- :mod:`repro.ct`        -- connection-tracking tables (LRU/FIFO/random)
+- :mod:`repro.ct`        -- connection-tracking tables (the unbounded
+  columnar table; LRU/FIFO/random/TTL)
 - :mod:`repro.sim`       -- the Section 5.1 event-driven simulator
 - :mod:`repro.traces`    -- synthetic traces + replay (Sections 5.2-5.3)
 - :mod:`repro.analysis`  -- balance/statistics helpers
@@ -61,7 +62,7 @@ from repro.faults import (
     chaos_mix,
 )
 from repro.hashing.keyed import hash_key
-from repro.net import FiveTuple, FiveTuple6, Packet
+from repro.net import FiveTuple
 from repro.sim import SimulationConfig, run_simulation
 from repro.traces import Trace, ny18_like, replay, uni1_like, zipf_trace
 
@@ -100,8 +101,6 @@ __all__ = [
     "make_ct",
     # networking + hashing
     "FiveTuple",
-    "FiveTuple6",
-    "Packet",
     "hash_key",
     # simulation + traces
     "SimulationConfig",

@@ -5,15 +5,10 @@ connections at the most loaded server divided by the average number of
 connections per active server.  1.0 is a perfect connection balance
 (which, as footnote 6 notes, is still not perfect *load* balance when
 flow sizes differ).
-
-Also provides the classic balls-into-bins expectation used by the paper's
-footnote 7 sanity check (Raab & Steger): for ``m`` balls in ``n`` bins
-with ``m >> n log n``, the maximum is ``m/n + Θ(sqrt(m log n / n))``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Hashable, Mapping
 
 
@@ -29,30 +24,3 @@ def max_oversubscription(loads: Mapping[Hashable, int], active_servers: int = No
         return 0.0
     return max(loads.values()) / (total / n)
 
-
-def jains_fairness(loads: Mapping[Hashable, int]) -> float:
-    """Jain's fairness index: 1.0 is perfectly fair, 1/n is worst."""
-    values = list(loads.values())
-    if not values:
-        return 1.0
-    total = sum(values)
-    squares = sum(v * v for v in values)
-    if squares == 0:
-        return 1.0
-    return total * total / (len(values) * squares)
-
-
-def expected_balls_in_bins_max(balls: int, bins: int) -> float:
-    """Raab-Steger expectation of the maximum bin occupancy (heavy-load
-    regime), for comparing measured oversubscription against theory."""
-    if balls <= 0 or bins <= 1:
-        return float(balls)
-    mean = balls / bins
-    return mean + math.sqrt(2 * mean * math.log(bins))
-
-
-def expected_oversubscription(balls: int, bins: int) -> float:
-    """Theoretical maximum oversubscription for uniform random placement."""
-    if balls <= 0 or bins <= 0:
-        return 0.0
-    return expected_balls_in_bins_max(balls, bins) / (balls / bins)

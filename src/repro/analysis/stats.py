@@ -63,11 +63,3 @@ def loglog_histogram(
         series.append((center, buckets[bin_index]))
     return series
 
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean (used for rate-ratio summaries)."""
-    if not values:
-        raise ValueError("geometric_mean needs at least one value")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric_mean needs positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

@@ -87,14 +87,6 @@ class MaglevHash(ConsistentHash):
         """Backend index -> name (replaced wholesale on each repopulation)."""
         return self._names_obj
 
-    def row_counts(self) -> Dict[Name, int]:
-        """Rows owned per backend (balance diagnostics)."""
-        counts: Dict[Name, int] = {name: 0 for name in self._perm_params}
-        for name in self._table:
-            if name is not None:
-                counts[name] += 1
-        return counts
-
     # --------------------------------------------------------- mutation
     def _register(self, name: Name) -> None:
         if name in self._perm_params:

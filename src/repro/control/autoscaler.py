@@ -33,7 +33,7 @@ fraction and PCC breakage.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.hashing.mix import splitmix64
@@ -63,15 +63,6 @@ class HorizonScorecard:
     def recall(self) -> Optional[float]:
         realized = self.matched + self.missed
         return self.matched / realized if realized else None
-
-    def as_dict(self) -> dict:
-        return {
-            "matched": self.matched,
-            "phantom": self.phantom,
-            "missed": self.missed,
-            "precision": self.precision,
-            "recall": self.recall,
-        }
 
 
 @dataclass(frozen=True)

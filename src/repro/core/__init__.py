@@ -6,7 +6,6 @@ from repro.core.full_ct import FullCTLoadBalancer
 from repro.core.stateless import StatelessLoadBalancer
 from repro.core.load_aware import BoundedLoadJET, PowerOfTwoJET
 from repro.core.lb_pool import LBPool
-from repro.core.safety import SafetyClass, SafetyReport, classify_event, classify_for_horizon
 from repro.core.factories import make_ch, make_full_ct, make_jet
 
 __all__ = [
@@ -18,10 +17,6 @@ __all__ = [
     "PowerOfTwoJET",
     "BoundedLoadJET",
     "LBPool",
-    "SafetyClass",
-    "SafetyReport",
-    "classify_event",
-    "classify_for_horizon",
     "make_ch",
     "make_jet",
     "make_full_ct",

@@ -171,18 +171,3 @@ def make_full_ct(
     machine identical to a paired JET run, which Proposition 4.1 requires.
     """
     return make_lb("full", family, working, horizon, ct, **ch_kwargs)
-
-
-def make_concury(
-    family: str,
-    working: Iterable[Name],
-    horizon: Iterable[Name] = (),
-    seed: int = 0,
-    flowsets: Optional[int] = None,
-    **ch_kwargs,
-) -> ConcuryLoadBalancer:
-    """Build a Concury LB: Othello flowset dataplane, ``family`` as the
-    *inner* control-plane CH deciding flowset placement."""
-    return make_lb(
-        "concury", family, working, horizon, master_seed=seed, flowsets=flowsets, **ch_kwargs
-    )

@@ -99,11 +99,6 @@ class BackendIndexer:
             self._names_arr = arr
         return self._names_arr
 
-    def decode(self, indices: np.ndarray) -> List[Name]:
-        """Names for an int32 id array (edge use only -- never hot path)."""
-        names = self.names
-        return [names[i] for i in np.asarray(indices).tolist()]
-
     def working_mask(self, working: Iterable[Name]) -> np.ndarray:
         """Bool array over ids: True where the id's name is in ``working``.
 

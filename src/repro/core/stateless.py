@@ -4,7 +4,7 @@ The Section 2 "static setting" baseline: apply the hash on every packet.
 PCC holds only while the backend is static; every unsafe connection breaks
 on the first backend change.  Useful as the lower envelope in PCC plots and
 to sanity-check the simulator (its violation count should match the
-number of unsafe connections the safety model predicts).
+number of connections the CH flags unsafe, Section 2.1).
 
 It is also the root of the balancer spectrum: what needs no connection
 table lives here once -- the five backend-change entry points (with the

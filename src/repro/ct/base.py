@@ -56,10 +56,6 @@ class CTStats:
         return self.lookups - self.hits
 
     @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
     def miss_heavy(self) -> bool:
         """Most lookups so far missed (``2·hits < lookups``), or none was
         made yet -- a table never probed answers its first probe from

@@ -10,23 +10,15 @@ The public surface:
 
 - :func:`splitmix64` -- fast single-round mixer (Steele et al.).
 - :func:`fmix64` -- MurmurHash3 finalizer; high-quality avalanche.
-- :func:`mix2` / :func:`mix3` -- combine multiple 64-bit values.
+- :func:`mix2` -- combine two 64-bit values.
 - :func:`xxhash64` -- full xxHash64 over bytes (reference-compatible).
 - :func:`fnv1a64` -- FNV-1a over bytes (simple, good for short names).
 - :func:`hash_str` / :func:`hash_int` -- convenience entry points.
-- :func:`to_unit` -- map a 64-bit hash onto the unit interval [0, 1).
 - :class:`KeyedHasher` -- per-(server, key) rendezvous weights with a
   precomputed server seed, the hot path of HRW-style lookups.
 """
 
-from repro.hashing.mix import (
-    MASK64,
-    fmix64,
-    mix2,
-    mix3,
-    splitmix64,
-    to_unit,
-)
+from repro.hashing.mix import MASK64, fmix64, mix2, splitmix64
 from repro.hashing.xxh import xxhash64
 from repro.hashing.fnv import fnv1a64
 from repro.hashing.keyed import KeyedHasher, hash_int, hash_str, server_seed
@@ -36,8 +28,6 @@ __all__ = [
     "splitmix64",
     "fmix64",
     "mix2",
-    "mix3",
-    "to_unit",
     "xxhash64",
     "fnv1a64",
     "KeyedHasher",

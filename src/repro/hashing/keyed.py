@@ -74,6 +74,3 @@ class KeyedHasher:
     def weight(self, key_hash: int) -> int:
         """Weight of this server for a pre-hashed key (64-bit int)."""
         return mix2(self.seed, key_hash)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"KeyedHasher({self.name!r})"

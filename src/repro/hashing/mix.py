@@ -47,18 +47,3 @@ def mix2(a: int, b: int) -> int:
     """
     return fmix64((a * _SM_GAMMA + b) & MASK64)
 
-
-def mix3(a: int, b: int, c: int) -> int:
-    """Combine three 64-bit values into one well-mixed 64-bit value."""
-    return fmix64((mix2(a, b) * _SM_GAMMA + c) & MASK64)
-
-
-def to_unit(h: int) -> float:
-    """Map a 64-bit hash onto the unit interval ``[0, 1)``.
-
-    Used by Ring hashing, whose positions live on the unit circle
-    (footnote 4 of the paper).  Only the top 53 bits are used so the
-    result is exactly representable and strictly below 1.0 (a plain
-    ``h / 2**64`` rounds the all-ones input up to 1.0).
-    """
-    return ((h & MASK64) >> 11) * (1.0 / (1 << 53))

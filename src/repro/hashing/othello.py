@@ -335,10 +335,3 @@ class Othello:
         the whole point of the Concury comparison.
         """
         return self.a.nbytes + self.b.nbytes
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def items(self):
-        """Control-plane view of the stored mapping, in key order."""
-        return zip(self._keys.tolist(), self.lookup_batch(self._keys).tolist())

@@ -1,8 +1,6 @@
-"""Flow, packet, and address models used by simulators and traces."""
+"""Connection identifiers, IPv4/Ethernet/VLAN parsing and pcap I/O."""
 
 from repro.net.flow import PROTO_TCP, PROTO_UDP, FiveTuple
-from repro.net.packet import Packet
-from repro.net.addresses import ServerPool, random_five_tuples
 from repro.net.parse import (
     ParseError,
     build_ethernet,
@@ -12,14 +10,9 @@ from repro.net.parse import (
     try_parse_ethernet,
 )
 from repro.net.pcap import PcapError, PcapPacket, read_pcap, write_pcap
-from repro.net.flow6 import FiveTuple6
-from repro.net.parse6 import build_ipv6, parse_ipv6
 
 __all__ = [
     "FiveTuple",
-    "Packet",
-    "ServerPool",
-    "random_five_tuples",
     "PROTO_TCP",
     "PROTO_UDP",
     "ParseError",
@@ -32,7 +25,4 @@ __all__ = [
     "PcapPacket",
     "read_pcap",
     "write_pcap",
-    "FiveTuple6",
-    "parse_ipv6",
-    "build_ipv6",
 ]

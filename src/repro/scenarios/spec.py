@@ -453,10 +453,6 @@ class EnvelopeSpec(_Section):
             )
         return self
 
-    def bounds(self) -> Dict[str, float]:
-        """The set bounds only (stable-keyed, for reports and benches)."""
-        return self.to_dict()
-
 
 # ---------------------------------------------------------------- the spec
 @dataclass(frozen=True)

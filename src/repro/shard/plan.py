@@ -99,6 +99,3 @@ class ShardPlan:
             else:
                 trailing.append(apply)
         return local, trailing
-
-    def packets_per_shard(self) -> List[int]:
-        return [len(pos) for pos in self.positions]

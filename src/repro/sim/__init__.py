@@ -19,7 +19,6 @@ from repro.sim.scenario import (
     PAPER_N_SERVERS,
     SimulationConfig,
     build_balancer,
-    run_paired,
     run_simulation,
 )
 from repro.sim.workload import Flow, WorkloadGenerator
@@ -41,7 +40,6 @@ __all__ = [
     "merge_sim_results",
     "SimulationConfig",
     "run_simulation",
-    "run_paired",
     "build_balancer",
     "WorkloadGenerator",
     "Flow",

@@ -236,11 +236,3 @@ def build_controller(config: SimulationConfig, arrival_rate: float, duration_dis
         instrument_controller(config.registry, controller)
     return controller
 
-
-def run_paired(config: SimulationConfig) -> Dict[str, SimResult]:
-    """Run JET and full CT on the *same seed* (identical event sequences);
-    the Proposition 4.1 comparison setup."""
-    return {
-        "jet": run_simulation(config.with_(mode="jet")),
-        "full": run_simulation(config.with_(mode="full")),
-    }

@@ -18,7 +18,7 @@ from repro.traces.replay import (
     replay,
     replay_batch,
 )
-from repro.traces.io import TraceWriter, cached_trace, load_trace, save_trace
+from repro.traces.io import TraceWriter, load_trace, save_trace
 from repro.traces.from_pcap import trace_from_pcap
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "TraceEvent",
     "save_trace",
     "load_trace",
-    "cached_trace",
     "TraceWriter",
     "trace_from_pcap",
 ]

@@ -15,7 +15,7 @@ behind Fig. 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -92,13 +92,6 @@ class Trace:
 
     def mean_flow_size(self) -> float:
         return self.n_packets / self.n_flows
-
-    # ------------------------------------------------------------ iter
-    def iter_packets(self) -> Iterator[Tuple[int, int]]:
-        """Yield ``(key, flow_index)`` per packet in order."""
-        keys = self.flow_keys
-        for flow_index in self.packets.tolist():
-            yield int(keys[flow_index]), flow_index
 
     def describe(self) -> str:
         sizes = self.flow_sizes()

@@ -1,7 +1,7 @@
 """Trace persistence: save/load traces as ``.npz`` archives.
 
-Generating a paper-scale trace takes longer than replaying it, so the
-benchmark harness caches traces on disk.  One file layout, two modes:
+Generating a paper-scale trace takes longer than replaying it, so
+traces are saved once and loaded per run.  One file layout, two modes:
 
 - ``save_trace(..., compressed=True)`` (the default) writes a standard
   ``np.savez_compressed`` archive -- smallest on disk, must be fully
@@ -23,7 +23,7 @@ still load and map, just unaligned.
 
 All writers are crash-safe: they write a temp file next to the
 destination and ``os.replace`` it into place, so a torn write never
-leaves a half-trace under the cache key.
+leaves a half-trace under the destination's name.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.traces.base import Trace
-
-#: Errors that mean "the cached file is unusable, regenerate it".
-_CACHE_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
 
 #: Stored members start at a multiple of this file offset (a cache line;
 #: npy headers pad the array data to 64 bytes past the member start).
@@ -319,33 +316,3 @@ class TraceWriter:
         else:
             self.abort()
 
-
-def cached_trace(
-    factory,
-    cache_dir: Union[str, Path],
-    tag: str,
-    mmap: bool = False,
-) -> Trace:
-    """Return a cached trace, generating and caching it on first use.
-
-    An unreadable cache entry (truncated write from a killed process,
-    foreign file under our key) is regenerated, not fatal.  Saves are
-    atomic, so concurrent writers race benignly: every ``os.replace``
-    publishes a complete file and the last one wins.
-    """
-    cache_dir = Path(cache_dir)
-    path = _with_npz_suffix(cache_dir / tag)
-    if path.exists():
-        try:
-            return load_trace(path, mmap=mmap)
-        except _CACHE_ERRORS:
-            pass  # fall through and regenerate
-    trace = factory()
-    try:
-        save_trace(trace, path, compressed=not mmap)
-    except OSError:
-        pass  # caching is best-effort (read-only filesystems)
-    else:
-        if mmap:
-            return load_trace(path, mmap=True)
-    return trace

@@ -7,13 +7,33 @@ import pytest
 from repro.analysis import (
     MeanStd,
     aggregate,
-    expected_balls_in_bins_max,
-    expected_oversubscription,
-    geometric_mean,
-    jains_fairness,
     loglog_histogram,
     max_oversubscription,
 )
+
+
+# Reference balance figures the library does not compute: Jain's index and
+# the Raab-Steger balls-into-bins maximum (the paper's footnote 7 sanity
+# check: ``m/n + sqrt(2 (m/n) ln n)`` for ``m >> n log n``).
+def jains_fairness(loads):
+    values = list(loads.values())
+    squares = sum(v * v for v in values)
+    return sum(values) ** 2 / (len(values) * squares) if squares else 1.0
+
+
+def expected_balls_in_bins_max(balls, bins):
+    mean = balls / bins
+    return mean + math.sqrt(2 * mean * math.log(bins))
+
+
+def expected_oversubscription(balls, bins):
+    return expected_balls_in_bins_max(balls, bins) / (balls / bins)
+
+
+def geometric_mean(values):
+    if not values or any(v <= 0 for v in values):
+        raise ValueError("geometric_mean needs positive values")
+    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 class TestAggregate:

@@ -32,6 +32,7 @@ from repro.core import (
     make_full_ct,
     make_jet,
 )
+from repro.core.factories import make_lb
 from repro.core.indexing import BackendIndexer
 from repro.ct import LRUCT, UnboundedCT
 from repro.sim import SimulationConfig, run_simulation
@@ -408,10 +409,8 @@ def build_lb(family, mode):
     cannot nest inside itself; callers skip those cells.
     """
     if mode == "concury":
-        from repro.core.factories import make_concury
-
-        return make_concury(family, WORKING, HORIZON, flowsets=512,
-                            **_ch_kwargs(family))
+        return make_lb("concury", family, WORKING, HORIZON, flowsets=512,
+                       **_ch_kwargs(family))
     if family == "maglev":
         if mode == "full-ct":
             return make_full_ct("maglev", WORKING, table_size=251)
@@ -994,7 +993,7 @@ class TestBackendIndexerIdsAt:
         positions = ch.lookup_batch_idx(KEYS[:300])
         got = self.assert_ids_at(indexer, ch.backend_table(), positions)
         assert got is not positions
-        assert indexer.decode(got) == [ch.lookup(k) for k in KEYS[:300].tolist()]
+        assert [indexer.names[i] for i in got.tolist()] == [ch.lookup(k) for k in KEYS[:300].tolist()]
 
 
 def test_samples_stop_at_duration():

@@ -15,7 +15,7 @@ import pytest
 from repro.ch import BackendError, ConcuryHash
 from repro.ch.properties import sample_keys
 from repro.core.concury import ConcuryLoadBalancer
-from repro.core.factories import make_concury, make_jet, make_lb
+from repro.core.factories import make_jet, make_lb
 from repro.hashing.othello import Othello
 from repro.hashing.vector import _TILE_KEYS
 
@@ -162,22 +162,19 @@ class TestMemoryModel:
 
 class TestLoadBalancer:
     def test_factory_and_registry(self):
-        lb = make_concury("table", WORKING, HORIZON, flowsets=512, rows=389)
+        lb = make_lb("concury", "table", WORKING, HORIZON, flowsets=512, rows=389)
         assert isinstance(lb, ConcuryLoadBalancer)
-        via_mode = make_lb("concury", "table", WORKING, HORIZON,
-                           flowsets=512, rows=389)
-        assert isinstance(via_mode, ConcuryLoadBalancer)
         with pytest.raises(TypeError):
             ConcuryLoadBalancer(build()._inner)
 
     def test_no_tracked_state(self):
-        lb = make_concury("table", WORKING, HORIZON, flowsets=512, rows=389)
+        lb = make_lb("concury", "table", WORKING, HORIZON, flowsets=512, rows=389)
         lb.get_destinations_batch_idx(KEYS)
         assert lb.tracked_connections == 0
         assert lb.columnar_effective
 
     def test_update_stats_surface(self):
-        lb = make_concury("table", WORKING, HORIZON, flowsets=512, rows=389)
+        lb = make_lb("concury", "table", WORKING, HORIZON, flowsets=512, rows=389)
         lb.remove_working_server(WORKING[0])
         stats = lb.update_stats
         assert stats["patches"] == 1 and stats["rebuilds"] == 1
@@ -247,7 +244,7 @@ class TestOthelloValueWidth:
         # up all 65 536 ids.  The refusal must come before the inner CH
         # admits the server (it used to surface as Othello's ValueError,
         # after), and must name the limit.
-        lb = make_concury("table", WORKING, HORIZON, flowsets=512, rows=389)
+        lb = make_lb("concury", "table", WORKING, HORIZON, flowsets=512, rows=389)
         ch = lb.ch
         for i in range(len(ch._slots), 1 << 16):
             ch._slot_index[f"retired{i}"] = i

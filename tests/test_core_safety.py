@@ -1,15 +1,69 @@
-"""Tests for the Section 2.1 safety model."""
+"""The Section 2.1 safety model, kept here as the reference the CH's
+safety flag is checked against.
+
+For one backend change every active connection is exactly one of
+*inevitably broken* (the event removes its true destination), *safe* (the
+decision rule still agrees with its true destination) or *unsafe* (it
+breaks unless tracked).  JET itself reads the classes from
+``lookup_with_safety``, which ``test_ch_contract.py`` holds per family.
+"""
+
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import Set
 
 import pytest
 
 from repro.ch import HRWHash
 from repro.ch.properties import sample_keys
-from repro.core.safety import (
-    SafetyClass,
-    SafetyReport,
-    classify_event,
-    classify_for_horizon,
-)
+
+
+class SafetyClass(Enum):
+    SAFE = "safe"
+    UNSAFE = "unsafe"
+    INEVITABLY_BROKEN = "inevitably_broken"
+
+
+@dataclass
+class SafetyReport:
+    safe: Set[int] = field(default_factory=set)
+    unsafe: Set[int] = field(default_factory=set)
+    inevitably_broken: Set[int] = field(default_factory=set)
+
+    @property
+    def total(self):
+        return len(self.safe) + len(self.unsafe) + len(self.inevitably_broken)
+
+    @property
+    def unsafe_fraction(self):
+        """Unsafe share of the connections the event could affect."""
+        considered = len(self.safe) + len(self.unsafe)
+        return len(self.unsafe) / considered if considered else 0.0
+
+    def classify(self, key):
+        for cls, keys in ((SafetyClass.INEVITABLY_BROKEN, self.inevitably_broken),
+                          (SafetyClass.UNSAFE, self.unsafe), (SafetyClass.SAFE, self.safe)):
+            if key in keys:
+                return cls
+        raise KeyError(f"key {key} was not classified")
+
+
+def classify_event(true_destinations, rule_after, removed=None):
+    """Classify each connection against the post-event ``rule_after``."""
+    report = SafetyReport()
+    for key, true_destination in true_destinations.items():
+        if removed is not None and true_destination == removed:
+            report.inevitably_broken.add(key)
+        elif rule_after(key) == true_destination:
+            report.safe.add(key)
+        else:
+            report.unsafe.add(key)
+    return report
+
+
+def classify_for_horizon(true_destinations, lookup_union):
+    """The whole-horizon addition (Theorem 4.4): nothing inevitably breaks."""
+    return classify_event(true_destinations, lookup_union, removed=None)
 
 W = [f"w{i}" for i in range(8)]
 KEYS = sample_keys(1500, seed=13)

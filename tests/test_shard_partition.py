@@ -96,7 +96,7 @@ class TestShardPlan:
     def test_packets_per_shard_sums_to_trace(self):
         trace = small_trace()
         plan = ShardPlan.partition(trace, 5)
-        assert sum(plan.packets_per_shard()) == trace.n_packets
+        assert sum(len(positions) for positions in plan.positions) == trace.n_packets
 
     def test_event_translation_local_and_trailing(self):
         trace = small_trace()

@@ -21,7 +21,6 @@ from repro.sim import (
     Exponential,
     LogNormal,
     SimulationConfig,
-    run_paired,
     run_simulation,
 )
 from repro.sim.scenario import build_balancer
@@ -103,18 +102,16 @@ class TestDeterminismAndPairing:
         assert a.flows_started != b.flows_started
 
     def test_prop41_paired_balance_identical(self):
-        results = run_paired(BASE.with_(ct_capacity=None))
-        assert (
-            results["jet"].oversubscription_series
-            == results["full"].oversubscription_series
-        )
-        assert results["jet"].max_oversubscription == pytest.approx(
-            results["full"].max_oversubscription
-        )
+        # Proposition 4.1: JET and full CT on one seed (one event sequence).
+        jet = run_simulation(BASE.with_(ct_capacity=None, mode="jet"))
+        full = run_simulation(BASE.with_(ct_capacity=None, mode="full"))
+        assert jet.oversubscription_series == full.oversubscription_series
+        assert jet.max_oversubscription == pytest.approx(full.max_oversubscription)
 
     def test_jet_tracks_fraction_of_full(self):
-        results = run_paired(BASE.with_(ct_capacity=None))
-        assert results["jet"].peak_tracked < 0.45 * results["full"].peak_tracked
+        jet = run_simulation(BASE.with_(ct_capacity=None, mode="jet"))
+        full = run_simulation(BASE.with_(ct_capacity=None, mode="full"))
+        assert jet.peak_tracked < 0.45 * full.peak_tracked
 
 
 class TestWarmup:

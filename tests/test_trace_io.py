@@ -5,7 +5,8 @@ atomically (a torn write never leaves a half-trace under a cache key),
 dotted cache tags survive suffix handling, unusable cache entries are
 regenerated rather than fatal, and the uncompressed layout -- whether
 written in one shot or streamed chunk by chunk -- is memmap-loadable
-with contents identical to the in-memory load.
+with contents identical to the in-memory load.  ``cached_trace`` below is
+the cache these tests drive; no command caches traces.
 """
 
 import gc
@@ -21,13 +22,33 @@ import pytest
 
 from repro.traces import (
     TraceWriter,
-    cached_trace,
     load_trace,
     save_trace,
     zipf_trace,
     zipf_trace_stream,
 )
 from repro.traces.io import _with_npz_suffix
+
+_CACHE_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
+
+
+def cached_trace(factory, cache_dir, tag, mmap=False):
+    """Load ``tag`` from ``cache_dir``, or generate, save and return it.
+
+    An unreadable entry is regenerated; saving is best-effort.
+    """
+    path = _with_npz_suffix(Path(cache_dir) / tag)
+    if path.exists():
+        try:
+            return load_trace(path, mmap=mmap)
+        except _CACHE_ERRORS:
+            pass
+    trace = factory()
+    try:
+        save_trace(trace, path, compressed=not mmap)
+    except OSError:
+        return trace
+    return load_trace(path, mmap=True) if mmap else trace
 
 
 def small_trace(seed=3):

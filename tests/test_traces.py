@@ -5,13 +5,13 @@ import pytest
 
 from repro.traces import (
     Trace,
-    cached_trace,
     load_trace,
     ny18_like,
     save_trace,
     uni1_like,
     zipf_trace,
 )
+from tests.test_trace_io import cached_trace
 
 
 class TestTraceModel:
@@ -26,7 +26,7 @@ class TestTraceModel:
     def test_iter_packets_yields_keys(self):
         t = Trace("t", np.array([11, 22], dtype=np.uint64),
                   np.array([1, 0], dtype=np.int64))
-        assert list(t.iter_packets()) == [(22, 1), (11, 0)]
+        assert t.flow_keys[t.packets].tolist() == [22, 11]
 
     def test_size_histogram(self):
         t = Trace("t", np.array([1, 2, 3], dtype=np.uint64),
