@@ -39,8 +39,11 @@ the document back.  A malformed document or an out-of-range flag value is
 a :class:`~repro.scenarios.ScenarioError`; :func:`main` prints it (and an
 ``OSError`` on a path the user named) as ``repro: error: <field path>:
 <message>`` and returns 2, argparse's code.  ``trace generate`` and ``trace
-replay`` report an out-of-range number, and ``trace replay`` a fleet its
-stack refuses to build, the same way.  Nothing else is caught.
+replay`` report an out-of-range number, ``trace replay`` a fleet its
+stack refuses to build, and ``trace info`` and ``trace replay`` a file
+that is not a trace archive they can read
+(:class:`~repro.traces.TraceFormatError`) the same way.  Nothing else is
+caught.
 """
 
 from __future__ import annotations
@@ -408,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--unannounced-rate", type=float, default=0.0,
                      help="unannounced (horizon-bypassing) additions per minute")
     sim.add_argument("--probation-base", type=float, default=1.0,
-                     help="base probation backoff for repeat failures (s)")
+                     help="base probation backoff for repeat failures, 0 to 60 (s)")
     # Closed-loop control plane (repro.control) -- default off.
     sim.add_argument("--control", action="store_true",
                      help="run the closed loop: health-probed membership "
@@ -551,12 +554,13 @@ def _error(message: str) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.scenarios import ScenarioError
+    from repro.traces import TraceFormatError
 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, TraceFormatError) as exc:
         return _error(str(exc))
     except OSError as exc:
         if exc.filename is None:  # not about a path the user named

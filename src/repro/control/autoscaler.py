@@ -38,6 +38,15 @@ from typing import List, Optional, Tuple
 
 from repro.hashing.mix import splitmix64
 
+#: Scale out when the forecast load passes this multiple of the target.
+HIGH_WATERMARK = 1.25
+#: Scale in when the forecast load falls below this multiple of the target.
+LOW_WATERMARK = 0.5
+#: Load samples the least-squares forecast fits.
+FORECAST_WINDOW = 8
+#: Most servers one decision launches or retires.
+MAX_STEP = 2
+
 
 @dataclass
 class HorizonScorecard:
@@ -84,33 +93,21 @@ class Autoscaler:
     def __init__(
         self,
         target_load: float = 8.0,
-        high_watermark: float = 1.25,
-        low_watermark: float = 0.5,
         lead_time_s: float = 5.0,
         cooldown_s: float = 10.0,
-        window: int = 8,
-        max_step: int = 2,
         forecast_precision: float = 1.0,
         forecast_recall: float = 1.0,
         seed: int = 0,
     ):
         if target_load <= 0:
             raise ValueError("target_load must be positive")
-        if not 0.0 <= low_watermark < high_watermark:
-            raise ValueError("need 0 <= low_watermark < high_watermark")
         if not 0.0 <= forecast_precision <= 1.0:
             raise ValueError("forecast_precision must be in [0, 1]")
         if not 0.0 <= forecast_recall <= 1.0:
             raise ValueError("forecast_recall must be in [0, 1]")
-        if window < 2:
-            raise ValueError("window must be >= 2")
         self.target_load = target_load
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
         self.lead_time_s = lead_time_s
         self.cooldown_s = cooldown_s
-        self.window = window
-        self.max_step = max_step
         self.forecast_precision = forecast_precision
         self.forecast_recall = forecast_recall
         self._rng = random.Random(splitmix64(seed ^ 0x5CA1_E0DD))
@@ -135,7 +132,7 @@ class Autoscaler:
             self._frozen_until = None
         load = active_flows / working if working else float(active_flows)
         self._samples.append((now, load))
-        if len(self._samples) > self.window:
+        if len(self._samples) > FORECAST_WINDOW:
             del self._samples[0]
 
     def forecast(self, now: float) -> Optional[float]:
@@ -171,11 +168,8 @@ class Autoscaler:
         # predicted is load *per server*; the server count that brings it
         # back to target is current_total_load / target_load.
         desired = predicted * working / self.target_load
-        if predicted > self.high_watermark * self.target_load:
-            want = min(
-                self.max_step,
-                max(1, round(desired) - working),
-            )
+        if predicted > HIGH_WATERMARK * self.target_load:
+            want = min(MAX_STEP, max(1, round(desired) - working))
             self._last_action_at = now
             self.scale_outs += 1
             announced = sum(
@@ -194,8 +188,8 @@ class Autoscaler:
                         1 if self._rng.random() < odds - whole else 0
                     )
             return ScaleDecision("launch", want, announced, phantoms)
-        if predicted < self.low_watermark * self.target_load and working > 1:
-            want = min(self.max_step, working - 1)
+        if predicted < LOW_WATERMARK * self.target_load and working > 1:
+            want = min(MAX_STEP, working - 1)
             self._last_action_at = now
             self.scale_ins += 1
             return ScaleDecision("retire", want, announced=0)

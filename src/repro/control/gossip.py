@@ -48,6 +48,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.hashing.mix import splitmix64
 
+#: Rounds a (src, dst) pair waits after its first lost push; each further
+#: consecutive loss doubles the wait, up to 64 times this.
+BACKOFF_ROUNDS = 1
+
 
 @dataclass
 class SyncStats:
@@ -113,7 +117,6 @@ class GossipSync:
         fanout: int = 2,
         round_lookups: int = 32,
         loss_probability: float = 0.0,
-        backoff_rounds: int = 1,
         seed: int = 0,
     ):
         if fanout < 1:
@@ -122,12 +125,9 @@ class GossipSync:
             raise ValueError("round_lookups must be >= 1")
         if not 0.0 <= loss_probability < 1.0:
             raise ValueError("loss_probability must be in [0, 1)")
-        if backoff_rounds < 1:
-            raise ValueError("backoff_rounds must be >= 1")
         self.fanout = fanout
         self.round_lookups = round_lookups
         self.loss_probability = loss_probability
-        self.backoff_rounds = backoff_rounds
         self.stats = SyncStats()
         self._rng = random.Random(splitmix64(seed ^ 0x6055_1234))
         self._members: List[_MemberState] = []
@@ -248,7 +248,7 @@ class GossipSync:
         self.stats.pushes += 1
         if self._rng.random() < self.loss_probability:
             self.stats.lost_pushes += 1
-            backoff = self.backoff_rounds * (1 << min(losses, 6))
+            backoff = BACKOFF_ROUNDS * (1 << min(losses, 6))
             backoff += self._rng.randrange(backoff)  # decorrelating jitter
             self._defer[pair] = (self._round + backoff, losses + 1)
             return

@@ -30,6 +30,12 @@ from repro.control.autoscaler import Autoscaler
 from repro.control.prober import HealthProber
 from repro.core.interfaces import Name
 
+#: An unrealized announcement lingers in H for this many lead times
+#: before it is written off as a phantom.
+PHANTOM_TTL_LEAD_TIMES = 2.0
+#: Autoscaled servers are named this prefix and a sequence number.
+AUTO_NAME_PREFIX = "auto"
+
 
 class ControlLoop:
     """Periodic control tick binding prober + autoscaler to a simulation."""
@@ -40,8 +46,6 @@ class ControlLoop:
         prober: HealthProber,
         interval_s: float = 0.5,
         max_extra: int = 8,
-        phantom_ttl_s: float = None,
-        name_prefix: str = "auto",
     ):
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
@@ -49,12 +53,6 @@ class ControlLoop:
         self.prober = prober
         self.interval_s = interval_s
         self.max_extra = max_extra
-        #: How long an unrealized announcement lingers in H before it is
-        #: written off as a phantom (default: two lead times).
-        if phantom_ttl_s is None:
-            phantom_ttl_s = 2.0 * autoscaler.lead_time_s
-        self.phantom_ttl_s = phantom_ttl_s
-        self.name_prefix = name_prefix
         self._seq = 0
         self._outstanding = 0  # autoscaled servers alive or launching
         #: Autoscaled servers that joined W, oldest first (scale-in
@@ -98,7 +96,7 @@ class ControlLoop:
 
     def _new_name(self) -> Name:
         self._seq += 1
-        return f"{self.name_prefix}{self._seq}"
+        return f"{AUTO_NAME_PREFIX}{self._seq}"
 
     def _launch(self, sim, decision) -> None:
         """Start servers booting (announced, or a recall miss) and float
@@ -110,10 +108,11 @@ class ControlLoop:
                 sim.manager.announce(name)
             sim.at(sim.now + self.autoscaler.lead_time_s, self._on_join, sim, name)
             self._outstanding += 1
+        ttl = PHANTOM_TTL_LEAD_TIMES * self.autoscaler.lead_time_s
         for _ in range(decision.phantoms):
             name = self._new_name()
             sim.manager.announce(name)
-            sim.at(sim.now + self.phantom_ttl_s, sim.manager.expire, name)
+            sim.at(sim.now + ttl, sim.manager.expire, name)
 
     def _on_join(self, sim, name: Name) -> None:
         """A launch finishes warming up and joins W."""

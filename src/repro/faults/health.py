@@ -14,13 +14,13 @@ amplifying unanticipated additions.
 ``HEALTHY --failure--> FAILED --(downtime elapses)--> PROBATION
 --(backoff elapses)--> HEALTHY``
 
-Each failure that arrives within ``decay_s`` of the previous one doubles
-(``multiplier``) the probation delay, capped at ``cap_s``; a server that
-stays healthy for ``decay_s`` resets to the base delay.  The delay is
-*added on top of* the natural downtime, so readmission remains a proper
-horizon addition -- just a damped one.  The monitor holds no RNG and
-performs no I/O; delays are pure functions of the failure history, which
-keeps chaos runs bit-reproducible.
+Each failure within :data:`PROBATION_DECAY_S` of the previous one
+multiplies the probation delay by :data:`PROBATION_MULTIPLIER`, capped at
+:data:`PROBATION_CAP_S`; a server that stays healthy that long resets to
+the base delay.  The delay is *added on top of* the natural downtime, so
+readmission remains a proper horizon addition -- just a damped one.  The
+monitor holds no RNG and performs no I/O; delays are pure functions of
+the failure history, which keeps chaos runs bit-reproducible.
 """
 
 from __future__ import annotations
@@ -29,6 +29,13 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.core.interfaces import Name
+
+#: Factor between the delays of consecutive failures in one burst.
+PROBATION_MULTIPLIER = 2.0
+#: The longest probation delay; also the largest base a run may set.
+PROBATION_CAP_S = 60.0
+#: A failure this long after the previous one restarts the schedule.
+PROBATION_DECAY_S = 30.0
 
 
 @dataclass
@@ -41,21 +48,10 @@ class _ServerHealth:
 class HealthMonitor:
     """Per-server failure history -> probation delay before readmission."""
 
-    def __init__(
-        self,
-        base_s: float = 1.0,
-        multiplier: float = 2.0,
-        cap_s: float = 60.0,
-        decay_s: float = 30.0,
-    ):
-        if base_s < 0 or cap_s < base_s:
-            raise ValueError("need 0 <= base_s <= cap_s")
-        if multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
+    def __init__(self, base_s: float = 1.0):
+        if not 0 <= base_s <= PROBATION_CAP_S:
+            raise ValueError(f"need 0 <= base_s <= {PROBATION_CAP_S}")
         self.base_s = base_s
-        self.multiplier = multiplier
-        self.cap_s = cap_s
-        self.decay_s = decay_s
         self._servers: Dict[Name, _ServerHealth] = {}
         #: Total probation delay handed out (for reporting).
         self.total_probation_s = 0.0
@@ -65,7 +61,7 @@ class HealthMonitor:
         """Note a failure; return the probation delay to add before the
         server may rejoin ``W`` (0.0 for a first, isolated failure)."""
         health = self._servers.setdefault(name, _ServerHealth())
-        if health.consecutive_failures and now - health.last_failure_at > self.decay_s:
+        if now - health.last_failure_at > PROBATION_DECAY_S:
             health.consecutive_failures = 0  # stable period: history forgiven
         health.consecutive_failures += 1
         health.last_failure_at = now
@@ -86,7 +82,8 @@ class HealthMonitor:
         if consecutive_failures <= 1:
             return 0.0
         return min(
-            self.base_s * self.multiplier ** (consecutive_failures - 2), self.cap_s
+            self.base_s * PROBATION_MULTIPLIER ** (consecutive_failures - 2),
+            PROBATION_CAP_S,
         )
 
     def failures(self, name: Name) -> int:

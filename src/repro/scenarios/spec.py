@@ -41,6 +41,7 @@ from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
 from repro.ch import family_choices
 from repro.core.factories import check_stack, lb_mode_choices
 from repro.ct import CT_POLICIES
+from repro.faults.health import PROBATION_CAP_S
 from repro.sim.distributions import DIST_KINDS, dist_from_dict
 from repro.sim.workload import PROFILE_KINDS, profile_from_dict
 
@@ -476,8 +477,9 @@ class ScenarioSpec(_Section):
     #: removed server stays down (None = the paper's ~1 min log-normal).
     update_rate_per_min: float = _f(_NONNEG, 0.0)
     downtime: Optional[Dict[str, Any]] = _f(_DIST, None)
-    #: Base of the probation backoff a repeatedly failing server serves.
-    probation_base_s: float = _f(_NONNEG, 1.0)
+    #: Base of the probation backoff a repeatedly failing server serves;
+    #: at most the backoff's cap.
+    probation_base_s: float = _f(_number((False, PROBATION_CAP_S, False)), 1.0)
     sample_interval: float = _f(_POS, 1.0)
     warmup_s: Optional[float] = _f(_NONNEG, None)
     #: Pinned keyspace partition: the flow population is split into this

@@ -41,7 +41,7 @@ from repro.shard.plan import ShardPlan
 from repro.shard.spec import BalancerSpec
 from repro.shard.worker import ShardOutcome, run_shard
 from repro.traces.base import Trace
-from repro.traces.replay import DEFAULT_CHUNK, ReplayResult, merge_replay_results
+from repro.traces.replay import ReplayResult, merge_replay_results
 
 T = TypeVar("T")
 
@@ -81,7 +81,6 @@ def replay_sharded(
     n_workers: int = 1,
     n_shards: Optional[int] = None,
     events: Sequence = (),
-    chunk_size: int = DEFAULT_CHUNK,
     metrics=None,
     collect_tracked: bool = False,
 ) -> ShardedReplay:
@@ -105,8 +104,7 @@ def replay_sharded(
 
     def job(shard: int) -> ShardOutcome:
         return run_shard(
-            plan, factory, shard,
-            events=events, chunk_size=chunk_size,
+            plan, factory, shard, events=events,
             want_metrics=want_metrics, collect_tracked=collect_tracked,
         )
 

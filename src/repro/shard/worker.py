@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.interfaces import LoadBalancer, Name
 from repro.shard.plan import ShardPlan
-from repro.traces.replay import DEFAULT_CHUNK, ReplayResult, replay_batch
+from repro.traces.replay import ReplayResult, replay_batch
 
 
 @dataclass
@@ -47,7 +47,6 @@ def run_shard(
     factory: Callable[[int], LoadBalancer],
     shard_id: int,
     events: Sequence = (),
-    chunk_size: int = DEFAULT_CHUNK,
     want_metrics: bool = False,
     collect_tracked: bool = False,
 ) -> ShardOutcome:
@@ -61,9 +60,7 @@ def run_shard(
         from repro.obs.registry import Registry
 
         registry = Registry()
-    result = replay_batch(
-        shard_trace, balancer, local_events, chunk_size=chunk_size, metrics=registry
-    )
+    result = replay_batch(shard_trace, balancer, local_events, metrics=registry)
     if trailing:
         # Events past this shard's last packet still mutate membership and
         # CT state (a removal invalidates tracked flows of *this* shard);

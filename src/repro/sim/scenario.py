@@ -75,7 +75,6 @@ class SimulationConfig:
     fault_schedule: Optional[object] = None  # FaultSchedule
     fault_window_s: float = 10.0
     probation_base_s: float = 1.0
-    probation_cap_s: float = 60.0
     # Observability (repro.obs); None is off and costs nothing.
     registry: Optional[object] = None  # repro.obs.Registry
     # Closed-loop control plane (repro.control); False keeps exogenous H.
@@ -167,9 +166,7 @@ def run_simulation(config: SimulationConfig) -> SimResult:
 
         injector = ChaosInjector(
             config.fault_schedule,
-            health=HealthMonitor(
-                base_s=config.probation_base_s, cap_s=config.probation_cap_s
-            ),
+            health=HealthMonitor(config.probation_base_s),
             fault_window_s=config.fault_window_s,
             registry=config.registry,
         )
@@ -219,9 +216,7 @@ def build_controller(config: SimulationConfig, arrival_rate: float, duration_dis
         recover_threshold=config.probe_recover_threshold,
         loss_probability=config.probe_loss_probability,
         loss_by_target=config.probe_loss_by_server,
-        monitor=HealthMonitor(
-            base_s=config.probation_base_s, cap_s=config.probation_cap_s
-        ),
+        monitor=HealthMonitor(config.probation_base_s),
         seed=config.seed,
     )
     controller = ControlLoop(

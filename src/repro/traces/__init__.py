@@ -18,7 +18,7 @@ from repro.traces.replay import (
     replay,
     replay_batch,
 )
-from repro.traces.io import TraceWriter, load_trace, save_trace
+from repro.traces.io import TraceFormatError, TraceWriter, load_trace, save_trace
 from repro.traces.from_pcap import trace_from_pcap
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "TraceEvent",
     "save_trace",
     "load_trace",
+    "TraceFormatError",
     "TraceWriter",
     "trace_from_pcap",
 ]

@@ -23,7 +23,9 @@ still load and map, just unaligned.
 
 All writers are crash-safe: they write a temp file next to the
 destination and ``os.replace`` it into place, so a torn write never
-leaves a half-trace under the destination's name.
+leaves a half-trace under the destination's name.  A file the loader
+cannot read as a trace -- not an npz, truncated, missing a member, or
+compressed when asked to map it -- raises :class:`TraceFormatError`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ from repro.traces.base import Trace
 _ALIGN = 64
 #: Zip extra-field id of zipalign's padding record.
 _PAD_EXTRA_ID = 0xD935
+
+
+class TraceFormatError(ValueError):
+    """A file is not a trace archive :func:`load_trace` can read; the
+    message names the file."""
 
 
 def _with_npz_suffix(path: Union[str, Path]) -> Path:
@@ -122,9 +129,9 @@ def _member_memmap(path: Path, archive: zipfile.ZipFile, member: str) -> np.ndar
     """
     info = archive.getinfo(member)
     if info.compress_type != zipfile.ZIP_STORED:
-        raise ValueError(
-            f"member {member!r} is compressed; memmap loading needs a trace "
-            "written with save_trace(..., compressed=False) or TraceWriter"
+        raise TraceFormatError(
+            f"{path}: member {member!r} is compressed; memmap loading needs a "
+            "trace written uncompressed (trace generate --uncompressed)"
         )
     with open(path, "rb") as raw:
         raw.seek(info.header_offset)
@@ -162,17 +169,28 @@ def load_trace(path: Union[str, Path], mmap: bool = False) -> Trace:
     trace as a context manager) to release it deterministically.
     """
     path = _with_npz_suffix(path)
-    if not mmap:
-        # Own the handle: np.load(path) opens one internally and leaks it
-        # when header parsing raises before the NpzFile exists (the
-        # truncated-file path) -- ours closes on any exit.
-        with open(path, "rb") as handle:
-            with np.load(handle) as data:
-                return Trace(
-                    name=str(data["name"]),
-                    flow_keys=data["flow_keys"],
-                    packets=data["packets"],
-                )
+    try:
+        return _map_trace(path) if mmap else _read_trace(path)
+    except TraceFormatError:
+        raise
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise TraceFormatError(f"{path}: not a trace archive ({exc})") from exc
+
+
+def _read_trace(path: Path) -> Trace:
+    # Own the handle: np.load(path) opens one internally and leaks it
+    # when header parsing raises before the NpzFile exists (the
+    # truncated-file path) -- ours closes on any exit.
+    with open(path, "rb") as handle:
+        with np.load(handle) as data:
+            return Trace(
+                name=str(data["name"]),
+                flow_keys=data["flow_keys"],
+                packets=data["packets"],
+            )
+
+
+def _map_trace(path: Path) -> Trace:
     with zipfile.ZipFile(path) as archive:
         with archive.open("name.npy") as handle:
             name = str(np.lib.format.read_array(handle))

@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.balance import max_oversubscription
 from repro.core.interfaces import LoadBalancer, Name
 from repro.obs import metrics as obs_metrics
 from repro.obs.timers import Stopwatch
@@ -73,7 +74,7 @@ class ReplayResult:
 
     @property
     def max_oversubscription(self) -> float:
-        return _oversubscription(self.server_loads, self.active_servers)
+        return max_oversubscription(self.server_loads, self.active_servers)
 
     @property
     def rate_pps(self) -> float:
@@ -163,18 +164,6 @@ def _build_result(
         if destination is not None:
             loads[destination] = loads.get(destination, 0) + 1
     return _finalize(trace, balancer, loads, violations, inevitable, wall)
-
-
-def _oversubscription(loads: Dict[Name, int], active_servers: int) -> float:
-    """Max per-server load over the active-server average (0.0 when idle).
-
-    What :attr:`ReplayResult.max_oversubscription` reads, so a merged
-    result's figure is byte-identical to a single-process run's over the
-    same loads.
-    """
-    dispatched_flows = sum(loads.values())
-    average = dispatched_flows / active_servers if active_servers else 0.0
-    return max(loads.values()) / average if loads and average else 0.0
 
 
 def _finalize(
@@ -317,20 +306,17 @@ def replay_batch(
     so a flow's destination cannot move mid-chunk and per-packet PCC
     accounting commutes with batching.  Only the wall-clock rate differs.
 
-    SYN-aware balancers (Section 6.3) need a per-packet new-connection
-    flag, so they are delegated to the scalar loop unchanged -- as is any
-    balancer whose ``columnar_effective`` probe says no (a CT with
-    recency or eviction state, or lazy cleanup: a batch would regroup
-    their per-key gets and puts).  Every other balancer takes the
-    columnar loop: destinations flow as int32 backend ids, all PCC
-    accounting runs on preallocated numpy arrays, and names are resolved
-    once at the result edge -- zero Python objects per packet.
+    A balancer whose ``columnar_effective`` probe says no is delegated to
+    the scalar loop unchanged (a CT with recency or eviction state, or
+    lazy cleanup: a batch would regroup their per-key gets and puts).
+    Every other balancer takes the columnar loop: destinations flow as
+    int32 backend ids, all PCC accounting runs on preallocated numpy
+    arrays, and names are resolved once at the result edge -- zero Python
+    objects per packet.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    if getattr(balancer, "dispatches_new_connections", False) or not getattr(
-        balancer, "columnar_effective", False
-    ):
+    if not getattr(balancer, "columnar_effective", False):
         return replay(trace, balancer, events, metrics=metrics)
     return _replay_columnar(trace, balancer, events, chunk_size, metrics)
 

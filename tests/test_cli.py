@@ -1,5 +1,6 @@
 """CLI tests (direct invocation of repro.cli.main)."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -219,6 +220,41 @@ class TestHostileReplayFlags:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("repro: error: ") and fragment in line, line
+
+
+#: Trace files ``trace info`` / ``trace replay`` cannot read -> the one
+#: error line.  Were: a ValueError traceback from the loader for the
+#: compressed archive mapped and for the garbage read, and a BadZipFile
+#: one for the garbage mapped.
+HOSTILE_TRACE_FILES = {
+    "compressed-mmap": ("compressed", ["replay", "--mmap"], "is compressed"),
+    "garbage-replay": ("garbage", ["replay"], "not a trace archive"),
+    "garbage-replay-mmap": ("garbage", ["replay", "--mmap"], "not a trace archive"),
+    "garbage-info": ("garbage", ["info"], "not a trace archive"),
+}
+
+
+class TestHostileTraceFiles:
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("trace")
+        compressed = str(root / "compressed.npz")
+        assert main(["trace", "generate", "zipf", "--packets", "2000",
+                     "--out", compressed]) == 0
+        garbage = root / "garbage.npz"
+        garbage.write_bytes(np.random.default_rng(0).bytes(100))
+        return {"compressed": compressed, "garbage": str(garbage)}
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_TRACE_FILES))
+    def test_one_error_line_and_exit_2(self, case, paths, capsys):
+        which, (command, *flags), fragment = HOSTILE_TRACE_FILES[case]
+        capsys.readouterr()
+        code = main(["trace", command, paths[which], *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro: error: {paths[which]}: ") and fragment in line, line
 
 
 #: ``trace generate`` arguments a user can get wrong -> the one error line.

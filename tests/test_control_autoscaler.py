@@ -3,7 +3,7 @@ forecast degradation, and the horizon scorecard (repro.control.autoscaler)."""
 
 import pytest
 
-from repro.control.autoscaler import Autoscaler, HorizonScorecard
+from repro.control.autoscaler import MAX_STEP, Autoscaler, HorizonScorecard
 
 
 def feed(scaler, samples):
@@ -50,16 +50,14 @@ class TestWatermarks:
         return scaler
 
     def test_launch_above_high_watermark(self):
-        scaler = self.grown_scaler(max_step=4)
+        scaler = self.grown_scaler()
         decision = scaler.plan(3.0, working=10)
         assert decision is not None and decision.kind == "launch"
-        assert 1 <= decision.count <= 4
+        assert 1 <= decision.count <= MAX_STEP
         assert scaler.scale_outs == 1
 
     def test_hysteresis_band_does_nothing(self):
-        scaler = Autoscaler(
-            target_load=8.0, high_watermark=1.25, low_watermark=0.5
-        )
+        scaler = Autoscaler(target_load=8.0)
         # Steady 8.0 load/server: between 4.0 and 10.0, inside the band.
         feed(scaler, [(float(t), 80, 10) for t in range(4)])
         assert scaler.plan(3.0, working=10) is None
@@ -74,13 +72,11 @@ class TestWatermarks:
         assert scaler.plan(14.0, working=10) is not None
 
     def test_retire_below_low_watermark_keeps_one_server(self):
-        scaler = Autoscaler(
-            target_load=8.0, low_watermark=0.5, max_step=4, cooldown_s=0.0
-        )
+        scaler = Autoscaler(target_load=8.0, cooldown_s=0.0)
         feed(scaler, [(float(t), 10, 10) for t in range(4)])
         decision = scaler.plan(3.0, working=10)
         assert decision.kind == "retire"
-        assert decision.count == 4
+        assert decision.count == MAX_STEP == 2
         assert decision.announced == 0
         # With one server left, never retire to zero.
         assert scaler.plan(10.0, working=1) is None
@@ -100,7 +96,7 @@ class TestForecastDegradation:
         return decisions
 
     def test_perfect_forecast_announces_everything(self):
-        scaler = Autoscaler(target_load=8.0, cooldown_s=0.0, max_step=2)
+        scaler = Autoscaler(target_load=8.0, cooldown_s=0.0)
         for decision in self.launch_many(scaler):
             assert decision.announced == decision.count
             assert decision.phantoms == 0
@@ -109,12 +105,11 @@ class TestForecastDegradation:
         # With one draw per decision, announced would always be 0 or
         # count; per-launch draws produce intermediate values.
         scaler = Autoscaler(
-            target_load=8.0, cooldown_s=0.0, max_step=4,
-            forecast_recall=0.5, seed=11,
+            target_load=8.0, cooldown_s=0.0, forecast_recall=0.5, seed=11,
         )
         announced = [d.announced for d in self.launch_many(scaler, 80)]
         counts = [d.count for d in self.launch_many(
-            Autoscaler(target_load=8.0, cooldown_s=0.0, max_step=4,
+            Autoscaler(target_load=8.0, cooldown_s=0.0,
                        forecast_recall=0.5, seed=11), 80)]
         assert any(0 < a < c for a, c in zip(announced, counts) if c > 1)
         total_launched = sum(counts)
@@ -132,8 +127,7 @@ class TestForecastDegradation:
     def test_phantom_rate_matches_precision_odds(self):
         # precision 0.5 => odds (1-p)/p = 1 phantom per announcement.
         scaler = Autoscaler(
-            target_load=8.0, cooldown_s=0.0, max_step=2,
-            forecast_precision=0.5, seed=5,
+            target_load=8.0, cooldown_s=0.0, forecast_precision=0.5, seed=5,
         )
         decisions = self.launch_many(scaler, 120)
         announced = sum(d.announced for d in decisions)
@@ -144,8 +138,7 @@ class TestForecastDegradation:
     def test_fractional_odds_are_stochastic_but_seeded(self):
         def total_phantoms(seed):
             scaler = Autoscaler(
-                target_load=8.0, cooldown_s=0.0, max_step=2,
-                forecast_precision=0.75, seed=seed,
+                target_load=8.0, cooldown_s=0.0, forecast_precision=0.75, seed=seed,
             )
             return sum(d.phantoms for d in self.launch_many(scaler, 120))
 
@@ -158,13 +151,9 @@ class TestForecastDegradation:
         with pytest.raises(ValueError):
             Autoscaler(target_load=0.0)
         with pytest.raises(ValueError):
-            Autoscaler(low_watermark=1.5, high_watermark=1.25)
-        with pytest.raises(ValueError):
             Autoscaler(forecast_precision=1.5)
         with pytest.raises(ValueError):
             Autoscaler(forecast_recall=-0.1)
-        with pytest.raises(ValueError):
-            Autoscaler(window=1)
 
 
 class TestScorecard:

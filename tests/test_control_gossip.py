@@ -223,5 +223,3 @@ class TestDeterminism:
             GossipSync(round_lookups=0)
         with pytest.raises(ValueError):
             GossipSync(loss_probability=1.0)
-        with pytest.raises(ValueError):
-            GossipSync(backoff_rounds=0)

@@ -65,7 +65,7 @@ class TestThresholds:
 
     def test_repeat_offender_waits_out_probation(self):
         up = set()
-        monitor = HealthMonitor(base_s=10.0, multiplier=2.0, decay_s=1e9)
+        monitor = HealthMonitor(base_s=10.0)
         prober = make_prober(up, monitor=monitor)
         prober.watch("a")
 
@@ -84,8 +84,9 @@ class TestThresholds:
         # recover streak completes (one extra probe past detection).
         first_wait = crash_and_recover(0.0)
         up.discard("a")
-        # Second eviction: delay_for(2) == base_s => ~10 extra seconds.
-        second_wait = crash_and_recover(100.0)
+        # Second eviction, 10 s after the first and so inside the 30 s
+        # decay: delay_for(2) == base_s => ~10 extra seconds.
+        second_wait = crash_and_recover(10.0)
         assert first_wait == 1.0
         assert second_wait >= 10.0
 

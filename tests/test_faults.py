@@ -17,6 +17,7 @@ from repro.faults import (
     HealthMonitor,
     chaos_mix,
 )
+from repro.faults.health import PROBATION_CAP_S
 from repro.sim.scenario import run_simulation
 
 CHAOS_BASE = scales.base_config("smoke").with_(
@@ -77,14 +78,14 @@ class TestFaultSchedule:
 
 class TestHealthMonitor:
     def test_backoff_schedule(self):
-        monitor = HealthMonitor(base_s=2.0, multiplier=2.0, cap_s=16.0)
+        monitor = HealthMonitor(base_s=2.0)
         assert monitor.delay_for(1) == 0.0
         assert monitor.delay_for(2) == 2.0
         assert monitor.delay_for(3) == 4.0
-        assert monitor.delay_for(10) == 16.0  # capped
+        assert monitor.delay_for(10) == PROBATION_CAP_S == 60.0  # capped
 
     def test_escalation_and_probation_flag(self):
-        monitor = HealthMonitor(base_s=1.0, decay_s=30.0)
+        monitor = HealthMonitor(base_s=1.0)
         assert monitor.record_failure("s1", now=0.0) == 0.0
         assert monitor.record_failure("s1", now=5.0) == 1.0
         assert monitor.record_failure("s1", now=10.0) == 2.0
@@ -94,17 +95,17 @@ class TestHealthMonitor:
         assert monitor.failures("s1") == 3
 
     def test_stable_period_forgives_history(self):
-        monitor = HealthMonitor(base_s=1.0, decay_s=30.0)
+        monitor = HealthMonitor(base_s=1.0)
         monitor.record_failure("s1", now=0.0)
         monitor.record_failure("s1", now=1.0)
         # A failure long after the last one restarts the schedule.
         assert monitor.record_failure("s1", now=100.0) == 0.0
 
     def test_flap_exactly_at_decay_boundary_still_escalates(self):
-        # The forgiveness test is strictly `now - last > decay_s`: a
-        # server that flaps *exactly* every decay_s seconds never earns
+        # The forgiveness test is strictly `now - last > 30 s`: a
+        # server that flaps *exactly* every 30 seconds never earns
         # the reset, so its backoff keeps climbing.
-        monitor = HealthMonitor(base_s=1.0, multiplier=2.0, decay_s=30.0)
+        monitor = HealthMonitor(base_s=1.0)
         assert monitor.record_failure("s1", now=0.0) == 0.0
         assert monitor.record_failure("s1", now=30.0) == 1.0
         assert monitor.record_failure("s1", now=60.0) == 2.0
@@ -114,7 +115,7 @@ class TestHealthMonitor:
     def test_probation_histories_are_per_server(self):
         # Two servers failing in the same tick escalate independently;
         # one recovering does not clear the other's probation.
-        monitor = HealthMonitor(base_s=1.0, decay_s=30.0)
+        monitor = HealthMonitor(base_s=1.0)
         assert monitor.record_failure("s1", now=0.0) == 0.0
         assert monitor.record_failure("s2", now=0.0) == 0.0
         assert monitor.record_failure("s1", now=5.0) == 1.0
@@ -126,9 +127,7 @@ class TestHealthMonitor:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            HealthMonitor(base_s=5.0, cap_s=1.0)
-        with pytest.raises(ValueError):
-            HealthMonitor(multiplier=0.5)
+            HealthMonitor(base_s=PROBATION_CAP_S + 1.0)
 
 
 class TestSyncChannel:

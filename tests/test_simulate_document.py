@@ -214,6 +214,10 @@ HOSTILE_DOCUMENTS = {
         ".workload.flow_size: bad distribution parameters: maximum must be finite, got inf"),
     "infinite-rate": (doc(workload={"connection_rate": float("inf")}),
                       ".workload.connection_rate: must be finite, got inf"),
+    # Was: accepted, and run with the base above the 60 s probation cap
+    # (with faults, a ValueError traceback from HealthMonitor).
+    "probation-base-above-cap": (doc(probation_base_s=100),
+                                 ".probation_base_s: must be in [0, 60.0]"),
     "nan-rate-profile": (
         doc(workload={"connection_rate": 50,
                       "rate_profile": {"kind": "diurnal", "period_s": float("nan")}}),
@@ -285,6 +289,9 @@ class TestHostileInput:
             # Was: a traceback from the factory, exit code 1.
             (["--mode", "concury", "--family", "concury", "--duration", "2"],
              "simulate.ch_family: mode 'concury' places flowsets with one of"),
+            # Was: a ValueError traceback from HealthMonitor, exit code 1.
+            (["--probation-base", "100", "--crash-rate", "30"],
+             "simulate.probation_base_s: must be in [0, 60.0]"),
         ],
     )
     def test_flag_values_are_range_checked(self, flags, fragment, capsys):
