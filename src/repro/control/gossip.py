@@ -274,13 +274,13 @@ class GossipSync:
         return out
 
     def _apply(self, dst: _MemberState, payload) -> None:
-        ct = getattr(dst.member, "ct", None)
+        put = getattr(dst.member, "put_tracked", None)
         repaired = 0
         for origin, need, have in payload:
             for seq in range(need + 1, have + 1):
                 delta = origin.log[seq - 1]
-                if ct is not None:
-                    ct.put(delta.key, delta.destination)
+                if put is not None:
+                    put(delta.key, delta.destination)
                 self.stats.delivered += 1
                 self.stats.lag_rounds_sum += self._round - delta.born_round
                 self.stats.lag_rounds_count += 1

@@ -19,7 +19,7 @@ id space to store in the CT and account against across backend changes.
   kernel's positions become ids through :meth:`BackendIndexer.ids_at`:
   one ``np.take``, or none where the translation is the identity;
 - names are materialized only at the metrics/result edge, via
-  :attr:`names` or :meth:`decode`.
+  :attr:`names`.
 """
 
 from __future__ import annotations

@@ -36,10 +36,15 @@ first CH-first chunk re-checks the CT: one kernel call over its keys
 marks the answers of those the CH now calls safe, and until the next
 change a key is probed if it is selected or its answer is marked.
 
-Removed-destination hygiene follows footnote 3: on ``remove_working_server``
-the table is cleaned either actively (drop all entries pointing at the dead
-server) or lazily (validate on hit); both prevent a stale CT entry from
-pinning a connection to a removed backend.
+Whichever tier inserts an entry, the CT holds it as a backend id of the
+balancer's :class:`~repro.core.indexing.BackendIndexer`; this class alone
+encodes and decodes them, and a pool's CT sync (Section 6.2) goes through
+:meth:`~TrackingLoadBalancer.put_tracked`.
+
+Removed-destination hygiene follows footnote 3: ``remove_working_server``
+drops every entry pointing at the dead server (active cleanup), and a hit
+is still checked against W (lazy cleanup), which catches a synced entry
+whose server left before it arrived.
 """
 
 from __future__ import annotations
@@ -71,14 +76,10 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
         self,
         ch: ConsistentHash,
         ct: Optional[ConnectionTracker] = None,
-        active_cleanup: bool = True,
     ):
         super().__init__(ch)
         # Like ``ch``, read at call time: tracing swaps it for a proxy.
         self.ct = ct if ct is not None else UnboundedCT()
-        self.active_cleanup = active_cleanup
-        # The CT stores names until the first columnar call, ids after.
-        self._ct_idx = False
         #: ``_state()`` as of the last moment every key in the CT was one
         #: the tracking policy selects or one whose CH answer is marked
         #: (see :meth:`_fresh`).
@@ -92,26 +93,20 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
     def columnar_effective(self) -> bool:
         """The columnar path regroups CT operations (all gets, then all
         puts), which is only sound when the table has no recency/eviction
-        state (``batch_reorder_safe``) and when active cleanup keeps the
-        stale-destination invariant (lazy validation needs per-key
-        interleaving).  SYN-gated placement needs a per-packet flag no
-        batch carries.  Otherwise drivers run the scalar loop, so no
-        configuration is ever differently ordered than scalar.
+        state (``batch_reorder_safe``).  SYN-gated placement needs a
+        per-packet flag no batch carries.  Otherwise drivers run the
+        scalar loop, so no configuration is ever differently ordered than
+        scalar.
         """
-        return bool(
-            self.ct.batch_reorder_safe
-            and self.active_cleanup
-            and not self.dispatches_new_connections
-        )
+        return bool(self.ct.batch_reorder_safe and not self.dispatches_new_connections)
 
     # ------------------------------------------------------ Algorithm 1
     def get_destination(self, key_hash: int, new_connection: bool = False) -> Name:
         """GETDESTINATION (Algorithm 1 lines 1-7).  ``new_connection``
         matters only to the SYN-gated placement subclasses."""
-        destination = self.ct.get(key_hash)
-        if destination is not None:
-            if self._ct_idx:  # index-mode tables store backend ids
-                destination = self._indexer.names[destination]
+        ident = self.ct.get(key_hash)
+        if ident is not None:
+            destination = self._indexer.names[ident]
             if destination in self._working:
                 return destination
             # Lazy cleanup: tracked destination has been removed.
@@ -119,11 +114,22 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
         destination, track = self._decide(key_hash, new_connection)
         if track:
             fresh = self._fresh()
-            value = self._indexer.get_id(destination) if self._ct_idx else destination
-            self.ct.put(key_hash, value)
+            self.ct.put(key_hash, self._indexer.get_id(destination))
             if fresh:
                 self._stamp = self._state()
         return destination
+
+    def put_tracked(self, key_hash: int, destination: Name) -> None:
+        """Track ``key_hash`` at ``destination`` on a peer's word (a pool's
+        CT sync).  Not line 6: the insert voids :meth:`_fresh`'s stamp,
+        since the policy never chose this key here."""
+        self.ct.put(key_hash, self._indexer.get_id(destination))
+
+    def peek_tracked(self, key_hash: int) -> Optional[Name]:
+        """The destination the CT holds for ``key_hash``, or None; no stats
+        or recency state move."""
+        ident = self.ct.peek(key_hash)
+        return None if ident is None else self._indexer.names[ident]
 
     # ------------------------------------------------- columnar dispatch
     def get_destinations_batch_idx(self, keys: np.ndarray) -> np.ndarray:
@@ -150,7 +156,7 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
         """
         if not self.columnar_effective:
             return LoadBalancer.get_destinations_batch_idx(self, keys)
-        keys = self._columnar_keys(keys)
+        keys = np.asarray(keys, dtype=np.uint64)
         fresh = self._fresh()
         if self.ct.stats.miss_heavy:
             ch_idx, track = self._decide_batch_idx(keys)
@@ -230,13 +236,6 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
         self._marked = marked if marked.any() else None
         self._stamp = self._state()
 
-    def _columnar_keys(self, keys: np.ndarray) -> np.ndarray:
-        """``keys`` as uint64, with the CT storing backend ids."""
-        if not self._ct_idx:
-            self.ct.remap_values(self._indexer.get_id)
-            self._ct_idx = True
-        return np.asarray(keys, dtype=np.uint64)
-
     def _track_batch_idx(self, keys: np.ndarray, ids: np.ndarray, at: np.ndarray) -> None:
         """Insert a chunk's CT misses to track (line 6), each where the
         chunk's probe, in whose keys it sat at position ``at``, ended."""
@@ -249,25 +248,14 @@ class TrackingLoadBalancer(StatelessLoadBalancer):
             self.ct.stats.hits += len(keys) - distinct
 
     def tracked_items(self) -> dict:
-        """CT contents as ``{key: destination-name}``, decoding index mode.
-
-        The differential suites compare CT state across the scalar and
-        index paths through this accessor so they need not know which
-        encoding the table currently holds.
-        """
-        if self._ct_idx:
-            names = self._indexer.names
-            return {key: names[ident] for key, ident in self.ct.items()}
-        return dict(self.ct.items())
+        """CT contents as ``{key: destination-name}``, in the table's order."""
+        names = self._indexer.names
+        return {key: names[ident] for key, ident in self.ct.items()}
 
     # -------------------------------------------------- backend changes
     def _retire(self, name: Name) -> None:
         super()._retire(name)
-        if self.active_cleanup:
-            # In index mode the CT stores ids, so invalidate the id.
-            self.ct.invalidate_destination(
-                self._indexer.get_id(name) if self._ct_idx else name
-            )
+        self.ct.invalidate_destination(self._indexer.get_id(name))
 
     @property
     def tracked_connections(self) -> int:

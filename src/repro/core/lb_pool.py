@@ -12,7 +12,8 @@ CT synchronization has exactly two modes besides none (``sync=False``,
 independent CTs: the §6.2 failure mode):
 
 - ``sync=True`` -- the paper's idealised replication, done by the pool
-  itself: a fresh insert is put into every live peer's CT on the spot.
+  itself: a fresh insert is put into every live peer's CT on the spot,
+  through the peer's own ``put_tracked`` (each balancer encodes its CT).
   "If synchronization is employed, JET's smaller CT size means that a
   smaller state needs to be synchronized": the pool counts replicated
   entries in :attr:`sync_stats` so experiments can quantify exactly that;
@@ -124,7 +125,7 @@ class LBPool(LoadBalancer):
                     if m is not member and m not in self._partitioned
                 ]
                 for peer in peers:
-                    peer.ct.put(key_hash, destination)
+                    peer.put_tracked(key_hash, destination)
                 self.sync_stats.offered += len(peers)
                 self.sync_stats.delivered += len(peers)
         return destination
@@ -134,17 +135,16 @@ class LBPool(LoadBalancer):
         ``member`` lacks into its CT.  The donor -- for joins and heals
         alike -- is the first other member that is not partitioned.
         Returns the entries fed."""
-        ct = getattr(member, "ct", None)
         donor = next(
             (m for m in self.members if m is not member and m not in self._partitioned),
             None,
         )
-        if ct is None or donor is None:
+        if getattr(member, "ct", None) is None or donor is None:
             return 0
         fed = 0
-        for key, destination in donor.ct.items():
-            if ct.peek(key) != destination:
-                ct.put(key, destination)
+        for key, destination in donor.tracked_items().items():
+            if member.peek_tracked(key) != destination:
+                member.put_tracked(key, destination)
                 fed += 1
         self.sync_stats.offered += fed
         self.sync_stats.delivered += fed

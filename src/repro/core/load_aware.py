@@ -53,8 +53,8 @@ class SynGatedJET(TrackingLoadBalancer):
     dispatches_new_connections = True
     needs_horizon = True
 
-    def __init__(self, ch, ct=None, active_cleanup=True):
-        super().__init__(ch, ct, active_cleanup)
+    def __init__(self, ch, ct=None):
+        super().__init__(ch, ct)
         #: Active connections per working server, and their total.
         self.load: Dict[Name, int] = {name: 0 for name in self._working}
         self._active = 0
@@ -100,10 +100,9 @@ class PowerOfTwoJET(SynGatedJET):
         self,
         ch: HorizonConsistentHash,
         ct: Optional[ConnectionTracker] = None,
-        active_cleanup: bool = True,
         weights: Optional[Mapping[Name, float]] = None,
     ):
-        super().__init__(ch, ct, active_cleanup)
+        super().__init__(ch, ct)
         self._order: List[Name] = sorted(self._working, key=repr)
         #: Per-server capacity weights (a weight-2 machine looks half as
         #: loaded at equal occupancy); absent servers count as 1.0.
@@ -158,11 +157,10 @@ class BoundedLoadJET(SynGatedJET):
         ch: RingHash,
         ct: Optional[ConnectionTracker] = None,
         epsilon: float = 0.25,
-        active_cleanup: bool = True,
     ):
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        super().__init__(ch, ct, active_cleanup)
+        super().__init__(ch, ct)
         self.epsilon = epsilon
         self.cascaded = 0  # connections placed off their CH choice
 

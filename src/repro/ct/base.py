@@ -73,12 +73,13 @@ def count_distinct(values: np.ndarray) -> int:
 class ConnectionTracker(ABC):
     """A destination cache keyed by connection identifier hash."""
 
-    #: True when the table offers the integer-index API (``remap_values``
-    #: / ``get_batch_idx`` / ``put_batch_idx``), whose batched calls
-    #: regroup per-key operations (all gets, then all puts).  Only a table
-    #: with no recency or eviction state can promise that changes no
-    #: future behaviour, so only UnboundedCT sets it; bounded tables keep
-    #: it False and balancers over them keep the exact scalar interleaving.
+    #: True when the table offers the integer-index API (``get_batch_idx``
+    #: / ``get_hits_idx`` / ``put_batch_idx``), whose batched calls regroup
+    #: per-key operations (all gets, then all puts).  Only a table with no
+    #: recency or eviction state can promise that changes no future
+    #: behaviour, so only UnboundedCT sets it; bounded tables keep it
+    #: False and balancers over them keep the exact scalar interleaving.
+    #: Either kind holds what its balancer put there: backend ids.
     batch_reorder_safe = False
 
     def __init__(self) -> None:

@@ -4,13 +4,18 @@ Used by the trace evaluations (Tables 1-2), where the paper lets the CT
 "grow as needed (i.e., no flows are evicted from CT)" to isolate tracking
 volume from eviction effects.
 
-*Name mode* (a fresh table): a plain dict, and the scalar entry points
-over it are the executable spec.  No array exists yet.
+Values are backend ids (what :class:`~repro.core.jet.TrackingLoadBalancer`
+stores), in one of two stores:
 
-*Index mode* (from the first ``remap_values`` / ``get_batch_idx`` /
+*The dict store* (a fresh table): a plain dict, and the scalar entry
+points over it are the executable spec.  No array exists yet.  A table
+only ever driven scalar -- jet-p2c's, a pool member's -- keeps it: a
+``put`` costs well under a microsecond there and several in the arrays.
+
+*The array store* (from the first ``get_batch_idx`` / ``get_hits_idx`` /
 ``put_batch_idx``): the entries move once into an open-addressing
-linear-probe hash -- ``uint64`` keys, ``int32`` backend ids, load kept
-under 0.6 -- and the dict is dropped.  Every entry point, the scalar ones
+linear-probe hash -- ``uint64`` keys, ``int32`` ids, load kept under 0.6
+-- and the dict is dropped.  Every entry point, the scalar ones
 included, then reads and writes the arrays, so there is nothing to keep
 in sync and ``get_batch_idx`` is a vectorized probe (~7 ns/key against
 ~80 ns/key for a dict).  Three conventions carry it:
@@ -60,10 +65,10 @@ _WALK = 32
 
 
 def _checked_ids(ids) -> np.ndarray:
-    """``ids`` as int32, refusing what index mode cannot tell from -1."""
+    """``ids`` as int32, refusing what the array store cannot tell from -1."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() > _ID_MAX):
-        raise ValueError("index-mode backend ids must lie in [0, 2**31 - 1]")
+        raise ValueError("backend ids must lie in [0, 2**31 - 1]")
     return ids.astype(np.int32, copy=False)
 
 
@@ -75,9 +80,9 @@ class UnboundedCT(ConnectionTracker):
 
     def __init__(self) -> None:
         super().__init__()
-        #: The name-mode store; None once index mode has engaged.
+        #: The dict store; None once the array store has engaged.
         self._table: Optional[Dict[int, Destination]] = {}
-        # The index-mode store: ``size`` probed slots plus the side slot.
+        # The array store: ``size`` probed slots plus the side slot.
         self._keys: Optional[np.ndarray] = None
         self._vals: Optional[np.ndarray] = None
         self._shift = np.uint64(0)
@@ -113,15 +118,13 @@ class UnboundedCT(ConnectionTracker):
             self._vals[slot] = ident
         self._note_size()
 
-    # ------------------------------------------------- integer-index mode
-    # The columnar dataplane stores destinations as small ints (LB-local
-    # backend ids, see repro.core.indexing) instead of names: a balancer
-    # remaps the stored values once (:meth:`remap_values`), and from then
-    # on the ``*_idx`` entry points move int32 arrays, -1 per miss.
+    # ------------------------------------------------------ array entries
+    # The columnar dataplane's ``*_idx`` entry points move int32 arrays of
+    # LB-local backend ids (see repro.core.indexing), -1 per miss.
 
     def get_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """Tracked destination *ids* for a uint64 key array (-1 per miss),
-        by one vectorized probe; engages index mode.
+        """Tracked destination ids for a uint64 key array (-1 per miss),
+        by one vectorized probe; engages the array store.
 
         Semantically ``[get(k) for k in keys]`` with ``None -> -1``, stats
         totals included (updated once per batch).
@@ -162,8 +165,8 @@ class UnboundedCT(ConnectionTracker):
     def put_batch_idx(
         self, keys: np.ndarray, ids: np.ndarray, probed: Optional[np.ndarray] = None
     ) -> int:
-        """Bulk insert of int backend-ids, in array order; engages index
-        mode.  Ids outside ``[0, 2**31 - 1]`` raise ``ValueError``.
+        """Bulk insert of int backend-ids, in array order; engages the
+        array store.  Ids outside ``[0, 2**31 - 1]`` raise ``ValueError``.
 
         ``probed``, if given, holds each key's position in the keys of
         the last probe of this table, which must have missed it: the
@@ -189,13 +192,6 @@ class UnboundedCT(ConnectionTracker):
         self._note_size()
         return distinct
 
-    def remap_values(self, fn) -> None:
-        """Re-encode every stored destination through ``fn`` (name ->
-        backend id) on the way from the dict into the arrays: once per
-        table, when a balancer's columnar path first engages.  Stats and
-        the key set are untouched."""
-        self._engage(fn)
-
     def invalidate_destination(self, destination: Destination) -> int:
         if self._table is not None:
             return super().invalidate_destination(destination)
@@ -207,14 +203,13 @@ class UnboundedCT(ConnectionTracker):
         self.stats.invalidations += len(hit)
         return len(hit)
 
-    def _engage(self, fn=None) -> None:
-        """Move every entry (values through ``fn``) into fresh arrays."""
-        count = len(self)
-        keys = np.fromiter(iter(self), dtype=np.uint64, count=count)
-        values = (value for _, value in self.items())
-        ids = _checked_ids(
-            np.fromiter(map(fn, values) if fn else values, np.int64, count)
-        )
+    def _engage(self) -> None:
+        """Move every entry of the dict store into fresh arrays; stats and
+        contents are untouched."""
+        table = self._table
+        count = len(table)
+        keys = np.fromiter(table, dtype=np.uint64, count=count)
+        ids = _checked_ids(np.fromiter(table.values(), np.int64, count))
         self._table = self._keys = self._vals = None
         self._live = 0
         self._reserve(count)

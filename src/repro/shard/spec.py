@@ -2,12 +2,11 @@
 
 A shard never shares a live balancer with another (that would defeat
 the whole point); it gets its own, described by a :class:`BalancerSpec`.
-``build(shard_id)`` derives every RNG seed through
-:func:`~repro.shard.partition.shard_seed`, so a shard's balancer is a
-pure function of (spec, shard id) -- identical whichever worker process
-holds it -- and ``builder()`` hands out exactly those balancers as
-copies of one build.  The spec does not know the modes: the name goes
-to :func:`repro.core.factories.make_lb`, the one mode -> stack map.
+Every shard's balancer is the same pure function of the spec --
+identical whichever worker process holds it, with its own empty CT --
+and ``builder()`` hands out copies of one build.  The spec does not know
+the modes: the name goes to :func:`repro.core.factories.make_lb`, the
+one mode -> stack map.
 
 :class:`MembershipEvent` is the picklable form of a control-plane
 backend change keyed by packet index; the sharded runner fans every
@@ -24,7 +23,6 @@ from typing import Callable, Optional, Tuple
 from repro.core.factories import check_stack, make_lb
 from repro.core.interfaces import LoadBalancer, Name
 from repro.ct import make_ct
-from repro.shard.partition import shard_seed
 
 #: op name -> LoadBalancer method applied to the named server.
 _OPS = (
@@ -60,20 +58,15 @@ class BalancerSpec:
     family: str = "table"
     working: Tuple[Name, ...] = ()
     horizon: Tuple[Name, ...] = ()
+    #: None for an unbounded CT, else an LRU CT's capacity.
     ct_capacity: Optional[int] = None
-    ct_policy: str = "lru"
-    #: Master seed; per-shard CT seeds derive from it via shard_seed.
+    #: Master seed (the Concury map's).
     seed: int = 0
     #: CH constructor kwargs as sorted items (kept hashable/picklable).
     ch_kwargs: Tuple[Tuple[str, object], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         check_stack(self.mode, self.family)
-        if self.ct_policy == "ttl":
-            raise ValueError(
-                'ct_policy "ttl" needs a clock and a replay has none: the table would '
-                "expire entries by wall time, so its contents would depend on the machine"
-            )
 
     @classmethod
     def fleet(
@@ -83,7 +76,6 @@ class BalancerSpec:
         n_servers: int = 50,
         horizon_size: int = 5,
         ct_capacity: Optional[int] = None,
-        ct_policy: str = "lru",
         seed: int = 0,
         **ch_kwargs,
     ) -> "BalancerSpec":
@@ -107,44 +99,28 @@ class BalancerSpec:
             working=working,
             horizon=horizon,
             ct_capacity=ct_capacity,
-            ct_policy=ct_policy,
             seed=seed,
             ch_kwargs=tuple(sorted(ch_kwargs.items())),
         )
 
     def build(self, shard_id: int = 0) -> LoadBalancer:
-        """Construct this balancer for one shard, seeds shard-derived.
-
-        The CT's randomness is shard-local; a CT-less stack (the Concury
-        map is seeded by the master seed alone) comes out identical in
-        every shard, which the merged-equals-single-process contract
-        requires.
-        """
+        """Construct this balancer for one shard.  Every shard's comes out
+        the same (the Concury map is seeded by the master seed alone),
+        which the merged-equals-single-process contract requires."""
         return make_lb(
             self.mode, self.family, list(self.working), list(self.horizon),
-            ct=self._ct(shard_id), master_seed=self.seed, **dict(self.ch_kwargs),
+            ct=make_ct(self.ct_capacity), master_seed=self.seed, **dict(self.ch_kwargs),
         )
 
     def builder(self) -> Callable[[int], LoadBalancer]:
         """``build`` for the shards of one call, at the cost of one build.
 
-        Everything but the CT is the same in every shard, so the stack is
-        built and pickled once, here; each call unpickles a copy and
-        gives it the shard's own CT, the one ``build(shard_id)`` makes.
-        The CH tables and the Concury Othello map are numpy arrays, so a
-        copy is a memory copy: well under a millisecond, against a
-        table-HRW or Concury build of tens.  Nothing outlives the
-        returned function: a second call builds again.
+        The stack is built and pickled once, here; each call unpickles a
+        copy, its CT as empty and its own as ``build``'s.  The CH tables
+        and the Concury Othello map are numpy arrays, so a copy is a
+        memory copy: well under a millisecond, against a table-HRW or
+        Concury build of tens.  Nothing outlives the returned function: a
+        second call builds again.
         """
         image = pickle.dumps(self.build(0), pickle.HIGHEST_PROTOCOL)
-
-        def build(shard_id: int) -> LoadBalancer:
-            balancer = pickle.loads(image)
-            if hasattr(balancer, "ct"):
-                balancer.ct = self._ct(shard_id)
-            return balancer
-
-        return build
-
-    def _ct(self, shard_id: int):
-        return make_ct(self.ct_capacity, self.ct_policy, seed=shard_seed(self.seed, shard_id))
+        return lambda shard_id: pickle.loads(image)

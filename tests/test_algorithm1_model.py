@@ -173,14 +173,12 @@ class Algorithm1Machine(RuleBasedStateMachine):
         server=st.integers(0, 64),
     )
     def sync(self, pool, index, server):
-        """A peer's entry put into the CT in its current encoding (names,
-        or ids once a columnar call has run), as LBPool's sync does; the
-        flow is at that destination from now on, and its next packet
-        arrives here."""
+        """A peer's entry put into the CT through ``put_tracked``, as
+        LBPool's sync does; the flow is at that destination from now on,
+        and its next packet arrives here."""
         [key] = self._keys(pool, [index])
         name = self._pick(self.model.W, server)
-        lb = self.lb
-        lb.ct.put(key, lb._indexer.get_id(name) if lb._ct_idx else name)
+        self.lb.put_tracked(key, name)
         self.model.sync(key, name)
         self.last[key] = (name, self.clock)
         self._dispatch([key], self.tier)

@@ -27,6 +27,7 @@ from repro.ch.properties import sample_keys
 from repro.core import (
     FullCTLoadBalancer,
     JETLoadBalancer,
+    PowerOfTwoJET,
     StatelessLoadBalancer,
     make_ch,
     make_full_ct,
@@ -291,7 +292,7 @@ def _decode_idx_run(lb, keys):
 
 def assert_lb_batch_matches(batched, scalar, keys):
     """Same destinations, and the CT (where one exists) holds the same
-    name mappings whichever representation the run used internally."""
+    name mappings whichever tier wrote them."""
     expected = [scalar.get_destination(int(k)) for k in keys.tolist()]
     assert _decode_idx_run(batched, keys) == expected
     assert _tracked(batched) == _tracked(scalar)
@@ -299,7 +300,7 @@ def assert_lb_batch_matches(batched, scalar, keys):
 
 def assert_idx_dispatch_refused(lb):
     """The probe says no, so the idx entry point raises -- before it
-    touches the CT (it must not engage index mode on the way out)."""
+    touches the CT (it must not engage the array store on the way out)."""
     assert not lb.columnar_effective
     with pytest.raises(NotImplementedError):
         lb.get_destinations_batch_idx(KEYS[:8])
@@ -348,22 +349,28 @@ class TestLBBatch:
         )
 
     def test_jet_lazy_cleanup_falls_back_to_scalar(self):
-        # Stale entries (lazy cleanup) are the reason this config must
-        # take the scalar loop: per-key validation interleaves deletes.
-        # An ungated idx path skips it and dispatches tracked flows to
-        # the removed server (44 of these 2000 keys).
-        lb = JETLoadBalancer(build("hrw"), UnboundedCT(), active_cleanup=False)
-        assert_idx_dispatch_refused(lb)
+        """(Named for the configuration this one replaced.)  A removal
+        cleans the CT actively, so only an entry synced in after it -- a
+        late pool delta -- can point at the removed server, and pools
+        dispatch scalar: the scalar tier's lazy check drops each such
+        entry on its first read, after which the columnar tier matches a
+        twin that never saw one."""
         keys = np.array(sample_keys(2000, seed=7), dtype=np.uint64)
-        for k in keys.tolist():
-            lb.get_destination(k)
-        lb.remove_working_server("w3")
-        with pytest.raises(NotImplementedError):
-            lb.get_destinations_batch_idx(keys)
-        assert "w3" not in {lb.get_destination(k) for k in keys.tolist()}
-        assert_idx_dispatch_refused(
-            FullCTLoadBalancer(build("hrw"), UnboundedCT(), active_cleanup=False)
-        )
+        for cls in (JETLoadBalancer, FullCTLoadBalancer):
+            lb, twin = _lb_pair(lambda: cls(build("hrw"), UnboundedCT()))
+            assert_lb_batch_matches(lb, twin, keys)
+            held = [k for k, d in lb.tracked_items().items() if d == "w3"]
+            assert held
+            for balancer in (lb, twin):
+                balancer.remove_working_server("w3")
+            for k in held:
+                lb.put_tracked(k, "w3")
+            assert "w3" not in {lb.get_destination(k) for k in keys.tolist()}
+            assert "w3" not in lb.tracked_items().values()
+            assert [lb.get_destination(k) for k in keys.tolist()] == [
+                twin.get_destination(k) for k in keys.tolist()
+            ]
+            assert_lb_batch_matches(lb, twin, keys)
 
     @pytest.mark.parametrize("family", ["maglev", "table"])
     def test_full_ct_batch_matches_scalar_twin(self, family):
@@ -565,9 +572,7 @@ class TestColumnarLB:
             assert not make_jet(
                 "hrw", WORKING, HORIZON, ct=LRUCT(capacity=32)
             ).columnar_effective
-            assert not JETLoadBalancer(
-                build("hrw"), UnboundedCT(), active_cleanup=False
-            ).columnar_effective
+            assert not PowerOfTwoJET(build("hrw"), UnboundedCT()).columnar_effective
         elif mode == "full-ct":
             assert make_full_ct("maglev", WORKING, table_size=251).columnar_effective
             assert not make_full_ct(
@@ -597,9 +602,7 @@ class TestNeverSlowerRouting:
             "bounded-ct": lambda: make_jet(
                 "hrw", WORKING, HORIZON, ct=LRUCT(capacity=32)
             ),
-            "lazy-cleanup": lambda: JETLoadBalancer(
-                build("hrw"), UnboundedCT(), active_cleanup=False
-            ),
+            "jet-p2c": lambda: PowerOfTwoJET(build("hrw"), UnboundedCT()),
             "full-ct-bounded": lambda: make_full_ct(
                 "table", WORKING, HORIZON, rows=389, ct=LRUCT(capacity=32)
             ),
@@ -610,7 +613,9 @@ class TestNeverSlowerRouting:
             scalar = replay(TRACE, scalar_lb, churn_events())
             assert _replay_fields(batched) == _replay_fields(scalar), label
             # Recency order (and therefore who got evicted) included.
-            assert list(batched_lb.ct.items()) == list(scalar_lb.ct.items()), label
+            assert list(batched_lb.tracked_items().items()) == list(
+                scalar_lb.tracked_items().items()
+            ), label
             assert batched_lb.ct.stats == scalar_lb.ct.stats, label
 
 
@@ -935,18 +940,19 @@ class TestUnsafeOnlyProbe:
             assert probed[-1].tolist() == expected
             assert len(expected) < len(chunk)
 
-    @pytest.mark.parametrize("encoding", ["names", "ids"])
+    @pytest.mark.parametrize(
+        "chunk_first", [pytest.param(False, id="names"), pytest.param(True, id="ids")]
+    )
     @pytest.mark.parametrize("family", SPARSE_FAMILIES)
-    def test_a_foreign_put_of_a_safe_key_hits(self, family, encoding):
+    def test_a_foreign_put_of_a_safe_key_hits(self, family, chunk_first):
         lb, scalar_lb = _jet(family), _jet(family)
-        if encoding == "ids":  # the first chunk moves the CT to ids
+        if chunk_first:
             self.dispatch(lb, scalar_lb, KEYS[:500])
         rest = KEYS[500:900]
         safe = next(k for k in rest.tolist() if not lb.ch.lookup_with_safety(k)[1])
         peer = next(w for w in WORKING if w != lb.ch.lookup(safe))
-        for balancer in (lb, scalar_lb):  # in the table's encoding, as LBPool syncs
-            value = balancer._indexer.get_id(peer) if balancer._ct_idx else peer
-            balancer.ct.put(safe, value)
+        for balancer in (lb, scalar_lb):  # as LBPool syncs
+            balancer.put_tracked(safe, peer)
         keys = np.concatenate([np.array([safe], dtype=np.uint64), rest])
         assert self.dispatch(lb, scalar_lb, keys)[0] == peer
 

@@ -18,7 +18,7 @@ def fresh_lb(ct=None, **kwargs):
 class TestGetDestination:
     def test_tracked_connection_served_from_ct(self):
         lb = fresh_lb()
-        lb.ct.put(42, W[7])
+        lb.put_tracked(42, W[7])
         assert lb.get_destination(42) == W[7]
 
     def test_untracked_safe_connection_not_inserted(self):
@@ -47,11 +47,13 @@ class TestGetDestination:
         assert fraction == pytest.approx(len(H) / (len(W) + len(H)), rel=0.3)
 
     def test_stale_ct_entry_cleaned_lazily(self):
-        lb = fresh_lb(active_cleanup=False)
-        lb.ct.put(42, "long-gone")  # simulates an entry surviving removal
+        lb = fresh_lb()
+        lb.remove_working_server(W[7])
+        lb.put_tracked(42, W[7])  # a peer's entry arriving after the removal
+        assert lb.peek_tracked(42) == W[7]
         destination = lb.get_destination(42)
         assert destination in lb.working
-        assert lb.ct.peek(42) != "long-gone"
+        assert lb.peek_tracked(42) != W[7]
 
 
 class TestBackendEvents:
@@ -68,19 +70,25 @@ class TestBackendEvents:
         for k in keys:
             lb.get_destination(k)
         victim = W[0]
-        had = sum(1 for k in lb.ct if lb.ct.peek(k) == victim)
+        had = sum(1 for k in lb.ct if lb.peek_tracked(k) == victim)
         lb.remove_working_server(victim)
-        assert all(lb.ct.peek(k) != victim for k in lb.ct)
+        assert all(lb.peek_tracked(k) != victim for k in lb.ct)
         assert lb.ct.stats.invalidations == had
 
     def test_remove_without_active_cleanup_still_correct(self):
-        lb = fresh_lb(active_cleanup=False)
+        # Entries synced in after the removal skip the active cleanup:
+        # the lazy check alone keeps them off the removed server.
+        lb = fresh_lb()
         keys = sample_keys(2000, seed=5)
-        for k in keys:
-            lb.get_destination(k)
+        first = {k: lb.get_destination(k) for k in keys}
         lb.remove_working_server(W[0])
+        stale = [k for k, d in first.items() if d == W[0]]
+        assert stale
+        for k in stale:
+            lb.put_tracked(k, W[0])
         for k in keys:
             assert lb.get_destination(k) in lb.working
+        assert W[0] not in lb.tracked_items().values()
 
     def test_horizon_management_delegates(self):
         lb = fresh_lb()

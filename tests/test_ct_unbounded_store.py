@@ -3,8 +3,8 @@
 A hypothesis rule machine interleaves the scalar entry points, the
 ``*_idx`` batch entry points (in-batch duplicate keys and flow key 0
 included), ``invalidate_destination``, re-insertion of invalidated keys
-and growth across a rehash, in name mode and after the hand-over to the
-arrays, and requires equal contents, ``len`` and every ``CTStats`` field
+and growth across a rehash, in the dict store and after the hand-over to
+the arrays, and requires equal contents, ``len`` and every ``CTStats`` field
 after each step; the sparse probe ``get_hits_idx`` must be the dense
 ``get_batch_idx`` without its misses, and a probe followed by the
 insert of its misses at the slots the probe's search ended on (the
@@ -18,8 +18,8 @@ of 2 (strided rounds, then the walk), and once each with its ``CTStats``
 seeded miss-heavy and hit-heavy, a regime the store itself must not
 read.  The example tests below pin the probe on a crafted long run, the
 insert that follows a probe, the table size against the batching, the
-edge values at the index-mode boundary, what the store holds in each
-mode, the table with nothing live, and which order each balancer's table
+edge values at the array store's boundary, what each store holds, the
+table with nothing live, and which order each balancer's table
 picks for its dispatch.
 """
 
@@ -172,10 +172,6 @@ class UnboundedCTMachine(RuleBasedStateMachine):
         self.ct.put_batch_idx(u64(missed), np.array(ids, np.int32), miss)
         for key, i in zip(missed, ids):
             self._model_put(key, i)
-
-    @rule()
-    def remap_values(self):
-        self.ct.remap_values(lambda ident: ident)
 
     @rule(ident=IDS)
     def invalidate_destination(self, ident):
@@ -491,7 +487,7 @@ class TestWhichTableBuildsTheFilter:
             for _ in range(2)
         ]
         scalar = replay(self.TRACE, balancers[0], self.events())
-        assert balancers[0].ct._keys is None  # name mode throughout
+        assert balancers[0].ct._keys is None  # the dict store throughout
         ct = balancers[1].ct
         for probe in ("get_hits_idx", "get_batch_idx"):
             entry = getattr(UnboundedCT, probe)
@@ -522,8 +518,8 @@ class TestWhichTableBuildsTheFilter:
 
 
 ENGAGE = {
-    "remap_values": lambda ct: ct.remap_values(lambda ident: ident),
     "get_batch_idx": lambda ct: ct.get_batch_idx(u64([])),
+    "get_hits_idx": lambda ct: ct.get_hits_idx(u64([])),
     "put_batch_idx": lambda ct: ct.put_batch_idx(u64([]), np.array([], np.int32)),
 }
 
@@ -645,9 +641,9 @@ class TestStoreBytes:
     def test_nbytes_reads_the_store_in_each_mode(self):
         ct = UnboundedCT()
         for key in POOL:
-            ct.put(key, "w1")
+            ct.put(key, 1)
         assert ct.nbytes == sys.getsizeof(ct._table) + 36 * len(POOL)
-        ct.remap_values(lambda name: 0)
+        ct.put_batch_idx(u64([]), np.array([], np.int32))
         # A uint64 key and an int32 id per slot, the side slot included,
         # however the table is probed.
         assert ct.nbytes == 12 * len(ct._keys)

@@ -140,7 +140,7 @@ class TestSyncChannel:
         )
         destination = pool.get_destination(1)
         # Every peer holds the entry the moment the origin inserted it.
-        assert all(member.ct.peek(1) == destination for member in pool.members)
+        assert all(member.peek_tracked(1) == destination for member in pool.members)
         assert pool.sync_stats.offered == pool.sync_stats.delivered == 2
         assert pool.gossip is None
         assert not pool.degraded

@@ -26,9 +26,8 @@ from repro.core.concury import ConcuryLoadBalancer
 from repro.core.factories import LB_MODES, lb_class, lb_mode_choices, make_lb
 from repro.core.jet import TrackingLoadBalancer
 from repro.core.load_aware import SynGatedJET
-from repro.ct import RandomEvictCT, UnboundedCT
+from repro.ct import LRUCT, UnboundedCT
 from repro.shard import BalancerSpec
-from repro.shard.partition import shard_seed
 from repro.sim.scenario import SimulationConfig, build_balancer
 
 WORKING = [f"s{i}" for i in range(10)]
@@ -115,18 +114,24 @@ class TestEveryMode:
         assert balancer.working == frozenset(working)
         assert len(standby) == 2
 
-    @pytest.mark.parametrize("active_cleanup", [True, False])
-    def test_cleanup_never_returns_a_removed_server(self, mode, active_cleanup):
+    @pytest.mark.parametrize("cleaned_on_removal", [True, False])
+    def test_cleanup_never_returns_a_removed_server(self, mode, cleaned_on_removal):
         cls = lb_class(mode)
         if not issubclass(cls, TrackingLoadBalancer):
             pytest.skip("no CT to clean")
         ch = TableHRWHash(WORKING, HORIZON, rows=127)
-        lb = cls(ch, UnboundedCT(), active_cleanup=active_cleanup)
+        lb = cls(ch, UnboundedCT())
         before = {k: lb.get_destination(k) for k in KEYS}
         victim = Counter(lb.tracked_items().values()).most_common(1)[0][0]
+        held = [k for k, dest in lb.tracked_items().items() if dest == victim]
         lb.remove_working_server(victim)
+        if not cleaned_on_removal:
+            # The victim's entries synced back in after the removal (a
+            # late pool delta): only the lazy check on a hit is left.
+            for k in held:
+                lb.put_tracked(k, victim)
         stale = sum(1 for dest in lb.tracked_items().values() if dest == victim)
-        assert (stale == 0) if active_cleanup else (stale > 0)
+        assert (stale == 0) if cleaned_on_removal else (stale > 0)
         after = {k: lb.get_destination(k) for k in KEYS}
         assert victim not in after.values()
         # Only the victim's connections moved.
@@ -146,28 +151,21 @@ class TestRegistry:
             make_lb("nope", "table", WORKING, HORIZON)
 
     def test_shard_build_seeds_the_ct_from_shard_seed(self):
+        """(Named for the per-shard CT seed a replay no longer has: its CT
+        is unbounded or LRU.)  Every build and every copy has its own
+        empty CT, and a CT-less stack is the same in every shard."""
         spec = BalancerSpec.fleet(
-            "jet", "table", n_servers=10, horizon_size=2,
-            ct_capacity=8, ct_policy="random", seed=5,
+            "jet", "table", n_servers=10, horizon_size=2, ct_capacity=8, seed=5,
         )
-        for shard in (0, 3):
-            ct = spec.build(shard).ct
-            assert isinstance(ct, RandomEvictCT)
-            expected = RandomEvictCT(8, seed=shard_seed(5, shard))
-            assert ct._rng.getstate() == expected._rng.getstate()
+        copy = spec.builder()
+        cts = [spec.build(shard).ct for shard in (0, 3)] + [copy(shard).ct for shard in (0, 3)]
+        assert all(isinstance(ct, LRUCT) and ct.capacity == 8 and not len(ct) for ct in cts)
+        assert len({id(ct) for ct in cts}) == len(cts)
         # CT-less stacks come out identical in every shard: the Concury
         # map is seeded by the master seed alone.
         concury = BalancerSpec.fleet("concury", "table", n_servers=10,
                                      horizon_size=2, seed=5)
         assert concury.build(0).ch.seed == concury.build(3).ch.seed == 5
-
-    def test_a_replay_refuses_the_clockless_ttl_table(self):
-        # Was: built a TTLCT on the wall clock, so what a (sharded) replay
-        # still tracked at the end depended on how fast the box ran it.
-        with pytest.raises(ValueError, match="needs a clock"):
-            BalancerSpec.fleet("full", "table", ct_policy="ttl")
-        with pytest.raises(ValueError, match="needs a clock"):
-            BalancerSpec(ct_policy="ttl")
 
     @pytest.mark.parametrize("mode", [m for m in MODES if lb_class(m).needs_horizon])
     def test_safety_modes_reject_maglev_at_spec_time(self, mode):
@@ -217,7 +215,7 @@ class TestRegistry:
         for key in KEYS[:300]:
             choice, unsafe = plain.lookup_with_safety(key)
             assert lb.get_destination(key) == choice
-            assert (lb.ct.peek(key) is not None) == unsafe
+            assert (lb.peek_tracked(key) is not None) == unsafe
         del lb._place
         placed_off = 0
         for key in KEYS[300:900]:
@@ -227,19 +225,19 @@ class TestRegistry:
             assert destination in lb.working
             if destination != choice:
                 placed_off += 1
-                assert lb.ct.peek(key) == destination
+                assert lb.peek_tracked(key) == destination
             else:
-                assert (lb.ct.peek(key) is not None) == unsafe
+                assert (lb.peek_tracked(key) is not None) == unsafe
             # Later packets of the flow follow the first, placed or not.
             assert lb.get_destination(key) == destination
         assert placed_off > 0
 
     def test_positional_constructor_order(self):
         ch, ct = TableHRWHash(WORKING, HORIZON, rows=127), UnboundedCT()
-        p2c = PowerOfTwoJET(ch, ct, False, {"s0": 2.0})
-        assert p2c.ct is ct and not p2c.active_cleanup and p2c.weights == {"s0": 2.0}
-        bl = BoundedLoadJET(RingHash(WORKING, HORIZON, virtual_nodes=8), ct, 0.5, False)
-        assert bl.ct is ct and bl.epsilon == 0.5 and not bl.active_cleanup
+        p2c = PowerOfTwoJET(ch, ct, {"s0": 2.0})
+        assert p2c.ct is ct and p2c.weights == {"s0": 2.0}
+        bl = BoundedLoadJET(RingHash(WORKING, HORIZON, virtual_nodes=8), ct, 0.5)
+        assert bl.ct is ct and bl.epsilon == 0.5
         assert StatelessLoadBalancer(MaglevHash(WORKING, table_size=251)).working
 
 
@@ -295,16 +293,16 @@ def test_ct_and_ch_are_read_at_call_time(mode, monkeypatch):
     ch = lb.ch = _Counting(TableHRWHash(WORKING, HORIZON, rows=127))
     del log[:]
 
-    for key in KEYS[:300]:                       # scalar tier, names in the CT
+    for key in KEYS[:300]:                       # scalar tier
         lb.get_destination(key)
     miss_heavy = ct.stats.miss_heavy             # the regime picks the order
-    lb.get_destinations_batch_idx(KEY_ARRAY)     # columnar tier, ids in the CT
+    lb.get_destinations_batch_idx(KEY_ARRAY)     # columnar tier
     lb.remove_working_server("s4")               # backend change + invalidation
     lb.add_working_server("s4")
     lb.add_horizon_server("h7")
     lb.remove_horizon_server("h7")
     lb.force_add_working_server("x1")
-    for key in KEYS[:300]:                       # scalar tier, ids in the CT
+    for key in KEYS[:300]:                       # scalar tier again
         assert lb.get_destination(key) in lb.working
     assert lb.tracked_connections == len(ct.target) > 0
 
@@ -322,6 +320,6 @@ def test_ct_and_ch_are_read_at_call_time(mode, monkeypatch):
         assert ch.calls[name] > 0, name
     # A miss-heavy table is asked for its hits alone, after the CH.
     probe = "get_hits_idx" if miss_heavy else "get_batch_idx"
-    for name in ("get", "put", "remap_values", probe, "put_batch_idx",
+    for name in ("get", "put", probe, "put_batch_idx",
                  "invalidate_destination"):
         assert ct.calls[name] > 0, name

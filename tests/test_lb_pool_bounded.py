@@ -2,6 +2,7 @@
 real-world constraints): eviction-masking, member crash/partition,
 gossip replication, and perfect sync as gossip's degenerate case."""
 
+import numpy as np
 import pytest
 
 from repro.ch import AnchorHash, HRWHash
@@ -48,7 +49,7 @@ class TestEvictionMasksInsert:
         fresh = mine[8]
         destination = pool.get_destination(fresh)
         assert len(origin.ct) == 8  # eviction masked the insert...
-        assert peer.ct.peek(fresh) == destination  # ...but it replicated
+        assert peer.peek_tracked(fresh) == destination  # ...but it replicated
 
 
 class TestPoolChangesMidTraffic:
@@ -72,7 +73,17 @@ class TestPoolChangesMidTraffic:
         assert stale.tracked_connections < len(destinations)
         member = pool.add_lb()
         assert member.tracked_connections == len(destinations)
-        assert all(member.ct.peek(k) == d for k, d in destinations.items())
+        assert all(member.peek_tracked(k) == d for k, d in destinations.items())
+
+    @pytest.mark.parametrize("mode", [JETLoadBalancer, FullCTLoadBalancer])
+    def test_grow_feeds_names_from_a_donor_that_ran_a_columnar_chunk(self, mode):
+        pool = LBPool(lambda: mode(HRWHash(W, H)), size=2, sync=True)
+        donor = pool.members[0]
+        donor.get_destinations_batch_idx(np.array(KEYS, dtype=np.uint64))
+        member = pool.add_lb()
+        fed = member.tracked_items()
+        assert fed and fed == donor.tracked_items()
+        assert set(fed.values()) <= set(W)
 
     def test_shrink_reports_lost_entries(self):
         pool = LBPool(bounded_full_factory(capacity=64), size=3, sync=False)
@@ -166,7 +177,7 @@ class TestDegradedSync:
         assert channel.stats.lost_pushes > 0
         assert channel.converged and not pool.degraded
         for member in pool.members:
-            assert all(member.ct.peek(k) == d for k, d in destinations.items())
+            assert all(member.peek_tracked(k) == d for k, d in destinations.items())
 
     def test_lagged_sync_eventually_protects(self):
         # One round per 4 lookups stands in for replication lag.
@@ -174,12 +185,12 @@ class TestDegradedSync:
         pool = LBPool(bounded_full_factory(capacity=1024), size=2, sync=channel)
         destinations = {k: pool.get_destination(k) for k in KEYS[:200]}
         peer = pool.members[1]
-        assert any(peer.ct.peek(k) is None for k in destinations)  # lagging
+        assert any(peer.peek_tracked(k) is None for k in destinations)  # lagging
         channel.drain()
         # After the lag settles, every entry is on both members.
         for member in pool.members:
             for k, d in destinations.items():
-                assert member.ct.peek(k) == d
+                assert member.peek_tracked(k) == d
 
     def test_sync_bool_back_compat(self):
         assert LBPool(bounded_full_factory(), size=2, sync=True).sync is True
@@ -218,14 +229,14 @@ class TestCrashSyncAccounting:
         stale = pool.partition_lb(1)
         destinations = {k: pool.get_destination(k) for k in KEYS[:200]}
         missing = [
-            k for k, d in destinations.items() if stale.ct.peek(k) != d
+            k for k, d in destinations.items() if stale.peek_tracked(k) != d
         ]
         assert missing  # the partitioned member missed replication
         pool.heal_lb(1)
         assert pool.sync_stats.anti_entropy == len(missing)
         donor = pool.members[0]
-        for k, d in donor.ct.items():
-            assert stale.ct.peek(k) == d
+        for k, d in donor.tracked_items().items():
+            assert stale.peek_tracked(k) == d
 
 
 class TestGossipPool:
@@ -247,7 +258,7 @@ class TestGossipPool:
         assert channel.converged
         for member in pool.members:
             for k, d in destinations.items():
-                assert member.ct.peek(k) == d
+                assert member.peek_tracked(k) == d
 
     def test_partition_heal_converges_staleness_to_zero(self):
         pool, channel = self.make_pool()
@@ -271,7 +282,7 @@ class TestGossipPool:
         inserted = sum(
             1 for k in KEYS[:300]
             if pool._steer(k) is victim and pool.get_destination(k) is not None
-            and victim.ct.peek(k) is not None
+            and victim.peek_tracked(k) is not None
         )
         assert inserted > 0
         pool.crash_lb(2)
@@ -288,7 +299,7 @@ class TestGossipPool:
         channel.drain()
         assert channel.staleness_of(member) == 0
         for k, d in destinations.items():
-            assert member.ct.peek(k) == d
+            assert member.peek_tracked(k) == d
 
 
 class TestPerfectSyncIsDegenerateGossip:
@@ -304,19 +315,24 @@ class TestPerfectSyncIsDegenerateGossip:
         (N_PACKETS // 2, lambda pool: pool.add_lb()),
     ]
 
-    def run(self, mode, sync):
-        working = [f"w{i}" for i in range(20)]
+    WORKING = [f"w{i}" for i in range(20)]
 
+    def run(self, mode, sync, chunk_first=False):
         def factory():
-            return mode(AnchorHash(working, ["h0", "h1"], capacity=44))
+            return mode(AnchorHash(self.WORKING, ["h0", "h1"], capacity=44))
 
         pool = LBPool(factory, size=3, sync=sync)
+        if chunk_first:
+            # Each member serves the trace's first flows as one columnar
+            # chunk, so the members start out equal.
+            for member in pool.members:
+                member.get_destinations_batch_idx(self.TRACE.flow_keys[:400])
         seen, dispatch = [], pool.get_destination
         pool.get_destination = lambda key: seen.append(dispatch(key)) or seen[-1]
         outcome = replay(self.TRACE, pool, events=self.EVENTS)
         if pool.gossip is not None:
             pool.gossip.drain()
-        cts = [dict(member.ct.items()) for member in pool.members]
+        cts = [member.tracked_items() for member in pool.members]
         return seen, outcome.pcc_violations, pool.synced_entries, cts
 
     @pytest.mark.parametrize("mode", [JETLoadBalancer, FullCTLoadBalancer])
@@ -325,3 +341,18 @@ class TestPerfectSyncIsDegenerateGossip:
         gossiped = self.run(mode, GossipSync(fanout=4, round_lookups=1))
         assert pushed[2] > 0 and len(pushed[3]) == 4
         assert gossiped == pushed
+
+    @pytest.mark.parametrize("sync", ["push", "gossip"])
+    @pytest.mark.parametrize("mode", [JETLoadBalancer, FullCTLoadBalancer])
+    def test_members_agree_after_a_columnar_chunk(self, mode, sync):
+        channel = True if sync == "push" else GossipSync(fanout=4, round_lookups=1)
+        _, _, synced, cts = self.run(mode, channel, chunk_first=True)
+        first, *others, joiner = cts
+        assert synced > 0 and first and set(first.values()) <= set(self.WORKING) | {"h0"}
+        assert all(ct == first for ct in others)
+        # The joiner gets what the pool offered: under the push, the
+        # donor's whole CT; under gossip, the deltas, which the columnar
+        # chunk's entries never were.
+        assert joiner.items() <= first.items()
+        if sync == "push":
+            assert joiner == first

@@ -50,8 +50,8 @@ def _fingerprint(balancer, result):
     """Everything a run decided: per-flow loads, accounting, CT contents.
 
     CT contents go through ``tracked_items`` where available: it decodes
-    the columnar path's integer-index storage back to names, so scalar,
-    name-batch, and index-batch runs fingerprint identically.
+    the stored backend ids back to names, so scalar and columnar runs
+    fingerprint identically.
     """
     ct = getattr(balancer, "ct", None)
     if hasattr(balancer, "tracked_items"):

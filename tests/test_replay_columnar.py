@@ -193,8 +193,8 @@ class TestZeroObjectHotPath:
 
     def test_no_object_arrays_outside_the_edge(self, monkeypatch):
         lb = build_lb("table", "jet")
-        # Warm everything that legitimately allocates once: index-mode
-        # engagement, the backend-table translation, the CT mirror.
+        # Warm everything that legitimately allocates once: the CT's
+        # array store, the backend-table translation.
         replay_batch(TRACE, lb)
 
         in_edge = {"on": False}

@@ -9,11 +9,13 @@ how shards are spread over worker processes.
 
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 
 import pytest
 
+from repro.ct import make_ct
 from repro.obs import Registry
 from repro.obs.invariants import check
 from repro.shard import BalancerSpec, MembershipEvent, replay_sharded
@@ -183,11 +185,10 @@ class TestWorkerCountStability:
         reason="fork start method unavailable",
     )
     def test_workers_do_not_change_results(self):
-        # random-evict bounded CT: every RNG draw flows from the shard
-        # seed, so even eviction choices cannot depend on the process
-        # layout or scheduling order.
+        # A bounded CT: even eviction choices cannot depend on the
+        # process layout or scheduling order.
         trace = small_trace(seed=8)
-        spec = fleet("jet", "table", ct_capacity=64, ct_policy="random")
+        spec = fleet("jet", "table", ct_capacity=64)
         runs = {
             workers: replay_sharded(
                 trace, spec, n_workers=workers, n_shards=4, collect_tracked=True
@@ -380,18 +381,12 @@ class TestOneBuildPerCall:
         assert builds.value == 2  # nothing is cached across calls
 
     def test_copies_are_independent(self):
-        import random
-
-        from repro.shard import shard_seed
-
-        spec = fleet("jet", "table", ct_capacity=64, ct_policy="random")
+        spec = fleet("jet", "table", ct_capacity=64)
         build = spec.builder()
         copies = [build(shard) for shard in range(3)]
         assert len({id(copy.ct) for copy in copies}) == 3
         assert len({id(copy.ch) for copy in copies}) == 3
-        for shard, copy in enumerate(copies):
-            seeded = random.Random(shard_seed(spec.seed, shard))
-            assert copy.ct._rng.getstate() == seeded.getstate()
+        assert all(copy.ct.capacity == 64 and not len(copy.ct) for copy in copies)
         before = set(copies[1].working)
         MembershipEvent(0, "remove_working", "s0").apply(copies[0])
         assert "s0" not in copies[0].working
@@ -400,15 +395,25 @@ class TestOneBuildPerCall:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
     def test_bounded_copies_match_fresh_builds(self, policy, workers):
-        # Bounded tables evict, and random eviction draws from the shard
-        # seed: a copy must replay exactly like a freshly built shard.
+        # ``BalancerSpec.builder`` hands out unpickled images of one build,
+        # CT included.  Bounded tables evict, random eviction from its own
+        # RNG: a copy of a stack holding any of them, made the builder's
+        # way, must replay exactly like a freshly built shard.
         trace = small_trace(seed=8)
-        spec = fleet("jet", "table", ct_capacity=64, ct_policy=policy)
+        spec = fleet("jet", "table")
+
+        def build(shard_id):
+            balancer = spec.build(shard_id)
+            balancer.ct = make_ct(64, policy, seed=5)
+            return balancer
+
+        image = pickle.dumps(build(0), pickle.HIGHEST_PROTOCOL)
         fresh = replay_sharded(
-            trace, spec.build, n_workers=1, n_shards=4, collect_tracked=True
+            trace, build, n_workers=1, n_shards=4, collect_tracked=True
         )
         forked = replay_sharded(
-            trace, spec, n_workers=workers, n_shards=4, collect_tracked=True
+            trace, lambda shard_id: pickle.loads(image), n_workers=workers,
+            n_shards=4, collect_tracked=True,
         )
         assert_results_equal(forked.result, fresh.result)
         for mine, theirs in zip(forked.outcomes, fresh.outcomes):
